@@ -13,8 +13,10 @@ import sys
 from dataclasses import dataclass, field
 
 from .divergence import DivergenceOptions, observable_divergence
+from .groups import is_prime
 from .serialize import estimate_to_json, load_json, observable_from_json, save_json
 from .verify import (
+    PHASE_SPACE_MAX_DIM,
     DemoFailure,
     bound_curve,
     default_random_fixture,
@@ -144,10 +146,16 @@ def _emit_json(cfg: RunConfig, doc: dict):
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
+def _require_phase_space_dim(dim: int):
+    if not is_prime(dim) or dim > PHASE_SPACE_MAX_DIM:
+        raise ConfigError(f"--dim must be a prime <= {PHASE_SPACE_MAX_DIM}, got {dim}")
+
+
 def _fixture_for(cfg: RunConfig):
     if cfg.fixture == "q8":
         return q8_program_pair()
     if cfg.fixture == "phase-space":
+        _require_phase_space_dim(cfg.dim)
         return wh_program_pair(cfg.dim)
     if cfg.fixture == "random":
         return default_random_fixture(cfg.seed)
@@ -155,6 +163,8 @@ def _fixture_for(cfg: RunConfig):
 
 
 def _run_demo(cfg: RunConfig, which: str) -> int:
+    if which == "phase-space":
+        _require_phase_space_dim(cfg.dim)
     try:
         doc = quaternion_demo() if which == "q8" else phase_space_demo(cfg.dim)
     except DemoFailure as exc:
@@ -198,6 +208,8 @@ def _run_verify(cfg: RunConfig, which: str) -> int:
 def _run_bound(cfg: RunConfig) -> int:
     if cfg.format not in (None, "csv"):
         raise ConfigError("bound emits csv only")
+    if cfg.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {cfg.points}")
     curve = bound_curve(points=cfg.points)
     _emit(cfg, curve.to_csv())
     return 0

@@ -17,6 +17,7 @@ UNITARY_TOL = 1e-10
 MULTIPLIER_TOL = 1e-9
 EIGVEC_INVARIANCE_TOL = 1e-9
 DEGENERACY_TOL = 1e-8
+TARGET_EIGENVALUE_TOL = 1e-8
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -283,7 +284,7 @@ def q8_representation() -> ProjectiveRepresentation:
     return ProjectiveRepresentation(group, mats)
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in range(2, int(n**0.5) + 1):
@@ -299,7 +300,7 @@ def weyl_heisenberg(d: int) -> ProjectiveRepresentation:
     U(x, y) maps basis vector phi_k to omega^(y k) phi_(k+x) with
     omega = exp(2 pi i / d). Requires prime d.
     """
-    if not _is_prime(d):
+    if not is_prime(d):
         raise ValueError(f"dimension must be prime, got {d}")
     names = [f"({x},{y})" for x in range(d) for y in range(d)]
     n = d * d
@@ -374,6 +375,31 @@ def eigenvector_program_states(rep: ProjectiveRepresentation, generator: int) ->
         if float(np.max(np.abs(u @ p @ u.conj().T - p))) > EIGVEC_INVARIANCE_TOL:
             raise ValueError("schur vector failed the invariance check")
     return ProgramVectors(vecs, eigvals, deg)
+
+
+def eigenvector_program(
+    rep: ProjectiveRepresentation, generator: int, target_eigenvalue: complex
+) -> tuple:
+    """Program the sharp observable of the cyclic subgroup ``<generator>``.
+
+    Picks the eigenvector of U(generator) whose eigenvalue is nearest the
+    target; when none lies within TARGET_EIGENVALUE_TOL (d = 2 phase space)
+    the first vector, smallest eigenvalue phase, is used instead. Returns
+    ``(psi, probe, kernel, exact)``: the vector, the probe state
+    maximally_mixed x transpose(psi) for the covariant multimeter, the coset
+    merging kernel that sharpens the programmed observable, and whether the
+    target eigenvalue was found.
+    """
+    pv = eigenvector_program_states(rep, generator)
+    dist = np.abs(pv.eigenvalues - target_eigenvalue)
+    pick = int(np.argmin(dist))
+    exact = bool(dist[pick] <= TARGET_EIGENVALUE_TOL)
+    psi = pv.vectors[:, pick if exact else 0]
+    probe = covariant_program_state(
+        DensityState.maximally_mixed(rep.degree), DensityState.from_vector(psi)
+    )
+    kernel = coset_postprocessing(rep.group, CyclicSubgroup(rep.group, generator))
+    return psi, probe, kernel, exact
 
 
 def sharp_from_subgroup(

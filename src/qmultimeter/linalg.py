@@ -29,11 +29,6 @@ def herm_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def is_hermitian(m, tol: float = TOL_HERM) -> bool:
-    a = as_matrix(m)
-    return a.shape[0] == a.shape[1] and herm_defect(a) <= tol
-
-
 def require_hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -47,13 +42,6 @@ def require_hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
 def tensor(a, b) -> np.ndarray:
     """Kronecker product with the first factor as the most significant index block."""
     return np.kron(as_matrix(a), as_matrix(b))
-
-
-def tensor_all(*factors) -> np.ndarray:
-    out = as_matrix(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, as_matrix(f))
-    return out
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:
@@ -107,8 +95,3 @@ def psd_sqrt(m, tol_psd: float = TOL_PSD, tol_herm: float = TOL_HERM) -> np.ndar
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[-1]:.3e} < -{tol_psd:.1e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
-
-
-def min_eigval(m, tol_herm: float = TOL_HERM) -> float:
-    a = require_hermitian(m, tol_herm)
-    return float(np.linalg.eigvalsh(hermitianize(a))[0])

@@ -3,12 +3,13 @@ and the quaternion / finite-phase-space demonstration pipelines."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
+# unused here; perfbench/tracing.py patches verify.minimize on every traced run
+from scipy.optimize import minimize  # noqa: F401
 
 from .divergence import (
     CLAMP_HI,
@@ -18,15 +19,12 @@ from .divergence import (
     observable_divergence,
 )
 from .groups import (
-    CyclicSubgroup,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    _is_prime,
-    coset_postprocessing,
     covariant_multimeter,
-    covariant_program_state,
-    eigenvector_program_states,
+    eigenvector_program,
+    is_prime,
     q8_representation,
     weyl_heisenberg,
     wh_element_index,
@@ -54,6 +52,9 @@ from .sampling import (
 
 TOL_CHECK = 1e-9
 ESTIMATOR_TOL = 2e-3
+PHASE_SPACE_MAX_DIM = 11
+# eigenvalues of U(i), U(j), U(k) whose eigenvectors project onto the +axis
+Q8_TARGETS = {"i": 1j, "j": -1j, "k": 1j}
 
 
 class DemoFailure(AssertionError):
@@ -95,7 +96,6 @@ class BoundCurve:
 
     ts: np.ndarray
     values: np.ndarray
-    meta: list = field(default_factory=list)
 
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
@@ -358,88 +358,26 @@ def verify_b_properties(
 
 
 # ---------------------------------------------------------------------------
-# the sharp-pair programming bound (min-of-four maximization)
+# the sharp-pair programming bound
 
 
-@lru_cache(maxsize=4)
-def _sharpmin_tables(grid: int):
-    xs = np.linspace(0.0, 1.0, grid)
-    a = xs[:, None, None, None]
-    b = xs[None, :, None, None]
-    c = xs[None, None, :, None]
-    e = xs[None, None, None, :]
-    plus = np.minimum(np.sqrt(2 * a * c), np.sqrt(2 * (1 - b) * (1 - e)))
-    minus = np.minimum(np.sqrt(2 * (1 - a) * e), np.sqrt(2 * b * (1 - c)))
-    return xs, plus, minus
-
-
-def _sharpmin_objective(x: np.ndarray, sp: float, sm: float) -> float:
-    a, b, c, e = np.clip(x, 0.0, 1.0)
-    terms = []
-    if sp > 0.0:
-        terms.append(np.sqrt(2 * a * c) / sp)
-        terms.append(np.sqrt(2 * (1 - b) * (1 - e)) / sp)
-    if sm > 0.0:
-        terms.append(np.sqrt(2 * (1 - a) * e) / sm)
-        terms.append(np.sqrt(2 * b * (1 - c)) / sm)
-    return float(min(terms))
-
-
-def sharpmin_bound(t: float, grid: int = 41, refine: bool = True) -> float:
+def sharpmin_bound(t: float) -> float:
     """Upper bound on the program fidelity for two sharp qubit targets whose
     axes have overlap ``t``, maximized over the four-parameter splitting table.
 
-    A lattice scan over the unit box seeds a local simplex refinement. At
-    |t| = 1 the two terms with vanishing denominators are dropped from the
-    minimum (they diverge).
+    The maximum is attained at the balanced splitting
+    a = c = 1 - b = 1 - e = sqrt(1 + t) / (sqrt(1 + t) + sqrt(1 - t)), where all
+    four terms of the minimum agree: sqrt(2) / (sqrt(1 + t) + sqrt(1 - t)).
+    ``tests/oracles.sharpmin_oracle`` maximizes the table numerically as a check.
     """
-    if abs(t) > 1.0:
+    if not -1.0 <= t <= 1.0:
         raise ValueError(f"axis overlap must lie in [-1, 1], got {t}")
-    sp = float(np.sqrt(1.0 + t))
-    sm = float(np.sqrt(1.0 - t))
-    xs, plus, minus = _sharpmin_tables(grid)
-
-    if sm == 0.0:
-        vals = plus / sp
-    elif sp == 0.0:
-        vals = minus / sm
-    else:
-        vals = np.minimum(plus / sp, minus / sm)
-    flat = int(np.argmax(vals))
-    best = float(vals.reshape(-1)[flat])
-    idx = np.unravel_index(flat, vals.shape)
-
-    if not refine:
-        return best
-
-    starts = [np.array([xs[i] for i in idx])]
-    # balanced splitting: all four terms equal; numerically confirmed optimal,
-    # seeding it keeps the refined curve symmetric to machine precision
-    a_bal = sp / (sp + sm) if sp + sm > 0 else 1.0
-    starts.append(np.array([a_bal, 1.0 - a_bal, a_bal, 1.0 - a_bal]))
-
-    def neg(theta):
-        # smooth box parameterization for the simplex search
-        return -_sharpmin_objective(np.sin(theta) ** 2, sp, sm)
-
-    for x0 in starts:
-        theta0 = np.arcsin(np.sqrt(np.clip(x0, 0.0, 1.0)))
-        best = max(best, _sharpmin_objective(x0, sp, sm))
-        res = minimize(
-            neg,
-            theta0,
-            method="Nelder-Mead",
-            options={"maxiter": 4000, "fatol": 1e-12, "xatol": 1e-9},
-        )
-        best = max(best, float(-res.fun))
-    return best
+    return math.sqrt(2.0) / (math.sqrt(1.0 + t) + math.sqrt(1.0 - t))
 
 
-def bound_curve(points: int = 201, grid: int = 41, refine: bool = True) -> BoundCurve:
+def bound_curve(points: int = 201) -> BoundCurve:
     ts = np.linspace(-1.0, 1.0, points)
-    values = np.array([sharpmin_bound(float(t), grid=grid, refine=refine) for t in ts])
-    meta = [{"grid": grid, "refined": refine} for _ in ts]
-    return BoundCurve(ts, values, meta)
+    return BoundCurve(ts, np.array([sharpmin_bound(float(t)) for t in ts]))
 
 
 # ---------------------------------------------------------------------------
@@ -456,28 +394,21 @@ def quaternion_demo() -> dict:
     non-orthogonal probe states and verify the overlap saturates the bound."""
     t0 = time.perf_counter()
     rep = q8_representation()
-    group = rep.group
     mm = covariant_multimeter(rep)
-    eta = DensityState.maximally_mixed(2)
 
-    # eigenvalue picks that land on the +axis projections
-    plan = [("i", 1j, PAULI_X), ("j", -1j, PAULI_Y), ("k", 1j, PAULI_Z)]
+    plan = [("i", PAULI_X), ("j", PAULI_Y), ("k", PAULI_Z)]
     vectors = {}
     pvms = {}
-    for name, target, pauli in plan:
-        gen = group.names.index(name)
-        pv = eigenvector_program_states(rep, gen)
-        pick = int(np.argmin(np.abs(pv.eigenvalues - target)))
-        psi = pv.vectors[:, pick]
+    for name, pauli in plan:
+        gen = rep.group.names.index(name)
+        psi, probe, kern, _ = eigenvector_program(rep, gen, Q8_TARGETS[name])
         vectors[name] = psi
         proj = np.outer(psi, psi.conj())
         _check(
             float(np.max(np.abs(proj - (np.eye(2) + pauli) / 2))) <= 1e-9,
             f"programming projection for <{name}> equals (1 + sigma_{name})/2",
         )
-        programmed = program(mm, covariant_program_state(eta, DensityState(proj)))
-        kern = coset_postprocessing(group, CyclicSubgroup(group, gen))
-        sharp = post_process_observable(kern, programmed)
+        sharp = post_process_observable(kern, program(mm, probe))
         expected = [(np.eye(2) + pauli) / 2, (np.eye(2) - pauli) / 2]
         for eff, exp in zip(sharp.effects, expected):
             _check(
@@ -523,32 +454,28 @@ def phase_space_demo(d: int) -> dict:
     """Build the prime-dimension displacement multimeter, derive the d+1
     mutually unbiased programming vectors, and sharpen each programmed
     observable by its coset merging."""
-    if not _is_prime(d):
+    if not is_prime(d):
         raise ValueError(f"dimension must be prime, got {d}")
-    if d > 13:
-        raise ValueError(f"demo is desk scale only (d <= 13), got {d}")
+    if d > PHASE_SPACE_MAX_DIM:
+        raise ValueError(f"demo is desk scale only (d <= {PHASE_SPACE_MAX_DIM}), got {d}")
     t0 = time.perf_counter()
     rep = weyl_heisenberg(d)
-    group = rep.group
     mm = covariant_multimeter(rep)
-    eta = DensityState.maximally_mixed(d)
     omega = np.exp(2j * np.pi / d)
 
     generators = [(0, 1)] + [(1, k) for k in range(d)]
     targets = [1.0 + 0j] + [omega] * d
-    vectors = []
+    vectors, probes, kernels = [], [], []
     target_missing = []
     for (x, y), target in zip(generators, targets):
-        gen = wh_element_index(d, x, y)
-        pv = eigenvector_program_states(rep, gen)
-        dist = np.abs(pv.eigenvalues - target)
-        pick = int(np.argmin(dist))
-        if dist[pick] > 1e-8:
-            # no eigenvalue at the canonical target (happens at d = 2 where the
-            # closed-form coefficients degenerate); fall back to smallest phase
-            pick = 0
+        psi, probe, kern, exact = eigenvector_program(rep, wh_element_index(d, x, y), target)
+        if not exact:
+            # at d = 2 the closed-form coefficients degenerate and the
+            # canonical target is no eigenvalue; the fallback is recorded
             target_missing.append(f"({x},{y})")
-        vectors.append(pv.vectors[:, pick])
+        vectors.append(psi)
+        probes.append(probe)
+        kernels.append(kern)
 
     unbiased = 1 / np.sqrt(d)
     worst_overlap_gap = 0.0
@@ -563,12 +490,8 @@ def phase_space_demo(d: int) -> dict:
 
     worst_idem = 0.0
     worst_orth = 0.0
-    for (x, y), psi in zip(generators, vectors):
-        gen = wh_element_index(d, x, y)
-        seed = DensityState.from_vector(psi)
-        programmed = program(mm, covariant_program_state(eta, seed))
-        kern = coset_postprocessing(group, CyclicSubgroup(group, gen))
-        sharp = post_process_observable(kern, programmed)
+    for (x, y), probe, kern in zip(generators, probes, kernels):
+        sharp = post_process_observable(kern, program(mm, probe))
         _check(sharp.n_outcomes == d, f"coset merging of <({x},{y})> has {d} outcomes")
         for eff in sharp.effects:
             worst_idem = max(worst_idem, float(np.max(np.abs(eff @ eff - eff))))
@@ -602,39 +525,18 @@ def phase_space_demo(d: int) -> dict:
 def q8_program_pair(axes: tuple = ("i", "k")) -> tuple:
     """The quaternion multimeter with probe states programming two sharp axes."""
     rep = q8_representation()
-    group = rep.group
-    mm = covariant_multimeter(rep)
-    eta = DensityState.maximally_mixed(2)
-    picks = {"i": 1j, "j": -1j, "k": 1j}
-    xis = []
-    kernels = []
-    for name in axes:
-        gen = group.names.index(name)
-        pv = eigenvector_program_states(rep, gen)
-        psi = pv.vectors[:, int(np.argmin(np.abs(pv.eigenvalues - picks[name])))]
-        xis.append(covariant_program_state(eta, DensityState.from_vector(psi)))
-        kernels.append(coset_postprocessing(group, CyclicSubgroup(group, gen)))
-    return mm, xis[0], xis[1], kernels[0], kernels[1]
+    first, second = axes
+    _, xi1, l1, _ = eigenvector_program(rep, rep.group.names.index(first), Q8_TARGETS[first])
+    _, xi2, l2, _ = eigenvector_program(rep, rep.group.names.index(second), Q8_TARGETS[second])
+    return covariant_multimeter(rep), xi1, xi2, l1, l2
 
 
 def wh_program_pair(d: int = 3) -> tuple:
     """The phase-space multimeter with probe states from two unbiased subgroups."""
     rep = weyl_heisenberg(d)
-    group = rep.group
-    mm = covariant_multimeter(rep)
-    eta = DensityState.maximally_mixed(d)
-    gens = [wh_element_index(d, 0, 1), wh_element_index(d, 1, 0)]
-    omega = np.exp(2j * np.pi / d)
-    targets = [1.0 + 0j, omega]
-    xis, kernels = [], []
-    for gen, target in zip(gens, targets):
-        pv = eigenvector_program_states(rep, gen)
-        dist = np.abs(pv.eigenvalues - target)
-        pick = int(np.argmin(dist)) if dist.min() <= 1e-8 else 0
-        psi = pv.vectors[:, pick]
-        xis.append(covariant_program_state(eta, DensityState.from_vector(psi)))
-        kernels.append(coset_postprocessing(group, CyclicSubgroup(group, gen)))
-    return mm, xis[0], xis[1], kernels[0], kernels[1]
+    _, xi1, l1, _ = eigenvector_program(rep, wh_element_index(d, 0, 1), 1.0 + 0j)
+    _, xi2, l2, _ = eigenvector_program(rep, wh_element_index(d, 1, 0), np.exp(2j * np.pi / d))
+    return covariant_multimeter(rep), xi1, xi2, l1, l2
 
 
 def default_random_fixture(seed: int = 0, system_dim: int = 2, probe_dim: int = 4) -> tuple:

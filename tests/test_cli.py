@@ -30,6 +30,13 @@ class TestDemoCommand:
         assert code == 0
         assert json.loads(out)["vector_count"] == 4
 
+    @pytest.mark.parametrize("dim", ["4", "13", "17"])
+    def test_bad_dim_is_config_error(self, capsys, dim):
+        code, out, err = run(capsys, "demo", "phase-space", "--dim", dim)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--dim" in err
+
     def test_out_file_leaves_stdout_clean(self, tmp_path, capsys):
         target = tmp_path / "demo.json"
         code, out, _ = run(capsys, "demo", "q8", "--out", str(target))
@@ -105,6 +112,13 @@ class TestBoundCommand:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("t,bound")
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_bad_points_is_config_error(self, capsys, points):
+        code, out, err = run(capsys, "bound", "--points", points)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--points" in err
 
     def test_json_format_rejected(self, capsys):
         code, _, err = run(capsys, "bound", "--points", "5", "--format", "json")

@@ -12,6 +12,7 @@ from qmultimeter.groups import (
     covariant_observable,
     covariant_program_state,
     cyclic_subgroups,
+    eigenvector_program,
     eigenvector_program_states,
     left_cosets,
     pointer_vector,
@@ -335,6 +336,38 @@ class TestSharpFromSubgroup:
             sharp_from_subgroup(
                 q8, CyclicSubgroup(q8.group, idx["k"]), np.array([1.0, 1.0]) / np.sqrt(2)
             )
+
+
+class TestEigenvectorProgram:
+    @staticmethod
+    def _missed(rep, targets):
+        """Generators whose target eigenvalue was missed; every probe must
+        program the subgroup's sharp observable either way."""
+        mm = covariant_multimeter(rep)
+        missed = []
+        for gen, target in targets:
+            psi, probe, kernel, exact = eigenvector_program(rep, gen, target)
+            programmed = post_process_observable(kernel, program(mm, probe))
+            direct = sharp_from_subgroup(rep, CyclicSubgroup(rep.group, gen), psi)
+            assert programmed.n_outcomes == direct.n_outcomes
+            for a, b in zip(programmed.effects, direct.effects):
+                assert np.max(np.abs(a - b)) < 1e-9
+            if not exact:
+                missed.append(gen)
+        return missed
+
+    def test_q8_axes(self, q8):
+        targets = [(q8.group.names.index(n), t) for n, t in (("i", 1j), ("j", -1j), ("k", 1j))]
+        assert self._missed(q8, targets) == []
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_phase_space_generators(self, d):
+        rep = weyl_heisenberg(d)
+        omega = np.exp(2j * np.pi / d)
+        targets = [(wh_element_index(d, 0, 1), 1.0 + 0j)]
+        targets += [(wh_element_index(d, 1, k), omega) for k in range(d)]
+        # d = 2: U(1,1) has eigenvalues +-i, so the target -1 is missed
+        assert self._missed(rep, targets) == ([wh_element_index(2, 1, 1)] if d == 2 else [])
 
 
 class TestCovariantMultimeter:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import sharpmin_oracle
 
 from qmultimeter.divergence import DivergenceOptions
 from qmultimeter.postprocessing import PostProcessing, pp_fidelity
@@ -143,13 +144,17 @@ class TestSharpminBound:
         assert np.all(np.diff(vals) >= -1e-6)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            sharpmin_bound(1.2)
+        for t in (1.2, -1.0001, float("nan")):
+            with pytest.raises(ValueError, match="axis overlap"):
+                sharpmin_bound(t)
 
     def test_grid_only_lower_bounds_refined(self):
-        raw = sharpmin_bound(0.3, refine=False)
-        refined = sharpmin_bound(0.3)
-        assert raw <= refined + 1e-12
+        raw = sharpmin_oracle(0.3, refine=False)
+        assert raw <= sharpmin_bound(0.3) + 1e-12
+
+    def test_matches_brute_force_oracle(self):
+        for t in np.linspace(-1.0, 1.0, 41):
+            assert abs(sharpmin_bound(float(t)) - sharpmin_oracle(float(t))) <= 1e-9, t
 
 
 class TestBoundCurve:
@@ -200,8 +205,9 @@ class TestDemos:
     def test_phase_space_demo_rejects_bad_dims(self):
         with pytest.raises(ValueError, match="prime"):
             phase_space_demo(4)
-        with pytest.raises(ValueError, match="desk"):
-            phase_space_demo(17)
+        for d in (13, 17):
+            with pytest.raises(ValueError, match="desk"):
+                phase_space_demo(d)
 
 
 class TestFixtures:
