@@ -175,6 +175,8 @@ def _run_demo(cfg: RunConfig, which: str) -> int:
 
 
 def _run_verify(cfg: RunConfig, which: str) -> int:
+    if cfg.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {cfg.trials}")
     tol = cfg.tolerances.get("tol_check", 1e-9)
     if which == "prop1":
         mm, xi1, xi2, _, _ = _fixture_for(cfg)
@@ -216,6 +218,8 @@ def _run_bound(cfg: RunConfig) -> int:
 
 
 def _run_divergence(cfg: RunConfig) -> int:
+    if cfg.restarts < 0:
+        raise ConfigError(f"--restarts must be at least 0, got {cfg.restarts}")
     if not cfg.e1 or not cfg.e2:
         raise ConfigError("divergence needs --e1 and --e2 observable files")
     try:

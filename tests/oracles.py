@@ -104,6 +104,23 @@ def smeared_qubit_observable(axis, eta=0.5):
     return Observable([(eye + eta * m) / 2, (eye - eta * m) / 2])
 
 
+def heisenberg_program(mm, xi):
+    """Programmed observable through the device's dense Heisenberg duals.
+
+    Every pointer effect is pulled back as K†(1 x Z(x))K on the whole
+    system x probe space, then contracted with 1 x xi over the probe.
+    """
+    from qmultimeter import Observable
+    from qmultimeter.linalg import hermitianize
+
+    d_sys, d_probe = mm.system_dim, mm.probe_dim
+    effects = []
+    for dual in mm.dual_pointer_effects():
+        d4 = dual.reshape(d_sys, d_probe, d_sys, d_probe)
+        effects.append(hermitianize(np.einsum("ikml,lk->im", d4, xi.matrix)))
+    return Observable(effects, outcomes=list(mm.pointer.outcomes), atol_complete=1e-8)
+
+
 @lru_cache(maxsize=4)
 def _sharpmin_tables(grid: int):
     xs = np.linspace(0.0, 1.0, grid)

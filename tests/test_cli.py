@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmultimeter
 from qmultimeter.cli import main
 from qmultimeter.sampling import random_povm, rng_from
 from qmultimeter.serialize import observable_to_json, save_json
@@ -45,7 +51,32 @@ class TestDemoCommand:
         assert json.loads(target.read_text())["check"] == "quaternion_demo"
 
 
+class TestMemoryEnvelope:
+    def test_largest_phase_space_demo_fits_one_gib(self):
+        # the largest advertised --dim must finish under a 1 GiB address-space
+        # cap; the limit is set in the child only
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(qmultimeter.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmultimeter", "demo", "phase-space", "--dim", "11"],
+            env=env, preexec_fn=cap, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout)["vector_count"] == 12
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("which,trials", [("bprops", "-2"), ("prop1", "-5"), ("prop3", "0")])
+    def test_bad_trials_is_config_error(self, capsys, which, trials):
+        code, out, err = run(capsys, "verify", which, "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and "--trials" in err
+
     def test_prop1_default_random_multimeter(self, capsys):
         code, out, _ = run(capsys, "verify", "prop1", "--trials", "1000", "--seed", "0")
         assert code == 0
@@ -159,6 +190,13 @@ class TestDivergenceCommand:
     def test_missing_flags_rejected(self, capsys):
         code, _, err = run(capsys, "divergence")
         assert code == 2
+
+    def test_negative_restarts_is_config_error(self, capsys, observable_files):
+        e1, e2 = observable_files
+        code, out, err = run(capsys, "divergence", "--e1", e1, "--e2", e2, "--restarts", "-3")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and "--restarts" in err
 
 
 class TestConfigHandling:

@@ -393,12 +393,15 @@ class TestCovariantMultimeter:
             rhs = np.trace(direct.effects[g] @ rho.matrix).real
             assert abs(lhs - rhs) < 1e-10
 
-    def test_programming_matches_direct_construction(self, q8, rng):
-        mm = covariant_multimeter(q8)
-        seed = random_density(rng, 2)
-        eta = random_density(rng, 2)
+    @pytest.mark.parametrize("device", ["q8", 3, 5, 7, 11])
+    def test_programming_matches_direct_construction(self, device, q8, rng):
+        rep = q8 if device == "q8" else weyl_heisenberg(device)
+        mm = covariant_multimeter(rep)
+        seed = random_density(rng, rep.degree)
+        eta = random_density(rng, rep.degree)
         programmed = program(mm, covariant_program_state(eta, seed))
-        direct = covariant_observable(q8, seed)
+        direct = covariant_observable(rep, seed)
+        assert programmed.n_outcomes == direct.n_outcomes == rep.group.order
         for a, b in zip(programmed.effects, direct.effects):
             assert np.max(np.abs(a - b)) < 1e-9
 

@@ -39,6 +39,14 @@ class TestPostProcessingType:
 
 
 class TestObservableAction:
+    def test_matches_effectwise_sum(self, rng):
+        e = random_povm(rng, 3, 5)
+        kern = random_postprocessing(rng, 5, 3)
+        out = post_process_observable(kern, e)
+        for j, eff in enumerate(out.effects):
+            expected = sum(kern.kernel[i, j] * e.effects[i] for i in range(5))
+            assert np.max(np.abs(eff - expected)) < 1e-14
+
     def test_identity_kernel(self, rng):
         e = random_povm(rng, 2, 3)
         out = post_process_observable(PostProcessing.identity(3), e)

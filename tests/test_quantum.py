@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from oracles import heisenberg_program
 
-from qmultimeter.groups import PAULI_X, PAULI_Z
+from qmultimeter.groups import (
+    PAULI_X,
+    PAULI_Z,
+    covariant_multimeter,
+    q8_representation,
+    weyl_heisenberg,
+)
 from qmultimeter.linalg import partial_trace, tensor
 from qmultimeter.quantum import (
     DensityState,
@@ -77,6 +84,25 @@ class TestObservable:
     def test_completeness_violation_rejected(self):
         with pytest.raises(ValueError, match="identity"):
             Observable([I2 / 2, I2 / 3])
+
+    @pytest.mark.parametrize(
+        "order,message",
+        [
+            (("skew", "negative"), "not Hermitian"),
+            (("negative", "skew"), "eigenvalue"),
+            (("skew", "qutrit"), "not Hermitian"),
+            (("half", "qutrit", "skew"), "square"),
+        ],
+    )
+    def test_first_failing_effect_decides_the_error(self, order, message):
+        effects = {
+            "half": I2 / 2,
+            "skew": np.array([[0.5, 1e-6], [0.0, 0.5]]),
+            "negative": np.diag([1.01, -0.01]),
+            "qutrit": np.eye(3) / 2,
+        }
+        with pytest.raises(ValueError, match=message):
+            Observable([effects[name] for name in order])
 
     def test_default_labels(self):
         e = trivial_observable(2, 3)
@@ -260,3 +286,42 @@ class TestMeasurementModels:
         assert model.pointer is mm.pointer
         e = induced_observable(model)
         assert e.dim == 2
+
+
+class TestProgramContraction:
+    """``program`` contracts the probe state through the Kraus operators; the
+    oracle pulls every pointer effect back as a dense Heisenberg dual."""
+
+    @staticmethod
+    def _assert_matches_oracle(mm, xi):
+        programmed = program(mm, xi)
+        oracle = heisenberg_program(mm, xi)
+        assert programmed.outcomes == oracle.outcomes
+        for a, b in zip(programmed.effects, oracle.effects, strict=True):
+            assert np.max(np.abs(a - b)) < 1e-12
+
+    def test_matches_oracle_on_random_multi_kraus_devices(self, rng):
+        for trial in range(24):
+            system_dim = int(rng.integers(1, 4))
+            probe_dim = int(rng.integers(2, 5))
+            mm = Multimeter(
+                probe_dim=probe_dim,
+                pointer=random_povm(rng, probe_dim, int(rng.integers(1, 5))),
+                interaction=random_channel(rng, system_dim * probe_dim, n_kraus=1 + trial % 3),
+            )
+            self._assert_matches_oracle(mm, random_density(rng, probe_dim))
+
+    @pytest.mark.parametrize("device", ["q8", 3, 5, 7])
+    def test_matches_oracle_on_covariant_devices(self, device, rng):
+        rep = q8_representation() if device == "q8" else weyl_heisenberg(device)
+        mm = covariant_multimeter(rep)
+        self._assert_matches_oracle(mm, random_density(rng, mm.probe_dim))
+
+    def test_builds_no_heisenberg_dual(self, rng, monkeypatch):
+        mm = covariant_multimeter(weyl_heisenberg(5))
+
+        def refuse(self, b):
+            raise AssertionError("programming built a dense Heisenberg dual")
+
+        monkeypatch.setattr(QuantumChannel, "dual_matrix", refuse)
+        assert program(mm, random_density(rng, mm.probe_dim)).n_outcomes == 25
