@@ -31,20 +31,11 @@ from .verify import (
 
 SEED_ENV = "QML_SEED"
 
-CONFIG_KEYS = {
-    "command",
-    "seed",
-    "trials",
-    "tolerances",
-    "out",
-    "format",
-    "dim",
-    "points",
-    "fixture",
-    "e1",
-    "e2",
-    "restarts",
-}
+# scalar keys: a config file sets them, QML_SEED overrides the seed, flags override both
+SCALAR_KEYS = (
+    "seed", "trials", "out", "format", "dim", "points", "fixture", "e1", "e2", "restarts",
+)
+CONFIG_KEYS = {"command", "tolerances", *SCALAR_KEYS}
 TOLERANCE_KEYS = {"tol_check", "estimator_tol"}
 
 
@@ -99,7 +90,7 @@ def _parse_tol_flags(pairs) -> dict:
 def _resolve(args: argparse.Namespace) -> RunConfig:
     file_doc = _load_config_file(args.config) if args.config else {}
     cfg = RunConfig(command=args.command)
-    for key in ("seed", "trials", "out", "format", "dim", "points", "fixture", "e1", "e2", "restarts"):
+    for key in SCALAR_KEYS:
         if key in file_doc and file_doc[key] is not None:
             setattr(cfg, key, file_doc[key])
     cfg.tolerances.update(file_doc.get("tolerances", {}))
@@ -111,7 +102,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV} must be an integer, got {env_seed!r}") from exc
 
-    for key in ("seed", "trials", "out", "format", "dim", "points", "fixture", "e1", "e2", "restarts"):
+    for key in SCALAR_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)

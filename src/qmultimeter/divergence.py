@@ -18,6 +18,9 @@ from .quantum import (
 EPS_DEN = 1e-8        # state pairs closer to orthogonal than this are excluded
 ZERO_TOL = 1e-10      # any evaluated ratio below this certifies an exact zero
 PROB_FLOOR = 1e-13    # probabilities below this are treated as exact zeros
+BLOCH_GRID = 40       # per-angle resolution of the qubit grid scan
+FATOL = 1e-9          # Nelder-Mead tolerances on the objective and the parameters
+XATOL = 1e-7
 CLAMP_HI = 1.0 + 1e-9
 _PENALTY = 1e6
 
@@ -58,13 +61,6 @@ class DivergenceOptions:
     seed: int = 0
     restarts: int = 32
     maxiter: int = 2000
-    fatol: float = 1e-9
-    xatol: float = 1e-7
-    eps_den: float = EPS_DEN
-    zero_tol: float = ZERO_TOL
-    prob_floor: float = PROB_FLOOR
-    bloch_grid: int = 40          # per-angle resolution of the qubit grid refinement
-    eigvec_starts: bool = True    # seed with effect-eigenvector pairs
 
 
 @dataclass
@@ -93,11 +89,22 @@ def _params_from_pair(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return np.concatenate([v1.real, v1.imag, v2.real, v2.imag])
 
 
-def _floored_probs(stack: np.ndarray, psi: np.ndarray, floor: float) -> np.ndarray:
+def _floored_probs(stack: np.ndarray, psi: np.ndarray) -> np.ndarray:
     p = np.einsum("i,xij,j->x", psi.conj(), stack, psi).real
     p = np.clip(p, 0.0, None)
-    p[p < floor] = 0.0
+    p[p < PROB_FLOOR] = 0.0
     return p
+
+
+def _pair_ratio(stack1, stack2, v1, v2, f: float) -> float:
+    """Overlap of the floored statistics of one pure pair over its fidelity ``f``."""
+    p1 = _floored_probs(stack1, v1)
+    p2 = _floored_probs(stack2, v2)
+    return float(np.sqrt(p1 * p2).sum()) / f
+
+
+def _clamped(raw: float) -> float:
+    return 0.0 if raw < ZERO_TOL else min(max(raw, 0.0), CLAMP_HI)
 
 
 def _bloch_states(n_theta: int, n_phi: int) -> np.ndarray:
@@ -112,19 +119,24 @@ def _bloch_states(n_theta: int, n_phi: int) -> np.ndarray:
     return out
 
 
-def _grid_ratio_min(stack1, stack2, states1, states2, eps_den, floor):
-    """Best ratio over the product of two explicit pure-state collections."""
+def _grid_ratio_min(stack1, stack2, states1, states2):
+    """Best ratio over the product of two explicit pure-state collections; the
+    first pair attaining it, or inf when every pair is near orthogonal."""
     p1 = np.einsum("si,xij,sj->sx", states1.conj(), stack1, states1).real
     p2 = np.einsum("si,xij,sj->sx", states2.conj(), stack2, states2).real
     p1 = np.clip(p1, 0.0, None)
     p2 = np.clip(p2, 0.0, None)
-    p1[p1 < floor] = 0.0
-    p2[p2 < floor] = 0.0
+    p1[p1 < PROB_FLOOR] = 0.0
+    p2[p2 < PROB_FLOOR] = 0.0
     b = np.sqrt(p1) @ np.sqrt(p2).T
     f = np.abs(states1.conj() @ states2.T)
-    ratio = np.where(f >= eps_den, b / np.maximum(f, eps_den), np.inf)
+    ratio = np.where(f >= EPS_DEN, b / np.maximum(f, EPS_DEN), np.inf)
     idx = np.unravel_index(np.argmin(ratio), ratio.shape)
     return float(ratio[idx]), states1[idx[0]], states2[idx[1]]
+
+
+def _top_eigenvectors(effects) -> np.ndarray:
+    return np.array([np.linalg.eigh(eff)[1][:, -1] for eff in effects])
 
 
 def observable_divergence(
@@ -132,11 +144,13 @@ def observable_divergence(
 ) -> DivergenceEstimate:
     """Upper estimate of the infimum of ratio(rho1, rho2) over pure-state pairs.
 
-    Multi-start Nelder-Mead over unconstrained parameterizations of two unit
-    vectors, seeded with effect eigenvector pairs and (for qubits) a Bloch
-    grid scan. Any evaluated ratio below ``zero_tol`` short-circuits to an
-    exact zero with the witnessing pair. The restriction to pure pairs makes
-    the result an upper bound on the unrestricted infimum.
+    Candidate scans come first: every pair of top eigenvectors of the two
+    effect sets and, for qubits, a Bloch grid; the best pair of each scan
+    seeds the search, and a scan that reaches a ratio below ``ZERO_TOL``
+    returns an exact zero with its witnessing pair. Then multi-start
+    Nelder-Mead runs over unconstrained parameterizations of two unit
+    vectors. The restriction to pure pairs makes the result an upper bound
+    on the unrestricted infimum.
     """
     if e1.dim != e2.dim:
         raise ValueError("observables must share a dimension")
@@ -155,68 +169,36 @@ def observable_divergence(
             best["value"] = value
             best["pair"] = (v1.copy(), v2.copy())
 
-    def ratio_at(v1, v2):
-        f = pure_fidelity(v1, v2)
-        if f < opts.eps_den:
-            return None
-        p1 = _floored_probs(stack1, v1, opts.prob_floor)
-        p2 = _floored_probs(stack2, v2, opts.prob_floor)
-        return float(np.sqrt(p1 * p2).sum()) / f
-
     def objective(x):
         v1, v2 = _pair_from_params(x, d)
         if v1 is None:
             return _PENALTY
         f = pure_fidelity(v1, v2)
-        if f < opts.eps_den:
-            return _PENALTY + (opts.eps_den - f)
-        p1 = _floored_probs(stack1, v1, opts.prob_floor)
-        p2 = _floored_probs(stack2, v2, opts.prob_floor)
-        val = float(np.sqrt(p1 * p2).sum()) / f
+        if f < EPS_DEN:
+            return _PENALTY + (EPS_DEN - f)
+        val = _pair_ratio(stack1, stack2, v1, v2, f)
         consider(val, v1, v2)
         return val
 
+    # analytic witness candidates: top eigenvectors of every effect pair
+    scans = [
+        ("eigenvector candidates", _top_eigenvectors(e1.effects), _top_eigenvectors(e2.effects))
+    ]
+    if d == 2:
+        grid = _bloch_states(BLOCH_GRID, BLOCH_GRID)
+        scans.append(("grid scan", grid, grid))
     starts = []
-
-    if opts.eigvec_starts:
-        # analytic witness candidates: top eigenvectors of every effect pair;
-        # every candidate is evaluated, only the best one seeds the search
-        vecs1 = [np.linalg.eigh(eff)[1][:, -1] for eff in e1.effects]
-        vecs2 = [np.linalg.eigh(eff)[1][:, -1] for eff in e2.effects]
-        best_candidate = None
-        for v1 in vecs1:
-            for v2 in vecs2:
-                val = ratio_at(v1, v2)
-                if val is not None:
-                    consider(val, v1, v2)
-                    if best_candidate is None or val < best_candidate[0]:
-                        best_candidate = (val, v1, v2)
-        if best_candidate is not None:
-            starts.append(_params_from_pair(best_candidate[1], best_candidate[2]))
-        if best["value"] < opts.zero_tol:
+    for source, states1, states2 in scans:
+        val, v1, v2 = _grid_ratio_min(stack1, stack2, states1, states2)
+        if val < np.inf:
+            consider(val, v1, v2)
+            starts.append(_params_from_pair(v1, v2))
+        if best["value"] < ZERO_TOL:
             v1, v2 = best["pair"]
             return DivergenceEstimate(
                 value=0.0,
                 argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
-                method=_method_string(opts, "exact-zero witness from eigenvector candidates"),
-                restarts=0,
-                converged=True,
-                seed=opts.seed,
-            )
-
-    if d == 2 and opts.bloch_grid > 0:
-        grid = _bloch_states(opts.bloch_grid, opts.bloch_grid)
-        val, v1, v2 = _grid_ratio_min(
-            stack1, stack2, grid, grid, opts.eps_den, opts.prob_floor
-        )
-        consider(val, v1, v2)
-        starts.append(_params_from_pair(v1, v2))
-        if best["value"] < opts.zero_tol:
-            v1, v2 = best["pair"]
-            return DivergenceEstimate(
-                value=0.0,
-                argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
-                method=_method_string(opts, "exact-zero witness from grid scan"),
+                method=_method_string(opts.restarts, f"exact-zero witness from {source}"),
                 restarts=0,
                 converged=True,
                 seed=opts.seed,
@@ -231,52 +213,37 @@ def observable_divergence(
             objective,
             np.asarray(x0, dtype=float),
             method="Nelder-Mead",
-            options={
-                "maxiter": opts.maxiter,
-                "fatol": opts.fatol,
-                "xatol": opts.xatol,
-            },
+            options={"maxiter": opts.maxiter, "fatol": FATOL, "xatol": XATOL},
         )
         converged = converged or bool(res.success)
-        if best["value"] < opts.zero_tol:
+        if best["value"] < ZERO_TOL:
             break
 
     if best["pair"] is None:
         raise ValueError("no feasible state pair was evaluated; increase restarts")
     v1, v2 = best["pair"]
-    raw = best["value"]
-    value = 0.0 if raw < opts.zero_tol else min(max(raw, 0.0), CLAMP_HI)
+    value = _clamped(best["value"])
     return DivergenceEstimate(
         value=value,
         argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
-        method=_method_string(opts, "multi-start nelder-mead over pure pairs"),
+        method=_method_string(opts.restarts, "multi-start nelder-mead over pure pairs"),
         restarts=opts.restarts,
         converged=converged or value == 0.0,
         seed=opts.seed,
     )
 
 
-def _method_string(opts: DivergenceOptions, note: str) -> str:
+def _method_string(restarts: int, note: str) -> str:
     return (
-        f"{note}; pure-state upper bound; restarts={opts.restarts}; "
-        f"bloch_grid={opts.bloch_grid}; fatol={opts.fatol:g}; "
-        f"prob_floor={opts.prob_floor:g}; clamp=[0,{CLAMP_HI}]"
+        f"{note}; pure-state upper bound; restarts={restarts}; "
+        f"bloch_grid={BLOCH_GRID}; fatol={FATOL:g}; "
+        f"prob_floor={PROB_FLOOR:g}; clamp=[0,{CLAMP_HI}]"
     )
 
 
-def estimate_recompute(
-    e1: Observable, e2: Observable, est: DivergenceEstimate, opts: DivergenceOptions | None = None
-) -> float:
+def estimate_recompute(e1: Observable, e2: Observable, est: DivergenceEstimate) -> float:
     """Re-evaluate the estimator objective at the reported argmin pair."""
-    opts = opts or DivergenceOptions()
-    stack1 = np.stack(e1.effects)
-    stack2 = np.stack(e2.effects)
-    w1, v1 = np.linalg.eigh(est.argmin[0].matrix)
-    w2, v2 = np.linalg.eigh(est.argmin[1].matrix)
-    psi1 = v1[:, -1]
-    psi2 = v2[:, -1]
+    psi1 = np.linalg.eigh(est.argmin[0].matrix)[1][:, -1]
+    psi2 = np.linalg.eigh(est.argmin[1].matrix)[1][:, -1]
     f = pure_fidelity(psi1, psi2)
-    p1 = _floored_probs(stack1, psi1, opts.prob_floor)
-    p2 = _floored_probs(stack2, psi2, opts.prob_floor)
-    raw = float(np.sqrt(p1 * p2).sum()) / f
-    return 0.0 if raw < opts.zero_tol else min(max(raw, 0.0), CLAMP_HI)
+    return _clamped(_pair_ratio(np.stack(e1.effects), np.stack(e2.effects), psi1, psi2, f))

@@ -66,12 +66,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def power(self, g: int, k: int) -> int:
-        out = self.identity
-        for _ in range(k):
-            out = self.mul(out, g)
-        return out
-
     def element_order(self, g: int) -> int:
         out, k = g, 1
         while out != self.identity:
@@ -180,12 +174,16 @@ class ProjectiveRepresentation:
             if float(np.max(np.abs(u.conj().T @ u - eye))) > UNITARY_TOL:
                 raise ValueError("representation matrix is not unitary")
         u = np.stack(mats)
-        prod = np.einsum("gab,hbc->ghac", u, u)
-        target = u[self.group.table]
-        mu = np.einsum("ghab,ghab->gh", prod, target.conj()) / d
+        mu = np.empty((len(mats), len(mats)), dtype=complex)
+        defect = 0.0
+        # one row of products U(g)U(h) at a time: O(|G| d^2) memory, not O(|G|^2 d^2)
+        for g, row in enumerate(self.group.table):
+            prod = u[g] @ u
+            target = u[row]
+            mu[g] = np.einsum("hab,hab->h", prod, target.conj()) / d
+            defect = max(defect, float(np.max(np.abs(prod - mu[g][:, None, None] * target))))
         if float(np.max(np.abs(np.abs(mu) - 1.0))) > MULTIPLIER_TOL:
             raise ValueError("multiplier is not unit modulus; not a projective representation")
-        defect = float(np.max(np.abs(prod - mu[:, :, None, None] * target)))
         if defect > MULTIPLIER_TOL:
             raise ValueError(f"products deviate from the group law by {defect:.3e}")
         self.matrices = mats

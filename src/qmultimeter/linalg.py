@@ -8,7 +8,6 @@ import numpy as np
 
 # Default tolerances; every operation accepts an override.
 TOL_HERM = 1e-10
-TOL_ORTH = 1e-10
 TOL_PSD = 1e-9
 
 

@@ -17,10 +17,6 @@ def random_pure_vector(rng, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_pure_state(rng, dim: int) -> DensityState:
-    return DensityState.from_vector(random_pure_vector(rng, dim))
-
-
 def random_density(rng, dim: int) -> DensityState:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T

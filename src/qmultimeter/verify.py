@@ -123,15 +123,35 @@ class BoundCurve:
 # randomized inequality reports
 
 
-def _random_pure_rows(rng, trials: int, dim: int) -> np.ndarray:
-    v = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+def _sampled_margins(e1, e2, trials, seed, f_prog, kernels=None, f_kern=1.0) -> np.ndarray:
+    """Margins B(q1, q2) - |<v1|v2>| * f_prog * f_kern over seeded random pure
+    pairs (v1, v2), where q_k is the statistics of e_k at v_k, relabelled by
+    ``kernels[k]`` when kernels are given."""
+    rng = rng_from(seed)
+    vecs, stats = [], []
+    for k, e in enumerate((e1, e2)):
+        v = rng.standard_normal((trials, e.dim)) + 1j * rng.standard_normal((trials, e.dim))
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+        q = np.clip(np.einsum("si,xij,sj->sx", v.conj(), np.stack(e.effects), v).real, 0.0, None)
+        if kernels is not None:
+            q = np.clip(q @ kernels[k].kernel, 0.0, None)
+        vecs.append(v)
+        stats.append(q)
+    f_states = np.abs(np.einsum("si,si->s", vecs[0].conj(), vecs[1]))
+    return np.sqrt(stats[0] * stats[1]).sum(axis=1) - f_states * f_prog * f_kern
 
 
-def _distributions(observable: Observable, states: np.ndarray) -> np.ndarray:
-    stack = np.stack(observable.effects)
-    p = np.einsum("si,xij,sj->sx", states.conj(), stack, states).real
-    return np.clip(p, 0.0, None)
+def _margin_report(check, seed, margins, tol_check, fixtures, t0, keep_records=False):
+    return VerificationReport(
+        check=check,
+        seed=seed,
+        trials=len(margins),
+        violations=int(np.sum(margins < -tol_check)),
+        worst_margin=float(margins.min()) if len(margins) else 0.0,
+        fixtures=fixtures,
+        elapsed=time.perf_counter() - t0,
+        records=margins.tolist() if keep_records else None,
+    )
 
 
 def verify_prop1(
@@ -149,31 +169,14 @@ def verify_prop1(
     e1 = program(multimeter, xi1)
     e2 = program(multimeter, xi2)
     f_prog = fidelity(xi1, xi2)
-    rng = rng_from(seed)
-    d = multimeter.system_dim
-    v1 = _random_pure_rows(rng, trials, d)
-    v2 = _random_pure_rows(rng, trials, d)
-    f_states = np.abs(np.einsum("si,si->s", v1.conj(), v2))
-    p1 = _distributions(e1, v1)
-    p2 = _distributions(e2, v2)
-    b = np.sqrt(p1 * p2).sum(axis=1)
-    margins = b - f_states * f_prog
-    violations = int(np.sum(margins < -tol_check))
-    return VerificationReport(
-        check="prop1",
-        seed=seed,
-        trials=trials,
-        violations=violations,
-        worst_margin=float(margins.min()) if trials else 0.0,
-        fixtures={
-            "program_fidelity": f_prog,
-            "system_dim": d,
-            "pointer_outcomes": e1.n_outcomes,
-            "tol_check": tol_check,
-        },
-        elapsed=time.perf_counter() - t0,
-        records=margins.tolist() if keep_records else None,
-    )
+    margins = _sampled_margins(e1, e2, trials, seed, f_prog)
+    fixtures = {
+        "program_fidelity": f_prog,
+        "system_dim": multimeter.system_dim,
+        "pointer_outcomes": e1.n_outcomes,
+        "tol_check": tol_check,
+    }
+    return _margin_report("prop1", seed, margins, tol_check, fixtures, t0, keep_records)
 
 
 def verify_prop3(
@@ -197,32 +200,15 @@ def verify_prop3(
         raise ValueError("kernels must produce the same number of outputs")
     f_prog = fidelity(xi1, xi2)
     f_kern = pp_fidelity(l1, l2)
-    rng = rng_from(seed)
-    d = multimeter.system_dim
-    v1 = _random_pure_rows(rng, trials, d)
-    v2 = _random_pure_rows(rng, trials, d)
-    f_states = np.abs(np.einsum("si,si->s", v1.conj(), v2))
-    q1 = _distributions(e1, v1) @ l1.kernel
-    q2 = _distributions(e2, v2) @ l2.kernel
-    b = np.sqrt(np.clip(q1, 0.0, None) * np.clip(q2, 0.0, None)).sum(axis=1)
-    margins = b - f_states * f_prog * f_kern
-    violations = int(np.sum(margins < -tol_check))
-    return VerificationReport(
-        check="prop3",
-        seed=seed,
-        trials=trials,
-        violations=violations,
-        worst_margin=float(margins.min()) if trials else 0.0,
-        fixtures={
-            "program_fidelity": f_prog,
-            "kernel_fidelity": f_kern,
-            "system_dim": d,
-            "kernel_outputs": l1.n_out,
-            "tol_check": tol_check,
-        },
-        elapsed=time.perf_counter() - t0,
-        records=margins.tolist() if keep_records else None,
-    )
+    margins = _sampled_margins(e1, e2, trials, seed, f_prog, (l1, l2), f_kern)
+    fixtures = {
+        "program_fidelity": f_prog,
+        "kernel_fidelity": f_kern,
+        "system_dim": multimeter.system_dim,
+        "kernel_outputs": l1.n_out,
+        "tol_check": tol_check,
+    }
+    return _margin_report("prop3", seed, margins, tol_check, fixtures, t0, keep_records)
 
 
 def verify_povm_bound(
@@ -239,16 +225,8 @@ def verify_povm_bound(
         rho2 = random_density(rng, dim)
         b = bhattacharyya(outcome_distribution(e, rho1), outcome_distribution(e, rho2))
         margins[i] = b - fidelity(rho1, rho2)
-    violations = int(np.sum(margins < -tol_check))
-    return VerificationReport(
-        check="povm_bound",
-        seed=seed,
-        trials=trials,
-        violations=violations,
-        worst_margin=float(margins.min()) if trials else 0.0,
-        fixtures={"dim": dim, "tol_check": tol_check},
-        elapsed=time.perf_counter() - t0,
-    )
+    fixtures = {"dim": dim, "tol_check": tol_check}
+    return _margin_report("povm_bound", seed, margins, tol_check, fixtures, t0)
 
 
 def verify_b_properties(

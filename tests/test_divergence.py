@@ -88,6 +88,19 @@ class TestObservableDivergence:
         # the witnessing pair really evaluates to zero under the objective
         assert estimate_recompute(sigma_z_pvm(), sigma_x_pvm(), est) == 0.0
 
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_pvm_pairs_give_an_eigenvector_zero_witness(self, d, seed):
+        # above qubits there is no grid scan: the eigenvector candidates alone
+        # must find the pair with disjoint statistics
+        rng = np.random.default_rng([d, seed])
+        a, b = random_pvm(rng, d), random_pvm(rng, d)
+        est = observable_divergence(a, b, DivergenceOptions(seed=seed, restarts=4))
+        assert est.value == 0.0
+        assert est.restarts == 0
+        assert "exact-zero witness from eigenvector candidates" in est.method
+        assert estimate_recompute(a, b, est) == 0.0
+
     def test_random_sharp_pairs_zero(self, rng):
         for _ in range(3):
             a, b = random_pvm(rng, 2), random_pvm(rng, 2)
@@ -123,7 +136,7 @@ class TestObservableDivergence:
         e2 = random_povm(rng, 2, 3)
         opts = DivergenceOptions(seed=2, restarts=8)
         est = observable_divergence(e1, e2, opts)
-        assert abs(est.value - estimate_recompute(e1, e2, est, opts)) < 1e-10
+        assert abs(est.value - estimate_recompute(e1, e2, est)) < 1e-10
 
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):

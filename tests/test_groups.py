@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qmultimeter.groups import (
     PAULI_X,
@@ -7,6 +10,7 @@ from qmultimeter.groups import (
     PAULI_Z,
     CyclicSubgroup,
     FiniteGroup,
+    ProjectiveRepresentation,
     coset_postprocessing,
     covariant_multimeter,
     covariant_observable,
@@ -16,6 +20,7 @@ from qmultimeter.groups import (
     eigenvector_program_states,
     left_cosets,
     pointer_vector,
+    q8_representation,
     sharp_from_subgroup,
     weyl_heisenberg,
     wh_element_index,
@@ -115,6 +120,47 @@ class TestWeylHeisenberg:
             weyl_heisenberg(4)
         with pytest.raises(ValueError, match="prime"):
             weyl_heisenberg(1)
+
+
+class TestProjectiveRepresentation:
+    def test_swapped_matrices_break_the_multiplier_modulus(self):
+        rep = q8_representation()
+        mats = list(rep.matrices)
+        i, j = rep.group.names.index("i"), rep.group.names.index("j")
+        mats[i], mats[j] = mats[j], mats[i]
+        with pytest.raises(ValueError, match="not unit modulus"):
+            ProjectiveRepresentation(rep.group, mats)
+
+    def test_small_perturbation_breaks_the_group_law(self):
+        rep = weyl_heisenberg(3)
+        swap01 = np.zeros((3, 3))
+        swap01[0, 1] = swap01[1, 0] = 1.0
+        mats = list(rep.matrices)
+        mats[4] = mats[4] @ scipy.linalg.expm(1e-6j * swap01)
+        with pytest.raises(ValueError, match="deviate from the group law by 1.000e-06"):
+            ProjectiveRepresentation(rep.group, mats)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_multiplier_matches_the_trace_formula(self, d):
+        rep = weyl_heisenberg(d)
+        u = np.stack(rep.matrices)
+        for g in range(rep.group.order):
+            for h in range(rep.group.order):
+                gh = rep.group.mul(g, h)
+                expected = np.trace(u[g] @ u[h] @ u[gh].conj().T) / d
+                assert abs(rep.multiplier[g, h] - expected) < 1e-12
+
+    def test_multiplier_check_memory_is_bounded(self):
+        # holding all |G|^2 products of WH(13) at once takes 77 MB per array
+        rep = weyl_heisenberg(13)
+        tracemalloc.start()
+        try:
+            rebuilt = ProjectiveRepresentation(rep.group, rep.matrices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert np.max(np.abs(rebuilt.multiplier - rep.multiplier)) == 0.0
 
 
 class TestSubgroupsAndCosets:
