@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .divergence import DivergenceOptions, observable_divergence
+from .divergence import MAX_RESTARTS, DivergenceOptions, observable_divergence
 from .groups import is_prime
 from .serialize import estimate_to_json, load_json, observable_from_json, save_json
 from .verify import (
@@ -209,8 +209,8 @@ def _run_bound(cfg: RunConfig) -> int:
 
 
 def _run_divergence(cfg: RunConfig) -> int:
-    if cfg.restarts < 0:
-        raise ConfigError(f"--restarts must be at least 0, got {cfg.restarts}")
+    if not 0 <= cfg.restarts <= MAX_RESTARTS:
+        raise ConfigError(f"--restarts must lie in [0, {MAX_RESTARTS}], got {cfg.restarts}")
     if not cfg.e1 or not cfg.e2:
         raise ConfigError("divergence needs --e1 and --e2 observable files")
     try:

@@ -5,15 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .quantum import (
-    DensityState,
-    Observable,
-    fidelity,
-    outcome_distribution,
-    pure_fidelity,
-)
+# unused here; perfbench/tracing.py patches divergence.minimize on every traced run
+from scipy.optimize import minimize  # noqa: F401
+
+from .quantum import DensityState, Observable, fidelity, outcome_distribution
 
 EPS_DEN = 1e-8        # state pairs closer to orthogonal than this are excluded
 ZERO_TOL = 1e-10      # any evaluated ratio below this certifies an exact zero
@@ -22,7 +18,17 @@ BLOCH_GRID = 40       # per-angle resolution of the qubit grid scan
 FATOL = 1e-9          # Nelder-Mead tolerances on the objective and the parameters
 XATOL = 1e-7
 CLAMP_HI = 1.0 + 1e-9
+MAX_RESTARTS = 4096   # the lockstep search holds (restarts + 2) simplices of 4d + 1 points
+GRID_BLOCK = 128      # rows of the first collection per block of a candidate scan
 _PENALTY = 1e6
+# scipy's non-adaptive Nelder-Mead: reflection, expansion, contraction and
+# shrink coefficients, and the initial simplex steps
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+# each trial point is a * xbar + b * worst, in the order reflection, expansion,
+# outside contraction, inside contraction, with scipy's coefficients
+_TRIAL_XBAR = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI])
+_TRIAL_WORST = np.array([-_RHO, -_RHO * _CHI, -_PSI * _RHO, _PSI])
 
 
 def bhattacharyya(p, q) -> float:
@@ -42,13 +48,12 @@ def bhattacharyya(p, q) -> float:
 
 
 def divergence_ratio(
-    e1: Observable, e2: Observable, rho1: DensityState, rho2: DensityState,
-    eps_den: float = EPS_DEN,
+    e1: Observable, e2: Observable, rho1: DensityState, rho2: DensityState
 ) -> float:
     """Bhattacharyya of the two outcome distributions divided by the state fidelity."""
     f = fidelity(rho1, rho2)
-    if f < eps_den:
-        raise ValueError(f"state pair is near orthogonal (fidelity {f:.3e} < {eps_den:.1e})")
+    if f < EPS_DEN:
+        raise ValueError(f"state pair is near orthogonal (fidelity {f:.3e} < {EPS_DEN:.1e})")
     p1 = outcome_distribution(e1, rho1)
     p2 = outcome_distribution(e2, rho2)
     return bhattacharyya(p1, p2) / f
@@ -89,18 +94,40 @@ def _params_from_pair(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return np.concatenate([v1.real, v1.imag, v2.real, v2.imag])
 
 
-def _floored_probs(stack: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    p = np.einsum("i,xij,j->x", psi.conj(), stack, psi).real
-    p = np.clip(p, 0.0, None)
-    p[p < PROB_FLOOR] = 0.0
-    return p
+def _floored(p: np.ndarray) -> np.ndarray:
+    """Probabilities below ``PROB_FLOOR``, rounding negatives included, read as 0."""
+    return np.where(p < PROB_FLOOR, 0.0, p)
 
 
-def _pair_ratio(stack1, stack2, v1, v2, f: float) -> float:
-    """Overlap of the floored statistics of one pure pair over its fidelity ``f``."""
-    p1 = _floored_probs(stack1, v1)
-    p2 = _floored_probs(stack2, v2)
-    return float(np.sqrt(p1 * p2).sum()) / f
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a stacked vector product is one BLAS dot per row, the call np.vdot and
+    # np.linalg.norm make for a single vector, so every row rounds as they do
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _pairs_ratio(stacks: np.ndarray, u: np.ndarray):
+    """Overlap of the floored statistics over the fidelity |<u1|u2>| for each
+    row of unit-vector pairs ``u`` (m, 2, d), with that fidelity; ``stacks``
+    holds the two effect stacks (2, outcomes, d, d)."""
+    dot = _row_dot(u[:, 0].conj(), u[:, 1])
+    f = np.hypot(dot.real, dot.imag)
+    p = _floored(np.einsum("sti,txij,stj->stx", u.conj(), stacks, u).real)
+    return np.sqrt(p[:, 0] * p[:, 1]).sum(axis=1) / f, f
+
+
+def _population_ratio(stacks: np.ndarray, x: np.ndarray, d: int):
+    """The Nelder-Mead objective of every parameter row of ``x`` (m, 4d): the
+    ratio where the row is a feasible pair, a penalty elsewhere. Returns the
+    values and the feasibility mask."""
+    halves = x.reshape(len(x), 2, 2, d)
+    v = halves[:, :, 0] + 1j * halves[:, :, 1]
+    n = np.sqrt(_row_dot(v.real, v.real) + _row_dot(v.imag, v.imag))
+    with np.errstate(divide="ignore", invalid="ignore"):  # such rows get a penalty
+        ratio, f = _pairs_ratio(stacks, v / n[..., None])
+    unnormed = (n[:, 0] < 1e-12) | (n[:, 1] < 1e-12)
+    feasible = ~unnormed & ~(f < EPS_DEN)
+    penalty = np.where(unnormed, _PENALTY, _PENALTY + (EPS_DEN - f))
+    return np.where(feasible, ratio, penalty), feasible
 
 
 def _clamped(raw: float) -> float:
@@ -121,22 +148,118 @@ def _bloch_states(n_theta: int, n_phi: int) -> np.ndarray:
 
 def _grid_ratio_min(stack1, stack2, states1, states2):
     """Best ratio over the product of two explicit pure-state collections; the
-    first pair attaining it, or inf when every pair is near orthogonal."""
-    p1 = np.einsum("si,xij,sj->sx", states1.conj(), stack1, states1).real
-    p2 = np.einsum("si,xij,sj->sx", states2.conj(), stack2, states2).real
-    p1 = np.clip(p1, 0.0, None)
-    p2 = np.clip(p2, 0.0, None)
-    p1[p1 < PROB_FLOOR] = 0.0
-    p2[p2 < PROB_FLOOR] = 0.0
-    b = np.sqrt(p1) @ np.sqrt(p2).T
-    f = np.abs(states1.conj() @ states2.T)
-    ratio = np.where(f >= EPS_DEN, b / np.maximum(f, EPS_DEN), np.inf)
-    idx = np.unravel_index(np.argmin(ratio), ratio.shape)
-    return float(ratio[idx]), states1[idx[0]], states2[idx[1]]
+    first pair attaining it, or inf when every pair is near orthogonal.
+
+    The product is scanned ``GRID_BLOCK`` rows of ``states1`` at a time, so the
+    qubit grid never holds its full ratio matrix.
+    """
+    sq1 = np.sqrt(_floored(np.einsum("si,xij,sj->sx", states1.conj(), stack1, states1).real))
+    sq2 = np.sqrt(_floored(np.einsum("si,xij,sj->sx", states2.conj(), stack2, states2).real)).T
+    conj1 = states1.conj()
+    best, arg = np.inf, (0, 0)
+    for lo in range(0, len(states1), GRID_BLOCK):
+        b = sq1[lo : lo + GRID_BLOCK] @ sq2
+        f = np.abs(conj1[lo : lo + GRID_BLOCK] @ states2.T)
+        ratio = np.where(f >= EPS_DEN, b / np.maximum(f, EPS_DEN), np.inf)
+        i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
+        if ratio[i, j] < best:
+            best, arg = float(ratio[i, j]), (lo + i, j)
+    return best, states1[arg[0]], states2[arg[1]]
 
 
 def _top_eigenvectors(effects) -> np.ndarray:
     return np.array([np.linalg.eigh(eff)[1][:, -1] for eff in effects])
+
+
+def _lockstep_nelder_mead(fun, x0: np.ndarray, maxiter: int, stop_below: float):
+    """scipy's non-adaptive Nelder-Mead (``xatol=XATOL``, ``fatol=FATOL``) run
+    from every row of ``x0`` at once.
+
+    ``fun(points) -> (values, feasible)`` maps (m, n) points to (m,) values.
+    Each step makes one call with every start's reflection and its three
+    candidate second points (expansion, outside and inside contraction);
+    scipy's rules then pick the candidate, if any, and only the points that
+    start's own ``minimize`` run evaluates count towards the best. A shrink
+    is one more call. All starts share the iteration counter; a start stops
+    when its simplex meets both tolerances (converged) or at ``maxiter`` (not
+    converged), and every start stops once the best feasible value falls
+    below ``stop_below``.
+
+    Returns the per-start converged flags, the best feasible value and the
+    point where it was evaluated (``None`` when no point was feasible).
+    """
+    p, n = x0.shape
+    best = [np.inf, None]
+
+    def record(points, values, counted):
+        cand = np.where(counted, values, np.inf)
+        i = np.argmin(cand)
+        if cand[i] < best[0]:
+            best[:] = cand[i], points[i].copy()
+
+    def evaluate(points):
+        values, feasible = fun(points)
+        record(points, values, feasible)
+        return values
+
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
+    fsim = evaluate(sim.reshape(-1, n)).reshape(p, n + 1)
+    for _ in range(2):  # scipy sorts the initial simplex twice; ties may reorder
+        sim, fsim = _sorted_simplex(sim, fsim)
+    rows = np.arange(p)
+    converged = np.zeros(p, dtype=bool)
+    iterations = 1
+    while iterations < maxiter and not best[0] < stop_below:
+        done = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= XATOL) & (
+            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= FATOL
+        )
+        if done.any():
+            converged[rows[done]] = True
+            rows, sim, fsim = rows[~done], sim[~done], fsim[~done]
+            if not rows.size:
+                break
+        m = len(rows)
+        r = np.arange(m)
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        trial = _TRIAL_XBAR[:, None] * xbar[:, None] + _TRIAL_WORST[:, None] * sim[:, -1:]
+        values, feasible = fun(trial.reshape(-1, n))
+        values = values.reshape(m, 4)
+        fxr = values[:, 0]
+        expand = fxr < fsim[:, 0]
+        contract = ~expand & ~(fxr < fsim[:, -2])
+        outside = contract & (fxr < fsim[:, -1])
+        second = np.where(expand, 1, np.where(outside, 2, 3))
+        counted = np.zeros((m, 4), dtype=bool)
+        counted[:, 0] = True
+        counted[r, second] = expand | contract
+        record(trial.reshape(-1, n), values.ravel(), feasible & counted.ravel())
+        f2 = values[r, second]
+        take2 = (
+            (expand & (f2 < fxr))
+            | (outside & (f2 <= fxr))
+            | (contract & ~outside & (f2 < fsim[:, -1]))
+        )
+        shrink = contract & ~take2
+        keep = ~shrink
+        pick = np.where(take2, second, 0)[keep]
+        sim[keep, -1] = trial[r[keep], pick]
+        fsim[keep, -1] = values[r[keep], pick]
+        if shrink.any():
+            s = sim[shrink]
+            s[:, 1:] = s[:, :1] + _SIGMA * (s[:, 1:] - s[:, :1])
+            sim[shrink] = s
+            fsim[shrink, 1:] = evaluate(s[:, 1:].reshape(-1, n)).reshape(len(s), n)
+        iterations += 1
+        sim, fsim = _sorted_simplex(sim, fsim)
+    return converged, best[0], best[1]
+
+
+def _sorted_simplex(sim, fsim):
+    ind = np.argsort(fsim, axis=1)
+    r = np.arange(len(fsim))[:, None]
+    return sim[r, ind], fsim[r, ind]
 
 
 def observable_divergence(
@@ -147,19 +270,24 @@ def observable_divergence(
     Candidate scans come first: every pair of top eigenvectors of the two
     effect sets and, for qubits, a Bloch grid; the best pair of each scan
     seeds the search, and a scan that reaches a ratio below ``ZERO_TOL``
-    returns an exact zero with its witnessing pair. Then multi-start
-    Nelder-Mead runs over unconstrained parameterizations of two unit
-    vectors. The restriction to pure pairs makes the result an upper bound
-    on the unrestricted infimum.
+    returns an exact zero with its witnessing pair. Then Nelder-Mead runs
+    from the scan seeds and ``restarts`` random starts in lockstep, over
+    unconstrained parameterizations of two unit vectors; the estimate is the
+    best feasible ratio any start evaluated. The restriction to pure pairs
+    makes the result an upper bound on the unrestricted infimum.
     """
     if e1.dim != e2.dim:
         raise ValueError("observables must share a dimension")
     if e1.n_outcomes != e2.n_outcomes:
         raise ValueError("observables must share an outcome count")
     opts = opts or DivergenceOptions()
+    if not 0 <= opts.restarts <= MAX_RESTARTS:
+        raise ValueError(f"restarts must lie in [0, {MAX_RESTARTS}], got {opts.restarts}")
+    if opts.maxiter < 1:
+        raise ValueError(f"maxiter must be at least 1, got {opts.maxiter}")
     d = e1.dim
-    stack1 = np.stack(e1.effects)
-    stack2 = np.stack(e2.effects)
+    stacks = np.stack([e1.effects, e2.effects])
+    stack1, stack2 = stacks
     rng = np.random.default_rng(opts.seed)
 
     best = {"value": np.inf, "pair": None}
@@ -168,17 +296,6 @@ def observable_divergence(
         if value < best["value"]:
             best["value"] = value
             best["pair"] = (v1.copy(), v2.copy())
-
-    def objective(x):
-        v1, v2 = _pair_from_params(x, d)
-        if v1 is None:
-            return _PENALTY
-        f = pure_fidelity(v1, v2)
-        if f < EPS_DEN:
-            return _PENALTY + (EPS_DEN - f)
-        val = _pair_ratio(stack1, stack2, v1, v2, f)
-        consider(val, v1, v2)
-        return val
 
     # analytic witness candidates: top eigenvectors of every effect pair
     scans = [
@@ -207,28 +324,27 @@ def observable_divergence(
     for _ in range(opts.restarts):
         starts.append(rng.standard_normal(4 * d))
 
-    converged = False
-    for x0 in starts:
-        res = minimize(
-            objective,
-            np.asarray(x0, dtype=float),
-            method="Nelder-Mead",
-            options={"maxiter": opts.maxiter, "fatol": FATOL, "xatol": XATOL},
+    converged = np.zeros(0, dtype=bool)
+    if starts:
+        converged, value, x = _lockstep_nelder_mead(
+            lambda points: _population_ratio(stacks, points, d),
+            np.array(starts, dtype=float),
+            opts.maxiter,
+            ZERO_TOL,
         )
-        converged = converged or bool(res.success)
-        if best["value"] < ZERO_TOL:
-            break
+        if x is not None:
+            consider(value, *_pair_from_params(x, d))
 
     if best["pair"] is None:
         raise ValueError("no feasible state pair was evaluated; increase restarts")
     v1, v2 = best["pair"]
-    value = _clamped(best["value"])
+    value = _clamped(float(best["value"]))
     return DivergenceEstimate(
         value=value,
         argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
         method=_method_string(opts.restarts, "multi-start nelder-mead over pure pairs"),
         restarts=opts.restarts,
-        converged=converged or value == 0.0,
+        converged=bool(converged.any()) or value == 0.0,
         seed=opts.seed,
     )
 
@@ -245,5 +361,5 @@ def estimate_recompute(e1: Observable, e2: Observable, est: DivergenceEstimate) 
     """Re-evaluate the estimator objective at the reported argmin pair."""
     psi1 = np.linalg.eigh(est.argmin[0].matrix)[1][:, -1]
     psi2 = np.linalg.eigh(est.argmin[1].matrix)[1][:, -1]
-    f = pure_fidelity(psi1, psi2)
-    return _clamped(_pair_ratio(np.stack(e1.effects), np.stack(e2.effects), psi1, psi2, f))
+    ratio, _ = _pairs_ratio(np.stack([e1.effects, e2.effects]), np.stack([psi1, psi2])[None])
+    return _clamped(float(ratio[0]))

@@ -193,3 +193,111 @@ def sharpmin_oracle(t: float, grid: int = 41, refine: bool = True) -> float:
         )
         best = max(best, float(-res.fun))
     return best
+
+
+def full_grid_ratio_min(stack1, stack2, states1, states2):
+    """Candidate scan over the whole product of two pure-state collections at
+    once: the full ratio matrix, its first minimum and the pair attaining it,
+    or inf when every pair is near orthogonal."""
+    from qmultimeter.divergence import EPS_DEN, PROB_FLOOR
+
+    p1 = np.einsum("si,xij,sj->sx", states1.conj(), stack1, states1).real
+    p2 = np.einsum("si,xij,sj->sx", states2.conj(), stack2, states2).real
+    p1 = np.clip(p1, 0.0, None)
+    p2 = np.clip(p2, 0.0, None)
+    p1[p1 < PROB_FLOOR] = 0.0
+    p2[p2 < PROB_FLOOR] = 0.0
+    b = np.sqrt(p1) @ np.sqrt(p2).T
+    f = np.abs(states1.conj() @ states2.T)
+    ratio = np.where(f >= EPS_DEN, b / np.maximum(f, EPS_DEN), np.inf)
+    idx = np.unravel_index(np.argmin(ratio), ratio.shape)
+    return float(ratio[idx]), states1[idx[0]], states2[idx[1]]
+
+
+def scipy_multistart_divergence(e1, e2, opts=None):
+    """The divergence estimator with one ``scipy.optimize.minimize`` run per
+    start, one after another, through a scalar objective: the same scans,
+    starts, tolerances and payload as ``observable_divergence``."""
+    from qmultimeter import divergence as dv
+    from qmultimeter.quantum import DensityState, pure_fidelity
+
+    opts = opts or dv.DivergenceOptions()
+    d = e1.dim
+    stack1 = np.stack(e1.effects)
+    stack2 = np.stack(e2.effects)
+    rng = np.random.default_rng(opts.seed)
+
+    best = {"value": np.inf, "pair": None}
+
+    def consider(value, v1, v2):
+        if value < best["value"]:
+            best["value"] = value
+            best["pair"] = (v1.copy(), v2.copy())
+
+    def floored_probs(stack, psi):
+        p = np.einsum("i,xij,j->x", psi.conj(), stack, psi).real
+        p = np.clip(p, 0.0, None)
+        p[p < dv.PROB_FLOOR] = 0.0
+        return p
+
+    def objective(x):
+        v1, v2 = dv._pair_from_params(x, d)
+        if v1 is None:
+            return dv._PENALTY
+        f = pure_fidelity(v1, v2)
+        if f < dv.EPS_DEN:
+            return dv._PENALTY + (dv.EPS_DEN - f)
+        val = float(np.sqrt(floored_probs(stack1, v1) * floored_probs(stack2, v2)).sum()) / f
+        consider(val, v1, v2)
+        return val
+
+    scans = [
+        ("eigenvector candidates", dv._top_eigenvectors(e1.effects), dv._top_eigenvectors(e2.effects))
+    ]
+    if d == 2:
+        grid = dv._bloch_states(dv.BLOCH_GRID, dv.BLOCH_GRID)
+        scans.append(("grid scan", grid, grid))
+    starts = []
+    for source, states1, states2 in scans:
+        val, v1, v2 = full_grid_ratio_min(stack1, stack2, states1, states2)
+        if val < np.inf:
+            consider(val, v1, v2)
+            starts.append(dv._params_from_pair(v1, v2))
+        if best["value"] < dv.ZERO_TOL:
+            v1, v2 = best["pair"]
+            return dv.DivergenceEstimate(
+                value=0.0,
+                argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
+                method=dv._method_string(opts.restarts, f"exact-zero witness from {source}"),
+                restarts=0,
+                converged=True,
+                seed=opts.seed,
+            )
+
+    for _ in range(opts.restarts):
+        starts.append(rng.standard_normal(4 * d))
+
+    converged = False
+    for x0 in starts:
+        res = minimize(
+            objective,
+            np.asarray(x0, dtype=float),
+            method="Nelder-Mead",
+            options={"maxiter": opts.maxiter, "fatol": dv.FATOL, "xatol": dv.XATOL},
+        )
+        converged = converged or bool(res.success)
+        if best["value"] < dv.ZERO_TOL:
+            break
+
+    if best["pair"] is None:
+        raise ValueError("no feasible state pair was evaluated; increase restarts")
+    v1, v2 = best["pair"]
+    value = dv._clamped(best["value"])
+    return dv.DivergenceEstimate(
+        value=value,
+        argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
+        method=dv._method_string(opts.restarts, "multi-start nelder-mead over pure pairs"),
+        restarts=opts.restarts,
+        converged=converged or value == 0.0,
+        seed=opts.seed,
+    )

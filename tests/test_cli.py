@@ -10,6 +10,7 @@ import pytest
 
 import qmultimeter
 from qmultimeter.cli import main
+from qmultimeter.divergence import MAX_RESTARTS
 from qmultimeter.sampling import random_povm, rng_from
 from qmultimeter.serialize import observable_to_json, save_json
 
@@ -197,6 +198,14 @@ class TestDivergenceCommand:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("config error:") and "--restarts" in err
+
+    def test_restarts_above_cap_is_config_error(self, capsys, observable_files):
+        e1, e2 = observable_files
+        too_many = str(MAX_RESTARTS + 1)
+        code, out, err = run(capsys, "divergence", "--e1", e1, "--e2", e2, "--restarts", too_many)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and too_many in err
 
 
 class TestConfigHandling:
