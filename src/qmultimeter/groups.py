@@ -445,15 +445,14 @@ def pointer_vector(rep: ProjectiveRepresentation, g: int) -> np.ndarray:
 
 
 def partial_swap_channel(d: int) -> QuantumChannel:
-    """Unitary channel permuting A x B x C to B x A x C on three d-dim factors."""
-    n = d**3
-    perm = np.empty(n, dtype=int)
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                perm[a * d * d + b * d + c] = b * d * d + a * d + c
-    w = np.eye(n)[perm]
-    return QuantumChannel([w.astype(complex)])
+    """Unitary channel permuting A x B x C to B x A x C on three d-dim factors.
+
+    Kept as the permutation channel of basis vector (a, b, c) -> (b, a, c):
+    programming and its dual are index gathers, and the dense d^3 x d^3
+    0/1 Kraus operator is built only when ``kraus`` is read.
+    """
+    perm = np.arange(d**3).reshape(d, d, d).transpose(1, 0, 2).reshape(-1)
+    return QuantumChannel.permutation(perm)
 
 
 def covariant_multimeter(rep: ProjectiveRepresentation) -> Multimeter:

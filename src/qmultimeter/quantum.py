@@ -151,39 +151,79 @@ def trivial_observable(dim: int, n_outcomes: int = 1) -> Observable:
     return Observable([eye / n_outcomes] * n_outcomes)
 
 
-@dataclass(eq=False)
+def _permutation_matrix(perm: np.ndarray) -> np.ndarray:
+    """The dense 0/1 Kraus operator eye(n)[perm] of a permutation channel."""
+    return np.eye(perm.size, dtype=complex)[perm]
+
+
 class QuantumChannel:
-    """Completely positive trace-preserving map in Kraus form."""
+    """Completely positive trace-preserving map in Kraus form.
 
-    kraus: list
+    A channel built by ``permutation`` keeps its single Kraus operator as an
+    index array ``perm`` (K[i, perm[i]] = 1): applying it and its dual are
+    index gathers, and the dense matrix is built only when ``kraus`` is read.
+    """
 
-    def __post_init__(self):
-        self.kraus = [as_matrix(k) for k in self.kraus]
-        if not self.kraus:
+    def __init__(self, kraus: list):
+        kraus = [as_matrix(k) for k in kraus]
+        if not kraus:
             raise ValueError("channel needs at least one Kraus operator")
-        shape = self.kraus[0].shape
-        for k in self.kraus:
+        shape = kraus[0].shape
+        for k in kraus:
             if k.shape != shape:
                 raise ValueError("Kraus operators must share a common shape")
-        total = sum(k.conj().T @ k for k in self.kraus)
-        defect = float(np.max(np.abs(total - np.eye(self.in_dim))))
+        total = sum(k.conj().T @ k for k in kraus)
+        defect = float(np.max(np.abs(total - np.eye(shape[1]))))
         if defect > ATOL_COMPLETE:
             raise ValueError(f"channel is not trace preserving: defect {defect:.3e}")
+        self._kraus = kraus
+        self.perm = None
+
+    @classmethod
+    def permutation(cls, perm) -> "QuantumChannel":
+        """Unitary channel of the permutation matrix eye(n)[perm].
+
+        For a single 0/1 Kraus operator, sum K†K = 1 holds exactly when
+        ``perm`` is a bijection of range(n), so that is the check.
+        """
+        p = np.asarray(perm)
+        if p.ndim != 1 or p.size == 0 or not np.issubdtype(p.dtype, np.integer):
+            raise ValueError(
+                f"permutation must be a non-empty 1-d integer array, got shape {p.shape}"
+            )
+        if not np.array_equal(np.sort(p), np.arange(p.size)):
+            raise ValueError(f"permutation is not a bijection of range({p.size})")
+        channel = cls.__new__(cls)
+        channel._kraus = None
+        channel.perm = p.astype(np.intp)
+        return channel
+
+    @property
+    def kraus(self) -> list:
+        """Kraus operators; a permutation channel builds its dense one anew on each read."""
+        if self.perm is not None:
+            return [_permutation_matrix(self.perm)]
+        return self._kraus
 
     @property
     def in_dim(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.perm.size if self.perm is not None else self._kraus[0].shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.perm.size if self.perm is not None else self._kraus[0].shape[0]
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        return sum(k @ rho @ k.conj().T for k in self.kraus)
+        if self.perm is not None:
+            return as_matrix(rho)[np.ix_(self.perm, self.perm)]
+        return sum(k @ rho @ k.conj().T for k in self._kraus)
 
     def dual_matrix(self, b: np.ndarray) -> np.ndarray:
         """Heisenberg-picture action on an operator: sum of K† B K."""
-        return sum(k.conj().T @ b @ k for k in self.kraus)
+        if self.perm is not None:
+            inverse = np.argsort(self.perm)
+            return as_matrix(b)[np.ix_(inverse, inverse)]
+        return sum(k.conj().T @ b @ k for k in self._kraus)
 
     @classmethod
     def identity(cls, dim: int) -> "QuantumChannel":
@@ -223,9 +263,10 @@ def stinespring_dilation(channel: QuantumChannel) -> tuple[np.ndarray, int]:
     if channel.in_dim != channel.out_dim:
         raise ValueError("dilation implemented for square channels only")
     d = channel.in_dim
-    r = len(channel.kraus)
+    kraus = channel.kraus
+    r = len(kraus)
     iso = np.zeros((d * r, d), dtype=complex)
-    for i, k in enumerate(channel.kraus):
+    for i, k in enumerate(kraus):
         # column j of iso = sum_i (K_i e_j) x e_i
         iso[i::r, :] += k
     u = np.zeros((d * r, d * r), dtype=complex)
@@ -315,7 +356,8 @@ class Multimeter:
 
     def dual_pointer_effects(self) -> list:
         """Pointer effects pulled back through the interaction: the dense
-        Heisenberg duals K†(1 x Z(x))K, one per outcome, rebuilt on every call.
+        Heisenberg duals K†(1 x Z(x))K, one per outcome, rebuilt on every call
+        (an index gather per effect for a permutation interaction).
         """
         # programming does not use this view (see induced_observable); it
         # stays because the ProgramWarm set-up in perfbench/workloads.py calls it
@@ -361,6 +403,24 @@ def _probe_contraction(k: np.ndarray, xi: np.ndarray, d_sys: int, d_probe: int) 
     return a.reshape(n, n) @ b.reshape(n, n).T
 
 
+def _permutation_contraction(
+    perm: np.ndarray, xi: np.ndarray, d_sys: int, d_probe: int
+) -> np.ndarray:
+    """T of a permutation interaction, rows (q, p) and columns (i, m).
+
+    Row (s, p) of K = eye(n)[perm] has its one 1 at column (m, l) = perm[(s, p)],
+    so T[(p,m),(q,i)] collects xi[l(s,p), l(s,q)] at m = m(s,p), i = m(s,q).
+    For one s the targets are distinct in (p, q), so each s is one scatter-add.
+    """
+    m, l = np.divmod(perm.reshape(d_sys, d_probe), d_probe)
+    t = np.zeros((d_probe, d_probe, d_sys, d_sys), dtype=complex)
+    q = np.arange(d_probe)[:, None]
+    p = np.arange(d_probe)[None, :]
+    for m_s, l_s in zip(m, l):
+        t[q, p, m_s[q], m_s[p]] += xi[l_s[p], l_s[q]]
+    return t.reshape(d_probe**2, d_sys**2)
+
+
 def induced_observable(model: MeasurementModel) -> Observable:
     """Observable realized on the system by a measurement model.
 
@@ -369,16 +429,22 @@ def induced_observable(model: MeasurementModel) -> Observable:
     (s, m, i index the system, p, q, l the probe); every effect is then read
     off in one product, E(x)_im = sum_(p,q) Z(x)[q,p] T[(p,m),(q,i)]. This
     is tr_probe of the dual interaction of 1 x Z(x) against 1 x xi, computed
-    per probe state with nothing cached on the device. A completeness defect
-    beyond 1e-8 signals a broken interaction channel.
+    per probe state with nothing cached on the device. A permutation
+    interaction builds the same T by scatter-adding entries of xi, with no
+    dense Kraus operator. A completeness defect beyond 1e-8 signals a broken
+    interaction channel.
     """
     mm = model.multimeter
     d_sys, d_probe = mm.system_dim, mm.probe_dim
     xi = model.probe_state.matrix
-    t = sum(_probe_contraction(k, xi, d_sys, d_probe) for k in mm.interaction.kraus)
-    # rows (q, p), columns (i, m), to meet Z(x)[q, p] flattened row-major
-    t_qp = t.reshape(d_probe, d_sys, d_probe, d_sys).transpose(2, 0, 3, 1)
-    t_qp = t_qp.reshape(d_probe**2, d_sys**2)
+    perm = mm.interaction.perm
+    if perm is not None:
+        t_qp = _permutation_contraction(perm, xi, d_sys, d_probe)
+    else:
+        t = sum(_probe_contraction(k, xi, d_sys, d_probe) for k in mm.interaction.kraus)
+        # rows (q, p), columns (i, m), to meet Z(x)[q, p] flattened row-major
+        t_qp = t.reshape(d_probe, d_sys, d_probe, d_sys).transpose(2, 0, 3, 1)
+        t_qp = t_qp.reshape(d_probe**2, d_sys**2)
     z = np.stack(mm.pointer.effects).reshape(-1, d_probe**2)
     stacked = (z @ t_qp).reshape(-1, d_sys, d_sys)
     effects = [hermitianize(eff) for eff in stacked]

@@ -130,14 +130,18 @@ def _sampled_margins(e1, e2, trials, seed, f_prog, kernels=None, f_kern=1.0) -> 
     rng = rng_from(seed)
     vecs, stats = [], []
     for k, e in enumerate((e1, e2)):
-        v = rng.standard_normal((trials, e.dim)) + 1j * rng.standard_normal((trials, e.dim))
+        d = e.dim
+        v = rng.standard_normal((trials, d)) + 1j * rng.standard_normal((trials, d))
         v = v / np.linalg.norm(v, axis=1, keepdims=True)
-        q = np.clip(np.einsum("si,xij,sj->sx", v.conj(), np.stack(e.effects), v).real, 0.0, None)
+        # Born rule <v|E(x)|v> for every trial and outcome as one product of
+        # the outer products conj(v_i) v_j against the flattened effects
+        outer = (v.conj()[:, :, None] * v[:, None, :]).reshape(trials, d * d)
+        q = np.clip((outer @ np.stack(e.effects).reshape(-1, d * d).T).real, 0.0, None)
         if kernels is not None:
             q = np.clip(q @ kernels[k].kernel, 0.0, None)
         vecs.append(v)
         stats.append(q)
-    f_states = np.abs(np.einsum("si,si->s", vecs[0].conj(), vecs[1]))
+    f_states = np.abs((vecs[0].conj() * vecs[1]).sum(axis=1))
     return np.sqrt(stats[0] * stats[1]).sum(axis=1) - f_states * f_prog * f_kern
 
 
@@ -192,12 +196,13 @@ def verify_prop3(
 ) -> VerificationReport:
     """Check the post-processing assisted bound with the kernel fidelity folded in."""
     t0 = time.perf_counter()
-    e1 = program(multimeter, xi1)
-    e2 = program(multimeter, xi2)
-    if l1.n_in != e1.n_outcomes or l2.n_in != e2.n_outcomes:
+    n_pointer = multimeter.pointer.n_outcomes
+    if l1.n_in != n_pointer or l2.n_in != n_pointer:
         raise ValueError("kernel input size must match the pointer outcome count")
     if l1.n_out != l2.n_out:
         raise ValueError("kernels must produce the same number of outputs")
+    e1 = program(multimeter, xi1)
+    e2 = program(multimeter, xi2)
     f_prog = fidelity(xi1, xi2)
     f_kern = pp_fidelity(l1, l2)
     margins = _sampled_margins(e1, e2, trials, seed, f_prog, (l1, l2), f_kern)

@@ -107,18 +107,40 @@ def smeared_qubit_observable(axis, eta=0.5):
 def heisenberg_program(mm, xi):
     """Programmed observable through the device's dense Heisenberg duals.
 
-    Every pointer effect is pulled back as K†(1 x Z(x))K on the whole
-    system x probe space, then contracted with 1 x xi over the probe.
+    Every pointer effect is pulled back as the sum of K†(1 x Z(x))K over the
+    dense Kraus operators on the whole system x probe space, then contracted
+    with 1 x xi over the probe.
     """
     from qmultimeter import Observable
     from qmultimeter.linalg import hermitianize
 
     d_sys, d_probe = mm.system_dim, mm.probe_dim
+    kraus = mm.interaction.kraus
+    eye = np.eye(d_sys)
     effects = []
-    for dual in mm.dual_pointer_effects():
+    for z in mm.pointer.effects:
+        lifted = np.kron(eye, z)
+        dual = sum(k.conj().T @ lifted @ k for k in kraus)
         d4 = dual.reshape(d_sys, d_probe, d_sys, d_probe)
         effects.append(hermitianize(np.einsum("ikml,lk->im", d4, xi.matrix)))
     return Observable(effects, outcomes=list(mm.pointer.outcomes), atol_complete=1e-8)
+
+
+def einsum_margins(e1, e2, trials, seed, f_prog, kernels=None, f_kern=1.0):
+    """Margins of ``verify._sampled_margins`` with the Born rule and the state
+    overlaps written as unoptimised einsums over the same seeded vectors."""
+    rng = np.random.default_rng(seed)
+    vecs, stats = [], []
+    for k, e in enumerate((e1, e2)):
+        v = rng.standard_normal((trials, e.dim)) + 1j * rng.standard_normal((trials, e.dim))
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+        q = np.clip(np.einsum("si,xij,sj->sx", v.conj(), np.stack(e.effects), v).real, 0.0, None)
+        if kernels is not None:
+            q = np.clip(q @ kernels[k].kernel, 0.0, None)
+        vecs.append(v)
+        stats.append(q)
+    f_states = np.abs(np.einsum("si,si->s", vecs[0].conj(), vecs[1]))
+    return np.sqrt(stats[0] * stats[1]).sum(axis=1) - f_states * f_prog * f_kern
 
 
 @lru_cache(maxsize=4)

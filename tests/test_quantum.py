@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from oracles import heisenberg_program
 
+from qmultimeter import quantum
 from qmultimeter.groups import (
     PAULI_X,
     PAULI_Z,
     covariant_multimeter,
+    partial_swap_channel,
     q8_representation,
     weyl_heisenberg,
 )
@@ -34,6 +36,7 @@ from qmultimeter.sampling import (
     random_pure_vector,
     random_unitary,
 )
+from qmultimeter.verify import phase_space_demo
 
 I2 = np.eye(2, dtype=complex)
 
@@ -214,6 +217,58 @@ class TestChannels:
             assert np.max(np.abs(out - ch.apply_matrix(rho.matrix))) < 1e-10
 
 
+class TestPermutationChannel:
+    """``QuantumChannel.permutation`` keeps K = eye(n)[perm] as an index array;
+    each check compares it with the dense 0/1 matrix."""
+
+    @pytest.mark.parametrize(
+        "perm", [[0, 0, 2], [0, 1, 3], [-1, 0, 1], [], np.arange(4).reshape(2, 2), [0.0, 1.0]]
+    )
+    def test_non_bijection_rejected(self, perm):
+        with pytest.raises(ValueError, match="permutation"):
+            QuantumChannel.permutation(perm)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_partial_swap_kraus_is_the_permutation_matrix(self, d):
+        n = d**3
+        perm = np.empty(n, dtype=int)
+        for a in range(d):
+            for b in range(d):
+                for c in range(d):
+                    perm[a * d * d + b * d + c] = b * d * d + a * d + c
+        ch = partial_swap_channel(d)
+        assert (ch.in_dim, ch.out_dim) == (n, n)
+        assert len(ch.kraus) == 1
+        assert np.array_equal(ch.kraus[0], np.eye(n)[perm])
+
+    def test_gathers_equal_dense_products_exactly(self, rng):
+        ch = partial_swap_channel(3)
+        k = ch.kraus[0]
+        for _ in range(3):
+            m = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
+            np.testing.assert_array_equal(ch.apply_matrix(m), k @ m @ k.conj().T)
+            np.testing.assert_array_equal(ch.dual_matrix(m), k.conj().T @ m @ k)
+
+    def test_random_permutation_matches_dense_channel(self, rng):
+        perm = rng.permutation(6)
+        ch = QuantumChannel.permutation(perm)
+        dense = QuantumChannel([np.eye(6)[perm]])
+        rho = random_density(rng, 6)
+        np.testing.assert_array_equal(
+            apply_channel(ch, rho).matrix, apply_channel(dense, rho).matrix
+        )
+        e = random_povm(rng, 6, 3)
+        for a, b in zip(dual_apply(ch, e).effects, dual_apply(dense, e).effects, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_dilation_is_unitary(self):
+        ch = partial_swap_channel(2)
+        u, anc = stinespring_dilation(ch)
+        assert anc == 1
+        assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-12
+        assert np.array_equal(u, ch.kraus[0])
+
+
 class TestMeasurementModels:
     def test_trivial_pointer_induces_identity(self, rng):
         mm = Multimeter(
@@ -289,8 +344,9 @@ class TestMeasurementModels:
 
 
 class TestProgramContraction:
-    """``program`` contracts the probe state through the Kraus operators; the
-    oracle pulls every pointer effect back as a dense Heisenberg dual."""
+    """``program`` contracts the probe state through the Kraus operators, or
+    scatter-adds it for a permutation interaction; the oracle pulls every
+    pointer effect back as a dense Heisenberg dual of the dense Kraus operators."""
 
     @staticmethod
     def _assert_matches_oracle(mm, xi):
@@ -325,3 +381,13 @@ class TestProgramContraction:
 
         monkeypatch.setattr(QuantumChannel, "dual_matrix", refuse)
         assert program(mm, random_density(rng, mm.probe_dim)).n_outcomes == 25
+
+    def test_builds_no_dense_permutation_matrix(self, rng, monkeypatch):
+        mm = covariant_multimeter(weyl_heisenberg(5))
+
+        def refuse(perm):
+            raise AssertionError("programming built the dense permutation matrix")
+
+        monkeypatch.setattr(quantum, "_permutation_matrix", refuse)
+        assert program(mm, random_density(rng, mm.probe_dim)).n_outcomes == 25
+        assert phase_space_demo(5)["vector_count"] == 6

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmultimeter.divergence import DivergenceOptions, observable_divergence
-from qmultimeter.groups import covariant_observable
+from qmultimeter.groups import covariant_observable, partial_swap_channel
 from qmultimeter.postprocessing import PostProcessing
 from qmultimeter.sampling import random_channel, random_density, random_povm
 from qmultimeter.serialize import (
@@ -51,6 +51,15 @@ class TestRoundTrips:
         assert len(back.kraus) == 3
         for a, b in zip(back.kraus, ch.kraus):
             assert np.array_equal(a, b)
+
+    def test_permutation_channel(self, rng):
+        ch = partial_swap_channel(2)
+        back = channel_from_json(through_json(channel_to_json(ch)))
+        assert (back.in_dim, back.out_dim) == (8, 8)
+        assert len(back.kraus) == 1
+        assert np.array_equal(back.kraus[0], ch.kraus[0])
+        rho = random_density(rng, 8).matrix
+        assert np.array_equal(back.apply_matrix(rho), ch.apply_matrix(rho))
 
     def test_postprocessing_with_labels(self, rng):
         kern = PostProcessing(rng.dirichlet(np.ones(2), size=3), out_labels=["a", "b"])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from oracles import sharpmin_oracle
+from oracles import einsum_margins, sharpmin_oracle
 
+from qmultimeter import verify
 from qmultimeter.divergence import DivergenceOptions
 from qmultimeter.postprocessing import PostProcessing, pp_fidelity
+from qmultimeter.quantum import program
 from qmultimeter.sampling import random_povm
 from qmultimeter.verify import (
     BoundCurve,
@@ -83,6 +85,44 @@ class TestProp3:
         bad = PostProcessing.identity(3)
         with pytest.raises(ValueError, match="kernel"):
             verify_prop3(mm, xi1, xi2, bad, bad, trials=10, seed=0)
+
+    @pytest.mark.parametrize("which", ["inputs", "outputs"])
+    def test_kernel_shapes_checked_before_programming(self, which, monkeypatch):
+        mm, xi1, xi2, l1, _ = q8_program_pair()
+        n = mm.pointer.n_outcomes
+        bad = PostProcessing.identity(3) if which == "inputs" else PostProcessing.identity(n)
+
+        def refuse(multimeter, xi):
+            raise AssertionError("programmed before the kernel shapes were checked")
+
+        monkeypatch.setattr(verify, "program", refuse)
+        with pytest.raises(ValueError, match="kernel"):
+            verify_prop3(mm, xi1, xi2, l1, bad, trials=10, seed=0)
+
+
+FIXTURES = {
+    "q8": q8_program_pair,
+    "wh3": lambda: wh_program_pair(3),
+    "random": default_random_fixture,
+}
+
+
+class TestSampledMargins:
+    """The batched Born rule against the einsum margin oracle."""
+
+    @pytest.mark.parametrize("kernels", [False, True])
+    @pytest.mark.parametrize("trials", [0, 1, 500])
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    def test_matches_einsum_oracle(self, fixture, trials, kernels):
+        mm, xi1, xi2, l1, l2 = FIXTURES[fixture]()
+        e1, e2 = program(mm, xi1), program(mm, xi2)
+        pair = (l1, l2) if kernels else None
+        f_kern = pp_fidelity(l1, l2) if kernels else 1.0
+        got = verify._sampled_margins(e1, e2, trials, 11, 0.7, pair, f_kern)
+        want = einsum_margins(e1, e2, trials, 11, 0.7, pair, f_kern)
+        assert got.shape == want.shape == (trials,)
+        if trials:
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestBProperties:
