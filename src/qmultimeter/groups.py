@@ -432,16 +432,13 @@ def sharp_from_subgroup(
 # the covariant multimeter
 
 
-def maximally_entangled_vector(d: int) -> np.ndarray:
-    v = np.zeros(d * d, dtype=complex)
-    v[:: d + 1] = 1.0 / np.sqrt(d)
-    return v
-
-
 def pointer_vector(rep: ProjectiveRepresentation, g: int) -> np.ndarray:
-    """Unit vector u(g) = (U(g) x 1) applied to the maximally entangled vector."""
-    d = rep.degree
-    return tensor(rep.unitary(g), np.eye(d)) @ maximally_entangled_vector(d)
+    """Unit vector u(g) = (U(g) x 1) applied to the maximally entangled vector.
+
+    Entry (a, b) of that vector is U(g)[a, b] / sqrt(d), so it is the
+    flattened matrix, with no Kronecker product.
+    """
+    return rep.unitary(g).reshape(-1) * (1.0 / np.sqrt(rep.degree))
 
 
 def partial_swap_channel(d: int) -> QuantumChannel:

@@ -403,52 +403,64 @@ def _probe_contraction(k: np.ndarray, xi: np.ndarray, d_sys: int, d_probe: int) 
     return a.reshape(n, n) @ b.reshape(n, n).T
 
 
-def _permutation_contraction(
-    perm: np.ndarray, xi: np.ndarray, d_sys: int, d_probe: int
+def _selection_term(
+    z: np.ndarray, xi: np.ndarray, m: np.ndarray, l: np.ndarray, d_sys: int
 ) -> np.ndarray:
-    """T of a permutation interaction, rows (q, p) and columns (i, m).
+    """One selection group's share P^T (Z(x) o Xi) P of every effect E(x).
 
-    Row (s, p) of K = eye(n)[perm] has its one 1 at column (m, l) = perm[(s, p)],
-    so T[(p,m),(q,i)] collects xi[l(s,p), l(s,q)] at m = m(s,p), i = m(s,q).
-    For one s the targets are distinct in (p, q), so each s is one scatter-add.
+    ``m`` is the selection row m_s shared by the group's system indices s and
+    ``l`` stacks their probe rows l_s, so P[p, j] = [m_s(p) = j] and
+    Xi[q, p] = sum_s xi[l_s(p), l_s(q)]: one Hadamard product, two thin products.
     """
-    m, l = np.divmod(perm.reshape(d_sys, d_probe), d_probe)
-    t = np.zeros((d_probe, d_probe, d_sys, d_sys), dtype=complex)
-    q = np.arange(d_probe)[:, None]
-    p = np.arange(d_probe)[None, :]
-    for m_s, l_s in zip(m, l):
-        t[q, p, m_s[q], m_s[p]] += xi[l_s[p], l_s[q]]
-    return t.reshape(d_probe**2, d_sys**2)
+    n_out, d_probe = z.shape[:2]
+    sel = np.zeros((d_probe, d_sys), dtype=complex)
+    sel[np.arange(d_probe), m] = 1.0
+    xi_sum = xi.T[l[:, :, None], l[:, None, :]].sum(axis=0)
+    zp = ((z * xi_sum).reshape(-1, d_probe) @ sel).reshape(n_out, d_probe, d_sys)
+    # (Z o Xi P)^T P is the transpose of P^T (Z o Xi) P
+    e_t = zp.transpose(0, 2, 1).reshape(-1, d_probe) @ sel
+    return e_t.reshape(n_out, d_sys, d_sys).transpose(0, 2, 1)
 
 
 def induced_observable(model: MeasurementModel) -> Observable:
     """Observable realized on the system by a measurement model.
 
-    The probe state is contracted through each Kraus operator once, giving
+    Every effect is tr_probe of the dual interaction of 1 x Z(x) against
+    1 x xi, computed per probe state with nothing cached on the device. For a
+    Kraus channel the probe state is contracted through each Kraus operator
+    once, giving
     T[(p,m),(q,i)] = sum_r sum_(s,l,l') K_r[s,p,m,l] xi[l,l'] conj(K_r[s,q,i,l'])
-    (s, m, i index the system, p, q, l the probe); every effect is then read
-    off in one product, E(x)_im = sum_(p,q) Z(x)[q,p] T[(p,m),(q,i)]. This
-    is tr_probe of the dual interaction of 1 x Z(x) against 1 x xi, computed
-    per probe state with nothing cached on the device. A permutation
-    interaction builds the same T by scatter-adding entries of xi, with no
-    dense Kraus operator. A completeness defect beyond 1e-8 signals a broken
-    interaction channel.
+    (s, m, i index the system, p, q, l the probe), and every effect is read
+    off in one product, E(x)_im = sum_(p,q) Z(x)[q,p] T[(p,m),(q,i)].
+
+    A permutation interaction K = eye(n)[perm] needs no T: row (s, p) of K
+    sends p to (m_s(p), l_s(p)), so E(x) = sum_s P_s^T (Z(x) o Xi_s) P_s with
+    the selection P_s[p, j] = [m_s(p) = j] and Xi_s[q, p] = xi[l_s(p), l_s(q)].
+    System indices with equal selection rows share one P, so their Xi_s are
+    summed first and each distinct row costs one Hadamard product and two
+    thin products (one in all for the partial SWAP). A completeness defect
+    beyond 1e-8 signals a broken interaction channel.
     """
     mm = model.multimeter
     d_sys, d_probe = mm.system_dim, mm.probe_dim
     xi = model.probe_state.matrix
+    z = np.stack(mm.pointer.effects)
     perm = mm.interaction.perm
     if perm is not None:
-        t_qp = _permutation_contraction(perm, xi, d_sys, d_probe)
+        m, l = np.divmod(perm.reshape(d_sys, d_probe), d_probe)
+        groups = {}
+        for s, row in enumerate(m):
+            groups.setdefault(row.tobytes(), []).append(s)
+        stacked = sum(_selection_term(z, xi, m[g[0]], l[g], d_sys) for g in groups.values())
     else:
         t = sum(_probe_contraction(k, xi, d_sys, d_probe) for k in mm.interaction.kraus)
         # rows (q, p), columns (i, m), to meet Z(x)[q, p] flattened row-major
         t_qp = t.reshape(d_probe, d_sys, d_probe, d_sys).transpose(2, 0, 3, 1)
         t_qp = t_qp.reshape(d_probe**2, d_sys**2)
-    z = np.stack(mm.pointer.effects).reshape(-1, d_probe**2)
-    stacked = (z @ t_qp).reshape(-1, d_sys, d_sys)
-    effects = [hermitianize(eff) for eff in stacked]
-    return Observable(effects, outcomes=list(mm.pointer.outcomes), atol_complete=1e-8)
+        stacked = (z.reshape(-1, d_probe**2) @ t_qp).reshape(-1, d_sys, d_sys)
+    # the Hermitian part of every effect at once, as hermitianize computes it
+    effects = (stacked + stacked.conj().transpose(0, 2, 1)) / 2
+    return Observable(list(effects), outcomes=list(mm.pointer.outcomes), atol_complete=1e-8)
 
 
 def program(multimeter: Multimeter, xi: DensityState) -> Observable:

@@ -52,7 +52,7 @@ from .sampling import (
 
 TOL_CHECK = 1e-9
 ESTIMATOR_TOL = 2e-3
-PHASE_SPACE_MAX_DIM = 11
+PHASE_SPACE_MAX_DIM = 13
 # eigenvalues of U(i), U(j), U(k) whose eigenvectors project onto the +axis
 Q8_TARGETS = {"i": 1j, "j": -1j, "k": 1j}
 

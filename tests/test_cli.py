@@ -37,7 +37,7 @@ class TestDemoCommand:
         assert code == 0
         assert json.loads(out)["vector_count"] == 4
 
-    @pytest.mark.parametrize("dim", ["4", "13", "17"])
+    @pytest.mark.parametrize("dim", ["4", "17", "19"])
     def test_bad_dim_is_config_error(self, capsys, dim):
         code, out, err = run(capsys, "demo", "phase-space", "--dim", dim)
         assert code == 2
@@ -63,11 +63,11 @@ class TestMemoryEnvelope:
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-m", "qmultimeter", "demo", "phase-space", "--dim", "11"],
+            [sys.executable, "-m", "qmultimeter", "demo", "phase-space", "--dim", "13"],
             env=env, preexec_fn=cap, capture_output=True, text=True, timeout=600,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert json.loads(proc.stdout)["vector_count"] == 12
+        assert json.loads(proc.stdout)["vector_count"] == 14
 
 
 class TestVerifyCommand:

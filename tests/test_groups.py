@@ -498,6 +498,16 @@ class TestCovariantMultimeter:
         for g in range(8):
             assert abs(np.linalg.norm(pointer_vector(q8, g)) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("device", ["q8", 3, 5])
+    def test_pointer_vector_equals_kronecker_form(self, device):
+        rep = q8_representation() if device == "q8" else weyl_heisenberg(device)
+        d = rep.degree
+        omega = np.zeros(d * d, dtype=complex)
+        omega[:: d + 1] = 1.0 / np.sqrt(d)
+        for g in range(rep.group.order):
+            kron_form = tensor(rep.unitary(g), np.eye(d)) @ omega
+            assert np.array_equal(pointer_vector(rep, g), kron_form)
+
 
 class TestFiniteGroupValidation:
     def test_rejects_non_latin_square(self):

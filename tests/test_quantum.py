@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import heisenberg_program
+from oracles import gathered_heisenberg_program, heisenberg_program
 
 from qmultimeter import quantum
 from qmultimeter.groups import (
@@ -345,16 +345,28 @@ class TestMeasurementModels:
 
 class TestProgramContraction:
     """``program`` contracts the probe state through the Kraus operators, or
-    scatter-adds it for a permutation interaction; the oracle pulls every
+    through selections for a permutation interaction; the oracle pulls every
     pointer effect back as a dense Heisenberg dual of the dense Kraus operators."""
 
     @staticmethod
-    def _assert_matches_oracle(mm, xi):
+    def _assert_matches_oracle(mm, xi, oracle=heisenberg_program):
         programmed = program(mm, xi)
-        oracle = heisenberg_program(mm, xi)
-        assert programmed.outcomes == oracle.outcomes
-        for a, b in zip(programmed.effects, oracle.effects, strict=True):
+        expected = oracle(mm, xi)
+        assert programmed.outcomes == expected.outcomes
+        for a, b in zip(programmed.effects, expected.effects, strict=True):
             assert np.max(np.abs(a - b)) < 1e-12
+
+    @staticmethod
+    def _count_selection_terms(monkeypatch):
+        calls = []
+        term = quantum._selection_term
+
+        def counted(*args):
+            calls.append(args)
+            return term(*args)
+
+        monkeypatch.setattr(quantum, "_selection_term", counted)
+        return calls
 
     def test_matches_oracle_on_random_multi_kraus_devices(self, rng):
         for trial in range(24):
@@ -367,11 +379,59 @@ class TestProgramContraction:
             )
             self._assert_matches_oracle(mm, random_density(rng, probe_dim))
 
-    @pytest.mark.parametrize("device", ["q8", 3, 5, 7])
+    @pytest.mark.parametrize("device", ["q8", 3, 5, 7, 11])
     def test_matches_oracle_on_covariant_devices(self, device, rng):
         rep = q8_representation() if device == "q8" else weyl_heisenberg(device)
         mm = covariant_multimeter(rep)
-        self._assert_matches_oracle(mm, random_density(rng, mm.probe_dim))
+        # the dense oracle makes two (d^3)^2 products per outcome: minutes at d=11
+        oracle = gathered_heisenberg_program if device == 11 else heisenberg_program
+        self._assert_matches_oracle(mm, random_density(rng, mm.probe_dim), oracle)
+
+    def test_matches_oracle_on_random_permutation_devices(self, rng):
+        for system_dim in (1, 2, 3):
+            for probe_dim in (2, 3, 4, 5):
+                n = system_dim * probe_dim
+                mm = Multimeter(
+                    probe_dim=probe_dim,
+                    pointer=random_povm(rng, probe_dim, int(rng.integers(1, 5))),
+                    interaction=QuantumChannel.permutation(rng.permutation(n)),
+                )
+                self._assert_matches_oracle(mm, random_density(rng, probe_dim))
+
+    @pytest.mark.parametrize(
+        "rows,terms",
+        [
+            # (m_s(p), l_s(p)) for p = 0..3, one row per system index s
+            ([[(0, 0), (0, 1), (1, 0), (1, 1)],
+              [(0, 2), (0, 3), (1, 2), (1, 3)],
+              [(2, 0), (2, 1), (2, 2), (2, 3)]], 2),
+            ([[(2, 3), (0, 1), (2, 0), (0, 2)],
+              [(1, 0), (1, 1), (1, 2), (1, 3)],
+              [(2, 1), (0, 3), (2, 2), (0, 0)]], 2),
+            ([[(0, 0), (1, 0), (2, 0), (0, 1)],
+              [(1, 1), (2, 1), (0, 2), (1, 2)],
+              [(2, 2), (0, 3), (1, 3), (2, 3)]], 3),
+        ],
+    )
+    def test_matches_oracle_when_some_rows_share_a_selection(
+        self, rows, terms, rng, monkeypatch
+    ):
+        d_sys, d_probe = 3, 4
+        perm = np.array([m * d_probe + l for row in rows for m, l in row])
+        mm = Multimeter(
+            probe_dim=d_probe,
+            pointer=random_povm(rng, d_probe, 3),
+            interaction=QuantumChannel.permutation(perm),
+        )
+        calls = self._count_selection_terms(monkeypatch)
+        self._assert_matches_oracle(mm, random_density(rng, d_probe))
+        assert len(calls) == terms
+
+    def test_partial_swap_forms_one_selection_term(self, rng, monkeypatch):
+        mm = covariant_multimeter(weyl_heisenberg(5))
+        calls = self._count_selection_terms(monkeypatch)
+        assert program(mm, random_density(rng, mm.probe_dim)).n_outcomes == 25
+        assert len(calls) == 1
 
     def test_builds_no_heisenberg_dual(self, rng, monkeypatch):
         mm = covariant_multimeter(weyl_heisenberg(5))

@@ -245,7 +245,7 @@ class TestDemos:
     def test_phase_space_demo_rejects_bad_dims(self):
         with pytest.raises(ValueError, match="prime"):
             phase_space_demo(4)
-        for d in (13, 17):
+        for d in (17, 19):
             with pytest.raises(ValueError, match="desk"):
                 phase_space_demo(d)
 
