@@ -30,6 +30,9 @@ from .verify import (
 )
 
 SEED_ENV = "QML_SEED"
+# the largest bound sweep: 100_000 steps of 2e-5 across [-1, 1], about 1 s in
+# all and a few MB of output; anything above exits 2 before any work
+MAX_POINTS = 100_001
 
 # scalar keys: a config file sets them, QML_SEED overrides the seed, flags override both
 SCALAR_KEYS = (
@@ -201,8 +204,8 @@ def _run_verify(cfg: RunConfig, which: str) -> int:
 def _run_bound(cfg: RunConfig) -> int:
     if cfg.format not in (None, "csv"):
         raise ConfigError("bound emits csv only")
-    if cfg.points < 1:
-        raise ConfigError(f"--points must be at least 1, got {cfg.points}")
+    if not 1 <= cfg.points <= MAX_POINTS:
+        raise ConfigError(f"--points must lie in [1, {MAX_POINTS}], got {cfg.points}")
     curve = bound_curve(points=cfg.points)
     _emit(cfg, curve.to_csv())
     return 0

@@ -167,8 +167,8 @@ def _grid_ratio_min(stack1, stack2, states1, states2):
     return best, states1[arg[0]], states2[arg[1]]
 
 
-def _top_eigenvectors(effects) -> np.ndarray:
-    return np.array([np.linalg.eigh(eff)[1][:, -1] for eff in effects])
+def _top_eigenvectors(effects: np.ndarray) -> np.ndarray:
+    return np.linalg.eigh(effects)[1][:, :, -1]
 
 
 def _lockstep_nelder_mead(fun, x0: np.ndarray, maxiter: int, stop_below: float):

@@ -41,10 +41,9 @@ class FiniteGroup:
             raise ValueError("multiplication table rows are not permutations")
         if not np.all(np.sort(t, axis=0) == ar[:, None]):
             raise ValueError("multiplication table columns are not permutations")
-        # associativity, checked exhaustively (vectorized, fine for order <= ~200)
-        left = t[t]                                   # left[a, b, c] = t[t[a, b], c]
-        right = t[:, t.reshape(-1)].reshape(n, n, n)  # right[a, b, c] = t[a, t[b, c]]
-        if not np.array_equal(left, right):
+        # associativity one left factor a at a time, (ab)c against a(bc) for
+        # every b, c: O(n^2) memory instead of two n^3 tables
+        if not all(np.array_equal(t[t[a]], t[a][t]) for a in range(n)):
             raise ValueError("multiplication table is not associative")
         idn = [g for g in range(n) if np.array_equal(t[g], ar) and np.array_equal(t[:, g], ar)]
         if len(idn) != 1:
@@ -206,9 +205,8 @@ def covariant_observable(rep: ProjectiveRepresentation, seed: DensityState) -> O
     d, n = rep.degree, rep.group.order
     if seed.dim != d:
         raise ValueError(f"seed dim {seed.dim} != representation degree {d}")
-    effects = [
-        hermitianize((d / n) * u @ seed.matrix @ u.conj().T) for u in rep.matrices
-    ]
+    u = np.stack(rep.matrices)
+    effects = hermitianize((d / n) * u @ seed.matrix @ u.conj().transpose(0, 2, 1))
     try:
         return Observable(effects, outcomes=list(rep.group.names))
     except ValueError as exc:
@@ -418,14 +416,10 @@ def sharp_from_subgroup(
     u_gen = rep.unitary(sub.generator)
     if float(np.max(np.abs(u_gen @ p @ u_gen.conj().T - p))) > EIGVEC_INVARIANCE_TOL:
         raise ValueError("psi is not an eigenvector of the subgroup generator")
-    cosets = left_cosets(rep.group, sub)
-    effects, labels = [], []
-    for coset in cosets:
-        rep_el = coset[0]
-        u = rep.unitary(rep_el)
-        effects.append(hermitianize(u @ p @ u.conj().T))
-        labels.append(rep.group.names[rep_el])
-    return Observable(effects, outcomes=labels)
+    firsts = [coset[0] for coset in left_cosets(rep.group, sub)]
+    u = np.stack([rep.unitary(g) for g in firsts])
+    effects = hermitianize(u @ p @ u.conj().transpose(0, 2, 1))
+    return Observable(effects, outcomes=[rep.group.names[g] for g in firsts])
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +455,10 @@ def covariant_multimeter(rep: ProjectiveRepresentation) -> Multimeter:
     the covariant observable of the seed for any eta.
     """
     d, n = rep.degree, rep.group.order
-    scale = d * d / n
-    effects = []
-    for g in range(n):
-        u = pointer_vector(rep, g)
-        effects.append(scale * np.outer(u, u.conj()))
+    u = np.stack([pointer_vector(rep, g) for g in range(n)])
+    # scale * outer(u, conj(u)) for every g, scaled in place: one (n, d^2, d^2) array
+    effects = u[:, :, None] * u.conj()[:, None, :]
+    effects *= d * d / n
     try:
         pointer = Observable(effects, outcomes=list(rep.group.names))
     except ValueError as exc:

@@ -20,8 +20,9 @@ def as_matrix(m) -> np.ndarray:
 
 
 def hermitianize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m†)/2, used to scrub asymmetry noise."""
-    return (m + m.conj().T) / 2
+    """Hermitian part (m + m†)/2 of a matrix, or of each matrix in a stack
+    (..., n, n); used to scrub asymmetry noise."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def herm_defect(m: np.ndarray) -> float:

@@ -64,9 +64,7 @@ def post_process_observable(l: PostProcessing, e: Observable) -> Observable:
     """Mix effects classically: output effect j is sum_i kernel[i, j] E(i)."""
     if l.n_in != e.n_outcomes:
         raise ValueError(f"kernel expects {l.n_in} inputs, observable has {e.n_outcomes}")
-    effects = list(np.tensordot(l.kernel, np.stack(e.effects), axes=(0, 0)))
-    labels = l.out_labels if l.out_labels is not None else None
-    return Observable(effects, outcomes=labels)
+    return Observable(np.tensordot(l.kernel, e.effects, axes=(0, 0)), outcomes=l.out_labels)
 
 
 def post_process_distribution(l: PostProcessing, p) -> np.ndarray:

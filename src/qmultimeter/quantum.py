@@ -73,66 +73,127 @@ class DensityState:
         return DensityState(self.matrix.T.copy())
 
 
+EFFECT_BLOCK = 16        # effects per block of the Hermiticity and Cholesky checks
+_EPS = float(np.finfo(float).eps)
+
+
+def _psd_certified(stack: np.ndarray, exact: bool) -> bool:
+    """True when a Cholesky factorization proves every effect's Hermitian part
+    H has smallest eigenvalue above -TOL_PSD.
+
+    Each block of ``EFFECT_BLOCK`` effects factors H + sI with
+    s = TOL_PSD - d(d+1) eps max(1, max diag H). A factorization that
+    completes gives R*R = H + sI + dA with |dA| <= gamma_(d+1) |R*||R|
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10), so
+    ||dA|| <= gamma_(d+1) tr(R*R), about d(d+1) (eps/2) max(1, max diag H);
+    the factor 2 to spare covers the rounding of the shift and of complex
+    arithmetic. Hence lambda_min(H) >= -s - ||dA|| > -TOL_PSD. ``exact``
+    says every effect is exactly Hermitian, hence its own Hermitian part.
+    False (a block that fails, a non-finite factor, or s <= 0) proves nothing.
+    """
+    d = stack.shape[1]
+    diag = np.arange(d)
+    for lo in range(0, len(stack), EFFECT_BLOCK):
+        block = stack[lo : lo + EFFECT_BLOCK]
+        h = block if exact else hermitianize(block)
+        top = np.max(h[:, diag, diag].real)
+        s = TOL_PSD - d * (d + 1) * _EPS * np.maximum(1.0, top)
+        if not s > 0.0:
+            return False
+        try:
+            r = np.linalg.cholesky(h + s * np.eye(d))
+        except np.linalg.LinAlgError:
+            return False
+        if not np.isfinite(r).all():
+            return False
+    return True
+
+
 @dataclass(eq=False)
 class Observable:
-    """Finite outcome-labelled POVM: positive effects summing to the identity."""
+    """Finite outcome-labelled POVM: positive effects summing to the identity.
 
-    effects: list
+    ``effects`` is one read-only (n, d, d) complex stack, built and validated
+    once. The constructor takes a list of matrices, or an (n, d, d) array,
+    which is kept without a copy when it is already a C-contiguous complex
+    stack. Positivity is first certified by blocked Cholesky factorizations
+    (see ``_psd_certified``); only when that proves nothing do the smallest
+    eigenvalues decide.
+    """
+
+    effects: np.ndarray
     outcomes: list = None
     atol_complete: float = ATOL_COMPLETE
 
     def __post_init__(self):
-        self.effects = [as_matrix(e) for e in self.effects]
-        if not self.effects:
+        effects = self.effects
+        is_stack = isinstance(effects, np.ndarray) and effects.ndim == 3
+        if is_stack and effects.shape[1] == effects.shape[2]:
+            stack = np.ascontiguousarray(effects, dtype=complex)
+            n = n_ok = len(stack)
+        else:
+            mats = [as_matrix(e) for e in effects]
+            n = len(mats)
+            if n:
+                d = mats[0].shape[0]
+                n_ok = next((j for j, e in enumerate(mats) if e.shape != (d, d)), n)
+                stack = np.array(mats[:n_ok]).reshape(n_ok, d, d)
+        if not n:
             raise ValueError("observable needs at least one effect")
-        d = self.effects[0].shape[0]
-        # all effects in one batched pass; the error raised is that of the
-        # first effect failing a check, shape before Hermiticity before positivity
-        n = len(self.effects)
-        n_ok = next((j for j, e in enumerate(self.effects) if e.shape != (d, d)), n)
-        stack = np.array(self.effects[:n_ok]).reshape(n_ok, d, d)
-        herm = stack.conj().transpose(0, 2, 1)
-        defects = np.max(np.abs(stack - herm), axis=(1, 2))
+        d = stack.shape[1]
+        # the error raised is that of the first effect failing a check, shape
+        # before Hermiticity before positivity
+        defects = np.empty(n_ok)
+        for lo in range(0, n_ok, EFFECT_BLOCK):
+            block = stack[lo : lo + EFFECT_BLOCK]
+            diff = np.abs(block - block.conj().transpose(0, 2, 1))
+            defects[lo : lo + EFFECT_BLOCK] = np.max(diff, axis=(1, 2))
         n_herm = next((j for j, x in enumerate(defects) if x > TOL_HERM), n_ok)
-        lows = np.linalg.eigvalsh((stack[:n_herm] + herm[:n_herm]) / 2)[:, 0]
-        negative = np.flatnonzero(lows < -TOL_PSD)
-        if negative.size:
-            low = lows[negative[0]]
-            raise ValueError(f"effect has eigenvalue {low:.3e} below -{TOL_PSD:.1e}")
+        exact = not defects[:n_herm].any()
+        if not _psd_certified(stack[:n_herm], exact):
+            herm = stack.conj().transpose(0, 2, 1)
+            lows = np.linalg.eigvalsh((stack[:n_herm] + herm[:n_herm]) / 2)[:, 0]
+            negative = np.flatnonzero(lows < -TOL_PSD)
+            if negative.size:
+                low = lows[negative[0]]
+                raise ValueError(f"effect has eigenvalue {low:.3e} below -{TOL_PSD:.1e}")
         if n_herm < n_ok:
             raise ValueError(
                 f"matrix is not Hermitian: defect {defects[n_herm]:.3e} > {TOL_HERM:.1e}"
             )
         if n_ok < n:
             raise ValueError("effects must be square matrices of equal dimension")
-        total = sum(self.effects)
-        defect = float(np.max(np.abs(total - np.eye(d))))
+        defect = float(np.max(np.abs(stack.sum(0) - np.eye(d))))
         if defect > self.atol_complete:
             raise ValueError(
                 f"effects sum to identity only within {defect:.3e} > {self.atol_complete:.1e}"
             )
         if self.outcomes is None:
-            self.outcomes = [str(i) for i in range(len(self.effects))]
+            self.outcomes = [str(i) for i in range(n)]
         self.outcomes = [str(x) for x in self.outcomes]
-        if len(self.outcomes) != len(self.effects):
+        if len(self.outcomes) != n:
             raise ValueError("one outcome label per effect required")
+        # a read-only view: an array taken without a copy stays writable to its owner
+        self.effects = stack.view()
+        self.effects.flags.writeable = False
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.effects)
+        return self.effects.shape[0]
 
     def is_sharp(self, tol: float = ATOL_SHARP) -> bool:
-        return all(float(np.max(np.abs(e @ e - e))) <= tol for e in self.effects)
+        s = self.effects
+        return float(np.max(np.abs(s @ s - s))) <= tol
 
     def conjugated(self, u) -> "Observable":
         """Observable with effects U† E(x) U (same outcome labels)."""
         u = as_matrix(u)
         return Observable(
-            [u.conj().T @ e @ u for e in self.effects],
+            u.conj().T @ self.effects @ u,
             outcomes=list(self.outcomes),
             atol_complete=self.atol_complete,
         )
@@ -140,10 +201,7 @@ class Observable:
     def allclose(self, other: "Observable", atol: float = 1e-9) -> bool:
         if self.n_outcomes != other.n_outcomes or self.dim != other.dim:
             return False
-        return all(
-            np.allclose(a, b, atol=atol, rtol=0.0)
-            for a, b in zip(self.effects, other.effects)
-        )
+        return np.allclose(self.effects, other.effects, atol=atol, rtol=0.0)
 
 
 def trivial_observable(dim: int, n_outcomes: int = 1) -> Observable:
@@ -219,10 +277,12 @@ class QuantumChannel:
         return sum(k @ rho @ k.conj().T for k in self._kraus)
 
     def dual_matrix(self, b: np.ndarray) -> np.ndarray:
-        """Heisenberg-picture action on an operator: sum of K† B K."""
+        """Heisenberg-picture action sum of K† B K on an operator, or on each
+        operator of a stack (..., n, n)."""
+        b = np.asarray(b, dtype=complex)
         if self.perm is not None:
             inverse = np.argsort(self.perm)
-            return as_matrix(b)[np.ix_(inverse, inverse)]
+            return b[..., inverse[:, None], inverse]
         return sum(k.conj().T @ b @ k for k in self._kraus)
 
     @classmethod
@@ -247,10 +307,7 @@ def dual_apply(channel: QuantumChannel, e: Observable) -> Observable:
     """Pull an observable back through a channel (Heisenberg picture)."""
     if e.dim != channel.out_dim:
         raise ValueError(f"observable dim {e.dim} != channel output dim {channel.out_dim}")
-    return Observable(
-        [hermitianize(channel.dual_matrix(eff)) for eff in e.effects],
-        outcomes=list(e.outcomes),
-    )
+    return Observable(hermitianize(channel.dual_matrix(e.effects)), outcomes=list(e.outcomes))
 
 
 def stinespring_dilation(channel: QuantumChannel) -> tuple[np.ndarray, int]:
@@ -288,7 +345,7 @@ def outcome_distribution(e: Observable, rho: DensityState) -> np.ndarray:
     """Outcome probabilities tr[E(x) rho] as a clipped, normalized vector."""
     if e.dim != rho.dim:
         raise ValueError(f"observable dim {e.dim} != state dim {rho.dim}")
-    p = np.array([float(np.trace(eff @ rho.matrix).real) for eff in e.effects])
+    p = np.trace(e.effects @ rho.matrix, axis1=1, axis2=2).real
     low = p.min() if p.size else 0.0
     if low < -PROB_CLIP:
         raise ValueError(f"probability {low:.3e} below -{PROB_CLIP:.1e}; broken inputs")
@@ -444,7 +501,7 @@ def induced_observable(model: MeasurementModel) -> Observable:
     mm = model.multimeter
     d_sys, d_probe = mm.system_dim, mm.probe_dim
     xi = model.probe_state.matrix
-    z = np.stack(mm.pointer.effects)
+    z = mm.pointer.effects
     perm = mm.interaction.perm
     if perm is not None:
         m, l = np.divmod(perm.reshape(d_sys, d_probe), d_probe)
@@ -458,9 +515,9 @@ def induced_observable(model: MeasurementModel) -> Observable:
         t_qp = t.reshape(d_probe, d_sys, d_probe, d_sys).transpose(2, 0, 3, 1)
         t_qp = t_qp.reshape(d_probe**2, d_sys**2)
         stacked = (z.reshape(-1, d_probe**2) @ t_qp).reshape(-1, d_sys, d_sys)
-    # the Hermitian part of every effect at once, as hermitianize computes it
-    effects = (stacked + stacked.conj().transpose(0, 2, 1)) / 2
-    return Observable(list(effects), outcomes=list(mm.pointer.outcomes), atol_complete=1e-8)
+    return Observable(
+        hermitianize(stacked), outcomes=list(mm.pointer.outcomes), atol_complete=1e-8
+    )
 
 
 def program(multimeter: Multimeter, xi: DensityState) -> Observable:

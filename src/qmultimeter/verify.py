@@ -136,7 +136,7 @@ def _sampled_margins(e1, e2, trials, seed, f_prog, kernels=None, f_kern=1.0) -> 
         # Born rule <v|E(x)|v> for every trial and outcome as one product of
         # the outer products conj(v_i) v_j against the flattened effects
         outer = (v.conj()[:, :, None] * v[:, None, :]).reshape(trials, d * d)
-        q = np.clip((outer @ np.stack(e.effects).reshape(-1, d * d).T).real, 0.0, None)
+        q = np.clip((outer @ e.effects.reshape(-1, d * d).T).real, 0.0, None)
         if kernels is not None:
             q = np.clip(q @ kernels[k].kernel, 0.0, None)
         vecs.append(v)
@@ -473,18 +473,15 @@ def phase_space_demo(d: int) -> dict:
 
     worst_idem = 0.0
     worst_orth = 0.0
+    first, second = np.triu_indices(d, 1)
     for (x, y), probe, kern in zip(generators, probes, kernels):
         sharp = post_process_observable(kern, program(mm, probe))
         _check(sharp.n_outcomes == d, f"coset merging of <({x},{y})> has {d} outcomes")
-        for eff in sharp.effects:
-            worst_idem = max(worst_idem, float(np.max(np.abs(eff @ eff - eff))))
-            _check(abs(float(np.trace(eff).real) - 1.0) <= 1e-8, "effects are rank one")
-        for a in range(d):
-            for b in range(a + 1, d):
-                worst_orth = max(
-                    worst_orth,
-                    float(np.max(np.abs(sharp.effects[a] @ sharp.effects[b]))),
-                )
+        e = sharp.effects
+        worst_idem = max(worst_idem, float(np.max(np.abs(e @ e - e))))
+        traces = np.trace(e, axis1=1, axis2=2).real
+        _check(bool(np.all(np.abs(traces - 1.0) <= 1e-8)), "effects are rank one")
+        worst_orth = max(worst_orth, float(np.max(np.abs(e[first] @ e[second]))))
         _check(worst_idem <= 1e-8, f"merged effects for <({x},{y})> are idempotent")
         _check(worst_orth <= 1e-8, f"merged effects for <({x},{y})> are mutually orthogonal")
 

@@ -334,3 +334,41 @@ def scipy_multistart_divergence(e1, e2, opts=None):
         converged=converged or value == 0.0,
         seed=opts.seed,
     )
+
+
+def eigvalsh_observable_check(effects, outcomes=None, atol_complete=1e-9):
+    """``Observable`` validation by smallest eigenvalues alone, with no
+    Cholesky certificate: raises the ``ValueError`` the constructor must raise
+    for these inputs, or returns None when it must accept them."""
+    from qmultimeter.linalg import TOL_HERM, TOL_PSD, as_matrix
+
+    effects = [as_matrix(e) for e in effects]
+    if not effects:
+        raise ValueError("observable needs at least one effect")
+    d = effects[0].shape[0]
+    n = len(effects)
+    n_ok = next((j for j, e in enumerate(effects) if e.shape != (d, d)), n)
+    stack = np.array(effects[:n_ok]).reshape(n_ok, d, d)
+    herm = stack.conj().transpose(0, 2, 1)
+    defects = np.max(np.abs(stack - herm), axis=(1, 2))
+    n_herm = next((j for j, x in enumerate(defects) if x > TOL_HERM), n_ok)
+    lows = np.linalg.eigvalsh((stack[:n_herm] + herm[:n_herm]) / 2)[:, 0]
+    negative = np.flatnonzero(lows < -TOL_PSD)
+    if negative.size:
+        low = lows[negative[0]]
+        raise ValueError(f"effect has eigenvalue {low:.3e} below -{TOL_PSD:.1e}")
+    if n_herm < n_ok:
+        raise ValueError(
+            f"matrix is not Hermitian: defect {defects[n_herm]:.3e} > {TOL_HERM:.1e}"
+        )
+    if n_ok < n:
+        raise ValueError("effects must be square matrices of equal dimension")
+    total = sum(effects)
+    defect = float(np.max(np.abs(total - np.eye(d))))
+    if defect > atol_complete:
+        raise ValueError(
+            f"effects sum to identity only within {defect:.3e} > {atol_complete:.1e}"
+        )
+    labels = [str(i) for i in range(n)] if outcomes is None else outcomes
+    if len(labels) != n:
+        raise ValueError("one outcome label per effect required")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qmultimeter
-from qmultimeter.cli import main
+from qmultimeter.cli import MAX_POINTS, main
 from qmultimeter.divergence import MAX_RESTARTS
 from qmultimeter.sampling import random_povm, rng_from
 from qmultimeter.serialize import observable_to_json, save_json
@@ -152,6 +152,24 @@ class TestBoundCommand:
         assert out == ""
         assert err.count("\n") == 1 and "--points" in err
 
+    def test_points_at_the_limit(self, capsys):
+        code, out, _ = run(capsys, "bound", "--points", str(MAX_POINTS))
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == MAX_POINTS + 1
+        assert lines[1].startswith("-1,") and lines[-1].startswith("1,")
+
+    def test_points_past_the_limit_is_config_error(self, capsys, monkeypatch):
+        def refuse(points):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr("qmultimeter.cli.bound_curve", refuse)
+        too_many = str(MAX_POINTS + 1)
+        code, out, err = run(capsys, "bound", "--points", too_many)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and too_many in err
+
     def test_json_format_rejected(self, capsys):
         code, _, err = run(capsys, "bound", "--points", "5", "--format", "json")
         assert code == 2
@@ -253,3 +271,53 @@ class TestConfigHandling:
         code, _, err = run(capsys, "verify", "prop1", "--trials", "10")
         assert code == 2
         assert "QML_SEED" in err
+
+
+def _without_elapsed(doc):
+    if isinstance(doc, dict):
+        return {k: _without_elapsed(v) for k, v in doc.items() if k != "elapsed"}
+    if isinstance(doc, list):
+        return [_without_elapsed(v) for v in doc]
+    return doc
+
+
+class TestSameSeedDeterminism:
+    """Two in-process runs with the same arguments print the same bytes once
+    ``elapsed`` is removed."""
+
+    @pytest.fixture(scope="class")
+    def povm_files(self, tmp_path_factory):
+        rng = rng_from(5)
+        paths = []
+        for name in ("e1", "e2"):
+            p = tmp_path_factory.mktemp("povms") / f"{name}.json"
+            save_json(observable_to_json(random_povm(rng, 2, 3)), str(p))
+            paths.append(str(p))
+        return paths
+
+    def _payload(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        if argv[0] == "bound":
+            return out
+        return json.dumps(_without_elapsed(json.loads(out)), indent=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("demo", "q8"),
+            ("demo", "phase-space", "--dim", "5"),
+            ("verify", "prop1", "--seed", "4"),
+            ("verify", "prop3", "--trials", "200", "--seed", "4"),
+            ("verify", "bprops", "--trials", "5", "--seed", "4"),
+            ("bound", "--points", "11"),
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_payload_repeats(self, capsys, argv):
+        assert self._payload(capsys, argv) == self._payload(capsys, argv)
+
+    def test_divergence_payload_repeats(self, capsys, povm_files):
+        e1, e2 = povm_files
+        argv = ("divergence", "--e1", e1, "--e2", e2, "--restarts", "4", "--seed", "6")
+        assert self._payload(capsys, argv) == self._payload(capsys, argv)

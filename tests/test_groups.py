@@ -25,7 +25,7 @@ from qmultimeter.groups import (
     weyl_heisenberg,
     wh_element_index,
 )
-from qmultimeter.linalg import tensor
+from qmultimeter.linalg import hermitianize, tensor
 from qmultimeter.postprocessing import post_process_observable
 from qmultimeter.quantum import DensityState, program
 from qmultimeter.sampling import random_density
@@ -416,6 +416,39 @@ class TestEigenvectorProgram:
         assert self._missed(rep, targets) == ([wh_element_index(2, 1, 1)] if d == 2 else [])
 
 
+class TestEffectStacks:
+    """Each effect stack equals the per-element construction bit for bit."""
+
+    @pytest.mark.parametrize("which", ["q8", "wh5"])
+    def test_pointer_effects_are_scaled_outer_products(self, which):
+        rep = q8_representation() if which == "q8" else weyl_heisenberg(5)
+        scale = rep.degree**2 / rep.group.order
+        expected = []
+        for g in range(rep.group.order):
+            u = pointer_vector(rep, g)
+            expected.append(scale * np.outer(u, u.conj()))
+        assert np.array_equal(covariant_multimeter(rep).pointer.effects, np.array(expected))
+
+    def test_covariant_observable(self, wh3, rng):
+        seed = random_density(rng, 3)
+        d, n = wh3.degree, wh3.group.order
+        expected = [
+            hermitianize((d / n) * u @ seed.matrix @ u.conj().T) for u in wh3.matrices
+        ]
+        assert np.array_equal(covariant_observable(wh3, seed).effects, np.array(expected))
+
+    def test_sharp_from_subgroup(self, wh3):
+        gen = wh_element_index(3, 1, 0)
+        sub = CyclicSubgroup(wh3.group, gen)
+        psi = eigenvector_program_states(wh3, gen).vectors[:, 1]
+        p = np.outer(psi, psi.conj())
+        expected = []
+        for coset in left_cosets(wh3.group, sub):
+            u = wh3.unitary(coset[0])
+            expected.append(hermitianize(u @ p @ u.conj().T))
+        assert np.array_equal(sharp_from_subgroup(wh3, sub, psi).effects, np.array(expected))
+
+
 class TestCovariantMultimeter:
     def test_pointer_normalization(self, q8):
         mm = covariant_multimeter(q8)
@@ -525,8 +558,20 @@ class TestFiniteGroupValidation:
                 [4, 3, 1, 2, 0],
             ]
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="associative"):
             FiniteGroup(list("abcde"), table)
+
+    def test_associativity_check_memory_is_bounded(self):
+        # two n^3 index tables for the 169 elements of WH(13) take 78 MiB
+        group = weyl_heisenberg(13).group
+        tracemalloc.start()
+        try:
+            rebuilt = FiniteGroup(group.names, group.table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert np.array_equal(rebuilt.inverse, group.inverse)
 
     def test_element_orders(self, q8):
         g = q8.group

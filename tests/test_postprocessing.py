@@ -47,6 +47,16 @@ class TestObservableAction:
             expected = sum(kern.kernel[i, j] * e.effects[i] for i in range(5))
             assert np.max(np.abs(eff - expected)) < 1e-14
 
+    def test_matches_the_stacked_list_form(self, rng):
+        # no per-effect loop reproduces the one product bit for bit (a sum of
+        # kernel[i, j] * E(i) differs by ~1e-15), so the reference is the
+        # product on a list of effects restacked, as it was computed before
+        e = random_povm(rng, 4, 6)
+        kern = random_postprocessing(rng, 6, 3)
+        restacked = np.stack([eff.copy() for eff in e.effects])
+        expected = np.tensordot(kern.kernel, restacked, axes=(0, 0))
+        assert np.array_equal(post_process_observable(kern, e).effects, expected)
+
     def test_identity_kernel(self, rng):
         e = random_povm(rng, 2, 3)
         out = post_process_observable(PostProcessing.identity(3), e)

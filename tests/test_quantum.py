@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import gathered_heisenberg_program, heisenberg_program
+from oracles import eigvalsh_observable_check, gathered_heisenberg_program, heisenberg_program
 
 from qmultimeter import quantum
 from qmultimeter.groups import (
     PAULI_X,
     PAULI_Z,
     covariant_multimeter,
+    eigenvector_program,
     partial_swap_channel,
     q8_representation,
     weyl_heisenberg,
+    wh_element_index,
 )
-from qmultimeter.linalg import partial_trace, tensor
+from qmultimeter.linalg import TOL_PSD, hermitianize, partial_trace, tensor
 from qmultimeter.quantum import (
     DensityState,
     MeasurementModel,
@@ -110,6 +114,200 @@ class TestObservable:
     def test_default_labels(self):
         e = trivial_observable(2, 3)
         assert e.outcomes == ["0", "1", "2"]
+
+
+def _verdict(build):
+    """"ok", or the type and message of the error ``build()`` raises."""
+    try:
+        with np.errstate(invalid="ignore"):
+            build()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return "ok"
+
+
+def _pair_with_low_eigenvalue(rng, d, low):
+    """An exactly Hermitian effect with smallest eigenvalue ``low`` and its
+    complement to the identity."""
+    v = random_unitary(rng, d)
+    w = np.concatenate([[low], rng.uniform(0.2, 0.8, d - 1)])
+    e = hermitianize((v * w) @ v.conj().T)
+    return [e, np.eye(d) - e]
+
+
+def _faulty(e, fault):
+    """Effect ``e`` with one fault injected."""
+    d = e.shape[0]
+    e = e.copy()
+    if fault == "skew":
+        e[0, -1] += 1e-6
+    elif fault == "faint skew":  # below TOL_HERM: accepted, but not exactly Hermitian
+        e[0, -1] += 4e-11
+    elif fault == "negative":
+        e = e - (np.linalg.eigvalsh(e)[0] + 1e-3) * np.eye(d)
+    elif fault == "larger":
+        e = np.eye(d + 1) / 2
+    elif fault == "wide":
+        e = np.ones((d, d + 1)) / 2
+    elif fault == "vector":
+        e = np.ones(d) / d
+    elif fault == "nan diagonal":
+        e[0, 0] = np.nan
+    elif fault == "nan pair":
+        e[0, 1] = e[1, 0] = np.nan
+    elif fault == "nan one side":
+        e[0, 1] = np.nan
+    elif fault == "inf":
+        e[-1, -1] = np.inf
+    elif fault == "scaled":
+        e = 1.5 * e
+    return e
+
+
+FAULTS = (
+    "skew", "faint skew", "negative", "larger", "wide", "vector",
+    "nan diagonal", "nan pair", "nan one side", "inf", "scaled",
+)
+
+
+def _validation_battery(rng):
+    """Effect lists and stacks, valid and faulty, for the reference comparison."""
+    cases = [[], np.zeros((0, 2, 2)), np.ones((3, 2, 3)) / 2, np.ones((2, 2)) / 2,
+             np.ones((2, 1, 2, 2)) / 2]
+    for d in (2, 3, 5):
+        for n in (1, 2, 4):
+            cases.append(list(random_povm(rng, d, n).effects))
+    for low in (-TOL_PSD * (1 - 1e-3), -TOL_PSD * (1 + 1e-3)):
+        for d in (2, 4, 7):
+            pair = _pair_with_low_eigenvalue(rng, d, low)
+            cases += [pair, pair[::-1]]
+    for _ in range(240):
+        d, n = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        effects = list(random_povm(rng, d, n).effects)
+        for k in rng.choice(n, size=min(n, int(rng.integers(1, 3))), replace=False):
+            effects[k] = _faulty(effects[k], FAULTS[int(rng.integers(len(FAULTS)))])
+        cases.append(effects)
+    # every case whose effects share one shape also goes in as one array
+    for effects in list(cases):
+        if isinstance(effects, list) and effects and len({e.shape for e in effects}) == 1:
+            cases.append(np.array(effects))
+    return cases
+
+
+class TestValidationMatchesEigvalshReference:
+    def test_battery_accepts_and_rejects_as_the_reference(self, rng):
+        cases = _validation_battery(rng)
+        verdicts = []
+        for effects in cases:
+            want = _verdict(lambda: eigvalsh_observable_check(effects))
+            assert _verdict(lambda: Observable(effects)) == want
+            verdicts.append(want if want == "ok" else want[1].split(":")[0].split(" ")[0])
+        # the battery reaches every verdict: accept and each of the errors
+        assert {"ok", "effect", "matrix", "effects", "observable", "expected"} <= set(verdicts)
+
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+    @pytest.mark.parametrize("d", [2, 4, 7])
+    def test_eigenvalue_at_the_tolerance_edge(self, rng, d, factor):
+        pair = _pair_with_low_eigenvalue(rng, d, -TOL_PSD * factor)
+        for effects in (pair, pair[::-1], np.array(pair)):
+            want = _verdict(lambda: eigvalsh_observable_check(effects))
+            assert want == "ok" if factor < 1 else want[1].startswith("effect has eigenvalue")
+            assert _verdict(lambda: Observable(effects)) == want
+
+    @pytest.mark.parametrize(
+        "order", [("skew", "negative"), ("negative", "skew"), ("skew", "qutrit"),
+                  ("half", "qutrit", "skew")]
+    )
+    def test_first_failing_effect_orders(self, order):
+        effects = {
+            "half": I2 / 2,
+            "skew": np.array([[0.5, 1e-6], [0.0, 0.5]]),
+            "negative": np.diag([1.01, -0.01]),
+            "qutrit": np.eye(3) / 2,
+        }
+        chosen = [effects[name] for name in order]
+        want = _verdict(lambda: eigvalsh_observable_check(chosen))
+        assert want != "ok"
+        assert _verdict(lambda: Observable(chosen)) == want
+
+    def test_valid_effects_are_certified_without_eigvalsh(self, rng, monkeypatch):
+        pointer = covariant_multimeter(weyl_heisenberg(5)).pointer.effects
+        cases = [
+            list(random_povm(rng, 4, 3).effects),
+            [_faulty(e, "faint skew") for e in random_povm(rng, 3, 2).effects],
+            _pair_with_low_eigenvalue(rng, 7, -TOL_PSD * (1 - 1e-3)),
+            np.array(pointer),
+        ]
+
+        def refuse(a, *args, **kwargs):
+            raise AssertionError("validation fell back to eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for effects in cases:
+            Observable(effects)
+
+
+class TestEffectStack:
+    def test_effects_are_one_read_only_stack(self, rng):
+        e = random_povm(rng, 3, 4)
+        assert e.effects.shape == (4, 3, 3) and e.effects.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            e.effects[0, 0, 0] = 1.0
+
+    def test_list_and_array_inputs_give_equal_stacks(self, rng):
+        effects = list(random_povm(rng, 3, 4).effects)
+        from_list = Observable(effects).effects
+        from_array = Observable(np.array(effects)).effects
+        assert np.array_equal(from_list, from_array)
+
+    def test_array_input_is_kept_without_a_copy(self, rng):
+        stack = np.array(random_povm(rng, 3, 4).effects)
+        e = Observable(stack)
+        assert np.shares_memory(e.effects, stack)
+        assert stack.flags.writeable
+
+    def test_conjugated_equals_effectwise_products(self, rng):
+        e = random_povm(rng, 3, 5)
+        u = random_unitary(rng, 3)
+        expected = np.array([u.conj().T @ eff @ u for eff in e.effects])
+        assert np.array_equal(e.conjugated(u).effects, expected)
+
+    @pytest.mark.parametrize("kind", ["kraus", "permutation"])
+    def test_dual_apply_equals_effectwise_duals(self, rng, kind):
+        ch = (random_channel(rng, 4, 3) if kind == "kraus"
+              else QuantumChannel.permutation(rng.permutation(4)))
+        e = random_povm(rng, 4, 3)
+        expected = np.array([hermitianize(ch.dual_matrix(eff)) for eff in e.effects])
+        assert np.array_equal(dual_apply(ch, e).effects, expected)
+
+    def test_outcome_distribution_equals_effectwise_traces(self, rng):
+        e = random_povm(rng, 5, 6)
+        rho = random_density(rng, 5)
+        p = np.array([float(np.trace(eff @ rho.matrix).real) for eff in e.effects])
+        assert np.array_equal(outcome_distribution(e, rho), np.clip(p, 0.0, None))
+
+    def test_allclose_compares_whole_stacks(self):
+        e = Observable([(I2 + PAULI_X) / 2, (I2 - PAULI_X) / 2])
+        assert e.allclose(Observable(e.effects + 1e-12))
+        assert not e.allclose(Observable([(I2 + PAULI_Z) / 2, (I2 - PAULI_Z) / 2]))
+        assert not e.allclose(trivial_observable(2, 3))
+
+    def test_program_memory_at_d13_is_bounded(self):
+        # the pointer is 169 effects of 169 x 169 (77 MB); restacking it for
+        # every program call held a second copy
+        rep = weyl_heisenberg(13)
+        mm = covariant_multimeter(rep)
+        _, probe, _, _ = eigenvector_program(
+            rep, wh_element_index(13, 1, 0), np.exp(2j * np.pi / 13)
+        )
+        tracemalloc.start()
+        try:
+            e = program(mm, probe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e.n_outcomes == 169
+        assert peak < 112 * 2**20
 
 
 class TestOutcomeDistribution:
