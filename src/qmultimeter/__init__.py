@@ -36,14 +36,12 @@ from .postprocessing import (
 )
 from .quantum import (
     DensityState,
-    MeasurementModel,
     Multimeter,
     Observable,
     QuantumChannel,
     apply_channel,
     dual_apply,
     fidelity,
-    induced_observable,
     outcome_distribution,
     program,
     stinespring_dilation,

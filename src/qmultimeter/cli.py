@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -86,7 +87,10 @@ def _parse_tol_flags(pairs) -> dict:
         key, _, val = item.partition("=")
         if key not in TOLERANCE_KEYS:
             raise ConfigError(f"unknown tolerance {key!r}; known: {sorted(TOLERANCE_KEYS)}")
-        out[key] = float(val)
+        try:
+            out[key] = float(val)
+        except ValueError as exc:
+            raise ConfigError(f"--tol {key} expects a number, got {val!r}") from exc
     return out
 
 
@@ -110,6 +114,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if val is not None:
             setattr(cfg, key, val)
     cfg.tolerances.update(_parse_tol_flags(getattr(args, "tol", None)))
+    # a NaN slack makes every margin comparison False, so nothing could fail
+    for key, val in cfg.tolerances.items():
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+            raise ConfigError(f"tolerance {key} must be a finite number, got {val!r}")
 
     cfg.seed = int(cfg.seed)
     cfg.trials = int(cfg.trials)

@@ -16,7 +16,6 @@ from .quantum import DensityState, Multimeter, Observable, QuantumChannel
 UNITARY_TOL = 1e-10
 MULTIPLIER_TOL = 1e-9
 EIGVEC_INVARIANCE_TOL = 1e-9
-DEGENERACY_TOL = 1e-8
 TARGET_EIGENVALUE_TOL = 1e-8
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -220,64 +219,20 @@ def covariant_observable(rep: ProjectiveRepresentation, seed: DensityState) -> O
 # fixtures
 
 
-def _q8_data():
-    axes = ["1", "i", "j", "k"]
-    # products of the unit quaternions as (axis, sign)
-    basic = {
-        ("1", "1"): ("1", 1),
-        ("1", "i"): ("i", 1), ("i", "1"): ("i", 1),
-        ("1", "j"): ("j", 1), ("j", "1"): ("j", 1),
-        ("1", "k"): ("k", 1), ("k", "1"): ("k", 1),
-        ("i", "i"): ("1", -1), ("j", "j"): ("1", -1), ("k", "k"): ("1", -1),
-        ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
-        ("j", "k"): ("i", 1), ("k", "j"): ("i", -1),
-        ("k", "i"): ("j", 1), ("i", "k"): ("j", -1),
-    }
-    names = []
-    for a in axes:
-        names.append(a)
-        names.append("-" + a)
-    index = {nm: i for i, nm in enumerate(names)}
-
-    def name_of(axis, sign):
-        return axis if sign > 0 else "-" + axis
-
-    n = 8
-    table = np.zeros((n, n), dtype=int)
-    for a in axes:
-        for sa in (1, -1):
-            for b in axes:
-                for sb in (1, -1):
-                    axis, s = basic[(a, b)]
-                    table[index[name_of(a, sa)], index[name_of(b, sb)]] = index[
-                        name_of(axis, s * sa * sb)
-                    ]
-    return names, table
-
-
-@lru_cache(maxsize=None)
-def q8_group() -> FiniteGroup:
-    names, table = _q8_data()
-    return FiniteGroup(names, table)
-
-
 @lru_cache(maxsize=None)
 def q8_representation() -> ProjectiveRepresentation:
     """Degree-2 irreducible representation of the quaternion group.
 
     Element order is 1, -1, i, -i, j, -j, k, -k with U(i) = i sigma_x,
-    U(j) = -i sigma_y, U(k) = i sigma_z.
+    U(j) = -i sigma_y, U(k) = i sigma_z. The matrices state the group law:
+    their entries are 0, +-1 and +-i, so every product U(g)U(h) is exactly one
+    of the eight, and the multiplication table is the index of that product.
     """
-    group = q8_group()
-    eye = np.eye(2, dtype=complex)
-    base = {"1": eye, "i": 1j * PAULI_X, "j": -1j * PAULI_Y, "k": 1j * PAULI_Z}
-    mats = []
-    for name in group.names:
-        if name.startswith("-"):
-            mats.append(-base[name[1:]])
-        else:
-            mats.append(base[name])
-    return ProjectiveRepresentation(group, mats)
+    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    units = [np.eye(2, dtype=complex), 1j * PAULI_X, -1j * PAULI_Y, 1j * PAULI_Z]
+    u = np.stack([m for unit in units for m in (unit, -unit)])
+    hits = np.all((u[:, None] @ u)[:, :, None] == u, axis=(-2, -1))
+    return ProjectiveRepresentation(FiniteGroup(names, np.argmax(hits, axis=-1)), list(u))
 
 
 def is_prime(n: int) -> bool:
@@ -333,7 +288,6 @@ class ProgramVectors:
 
     vectors: np.ndarray      # columns
     eigenvalues: np.ndarray
-    degenerate: np.ndarray   # per-vector flag: eigenvalue shared with a neighbor
 
 
 def eigenvector_program_states(rep: ProjectiveRepresentation, generator: int) -> ProgramVectors:
@@ -361,16 +315,11 @@ def eigenvector_program_states(rep: ProjectiveRepresentation, generator: int) ->
         pivot = np.argmax(np.abs(vecs[:, col]))
         phase = vecs[pivot, col] / abs(vecs[pivot, col])
         vecs[:, col] = vecs[:, col] / phase
-    deg = np.zeros(len(eigvals), dtype=bool)
-    for a in range(len(eigvals)):
-        for b in range(len(eigvals)):
-            if a != b and abs(eigvals[a] - eigvals[b]) < DEGENERACY_TOL:
-                deg[a] = True
     for col in range(vecs.shape[1]):
         p = np.outer(vecs[:, col], vecs[:, col].conj())
         if float(np.max(np.abs(u @ p @ u.conj().T - p))) > EIGVEC_INVARIANCE_TOL:
             raise ValueError("schur vector failed the invariance check")
-    return ProgramVectors(vecs, eigvals, deg)
+    return ProgramVectors(vecs, eigvals)
 
 
 def eigenvector_program(

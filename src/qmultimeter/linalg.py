@@ -10,12 +10,16 @@ import numpy as np
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9
 
+NON_FINITE = "non-finite entry (NaN or inf) in matrix"
+
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a 2-d complex ndarray."""
+    """Coerce to a 2-d complex ndarray with finite entries."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(NON_FINITE)
     return a
 
 

@@ -27,6 +27,8 @@ class PostProcessing:
         k = np.asarray(self.kernel, dtype=float)
         if k.ndim != 2:
             raise ValueError(f"kernel must be a matrix, got shape {k.shape}")
+        if not np.isfinite(k).all():
+            raise ValueError("non-finite entry (NaN or inf) in kernel")
         if k.min(initial=0.0) < -ROW_SUM_TOL or k.max(initial=0.0) > 1.0 + ROW_SUM_TOL:
             raise ValueError("kernel entries must lie in [0, 1]")
         k = np.clip(k, 0.0, 1.0)
@@ -64,7 +66,11 @@ def post_process_observable(l: PostProcessing, e: Observable) -> Observable:
     """Mix effects classically: output effect j is sum_i kernel[i, j] E(i)."""
     if l.n_in != e.n_outcomes:
         raise ValueError(f"kernel expects {l.n_in} inputs, observable has {e.n_outcomes}")
-    return Observable(np.tensordot(l.kernel, e.effects, axes=(0, 0)), outcomes=l.out_labels)
+    return Observable(
+        np.tensordot(l.kernel, e.effects, axes=(0, 0)),
+        outcomes=l.out_labels,
+        atol_complete=e.atol_complete,
+    )
 
 
 def post_process_distribution(l: PostProcessing, p) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""States, observables, channels, measurement models, and multimeter programming."""
+"""States, observables, channels, and multimeter programming."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    NON_FINITE,
     TOL_HERM,
     TOL_PSD,
     as_matrix,
@@ -142,12 +143,19 @@ class Observable:
             raise ValueError("observable needs at least one effect")
         d = stack.shape[1]
         # the error raised is that of the first effect failing a check, shape
-        # before Hermiticity before positivity
+        # before Hermiticity before positivity; non-finite entries come first.
+        # A NaN or inf entry leaves a NaN or inf in its effect's Hermiticity
+        # defect, so only a block with such a defect (or an overflowed one)
+        # has its entries checked.
         defects = np.empty(n_ok)
-        for lo in range(0, n_ok, EFFECT_BLOCK):
-            block = stack[lo : lo + EFFECT_BLOCK]
-            diff = np.abs(block - block.conj().transpose(0, 2, 1))
-            defects[lo : lo + EFFECT_BLOCK] = np.max(diff, axis=(1, 2))
+        with np.errstate(invalid="ignore", over="ignore"):
+            for lo in range(0, n_ok, EFFECT_BLOCK):
+                block = stack[lo : lo + EFFECT_BLOCK]
+                diff = np.abs(block - block.conj().transpose(0, 2, 1))
+                defects[lo : lo + EFFECT_BLOCK] = np.max(diff, axis=(1, 2))
+                if not np.isfinite(defects[lo : lo + EFFECT_BLOCK]).all():
+                    if not np.isfinite(block).all():
+                        raise ValueError(NON_FINITE)
         n_herm = next((j for j, x in enumerate(defects) if x > TOL_HERM), n_ok)
         exact = not defects[:n_herm].any()
         if not _psd_certified(stack[:n_herm], exact):
@@ -391,8 +399,8 @@ def pure_fidelity(psi1: np.ndarray, psi2: np.ndarray) -> float:
 class Multimeter:
     """Programmable device: probe space, pointer observable, interaction channel.
 
-    The probe state is left free; supplying one (see ``program``) turns the
-    device into a measurement model realizing an observable on the system.
+    The probe state is left free; supplying one (see ``program``) realizes an
+    observable on the system.
     """
 
     probe_dim: int
@@ -416,36 +424,10 @@ class Multimeter:
         Heisenberg duals K†(1 x Z(x))K, one per outcome, rebuilt on every call
         (an index gather per effect for a permutation interaction).
         """
-        # programming does not use this view (see induced_observable); it
+        # programming does not use this view (see program); it
         # stays because the ProgramWarm set-up in perfbench/workloads.py calls it
         eye = np.eye(self.system_dim, dtype=complex)
         return [self.interaction.dual_matrix(tensor(eye, z)) for z in self.pointer.effects]
-
-
-@dataclass(eq=False)
-class MeasurementModel:
-    """A multimeter together with its initial probe state."""
-
-    multimeter: Multimeter
-    probe_state: DensityState
-
-    def __post_init__(self):
-        if self.probe_state.dim != self.multimeter.probe_dim:
-            raise ValueError(
-                f"probe state dim {self.probe_state.dim} != probe dim {self.multimeter.probe_dim}"
-            )
-
-    @property
-    def probe_dim(self) -> int:
-        return self.multimeter.probe_dim
-
-    @property
-    def pointer(self) -> Observable:
-        return self.multimeter.pointer
-
-    @property
-    def interaction(self) -> QuantumChannel:
-        return self.multimeter.interaction
 
 
 def _probe_contraction(k: np.ndarray, xi: np.ndarray, d_sys: int, d_probe: int) -> np.ndarray:
@@ -479,8 +461,8 @@ def _selection_term(
     return e_t.reshape(n_out, d_sys, d_sys).transpose(0, 2, 1)
 
 
-def induced_observable(model: MeasurementModel) -> Observable:
-    """Observable realized on the system by a measurement model.
+def program(multimeter: Multimeter, xi: DensityState) -> Observable:
+    """Observable E_xi realized on the system when the probe starts in ``xi``.
 
     Every effect is tr_probe of the dual interaction of 1 x Z(x) against
     1 x xi, computed per probe state with nothing cached on the device. For a
@@ -498,11 +480,12 @@ def induced_observable(model: MeasurementModel) -> Observable:
     thin products (one in all for the partial SWAP). A completeness defect
     beyond 1e-8 signals a broken interaction channel.
     """
-    mm = model.multimeter
-    d_sys, d_probe = mm.system_dim, mm.probe_dim
-    xi = model.probe_state.matrix
-    z = mm.pointer.effects
-    perm = mm.interaction.perm
+    d_sys, d_probe = multimeter.system_dim, multimeter.probe_dim
+    if xi.dim != d_probe:
+        raise ValueError(f"probe state dim {xi.dim} != probe dim {d_probe}")
+    xi = xi.matrix
+    z = multimeter.pointer.effects
+    perm = multimeter.interaction.perm
     if perm is not None:
         m, l = np.divmod(perm.reshape(d_sys, d_probe), d_probe)
         groups = {}
@@ -510,16 +493,11 @@ def induced_observable(model: MeasurementModel) -> Observable:
             groups.setdefault(row.tobytes(), []).append(s)
         stacked = sum(_selection_term(z, xi, m[g[0]], l[g], d_sys) for g in groups.values())
     else:
-        t = sum(_probe_contraction(k, xi, d_sys, d_probe) for k in mm.interaction.kraus)
+        t = sum(_probe_contraction(k, xi, d_sys, d_probe) for k in multimeter.interaction.kraus)
         # rows (q, p), columns (i, m), to meet Z(x)[q, p] flattened row-major
         t_qp = t.reshape(d_probe, d_sys, d_probe, d_sys).transpose(2, 0, 3, 1)
         t_qp = t_qp.reshape(d_probe**2, d_sys**2)
         stacked = (z.reshape(-1, d_probe**2) @ t_qp).reshape(-1, d_sys, d_sys)
     return Observable(
-        hermitianize(stacked), outcomes=list(mm.pointer.outcomes), atol_complete=1e-8
+        hermitianize(stacked), outcomes=list(multimeter.pointer.outcomes), atol_complete=1e-8
     )
-
-
-def program(multimeter: Multimeter, xi: DensityState) -> Observable:
-    """Program a multimeter by inserting a probe state."""
-    return induced_observable(MeasurementModel(multimeter, xi))

@@ -340,9 +340,15 @@ def eigvalsh_observable_check(effects, outcomes=None, atol_complete=1e-9):
     """``Observable`` validation by smallest eigenvalues alone, with no
     Cholesky certificate: raises the ``ValueError`` the constructor must raise
     for these inputs, or returns None when it must accept them."""
-    from qmultimeter.linalg import TOL_HERM, TOL_PSD, as_matrix
+    from qmultimeter.linalg import TOL_HERM, TOL_PSD
 
-    effects = [as_matrix(e) for e in effects]
+    effects = [np.asarray(e, dtype=complex) for e in effects]
+    # each effect in turn: a matrix, then finite, before any other check
+    for e in effects:
+        if e.ndim != 2:
+            raise ValueError(f"expected a matrix, got array of shape {e.shape}")
+        if not np.isfinite(e).all():
+            raise ValueError("non-finite entry (NaN or inf) in matrix")
     if not effects:
         raise ValueError("observable needs at least one effect")
     d = effects[0].shape[0]

@@ -120,6 +120,23 @@ class TestVerifyCommand:
         assert json.loads(out)["violations"] > 0
         assert "violation" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "tiny"])
+    def test_non_finite_tolerance_flag_is_config_error(self, capsys, value):
+        code, out, err = run(
+            capsys, "verify", "prop1", "--trials", "10", "--tol", f"tol_check={value}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and "tol_check" in err
+
+    def test_non_finite_config_tolerance_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tolerances": {"estimator_tol": float("nan")}}))
+        code, out, err = run(capsys, "verify", "bprops", "--trials", "2", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and "finite" in err
+
     def test_unknown_tolerance_rejected(self, capsys):
         code, _, err = run(
             capsys, "verify", "prop1", "--trials", "10", "--tol", "bogus=1"
@@ -205,6 +222,17 @@ class TestDivergenceCommand:
         )
         assert code == 2
         assert "cannot load" in err
+
+    def test_non_finite_observable_file_is_config_error(self, capsys, observable_files):
+        e1, e2 = observable_files
+        doc = json.loads(Path(e1).read_text())
+        doc["effects"][doc["outcomes"][0]]["entries"][0] = [float("nan"), 0.0]
+        # json writes and reads the bare NaN token
+        Path(e1).write_text(json.dumps(doc))
+        code, out, err = run(capsys, "divergence", "--e1", e1, "--e2", e2)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and "non-finite" in err
 
     def test_missing_flags_rejected(self, capsys):
         code, _, err = run(capsys, "divergence")

@@ -12,7 +12,14 @@ from qmultimeter.postprocessing import (
     post_process_observable,
     pp_fidelity,
 )
-from qmultimeter.quantum import DensityState, outcome_distribution
+from qmultimeter.quantum import (
+    DensityState,
+    Multimeter,
+    Observable,
+    QuantumChannel,
+    outcome_distribution,
+    program,
+)
 from qmultimeter.sampling import random_density, random_postprocessing, random_povm
 
 from oracles import simplex_grid
@@ -32,6 +39,11 @@ class TestPostProcessingType:
     def test_range_validation(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             PostProcessing(np.array([[1.5, -0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kernel_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            PostProcessing(np.array([[bad, 1.0], [0.5, 0.5]]))
 
     def test_deterministic_flag(self):
         assert PostProcessing(np.array([[1.0, 0.0], [0.0, 1.0]])).is_deterministic()
@@ -56,6 +68,21 @@ class TestObservableAction:
         restacked = np.stack([eff.copy() for eff in e.effects])
         expected = np.tensordot(kern.kernel, restacked, axes=(0, 0))
         assert np.array_equal(post_process_observable(kern, e).effects, expected)
+
+    def test_programmed_observable_keeps_its_completeness_tolerance(self):
+        # pointer and channel are each 8e-10 from complete, within 1e-9; the
+        # programmed effects sum to 1 + 1.6e-9, which programming accepts
+        off = 8e-10
+        mm = Multimeter(
+            probe_dim=2,
+            pointer=Observable([np.diag([1 + off, 0.0]), np.diag([0.0, 1.0])]),
+            interaction=QuantumChannel([np.sqrt(1 + off) * np.eye(4)]),
+        )
+        e = program(mm, DensityState(np.diag([1.0, 0.0])))
+        assert np.max(np.abs(e.effects.sum(0) - I2)) > 1.5e-9
+        out = post_process_observable(PostProcessing.identity(2), e)
+        assert out.atol_complete == e.atol_complete
+        assert np.array_equal(out.effects, e.effects)
 
     def test_identity_kernel(self, rng):
         e = random_povm(rng, 2, 3)

@@ -18,14 +18,12 @@ from qmultimeter.groups import (
 from qmultimeter.linalg import TOL_PSD, hermitianize, partial_trace, tensor
 from qmultimeter.quantum import (
     DensityState,
-    MeasurementModel,
     Multimeter,
     Observable,
     QuantumChannel,
     apply_channel,
     dual_apply,
     fidelity,
-    induced_observable,
     outcome_distribution,
     program,
     pure_fidelity,
@@ -116,6 +114,37 @@ class TestObservable:
         assert e.outcomes == ["0", "1", "2"]
 
 
+NAN_DIAGONAL = np.array([[np.nan, 0], [0, 0.5]])
+NAN_PAIR = np.array([[0.5, np.nan], [np.nan, 0.5]])
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Observable([NAN_DIAGONAL, I2 / 2]),
+            lambda: Observable([NAN_PAIR, I2 / 2]),
+            lambda: Observable(np.array([I2 / 2, NAN_PAIR])),
+            lambda: Observable(np.array([I2 / 2, np.diag([0.5, np.inf])])),
+            lambda: DensityState([[np.nan, 0], [0, 1]]),
+            lambda: QuantumChannel([[[np.nan, 0], [0, 1]]]),
+            lambda: QuantumChannel.unitary([[np.inf, 0], [0, 1]]),
+            # before the shape and Hermiticity checks of earlier effects
+            lambda: Observable([np.array([[0.5, 1e-6], [0, 0.5]]), np.eye(3) / 2, NAN_DIAGONAL]),
+        ],
+        ids=["nan-diagonal", "nan-pair", "stack-nan-pair", "stack-inf", "state", "channel",
+             "unitary", "first-check"],
+    )
+    def test_rejected_by_name(self, build):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            build()
+
+    def test_overflowing_defect_of_finite_entries_is_not_called_non_finite(self):
+        skew = np.array([[0.5, 1.5e308], [-1.5e308, 0.5]])
+        with pytest.raises(ValueError, match="not Hermitian: defect inf"):
+            Observable(np.array([skew, I2 / 2]))
+
+
 def _verdict(build):
     """"ok", or the type and message of the error ``build()`` raises."""
     try:
@@ -203,7 +232,9 @@ class TestValidationMatchesEigvalshReference:
             assert _verdict(lambda: Observable(effects)) == want
             verdicts.append(want if want == "ok" else want[1].split(":")[0].split(" ")[0])
         # the battery reaches every verdict: accept and each of the errors
-        assert {"ok", "effect", "matrix", "effects", "observable", "expected"} <= set(verdicts)
+        assert {
+            "ok", "effect", "matrix", "effects", "observable", "expected", "non-finite"
+        } <= set(verdicts)
 
     @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
     @pytest.mark.parametrize("d", [2, 4, 7])
@@ -521,7 +552,7 @@ class TestMeasurementModels:
 
     def test_probe_dim_mismatch_rejected(self, rng):
         mm = random_multimeter(rng, system_dim=2, probe_dim=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="probe state dim 4 != probe dim 3"):
             program(mm, random_density(rng, 4))
 
     def test_pointer_probe_mismatch_rejected(self, rng):
@@ -531,14 +562,6 @@ class TestMeasurementModels:
                 pointer=trivial_observable(2, 1),
                 interaction=QuantumChannel.identity(6),
             )
-
-    def test_model_composes_parts(self, rng):
-        mm = random_multimeter(rng, system_dim=2, probe_dim=3)
-        model = MeasurementModel(mm, random_density(rng, 3))
-        assert model.probe_dim == 3
-        assert model.pointer is mm.pointer
-        e = induced_observable(model)
-        assert e.dim == 2
 
 
 class TestProgramContraction:

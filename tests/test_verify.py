@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from oracles import einsum_margins, sharpmin_oracle
@@ -6,7 +8,7 @@ from qmultimeter import verify
 from qmultimeter.divergence import DivergenceOptions
 from qmultimeter.postprocessing import PostProcessing, pp_fidelity
 from qmultimeter.quantum import program
-from qmultimeter.sampling import random_povm
+from qmultimeter.sampling import random_povm, rng_from
 from qmultimeter.verify import (
     BoundCurve,
     bound_curve,
@@ -152,6 +154,21 @@ class TestBProperties:
         )
         assert report.violations == 0, report.fixtures
         assert report.fixtures["b3_equal_estimate"] >= 1 - 2e-3
+
+    def test_sampled_pair_beating_the_estimate_is_a_violation(self, monkeypatch):
+        # at this seed the smallest of the 20 sampled B2 ratios is 0.99190 and the
+        # smallest B5 ratio 1.00347: an estimate of 0.999 is beaten by a sampled
+        # pair by more than estimator_tol, while B5 still holds
+        rng = rng_from(0)
+        e1 = random_povm(rng, 2, 3)
+        e2 = random_povm(rng, 2, 3)
+        monkeypatch.setattr(
+            verify, "observable_divergence", lambda *args: SimpleNamespace(value=0.999)
+        )
+        report = verify_b_properties(e1, e2, n=20, seed=0)
+        assert report.fixtures["b2_min_sampled_ratio"] < 0.999 - 2e-3
+        assert report.fixtures["b5_worst_margin"] >= 0.0
+        assert report.violations == 1
 
 
 class TestPovmBound:
