@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .divergence import MAX_RESTARTS, DivergenceOptions, observable_divergence
 from .groups import is_prime
-from .serialize import estimate_to_json, load_json, observable_from_json, save_json
+from .serialize import estimate_to_json, load_json, observable_from_json
 from .verify import (
     PHASE_SPACE_MAX_DIM,
     DemoFailure,
@@ -34,10 +34,14 @@ SEED_ENV = "QML_SEED"
 # the largest bound sweep: 100_000 steps of 2e-5 across [-1, 1], about 1 s in
 # all and a few MB of output; anything above exits 2 before any work
 MAX_POINTS = 100_001
+# the largest verify run: prop1 and prop3 sample through (trials, d, d) complex
+# outer products; on the d = 13 phase space 50_000 trials peak near 580 MiB RSS
+# under a 1 GiB address-space cap, while 100_000 fail allocating mid-run
+MAX_TRIALS = 50_000
 
 # scalar keys: a config file sets them, QML_SEED overrides the seed, flags override both
 SCALAR_KEYS = (
-    "seed", "trials", "out", "format", "dim", "points", "fixture", "e1", "e2", "restarts",
+    "seed", "trials", "out", "dim", "points", "fixture", "e1", "e2", "restarts",
 )
 CONFIG_KEYS = {"command", "tolerances", *SCALAR_KEYS}
 TOLERANCE_KEYS = {"tol_check", "estimator_tol"}
@@ -54,7 +58,6 @@ class RunConfig:
     trials: int = 1000
     tolerances: dict = field(default_factory=dict)
     out: str = None
-    format: str = None
     dim: int = 3
     points: int = 201
     fixture: str = "random"
@@ -139,15 +142,6 @@ def _emit(cfg: RunConfig, payload: str):
             sys.stdout.write("\n")
 
 
-def _emit_json(cfg: RunConfig, doc: dict):
-    if cfg.format not in (None, "json"):
-        raise ConfigError(f"command {cfg.command!r} emits json, not {cfg.format!r}")
-    if cfg.out:
-        save_json(doc, cfg.out)
-    else:
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
 def _require_phase_space_dim(dim: int):
     if not is_prime(dim) or dim > PHASE_SPACE_MAX_DIM:
         raise ConfigError(f"--dim must be a prime <= {PHASE_SPACE_MAX_DIM}, got {dim}")
@@ -172,13 +166,13 @@ def _run_demo(cfg: RunConfig, which: str) -> int:
     except DemoFailure as exc:
         print(f"demo failed: {exc}", file=sys.stderr)
         return 1
-    _emit_json(cfg, doc)
+    _emit(cfg, json.dumps(doc, indent=2))
     return 0
 
 
 def _run_verify(cfg: RunConfig, which: str) -> int:
-    if cfg.trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {cfg.trials}")
+    if not 1 <= cfg.trials <= MAX_TRIALS:
+        raise ConfigError(f"--trials must lie in [1, {MAX_TRIALS}], got {cfg.trials}")
     tol = cfg.tolerances.get("tol_check", 1e-9)
     if which == "prop1":
         mm, xi1, xi2, _, _ = _fixture_for(cfg)
@@ -199,7 +193,7 @@ def _run_verify(cfg: RunConfig, which: str) -> int:
             seed=cfg.seed,
             estimator_tol=cfg.tolerances.get("estimator_tol", 2e-3),
         )
-    _emit_json(cfg, report.to_dict())
+    _emit(cfg, json.dumps(report.to_dict(), indent=2))
     if report.violations:
         print(
             f"{report.check}: {report.violations} violation(s), worst margin {report.worst_margin:.3e}",
@@ -210,8 +204,6 @@ def _run_verify(cfg: RunConfig, which: str) -> int:
 
 
 def _run_bound(cfg: RunConfig) -> int:
-    if cfg.format not in (None, "csv"):
-        raise ConfigError("bound emits csv only")
     if not 1 <= cfg.points <= MAX_POINTS:
         raise ConfigError(f"--points must lie in [1, {MAX_POINTS}], got {cfg.points}")
     curve = bound_curve(points=cfg.points)
@@ -231,7 +223,7 @@ def _run_divergence(cfg: RunConfig) -> int:
         raise ConfigError(f"cannot load observables: {exc}") from exc
     opts = DivergenceOptions(seed=cfg.seed, restarts=cfg.restarts)
     est = observable_divergence(e1, e2, opts)
-    _emit_json(cfg, estimate_to_json(est))
+    _emit(cfg, json.dumps(estimate_to_json(est), indent=2))
     return 0
 
 
@@ -246,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (same keys as the flags)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], default=None)
 
     demo = sub.add_parser("demo", help="run a built-in pipeline end to end")
     demo.add_argument("which", choices=["q8", "phase-space"])

@@ -44,18 +44,13 @@ class FiniteGroup:
         # every b, c: O(n^2) memory instead of two n^3 tables
         if not all(np.array_equal(t[t[a]], t[a][t]) for a in range(n)):
             raise ValueError("multiplication table is not associative")
-        idn = [g for g in range(n) if np.array_equal(t[g], ar) and np.array_equal(t[:, g], ar)]
-        if len(idn) != 1:
+        idn = np.flatnonzero(np.all(t == ar, axis=1) & np.all(t.T == ar, axis=1))
+        if idn.size != 1:
             raise ValueError("table does not have a unique identity")
         self.table = t
-        self.identity = idn[0]
-        inv = np.empty(n, dtype=int)
-        for g in range(n):
-            hits = np.nonzero(t[g] == self.identity)[0]
-            if hits.size != 1 or t[hits[0], g] != self.identity:
-                raise ValueError(f"element {self.names[g]} lacks a two-sided inverse")
-            inv[g] = hits[0]
-        self.inverse = inv
+        self.identity = int(idn[0])
+        # gh = e and kg = e give k = k(gh) = (kg)h = h: each right inverse is two-sided
+        self.inverse = np.argmax(t == self.identity, axis=1)
 
     @property
     def order(self) -> int:
@@ -109,69 +104,54 @@ def cyclic_subgroups(group: FiniteGroup, n: int) -> list:
     return sorted(found.values(), key=lambda s: s.generator)
 
 
-def _require_subgroup(group: FiniteGroup, sub: CyclicSubgroup):
-    elems = set(sub.elements)
+def _require_subgroup(group: FiniteGroup, sub: CyclicSubgroup) -> np.ndarray:
     if sub.group is not group and not np.array_equal(sub.group.table, group.table):
         raise ValueError("subgroup belongs to a different group")
-    for a in elems:
-        for b in elems:
-            if group.mul(a, b) not in elems:
-                raise ValueError("subgroup elements are not closed under the group product")
+    h = np.array(sub.elements)
+    if not set(group.table[np.ix_(h, h)].ravel().tolist()) <= set(sub.elements):
+        raise ValueError("subgroup elements are not closed under the group product")
+    return h
 
 
 def left_cosets(group: FiniteGroup, sub: CyclicSubgroup) -> list:
     """Partition of element indices into left cosets of ``sub``.
 
-    The coset containing the identity comes first; every coset is sorted and
-    represented by its smallest element index.
+    The coset containing the identity comes first, the rest follow in order of
+    their smallest element index; every coset is sorted, so that index leads it.
     """
-    _require_subgroup(group, sub)
-    h = list(sub.elements)
-    cosets = []
-    seen = set()
-    first = sorted(group.mul(group.identity, x) for x in h)
-    cosets.append(first)
-    seen.update(first)
-    for g in range(group.order):
-        if g in seen:
-            continue
-        coset = sorted(group.mul(g, x) for x in h)
-        cosets.append(coset)
-        seen.update(coset)
-    return cosets
+    h = _require_subgroup(group, sub)
+    # g and g' share a left coset exactly when gH = g'H, so min(gH) labels it;
+    # a stable sort, identity's label first, lines up the |H|-element cosets
+    labels = group.table[:, h].min(axis=1)
+    return np.lexsort((labels, labels != labels[group.identity])).reshape(-1, len(h)).tolist()
 
 
 def coset_postprocessing(group: FiniteGroup, sub: CyclicSubgroup) -> PostProcessing:
     """Deterministic kernel merging group-labelled outcomes by left coset."""
-    cosets = left_cosets(group, sub)
+    cosets = np.array(left_cosets(group, sub))
     kernel = np.zeros((group.order, len(cosets)))
-    labels = []
-    for j, coset in enumerate(cosets):
-        labels.append(group.names[coset[0]])
-        for g in coset:
-            kernel[g, j] = 1.0
-    return PostProcessing(kernel, out_labels=labels)
+    kernel[cosets, np.arange(len(cosets))[:, None]] = 1.0
+    return PostProcessing(kernel, out_labels=[group.names[g] for g in cosets[:, 0]])
 
 
 @dataclass(eq=False)
 class ProjectiveRepresentation:
-    """One unitary per group element, homomorphic up to a unit-modulus multiplier."""
+    """One unitary per group element, homomorphic up to a unit-modulus multiplier,
+    kept as one read-only (n, d, d) complex stack indexed by element."""
 
     group: FiniteGroup
-    matrices: list
+    matrices: np.ndarray
 
     def __post_init__(self):
         mats = [as_matrix(u) for u in self.matrices]
         if len(mats) != self.group.order:
             raise ValueError("one matrix per group element required")
         d = mats[0].shape[0]
-        eye = np.eye(d)
-        for u in mats:
-            if u.shape != (d, d):
-                raise ValueError("representation matrices must share a dimension")
-            if float(np.max(np.abs(u.conj().T @ u - eye))) > UNITARY_TOL:
-                raise ValueError("representation matrix is not unitary")
+        if any(m.shape != (d, d) for m in mats):
+            raise ValueError("representation matrices must share a dimension")
         u = np.stack(mats)
+        if float(np.max(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(d)))) > UNITARY_TOL:
+            raise ValueError("representation matrix is not unitary")
         mu = np.empty((len(mats), len(mats)), dtype=complex)
         defect = 0.0
         # one row of products U(g)U(h) at a time: O(|G| d^2) memory, not O(|G|^2 d^2)
@@ -184,12 +164,13 @@ class ProjectiveRepresentation:
             raise ValueError("multiplier is not unit modulus; not a projective representation")
         if defect > MULTIPLIER_TOL:
             raise ValueError(f"products deviate from the group law by {defect:.3e}")
-        self.matrices = mats
+        u.flags.writeable = False
+        self.matrices = u
         self.multiplier = mu
 
     @property
     def degree(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     def unitary(self, g: int) -> np.ndarray:
         return self.matrices[g]
@@ -204,7 +185,7 @@ def covariant_observable(rep: ProjectiveRepresentation, seed: DensityState) -> O
     d, n = rep.degree, rep.group.order
     if seed.dim != d:
         raise ValueError(f"seed dim {seed.dim} != representation degree {d}")
-    u = np.stack(rep.matrices)
+    u = rep.matrices
     effects = hermitianize((d / n) * u @ seed.matrix @ u.conj().transpose(0, 2, 1))
     try:
         return Observable(effects, outcomes=list(rep.group.names))
@@ -232,7 +213,7 @@ def q8_representation() -> ProjectiveRepresentation:
     units = [np.eye(2, dtype=complex), 1j * PAULI_X, -1j * PAULI_Y, 1j * PAULI_Z]
     u = np.stack([m for unit in units for m in (unit, -unit)])
     hits = np.all((u[:, None] @ u)[:, :, None] == u, axis=(-2, -1))
-    return ProjectiveRepresentation(FiniteGroup(names, np.argmax(hits, axis=-1)), list(u))
+    return ProjectiveRepresentation(FiniteGroup(names, np.argmax(hits, axis=-1)), u)
 
 
 def is_prime(n: int) -> bool:
@@ -255,23 +236,13 @@ def weyl_heisenberg(d: int) -> ProjectiveRepresentation:
         raise ValueError(f"dimension must be prime, got {d}")
     names = [f"({x},{y})" for x in range(d) for y in range(d)]
     n = d * d
-    table = np.zeros((n, n), dtype=int)
-    for x1 in range(d):
-        for y1 in range(d):
-            a = x1 * d + y1
-            for x2 in range(d):
-                for y2 in range(d):
-                    table[a, x2 * d + y2] = ((x1 + x2) % d) * d + (y1 + y2) % d
-    group = FiniteGroup(names, table)
+    x, y = divmod(np.arange(n), d)
+    group = FiniteGroup(names, (x[:, None] + x) % d * d + (y[:, None] + y) % d)
     omega = np.exp(2j * np.pi / d)
     ks = np.arange(d)
-    mats = []
-    for x in range(d):
-        for y in range(d):
-            u = np.zeros((d, d), dtype=complex)
-            u[(ks + x) % d, ks] = omega ** (y * ks)
-            mats.append(u)
-    return ProjectiveRepresentation(group, mats)
+    u = np.zeros((n, d, d), dtype=complex)
+    u[np.arange(n)[:, None], (ks + x[:, None]) % d, ks] = omega ** (y[:, None] * ks)
+    return ProjectiveRepresentation(group, u)
 
 
 def wh_element_index(d: int, x: int, y: int) -> int:
@@ -310,15 +281,14 @@ def eigenvector_program_states(rep: ProjectiveRepresentation, generator: int) ->
     phases = np.mod(np.angle(eigvals), 2 * np.pi)
     order = np.argsort(phases, kind="stable")
     eigvals = eigvals[order]
-    vecs = z[:, order].copy()
-    for col in range(vecs.shape[1]):
-        pivot = np.argmax(np.abs(vecs[:, col]))
-        phase = vecs[pivot, col] / abs(vecs[pivot, col])
-        vecs[:, col] = vecs[:, col] / phase
-    for col in range(vecs.shape[1]):
-        p = np.outer(vecs[:, col], vecs[:, col].conj())
-        if float(np.max(np.abs(u @ p @ u.conj().T - p))) > EIGVEC_INVARIANCE_TOL:
-            raise ValueError("schur vector failed the invariance check")
+    vecs = z[:, order]
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    # the scalar abs, not the array np.abs: the two round differently, and
+    # every programmed payload downstream carries these phases
+    vecs = vecs / np.array([x / abs(x) for x in pivots])
+    p = vecs.T[:, :, None] * vecs.T.conj()[:, None, :]
+    if float(np.max(np.abs(u @ p @ u.conj().T - p))) > EIGVEC_INVARIANCE_TOL:
+        raise ValueError("schur vector failed the invariance check")
     return ProgramVectors(vecs, eigvals)
 
 
@@ -366,7 +336,7 @@ def sharp_from_subgroup(
     if float(np.max(np.abs(u_gen @ p @ u_gen.conj().T - p))) > EIGVEC_INVARIANCE_TOL:
         raise ValueError("psi is not an eigenvector of the subgroup generator")
     firsts = [coset[0] for coset in left_cosets(rep.group, sub)]
-    u = np.stack([rep.unitary(g) for g in firsts])
+    u = rep.matrices[firsts]
     effects = hermitianize(u @ p @ u.conj().transpose(0, 2, 1))
     return Observable(effects, outcomes=[rep.group.names[g] for g in firsts])
 
@@ -375,13 +345,14 @@ def sharp_from_subgroup(
 # the covariant multimeter
 
 
-def pointer_vector(rep: ProjectiveRepresentation, g: int) -> np.ndarray:
+def pointer_vector(rep: ProjectiveRepresentation, g: int | np.ndarray) -> np.ndarray:
     """Unit vector u(g) = (U(g) x 1) applied to the maximally entangled vector.
 
     Entry (a, b) of that vector is U(g)[a, b] / sqrt(d), so it is the
-    flattened matrix, with no Kronecker product.
+    flattened matrix, with no Kronecker product. For an index array ``g`` the
+    vectors are the rows of the result.
     """
-    return rep.unitary(g).reshape(-1) * (1.0 / np.sqrt(rep.degree))
+    return rep.matrices[g].reshape(np.shape(g) + (-1,)) * (1.0 / np.sqrt(rep.degree))
 
 
 def partial_swap_channel(d: int) -> QuantumChannel:
@@ -404,7 +375,7 @@ def covariant_multimeter(rep: ProjectiveRepresentation) -> Multimeter:
     the covariant observable of the seed for any eta.
     """
     d, n = rep.degree, rep.group.order
-    u = np.stack([pointer_vector(rep, g) for g in range(n)])
+    u = pointer_vector(rep, np.arange(n))
     # scale * outer(u, conj(u)) for every g, scaled in place: one (n, d^2, d^2) array
     effects = u[:, :, None] * u.conj()[:, None, :]
     effects *= d * d / n

@@ -4,6 +4,7 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import minimize
 
 
@@ -378,3 +379,25 @@ def eigvalsh_observable_check(effects, outcomes=None, atol_complete=1e-9):
     labels = [str(i) for i in range(n)] if outcomes is None else outcomes
     if len(labels) != n:
         raise ValueError("one outcome label per effect required")
+
+
+def walked_cosets(group, sub) -> list:
+    """Left cosets by walking the table: the identity's first, then that of
+    each element not yet covered, in index order."""
+    cosets = []
+    for g in [group.identity, *range(group.order)]:
+        if not any(g in c for c in cosets):
+            cosets.append(sorted(group.mul(g, h) for h in sub.elements))
+    return cosets
+
+
+def program_vectors_by_column(u) -> np.ndarray:
+    """Schur vectors ordered by eigenvalue phase, each column's phase fixed
+    one column at a time through the scalar abs of its largest entry."""
+    t, z = scipy.linalg.schur(u, output="complex")
+    order = np.argsort(np.mod(np.angle(np.diag(t)), 2 * np.pi), kind="stable")
+    vecs = z[:, order].copy()
+    for col in range(vecs.shape[1]):
+        x = vecs[np.argmax(np.abs(vecs[:, col])), col]
+        vecs[:, col] = vecs[:, col] / (x / abs(x))
+    return vecs

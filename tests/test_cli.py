@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qmultimeter
-from qmultimeter.cli import MAX_POINTS, main
+from qmultimeter.cli import MAX_POINTS, MAX_TRIALS, main
 from qmultimeter.divergence import MAX_RESTARTS
 from qmultimeter.sampling import random_povm, rng_from
 from qmultimeter.serialize import observable_to_json, save_json
@@ -53,9 +53,11 @@ class TestDemoCommand:
 
 
 class TestMemoryEnvelope:
-    def test_largest_phase_space_demo_fits_one_gib(self):
-        # the largest advertised --dim must finish under a 1 GiB address-space
-        # cap; the limit is set in the child only
+    """The largest advertised runs finish under a 1 GiB address-space cap; the
+    limit is set in the child only."""
+
+    @staticmethod
+    def _run_capped(*argv):
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -63,11 +65,22 @@ class TestMemoryEnvelope:
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-m", "qmultimeter", "demo", "phase-space", "--dim", "13"],
+            [sys.executable, "-m", "qmultimeter", *argv],
             env=env, preexec_fn=cap, capture_output=True, text=True, timeout=600,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
-        assert json.loads(proc.stdout)["vector_count"] == 14
+        return json.loads(proc.stdout)
+
+    def test_largest_phase_space_demo_fits_one_gib(self):
+        doc = self._run_capped("demo", "phase-space", "--dim", "13")
+        assert doc["vector_count"] == 14
+
+    def test_most_trials_on_the_largest_phase_space_fit_one_gib(self):
+        doc = self._run_capped(
+            "verify", "prop1", "--fixture", "phase-space", "--dim", "13",
+            "--trials", str(MAX_TRIALS),
+        )
+        assert doc["trials"] == MAX_TRIALS and doc["violations"] == 0
 
 
 class TestVerifyCommand:
@@ -77,6 +90,21 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("config error:") and "--trials" in err
+
+    @pytest.mark.parametrize("which", ["prop1", "prop3", "bprops"])
+    def test_trials_past_the_limit_is_config_error(self, capsys, monkeypatch, which):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the verification started")
+
+        for name in ("_fixture_for", "verify_prop1", "verify_prop3", "verify_b_properties"):
+            monkeypatch.setattr(f"qmultimeter.cli.{name}", refuse)
+        too_many = str(MAX_TRIALS + 1)
+        code, out, err = run(
+            capsys, "verify", which, "--fixture", "phase-space", "--dim", "13", "--trials", too_many
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and too_many in err
 
     def test_prop1_default_random_multimeter(self, capsys):
         code, out, _ = run(capsys, "verify", "prop1", "--trials", "1000", "--seed", "0")
@@ -186,11 +214,6 @@ class TestBoundCommand:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("config error:") and too_many in err
-
-    def test_json_format_rejected(self, capsys):
-        code, _, err = run(capsys, "bound", "--points", "5", "--format", "json")
-        assert code == 2
-        assert "csv" in err
 
 
 class TestDivergenceCommand:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from oracles import program_vectors_by_column, walked_cosets
 
 from qmultimeter.groups import (
     PAULI_X,
@@ -46,6 +47,15 @@ Q8_TABLE = [
 
 # commutator phase of the displacement pair (1,0), (0,1): recorded fixture
 WH_COMMUTATOR_EXPONENT = {2: 1, 3: 2, 5: 4, 7: 6}
+
+
+def relabelled_q8() -> FiniteGroup:
+    """The quaternion group with every index shifted by 3, so the identity is 3."""
+    g = q8_representation().group
+    shift = (np.arange(8) + 3) % 8
+    table = np.empty((8, 8), dtype=int)
+    table[np.ix_(shift, shift)] = shift[g.table]
+    return FiniteGroup([g.names[a] for a in np.argsort(shift)], table)
 
 
 class TestQ8:
@@ -151,6 +161,11 @@ class TestWeylHeisenberg:
             expected_sets.append(sub.element_set())
         assert {s.element_set() for s in subs} == set(expected_sets)
 
+    def test_d2_table(self):
+        # Z_2 x Z_2 in the order (0,0), (0,1), (1,0), (1,1): bitwise xor of indices
+        expected = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+        assert np.array_equal(weyl_heisenberg(2).group.table, expected)
+
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError, match="prime"):
             weyl_heisenberg(4)
@@ -159,6 +174,25 @@ class TestWeylHeisenberg:
 
 
 class TestProjectiveRepresentation:
+    def test_matrices_are_read_only(self, q8):
+        assert q8.matrices.shape == (8, 2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            q8.matrices[0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            q8.unitary(0)[0, 0] = 0.0
+
+    def test_non_unitary_matrix_rejected(self, q8):
+        mats = list(q8.matrices)
+        mats[3] = 2.0 * mats[3]
+        with pytest.raises(ValueError, match="not unitary"):
+            ProjectiveRepresentation(q8.group, mats)
+
+    def test_misshapen_matrix_rejected(self, q8):
+        mats = list(q8.matrices)
+        mats[3] = np.eye(3)
+        with pytest.raises(ValueError, match="share a dimension"):
+            ProjectiveRepresentation(q8.group, mats)
+
     def test_swapped_matrices_break_the_multiplier_modulus(self):
         rep = q8_representation()
         mats = list(rep.matrices)
@@ -241,6 +275,24 @@ class TestSubgroupsAndCosets:
         bogus.elements = (g.identity, 2)  # {1, i} is not closed
         with pytest.raises(ValueError, match="closed"):
             left_cosets(g, bogus)
+
+    @pytest.mark.parametrize("which", ["q8", "q8-relabelled", 2, 3, 5, 7])
+    def test_cosets_and_kernel_match_the_table_walk(self, which):
+        if which == "q8-relabelled":
+            g = relabelled_q8()
+            assert g.identity == 3 and g.names[3] == "1"
+        else:
+            g = (q8_representation() if which == "q8" else weyl_heisenberg(which)).group
+        for gen in range(g.order):
+            sub = CyclicSubgroup(g, gen)
+            walked = walked_cosets(g, sub)
+            assert left_cosets(g, sub) == walked
+            kern = coset_postprocessing(g, sub)
+            expected = np.zeros((g.order, len(walked)))
+            for j, coset in enumerate(walked):
+                expected[coset, j] = 1.0
+            assert np.array_equal(kern.kernel, expected)
+            assert kern.out_labels == [g.names[c[0]] for c in walked]
 
     def test_coset_kernel_is_deterministic(self, q8):
         g = q8.group
@@ -359,6 +411,16 @@ class TestProgramVectors:
         for a in range(len(vectors)):
             for b in range(a + 1, len(vectors)):
                 assert abs(abs(np.vdot(vectors[a], vectors[b])) - 1 / np.sqrt(d)) < 1e-8
+
+    @pytest.mark.parametrize("which", ["q8", 3, 5, 7, 13])
+    def test_vectors_equal_the_per_column_phase_fix(self, which):
+        rep = q8_representation() if which == "q8" else weyl_heisenberg(which)
+        want = rep.group.order // rep.degree
+        gens = [g for g in range(rep.group.order) if rep.group.element_order(g) == want]
+        assert gens
+        for gen in gens:
+            pv = eigenvector_program_states(rep, gen)
+            assert np.array_equal(pv.vectors, program_vectors_by_column(rep.unitary(gen)))
 
     def test_same_generator_eigenvectors_orthogonal(self, q8):
         idx = {n: i for i, n in enumerate(q8.group.names)}
@@ -607,6 +669,14 @@ class TestFiniteGroupValidation:
             tracemalloc.stop()
         assert peak < 8 * 2**20
         assert np.array_equal(rebuilt.inverse, group.inverse)
+
+    @pytest.mark.parametrize("which", ["q8", 13])
+    def test_inverses_are_two_sided(self, which):
+        g = (q8_representation() if which == "q8" else weyl_heisenberg(which)).group
+        t, inv = g.table, g.inverse
+        ar = np.arange(g.order)
+        assert np.all(t[ar, inv] == g.identity)
+        assert np.all(t[inv, ar] == g.identity)
 
     def test_element_orders(self, q8):
         g = q8.group

@@ -154,6 +154,8 @@ class TestBProperties:
         )
         assert report.violations == 0, report.fixtures
         assert report.fixtures["b3_equal_estimate"] >= 1 - 2e-3
+        # an estimate of 1 is no near-violation: nothing here is within 1e-4 of failing
+        assert report.worst_margin > 1e-4
 
     def test_sampled_pair_beating_the_estimate_is_a_violation(self, monkeypatch):
         # at this seed the smallest of the 20 sampled B2 ratios is 0.99190 and the
