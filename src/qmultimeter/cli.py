@@ -34,9 +34,9 @@ SEED_ENV = "QML_SEED"
 # the largest bound sweep: 100_000 steps of 2e-5 across [-1, 1], about 1 s in
 # all and a few MB of output; anything above exits 2 before any work
 MAX_POINTS = 100_001
-# the largest verify run: prop1 and prop3 sample through (trials, d, d) complex
-# outer products; on the d = 13 phase space 50_000 trials peak near 580 MiB RSS
-# under a 1 GiB address-space cap, while 100_000 fail allocating mid-run
+# the largest verify run: prop1 and prop3 sample in blocks of bounded memory, so
+# trials bound their time: 50_000 on the d = 19 phase space take about 8 s and
+# peak near 195 MiB RSS under a 1 GiB address-space cap
 MAX_TRIALS = 50_000
 
 # scalar keys: a config file sets them, QML_SEED overrides the seed, flags override both

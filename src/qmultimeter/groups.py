@@ -4,7 +4,7 @@ coset method for sharpening them into projective measurements."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -17,6 +17,7 @@ UNITARY_TOL = 1e-10
 MULTIPLIER_TOL = 1e-9
 EIGVEC_INVARIANCE_TOL = 1e-9
 TARGET_EIGENVALUE_TOL = 1e-8
+IRREDUCIBLE_TOL = 1e-9
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -359,11 +360,42 @@ def partial_swap_channel(d: int) -> QuantumChannel:
     """Unitary channel permuting A x B x C to B x A x C on three d-dim factors.
 
     Kept as the permutation channel of basis vector (a, b, c) -> (b, a, c):
-    programming and its dual are index gathers, and the dense d^3 x d^3
+    applying it and its dual are index gathers, and the dense d^3 x d^3
     0/1 Kraus operator is built only when ``kraus`` is read.
     """
     perm = np.arange(d**3).reshape(d, d, d).transpose(1, 0, 2).reshape(-1)
     return QuantumChannel.permutation(perm)
+
+
+def covariant_pointer(rep: ProjectiveRepresentation) -> Observable:
+    """Pointer of the covariant multimeter: effects (d^2/#G)|u(g)><u(g)|."""
+    d, n = rep.degree, rep.group.order
+    u = pointer_vector(rep, np.arange(n))
+    # scale * outer(u, conj(u)) for every g, scaled in place: one (n, d^2, d^2) array
+    effects = u[:, :, None] * u.conj()[:, None, :]
+    effects *= d * d / n
+    return Observable(effects, outcomes=list(rep.group.names))
+
+
+class CovariantMultimeter(Multimeter):
+    """The partial-SWAP multimeter of an irreducible projective representation.
+
+    ``program`` reads only ``representation``. The (n, d^2, d^2) pointer stack
+    is built by ``covariant_pointer`` when ``pointer`` is first read, and kept.
+    """
+
+    def __init__(self, rep: ProjectiveRepresentation):
+        self.representation = rep
+        self.probe_dim = rep.degree**2
+        self.interaction = partial_swap_channel(rep.degree)
+
+    @cached_property
+    def pointer(self) -> Observable:
+        return covariant_pointer(self.representation)
+
+    @property
+    def n_outcomes(self) -> int:
+        return self.representation.group.order
 
 
 def covariant_multimeter(rep: ProjectiveRepresentation) -> Multimeter:
@@ -373,21 +405,17 @@ def covariant_multimeter(rep: ProjectiveRepresentation) -> Multimeter:
     projections onto the vectors u(g); the interaction swaps the system with
     the probe's first factor. Programming with eta x transpose(seed) realizes
     the covariant observable of the seed for any eta.
+
+    The pointer is complete exactly when the representation is irreducible,
+    which Schur's criterion sum_g |tr U(g)|^2 = #G checks up front.
     """
-    d, n = rep.degree, rep.group.order
-    u = pointer_vector(rep, np.arange(n))
-    # scale * outer(u, conj(u)) for every g, scaled in place: one (n, d^2, d^2) array
-    effects = u[:, :, None] * u.conj()[:, None, :]
-    effects *= d * d / n
-    try:
-        pointer = Observable(effects, outcomes=list(rep.group.names))
-    except ValueError as exc:
-        raise ValueError(f"pointer effects failed to normalize: {exc}") from exc
-    return Multimeter(
-        probe_dim=d * d,
-        pointer=pointer,
-        interaction=partial_swap_channel(d),
-    )
+    n = rep.group.order
+    chars = float(np.sum(np.abs(np.trace(rep.matrices, axis1=1, axis2=2)) ** 2))
+    if abs(chars - n) > IRREDUCIBLE_TOL * n:
+        raise ValueError(
+            f"representation is not irreducible: sum |tr U(g)|^2 = {chars:.6g} != #G = {n}"
+        )
+    return CovariantMultimeter(rep)
 
 
 def covariant_program_state(eta: DensityState, seed: DensityState) -> DensityState:

@@ -49,17 +49,9 @@ class PostProcessing:
     def n_out(self) -> int:
         return self.kernel.shape[1]
 
-    def is_deterministic(self, tol: float = 1e-12) -> bool:
-        k = self.kernel
-        return bool(np.all((k <= tol) | (np.abs(k - 1.0) <= tol)))
-
     @classmethod
     def identity(cls, n: int) -> "PostProcessing":
         return cls(np.eye(n))
-
-    @classmethod
-    def all_merge(cls, n: int) -> "PostProcessing":
-        return cls(np.ones((n, 1)))
 
 
 def post_process_observable(l: PostProcessing, e: Observable) -> Observable:

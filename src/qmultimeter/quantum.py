@@ -18,7 +18,6 @@ from .linalg import (
 
 ATOL_TRACE = 1e-9
 ATOL_COMPLETE = 1e-9     # sum of effects vs identity
-ATOL_SHARP = 1e-8
 NEG_MASS_TOL = 1e-9      # repairable negative eigenvalue mass in a state
 PROB_CLIP = 1e-12        # outcome probabilities this far below zero are noise
 
@@ -65,9 +64,6 @@ class DensityState:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
     def transpose(self) -> "DensityState":
         """Transpose in the fixed computational basis (still a valid state)."""
@@ -193,10 +189,6 @@ class Observable:
     def n_outcomes(self) -> int:
         return self.effects.shape[0]
 
-    def is_sharp(self, tol: float = ATOL_SHARP) -> bool:
-        s = self.effects
-        return float(np.max(np.abs(s @ s - s))) <= tol
-
     def conjugated(self, u) -> "Observable":
         """Observable with effects U† E(x) U (same outcome labels)."""
         u = as_matrix(u)
@@ -210,11 +202,6 @@ class Observable:
         if self.n_outcomes != other.n_outcomes or self.dim != other.dim:
             return False
         return np.allclose(self.effects, other.effects, atol=atol, rtol=0.0)
-
-
-def trivial_observable(dim: int, n_outcomes: int = 1) -> Observable:
-    eye = np.eye(dim, dtype=complex)
-    return Observable([eye / n_outcomes] * n_outcomes)
 
 
 def _permutation_matrix(perm: np.ndarray) -> np.ndarray:
@@ -390,11 +377,6 @@ def fidelity(rho1: DensityState, rho2: DensityState) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def pure_fidelity(psi1: np.ndarray, psi2: np.ndarray) -> float:
-    """|<psi1|psi2>| for unit vectors; equals fidelity of the projectors."""
-    return float(abs(np.vdot(psi1, psi2)))
-
-
 @dataclass(eq=False)
 class Multimeter:
     """Programmable device: probe space, pointer observable, interaction channel.
@@ -406,6 +388,9 @@ class Multimeter:
     probe_dim: int
     pointer: Observable
     interaction: QuantumChannel
+    # the projective representation of a covariant device
+    # (groups.CovariantMultimeter), which ``program`` then reads instead of the pointer
+    representation = None
 
     def __post_init__(self):
         if self.pointer.dim != self.probe_dim:
@@ -414,6 +399,10 @@ class Multimeter:
             raise ValueError("interaction must preserve the system x probe space")
         if self.interaction.in_dim % self.probe_dim != 0:
             raise ValueError("interaction dimension is not a multiple of probe_dim")
+
+    @property
+    def n_outcomes(self) -> int:
+        return self.pointer.n_outcomes
 
     @property
     def system_dim(self) -> int:
@@ -442,25 +431,6 @@ def _probe_contraction(k: np.ndarray, xi: np.ndarray, d_sys: int, d_probe: int) 
     return a.reshape(n, n) @ b.reshape(n, n).T
 
 
-def _selection_term(
-    z: np.ndarray, xi: np.ndarray, m: np.ndarray, l: np.ndarray, d_sys: int
-) -> np.ndarray:
-    """One selection group's share P^T (Z(x) o Xi) P of every effect E(x).
-
-    ``m`` is the selection row m_s shared by the group's system indices s and
-    ``l`` stacks their probe rows l_s, so P[p, j] = [m_s(p) = j] and
-    Xi[q, p] = sum_s xi[l_s(p), l_s(q)]: one Hadamard product, two thin products.
-    """
-    n_out, d_probe = z.shape[:2]
-    sel = np.zeros((d_probe, d_sys), dtype=complex)
-    sel[np.arange(d_probe), m] = 1.0
-    xi_sum = xi.T[l[:, :, None], l[:, None, :]].sum(axis=0)
-    zp = ((z * xi_sum).reshape(-1, d_probe) @ sel).reshape(n_out, d_probe, d_sys)
-    # (Z o Xi P)^T P is the transpose of P^T (Z o Xi) P
-    e_t = zp.transpose(0, 2, 1).reshape(-1, d_probe) @ sel
-    return e_t.reshape(n_out, d_sys, d_sys).transpose(0, 2, 1)
-
-
 def program(multimeter: Multimeter, xi: DensityState) -> Observable:
     """Observable E_xi realized on the system when the probe starts in ``xi``.
 
@@ -472,32 +442,28 @@ def program(multimeter: Multimeter, xi: DensityState) -> Observable:
     (s, m, i index the system, p, q, l the probe), and every effect is read
     off in one product, E(x)_im = sum_(p,q) Z(x)[q,p] T[(p,m),(q,i)].
 
-    A permutation interaction K = eye(n)[perm] needs no T: row (s, p) of K
-    sends p to (m_s(p), l_s(p)), so E(x) = sum_s P_s^T (Z(x) o Xi_s) P_s with
-    the selection P_s[p, j] = [m_s(p) = j] and Xi_s[q, p] = xi[l_s(p), l_s(q)].
-    System indices with equal selection rows share one P, so their Xi_s are
-    summed first and each distinct row costs one Hadamard product and two
-    thin products (one in all for the partial SWAP). A completeness defect
-    beyond 1e-8 signals a broken interaction channel.
+    A covariant device (pointer effects (d^2/n)|u_g><u_g| with
+    u_g = vec U(g)/sqrt(d), the system swapped into the probe's first factor)
+    needs neither: E_xi(g) = (d/n) U(g) sigma^T U(g)^dagger, with
+    sigma = tr_1 xi the probe state traced over its first factor. A
+    completeness defect beyond 1e-8 signals a broken interaction channel.
     """
     d_sys, d_probe = multimeter.system_dim, multimeter.probe_dim
     if xi.dim != d_probe:
         raise ValueError(f"probe state dim {xi.dim} != probe dim {d_probe}")
     xi = xi.matrix
-    z = multimeter.pointer.effects
-    perm = multimeter.interaction.perm
-    if perm is not None:
-        m, l = np.divmod(perm.reshape(d_sys, d_probe), d_probe)
-        groups = {}
-        for s, row in enumerate(m):
-            groups.setdefault(row.tobytes(), []).append(s)
-        stacked = sum(_selection_term(z, xi, m[g[0]], l[g], d_sys) for g in groups.values())
+    rep = multimeter.representation
+    if rep is not None:
+        sigma = np.trace(xi.reshape(d_sys, d_sys, d_sys, d_sys), axis1=0, axis2=2)
+        u = rep.matrices
+        stacked = (d_sys / rep.group.order) * u @ sigma.T @ u.conj().transpose(0, 2, 1)
+        outcomes = rep.group.names
     else:
         t = sum(_probe_contraction(k, xi, d_sys, d_probe) for k in multimeter.interaction.kraus)
         # rows (q, p), columns (i, m), to meet Z(x)[q, p] flattened row-major
         t_qp = t.reshape(d_probe, d_sys, d_probe, d_sys).transpose(2, 0, 3, 1)
         t_qp = t_qp.reshape(d_probe**2, d_sys**2)
+        z = multimeter.pointer.effects
         stacked = (z.reshape(-1, d_probe**2) @ t_qp).reshape(-1, d_sys, d_sys)
-    return Observable(
-        hermitianize(stacked), outcomes=list(multimeter.pointer.outcomes), atol_complete=1e-8
-    )
+        outcomes = multimeter.pointer.outcomes
+    return Observable(hermitianize(stacked), outcomes=list(outcomes), atol_complete=1e-8)

@@ -1,4 +1,4 @@
-"""JSON codecs for states, observables, channels, kernels, and estimator output.
+"""JSON codecs for matrices, states, observables, and estimator output.
 
 Complex entries travel as [re, im] pairs; floats round-trip at full binary
 precision through the standard json encoder.
@@ -11,8 +11,7 @@ import json
 import numpy as np
 
 from .divergence import DivergenceEstimate
-from .postprocessing import PostProcessing
-from .quantum import DensityState, Observable, QuantumChannel
+from .quantum import DensityState, Observable
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -37,13 +36,6 @@ def state_to_json(s: DensityState) -> dict:
     return {"dim": s.dim, "matrix": matrix_to_json(s.matrix)}
 
 
-def state_from_json(doc: dict) -> DensityState:
-    s = DensityState(matrix_from_json(doc["matrix"]))
-    if s.dim != int(doc["dim"]):
-        raise ValueError("declared dim does not match the matrix")
-    return s
-
-
 def observable_to_json(e: Observable) -> dict:
     return {
         "dim": e.dim,
@@ -63,40 +55,6 @@ def observable_from_json(doc: dict) -> Observable:
     return e
 
 
-def channel_to_json(c: QuantumChannel) -> dict:
-    return {
-        "in_dim": c.in_dim,
-        "out_dim": c.out_dim,
-        "kraus": [matrix_to_json(k) for k in c.kraus],
-    }
-
-
-def channel_from_json(doc: dict) -> QuantumChannel:
-    c = QuantumChannel([matrix_from_json(k) for k in doc["kraus"]])
-    if (c.in_dim, c.out_dim) != (int(doc["in_dim"]), int(doc["out_dim"])):
-        raise ValueError("declared dims do not match the Kraus operators")
-    return c
-
-
-def postprocessing_to_json(l: PostProcessing) -> dict:
-    doc = {
-        "n_in": l.n_in,
-        "n_out": l.n_out,
-        "entries": [float(x) for x in l.kernel.reshape(-1)],
-    }
-    if l.out_labels is not None:
-        doc["out_labels"] = list(l.out_labels)
-    return doc
-
-
-def postprocessing_from_json(doc: dict) -> PostProcessing:
-    n_in, n_out = int(doc["n_in"]), int(doc["n_out"])
-    entries = np.asarray(doc["entries"], dtype=float)
-    if entries.size != n_in * n_out:
-        raise ValueError(f"expected {n_in * n_out} kernel entries, got {entries.size}")
-    return PostProcessing(entries.reshape(n_in, n_out), out_labels=doc.get("out_labels"))
-
-
 def estimate_to_json(est: DivergenceEstimate) -> dict:
     return {
         "value": est.value,
@@ -106,12 +64,6 @@ def estimate_to_json(est: DivergenceEstimate) -> dict:
         "converged": est.converged,
         "seed": est.seed,
     }
-
-
-def save_json(doc: dict, path: str):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def load_json(path: str) -> dict:

@@ -51,7 +51,9 @@ from .sampling import (
 
 TOL_CHECK = 1e-9
 ESTIMATOR_TOL = 2e-3
-PHASE_SPACE_MAX_DIM = 13
+PHASE_SPACE_MAX_DIM = 19
+# elements per (rows, d^2) block of the margin sampler: 16 MiB of complex outer products
+SAMPLE_BLOCK = 1 << 20
 # eigenvalues of U(i), U(j), U(k) whose eigenvectors project onto the +axis
 Q8_TARGETS = {"i": 1j, "j": -1j, "k": 1j}
 
@@ -70,9 +72,6 @@ class VerificationReport:
     fixtures: dict = field(default_factory=dict)
     elapsed: float = 0.0
     records: list = None
-
-    def passed(self) -> bool:
-        return self.violations == 0
 
     def to_dict(self) -> dict:
         out = {
@@ -125,23 +124,36 @@ class BoundCurve:
 def _sampled_margins(e1, e2, trials, seed, f_prog, kernels=None, f_kern=1.0) -> np.ndarray:
     """Margins B(q1, q2) - |<v1|v2>| * f_prog * f_kern over seeded random pure
     pairs (v1, v2), where q_k is the statistics of e_k at v_k, relabelled by
-    ``kernels[k]`` when kernels are given."""
+    ``kernels[k]`` when kernels are given.
+
+    All of e1's vectors are drawn, then all of e2's; the statistics and margins
+    are then computed for blocks of at most ``SAMPLE_BLOCK`` elements per
+    (rows, d^2) or (rows, outcomes) array, so memory does not grow with trials.
+    """
     rng = rng_from(seed)
-    vecs, stats = [], []
-    for k, e in enumerate((e1, e2)):
+    pairs = []
+    for e in (e1, e2):
         d = e.dim
         v = rng.standard_normal((trials, d)) + 1j * rng.standard_normal((trials, d))
-        v = v / np.linalg.norm(v, axis=1, keepdims=True)
-        # Born rule <v|E(x)|v> for every trial and outcome as one product of
-        # the outer products conj(v_i) v_j against the flattened effects
-        outer = (v.conj()[:, :, None] * v[:, None, :]).reshape(trials, d * d)
-        q = np.clip((outer @ e.effects.reshape(-1, d * d).T).real, 0.0, None)
-        if kernels is not None:
-            q = np.clip(q @ kernels[k].kernel, 0.0, None)
-        vecs.append(v)
-        stats.append(q)
-    f_states = np.abs((vecs[0].conj() * vecs[1]).sum(axis=1))
-    return np.sqrt(stats[0] * stats[1]).sum(axis=1) - f_states * f_prog * f_kern
+        pairs.append((e, v / np.linalg.norm(v, axis=1, keepdims=True)))
+    f_states = np.abs((pairs[0][1].conj() * pairs[1][1]).sum(axis=1))
+    width = max(max(e.dim**2, e.n_outcomes) for e in (e1, e2))
+    rows = max(1, SAMPLE_BLOCK // width)
+    margins = np.empty(trials)
+    for lo in range(0, trials, rows):
+        stats = []
+        for k, (e, v) in enumerate(pairs):
+            v = v[lo : lo + rows]
+            d = e.dim
+            # Born rule <v|E(x)|v> for every trial and outcome as one product of
+            # the outer products conj(v_i) v_j against the flattened effects
+            outer = (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), d * d)
+            q = np.clip((outer @ e.effects.reshape(-1, d * d).T).real, 0.0, None)
+            if kernels is not None:
+                q = np.clip(q @ kernels[k].kernel, 0.0, None)
+            stats.append(q)
+        margins[lo : lo + rows] = np.sqrt(stats[0] * stats[1]).sum(axis=1)
+    return margins - f_states * f_prog * f_kern
 
 
 def _margin_report(check, seed, margins, tol_check, fixtures, t0, keep_records=False):
@@ -195,7 +207,7 @@ def verify_prop3(
 ) -> VerificationReport:
     """Check the post-processing assisted bound with the kernel fidelity folded in."""
     t0 = time.perf_counter()
-    n_pointer = multimeter.pointer.n_outcomes
+    n_pointer = multimeter.n_outcomes
     if l1.n_in != n_pointer or l2.n_in != n_pointer:
         raise ValueError("kernel input size must match the pointer outcome count")
     if l1.n_out != l2.n_out:

@@ -1,6 +1,7 @@
-"""Independent brute-force oracles used only by the tests."""
+"""Independent brute-force oracles, and small helpers, used only by the tests."""
 
 import itertools
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -253,7 +254,7 @@ def scipy_multistart_divergence(e1, e2, opts=None):
     start, one after another, through a scalar objective: the same scans,
     starts, tolerances and payload as ``observable_divergence``."""
     from qmultimeter import divergence as dv
-    from qmultimeter.quantum import DensityState, pure_fidelity
+    from qmultimeter.quantum import DensityState
 
     opts = opts or dv.DivergenceOptions()
     d = e1.dim
@@ -401,3 +402,76 @@ def program_vectors_by_column(u) -> np.ndarray:
         x = vecs[np.argmax(np.abs(vecs[:, col])), col]
         vecs[:, col] = vecs[:, col] / (x / abs(x))
     return vecs
+
+
+def trivial_observable(dim: int, n_outcomes: int = 1):
+    """Observable whose every effect is the identity over ``n_outcomes``."""
+    from qmultimeter import Observable
+
+    return Observable([np.eye(dim, dtype=complex) / n_outcomes] * n_outcomes)
+
+
+def pure_fidelity(psi1: np.ndarray, psi2: np.ndarray) -> float:
+    """|<psi1|psi2>| for unit vectors; equals fidelity of the projectors."""
+    return float(abs(np.vdot(psi1, psi2)))
+
+
+# JSON decoders and encoders the package does not need: states (the estimate
+# document's argmin), channels and kernels, in the package's matrix format
+
+
+def state_from_json(doc: dict):
+    from qmultimeter import DensityState
+    from qmultimeter.serialize import matrix_from_json
+
+    s = DensityState(matrix_from_json(doc["matrix"]))
+    if s.dim != int(doc["dim"]):
+        raise ValueError("declared dim does not match the matrix")
+    return s
+
+
+def channel_to_json(c) -> dict:
+    from qmultimeter.serialize import matrix_to_json
+
+    return {
+        "in_dim": c.in_dim,
+        "out_dim": c.out_dim,
+        "kraus": [matrix_to_json(k) for k in c.kraus],
+    }
+
+
+def channel_from_json(doc: dict):
+    from qmultimeter import QuantumChannel
+    from qmultimeter.serialize import matrix_from_json
+
+    c = QuantumChannel([matrix_from_json(k) for k in doc["kraus"]])
+    if (c.in_dim, c.out_dim) != (int(doc["in_dim"]), int(doc["out_dim"])):
+        raise ValueError("declared dims do not match the Kraus operators")
+    return c
+
+
+def postprocessing_to_json(l) -> dict:
+    doc = {
+        "n_in": l.n_in,
+        "n_out": l.n_out,
+        "entries": [float(x) for x in l.kernel.reshape(-1)],
+    }
+    if l.out_labels is not None:
+        doc["out_labels"] = list(l.out_labels)
+    return doc
+
+
+def postprocessing_from_json(doc: dict):
+    from qmultimeter import PostProcessing
+
+    n_in, n_out = int(doc["n_in"]), int(doc["n_out"])
+    entries = np.asarray(doc["entries"], dtype=float)
+    if entries.size != n_in * n_out:
+        raise ValueError(f"expected {n_in * n_out} kernel entries, got {entries.size}")
+    return PostProcessing(entries.reshape(n_in, n_out), out_labels=doc.get("out_labels"))
+
+
+def save_json(doc: dict, path: str):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")

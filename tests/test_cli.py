@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import resource
@@ -7,12 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import save_json
 
 import qmultimeter
 from qmultimeter.cli import MAX_POINTS, MAX_TRIALS, main
 from qmultimeter.divergence import MAX_RESTARTS
+from qmultimeter.groups import is_prime
 from qmultimeter.sampling import random_povm, rng_from
-from qmultimeter.serialize import observable_to_json, save_json
+from qmultimeter.serialize import observable_to_json
+from qmultimeter.verify import PHASE_SPACE_MAX_DIM
+
+CAP = str(PHASE_SPACE_MAX_DIM)
+PRIME_PAST_CAP = str(next(p for p in itertools.count(PHASE_SPACE_MAX_DIM + 1) if is_prime(p)))
 
 SQRT_HALF = 1 / np.sqrt(2)
 
@@ -37,7 +44,7 @@ class TestDemoCommand:
         assert code == 0
         assert json.loads(out)["vector_count"] == 4
 
-    @pytest.mark.parametrize("dim", ["4", "17", "19"])
+    @pytest.mark.parametrize("dim", ["4", str(PHASE_SPACE_MAX_DIM + 1), PRIME_PAST_CAP])
     def test_bad_dim_is_config_error(self, capsys, dim):
         code, out, err = run(capsys, "demo", "phase-space", "--dim", dim)
         assert code == 2
@@ -72,15 +79,31 @@ class TestMemoryEnvelope:
         return json.loads(proc.stdout)
 
     def test_largest_phase_space_demo_fits_one_gib(self):
-        doc = self._run_capped("demo", "phase-space", "--dim", "13")
-        assert doc["vector_count"] == 14
+        doc = self._run_capped("demo", "phase-space", "--dim", CAP)
+        assert doc["vector_count"] == PHASE_SPACE_MAX_DIM + 1
 
-    def test_most_trials_on_the_largest_phase_space_fit_one_gib(self):
+    @pytest.mark.parametrize("which", ["prop1", "prop3"])
+    def test_most_trials_on_the_largest_phase_space_fit_one_gib(self, which):
         doc = self._run_capped(
-            "verify", "prop1", "--fixture", "phase-space", "--dim", "13",
+            "verify", which, "--fixture", "phase-space", "--dim", CAP,
             "--trials", str(MAX_TRIALS),
         )
         assert doc["trials"] == MAX_TRIALS and doc["violations"] == 0
+
+    @pytest.mark.parametrize("dim", [str(PHASE_SPACE_MAX_DIM + 1), PRIME_PAST_CAP])
+    @pytest.mark.parametrize("argv", [("demo", "phase-space"),
+                                      ("verify", "prop1", "--fixture", "phase-space"),
+                                      ("verify", "prop3", "--fixture", "phase-space")])
+    def test_dims_past_the_cap_exit_2_before_any_work(self, capsys, monkeypatch, argv, dim):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for name in ("phase_space_demo", "wh_program_pair", "verify_prop1", "verify_prop3"):
+            monkeypatch.setattr(f"qmultimeter.cli.{name}", refuse)
+        code, out, err = run(capsys, *argv, "--dim", dim)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and "--dim" in err
 
 
 class TestVerifyCommand:
@@ -100,7 +123,7 @@ class TestVerifyCommand:
             monkeypatch.setattr(f"qmultimeter.cli.{name}", refuse)
         too_many = str(MAX_TRIALS + 1)
         code, out, err = run(
-            capsys, "verify", which, "--fixture", "phase-space", "--dim", "13", "--trials", too_many
+            capsys, "verify", which, "--fixture", "phase-space", "--dim", CAP, "--trials", too_many
         )
         assert code == 2
         assert out == ""

@@ -299,7 +299,7 @@ class TestSubgroupsAndCosets:
         idx = {n: i for i, n in enumerate(g.names)}
         kern = coset_postprocessing(g, CyclicSubgroup(g, idx["k"]))
         assert kern.n_in == 8 and kern.n_out == 2
-        assert kern.is_deterministic()
+        assert np.all((kern.kernel == 0.0) | (kern.kernel == 1.0))
         assert np.allclose(kern.kernel.sum(axis=1), 1.0)
 
 
@@ -547,6 +547,14 @@ class TestEffectStacks:
 
 
 class TestCovariantMultimeter:
+    def test_reducible_representation_rejected_up_front(self, q8):
+        # U(g) + U(g) block-diagonally: still projective, no longer irreducible
+        doubled = np.zeros((8, 4, 4), dtype=complex)
+        doubled[:, :2, :2] = doubled[:, 2:, 2:] = q8.matrices
+        rep = ProjectiveRepresentation(q8.group, doubled)
+        with pytest.raises(ValueError, match="not irreducible"):
+            covariant_multimeter(rep)
+
     def test_pointer_normalization(self, q8):
         mm = covariant_multimeter(q8)
         assert mm.probe_dim == 4

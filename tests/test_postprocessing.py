@@ -45,10 +45,6 @@ class TestPostProcessingType:
         with pytest.raises(ValueError, match="non-finite entry"):
             PostProcessing(np.array([[bad, 1.0], [0.5, 0.5]]))
 
-    def test_deterministic_flag(self):
-        assert PostProcessing(np.array([[1.0, 0.0], [0.0, 1.0]])).is_deterministic()
-        assert not PostProcessing(np.array([[0.5, 0.5]])).is_deterministic()
-
 
 class TestObservableAction:
     def test_matches_effectwise_sum(self, rng):
@@ -92,7 +88,7 @@ class TestObservableAction:
 
     def test_all_merge_gives_trivial(self, rng):
         e = random_povm(rng, 3, 4)
-        out = post_process_observable(PostProcessing.all_merge(4), e)
+        out = post_process_observable(PostProcessing(np.ones((4, 1))), e)
         assert out.n_outcomes == 1
         assert np.allclose(out.effects[0], np.eye(3), atol=1e-10)
 
@@ -185,7 +181,7 @@ class TestCompose:
 
     def test_all_merge_absorbs(self, rng):
         k = random_postprocessing(rng, 3, 4)
-        out = compose(PostProcessing.all_merge(4), k)
+        out = compose(PostProcessing(np.ones((4, 1))), k)
         assert out.n_in == 3 and out.n_out == 1
         assert np.allclose(out.kernel, 1.0)
 
@@ -226,4 +222,4 @@ class TestMonotonicity:
         idx = {n: i for i, n in enumerate(q8.group.names)}
         for name in ("i", "j", "k"):
             kern = coset_postprocessing(q8.group, CyclicSubgroup(q8.group, idx[name]))
-            assert kern.is_deterministic()
+            assert np.all((kern.kernel == 0.0) | (kern.kernel == 1.0))

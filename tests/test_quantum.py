@@ -2,13 +2,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import eigvalsh_observable_check, gathered_heisenberg_program, heisenberg_program
+from oracles import (
+    eigvalsh_observable_check,
+    gathered_heisenberg_program,
+    heisenberg_program,
+    pure_fidelity,
+    trivial_observable,
+)
 
-from qmultimeter import quantum
+from qmultimeter import groups, quantum
 from qmultimeter.groups import (
     PAULI_X,
     PAULI_Z,
     covariant_multimeter,
+    covariant_program_state,
     eigenvector_program,
     partial_swap_channel,
     q8_representation,
@@ -26,9 +33,7 @@ from qmultimeter.quantum import (
     fidelity,
     outcome_distribution,
     program,
-    pure_fidelity,
     stinespring_dilation,
-    trivial_observable,
 )
 from qmultimeter.sampling import (
     random_channel,
@@ -47,12 +52,12 @@ class TestDensityState:
     def test_valid_state(self):
         s = DensityState(np.diag([0.25, 0.75]))
         assert s.dim == 2
-        assert abs(s.purity() - (0.25**2 + 0.75**2)) < 1e-12
+        assert abs(np.trace(s.matrix @ s.matrix).real - (0.25**2 + 0.75**2)) < 1e-12
 
     def test_purity_bounds(self, rng):
         for d in (2, 3, 5):
             s = random_density(rng, d)
-            assert 1 / d - 1e-9 <= s.purity() <= 1 + 1e-9
+            assert 1 / d - 1e-9 <= np.trace(s.matrix @ s.matrix).real <= 1 + 1e-9
 
     def test_trace_violation_rejected(self):
         with pytest.raises(ValueError, match="trace"):
@@ -79,12 +84,6 @@ class TestObservable:
         assert np.max(np.abs(total - np.eye(3))) < 1e-9
         for eff in e.effects:
             assert np.linalg.eigvalsh(eff).min() > -1e-9
-
-    def test_sharp_flag(self):
-        pvm = Observable([(I2 + PAULI_Z) / 2, (I2 - PAULI_Z) / 2])
-        assert pvm.is_sharp()
-        smeared = Observable([(I2 + 0.5 * PAULI_Z) / 2, (I2 - 0.5 * PAULI_Z) / 2])
-        assert not smeared.is_sharp()
 
     def test_completeness_violation_rejected(self):
         with pytest.raises(ValueError, match="identity"):
@@ -324,8 +323,8 @@ class TestEffectStack:
         assert not e.allclose(trivial_observable(2, 3))
 
     def test_program_memory_at_d13_is_bounded(self):
-        # the pointer is 169 effects of 169 x 169 (77 MB); restacking it for
-        # every program call held a second copy
+        # the closed form holds a few (169, 13, 13) stacks of 0.46 MB each and
+        # peaks near 1.4 MiB; the pointer it never builds is 169 x 169 x 169 (77 MB)
         rep = weyl_heisenberg(13)
         mm = covariant_multimeter(rep)
         _, probe, _, _ = eigenvector_program(
@@ -338,7 +337,7 @@ class TestEffectStack:
         finally:
             tracemalloc.stop()
         assert e.n_outcomes == 169
-        assert peak < 112 * 2**20
+        assert peak < 4 * 2**20
 
 
 class TestOutcomeDistribution:
@@ -566,8 +565,8 @@ class TestMeasurementModels:
 
 class TestProgramContraction:
     """``program`` contracts the probe state through the Kraus operators, or
-    through selections for a permutation interaction; the oracle pulls every
-    pointer effect back as a dense Heisenberg dual of the dense Kraus operators."""
+    takes the closed form for a covariant device; the oracles pull every
+    pointer effect back as a Heisenberg dual of the interaction."""
 
     @staticmethod
     def _assert_matches_oracle(mm, xi, oracle=heisenberg_program):
@@ -576,18 +575,6 @@ class TestProgramContraction:
         assert programmed.outcomes == expected.outcomes
         for a, b in zip(programmed.effects, expected.effects, strict=True):
             assert np.max(np.abs(a - b)) < 1e-12
-
-    @staticmethod
-    def _count_selection_terms(monkeypatch):
-        calls = []
-        term = quantum._selection_term
-
-        def counted(*args):
-            calls.append(args)
-            return term(*args)
-
-        monkeypatch.setattr(quantum, "_selection_term", counted)
-        return calls
 
     def test_matches_oracle_on_random_multi_kraus_devices(self, rng):
         for trial in range(24):
@@ -604,9 +591,13 @@ class TestProgramContraction:
     def test_matches_oracle_on_covariant_devices(self, device, rng):
         rep = q8_representation() if device == "q8" else weyl_heisenberg(device)
         mm = covariant_multimeter(rep)
+        d = rep.degree
         # the dense oracle makes two (d^3)^2 products per outcome: minutes at d=11
         oracle = gathered_heisenberg_program if device == 11 else heisenberg_program
-        self._assert_matches_oracle(mm, random_density(rng, mm.probe_dim), oracle)
+        # a random mixed probe state, which is no product eta x seed^T, and one that is
+        product = covariant_program_state(random_density(rng, d), random_density(rng, d))
+        for xi in (random_density(rng, mm.probe_dim), product):
+            self._assert_matches_oracle(mm, xi, oracle)
 
     def test_matches_oracle_on_random_permutation_devices(self, rng):
         for system_dim in (1, 2, 3):
@@ -620,23 +611,21 @@ class TestProgramContraction:
                 self._assert_matches_oracle(mm, random_density(rng, probe_dim))
 
     @pytest.mark.parametrize(
-        "rows,terms",
+        "rows",
         [
             # (m_s(p), l_s(p)) for p = 0..3, one row per system index s
-            ([[(0, 0), (0, 1), (1, 0), (1, 1)],
-              [(0, 2), (0, 3), (1, 2), (1, 3)],
-              [(2, 0), (2, 1), (2, 2), (2, 3)]], 2),
-            ([[(2, 3), (0, 1), (2, 0), (0, 2)],
-              [(1, 0), (1, 1), (1, 2), (1, 3)],
-              [(2, 1), (0, 3), (2, 2), (0, 0)]], 2),
-            ([[(0, 0), (1, 0), (2, 0), (0, 1)],
-              [(1, 1), (2, 1), (0, 2), (1, 2)],
-              [(2, 2), (0, 3), (1, 3), (2, 3)]], 3),
+            [[(0, 0), (0, 1), (1, 0), (1, 1)],
+             [(0, 2), (0, 3), (1, 2), (1, 3)],
+             [(2, 0), (2, 1), (2, 2), (2, 3)]],
+            [[(2, 3), (0, 1), (2, 0), (0, 2)],
+             [(1, 0), (1, 1), (1, 2), (1, 3)],
+             [(2, 1), (0, 3), (2, 2), (0, 0)]],
+            [[(0, 0), (1, 0), (2, 0), (0, 1)],
+             [(1, 1), (2, 1), (0, 2), (1, 2)],
+             [(2, 2), (0, 3), (1, 3), (2, 3)]],
         ],
     )
-    def test_matches_oracle_when_some_rows_share_a_selection(
-        self, rows, terms, rng, monkeypatch
-    ):
+    def test_matches_oracle_when_some_rows_share_a_selection(self, rows, rng):
         d_sys, d_probe = 3, 4
         perm = np.array([m * d_probe + l for row in rows for m, l in row])
         mm = Multimeter(
@@ -644,15 +633,7 @@ class TestProgramContraction:
             pointer=random_povm(rng, d_probe, 3),
             interaction=QuantumChannel.permutation(perm),
         )
-        calls = self._count_selection_terms(monkeypatch)
         self._assert_matches_oracle(mm, random_density(rng, d_probe))
-        assert len(calls) == terms
-
-    def test_partial_swap_forms_one_selection_term(self, rng, monkeypatch):
-        mm = covariant_multimeter(weyl_heisenberg(5))
-        calls = self._count_selection_terms(monkeypatch)
-        assert program(mm, random_density(rng, mm.probe_dim)).n_outcomes == 25
-        assert len(calls) == 1
 
     def test_builds_no_heisenberg_dual(self, rng, monkeypatch):
         mm = covariant_multimeter(weyl_heisenberg(5))
@@ -672,3 +653,19 @@ class TestProgramContraction:
         monkeypatch.setattr(quantum, "_permutation_matrix", refuse)
         assert program(mm, random_density(rng, mm.probe_dim)).n_outcomes == 25
         assert phase_space_demo(5)["vector_count"] == 6
+
+    def test_builds_no_covariant_pointer(self, rng, monkeypatch):
+        def refuse(rep):
+            raise AssertionError("programming built the pointer")
+
+        monkeypatch.setattr(groups, "covariant_pointer", refuse)
+        mm = covariant_multimeter(weyl_heisenberg(5))
+        assert program(mm, random_density(rng, mm.probe_dim)).n_outcomes == 25
+        assert mm.n_outcomes == 25
+        assert phase_space_demo(5)["vector_count"] == 6
+        with pytest.raises(AssertionError, match="pointer"):
+            mm.pointer
+
+    def test_pointer_is_built_once(self):
+        mm = covariant_multimeter(weyl_heisenberg(3))
+        assert mm.pointer is mm.pointer

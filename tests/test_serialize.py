@@ -3,21 +3,24 @@ import json
 import numpy as np
 import pytest
 
+from oracles import (
+    channel_from_json,
+    channel_to_json,
+    postprocessing_from_json,
+    postprocessing_to_json,
+    state_from_json,
+)
+
 from qmultimeter.divergence import DivergenceOptions, observable_divergence
 from qmultimeter.groups import covariant_observable, partial_swap_channel
 from qmultimeter.postprocessing import PostProcessing
 from qmultimeter.sampling import random_channel, random_density, random_povm
 from qmultimeter.serialize import (
-    channel_from_json,
-    channel_to_json,
     estimate_to_json,
     matrix_from_json,
     matrix_to_json,
     observable_from_json,
     observable_to_json,
-    postprocessing_from_json,
-    postprocessing_to_json,
-    state_from_json,
     state_to_json,
 )
 

@@ -126,6 +126,18 @@ class TestSampledMargins:
         if trials:
             assert np.max(np.abs(got - want)) < 1e-12
 
+    @pytest.mark.parametrize("kernels", [False, True])
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    def test_blocks_leave_margins_unchanged(self, fixture, kernels, monkeypatch):
+        mm, xi1, xi2, l1, l2 = FIXTURES[fixture]()
+        e1, e2 = program(mm, xi1), program(mm, xi2)
+        pair = (l1, l2) if kernels else None
+        whole = verify._sampled_margins(e1, e2, 500, 11, 0.7, pair)
+        # 500 rows in blocks of 37, the last one short
+        width = max(e1.dim**2, e1.n_outcomes)
+        monkeypatch.setattr(verify, "SAMPLE_BLOCK", 37 * width + width // 2)
+        assert np.array_equal(verify._sampled_margins(e1, e2, 500, 11, 0.7, pair), whole)
+
 
 class TestBProperties:
     def test_random_pair_battery(self, rng):
@@ -264,7 +276,7 @@ class TestDemos:
     def test_phase_space_demo_rejects_bad_dims(self):
         with pytest.raises(ValueError, match="prime"):
             phase_space_demo(4)
-        for d in (17, 19):
+        for d in (23, 29):
             with pytest.raises(ValueError, match="desk"):
                 phase_space_demo(d)
 
