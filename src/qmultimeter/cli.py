@@ -35,9 +35,14 @@ SEED_ENV = "QML_SEED"
 # all and a few MB of output; anything above exits 2 before any work
 MAX_POINTS = 100_001
 # the largest verify run: prop1 and prop3 sample in blocks of bounded memory, so
-# trials bound their time: 50_000 on the d = 19 phase space take about 8 s and
-# peak near 195 MiB RSS under a 1 GiB address-space cap
+# trials bound their time: 50_000 on the d = 19 phase space take about 6 s
+# (prop1; 1.5 s of it sampling) and 5 s (prop3; 0.6 s) and peak at 181 and
+# 162 MiB RSS under a 1 GiB address-space cap, on one BLAS thread of a 2-vCPU VM
 MAX_TRIALS = 50_000
+# verify bprops costs about 0.17 s per trial (on the same VM: 3.3 s at 10 trials,
+# 11.8 s at 60), mostly one divergence re-estimate per trial for its B4 check;
+# its own cap keeps the longest run near 9 minutes
+MAX_BPROPS_TRIALS = 3_000
 
 # scalar keys: a config file sets them, QML_SEED overrides the seed, flags override both
 SCALAR_KEYS = (
@@ -171,8 +176,9 @@ def _run_demo(cfg: RunConfig, which: str) -> int:
 
 
 def _run_verify(cfg: RunConfig, which: str) -> int:
-    if not 1 <= cfg.trials <= MAX_TRIALS:
-        raise ConfigError(f"--trials must lie in [1, {MAX_TRIALS}], got {cfg.trials}")
+    cap = MAX_BPROPS_TRIALS if which == "bprops" else MAX_TRIALS
+    if not 1 <= cfg.trials <= cap:
+        raise ConfigError(f"--trials must lie in [1, {cap}] for {which}, got {cfg.trials}")
     tol = cfg.tolerances.get("tol_check", 1e-9)
     if which == "prop1":
         mm, xi1, xi2, _, _ = _fixture_for(cfg)
@@ -246,7 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a randomized verification suite")
     ver.add_argument("which", choices=["prop1", "prop3", "bprops"])
-    ver.add_argument("--trials", type=int, default=None)
+    ver.add_argument(
+        "--trials", type=int, default=None,
+        help=f"randomized trials (default 1000): at most {MAX_TRIALS} for prop1 and prop3; "
+        f"at most {MAX_BPROPS_TRIALS} for bprops, which takes about 0.17 s per trial",
+    )
     ver.add_argument(
         "--fixture", choices=["random", "q8", "phase-space"], default=None,
         help="device under test (default: seeded random multimeter)",

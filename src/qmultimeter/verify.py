@@ -52,7 +52,7 @@ from .sampling import (
 TOL_CHECK = 1e-9
 ESTIMATOR_TOL = 2e-3
 PHASE_SPACE_MAX_DIM = 19
-# elements per (rows, d^2) block of the margin sampler: 16 MiB of complex outer products
+# elements per (d^2, rows) block of the margin sampler: 8 MiB of real state coordinates
 SAMPLE_BLOCK = 1 << 20
 # eigenvalues of U(i), U(j), U(k) whose eigenvectors project onto the +axis
 Q8_TARGETS = {"i": 1j, "j": -1j, "k": 1j}
@@ -121,38 +121,78 @@ class BoundCurve:
 # randomized inequality reports
 
 
+def _effect_coordinates(effects: np.ndarray) -> np.ndarray:
+    """Real (n, d^2) coordinates of a Hermitian effect stack: the diagonal, then
+    2 Re E_ij and -2 Im E_ij over the upper triangle i < j (``np.triu_indices``
+    order), so that <v|E|v> is their dot product with the state coordinates
+    built in ``_born_statistics``."""
+    d = effects.shape[1]
+    first, second = np.triu_indices(d, 1)
+    upper = effects[:, first, second]
+    diagonal = np.diagonal(effects, axis1=1, axis2=2).real
+    return np.concatenate([diagonal, 2 * upper.real, -2 * upper.imag], axis=1)
+
+
+def _born_statistics(coords: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Clipped (rows, n) statistics <v|E|v> of the effects with real coordinates
+    ``coords`` at the pure states in the rows of ``v``.
+
+    A state's coordinates are |v_i|^2, then Re and Im of conj(v_i) v_j for each
+    upper-triangle pair i < j. They are built from a (d, rows) copy of ``v``, so
+    trials stay on the fast axis, and the pairs (i, j > i) of one i go through
+    one scratch buffer, so a block allocates little beyond its coordinates and
+    statistics."""
+    v = np.ascontiguousarray(v.T)
+    d, rows = v.shape
+    pairs = d * (d - 1) // 2
+    w = np.empty((d * d, rows))
+    np.square(v.real, out=w[:d])
+    w[:d] += np.square(v.imag)
+    cross = np.empty((d - 1, rows), dtype=complex)
+    row = d
+    for i in range(d - 1):
+        c = np.multiply(v[i + 1 :], v[i].conj(), out=cross[: d - 1 - i])
+        w[row : row + len(c)] = c.real
+        w[pairs + row : pairs + row + len(c)] = c.imag
+        row += len(c)
+    q = w.T @ coords.T
+    return np.maximum(q, 0.0, out=q)
+
+
 def _sampled_margins(e1, e2, trials, seed, f_prog, kernels=None, f_kern=1.0) -> np.ndarray:
     """Margins B(q1, q2) - |<v1|v2>| * f_prog * f_kern over seeded random pure
     pairs (v1, v2), where q_k is the statistics of e_k at v_k, relabelled by
     ``kernels[k]`` when kernels are given.
 
+    For a Hermitian effect E the Born rule is one real dot product over d^2
+    coordinates:  <v|E|v> = sum_i |v_i|^2 E_ii + sum_{i<j} 2 Re(conj(v_i) v_j) Re E_ij
+    - 2 Im(conj(v_i) v_j) Im E_ij.  Each effect stack is written in these
+    coordinates once (``_effect_coordinates``); a kernel L is applied to the
+    effects first, F_y = sum_x L[x, y] E_x, so the statistics of the relabelled
+    outcomes come straight out of the product and are clipped at zero once.
+
     All of e1's vectors are drawn, then all of e2's; the statistics and margins
-    are then computed for blocks of at most ``SAMPLE_BLOCK`` elements per
-    (rows, d^2) or (rows, outcomes) array, so memory does not grow with trials.
+    are then computed for blocks of ``SAMPLE_BLOCK // max(d^2, outcomes)`` trials,
+    so memory does not grow with trials. A block's statistics are one real
+    (rows, d^2) by (d^2, outcomes) product per side, in ``_born_statistics``.
     """
     rng = rng_from(seed)
-    pairs = []
+    vectors = []
     for e in (e1, e2):
         d = e.dim
         v = rng.standard_normal((trials, d)) + 1j * rng.standard_normal((trials, d))
-        pairs.append((e, v / np.linalg.norm(v, axis=1, keepdims=True)))
-    f_states = np.abs((pairs[0][1].conj() * pairs[1][1]).sum(axis=1))
+        vectors.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+    f_states = np.abs((vectors[0].conj() * vectors[1]).sum(axis=1))
     width = max(max(e.dim**2, e.n_outcomes) for e in (e1, e2))
     rows = max(1, SAMPLE_BLOCK // width)
+    coords = [_effect_coordinates(e.effects) for e in (e1, e2)]
+    if kernels is not None:
+        coords = [kern.kernel.T @ c for kern, c in zip(kernels, coords)]
     margins = np.empty(trials)
     for lo in range(0, trials, rows):
-        stats = []
-        for k, (e, v) in enumerate(pairs):
-            v = v[lo : lo + rows]
-            d = e.dim
-            # Born rule <v|E(x)|v> for every trial and outcome as one product of
-            # the outer products conj(v_i) v_j against the flattened effects
-            outer = (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), d * d)
-            q = np.clip((outer @ e.effects.reshape(-1, d * d).T).real, 0.0, None)
-            if kernels is not None:
-                q = np.clip(q @ kernels[k].kernel, 0.0, None)
-            stats.append(q)
-        margins[lo : lo + rows] = np.sqrt(stats[0] * stats[1]).sum(axis=1)
+        q = _born_statistics(coords[0], vectors[0][lo : lo + rows])
+        q *= _born_statistics(coords[1], vectors[1][lo : lo + rows])
+        margins[lo : lo + rows] = np.sqrt(q, out=q).sum(axis=1)
     return margins - f_states * f_prog * f_kern
 
 

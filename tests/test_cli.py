@@ -11,7 +11,7 @@ import pytest
 from oracles import save_json
 
 import qmultimeter
-from qmultimeter.cli import MAX_POINTS, MAX_TRIALS, main
+from qmultimeter.cli import MAX_BPROPS_TRIALS, MAX_POINTS, MAX_TRIALS, main
 from qmultimeter.divergence import MAX_RESTARTS
 from qmultimeter.groups import is_prime
 from qmultimeter.sampling import random_povm, rng_from
@@ -125,6 +125,29 @@ class TestVerifyCommand:
         code, out, err = run(
             capsys, "verify", which, "--fixture", "phase-space", "--dim", CAP, "--trials", too_many
         )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and too_many in err
+
+    def test_bprops_cap_is_accepted(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def refuse(e1, e2, n, **kwargs):
+            raise Started(n)
+
+        monkeypatch.setattr("qmultimeter.cli.verify_b_properties", refuse)
+        with pytest.raises(Started) as started:
+            main(["verify", "bprops", "--trials", str(MAX_BPROPS_TRIALS)])
+        assert started.value.args == (MAX_BPROPS_TRIALS,)
+
+    def test_bprops_past_its_cap_is_config_error(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the verification started")
+
+        monkeypatch.setattr("qmultimeter.cli.verify_b_properties", refuse)
+        too_many = str(MAX_BPROPS_TRIALS + 1)
+        code, out, err = run(capsys, "verify", "bprops", "--trials", too_many)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("config error:") and too_many in err

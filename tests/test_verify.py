@@ -6,9 +6,10 @@ from oracles import einsum_margins, sharpmin_oracle
 
 from qmultimeter import verify
 from qmultimeter.divergence import DivergenceOptions
+from qmultimeter.groups import PAULI_Y, covariant_multimeter, weyl_heisenberg
 from qmultimeter.postprocessing import PostProcessing, pp_fidelity
-from qmultimeter.quantum import program
-from qmultimeter.sampling import random_povm, rng_from
+from qmultimeter.quantum import DensityState, Observable, outcome_distribution, program
+from qmultimeter.sampling import random_density, random_postprocessing, random_povm, rng_from
 from qmultimeter.verify import (
     BoundCurve,
     bound_curve,
@@ -102,10 +103,23 @@ class TestProp3:
             verify_prop3(mm, xi1, xi2, l1, bad, trials=10, seed=0)
 
 
+def covariant7_random_probes():
+    """The d = 7 phase-space device programmed by two random mixed probe states,
+    with random 7-output kernels: full-rank programmed effects."""
+    rng = rng_from(5)
+    mm = covariant_multimeter(weyl_heisenberg(7))
+    xi1 = random_density(rng, mm.probe_dim)
+    xi2 = random_density(rng, mm.probe_dim)
+    l1 = random_postprocessing(rng, mm.n_outcomes, 7)
+    l2 = random_postprocessing(rng, mm.n_outcomes, 7)
+    return mm, xi1, xi2, l1, l2
+
+
 FIXTURES = {
     "q8": q8_program_pair,
     "wh3": lambda: wh_program_pair(3),
     "random": default_random_fixture,
+    "covariant7": covariant7_random_probes,
 }
 
 
@@ -137,6 +151,54 @@ class TestSampledMargins:
         width = max(e1.dim**2, e1.n_outcomes)
         monkeypatch.setattr(verify, "SAMPLE_BLOCK", 37 * width + width // 2)
         assert np.array_equal(verify._sampled_margins(e1, e2, 500, 11, 0.7, pair), whole)
+
+    def test_covariant7_effects_are_full_rank(self):
+        # the mixed probe marginals give full-rank effects, unlike the sharp
+        # eigenvector programs of the q8 and wh3 fixtures
+        mm, xi1, xi2, _, _ = covariant7_random_probes()
+        for xi in (xi1, xi2):
+            assert np.linalg.eigvalsh(program(mm, xi).effects).min() > 1e-4
+
+
+def unit_rows(rng, rows, d):
+    v = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+BORN_POVMS = {
+    "d2": lambda rng: random_povm(rng, 2, 3),
+    "d3": lambda rng: random_povm(rng, 3, 4),
+    "d19": lambda rng: random_povm(rng, 19, 5),
+    # purely imaginary off-diagonals: only the -2 Im E_ij coordinates see them
+    "sigma_y": lambda rng: Observable([(np.eye(2) + PAULI_Y) / 2, (np.eye(2) - PAULI_Y) / 2]),
+}
+
+
+class TestRealCoordinateBornRule:
+    """The sampler's real-coordinate statistics against the complex Born rule."""
+
+    @pytest.mark.parametrize("povm", sorted(BORN_POVMS))
+    def test_statistics_match_outcome_distribution(self, povm):
+        rng = rng_from(3)
+        e = BORN_POVMS[povm](rng)
+        assert np.max(np.abs(e.effects.imag)) > 0.1
+        v = unit_rows(rng, 40, e.dim)
+        q = verify._born_statistics(verify._effect_coordinates(e.effects), v)
+        assert q.shape == (40, e.n_outcomes)
+        for row, vec in zip(q, v):
+            want = outcome_distribution(e, DensityState.from_vector(vec))
+            assert np.max(np.abs(row - want)) < 1e-12
+
+    @pytest.mark.parametrize("povm", sorted(BORN_POVMS))
+    def test_kernel_on_effects_equals_kernel_on_statistics(self, povm):
+        rng = rng_from(4)
+        e = BORN_POVMS[povm](rng)
+        kern = random_postprocessing(rng, e.n_outcomes, 3).kernel
+        v = unit_rows(rng, 40, e.dim)
+        coords = verify._effect_coordinates(e.effects)
+        first = verify._born_statistics(kern.T @ coords, v)
+        after = verify._born_statistics(coords, v) @ kern
+        assert np.max(np.abs(first - after)) < 1e-12
 
 
 class TestBProperties:
