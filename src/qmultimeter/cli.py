@@ -17,7 +17,9 @@ from .divergence import MAX_RESTARTS, DivergenceOptions, observable_divergence
 from .groups import is_prime
 from .serialize import estimate_to_json, load_json, observable_from_json
 from .verify import (
+    ESTIMATOR_TOL,
     PHASE_SPACE_MAX_DIM,
+    TOL_CHECK,
     DemoFailure,
     bound_curve,
     default_random_fixture,
@@ -48,6 +50,9 @@ MAX_BPROPS_TRIALS = 3_000
 SCALAR_KEYS = (
     "seed", "trials", "out", "dim", "points", "fixture", "e1", "e2", "restarts",
 )
+# scalar keys whose config-file value must be a JSON integer (true and false are
+# not); the others must be strings
+INTEGER_KEYS = ("seed", "trials", "dim", "points", "restarts")
 CONFIG_KEYS = {"command", "tolerances", *SCALAR_KEYS}
 TOLERANCE_KEYS = {"tol_check", "estimator_tol"}
 
@@ -84,6 +89,11 @@ def _load_config_file(path: str) -> dict:
     tols = doc.get("tolerances", {})
     if not isinstance(tols, dict) or set(tols) - TOLERANCE_KEYS:
         raise ConfigError(f"tolerances must map a subset of {sorted(TOLERANCE_KEYS)}")
+    for key in SCALAR_KEYS:
+        val = doc.get(key)
+        kind, name = (int, "an integer") if key in INTEGER_KEYS else (str, "a string")
+        if val is not None and (isinstance(val, bool) or not isinstance(val, kind)):
+            raise ConfigError(f"config key {key} must be {name}, got {val!r}")
     return doc
 
 
@@ -127,11 +137,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
             raise ConfigError(f"tolerance {key} must be a finite number, got {val!r}")
 
-    cfg.seed = int(cfg.seed)
-    cfg.trials = int(cfg.trials)
-    cfg.dim = int(cfg.dim)
-    cfg.points = int(cfg.points)
-    cfg.restarts = int(cfg.restarts)
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     return cfg
 
 
@@ -179,7 +186,7 @@ def _run_verify(cfg: RunConfig, which: str) -> int:
     cap = MAX_BPROPS_TRIALS if which == "bprops" else MAX_TRIALS
     if not 1 <= cfg.trials <= cap:
         raise ConfigError(f"--trials must lie in [1, {cap}] for {which}, got {cfg.trials}")
-    tol = cfg.tolerances.get("tol_check", 1e-9)
+    tol = cfg.tolerances.get("tol_check", TOL_CHECK)
     if which == "prop1":
         mm, xi1, xi2, _, _ = _fixture_for(cfg)
         report = verify_prop1(mm, xi1, xi2, trials=cfg.trials, seed=cfg.seed, tol_check=tol)
@@ -197,7 +204,7 @@ def _run_verify(cfg: RunConfig, which: str) -> int:
             e2,
             n=cfg.trials,
             seed=cfg.seed,
-            estimator_tol=cfg.tolerances.get("estimator_tol", 2e-3),
+            estimator_tol=cfg.tolerances.get("estimator_tol", ESTIMATOR_TOL),
         )
     _emit(cfg, json.dumps(report.to_dict(), indent=2))
     if report.violations:

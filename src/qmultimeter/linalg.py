@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-# Default tolerances; every operation accepts an override.
+# Fixed tolerances, shared by every operation: the largest accepted Hermiticity
+# defect, and how far below zero an eigenvalue may sit and still count as PSD noise.
 TOL_HERM = 1e-10
 TOL_PSD = 1e-9
 
@@ -33,13 +34,13 @@ def herm_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def require_hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: shape {a.shape}")
     defect = herm_defect(a)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.1e}")
+    if defect > TOL_HERM:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {TOL_HERM:.1e}")
     return a
 
 
@@ -77,25 +78,25 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     return np.asarray(reduced, dtype=complex).reshape(d_keep, d_keep)
 
 
-def hermitian_eig(m, tol_herm: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues in descending order, orthonormal eigenvectors as
     matching columns) so that m = V diag(w) V†.
     """
-    a = require_hermitian(m, tol_herm)
+    a = require_hermitian(m)
     w, v = np.linalg.eigh(hermitianize(a))
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def psd_sqrt(m, tol_psd: float = TOL_PSD, tol_herm: float = TOL_HERM) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Unique positive square root of a PSD matrix.
 
-    Eigenvalues in [-tol_psd, 0) are treated as numerical noise and clipped
+    Eigenvalues in [-TOL_PSD, 0) are treated as numerical noise and clipped
     to zero; anything more negative is an error.
     """
-    w, v = hermitian_eig(m, tol_herm)
-    if w.size and w[-1] < -tol_psd:
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[-1]:.3e} < -{tol_psd:.1e}")
+    w, v = hermitian_eig(m)
+    if w.size and w[-1] < -TOL_PSD:
+        raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[-1]:.3e} < -{TOL_PSD:.1e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T

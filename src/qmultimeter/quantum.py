@@ -198,10 +198,10 @@ class Observable:
             atol_complete=self.atol_complete,
         )
 
-    def allclose(self, other: "Observable", atol: float = 1e-9) -> bool:
+    def allclose(self, other: "Observable") -> bool:
         if self.n_outcomes != other.n_outcomes or self.dim != other.dim:
             return False
-        return np.allclose(self.effects, other.effects, atol=atol, rtol=0.0)
+        return np.allclose(self.effects, other.effects, atol=1e-9, rtol=0.0)
 
 
 def _permutation_matrix(perm: np.ndarray) -> np.ndarray:

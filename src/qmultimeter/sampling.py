@@ -80,10 +80,10 @@ def random_multimeter(rng, system_dim: int = 2, probe_dim: int = 4) -> Multimete
     )
 
 
-def random_pure_pair(rng, dim: int, min_overlap: float = 1e-6):
-    """Two random pure states with a non-negligible overlap."""
+def random_pure_pair(rng, dim: int):
+    """Two random pure states with an overlap of at least 1e-6."""
     while True:
         v1 = random_pure_vector(rng, dim)
         v2 = random_pure_vector(rng, dim)
-        if abs(np.vdot(v1, v2)) >= min_overlap:
+        if abs(np.vdot(v1, v2)) >= 1e-6:
             return v1, v2

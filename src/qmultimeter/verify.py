@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 # unused here; perfbench/tracing.py patches verify.minimize on every traced run
@@ -71,21 +71,9 @@ class VerificationReport:
     worst_margin: float
     fixtures: dict = field(default_factory=dict)
     elapsed: float = 0.0
-    records: list = None
 
     def to_dict(self) -> dict:
-        out = {
-            "check": self.check,
-            "seed": self.seed,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "fixtures": self.fixtures,
-            "elapsed": self.elapsed,
-        }
-        if self.records is not None:
-            out["records"] = list(self.records)
-        return out
+        return asdict(self)
 
 
 @dataclass
@@ -159,10 +147,10 @@ def _born_statistics(coords: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.maximum(q, 0.0, out=q)
 
 
-def _sampled_margins(e1, e2, trials, seed, f_prog, kernels=None, f_kern=1.0) -> np.ndarray:
+def _sampled_margins(e1, e2, trials, seed, f_prog, kernels, f_kern) -> np.ndarray:
     """Margins B(q1, q2) - |<v1|v2>| * f_prog * f_kern over seeded random pure
     pairs (v1, v2), where q_k is the statistics of e_k at v_k, relabelled by
-    ``kernels[k]`` when kernels are given.
+    ``kernels[k]``.
 
     For a Hermitian effect E the Born rule is one real dot product over d^2
     coordinates:  <v|E|v> = sum_i |v_i|^2 E_ii + sum_{i<j} 2 Re(conj(v_i) v_j) Re E_ij
@@ -170,6 +158,8 @@ def _sampled_margins(e1, e2, trials, seed, f_prog, kernels=None, f_kern=1.0) -> 
     coordinates once (``_effect_coordinates``); a kernel L is applied to the
     effects first, F_y = sum_x L[x, y] E_x, so the statistics of the relabelled
     outcomes come straight out of the product and are clipped at zero once.
+    An identity kernel leaves the coordinates, and so the margins, bit for bit
+    unchanged.
 
     All of e1's vectors are drawn, then all of e2's; the statistics and margins
     are then computed for blocks of ``SAMPLE_BLOCK // max(d^2, outcomes)`` trials,
@@ -185,9 +175,7 @@ def _sampled_margins(e1, e2, trials, seed, f_prog, kernels=None, f_kern=1.0) -> 
     f_states = np.abs((vectors[0].conj() * vectors[1]).sum(axis=1))
     width = max(max(e.dim**2, e.n_outcomes) for e in (e1, e2))
     rows = max(1, SAMPLE_BLOCK // width)
-    coords = [_effect_coordinates(e.effects) for e in (e1, e2)]
-    if kernels is not None:
-        coords = [kern.kernel.T @ c for kern, c in zip(kernels, coords)]
+    coords = [kern.kernel.T @ _effect_coordinates(e.effects) for kern, e in zip(kernels, (e1, e2))]
     margins = np.empty(trials)
     for lo in range(0, trials, rows):
         q = _born_statistics(coords[0], vectors[0][lo : lo + rows])
@@ -196,7 +184,7 @@ def _sampled_margins(e1, e2, trials, seed, f_prog, kernels=None, f_kern=1.0) -> 
     return margins - f_states * f_prog * f_kern
 
 
-def _margin_report(check, seed, margins, tol_check, fixtures, t0, keep_records=False):
+def _margin_report(check, seed, margins, tol_check, fixtures, t0):
     return VerificationReport(
         check=check,
         seed=seed,
@@ -205,8 +193,23 @@ def _margin_report(check, seed, margins, tol_check, fixtures, t0, keep_records=F
         worst_margin=float(margins.min()) if len(margins) else 0.0,
         fixtures=fixtures,
         elapsed=time.perf_counter() - t0,
-        records=margins.tolist() if keep_records else None,
     )
+
+
+def _programmed_margins(multimeter, xi1, xi2, l1, l2, trials, seed) -> tuple:
+    """Margins of the post-processing assisted bound on seeded random pure pairs,
+    with the program and kernel fidelities; kernel shapes are checked first."""
+    n_pointer = multimeter.n_outcomes
+    if l1.n_in != n_pointer or l2.n_in != n_pointer:
+        raise ValueError("kernel input size must match the pointer outcome count")
+    if l1.n_out != l2.n_out:
+        raise ValueError("kernels must produce the same number of outputs")
+    e1 = program(multimeter, xi1)
+    e2 = program(multimeter, xi2)
+    f_prog = fidelity(xi1, xi2)
+    f_kern = pp_fidelity(l1, l2)
+    margins = _sampled_margins(e1, e2, trials, seed, f_prog, (l1, l2), f_kern)
+    return margins, f_prog, f_kern
 
 
 def verify_prop1(
@@ -216,22 +219,22 @@ def verify_prop1(
     trials: int,
     seed: int = 0,
     tol_check: float = TOL_CHECK,
-    keep_records: bool = False,
 ) -> VerificationReport:
     """Check the programming bound: state fidelity times program fidelity never
-    exceeds the Bhattacharyya overlap of the programmed outcome statistics."""
+    exceeds the Bhattacharyya overlap of the programmed outcome statistics.
+
+    This is the post-processing assisted bound with the identity relabelling on
+    both sides, whose kernel fidelity is 1."""
     t0 = time.perf_counter()
-    e1 = program(multimeter, xi1)
-    e2 = program(multimeter, xi2)
-    f_prog = fidelity(xi1, xi2)
-    margins = _sampled_margins(e1, e2, trials, seed, f_prog)
+    ident = PostProcessing.identity(multimeter.n_outcomes)
+    margins, f_prog, _ = _programmed_margins(multimeter, xi1, xi2, ident, ident, trials, seed)
     fixtures = {
         "program_fidelity": f_prog,
         "system_dim": multimeter.system_dim,
-        "pointer_outcomes": e1.n_outcomes,
+        "pointer_outcomes": multimeter.n_outcomes,
         "tol_check": tol_check,
     }
-    return _margin_report("prop1", seed, margins, tol_check, fixtures, t0, keep_records)
+    return _margin_report("prop1", seed, margins, tol_check, fixtures, t0)
 
 
 def verify_prop3(
@@ -243,20 +246,10 @@ def verify_prop3(
     trials: int,
     seed: int = 0,
     tol_check: float = TOL_CHECK,
-    keep_records: bool = False,
 ) -> VerificationReport:
     """Check the post-processing assisted bound with the kernel fidelity folded in."""
     t0 = time.perf_counter()
-    n_pointer = multimeter.n_outcomes
-    if l1.n_in != n_pointer or l2.n_in != n_pointer:
-        raise ValueError("kernel input size must match the pointer outcome count")
-    if l1.n_out != l2.n_out:
-        raise ValueError("kernels must produce the same number of outputs")
-    e1 = program(multimeter, xi1)
-    e2 = program(multimeter, xi2)
-    f_prog = fidelity(xi1, xi2)
-    f_kern = pp_fidelity(l1, l2)
-    margins = _sampled_margins(e1, e2, trials, seed, f_prog, (l1, l2), f_kern)
+    margins, f_prog, f_kern = _programmed_margins(multimeter, xi1, xi2, l1, l2, trials, seed)
     fixtures = {
         "program_fidelity": f_prog,
         "kernel_fidelity": f_kern,
@@ -264,12 +257,10 @@ def verify_prop3(
         "kernel_outputs": l1.n_out,
         "tol_check": tol_check,
     }
-    return _margin_report("prop3", seed, margins, tol_check, fixtures, t0, keep_records)
+    return _margin_report("prop3", seed, margins, tol_check, fixtures, t0)
 
 
-def verify_povm_bound(
-    dim: int, trials: int, seed: int = 0, tol_check: float = TOL_CHECK
-) -> VerificationReport:
+def verify_povm_bound(dim: int, trials: int, seed: int = 0) -> VerificationReport:
     """Outcome-statistics overlap of a shared observable never undercuts state fidelity."""
     t0 = time.perf_counter()
     rng = rng_from(seed)
@@ -281,8 +272,8 @@ def verify_povm_bound(
         rho2 = random_density(rng, dim)
         b = bhattacharyya(outcome_distribution(e, rho1), outcome_distribution(e, rho2))
         margins[i] = b - fidelity(rho1, rho2)
-    fixtures = {"dim": dim, "tol_check": tol_check}
-    return _margin_report("povm_bound", seed, margins, tol_check, fixtures, t0)
+    fixtures = {"dim": dim, "tol_check": TOL_CHECK}
+    return _margin_report("povm_bound", seed, margins, TOL_CHECK, fixtures, t0)
 
 
 def verify_b_properties(
@@ -290,18 +281,16 @@ def verify_b_properties(
     e2: Observable,
     n: int = 200,
     seed: int = 0,
-    opts: DivergenceOptions | None = None,
-    conj_opts: DivergenceOptions | None = None,
     estimator_tol: float = ESTIMATOR_TOL,
 ) -> VerificationReport:
     """Battery over the divergence estimator: symmetry, no sampled pair below the
     estimate, equality case, unitary invariance, and the pointwise channel /
     kernel monotonicity surrogates."""
     t0 = time.perf_counter()
-    opts = opts or DivergenceOptions(seed=seed)
+    opts = DivergenceOptions(seed=seed)
     # the conjugated re-estimates leaning on the grid scan converge with a
     # short polish; full restarts would add minutes for no extra accuracy
-    conj_opts = conj_opts or DivergenceOptions(seed=seed, restarts=4, maxiter=600)
+    conj_opts = DivergenceOptions(seed=seed, restarts=4, maxiter=600)
     rng = rng_from(seed)
     d = e1.dim
     checks: dict = {}
@@ -549,12 +538,11 @@ def phase_space_demo(d: int) -> dict:
 # stock fixtures for the randomized reports
 
 
-def q8_program_pair(axes: tuple = ("i", "k")) -> tuple:
-    """The quaternion multimeter with probe states programming two sharp axes."""
+def q8_program_pair() -> tuple:
+    """The quaternion multimeter with probe states programming the i and k axes."""
     rep = q8_representation()
-    first, second = axes
-    _, xi1, l1, _ = eigenvector_program(rep, rep.group.names.index(first), Q8_TARGETS[first])
-    _, xi2, l2, _ = eigenvector_program(rep, rep.group.names.index(second), Q8_TARGETS[second])
+    _, xi1, l1, _ = eigenvector_program(rep, rep.group.names.index("i"), Q8_TARGETS["i"])
+    _, xi2, l2, _ = eigenvector_program(rep, rep.group.names.index("k"), Q8_TARGETS["k"])
     return covariant_multimeter(rep), xi1, xi2, l1, l2
 
 
@@ -566,12 +554,13 @@ def wh_program_pair(d: int = 3) -> tuple:
     return covariant_multimeter(rep), xi1, xi2, l1, l2
 
 
-def default_random_fixture(seed: int = 0, system_dim: int = 2, probe_dim: int = 4) -> tuple:
-    """Random multimeter plus a random probe-state pair and kernel pair."""
+def default_random_fixture(seed: int = 0) -> tuple:
+    """Random qubit multimeter with a 4-dimensional probe, plus a random
+    probe-state pair and kernel pair."""
     rng = rng_from(seed)
-    mm = random_multimeter(rng, system_dim, probe_dim)
-    xi1 = random_density(rng, probe_dim)
-    xi2 = random_density(rng, probe_dim)
+    mm = random_multimeter(rng, 2, 4)
+    xi1 = random_density(rng, mm.probe_dim)
+    xi2 = random_density(rng, mm.probe_dim)
     n_out = int(rng.integers(2, mm.pointer.n_outcomes + 1))
     l1 = random_postprocessing(rng, mm.pointer.n_outcomes, n_out)
     l2 = random_postprocessing(rng, mm.pointer.n_outcomes, n_out)

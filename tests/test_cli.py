@@ -58,6 +58,15 @@ class TestDemoCommand:
         assert out == ""
         assert json.loads(target.read_text())["check"] == "quaternion_demo"
 
+    @pytest.mark.parametrize("argv", [("demo", "q8"), ("demo", "phase-space", "--dim", "3")])
+    def test_failed_identity_exits_1(self, capsys, monkeypatch, argv):
+        # unmerged observables break the coset-merging identity of either demo
+        monkeypatch.setattr("qmultimeter.verify.post_process_observable", lambda kern, e: e)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("demo failed: identity failed: ")
+
 
 class TestMemoryEnvelope:
     """The largest advertised runs finish under a 1 GiB address-space cap; the
@@ -321,6 +330,66 @@ class TestDivergenceCommand:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("config error:") and too_many in err
+
+
+def refuse_all_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in (
+        "_fixture_for", "phase_space_demo", "quaternion_demo", "verify_prop1", "verify_prop3",
+        "verify_b_properties", "bound_curve", "observable_divergence",
+    ):
+        monkeypatch.setattr(f"qmultimeter.cli.{name}", refuse)
+
+
+class TestIntegerInputs:
+    """Seeds below 0 and config values of the wrong type exit 2 before any work."""
+
+    @pytest.mark.parametrize(
+        "argv,env_seed",
+        [
+            (("verify", "prop1", "--trials", "5", "--seed", "-1"), None),
+            (("verify", "bprops", "--trials", "1", "--seed", "-2"), None),
+            (("verify", "prop3"), "-3"),
+        ],
+        ids=["prop1-flag", "bprops-flag", "prop3-env"],
+    )
+    def test_negative_seed_is_config_error(self, capsys, monkeypatch, argv, env_seed):
+        refuse_all_work(monkeypatch)
+        if env_seed is not None:
+            monkeypatch.setenv("QML_SEED", env_seed)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and "seed" in err
+
+    @pytest.mark.parametrize(
+        "doc,argv",
+        [
+            ({"trials": "many"}, ("verify", "prop1")),
+            ({"dim": [5]}, ("verify", "prop1", "--fixture", "phase-space")),
+            ({"seed": 1.9}, ("verify", "prop1")),
+            ({"trials": True}, ("verify", "prop3")),
+            ({"points": 201.0}, ("bound",)),
+            ({"restarts": "4"}, ("divergence", "--e1", "e1.json", "--e2", "e2.json")),
+            # an integer would be opened as a file descriptor
+            ({"out": 2}, ("bound",)),
+        ],
+        ids=["trials-string", "dim-list", "seed-float", "trials-bool", "points-float",
+             "restarts-string", "out-integer"],
+    )
+    def test_wrongly_typed_config_value_is_config_error(
+        self, tmp_path, capsys, monkeypatch, doc, argv
+    ):
+        refuse_all_work(monkeypatch)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        [key] = doc
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and key in err
 
 
 class TestConfigHandling:

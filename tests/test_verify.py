@@ -2,16 +2,25 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import einsum_margins, sharpmin_oracle
 
 from qmultimeter import verify
-from qmultimeter.divergence import DivergenceOptions
 from qmultimeter.groups import PAULI_Y, covariant_multimeter, weyl_heisenberg
 from qmultimeter.postprocessing import PostProcessing, pp_fidelity
-from qmultimeter.quantum import DensityState, Observable, outcome_distribution, program
-from qmultimeter.sampling import random_density, random_postprocessing, random_povm, rng_from
+from qmultimeter.quantum import DensityState, Observable, fidelity, outcome_distribution, program
+from qmultimeter.sampling import (
+    random_density,
+    random_multimeter,
+    random_postprocessing,
+    random_povm,
+    random_pure_vector,
+    rng_from,
+)
 from qmultimeter.verify import (
     BoundCurve,
+    DemoFailure,
     bound_curve,
     default_random_fixture,
     phase_space_demo,
@@ -48,10 +57,11 @@ class TestProp1:
 
     def test_seeded_reports_reproduce(self):
         mm, xi1, xi2, _, _ = q8_program_pair()
-        a = verify_prop1(mm, xi1, xi2, trials=200, seed=5, keep_records=True)
-        b = verify_prop1(mm, xi1, xi2, trials=200, seed=5, keep_records=True)
-        assert a.worst_margin == b.worst_margin
-        assert a.records == b.records
+        a = verify_prop1(mm, xi1, xi2, trials=200, seed=5).to_dict()
+        b = verify_prop1(mm, xi1, xi2, trials=200, seed=5).to_dict()
+        a.pop("elapsed")
+        b.pop("elapsed")
+        assert a == b
 
     def test_report_shape(self):
         mm, xi1, xi2, _, _ = wh_program_pair(3)
@@ -67,9 +77,10 @@ class TestProp3:
         mm, xi1, xi2, _, _ = q8_program_pair()
         n_out = mm.pointer.n_outcomes
         ident = PostProcessing.identity(n_out)
-        r1 = verify_prop1(mm, xi1, xi2, trials=300, seed=3, keep_records=True)
-        r3 = verify_prop3(mm, xi1, xi2, ident, ident, trials=300, seed=3, keep_records=True)
-        assert np.allclose(r1.records, r3.records, atol=1e-12)
+        r1 = verify_prop1(mm, xi1, xi2, trials=300, seed=3)
+        r3 = verify_prop3(mm, xi1, xi2, ident, ident, trials=300, seed=3)
+        assert r1.worst_margin == r3.worst_margin
+        assert r1.violations == r3.violations
 
     def test_q8_sharp_configuration(self):
         mm, xi1, xi2, l1, l2 = q8_program_pair()
@@ -103,6 +114,57 @@ class TestProp3:
             verify_prop3(mm, xi1, xi2, l1, bad, trials=10, seed=0)
 
 
+def random_device(seed):
+    """A random multimeter on a qubit with a 4-dimensional probe, and an rng to
+    draw probe states from."""
+    rng = rng_from(seed)
+    return random_multimeter(rng, 2, 4), rng
+
+
+class TestBoundaryProperties:
+    """Edge cases of the shared prop1/prop3 check on random devices."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_single_output_kernels(self, seed):
+        # every pointer outcome relabelled to one output: both statistics are 1, so each
+        # margin is 1 - |<v1|v2>| F(xi1, xi2) >= 1 - F(xi1, xi2)
+        mm, rng = random_device(seed)
+        xi1, xi2 = random_density(rng, mm.probe_dim), random_density(rng, mm.probe_dim)
+        one = PostProcessing(np.ones((mm.n_outcomes, 1)))
+        report = verify_prop3(mm, xi1, xi2, one, one, trials=200, seed=seed)
+        assert report.fixtures["kernel_fidelity"] == 1.0
+        assert report.violations == 0
+        assert report.worst_margin >= 1 - fidelity(xi1, xi2) - 1e-12
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_rank_one_probe(self, seed):
+        mm, rng = random_device(seed)
+        v = random_pure_vector(rng, mm.probe_dim)
+        pure = DensityState.from_vector(v)
+        mixed = random_density(rng, mm.probe_dim)
+        l1 = random_postprocessing(rng, mm.n_outcomes, 3)
+        l2 = random_postprocessing(rng, mm.n_outcomes, 3)
+        r1 = verify_prop1(mm, pure, mixed, trials=200, seed=seed)
+        r3 = verify_prop3(mm, pure, mixed, l1, l2, trials=200, seed=seed)
+        assert r1.violations == r3.violations == 0
+        # the fidelity of a pure state with any state is sqrt(<v|xi|v>)
+        overlap = np.sqrt(np.vdot(v, mixed.matrix @ v).real)
+        assert abs(r1.fixtures["program_fidelity"] - overlap) < 1e-9
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_equal_probes(self, seed):
+        # xi1 = xi2 programs one observable: the bound becomes the outcome-
+        # statistics overlap of two pure states against their own overlap
+        mm, rng = random_device(seed)
+        xi = random_density(rng, mm.probe_dim)
+        report = verify_prop1(mm, xi, xi, trials=200, seed=seed)
+        assert abs(report.fixtures["program_fidelity"] - 1.0) < 1e-9
+        assert report.violations == 0
+
+
 def covariant7_random_probes():
     """The d = 7 phase-space device programmed by two random mixed probe states,
     with random 7-output kernels: full-rank programmed effects."""
@@ -122,6 +184,54 @@ FIXTURES = {
     "covariant7": covariant7_random_probes,
 }
 
+# reports at seed 0 and 2000 trials, recorded before prop1 ran as prop3 with
+# identity kernels; elapsed is left out
+PINNED_REPORTS = {
+    ("q8", "prop1"): (0.02057790176435892, {
+        "program_fidelity": 0.7071067811865477, "system_dim": 2, "pointer_outcomes": 8,
+        "tol_check": 1e-09,
+    }),
+    ("q8", "prop3"): (0.042096807239856614, {
+        "program_fidelity": 0.7071067811865477, "kernel_fidelity": 0.0, "system_dim": 2,
+        "kernel_outputs": 2, "tol_check": 1e-09,
+    }),
+    ("wh3", "prop1"): (0.1063413338649506, {
+        "program_fidelity": 0.5773502691896255, "system_dim": 3, "pointer_outcomes": 9,
+        "tol_check": 1e-09,
+    }),
+    ("wh3", "prop3"): (0.27795980131839837, {
+        "program_fidelity": 0.5773502691896255, "kernel_fidelity": 0.0, "system_dim": 3,
+        "kernel_outputs": 3, "tol_check": 1e-09,
+    }),
+    ("random", "prop1"): (0.09915470804916615, {
+        "program_fidelity": 0.8417317565713951, "system_dim": 2, "pointer_outcomes": 4,
+        "tol_check": 1e-09,
+    }),
+    ("random", "prop3"): (0.27119956414055024, {
+        "program_fidelity": 0.8417317565713951, "kernel_fidelity": 0.8286169182416449,
+        "system_dim": 2, "kernel_outputs": 3, "tol_check": 1e-09,
+    }),
+}
+
+
+class TestPinnedReports:
+    """Seeded reports keep their recorded values across versions."""
+
+    @pytest.mark.parametrize("fixture,check", sorted(PINNED_REPORTS))
+    def test_report_matches_recorded_values(self, fixture, check):
+        mm, xi1, xi2, l1, l2 = FIXTURES[fixture]()
+        if check == "prop1":
+            report = verify_prop1(mm, xi1, xi2, trials=2000, seed=0)
+        else:
+            report = verify_prop3(mm, xi1, xi2, l1, l2, trials=2000, seed=0)
+        worst, fixtures = PINNED_REPORTS[fixture, check]
+        assert (report.check, report.seed, report.trials, report.violations) == (check, 0, 2000, 0)
+        assert abs(report.worst_margin - worst) <= 1e-12
+        assert list(report.fixtures) == list(fixtures)
+        for key, value in fixtures.items():
+            assert type(report.fixtures[key]) is type(value), key
+            assert abs(report.fixtures[key] - value) <= 1e-12, key
+
 
 class TestSampledMargins:
     """The batched Born rule against the einsum margin oracle."""
@@ -132,10 +242,12 @@ class TestSampledMargins:
     def test_matches_einsum_oracle(self, fixture, trials, kernels):
         mm, xi1, xi2, l1, l2 = FIXTURES[fixture]()
         e1, e2 = program(mm, xi1), program(mm, xi2)
-        pair = (l1, l2) if kernels else None
-        f_kern = pp_fidelity(l1, l2) if kernels else 1.0
-        got = verify._sampled_margins(e1, e2, trials, 11, 0.7, pair, f_kern)
-        want = einsum_margins(e1, e2, trials, 11, 0.7, pair, f_kern)
+        if not kernels:
+            # the identity relabelling (fidelity 1), against the oracle's kernel-less margins
+            l1 = l2 = PostProcessing.identity(mm.n_outcomes)
+        f_kern = pp_fidelity(l1, l2)
+        got = verify._sampled_margins(e1, e2, trials, 11, 0.7, (l1, l2), f_kern)
+        want = einsum_margins(e1, e2, trials, 11, 0.7, (l1, l2) if kernels else None, f_kern)
         assert got.shape == want.shape == (trials,)
         if trials:
             assert np.max(np.abs(got - want)) < 1e-12
@@ -145,12 +257,14 @@ class TestSampledMargins:
     def test_blocks_leave_margins_unchanged(self, fixture, kernels, monkeypatch):
         mm, xi1, xi2, l1, l2 = FIXTURES[fixture]()
         e1, e2 = program(mm, xi1), program(mm, xi2)
-        pair = (l1, l2) if kernels else None
-        whole = verify._sampled_margins(e1, e2, 500, 11, 0.7, pair)
+        if not kernels:
+            l1 = l2 = PostProcessing.identity(mm.n_outcomes)
+        whole = verify._sampled_margins(e1, e2, 500, 11, 0.7, (l1, l2), 1.0)
         # 500 rows in blocks of 37, the last one short
         width = max(e1.dim**2, e1.n_outcomes)
         monkeypatch.setattr(verify, "SAMPLE_BLOCK", 37 * width + width // 2)
-        assert np.array_equal(verify._sampled_margins(e1, e2, 500, 11, 0.7, pair), whole)
+        blocked = verify._sampled_margins(e1, e2, 500, 11, 0.7, (l1, l2), 1.0)
+        assert np.array_equal(blocked, whole)
 
     def test_covariant7_effects_are_full_rank(self):
         # the mixed probe marginals give full-rank effects, unlike the sharp
@@ -205,27 +319,13 @@ class TestBProperties:
     def test_random_pair_battery(self, rng):
         e1 = random_povm(rng, 2, 3)
         e2 = random_povm(rng, 2, 3)
-        report = verify_b_properties(
-            e1,
-            e2,
-            n=20,
-            seed=0,
-            opts=DivergenceOptions(seed=0, restarts=8),
-            conj_opts=DivergenceOptions(seed=0, restarts=4),
-        )
+        report = verify_b_properties(e1, e2, n=20, seed=0)
         assert report.violations == 0, report.fixtures
         assert report.fixtures["b3_equal_estimate"] is None
 
     def test_equal_pair_hits_b3(self, rng):
         e = random_povm(rng, 2, 3)
-        report = verify_b_properties(
-            e,
-            e,
-            n=5,
-            seed=1,
-            opts=DivergenceOptions(seed=1, restarts=6),
-            conj_opts=DivergenceOptions(seed=1, restarts=4),
-        )
+        report = verify_b_properties(e, e, n=5, seed=1)
         assert report.violations == 0, report.fixtures
         assert report.fixtures["b3_equal_estimate"] >= 1 - 2e-3
         # an estimate of 1 is no near-violation: nothing here is within 1e-4 of failing
@@ -341,6 +441,29 @@ class TestDemos:
         for d in (23, 29):
             with pytest.raises(ValueError, match="desk"):
                 phase_space_demo(d)
+
+
+class TestDemoFailures:
+    """A broken identity inside a demo raises DemoFailure naming it."""
+
+    @pytest.mark.parametrize(
+        "target,fake,demo,identity",
+        [
+            # unmerged observables: the programmed observable keeps every group outcome
+            ("post_process_observable", lambda kern, e: e, quaternion_demo,
+             "coset-merged observable for <i> is the sigma_i PVM"),
+            ("post_process_observable", lambda kern, e: e, lambda: phase_space_demo(3),
+             "coset merging of <(0,1)> has 3 outcomes"),
+            ("sharpmin_bound", lambda t: 0.9, quaternion_demo,
+             "bound at orthogonal axes equals 1/sqrt(2)"),
+        ],
+        ids=["q8-unmerged", "phase-space-unmerged", "q8-bound"],
+    )
+    def test_failed_identity_is_named(self, monkeypatch, target, fake, demo, identity):
+        monkeypatch.setattr(verify, target, fake)
+        with pytest.raises(DemoFailure) as failure:
+            demo()
+        assert str(failure.value) == f"identity failed: {identity}"
 
 
 class TestFixtures:
