@@ -41,9 +41,10 @@ MAX_POINTS = 100_001
 # (prop1; 1.5 s of it sampling) and 5 s (prop3; 0.6 s) and peak at 181 and
 # 162 MiB RSS under a 1 GiB address-space cap, on one BLAS thread of a 2-vCPU VM
 MAX_TRIALS = 50_000
-# verify bprops costs about 0.17 s per trial (on the same VM: 3.3 s at 10 trials,
-# 11.8 s at 60), mostly one divergence re-estimate per trial for its B4 check;
-# its own cap keeps the longest run near 9 minutes
+# verify bprops costs about 0.1 s per trial (on the same VM, one BLAS thread:
+# 3.0-3.3 s at 10 trials, 8.2-9.3 s at 60, 20.1 s at 210), mostly one divergence
+# re-estimate per trial for its B4 check; its own cap keeps the longest run near
+# 5 minutes
 MAX_BPROPS_TRIALS = 3_000
 
 # scalar keys: a config file sets them, QML_SEED overrides the seed, flags override both
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--trials", type=int, default=None,
         help=f"randomized trials (default 1000): at most {MAX_TRIALS} for prop1 and prop3; "
-        f"at most {MAX_BPROPS_TRIALS} for bprops, which takes about 0.17 s per trial",
+        f"at most {MAX_BPROPS_TRIALS} for bprops, which takes about 0.1 s per trial",
     )
     ver.add_argument(
         "--fixture", choices=["random", "q8", "phase-space"], default=None,

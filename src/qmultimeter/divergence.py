@@ -27,8 +27,8 @@ _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
 # each trial point is a * xbar + b * worst, in the order reflection, expansion,
 # outside contraction, inside contraction, with scipy's coefficients
-_TRIAL_XBAR = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI])
-_TRIAL_WORST = np.array([-_RHO, -_RHO * _CHI, -_PSI * _RHO, _PSI])
+_TRIAL_XBAR = np.array([[1 + _RHO], [1 + _RHO * _CHI], [1 + _PSI * _RHO], [1 - _PSI]])
+_TRIAL_WORST = np.array([[-_RHO], [-_RHO * _CHI], [-_PSI * _RHO], [_PSI]])
 
 
 def bhattacharyya(p, q) -> float:
@@ -95,8 +95,9 @@ def _params_from_pair(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
 
 
 def _floored(p: np.ndarray) -> np.ndarray:
-    """Probabilities below ``PROB_FLOOR``, rounding negatives included, read as 0."""
-    return np.where(p < PROB_FLOOR, 0.0, p)
+    """Probabilities below ``PROB_FLOOR``, rounding negatives included, set to 0 in place."""
+    p[p < PROB_FLOOR] = 0.0
+    return p
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,25 +110,30 @@ def _pairs_ratio(stacks: np.ndarray, u: np.ndarray):
     """Overlap of the floored statistics over the fidelity |<u1|u2>| for each
     row of unit-vector pairs ``u`` (m, 2, d), with that fidelity; ``stacks``
     holds the two effect stacks (2, outcomes, d, d)."""
-    dot = _row_dot(u[:, 0].conj(), u[:, 1])
+    bra = u.conj()
+    dot = _row_dot(bra[:, 0], u[:, 1])
     f = np.hypot(dot.real, dot.imag)
-    p = _floored(np.einsum("sti,txij,stj->stx", u.conj(), stacks, u).real)
-    return np.sqrt(p[:, 0] * p[:, 1]).sum(axis=1) / f, f
+    p = _floored(np.einsum("sti,txij,stj->stx", bra, stacks, u).real)
+    overlap = p[:, 0] * p[:, 1]
+    return np.sqrt(overlap, out=overlap).sum(axis=1) / f, f
 
 
 def _population_ratio(stacks: np.ndarray, x: np.ndarray, d: int):
     """The Nelder-Mead objective of every parameter row of ``x`` (m, 4d): the
     ratio where the row is a feasible pair, a penalty elsewhere. Returns the
     values and the feasibility mask."""
-    halves = x.reshape(len(x), 2, 2, d)
-    v = halves[:, :, 0] + 1j * halves[:, :, 1]
-    n = np.sqrt(_row_dot(v.real, v.real) + _row_dot(v.imag, v.imag))
-    with np.errstate(divide="ignore", invalid="ignore"):  # such rows get a penalty
-        ratio, f = _pairs_ratio(stacks, v / n[..., None])
-    unnormed = (n[:, 0] < 1e-12) | (n[:, 1] < 1e-12)
-    feasible = ~unnormed & ~(f < EPS_DEN)
-    penalty = np.where(unnormed, _PENALTY, _PENALTY + (EPS_DEN - f))
-    return np.where(feasible, ratio, penalty), feasible
+    # (m, 2, d, 2): each coordinate's real and imaginary parts side by side,
+    # so the pair of complex vectors is a view and each norm takes the two
+    # strided dots np.linalg.norm takes (BLAS rounds them unlike contiguous ones)
+    interleaved = np.ascontiguousarray(x.reshape(len(x), 2, 2, d).swapaxes(2, 3))
+    parts = interleaved.swapaxes(2, 3)
+    n = np.sqrt(_row_dot(parts, parts).sum(axis=2))
+    ratio, f = _pairs_ratio(stacks, interleaved.view(complex)[..., 0] / n[..., None])
+    unnormed = (n < 1e-12).any(axis=1)
+    infeasible = unnormed | (f < EPS_DEN)
+    # their ratios divided by a norm or fidelity that may be 0
+    ratio[infeasible] = _PENALTY + np.where(unnormed, 0.0, EPS_DEN - f)[infeasible]
+    return ratio, ~infeasible
 
 
 def _clamped(raw: float) -> float:
@@ -150,20 +156,44 @@ def _grid_ratio_min(stack1, stack2, states1, states2):
     """Best ratio over the product of two explicit pure-state collections; the
     first pair attaining it, or inf when every pair is near orthogonal.
 
-    The product is scanned ``GRID_BLOCK`` rows of ``states1`` at a time, so the
-    qubit grid never holds its full ratio matrix.
+    The fidelity of two unit vectors is at most 1, so every ratio is at least
+    its overlap over 1 + 1e-12, and a row whose least overlap exceeds an
+    attained ratio (times 1 + 1e-12) cannot hold the minimum. The first pass
+    takes each row's least overlap; the exact ratios of the row with the
+    smallest set that cap; the second pass computes exact ratios only for the
+    rows at or below it, in ascending order, so the first minimum is the full
+    matrix's. Each pass holds at most ``GRID_BLOCK`` rows of the product.
     """
     sq1 = np.sqrt(_floored(np.einsum("si,xij,sj->sx", states1.conj(), stack1, states1).real))
     sq2 = np.sqrt(_floored(np.einsum("si,xij,sj->sx", states2.conj(), stack2, states2).real)).T
     conj1 = states1.conj()
-    best, arg = np.inf, (0, 0)
+
+    def ratios(rows):
+        b = sq1[rows] @ sq2
+        f = np.abs(conj1[rows] @ states2.T)
+        far = f < EPS_DEN
+        ratio = np.divide(b, np.maximum(f, EPS_DEN, out=f), out=b)
+        ratio[far] = np.inf
+        return ratio
+
+    low = np.empty(len(states1))
+    out = np.empty((min(GRID_BLOCK, len(states1)), sq2.shape[1]))  # reused by every block
     for lo in range(0, len(states1), GRID_BLOCK):
-        b = sq1[lo : lo + GRID_BLOCK] @ sq2
-        f = np.abs(conj1[lo : lo + GRID_BLOCK] @ states2.T)
-        ratio = np.where(f >= EPS_DEN, b / np.maximum(f, EPS_DEN), np.inf)
+        overlap = np.matmul(sq1[lo : lo + GRID_BLOCK], sq2, out=out[: len(states1) - lo])
+        overlap.min(axis=1, out=low[lo : lo + GRID_BLOCK])
+    cap = ratios(np.argmin(low)).min() * (1 + 1e-12)
+    kept = np.flatnonzero(low <= cap)
+    if len(kept) == 1 < len(states1):
+        # numpy multiplies a lone row by matrix-vector BLAS, which may round
+        # unlike the matrix-matrix product of the full scan; a repeat keeps it
+        kept = np.repeat(kept, 2)
+    best, arg = np.inf, (0, 0)
+    # near-equal blocks, so no block after the first holds a lone row
+    for rows in np.array_split(kept, -(-len(kept) // GRID_BLOCK)):
+        ratio = ratios(rows)
         i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
         if ratio[i, j] < best:
-            best, arg = float(ratio[i, j]), (lo + i, j)
+            best, arg = float(ratio[i, j]), (rows[i], j)
     return best, states1[arg[0]], states2[arg[1]]
 
 
@@ -193,9 +223,9 @@ def _lockstep_nelder_mead(fun, x0: np.ndarray, maxiter: int, stop_below: float):
 
     def record(points, values, counted):
         cand = np.where(counted, values, np.inf)
-        i = np.argmin(cand)
-        if cand[i] < best[0]:
-            best[:] = cand[i], points[i].copy()
+        i = cand.argmin()  # a flat index: one point per value, in the order of points
+        if cand.item(i) < best[0]:
+            best[:] = cand.item(i), points[i].copy()
 
     def evaluate(points):
         values, feasible = fun(points)
@@ -208,45 +238,44 @@ def _lockstep_nelder_mead(fun, x0: np.ndarray, maxiter: int, stop_below: float):
     fsim = evaluate(sim.reshape(-1, n)).reshape(p, n + 1)
     for _ in range(2):  # scipy sorts the initial simplex twice; ties may reorder
         sim, fsim = _sorted_simplex(sim, fsim)
-    rows = np.arange(p)
+    r = rows = np.arange(p)  # positions in the live arrays, and the starts they hold
     converged = np.zeros(p, dtype=bool)
     iterations = 1
     while iterations < maxiter and not best[0] < stop_below:
-        done = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= XATOL) & (
-            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= FATOL
-        )
-        if done.any():
-            converged[rows[done]] = True
-            rows, sim, fsim = rows[~done], sim[~done], fsim[~done]
-            if not rows.size:
-                break
-        m = len(rows)
-        r = np.arange(m)
+        done = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= XATOL
+        if np.count_nonzero(done):  # the value tolerance, only where the point one holds
+            done[done] = np.abs(fsim[done, :1] - fsim[done, 1:]).max(axis=1) <= FATOL
+            if np.count_nonzero(done):
+                converged[rows[done]] = True
+                rows, sim, fsim = rows[~done], sim[~done], fsim[~done]
+                if not rows.size:
+                    break
+                r = np.arange(len(rows))
         xbar = np.add.reduce(sim[:, :-1], 1) / n
-        trial = _TRIAL_XBAR[:, None] * xbar[:, None] + _TRIAL_WORST[:, None] * sim[:, -1:]
-        values, feasible = fun(trial.reshape(-1, n))
-        values = values.reshape(m, 4)
+        trial = _TRIAL_XBAR * xbar[:, None] + _TRIAL_WORST * sim[:, -1:]
+        points = trial.reshape(-1, n)
+        values, feasible = fun(points)
+        values, feasible = values.reshape(-1, 4), feasible.reshape(-1, 4)
         fxr = values[:, 0]
         expand = fxr < fsim[:, 0]
-        contract = ~expand & ~(fxr < fsim[:, -2])
+        contract = ~(expand | (fxr < fsim[:, -2]))
         outside = contract & (fxr < fsim[:, -1])
         second = np.where(expand, 1, np.where(outside, 2, 3))
-        counted = np.zeros((m, 4), dtype=bool)
+        moved = expand | contract
+        counted = np.zeros(values.shape, dtype=bool)
         counted[:, 0] = True
-        counted[r, second] = expand | contract
-        record(trial.reshape(-1, n), values.ravel(), feasible & counted.ravel())
+        counted[r, second] = moved
+        record(points, values, feasible & counted)
+        # an expansion must beat the reflection, an outside contraction match
+        # it, an inside contraction beat the worst vertex
         f2 = values[r, second]
-        take2 = (
-            (expand & (f2 < fxr))
-            | (outside & (f2 <= fxr))
-            | (contract & ~outside & (f2 < fsim[:, -1]))
-        )
+        take2 = moved & np.where(outside, f2 <= fxr, f2 < np.where(expand, fxr, fsim[:, -1]))
         shrink = contract & ~take2
-        keep = ~shrink
+        keep = (~shrink).nonzero()[0]
         pick = np.where(take2, second, 0)[keep]
-        sim[keep, -1] = trial[r[keep], pick]
-        fsim[keep, -1] = values[r[keep], pick]
-        if shrink.any():
+        sim[keep, -1] = trial[keep, pick]
+        fsim[keep, -1] = values[keep, pick]
+        if len(keep) < len(r):
             s = sim[shrink]
             s[:, 1:] = s[:, :1] + _SIGMA * (s[:, 1:] - s[:, :1])
             sim[shrink] = s
@@ -257,7 +286,7 @@ def _lockstep_nelder_mead(fun, x0: np.ndarray, maxiter: int, stop_below: float):
 
 
 def _sorted_simplex(sim, fsim):
-    ind = np.argsort(fsim, axis=1)
+    ind = fsim.argsort(axis=1)
     r = np.arange(len(fsim))[:, None]
     return sim[r, ind], fsim[r, ind]
 
@@ -326,12 +355,14 @@ def observable_divergence(
 
     converged = np.zeros(0, dtype=bool)
     if starts:
-        converged, value, x = _lockstep_nelder_mead(
-            lambda points: _population_ratio(stacks, points, d),
-            np.array(starts, dtype=float),
-            opts.maxiter,
-            ZERO_TOL,
-        )
+        # the objective divides by the zero norms and fidelities of rows it penalises
+        with np.errstate(divide="ignore", invalid="ignore"):
+            converged, value, x = _lockstep_nelder_mead(
+                lambda points: _population_ratio(stacks, points, d),
+                np.array(starts, dtype=float),
+                opts.maxiter,
+                ZERO_TOL,
+            )
         if x is not None:
             consider(value, *_pair_from_params(x, d))
 

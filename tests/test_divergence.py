@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmultimeter import divergence
 from qmultimeter.divergence import (
@@ -18,6 +23,7 @@ from qmultimeter.sampling import random_povm, random_pvm, random_unitary
 from oracles import (
     bloch_grid_infimum,
     full_grid_ratio_min,
+    pure_fidelity,
     scipy_multistart_divergence,
     smeared_qubit_observable,
 )
@@ -280,3 +286,174 @@ class TestGridScanBlocks:
         value, _, _ = divergence._grid_ratio_min(s, s, up, down)
         assert value == np.inf
         assert full_grid_ratio_min(s, s, up, down)[0] == np.inf
+
+    def test_zero_witness_from_eigenvectors(self):
+        # cap 0: only rows with an exact-zero overlap are scanned exactly
+        a, b = sigma_z_pvm(), sigma_x_pvm()
+        s1, s2 = np.stack(a.effects), np.stack(b.effects)
+        states1 = divergence._top_eigenvectors(a.effects)
+        states2 = divergence._top_eigenvectors(b.effects)
+        ref = full_grid_ratio_min(s1, s2, states1, states2)
+        assert ref[0] == 0.0
+        self._assert_same(divergence._grid_ratio_min(s1, s2, states1, states2), ref)
+
+    def test_sharp_pair_on_the_bloch_grid(self):
+        # the grid holds no x eigenvector, so its minimum is small but not 0;
+        # with the two appended after it, every |0> row of the grid has a zero
+        a, b = sigma_z_pvm(), sigma_x_pvm()
+        s1, s2 = np.stack(a.effects), np.stack(b.effects)
+        grid = divergence._bloch_states(divergence.BLOCH_GRID, divergence.BLOCH_GRID)
+        ref = full_grid_ratio_min(s1, s2, grid, grid)
+        assert 0.0 < ref[0] < 0.1
+        self._assert_same(divergence._grid_ratio_min(s1, s2, grid, grid), ref)
+        states2 = np.concatenate([grid, divergence._top_eigenvectors(b.effects)])
+        ref = full_grid_ratio_min(s1, s2, grid, states2)
+        assert ref[0] == 0.0
+        self._assert_same(divergence._grid_ratio_min(s1, s2, grid, states2), ref)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_observables_tie_near_one(self, seed):
+        # every (v, v) pair scores 1 within a few ulps, so the first minimum
+        # decides which pair is returned
+        e = random_povm(np.random.default_rng([5, seed]), 2, 3)
+        s = np.stack(e.effects)
+        grid = divergence._bloch_states(divergence.BLOCH_GRID, divergence.BLOCH_GRID)
+        ref = full_grid_ratio_min(s, s, grid, grid)
+        assert abs(ref[0] - 1.0) < 1e-9
+        self._assert_same(divergence._grid_ratio_min(s, s, grid, grid), ref)
+
+    def test_lowest_bound_row_orthogonal_to_every_state(self, rng):
+        # the row with the least overlap is near orthogonal to every state of
+        # the second collection, so its ratios are all inf and no row is pruned
+        s = np.stack(sigma_z_pvm().effects)
+        states1 = _random_states(rng, GRID_BLOCK + 20)
+        states1[37] = [0.0, 1.0]
+        states2 = np.tile([1.0 + 0j, 0.0], (50, 1))
+        states2[1:] *= np.exp(1j * rng.uniform(0, 2 * np.pi, (49, 1)))
+        sq = lambda states: np.sqrt(np.einsum("si,xij,sj->sx", states.conj(), s, states).real.clip(0))
+        low = (sq(states1) @ sq(states2).T).min(axis=1)
+        assert np.argmin(low) == 37
+        assert np.abs(states1[37].conj() @ states2.T).max() < divergence.EPS_DEN
+        ref = full_grid_ratio_min(s, s, states1, states2)
+        assert ref[0] < np.inf
+        self._assert_same(divergence._grid_ratio_min(s, s, states1, states2), ref)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duplicate_pole_states_of_the_grid(self, seed):
+        # the grid's first BLOCH_GRID states are all |0>: equal bounds, equal
+        # ratios, and the first of them must win
+        rng = np.random.default_rng([6, seed])
+        e1, e2 = random_povm(rng, 2, 3), random_povm(rng, 2, 3)
+        s1, s2 = np.stack(e1.effects), np.stack(e2.effects)
+        grid = divergence._bloch_states(divergence.BLOCH_GRID, divergence.BLOCH_GRID)
+        poles = grid[: divergence.BLOCH_GRID]
+        assert (poles == poles[0]).all()
+        for states1 in (poles, np.concatenate([poles, grid[[700, 1100]]])):
+            ref = full_grid_ratio_min(s1, s2, states1, grid)
+            self._assert_same(divergence._grid_ratio_min(s1, s2, states1, grid), ref)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 300), st.integers(1, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_random_collections_match_full_matrix(self, seed, outcomes, n1, n2):
+        rng = np.random.default_rng(seed)
+        e1, e2 = random_povm(rng, 2, outcomes), random_povm(rng, 2, outcomes)
+        s1, s2 = np.stack(e1.effects), np.stack(e2.effects)
+        states1, states2 = _random_states(rng, n1), _random_states(rng, n2)
+        self._assert_same(
+            divergence._grid_ratio_min(s1, s2, states1, states2),
+            full_grid_ratio_min(s1, s2, states1, states2),
+        )
+
+
+class _Captured(Exception):
+    pass
+
+
+def _oracle_objective(monkeypatch, e1, e2):
+    """The scalar objective ``scipy_multistart_divergence`` hands to scipy."""
+    captured = []
+
+    def capture(fun, x0, **kwargs):
+        captured.append(fun)
+        raise _Captured
+
+    monkeypatch.setattr(oracles, "minimize", capture)
+    with pytest.raises(_Captured):
+        scipy_multistart_divergence(e1, e2, DivergenceOptions(restarts=1))
+    return captured[0]
+
+
+def _boundary_rows(rng, d):
+    """Parameter rows (m, 4d) around the feasibility boundary, with the mask
+    each should get: pairs with fidelity just below, at and just above
+    ``EPS_DEN``, and halves that are zero or just below or above the norm cut."""
+    u = random_unitary(rng, d)
+    e0, e1 = u[:, 0], u[:, 1]
+    eps = divergence.EPS_DEN
+    pairs, mask = [], []
+    for t, ok in ((eps * (1 - 1e-3), False), (eps * (1 + 1e-3), True), (0.0, False), (0.5, True)):
+        pairs.append((3.0 * e0, -0.7j * (t * e0 + e1)))
+        mask.append(ok)
+    pairs.append((np.eye(d)[0], eps * np.eye(d)[0] + np.eye(d)[1]))  # fidelity exactly EPS_DEN
+    mask.append(True)
+    for scale, ok in ((0.0, False), (5e-13, False), (2e-12, True)):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        pairs += [(scale * v / np.linalg.norm(v), w), (w, scale * v / np.linalg.norm(v))]
+        mask += [ok, ok]
+    x = np.array([np.concatenate([a.real, a.imag, b.real, b.imag]) for a, b in pairs])
+    return x, np.array(mask)
+
+
+class TestPopulationBoundary:
+    """The population objective on rows near ``EPS_DEN`` and the norm cut,
+    against the oracle's scalar objective."""
+
+    @pytest.mark.parametrize("d, outcomes", [(2, 2), (2, 3), (3, 3), (4, 2)])
+    def test_matches_scalar_objective_bit_for_bit(self, monkeypatch, d, outcomes):
+        rng = np.random.default_rng([d, outcomes, 9])
+        e1, e2 = random_povm(rng, d, outcomes), random_povm(rng, d, outcomes)
+        objective = _oracle_objective(monkeypatch, e1, e2)
+        x, mask = _boundary_rows(rng, d)
+        x = np.concatenate([x, rng.standard_normal((7, 4 * d))])
+        mask = np.concatenate([mask, np.ones(7, dtype=bool)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values, feasible = divergence._population_ratio(np.stack([e1.effects, e2.effects]), x, d)
+        assert np.array_equal(feasible, mask)
+        for row, value in zip(x, values):
+            assert np.float64(objective(row)).tobytes() == value.tobytes()
+
+    def test_boundary_fidelities(self):
+        # the rows straddle EPS_DEN by construction; check where they landed
+        x, mask = _boundary_rows(np.random.default_rng(3), 2)
+        fid = [pure_fidelity(*divergence._pair_from_params(row, 2)) for row in x[:5]]
+        eps = divergence.EPS_DEN
+        assert fid[0] < eps < fid[1] and fid[2] < 1e-15 and fid[4] == eps
+        assert list(mask[:5]) == [False, True, False, True, True]
+
+    def test_penalty_rows_raise_no_warning(self, monkeypatch):
+        # every population call of the estimator also evaluates a zero half and
+        # an orthogonal pair, whose divisions by zero are silenced around the search
+        e1, e2, opts = _b4_pair(0)
+        stacks = np.stack([e1.effects, e2.effects])
+        penalty_rows = np.array([[0.0, 0, 0, 0, 1, 0, 0, 0], [1.0, 0, 0, 0, 0, 1, 0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning):
+                divergence._population_ratio(stacks, penalty_rows, 2)
+        original = divergence._population_ratio
+        calls = []
+
+        def with_penalty_rows(stacks, x, d):
+            values, feasible = original(stacks, penalty_rows, d)
+            assert not feasible.any() and (values == divergence._PENALTY + np.array([0, 1e-8])).all()
+            calls.append(len(x))
+            return original(stacks, x, d)
+
+        ref = observable_divergence(e1, e2, opts)
+        monkeypatch.setattr(divergence, "_population_ratio", with_penalty_rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = observable_divergence(e1, e2, opts)
+        assert calls
+        assert est.value == ref.value and est.converged == ref.converged
