@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,7 @@ PROB_CLIP = 1e-12        # outcome probabilities this far below zero are noise
 
 @dataclass(eq=False)
 class DensityState:
-    """Positive unit-trace matrix.
+    """Positive unit-trace matrix, kept as a read-only view.
 
     Tiny negative eigenvalue mass (below ``NEG_MASS_TOL``) from upstream
     arithmetic is re-projected onto the PSD cone and the trace renormalized;
@@ -46,7 +47,9 @@ class DensityState:
             w = np.clip(w, 0.0, None)
             m = (v * w) @ v.conj().T
             m = hermitianize(m / float(np.trace(m).real))
-        self.matrix = m
+        # a read-only view: an array taken without a copy stays writable to its owner
+        self.matrix = m.view()
+        self.matrix.flags.writeable = False
 
     @classmethod
     def from_vector(cls, psi) -> "DensityState":
@@ -64,6 +67,13 @@ class DensityState:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """The read-only square root ``_state_root(matrix)``, computed on first read."""
+        root = _state_root(self.matrix)
+        root.flags.writeable = False
+        return root
 
     def transpose(self) -> "DensityState":
         """Transpose in the fixed computational basis (still a valid state)."""
@@ -368,11 +378,12 @@ def fidelity(rho1: DensityState, rho2: DensityState) -> float:
     """State fidelity tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), in [0, 1].
 
     Evaluated as the trace norm of the product of the two state roots, which
-    is the same quantity with far better behavior on pure states.
+    is the same quantity with far better behavior on pure states. Each state
+    computes its root once (``DensityState.root``).
     """
     if rho1.dim != rho2.dim:
         raise ValueError("states must share a dimension")
-    prod = _state_root(rho1.matrix) @ _state_root(rho2.matrix)
+    prod = rho1.root @ rho2.root
     val = float(np.linalg.svd(prod, compute_uv=False).sum())
     return min(max(val, 0.0), 1.0)
 

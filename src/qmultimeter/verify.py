@@ -3,6 +3,7 @@ and the quaternion / finite-phase-space demonstration pipelines."""
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -147,10 +148,37 @@ def _born_statistics(coords: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.maximum(q, 0.0, out=q)
 
 
+def _integer_seed(seed) -> int:
+    """``seed`` as a Python int. A bool, a float, a Generator or any other
+    non-integer is refused by type, so the draws are keyed, and the reports
+    written, by value."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
+    return int(seed)
+
+
+@functools.lru_cache(maxsize=1)
+def _sampled_pairs(seed: int, trials: int, d1: int, d2: int) -> tuple:
+    """Seeded random pure pairs: read-only unit rows v1 (trials, d1) and
+    v2 (trials, d2), all of v1 drawn first, and their overlaps |<v1|v2>|.
+
+    The last draw is kept, so a ``verify_prop3`` that follows a
+    ``verify_prop1`` with the same seed, trials and dimensions reuses it."""
+    rng = rng_from(seed)
+    vectors = []
+    for d in (d1, d2):
+        v = rng.standard_normal((trials, d)) + 1j * rng.standard_normal((trials, d))
+        vectors.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+    f_states = np.abs((vectors[0].conj() * vectors[1]).sum(axis=1))
+    for a in (*vectors, f_states):
+        a.flags.writeable = False
+    return vectors[0], vectors[1], f_states
+
+
 def _sampled_margins(e1, e2, trials, seed, f_prog, kernels, f_kern) -> np.ndarray:
     """Margins B(q1, q2) - |<v1|v2>| * f_prog * f_kern over seeded random pure
-    pairs (v1, v2), where q_k is the statistics of e_k at v_k, relabelled by
-    ``kernels[k]``.
+    pairs (v1, v2) from ``_sampled_pairs``, where q_k is the statistics of e_k
+    at v_k, relabelled by ``kernels[k]``.
 
     For a Hermitian effect E the Born rule is one real dot product over d^2
     coordinates:  <v|E|v> = sum_i |v_i|^2 E_ii + sum_{i<j} 2 Re(conj(v_i) v_j) Re E_ij
@@ -161,18 +189,12 @@ def _sampled_margins(e1, e2, trials, seed, f_prog, kernels, f_kern) -> np.ndarra
     An identity kernel leaves the coordinates, and so the margins, bit for bit
     unchanged.
 
-    All of e1's vectors are drawn, then all of e2's; the statistics and margins
-    are then computed for blocks of ``SAMPLE_BLOCK // max(d^2, outcomes)`` trials,
-    so memory does not grow with trials. A block's statistics are one real
+    The statistics and margins are computed for blocks of
+    ``SAMPLE_BLOCK // max(d^2, outcomes)`` trials, so memory beyond the draws
+    does not grow with trials. A block's statistics are one real
     (rows, d^2) by (d^2, outcomes) product per side, in ``_born_statistics``.
     """
-    rng = rng_from(seed)
-    vectors = []
-    for e in (e1, e2):
-        d = e.dim
-        v = rng.standard_normal((trials, d)) + 1j * rng.standard_normal((trials, d))
-        vectors.append(v / np.linalg.norm(v, axis=1, keepdims=True))
-    f_states = np.abs((vectors[0].conj() * vectors[1]).sum(axis=1))
+    *vectors, f_states = _sampled_pairs(seed, trials, e1.dim, e2.dim)
     width = max(max(e.dim**2, e.n_outcomes) for e in (e1, e2))
     rows = max(1, SAMPLE_BLOCK // width)
     coords = [kern.kernel.T @ _effect_coordinates(e.effects) for kern, e in zip(kernels, (e1, e2))]
@@ -226,6 +248,7 @@ def verify_prop1(
     This is the post-processing assisted bound with the identity relabelling on
     both sides, whose kernel fidelity is 1."""
     t0 = time.perf_counter()
+    seed = _integer_seed(seed)
     ident = PostProcessing.identity(multimeter.n_outcomes)
     margins, f_prog, _ = _programmed_margins(multimeter, xi1, xi2, ident, ident, trials, seed)
     fixtures = {
@@ -249,6 +272,7 @@ def verify_prop3(
 ) -> VerificationReport:
     """Check the post-processing assisted bound with the kernel fidelity folded in."""
     t0 = time.perf_counter()
+    seed = _integer_seed(seed)
     margins, f_prog, f_kern = _programmed_margins(multimeter, xi1, xi2, l1, l2, trials, seed)
     fixtures = {
         "program_fidelity": f_prog,

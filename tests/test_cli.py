@@ -73,7 +73,8 @@ class TestMemoryEnvelope:
     limit is set in the child only."""
 
     @staticmethod
-    def _run_capped(*argv):
+    def _python_capped(*argv):
+        """Run ``python *argv`` under the cap and parse its JSON stdout."""
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -81,11 +82,15 @@ class TestMemoryEnvelope:
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-m", "qmultimeter", *argv],
+            [sys.executable, *argv],
             env=env, preexec_fn=cap, capture_output=True, text=True, timeout=600,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         return json.loads(proc.stdout)
+
+    @classmethod
+    def _run_capped(cls, *argv):
+        return cls._python_capped("-m", "qmultimeter", *argv)
 
     def test_largest_phase_space_demo_fits_one_gib(self):
         doc = self._run_capped("demo", "phase-space", "--dim", CAP)
@@ -98,6 +103,23 @@ class TestMemoryEnvelope:
             "--trials", str(MAX_TRIALS),
         )
         assert doc["trials"] == MAX_TRIALS and doc["violations"] == 0
+
+    def test_prop3_after_prop1_on_the_largest_phase_space_fits_one_gib(self):
+        # prop3 reuses prop1's seeded draws, which stay cached beside its own arrays
+        docs = self._python_capped("-c", (
+            "import json\n"
+            "from qmultimeter import verify\n"
+            "from qmultimeter.cli import MAX_TRIALS\n"
+            "mm, xi1, xi2, l1, l2 = verify.wh_program_pair(verify.PHASE_SPACE_MAX_DIM)\n"
+            "r1 = verify.verify_prop1(mm, xi1, xi2, trials=MAX_TRIALS, seed=0)\n"
+            "r3 = verify.verify_prop3(mm, xi1, xi2, l1, l2, trials=MAX_TRIALS, seed=0)\n"
+            "hits = verify._sampled_pairs.cache_info().hits\n"
+            "print(json.dumps([r1.to_dict(), r3.to_dict(), hits]))\n"
+        ))
+        r1, r3, hits = docs
+        assert hits == 1
+        for doc in (r1, r3):
+            assert doc["trials"] == MAX_TRIALS and doc["violations"] == 0
 
     @pytest.mark.parametrize("dim", [str(PHASE_SPACE_MAX_DIM + 1), PRIME_PAST_CAP])
     @pytest.mark.parametrize("argv", [("demo", "phase-space"),

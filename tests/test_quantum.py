@@ -48,6 +48,17 @@ from qmultimeter.verify import phase_space_demo
 I2 = np.eye(2, dtype=complex)
 
 
+def repaired_state(rng, d: int) -> DensityState:
+    """A state built from a matrix with 5e-10 of negative eigenvalue mass, which
+    the constructor re-projects onto the PSD cone."""
+    w = rng.dirichlet(np.ones(d))
+    w[-1] = -5e-10
+    u = random_unitary(rng, d)
+    m = hermitianize((u * (w / w.sum())) @ u.conj().T)
+    assert np.linalg.eigvalsh(m).min() < -1e-10
+    return DensityState(m)
+
+
 class TestDensityState:
     def test_valid_state(self):
         s = DensityState(np.diag([0.25, 0.75]))
@@ -75,6 +86,33 @@ class TestDensityState:
     def test_from_vector_normalizes(self):
         s = DensityState.from_vector([2.0, 0.0])
         assert np.allclose(s.matrix, np.diag([1.0, 0.0]))
+
+    def test_matrix_is_read_only(self, rng):
+        s = random_density(rng, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            s.matrix[0, 0] = 1.0
+
+    def test_constructor_array_stays_writable(self):
+        m = np.diag([0.25, 0.75]).astype(complex)
+        s = DensityState(m)
+        assert m.flags.writeable and not s.matrix.flags.writeable
+        m[0, 1] = 0.0
+
+    @pytest.mark.parametrize("build", ["transpose", "from_vector", "maximally_mixed", "repaired"])
+    def test_derived_states_are_valid(self, rng, build):
+        if build == "transpose":
+            s = random_density(rng, 3).transpose()
+        elif build == "from_vector":
+            s = DensityState.from_vector(random_pure_vector(rng, 3))
+        elif build == "maximally_mixed":
+            s = DensityState.maximally_mixed(3)
+        else:
+            s = repaired_state(rng, 3)
+        m = s.matrix
+        assert not m.flags.writeable
+        assert np.max(np.abs(m - m.conj().T)) <= 1e-15
+        assert abs(np.trace(m).real - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(m).min() >= -1e-12
 
 
 class TestObservable:
@@ -393,6 +431,38 @@ class TestFidelity:
             a, b = random_density(rng, 3), random_density(rng, 3)
             ch = random_channel(rng, 3, n_kraus=2)
             assert fidelity(a, b) <= fidelity(apply_channel(ch, a), apply_channel(ch, b)) + 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 49])
+    def test_cached_roots_equal_the_direct_formula_bit_for_bit(self, rng, d):
+        rank = max(1, d // 2)
+        v = np.array([random_pure_vector(rng, d) for _ in range(rank)]).T
+        states = [
+            DensityState.from_vector(random_pure_vector(rng, d)),
+            random_density(rng, d),
+            DensityState((v * rng.dirichlet(np.ones(rank))) @ v.conj().T),
+            repaired_state(rng, d),
+        ]
+        for a in states:
+            for b in states:
+                prod = quantum._state_root(a.matrix) @ quantum._state_root(b.matrix)
+                direct = min(max(float(np.linalg.svd(prod, compute_uv=False).sum()), 0.0), 1.0)
+                assert fidelity(a, b) == direct
+                assert fidelity(a, b) == direct
+        assert all(not s.root.flags.writeable for s in states)
+
+    def test_each_state_takes_its_root_once(self, rng, monkeypatch):
+        roots = []
+
+        def counted(m):
+            roots.append(m)
+            return original(m)
+
+        original = quantum._state_root
+        monkeypatch.setattr(quantum, "_state_root", counted)
+        a, b, c = (random_density(rng, 3) for _ in range(3))
+        for x, y in ((a, b), (b, a), (a, c), (a, a), (c, b), (a, b)):
+            fidelity(x, y)
+        assert len(roots) == 3
 
 
 class TestChannels:

@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -479,3 +480,112 @@ class TestFixtures:
         # probe states eta x seed^T of unbiased seeds: fidelity follows the
         # seed overlap since the eta factor is shared
         assert abs(report.fixtures["program_fidelity"] - 1 / np.sqrt(3)) < 1e-9
+
+
+def run_check(which, fixture, trials, seed):
+    mm, xi1, xi2, l1, l2 = FIXTURES[fixture]()
+    if which == "prop1":
+        return verify_prop1(mm, xi1, xi2, trials=trials, seed=seed)
+    return verify_prop3(mm, xi1, xi2, l1, l2, trials=trials, seed=seed)
+
+
+def payload(report) -> dict:
+    doc = report.to_dict()
+    doc.pop("elapsed")
+    return doc
+
+
+class TestSeeds:
+    """Seeds are integers: the draws are keyed, and the reports written, by value."""
+
+    @pytest.mark.parametrize("which", ["prop1", "prop3"])
+    @pytest.mark.parametrize(
+        "seed,name",
+        [(True, "bool"), (2.0, "float"), (np.random.default_rng(0), "Generator")],
+        ids=["bool", "float", "generator"],
+    )
+    def test_non_integer_seed_rejected_before_any_work(self, monkeypatch, which, seed, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the check started before the seed was checked")
+
+        monkeypatch.setattr(verify, "program", refuse)
+        monkeypatch.setattr(verify, "_sampled_pairs", refuse)
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {name}$"):
+            run_check(which, "q8", 10, seed)
+
+    @pytest.mark.parametrize("which", ["prop1", "prop3"])
+    def test_numpy_integer_seed_gives_the_int_payload(self, which):
+        as_int = payload(run_check(which, "q8", 300, 7))
+        verify._sampled_pairs.cache_clear()
+        as_numpy = payload(run_check(which, "q8", 300, np.int64(7)))
+        assert type(as_numpy["seed"]) is int
+        assert json.dumps(as_numpy) == json.dumps(as_int)
+
+
+class TestSampledPairsCache:
+    """A prop3 after a prop1 with the same seed, trials and dimensions reuses
+    the draws; a hit and a cold call give the same values bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        verify._sampled_pairs.cache_clear()
+        yield
+        verify._sampled_pairs.cache_clear()
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    def test_prop3_after_prop1_matches_cold_prop3(self, fixture):
+        mm, xi1, xi2, l1, l2 = FIXTURES[fixture]()
+        verify_prop1(mm, xi1, xi2, trials=700, seed=4)
+        hits = verify._sampled_pairs.cache_info().hits
+        hot = payload(verify_prop3(mm, xi1, xi2, l1, l2, trials=700, seed=4))
+        assert verify._sampled_pairs.cache_info().hits == hits + 1
+        verify._sampled_pairs.cache_clear()
+        cold = payload(verify_prop3(mm, xi1, xi2, l1, l2, trials=700, seed=4))
+        assert verify._sampled_pairs.cache_info().hits == 0
+        assert hot == cold
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    def test_margins_from_hit_and_cold_call_are_byte_equal(self, fixture):
+        mm, xi1, xi2, l1, l2 = FIXTURES[fixture]()
+        e1, e2 = program(mm, xi1), program(mm, xi2)
+        cold = verify._sampled_margins(e1, e2, 500, 11, 0.7, (l1, l2), 0.9)
+        hit = verify._sampled_margins(e1, e2, 500, 11, 0.7, (l1, l2), 0.9)
+        info = verify._sampled_pairs.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert hit.tobytes() == cold.tobytes()
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    @pytest.mark.parametrize("change", ["seed", "trials", "dim"])
+    def test_other_seed_trials_or_dim_misses(self, fixture, change):
+        d = FIXTURES[fixture]()[0].system_dim
+        key = {"seed": 4, "trials": 60, "d1": d, "d2": d}
+        first = verify._sampled_pairs(**key)
+        if change == "dim":
+            key["d1"] = key["d2"] = d + 1
+        else:
+            key[change] += 1
+        second = verify._sampled_pairs(**key)
+        info = verify._sampled_pairs.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
+        assert all(b is not a for a, b in zip(first, second))
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    def test_cached_arrays_are_read_only(self, fixture):
+        d = FIXTURES[fixture]()[0].system_dim
+        for a in verify._sampled_pairs(4, 60, d, d):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    def test_vectors_equal_a_fresh_seeded_draw(self, fixture):
+        d = FIXTURES[fixture]()[0].system_dim
+        v1, v2, f_states = verify._sampled_pairs(4, 60, d, d)
+        rng = rng_from(4)
+        fresh = []
+        for _ in range(2):
+            v = rng.standard_normal((60, d)) + 1j * rng.standard_normal((60, d))
+            fresh.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+        assert v1.tobytes() == fresh[0].tobytes()
+        assert v2.tobytes() == fresh[1].tobytes()
+        assert f_states.tobytes() == np.abs((fresh[0].conj() * fresh[1]).sum(axis=1)).tobytes()
