@@ -5,30 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# unused here; perfbench/tracing.py patches divergence.minimize on every traced run
-from scipy.optimize import minimize  # noqa: F401
+from scipy.optimize import minimize
 
 from .quantum import DensityState, Observable, fidelity, outcome_distribution
 
 EPS_DEN = 1e-8        # state pairs closer to orthogonal than this are excluded
 ZERO_TOL = 1e-10      # any evaluated ratio below this certifies an exact zero
-PROB_FLOOR = 1e-13    # probabilities below this are treated as exact zeros
+PROB_FLOOR = 1e-13    # candidate-scan probabilities below this are treated as exact zeros
 BLOCH_GRID = 40       # per-angle resolution of the qubit grid scan
-FATOL = 1e-9          # Nelder-Mead tolerances on the objective and the parameters
-XATOL = 1e-7
+GTOL = 1e-10          # L-BFGS-B projected-gradient tolerance (most runs stop on its
+                      # relative-reduction test first)
 CLAMP_HI = 1.0 + 1e-9
-MAX_RESTARTS = 4096   # the lockstep search holds (restarts + 2) simplices of 4d + 1 points
+MAX_RESTARTS = 4096   # each start is one L-BFGS-B run: the cap bounds time, not memory
 GRID_BLOCK = 128      # rows of the first collection per block of a candidate scan
-_PENALTY = 1e6
-# scipy's non-adaptive Nelder-Mead: reflection, expansion, contraction and
-# shrink coefficients, and the initial simplex steps
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-_NONZDELT, _ZDELT = 0.05, 0.00025
-# each trial point is a * xbar + b * worst, in the order reflection, expansion,
-# outside contraction, inside contraction, with scipy's coefficients
-_TRIAL_XBAR = np.array([[1 + _RHO], [1 + _RHO * _CHI], [1 + _PSI * _RHO], [1 - _PSI]])
-_TRIAL_WORST = np.array([[-_RHO], [-_RHO * _CHI], [-_PSI * _RHO], [_PSI]])
 
 
 def bhattacharyya(p, q) -> float:
@@ -80,18 +69,16 @@ class DivergenceEstimate:
     seed: int
 
 
-def _pair_from_params(x: np.ndarray, d: int):
-    v1 = x[:d] + 1j * x[d : 2 * d]
-    v2 = x[2 * d : 3 * d] + 1j * x[3 * d :]
-    n1 = np.linalg.norm(v1)
-    n2 = np.linalg.norm(v2)
-    if n1 < 1e-12 or n2 < 1e-12:
-        return None, None
-    return v1 / n1, v2 / n2
+def _pair_from_params(x: np.ndarray) -> np.ndarray:
+    """The unit vectors (2, d) of the parameter row ``x`` of a feasible pair."""
+    v = x.view(complex).reshape(2, -1)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def _params_from_pair(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    return np.concatenate([v1.real, v1.imag, v2.real, v2.imag])
+    """The 4d real parameters of a pair: the real and imaginary part of each
+    coordinate side by side, so that the parameters view as the two vectors."""
+    return np.concatenate([v1, v2]).astype(complex).view(float)
 
 
 def _floored(p: np.ndarray) -> np.ndarray:
@@ -100,40 +87,49 @@ def _floored(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a stacked vector product is one BLAS dot per row, the call np.vdot and
-    # np.linalg.norm make for a single vector, so every row rounds as they do
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+def _effect_roots(stacks: np.ndarray) -> tuple:
+    """Factors L with E = L L^dagger of every effect in ``stacks`` (..., d, d),
+    from its eigendecomposition with negative rounding eigenvalues set to 0,
+    and their adjoints."""
+    w, v = np.linalg.eigh(stacks)
+    root = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    return root, np.ascontiguousarray(root.conj().swapaxes(-1, -2))
 
 
-def _pairs_ratio(stacks: np.ndarray, u: np.ndarray):
-    """Overlap of the floored statistics over the fidelity |<u1|u2>| for each
-    row of unit-vector pairs ``u`` (m, 2, d), with that fidelity; ``stacks``
-    holds the two effect stacks (2, outcomes, d, d)."""
-    bra = u.conj()
-    dot = _row_dot(bra[:, 0], u[:, 1])
-    f = np.hypot(dot.real, dot.imag)
-    p = _floored(np.einsum("sti,txij,stj->stx", bra, stacks, u).real)
-    overlap = p[:, 0] * p[:, 1]
-    return np.sqrt(overlap, out=overlap).sum(axis=1) / f, f
+def _ratio_gradient(x: np.ndarray, roots: tuple):
+    """The unfloored ratio B(p1, p2) / |<v1|v2>| at the pair of unnormalised
+    vectors z1, z2 held in ``x`` (as ``_params_from_pair`` lays them out) and
+    its gradient in ``x``; ``None`` where a vector's norm is below 1e-12 or
+    the fidelity below ``EPS_DEN``. ``roots`` holds the factors of the two
+    effect stacks (2, outcomes, d, d), as ``_effect_roots`` returns them.
 
-
-def _population_ratio(stacks: np.ndarray, x: np.ndarray, d: int):
-    """The Nelder-Mead objective of every parameter row of ``x`` (m, 4d): the
-    ratio where the row is a feasible pair, a penalty elsewhere. Returns the
-    values and the feasibility mask."""
-    # (m, 2, d, 2): each coordinate's real and imaginary parts side by side,
-    # so the pair of complex vectors is a view and each norm takes the two
-    # strided dots np.linalg.norm takes (BLAS rounds them unlike contiguous ones)
-    interleaved = np.ascontiguousarray(x.reshape(len(x), 2, 2, d).swapaxes(2, 3))
-    parts = interleaved.swapaxes(2, 3)
-    n = np.sqrt(_row_dot(parts, parts).sum(axis=2))
-    ratio, f = _pairs_ratio(stacks, interleaved.view(complex)[..., 0] / n[..., None])
-    unnormed = (n < 1e-12).any(axis=1)
-    infeasible = unnormed | (f < EPS_DEN)
-    # their ratios divided by a norm or fidelity that may be 0
-    ratio[infeasible] = _PENALTY + np.where(unnormed, 0.0, EPS_DEN - f)[infeasible]
-    return ratio, ~infeasible
+    Probabilities are not floored: sqrt(p) = |L^dagger z| / |z| is accurate to
+    rounding even where p is near 0, where sqrt(z^dagger E z) would turn a
+    rounding error of 1e-17 in p into one of 3e-9 in the ratio. With the
+    Wirtinger derivatives dp/dz* = (E z - p z) / |z|^2 and
+    d log|<z1|z2>| / dz1* = z2 / (2 <z1|z2>), the terms along z cancel and
+    dr/dz1* = sum_x (s2_x / |y1_x|) L1_x y1_x / (2 |z1| F) - r z2 / (2 <z1|z2>),
+    with y = L^dagger z and s = sqrt(p); the gradient of the real ratio is
+    2 dr/dz*, its real and imaginary parts side by side. It is 0 on the terms
+    of outcomes whose probability is 0, where sqrt(p) has a cusp.
+    """
+    z = x.view(complex).reshape(2, -1)
+    xr = x.reshape(2, -1)
+    nz = np.sqrt(np.einsum("si,si->s", xr, xr))
+    c = complex(np.vdot(z[0], z[1]))
+    if nz.min() < 1e-12 or abs(c) < EPS_DEN * nz[0] * nz[1]:
+        return None
+    root, root_h = roots
+    y = root_h @ z[:, None, :, None]  # (2, outcomes, d, 1)
+    yr = y.view(float)
+    ny = np.sqrt(np.einsum("sxij,sxij->sx", yr, yr))
+    s = ny / nz[:, None]
+    f = abs(c) / (nz[0] * nz[1])
+    ratio = float(s[0] @ s[1]) / f
+    w = np.divide(s[::-1], ny * (nz[:, None] * f), out=np.zeros_like(s), where=ny > 0)
+    g = np.einsum("sx,sxij->si", w, root @ y)
+    g -= np.array([ratio / c, ratio / c.conjugate()])[:, None] * z[::-1]
+    return ratio, g.view(float).ravel()
 
 
 def _clamped(raw: float) -> float:
@@ -201,109 +197,24 @@ def _top_eigenvectors(effects: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(effects)[1][:, :, -1]
 
 
-def _lockstep_nelder_mead(fun, x0: np.ndarray, maxiter: int, stop_below: float):
-    """scipy's non-adaptive Nelder-Mead (``xatol=XATOL``, ``fatol=FATOL``) run
-    from every row of ``x0`` at once.
-
-    ``fun(points) -> (values, feasible)`` maps (m, n) points to (m,) values.
-    Each step makes one call with every start's reflection and its three
-    candidate second points (expansion, outside and inside contraction);
-    scipy's rules then pick the candidate, if any, and only the points that
-    start's own ``minimize`` run evaluates count towards the best. A shrink
-    is one more call. All starts share the iteration counter; a start stops
-    when its simplex meets both tolerances (converged) or at ``maxiter`` (not
-    converged), and every start stops once the best feasible value falls
-    below ``stop_below``.
-
-    Returns the per-start converged flags, the best feasible value and the
-    point where it was evaluated (``None`` when no point was feasible).
-    """
-    p, n = x0.shape
-    best = [np.inf, None]
-
-    def record(points, values, counted):
-        cand = np.where(counted, values, np.inf)
-        i = cand.argmin()  # a flat index: one point per value, in the order of points
-        if cand.item(i) < best[0]:
-            best[:] = cand.item(i), points[i].copy()
-
-    def evaluate(points):
-        values, feasible = fun(points)
-        record(points, values, feasible)
-        return values
-
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    k = np.arange(n)
-    sim[:, k + 1, k] = np.where(x0 != 0, (1 + _NONZDELT) * x0, _ZDELT)
-    fsim = evaluate(sim.reshape(-1, n)).reshape(p, n + 1)
-    for _ in range(2):  # scipy sorts the initial simplex twice; ties may reorder
-        sim, fsim = _sorted_simplex(sim, fsim)
-    r = rows = np.arange(p)  # positions in the live arrays, and the starts they hold
-    converged = np.zeros(p, dtype=bool)
-    iterations = 1
-    while iterations < maxiter and not best[0] < stop_below:
-        done = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= XATOL
-        if np.count_nonzero(done):  # the value tolerance, only where the point one holds
-            done[done] = np.abs(fsim[done, :1] - fsim[done, 1:]).max(axis=1) <= FATOL
-            if np.count_nonzero(done):
-                converged[rows[done]] = True
-                rows, sim, fsim = rows[~done], sim[~done], fsim[~done]
-                if not rows.size:
-                    break
-                r = np.arange(len(rows))
-        xbar = np.add.reduce(sim[:, :-1], 1) / n
-        trial = _TRIAL_XBAR * xbar[:, None] + _TRIAL_WORST * sim[:, -1:]
-        points = trial.reshape(-1, n)
-        values, feasible = fun(points)
-        values, feasible = values.reshape(-1, 4), feasible.reshape(-1, 4)
-        fxr = values[:, 0]
-        expand = fxr < fsim[:, 0]
-        contract = ~(expand | (fxr < fsim[:, -2]))
-        outside = contract & (fxr < fsim[:, -1])
-        second = np.where(expand, 1, np.where(outside, 2, 3))
-        moved = expand | contract
-        counted = np.zeros(values.shape, dtype=bool)
-        counted[:, 0] = True
-        counted[r, second] = moved
-        record(points, values, feasible & counted)
-        # an expansion must beat the reflection, an outside contraction match
-        # it, an inside contraction beat the worst vertex
-        f2 = values[r, second]
-        take2 = moved & np.where(outside, f2 <= fxr, f2 < np.where(expand, fxr, fsim[:, -1]))
-        shrink = contract & ~take2
-        keep = (~shrink).nonzero()[0]
-        pick = np.where(take2, second, 0)[keep]
-        sim[keep, -1] = trial[keep, pick]
-        fsim[keep, -1] = values[keep, pick]
-        if len(keep) < len(r):
-            s = sim[shrink]
-            s[:, 1:] = s[:, :1] + _SIGMA * (s[:, 1:] - s[:, :1])
-            sim[shrink] = s
-            fsim[shrink, 1:] = evaluate(s[:, 1:].reshape(-1, n)).reshape(len(s), n)
-        iterations += 1
-        sim, fsim = _sorted_simplex(sim, fsim)
-    return converged, best[0], best[1]
-
-
-def _sorted_simplex(sim, fsim):
-    ind = fsim.argsort(axis=1)
-    r = np.arange(len(fsim))[:, None]
-    return sim[r, ind], fsim[r, ind]
-
-
 def observable_divergence(
     e1: Observable, e2: Observable, opts: DivergenceOptions | None = None
 ) -> DivergenceEstimate:
     """Upper estimate of the infimum of ratio(rho1, rho2) over pure-state pairs.
 
-    Candidate scans come first: every pair of top eigenvectors of the two
-    effect sets and, for qubits, a Bloch grid; the best pair of each scan
-    seeds the search, and a scan that reaches a ratio below ``ZERO_TOL``
-    returns an exact zero with its witnessing pair. Then Nelder-Mead runs
-    from the scan seeds and ``restarts`` random starts in lockstep, over
-    unconstrained parameterizations of two unit vectors; the estimate is the
-    best feasible ratio any start evaluated. The restriction to pure pairs
-    makes the result an upper bound on the unrestricted infimum.
+    Equal effect stacks return D(E, E) = 1 at (v, v) without a search: one
+    measurement never separates two states more than they differ, so
+    B(p1, p2) >= F(rho1, rho2), with equality at rho1 = rho2.
+
+    Otherwise candidate scans come first: every pair of top eigenvectors of
+    the two effect sets and, for qubits, a Bloch grid; the best pair of each
+    scan seeds the search, and a scan that reaches a floored ratio below
+    ``ZERO_TOL`` returns an exact zero with its witnessing pair. Then one
+    L-BFGS-B run with the analytic gradient of the unfloored ratio
+    (``_ratio_gradient``) starts from each scan seed and from ``restarts``
+    random starts; the estimate is the lowest final value of a run, so it is
+    the ratio at the reported pair. The restriction to pure pairs makes the
+    result an upper bound on the unrestricted infimum.
     """
     if e1.dim != e2.dim:
         raise ValueError("observables must share a dimension")
@@ -314,83 +225,80 @@ def observable_divergence(
         raise ValueError(f"restarts must lie in [0, {MAX_RESTARTS}], got {opts.restarts}")
     if opts.maxiter < 1:
         raise ValueError(f"maxiter must be at least 1, got {opts.maxiter}")
+
+    def estimate(value, v1, v2, note, restarts, converged):
+        return DivergenceEstimate(
+            value=value,
+            argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
+            method=_method_string(opts.restarts, note),
+            restarts=restarts,
+            converged=converged,
+            seed=opts.seed,
+        )
+
+    top1 = _top_eigenvectors(e1.effects)
+    if np.array_equal(e1.effects, e2.effects):
+        note = "equal observables, D(E,E) = 1 at (v, v) without a search"
+        return estimate(1.0, top1[0], top1[0], note, 0, True)
     d = e1.dim
     stacks = np.stack([e1.effects, e2.effects])
-    stack1, stack2 = stacks
-    rng = np.random.default_rng(opts.seed)
-
-    best = {"value": np.inf, "pair": None}
-
-    def consider(value, v1, v2):
-        if value < best["value"]:
-            best["value"] = value
-            best["pair"] = (v1.copy(), v2.copy())
-
+    roots = _effect_roots(stacks)
     # analytic witness candidates: top eigenvectors of every effect pair
-    scans = [
-        ("eigenvector candidates", _top_eigenvectors(e1.effects), _top_eigenvectors(e2.effects))
-    ]
+    scans = [("eigenvector candidates", top1, _top_eigenvectors(e2.effects))]
     if d == 2:
         grid = _bloch_states(BLOCH_GRID, BLOCH_GRID)
         scans.append(("grid scan", grid, grid))
     starts = []
     for source, states1, states2 in scans:
-        val, v1, v2 = _grid_ratio_min(stack1, stack2, states1, states2)
+        val, v1, v2 = _grid_ratio_min(*stacks, states1, states2)
+        if val < ZERO_TOL:
+            return estimate(0.0, v1, v2, f"exact-zero witness from {source}", 0, True)
         if val < np.inf:
-            consider(val, v1, v2)
             starts.append(_params_from_pair(v1, v2))
-        if best["value"] < ZERO_TOL:
-            v1, v2 = best["pair"]
-            return DivergenceEstimate(
-                value=0.0,
-                argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
-                method=_method_string(opts.restarts, f"exact-zero witness from {source}"),
-                restarts=0,
-                converged=True,
-                seed=opts.seed,
-            )
+    rng = np.random.default_rng(opts.seed)
+    starts += [rng.standard_normal(4 * d) for _ in range(opts.restarts)]
 
-    for _ in range(opts.restarts):
-        starts.append(rng.standard_normal(4 * d))
+    # B <= 1 and F >= EPS_DEN, so every feasible ratio lies below this value
+    infeasible = 2 / EPS_DEN
 
-    converged = np.zeros(0, dtype=bool)
-    if starts:
-        # the objective divides by the zero norms and fidelities of rows it penalises
-        with np.errstate(divide="ignore", invalid="ignore"):
-            converged, value, x = _lockstep_nelder_mead(
-                lambda points: _population_ratio(stacks, points, d),
-                np.array(starts, dtype=float),
-                opts.maxiter,
-                ZERO_TOL,
-            )
-        if x is not None:
-            consider(value, *_pair_from_params(x, d))
+    def objective(x):
+        out = _ratio_gradient(x, roots)
+        return (infeasible, np.zeros_like(x)) if out is None else out
 
-    if best["pair"] is None:
+    best = None
+    for x0 in starts:
+        res = minimize(
+            objective, x0, jac=True, method="L-BFGS-B",
+            options={"maxiter": opts.maxiter, "gtol": GTOL},
+        )
+        if res.fun < infeasible and (best is None or res.fun < best.fun):
+            best = res
+            if best.fun < ZERO_TOL:
+                break
+    if best is None:
         raise ValueError("no feasible state pair was evaluated; increase restarts")
-    v1, v2 = best["pair"]
-    value = _clamped(float(best["value"]))
-    return DivergenceEstimate(
-        value=value,
-        argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
-        method=_method_string(opts.restarts, "multi-start nelder-mead over pure pairs"),
-        restarts=opts.restarts,
-        converged=bool(converged.any()) or value == 0.0,
-        seed=opts.seed,
-    )
+    value = _clamped(float(best.fun))
+    v1, v2 = _pair_from_params(best.x)
+    note = "multi-start l-bfgs-b on the unfloored ratio over pure pairs"
+    return estimate(value, v1, v2, note, opts.restarts, bool(best.success) or value == 0.0)
 
 
 def _method_string(restarts: int, note: str) -> str:
     return (
         f"{note}; pure-state upper bound; restarts={restarts}; "
-        f"bloch_grid={BLOCH_GRID}; fatol={FATOL:g}; "
-        f"prob_floor={PROB_FLOOR:g}; clamp=[0,{CLAMP_HI}]"
+        f"bloch_grid={BLOCH_GRID}; gtol={GTOL:g}; "
+        f"scan prob_floor={PROB_FLOOR:g}; clamp=[0,{CLAMP_HI}]"
     )
 
 
 def estimate_recompute(e1: Observable, e2: Observable, est: DivergenceEstimate) -> float:
-    """Re-evaluate the estimator objective at the reported argmin pair."""
-    psi1 = np.linalg.eigh(est.argmin[0].matrix)[1][:, -1]
-    psi2 = np.linalg.eigh(est.argmin[1].matrix)[1][:, -1]
-    ratio, _ = _pairs_ratio(np.stack([e1.effects, e2.effects]), np.stack([psi1, psi2])[None])
-    return _clamped(float(ratio[0]))
+    """Re-evaluate the reported ratio at the reported argmin pair: the
+    unfloored ratio the search minimises, or for a zero estimate the floored
+    candidate-scan ratio that certifies it."""
+    psi = np.stack([np.linalg.eigh(s.matrix)[1][:, -1] for s in est.argmin])
+    stacks = np.stack([e1.effects, e2.effects])
+    if est.value == 0.0:
+        raw = _grid_ratio_min(*stacks, psi[:1], psi[1:])[0]
+    else:
+        raw = _ratio_gradient(_params_from_pair(*psi), _effect_roots(stacks))[0]
+    return _clamped(float(raw))

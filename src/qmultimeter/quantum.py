@@ -27,9 +27,11 @@ PROB_CLIP = 1e-12        # outcome probabilities this far below zero are noise
 class DensityState:
     """Positive unit-trace matrix, kept as a read-only view.
 
-    Tiny negative eigenvalue mass (below ``NEG_MASS_TOL``) from upstream
-    arithmetic is re-projected onto the PSD cone and the trace renormalized;
-    anything larger is rejected as a real bug.
+    Negative eigenvalue mass up to ``PROB_CLIP`` is rounding noise and kept,
+    so a stored matrix validated again (as a loader does) is left bit for bit
+    as it was. Mass up to ``NEG_MASS_TOL`` from upstream arithmetic is
+    re-projected onto the PSD cone and the trace renormalized; anything larger
+    is rejected as a real bug.
     """
 
     matrix: np.ndarray
@@ -43,7 +45,7 @@ class DensityState:
         neg_mass = float(-np.sum(w[w < 0.0]))
         if neg_mass > NEG_MASS_TOL:
             raise ValueError(f"state has negative eigenvalue mass {neg_mass:.3e}")
-        if neg_mass > 0.0:
+        if neg_mass > PROB_CLIP:
             w = np.clip(w, 0.0, None)
             m = (v * w) @ v.conj().T
             m = hermitianize(m / float(np.trace(m).real))

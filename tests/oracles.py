@@ -250,12 +250,15 @@ def full_grid_ratio_min(stack1, stack2, states1, states2):
 
 
 def scipy_multistart_divergence(e1, e2, opts=None):
-    """The divergence estimator with one ``scipy.optimize.minimize`` run per
-    start, one after another, through a scalar objective: the same scans,
-    starts, tolerances and payload as ``observable_divergence``."""
+    """The divergence estimate by derivative-free search: one scipy
+    Nelder-Mead run per start, one after another, on the unfloored ratio
+    (probabilities clipped at 0, not floored) of a scalar objective; the same
+    scans, starts and payload as ``observable_divergence``. The value is the
+    lowest ratio any run evaluated, at the pair it was evaluated at."""
     from qmultimeter import divergence as dv
     from qmultimeter.quantum import DensityState
 
+    penalty = 1e6  # above every feasible ratio
     opts = opts or dv.DivergenceOptions()
     d = e1.dim
     stack1 = np.stack(e1.effects)
@@ -264,26 +267,22 @@ def scipy_multistart_divergence(e1, e2, opts=None):
 
     best = {"value": np.inf, "pair": None}
 
-    def consider(value, v1, v2):
-        if value < best["value"]:
-            best["value"] = value
-            best["pair"] = (v1.copy(), v2.copy())
-
-    def floored_probs(stack, psi):
-        p = np.einsum("i,xij,j->x", psi.conj(), stack, psi).real
-        p = np.clip(p, 0.0, None)
-        p[p < dv.PROB_FLOOR] = 0.0
-        return p
+    def probs(stack, psi):
+        return np.clip(np.einsum("i,xij,j->x", psi.conj(), stack, psi).real, 0.0, None)
 
     def objective(x):
-        v1, v2 = dv._pair_from_params(x, d)
-        if v1 is None:
-            return dv._PENALTY
+        v1, v2 = x.view(complex).reshape(2, d)  # the layout of dv._params_from_pair
+        n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
+        if n1 < 1e-12 or n2 < 1e-12:
+            return penalty
+        v1, v2 = v1 / n1, v2 / n2
         f = pure_fidelity(v1, v2)
         if f < dv.EPS_DEN:
-            return dv._PENALTY + (dv.EPS_DEN - f)
-        val = float(np.sqrt(floored_probs(stack1, v1) * floored_probs(stack2, v2)).sum()) / f
-        consider(val, v1, v2)
+            return penalty + (dv.EPS_DEN - f)
+        val = float(np.sqrt(probs(stack1, v1) * probs(stack2, v2)).sum()) / f
+        if val < best["value"]:
+            best["value"] = val
+            best["pair"] = (v1, v2)
         return val
 
     scans = [
@@ -295,11 +294,7 @@ def scipy_multistart_divergence(e1, e2, opts=None):
     starts = []
     for source, states1, states2 in scans:
         val, v1, v2 = full_grid_ratio_min(stack1, stack2, states1, states2)
-        if val < np.inf:
-            consider(val, v1, v2)
-            starts.append(dv._params_from_pair(v1, v2))
-        if best["value"] < dv.ZERO_TOL:
-            v1, v2 = best["pair"]
+        if val < dv.ZERO_TOL:
             return dv.DivergenceEstimate(
                 value=0.0,
                 argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
@@ -308,6 +303,8 @@ def scipy_multistart_divergence(e1, e2, opts=None):
                 converged=True,
                 seed=opts.seed,
             )
+        if val < np.inf:
+            starts.append(dv._params_from_pair(v1, v2))
 
     for _ in range(opts.restarts):
         starts.append(rng.standard_normal(4 * d))
@@ -318,7 +315,7 @@ def scipy_multistart_divergence(e1, e2, opts=None):
             objective,
             np.asarray(x0, dtype=float),
             method="Nelder-Mead",
-            options={"maxiter": opts.maxiter, "fatol": dv.FATOL, "xatol": dv.XATOL},
+            options={"maxiter": opts.maxiter, "fatol": 1e-9, "xatol": 1e-7},
         )
         converged = converged or bool(res.success)
         if best["value"] < dv.ZERO_TOL:

@@ -1,7 +1,6 @@
 import warnings
 
 import numpy as np
-import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +16,9 @@ from qmultimeter.divergence import (
     observable_divergence,
 )
 from qmultimeter.groups import PAULI_X, PAULI_Z
-from qmultimeter.quantum import DensityState, Observable
-from qmultimeter.sampling import random_povm, random_pvm, random_unitary
+from qmultimeter.quantum import DensityState, Observable, fidelity, program
+from qmultimeter.sampling import random_povm, random_pvm, random_unitary, rng_from
+from qmultimeter.verify import q8_program_pair, wh_program_pair
 
 from oracles import (
     bloch_grid_infimum,
@@ -180,49 +180,235 @@ def _random_pair(d, outcomes, restarts, maxiter):
     return e1, e2, DivergenceOptions(seed=d, restarts=restarts, maxiter=maxiter)
 
 
-# (d, outcomes, restarts, maxiter, converged): the flag the oracle reports,
-# pinned so that both outcomes stay covered
+# (d, outcomes, restarts, maxiter): random pairs above qubits
 HIGHER_DIM_CASES = [
-    (3, 3, 1, 2000, True),
-    (3, 2, 1, 2000, True),
-    (3, 4, 0, 2000, True),
-    (3, 3, 4, 600, False),
-    (4, 3, 1, 2500, True),
-    (4, 2, 1, 2500, False),
-    (4, 4, 2, 1500, False),
+    (3, 3, 1, 2000),
+    (3, 2, 1, 2000),
+    (3, 4, 0, 2000),
+    (3, 3, 4, 600),
+    (4, 3, 1, 2500),
+    (4, 2, 1, 2500),
+    (4, 4, 2, 1500),
 ]
 
 
-class TestLockstepMatchesScipy:
-    """The lockstep search against one scipy ``minimize`` run per start."""
+def _root_probabilities(e, v):
+    """sqrt(<v|E|v>) for every effect, as |sqrt(E) v| with the positive square
+    root of E: accurate to rounding near 0, where the square root of a
+    rounded <v|E|v> is not."""
+    w, u = np.linalg.eigh(e.effects)
+    coords = np.abs(np.einsum("xij,i->xj", u.conj(), v)) ** 2
+    return np.sqrt(np.einsum("xj,xj->x", np.clip(w, 0.0, None), coords))
 
-    @staticmethod
-    def _assert_same(est, ref):
-        assert abs(est.value - ref.value) <= 1e-12
-        assert est.converged == ref.converged
-        assert (est.method, est.restarts, est.seed) == (ref.method, ref.restarts, ref.seed)
+
+def _unfloored_ratio(e1, e2, v1, v2):
+    """The ratio at a pure pair, probabilities not floored."""
+    return float(_root_probabilities(e1, v1) @ _root_probabilities(e2, v2)) / pure_fidelity(v1, v2)
+
+
+def _argmin_vectors(est):
+    return [np.linalg.eigh(s.matrix)[1][:, -1] for s in est.argmin]
+
+
+def _assert_ratio_at_argmin(e1, e2, est):
+    assert abs(est.value - _unfloored_ratio(e1, e2, *_argmin_vectors(est))) <= 1e-12
+
+
+class TestRatioGradient:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_central_differences(self, d):
+        rng = np.random.default_rng([d, 11])
+        roots = divergence._effect_roots(
+            np.stack([random_povm(rng, d, 3).effects, random_povm(rng, d, 3).effects])
+        )
+        h = 1e-6
+        for _ in range(5):
+            x = rng.standard_normal(4 * d)
+            value, grad = divergence._ratio_gradient(x, roots)
+            steps = h * np.eye(4 * d)
+            fd = np.array(
+                [
+                    divergence._ratio_gradient(x + s, roots)[0]
+                    - divergence._ratio_gradient(x - s, roots)[0]
+                    for s in steps
+                ]
+            ) / (2 * h)
+            assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
+
+    def test_value_is_the_unfloored_ratio(self, rng):
+        e1, e2 = random_povm(rng, 3, 4), random_povm(rng, 3, 4)
+        x = rng.standard_normal(12)
+        roots = divergence._effect_roots(np.stack([e1.effects, e2.effects]))
+        value, _ = divergence._ratio_gradient(x, roots)
+        v1, v2 = x.view(complex).reshape(2, 3)
+        ratio = _unfloored_ratio(e1, e2, v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2))
+        assert abs(value - ratio) <= 1e-14
+
+    def test_scale_invariant(self, rng):
+        # the ratio of two unnormalised vectors depends on their directions only,
+        # so the gradient has no component along either vector
+        roots = divergence._effect_roots(
+            np.stack([random_povm(rng, 3, 3).effects, random_povm(rng, 3, 3).effects])
+        )
+        x = rng.standard_normal(12)
+        value, grad = divergence._ratio_gradient(x, roots)
+        scaled = np.concatenate([2.5 * x[:6], 0.3 * x[6:]])
+        assert abs(divergence._ratio_gradient(scaled, roots)[0] - value) <= 1e-14
+        assert abs(grad[:6] @ x[:6]) <= 1e-12 and abs(grad[6:] @ x[6:]) <= 1e-12
+
+
+class TestSearchAgainstOracle:
+    """The gradient search against derivative-free Nelder-Mead from the same
+    starts, both on the unfloored ratio."""
 
     @pytest.mark.parametrize("i", range(6))
     def test_conjugated_qubit_pairs(self, i):
         e1, e2, opts = _b4_pair(i)
-        self._assert_same(observable_divergence(e1, e2, opts), scipy_multistart_divergence(e1, e2, opts))
+        est = observable_divergence(e1, e2, opts)
+        assert est.value <= scipy_multistart_divergence(e1, e2, opts).value + 1e-9
+        assert est.converged
+        _assert_ratio_at_argmin(e1, e2, est)
 
-    @pytest.mark.parametrize("d, outcomes, restarts, maxiter, converged", HIGHER_DIM_CASES)
-    def test_higher_dimension_pairs(self, d, outcomes, restarts, maxiter, converged):
+    @pytest.mark.parametrize("d, outcomes, restarts, maxiter", HIGHER_DIM_CASES)
+    def test_higher_dimension_pairs(self, d, outcomes, restarts, maxiter):
         e1, e2, opts = _random_pair(d, outcomes, restarts, maxiter)
-        ref = scipy_multistart_divergence(e1, e2, opts)
-        assert ref.converged == converged
-        self._assert_same(observable_divergence(e1, e2, opts), ref)
+        est = observable_divergence(e1, e2, opts)
+        assert est.value <= scipy_multistart_divergence(e1, e2, opts).value + 1e-9
+        _assert_ratio_at_argmin(e1, e2, est)
 
-    def test_does_not_call_scipy_minimize(self, monkeypatch):
+    def test_seeded_four_dimensional_pair_converges(self):
+        # the d = 4 pair drawn right after a d = 3 pair from rng_from(0), which
+        # the derivative-free search left unconverged at 0.7604
+        rng = rng_from(0)
+        for _ in range(2):
+            random_povm(rng, 3, 3)
+        e1, e2 = random_povm(rng, 4, 3), random_povm(rng, 4, 3)
+        est = observable_divergence(e1, e2)
+        assert est.value <= 0.7556
+        assert est.converged
+        _assert_ratio_at_argmin(e1, e2, est)
+
+    def test_calls_scipy_minimize_once_per_start(self, monkeypatch):
         e1, e2, opts = _b4_pair(0)
-        ref = scipy_multistart_divergence(e1, e2, opts)
+        calls = []
+        real = divergence.minimize
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("divergence.minimize was called")
+        def counted(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(divergence, "minimize", refuse)
-        self._assert_same(observable_divergence(e1, e2, opts), ref)
+        monkeypatch.setattr(divergence, "minimize", counted)
+        observable_divergence(e1, e2, opts)
+        # the eigenvector and grid seeds, then the random starts
+        assert calls == ["L-BFGS-B"] * (2 + opts.restarts)
+
+
+PROGRAMMED_PAIRS = [("q8", q8_program_pair)] + [
+    (f"wh{d}", lambda d=d: wh_program_pair(d)) for d in (2, 3, 5)
+]
+
+
+@pytest.mark.parametrize("name, pair", PROGRAMMED_PAIRS, ids=[n for n, _ in PROGRAMMED_PAIRS])
+def test_programmed_pairs_stay_above_the_program_fidelity(name, pair):
+    # Proposition 1: every ratio of two programmed observables is at least the
+    # fidelity of the two program states, so a real ratio cannot fall below it
+    mm, xi1, xi2, _, _ = pair()
+    e1, e2 = program(mm, xi1), program(mm, xi2)
+    est = observable_divergence(e1, e2)
+    assert est.value >= fidelity(xi1, xi2) - 1e-12
+    _assert_ratio_at_argmin(e1, e2, est)
+
+
+class TestInfeasiblePoints:
+    """Pairs with a vector of norm below 1e-12 or a fidelity below ``EPS_DEN``."""
+
+    @staticmethod
+    def _rows(rng, d):
+        u = random_unitary(rng, d)
+        e0, e1 = u[:, 0], u[:, 1]
+        eps = divergence.EPS_DEN
+        w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        pairs = [
+            (3.0 * e0, -0.7j * (eps * (1 - 1e-3) * e0 + e1), False),
+            (3.0 * e0, -0.7j * (eps * (1 + 1e-3) * e0 + e1), True),
+            (e0, e1, False),
+            (0 * w, w, False),
+            (w, 5e-13 * e0, False),
+            (2e-12 * e0, w, True),
+        ]
+        return [(divergence._params_from_pair(a, b), ok) for a, b, ok in pairs]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_objective_refuses_them_without_warnings(self, d):
+        rng = np.random.default_rng([d, 12])
+        roots = divergence._effect_roots(
+            np.stack([random_povm(rng, d, 3).effects, random_povm(rng, d, 3).effects])
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, ok in self._rows(rng, d):
+                out = divergence._ratio_gradient(x, roots)
+                assert (out is not None) == ok
+                if ok:
+                    assert np.isfinite(out[0]) and np.isfinite(out[1]).all()
+
+    def test_runs_ending_on_them_are_never_reported(self, monkeypatch):
+        e1, e2, opts = _b4_pair(0)
+        bad = [x for x, ok in self._rows(np.random.default_rng(13), 2) if not ok]
+        real = divergence.minimize
+        results = []
+
+        def from_infeasible(fun, x0, **kwargs):
+            # the first runs start where the objective refuses the pair
+            res = real(fun, bad[len(results)] if len(results) < len(bad) else x0, **kwargs)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(divergence, "minimize", from_infeasible)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = observable_divergence(e1, e2, opts)
+        assert len(results) == 2 + opts.restarts > len(bad)
+        for res, x in zip(results, bad):
+            assert np.array_equal(res.x, x)  # a zero gradient: the run stays put
+        assert est.value == min(res.fun for res in results[len(bad) :])
+        v1, v2 = _argmin_vectors(est)
+        assert pure_fidelity(v1, v2) >= divergence.EPS_DEN
+        _assert_ratio_at_argmin(e1, e2, est)
+
+    def test_no_feasible_run_is_an_error(self, monkeypatch):
+        e1, e2, opts = _b4_pair(0)
+        real = divergence.minimize
+        orthogonal = divergence._params_from_pair(np.array([1, 0j]), np.array([0, 1 + 0j]))
+        monkeypatch.setattr(
+            divergence, "minimize", lambda fun, x0, **kwargs: real(fun, orthogonal, **kwargs)
+        )
+        with pytest.raises(ValueError, match="no feasible state pair"):
+            observable_divergence(e1, e2, opts)
+
+
+class TestEqualObservables:
+    @pytest.mark.parametrize("d, outcomes", [(2, 3), (3, 4)])
+    def test_one_at_the_first_top_eigenvector_without_a_search(self, monkeypatch, d, outcomes):
+        e = random_povm(np.random.default_rng([d, outcomes, 14]), d, outcomes)
+        monkeypatch.setattr(divergence, "minimize", None)  # any search would fail
+        est = observable_divergence(e, Observable(e.effects.copy()), DivergenceOptions(seed=5))
+        v = divergence._top_eigenvectors(e.effects)[0]
+        assert est.value == 1.0
+        assert (est.restarts, est.converged, est.seed) == (0, True, 5)
+        assert "equal observables" in est.method
+        for state in est.argmin:
+            assert np.allclose(state.matrix, np.outer(v, v.conj()), atol=1e-15)
+        assert abs(estimate_recompute(e, e, est) - 1.0) <= 1e-12
+
+    def test_nearly_equal_observables_are_searched(self, rng):
+        e = random_povm(rng, 2, 3)
+        effects = e.effects.copy()
+        effects[0] = effects[0] * (1 - 1e-9)
+        effects[1] = effects[1] + effects[0] * 1e-9 / (1 - 1e-9)
+        est = observable_divergence(e, Observable(effects), DivergenceOptions(seed=5, restarts=2))
+        assert "l-bfgs-b" in est.method
+        assert 1.0 - 1e-6 <= est.value <= 1.0 + 1e-9
 
 
 class TestRestartsEnvelope:
@@ -230,7 +416,7 @@ class TestRestartsEnvelope:
         e1, e2 = random_povm(rng, 2, 3), random_povm(rng, 2, 3)
         est = observable_divergence(e1, e2, DivergenceOptions(restarts=MAX_RESTARTS, maxiter=2))
         assert est.restarts == MAX_RESTARTS
-        assert not est.converged  # one step is not enough for any start
+        assert not est.converged  # two iterations are not enough for the winning run
         assert 0.0 < est.value <= 1.0 + 1e-9
 
     @pytest.mark.parametrize(
@@ -363,97 +549,3 @@ class TestGridScanBlocks:
             divergence._grid_ratio_min(s1, s2, states1, states2),
             full_grid_ratio_min(s1, s2, states1, states2),
         )
-
-
-class _Captured(Exception):
-    pass
-
-
-def _oracle_objective(monkeypatch, e1, e2):
-    """The scalar objective ``scipy_multistart_divergence`` hands to scipy."""
-    captured = []
-
-    def capture(fun, x0, **kwargs):
-        captured.append(fun)
-        raise _Captured
-
-    monkeypatch.setattr(oracles, "minimize", capture)
-    with pytest.raises(_Captured):
-        scipy_multistart_divergence(e1, e2, DivergenceOptions(restarts=1))
-    return captured[0]
-
-
-def _boundary_rows(rng, d):
-    """Parameter rows (m, 4d) around the feasibility boundary, with the mask
-    each should get: pairs with fidelity just below, at and just above
-    ``EPS_DEN``, and halves that are zero or just below or above the norm cut."""
-    u = random_unitary(rng, d)
-    e0, e1 = u[:, 0], u[:, 1]
-    eps = divergence.EPS_DEN
-    pairs, mask = [], []
-    for t, ok in ((eps * (1 - 1e-3), False), (eps * (1 + 1e-3), True), (0.0, False), (0.5, True)):
-        pairs.append((3.0 * e0, -0.7j * (t * e0 + e1)))
-        mask.append(ok)
-    pairs.append((np.eye(d)[0], eps * np.eye(d)[0] + np.eye(d)[1]))  # fidelity exactly EPS_DEN
-    mask.append(True)
-    for scale, ok in ((0.0, False), (5e-13, False), (2e-12, True)):
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        pairs += [(scale * v / np.linalg.norm(v), w), (w, scale * v / np.linalg.norm(v))]
-        mask += [ok, ok]
-    x = np.array([np.concatenate([a.real, a.imag, b.real, b.imag]) for a, b in pairs])
-    return x, np.array(mask)
-
-
-class TestPopulationBoundary:
-    """The population objective on rows near ``EPS_DEN`` and the norm cut,
-    against the oracle's scalar objective."""
-
-    @pytest.mark.parametrize("d, outcomes", [(2, 2), (2, 3), (3, 3), (4, 2)])
-    def test_matches_scalar_objective_bit_for_bit(self, monkeypatch, d, outcomes):
-        rng = np.random.default_rng([d, outcomes, 9])
-        e1, e2 = random_povm(rng, d, outcomes), random_povm(rng, d, outcomes)
-        objective = _oracle_objective(monkeypatch, e1, e2)
-        x, mask = _boundary_rows(rng, d)
-        x = np.concatenate([x, rng.standard_normal((7, 4 * d))])
-        mask = np.concatenate([mask, np.ones(7, dtype=bool)])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values, feasible = divergence._population_ratio(np.stack([e1.effects, e2.effects]), x, d)
-        assert np.array_equal(feasible, mask)
-        for row, value in zip(x, values):
-            assert np.float64(objective(row)).tobytes() == value.tobytes()
-
-    def test_boundary_fidelities(self):
-        # the rows straddle EPS_DEN by construction; check where they landed
-        x, mask = _boundary_rows(np.random.default_rng(3), 2)
-        fid = [pure_fidelity(*divergence._pair_from_params(row, 2)) for row in x[:5]]
-        eps = divergence.EPS_DEN
-        assert fid[0] < eps < fid[1] and fid[2] < 1e-15 and fid[4] == eps
-        assert list(mask[:5]) == [False, True, False, True, True]
-
-    def test_penalty_rows_raise_no_warning(self, monkeypatch):
-        # every population call of the estimator also evaluates a zero half and
-        # an orthogonal pair, whose divisions by zero are silenced around the search
-        e1, e2, opts = _b4_pair(0)
-        stacks = np.stack([e1.effects, e2.effects])
-        penalty_rows = np.array([[0.0, 0, 0, 0, 1, 0, 0, 0], [1.0, 0, 0, 0, 0, 1, 0, 0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(RuntimeWarning):
-                divergence._population_ratio(stacks, penalty_rows, 2)
-        original = divergence._population_ratio
-        calls = []
-
-        def with_penalty_rows(stacks, x, d):
-            values, feasible = original(stacks, penalty_rows, d)
-            assert not feasible.any() and (values == divergence._PENALTY + np.array([0, 1e-8])).all()
-            calls.append(len(x))
-            return original(stacks, x, d)
-
-        ref = observable_divergence(e1, e2, opts)
-        monkeypatch.setattr(divergence, "_population_ratio", with_penalty_rows)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est = observable_divergence(e1, e2, opts)
-        assert calls
-        assert est.value == ref.value and est.converged == ref.converged

@@ -98,6 +98,18 @@ class TestDensityState:
         assert m.flags.writeable and not s.matrix.flags.writeable
         m[0, 1] = 0.0
 
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_validating_a_stored_matrix_again_keeps_its_bits(self, rng, d):
+        # pure states carry rounding-level negative eigenvalues; a loader that
+        # rebuilds a state from its matrix must get the same matrix back
+        states = [DensityState.from_vector(random_pure_vector(rng, d)) for _ in range(20)]
+        states.append(repaired_state(rng, d))
+        negative = 0
+        for s in states:
+            negative += np.linalg.eigvalsh(s.matrix).min() < 0.0
+            assert DensityState(s.matrix.copy()).matrix.tobytes() == s.matrix.tobytes()
+        assert negative  # the rounding case is covered
+
     @pytest.mark.parametrize("build", ["transpose", "from_vector", "maximally_mixed", "repaired"])
     def test_derived_states_are_valid(self, rng, build):
         if build == "transpose":
