@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .quantum import DensityState, Observable, fidelity, outcome_distribution
 
@@ -18,6 +17,13 @@ GTOL = 1e-10          # L-BFGS-B projected-gradient tolerance (most runs stop on
 CLAMP_HI = 1.0 + 1e-9
 MAX_RESTARTS = 4096   # each start is one L-BFGS-B run: the cap bounds time, not memory
 GRID_BLOCK = 128      # rows of the first collection per block of a candidate scan
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use: only the search needs it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def bhattacharyya(p, q) -> float:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import as_matrix, hermitianize, tensor
 from .postprocessing import PostProcessing
@@ -275,6 +274,8 @@ def eigenvector_program_states(rep: ProjectiveRepresentation, generator: int) ->
         raise ValueError(
             f"generator has order {have}, expected #G/degree = {want}"
         )
+    import scipy.linalg
+
     u = rep.unitary(generator)
     # Schur form of a normal matrix: unitary eigenbasis regardless of degeneracy
     t, z = scipy.linalg.schur(u, output="complex")
