@@ -11,12 +11,11 @@ from .quantum import DensityState, Observable, fidelity, outcome_distribution
 EPS_DEN = 1e-8        # state pairs closer to orthogonal than this are excluded
 ZERO_TOL = 1e-10      # any evaluated ratio below this certifies an exact zero
 PROB_FLOOR = 1e-13    # candidate-scan probabilities below this are treated as exact zeros
-BLOCH_GRID = 40       # per-angle resolution of the qubit grid scan
 GTOL = 1e-10          # L-BFGS-B projected-gradient tolerance (most runs stop on its
                       # relative-reduction test first)
 CLAMP_HI = 1.0 + 1e-9
 MAX_RESTARTS = 4096   # each start is one L-BFGS-B run: the cap bounds time, not memory
-GRID_BLOCK = 128      # rows of the first collection per block of a candidate scan
+GRID_BLOCK = 128      # rows of the first collection per block of the candidate scan
 
 
 def minimize(*args, **kwargs):
@@ -142,61 +141,27 @@ def _clamped(raw: float) -> float:
     return 0.0 if raw < ZERO_TOL else min(max(raw, 0.0), CLAMP_HI)
 
 
-def _bloch_states(n_theta: int, n_phi: int) -> np.ndarray:
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt = tt.reshape(-1)
-    pp = pp.reshape(-1)
-    out = np.empty((tt.size, 2), dtype=complex)
-    out[:, 0] = np.cos(tt / 2)
-    out[:, 1] = np.exp(1j * pp) * np.sin(tt / 2)
-    return out
-
-
-def _grid_ratio_min(stack1, stack2, states1, states2):
-    """Best ratio over the product of two explicit pure-state collections; the
-    first pair attaining it, or inf when every pair is near orthogonal.
-
-    The fidelity of two unit vectors is at most 1, so every ratio is at least
-    its overlap over 1 + 1e-12, and a row whose least overlap exceeds an
-    attained ratio (times 1 + 1e-12) cannot hold the minimum. The first pass
-    takes each row's least overlap; the exact ratios of the row with the
-    smallest set that cap; the second pass computes exact ratios only for the
-    rows at or below it, in ascending order, so the first minimum is the full
-    matrix's. Each pass holds at most ``GRID_BLOCK`` rows of the product.
-    """
+def _row_ratio_min(stack1, stack2, states1, states2) -> tuple:
+    """For each state of the first collection, the least floored ratio against
+    the second and the first column attaining it (inf and 0 where every pair of
+    the row is near orthogonal). The scan walks near-equal blocks of at most
+    ``GRID_BLOCK`` rows, so a block holds a lone row only when the collection
+    does: numpy multiplies a lone row by matrix-vector BLAS, which may round
+    unlike the matrix-matrix product of the full scan."""
     sq1 = np.sqrt(_floored(np.einsum("si,xij,sj->sx", states1.conj(), stack1, states1).real))
     sq2 = np.sqrt(_floored(np.einsum("si,xij,sj->sx", states2.conj(), stack2, states2).real)).T
     conj1 = states1.conj()
-
-    def ratios(rows):
+    low = np.empty(len(states1))
+    col = np.empty(len(states1), dtype=int)
+    for rows in np.array_split(np.arange(len(states1)), -(-len(states1) // GRID_BLOCK)):
         b = sq1[rows] @ sq2
         f = np.abs(conj1[rows] @ states2.T)
         far = f < EPS_DEN
         ratio = np.divide(b, np.maximum(f, EPS_DEN, out=f), out=b)
         ratio[far] = np.inf
-        return ratio
-
-    low = np.empty(len(states1))
-    out = np.empty((min(GRID_BLOCK, len(states1)), sq2.shape[1]))  # reused by every block
-    for lo in range(0, len(states1), GRID_BLOCK):
-        overlap = np.matmul(sq1[lo : lo + GRID_BLOCK], sq2, out=out[: len(states1) - lo])
-        overlap.min(axis=1, out=low[lo : lo + GRID_BLOCK])
-    cap = ratios(np.argmin(low)).min() * (1 + 1e-12)
-    kept = np.flatnonzero(low <= cap)
-    if len(kept) == 1 < len(states1):
-        # numpy multiplies a lone row by matrix-vector BLAS, which may round
-        # unlike the matrix-matrix product of the full scan; a repeat keeps it
-        kept = np.repeat(kept, 2)
-    best, arg = np.inf, (0, 0)
-    # near-equal blocks, so no block after the first holds a lone row
-    for rows in np.array_split(kept, -(-len(kept) // GRID_BLOCK)):
-        ratio = ratios(rows)
-        i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
-        if ratio[i, j] < best:
-            best, arg = float(ratio[i, j]), (rows[i], j)
-    return best, states1[arg[0]], states2[arg[1]]
+        col[rows] = np.argmin(ratio, axis=1)
+        low[rows] = ratio.min(axis=1)
+    return low, col
 
 
 def _top_eigenvectors(effects: np.ndarray) -> np.ndarray:
@@ -212,14 +177,14 @@ def observable_divergence(
     measurement never separates two states more than they differ, so
     B(p1, p2) >= F(rho1, rho2), with equality at rho1 = rho2.
 
-    Otherwise candidate scans come first: every pair of top eigenvectors of
-    the two effect sets and, for qubits, a Bloch grid; the best pair of each
-    scan seeds the search, and a scan that reaches a floored ratio below
-    ``ZERO_TOL`` returns an exact zero with its witnessing pair. Then one
+    Otherwise one candidate scan comes first: every top eigenvector of E1
+    against every top eigenvector of E2. A floored ratio below ``ZERO_TOL``
+    returns an exact zero at the first pair attaining the least. Then one
     L-BFGS-B run with the analytic gradient of the unfloored ratio
-    (``_ratio_gradient``) starts from each scan seed and from ``restarts``
-    random starts; the estimate is the lowest final value of a run, so it is
-    the ratio at the reported pair. The restriction to pure pairs makes the
+    (``_ratio_gradient``) starts from each top eigenvector of E1 paired with
+    its best candidate in E2, and from ``restarts`` random starts; each run
+    is ranked by the ratio at the point it returns, so the estimate is the
+    ratio at the reported pair. The restriction to pure pairs makes the
     result an upper bound on the unrestricted infimum.
     """
     if e1.dim != e2.dim:
@@ -250,17 +215,13 @@ def observable_divergence(
     stacks = np.stack([e1.effects, e2.effects])
     roots = _effect_roots(stacks)
     # analytic witness candidates: top eigenvectors of every effect pair
-    scans = [("eigenvector candidates", top1, _top_eigenvectors(e2.effects))]
-    if d == 2:
-        grid = _bloch_states(BLOCH_GRID, BLOCH_GRID)
-        scans.append(("grid scan", grid, grid))
-    starts = []
-    for source, states1, states2 in scans:
-        val, v1, v2 = _grid_ratio_min(*stacks, states1, states2)
-        if val < ZERO_TOL:
-            return estimate(0.0, v1, v2, f"exact-zero witness from {source}", 0, True)
-        if val < np.inf:
-            starts.append(_params_from_pair(v1, v2))
+    top2 = _top_eigenvectors(e2.effects)
+    low, col = _row_ratio_min(*stacks, top1, top2)
+    i = int(np.argmin(low))
+    if low[i] < ZERO_TOL:
+        note = "exact-zero witness from eigenvector candidates"
+        return estimate(0.0, top1[i], top2[col[i]], note, 0, True)
+    starts = [_params_from_pair(top1[r], top2[col[r]]) for r in np.flatnonzero(low < np.inf)]
     rng = np.random.default_rng(opts.seed)
     starts += [rng.standard_normal(4 * d) for _ in range(opts.restarts)]
 
@@ -271,28 +232,30 @@ def observable_divergence(
         out = _ratio_gradient(x, roots)
         return (infeasible, np.zeros_like(x)) if out is None else out
 
-    best = None
+    best, winner = infeasible, None
     for x0 in starts:
         res = minimize(
             objective, x0, jac=True, method="L-BFGS-B",
             options={"maxiter": opts.maxiter, "gtol": GTOL},
         )
-        if res.fun < infeasible and (best is None or res.fun < best.fun):
-            best = res
-            if best.fun < ZERO_TOL:
+        # an abnormal line search can return x0 with a trial point's value
+        ratio = objective(res.x)[0]
+        if ratio < best:
+            best, winner = ratio, res
+            if best < ZERO_TOL:
                 break
-    if best is None:
+    if winner is None:
         raise ValueError("no feasible state pair was evaluated; increase restarts")
-    value = _clamped(float(best.fun))
-    v1, v2 = _pair_from_params(best.x)
+    value = _clamped(float(best))
+    v1, v2 = _pair_from_params(winner.x)
     note = "multi-start l-bfgs-b on the unfloored ratio over pure pairs"
-    return estimate(value, v1, v2, note, opts.restarts, bool(best.success) or value == 0.0)
+    return estimate(value, v1, v2, note, opts.restarts, bool(winner.success) or value == 0.0)
 
 
 def _method_string(restarts: int, note: str) -> str:
     return (
         f"{note}; pure-state upper bound; restarts={restarts}; "
-        f"bloch_grid={BLOCH_GRID}; gtol={GTOL:g}; "
+        f"gtol={GTOL:g}; "
         f"scan prob_floor={PROB_FLOOR:g}; clamp=[0,{CLAMP_HI}]"
     )
 
@@ -304,7 +267,7 @@ def estimate_recompute(e1: Observable, e2: Observable, est: DivergenceEstimate) 
     psi = np.stack([np.linalg.eigh(s.matrix)[1][:, -1] for s in est.argmin])
     stacks = np.stack([e1.effects, e2.effects])
     if est.value == 0.0:
-        raw = _grid_ratio_min(*stacks, psi[:1], psi[1:])[0]
+        raw = _row_ratio_min(*stacks, psi[:1], psi[1:])[0][0]
     else:
         raw = _ratio_gradient(_params_from_pair(*psi), _effect_roots(stacks))[0]
     return _clamped(float(raw))

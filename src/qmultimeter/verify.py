@@ -314,8 +314,8 @@ def verify_b_properties(
     kernel monotonicity surrogates."""
     t0 = time.perf_counter()
     opts = DivergenceOptions(seed=seed)
-    # the conjugated re-estimates leaning on the grid scan converge with a
-    # short polish; full restarts would add minutes for no extra accuracy
+    # the conjugated re-estimates start from every eigenvector-candidate row
+    # and converge with a short polish; full restarts add time, not accuracy
     conj_opts = DivergenceOptions(seed=seed, restarts=4, maxiter=600)
     rng = rng_from(seed)
     d = e1.dim

@@ -230,10 +230,9 @@ def sharpmin_oracle(t: float, grid: int = 41, refine: bool = True) -> float:
     return best
 
 
-def full_grid_ratio_min(stack1, stack2, states1, states2):
-    """Candidate scan over the whole product of two pure-state collections at
-    once: the full ratio matrix, its first minimum and the pair attaining it,
-    or inf when every pair is near orthogonal."""
+def full_ratio_matrix(stack1, stack2, states1, states2):
+    """Floored candidate-scan ratio of every pair of two pure-state
+    collections at once, inf where a pair is near orthogonal."""
     from qmultimeter.divergence import EPS_DEN, PROB_FLOOR
 
     p1 = np.einsum("si,xij,sj->sx", states1.conj(), stack1, states1).real
@@ -244,7 +243,14 @@ def full_grid_ratio_min(stack1, stack2, states1, states2):
     p2[p2 < PROB_FLOOR] = 0.0
     b = np.sqrt(p1) @ np.sqrt(p2).T
     f = np.abs(states1.conj() @ states2.T)
-    ratio = np.where(f >= EPS_DEN, b / np.maximum(f, EPS_DEN), np.inf)
+    return np.where(f >= EPS_DEN, b / np.maximum(f, EPS_DEN), np.inf)
+
+
+def full_grid_ratio_min(stack1, stack2, states1, states2):
+    """Candidate scan over the whole product of two pure-state collections at
+    once: the first minimum of the full ratio matrix and the pair attaining
+    it, or inf when every pair is near orthogonal."""
+    ratio = full_ratio_matrix(stack1, stack2, states1, states2)
     idx = np.unravel_index(np.argmin(ratio), ratio.shape)
     return float(ratio[idx]), states1[idx[0]], states2[idx[1]]
 
@@ -253,8 +259,8 @@ def scipy_multistart_divergence(e1, e2, opts=None):
     """The divergence estimate by derivative-free search: one scipy
     Nelder-Mead run per start, one after another, on the unfloored ratio
     (probabilities clipped at 0, not floored) of a scalar objective; the same
-    scans, starts and payload as ``observable_divergence``. The value is the
-    lowest ratio any run evaluated, at the pair it was evaluated at."""
+    candidate scan, starts and payload as ``observable_divergence``. The value
+    is the lowest ratio any run evaluated, at the pair it was evaluated at."""
     from qmultimeter import divergence as dv
     from qmultimeter.quantum import DensityState
 
@@ -285,27 +291,25 @@ def scipy_multistart_divergence(e1, e2, opts=None):
             best["pair"] = (v1, v2)
         return val
 
-    scans = [
-        ("eigenvector candidates", dv._top_eigenvectors(e1.effects), dv._top_eigenvectors(e2.effects))
+    top1 = dv._top_eigenvectors(e1.effects)
+    top2 = dv._top_eigenvectors(e2.effects)
+    ratio = full_ratio_matrix(stack1, stack2, top1, top2)
+    i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
+    if ratio[i, j] < dv.ZERO_TOL:
+        return dv.DivergenceEstimate(
+            value=0.0,
+            argmin=(DensityState.from_vector(top1[i]), DensityState.from_vector(top2[j])),
+            method=dv._method_string(opts.restarts, "exact-zero witness from eigenvector candidates"),
+            restarts=0,
+            converged=True,
+            seed=opts.seed,
+        )
+    # one seed per row: each top eigenvector of e1 with its best partner in e2
+    starts = [
+        dv._params_from_pair(top1[r], top2[np.argmin(row)])
+        for r, row in enumerate(ratio)
+        if row.min() < np.inf
     ]
-    if d == 2:
-        grid = dv._bloch_states(dv.BLOCH_GRID, dv.BLOCH_GRID)
-        scans.append(("grid scan", grid, grid))
-    starts = []
-    for source, states1, states2 in scans:
-        val, v1, v2 = full_grid_ratio_min(stack1, stack2, states1, states2)
-        if val < dv.ZERO_TOL:
-            return dv.DivergenceEstimate(
-                value=0.0,
-                argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
-                method=dv._method_string(opts.restarts, f"exact-zero witness from {source}"),
-                restarts=0,
-                converged=True,
-                seed=opts.seed,
-            )
-        if val < np.inf:
-            starts.append(dv._params_from_pair(v1, v2))
-
     for _ in range(opts.restarts):
         starts.append(rng.standard_normal(4 * d))
 

@@ -23,6 +23,7 @@ from qmultimeter.verify import q8_program_pair, wh_program_pair
 from oracles import (
     bloch_grid_infimum,
     full_grid_ratio_min,
+    full_ratio_matrix,
     pure_fidelity,
     scipy_multistart_divergence,
     smeared_qubit_observable,
@@ -105,8 +106,7 @@ class TestObservableDivergence:
     @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("seed", range(5))
     def test_random_pvm_pairs_give_an_eigenvector_zero_witness(self, d, seed):
-        # above qubits there is no grid scan: the eigenvector candidates alone
-        # must find the pair with disjoint statistics
+        # the eigenvector candidates must find the pair with disjoint statistics
         rng = np.random.default_rng([d, seed])
         a, b = random_pvm(rng, d), random_pvm(rng, d)
         est = observable_divergence(a, b, DivergenceOptions(seed=seed, restarts=4))
@@ -299,8 +299,43 @@ class TestSearchAgainstOracle:
 
         monkeypatch.setattr(divergence, "minimize", counted)
         observable_divergence(e1, e2, opts)
-        # the eigenvector and grid seeds, then the random starts
-        assert calls == ["L-BFGS-B"] * (2 + opts.restarts)
+        # one seed per top eigenvector of e1, then the random starts
+        assert calls == ["L-BFGS-B"] * (e1.n_outcomes + opts.restarts)
+
+
+    def test_runs_are_ranked_by_the_ratio_at_their_point(self, monkeypatch):
+        # an abnormal line-search exit can return x0 with a trial point's
+        # value; a stale fun, lower for each later run, must not decide
+        e1, e2, opts = _b4_pair(1)
+        reference = observable_divergence(e1, e2, opts)
+        real = divergence.minimize
+        runs = []
+
+        def stale(*args, **kwargs):
+            res = real(*args, **kwargs)
+            runs.append(res)
+            res.fun = res.fun - 0.1 * len(runs)
+            return res
+
+        monkeypatch.setattr(divergence, "minimize", stale)
+        est = observable_divergence(e1, e2, opts)
+        assert min(res.fun for res in runs) < reference.value - 0.1
+        assert est.value == reference.value
+        _assert_ratio_at_argmin(e1, e2, est)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_seed_of_a_five_outcome_qubit_pair_finds_the_minimum(self, seed):
+        # with a single eigenvector seed, this pair's restarts=4 searches stuck
+        # in a local minimum 4.2e-3 above the default estimate; a seed per
+        # eigenvector row reaches it from every seed, in both orders
+        rng = np.random.default_rng([7, 57])
+        n = int(rng.integers(2, 6))
+        assert n == 5
+        e1, e2 = random_povm(rng, 2, n), random_povm(rng, 2, n)
+        opts = DivergenceOptions(seed=seed, restarts=4, maxiter=600)
+        for a, b in ((e1, e2), (e2, e1)):
+            default = observable_divergence(a, b).value
+            assert abs(observable_divergence(a, b, opts).value - default) <= 1e-9
 
 
 PROGRAMMED_PAIRS = [("q8", q8_program_pair)] + [
@@ -368,7 +403,7 @@ class TestInfeasiblePoints:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = observable_divergence(e1, e2, opts)
-        assert len(results) == 2 + opts.restarts > len(bad)
+        assert len(results) == e1.n_outcomes + opts.restarts > len(bad)
         for res, x in zip(results, bad):
             assert np.array_equal(res.x, x)  # a zero gradient: the run stays put
         assert est.value == min(res.fun for res in results[len(bad) :])
@@ -433,119 +468,58 @@ def _random_states(rng, n, d=2):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-class TestGridScanBlocks:
+class TestCandidateScan:
     """The row-block candidate scan against the full ratio matrix."""
 
     @staticmethod
-    def _assert_same(got, ref):
-        assert got[0] == ref[0]
-        assert got[1].tobytes() == ref[1].tobytes()
-        assert got[2].tobytes() == ref[2].tobytes()
+    def _assert_same(stacks, states1, states2):
+        low, col = divergence._row_ratio_min(*stacks, states1, states2)
+        ratio = full_ratio_matrix(*stacks, states1, states2)
+        assert low.tobytes() == ratio.min(axis=1).tobytes()
+        assert np.array_equal(col, np.argmin(ratio, axis=1))
+        value, v1, v2 = full_grid_ratio_min(*stacks, states1, states2)
+        i = int(np.argmin(low))
+        assert low[i] == value
+        assert states1[i].tobytes() == v1.tobytes()
+        assert states2[col[i]].tobytes() == v2.tobytes()
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_bloch_grid_matches_full_matrix(self, seed):
-        rng = np.random.default_rng(seed)
-        e1, e2 = random_povm(rng, 2, 3), random_povm(rng, 2, 3)
-        s1, s2 = np.stack(e1.effects), np.stack(e2.effects)
-        grid = divergence._bloch_states(divergence.BLOCH_GRID, divergence.BLOCH_GRID)
-        assert len(grid) % GRID_BLOCK != 0
-        self._assert_same(
-            divergence._grid_ratio_min(s1, s2, grid, grid), full_grid_ratio_min(s1, s2, grid, grid)
-        )
+    @staticmethod
+    def _stacks(e1, e2):
+        return np.stack(e1.effects), np.stack(e2.effects)
 
-    def test_minimum_in_the_last_partial_block(self, rng):
-        e1, e2 = random_povm(rng, 2, 3), random_povm(rng, 2, 3)
-        s1, s2 = np.stack(e1.effects), np.stack(e2.effects)
-        states1 = _random_states(rng, 2 * GRID_BLOCK + 44)
-        states2 = _random_states(rng, 300)
-        _, v1, _ = full_grid_ratio_min(s1, s2, states1, states2)
-        i = int(np.flatnonzero((states1 == v1).all(axis=1))[0])
-        states1[[i, -1]] = states1[[-1, i]]
-        ref = full_grid_ratio_min(s1, s2, states1, states2)
-        assert ref[1].tobytes() == states1[-1].tobytes()
-        self._assert_same(divergence._grid_ratio_min(s1, s2, states1, states2), ref)
+    @pytest.mark.parametrize("n1", [GRID_BLOCK + 1, 2 * GRID_BLOCK + 44])
+    def test_more_rows_than_a_block(self, n1):
+        rng = np.random.default_rng([8, n1])
+        stacks = self._stacks(random_povm(rng, 2, 3), random_povm(rng, 2, 3))
+        self._assert_same(stacks, _random_states(rng, n1), _random_states(rng, 300))
 
     def test_all_near_orthogonal_gives_inf(self):
         s = np.stack(sigma_z_pvm().effects)
         up = np.tile([1.0 + 0j, 0.0], (GRID_BLOCK + 5, 1))
         down = np.tile([0.0 + 0j, 1.0], (3, 1))
-        value, _, _ = divergence._grid_ratio_min(s, s, up, down)
-        assert value == np.inf
-        assert full_grid_ratio_min(s, s, up, down)[0] == np.inf
+        low, col = divergence._row_ratio_min(s, s, up, down)
+        assert (low == np.inf).all() and (col == 0).all()
+        self._assert_same((s, s), up, down)
 
     def test_zero_witness_from_eigenvectors(self):
-        # cap 0: only rows with an exact-zero overlap are scanned exactly
         a, b = sigma_z_pvm(), sigma_x_pvm()
-        s1, s2 = np.stack(a.effects), np.stack(b.effects)
-        states1 = divergence._top_eigenvectors(a.effects)
-        states2 = divergence._top_eigenvectors(b.effects)
-        ref = full_grid_ratio_min(s1, s2, states1, states2)
-        assert ref[0] == 0.0
-        self._assert_same(divergence._grid_ratio_min(s1, s2, states1, states2), ref)
-
-    def test_sharp_pair_on_the_bloch_grid(self):
-        # the grid holds no x eigenvector, so its minimum is small but not 0;
-        # with the two appended after it, every |0> row of the grid has a zero
-        a, b = sigma_z_pvm(), sigma_x_pvm()
-        s1, s2 = np.stack(a.effects), np.stack(b.effects)
-        grid = divergence._bloch_states(divergence.BLOCH_GRID, divergence.BLOCH_GRID)
-        ref = full_grid_ratio_min(s1, s2, grid, grid)
-        assert 0.0 < ref[0] < 0.1
-        self._assert_same(divergence._grid_ratio_min(s1, s2, grid, grid), ref)
-        states2 = np.concatenate([grid, divergence._top_eigenvectors(b.effects)])
-        ref = full_grid_ratio_min(s1, s2, grid, states2)
-        assert ref[0] == 0.0
-        self._assert_same(divergence._grid_ratio_min(s1, s2, grid, states2), ref)
+        top1 = divergence._top_eigenvectors(a.effects)
+        top2 = divergence._top_eigenvectors(b.effects)
+        assert full_grid_ratio_min(*self._stacks(a, b), top1, top2)[0] == 0.0
+        self._assert_same(self._stacks(a, b), top1, top2)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_equal_observables_tie_near_one(self, seed):
-        # every (v, v) pair scores 1 within a few ulps, so the first minimum
-        # decides which pair is returned
-        e = random_povm(np.random.default_rng([5, seed]), 2, 3)
-        s = np.stack(e.effects)
-        grid = divergence._bloch_states(divergence.BLOCH_GRID, divergence.BLOCH_GRID)
-        ref = full_grid_ratio_min(s, s, grid, grid)
-        assert abs(ref[0] - 1.0) < 1e-9
-        self._assert_same(divergence._grid_ratio_min(s, s, grid, grid), ref)
-
-    def test_lowest_bound_row_orthogonal_to_every_state(self, rng):
-        # the row with the least overlap is near orthogonal to every state of
-        # the second collection, so its ratios are all inf and no row is pruned
-        s = np.stack(sigma_z_pvm().effects)
-        states1 = _random_states(rng, GRID_BLOCK + 20)
-        states1[37] = [0.0, 1.0]
-        states2 = np.tile([1.0 + 0j, 0.0], (50, 1))
-        states2[1:] *= np.exp(1j * rng.uniform(0, 2 * np.pi, (49, 1)))
-        sq = lambda states: np.sqrt(np.einsum("si,xij,sj->sx", states.conj(), s, states).real.clip(0))
-        low = (sq(states1) @ sq(states2).T).min(axis=1)
-        assert np.argmin(low) == 37
-        assert np.abs(states1[37].conj() @ states2.T).max() < divergence.EPS_DEN
-        ref = full_grid_ratio_min(s, s, states1, states2)
-        assert ref[0] < np.inf
-        self._assert_same(divergence._grid_ratio_min(s, s, states1, states2), ref)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_duplicate_pole_states_of_the_grid(self, seed):
-        # the grid's first BLOCH_GRID states are all |0>: equal bounds, equal
-        # ratios, and the first of them must win
+    def test_duplicate_states_tie_to_the_first(self, seed):
+        # equal rows and equal columns have equal ratios: the first must win
         rng = np.random.default_rng([6, seed])
-        e1, e2 = random_povm(rng, 2, 3), random_povm(rng, 2, 3)
-        s1, s2 = np.stack(e1.effects), np.stack(e2.effects)
-        grid = divergence._bloch_states(divergence.BLOCH_GRID, divergence.BLOCH_GRID)
-        poles = grid[: divergence.BLOCH_GRID]
-        assert (poles == poles[0]).all()
-        for states1 in (poles, np.concatenate([poles, grid[[700, 1100]]])):
-            ref = full_grid_ratio_min(s1, s2, states1, grid)
-            self._assert_same(divergence._grid_ratio_min(s1, s2, states1, grid), ref)
+        stacks = self._stacks(random_povm(rng, 2, 3), random_povm(rng, 2, 3))
+        states = _random_states(rng, GRID_BLOCK + 20)
+        states[::7] = states[3]
+        self._assert_same(stacks, states, states)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 300), st.integers(1, 300))
     @settings(max_examples=40, deadline=None)
     def test_random_collections_match_full_matrix(self, seed, outcomes, n1, n2):
         rng = np.random.default_rng(seed)
-        e1, e2 = random_povm(rng, 2, outcomes), random_povm(rng, 2, outcomes)
-        s1, s2 = np.stack(e1.effects), np.stack(e2.effects)
-        states1, states2 = _random_states(rng, n1), _random_states(rng, n2)
-        self._assert_same(
-            divergence._grid_ratio_min(s1, s2, states1, states2),
-            full_grid_ratio_min(s1, s2, states1, states2),
-        )
+        stacks = self._stacks(random_povm(rng, 2, outcomes), random_povm(rng, 2, outcomes))
+        self._assert_same(stacks, _random_states(rng, n1), _random_states(rng, n2))
