@@ -233,7 +233,8 @@ def _run_divergence(cfg: RunConfig) -> int:
     try:
         e1 = observable_from_json(load_json(cfg.e1))
         e2 = observable_from_json(load_json(cfg.e2))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    # a file of the wrong JSON shape (a list, a null count) fails with a TypeError
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load observables: {exc}") from exc
     opts = DivergenceOptions(seed=cfg.seed, restarts=cfg.restarts)
     est = observable_divergence(e1, e2, opts)

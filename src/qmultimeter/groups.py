@@ -358,14 +358,11 @@ def pointer_vector(rep: ProjectiveRepresentation, g: int | np.ndarray) -> np.nda
 
 
 def partial_swap_channel(d: int) -> QuantumChannel:
-    """Unitary channel permuting A x B x C to B x A x C on three d-dim factors.
-
-    Kept as the permutation channel of basis vector (a, b, c) -> (b, a, c):
-    applying it and its dual are index gathers, and the dense d^3 x d^3
-    0/1 Kraus operator is built only when ``kraus`` is read.
-    """
+    """Unitary channel permuting A x B x C to B x A x C on three d-dim factors:
+    its one Kraus operator is the dense d^3 x d^3 0/1 matrix of basis vector
+    (a, b, c) -> (b, a, c)."""
     perm = np.arange(d**3).reshape(d, d, d).transpose(1, 0, 2).reshape(-1)
-    return QuantumChannel.permutation(perm)
+    return QuantumChannel([np.eye(d**3, dtype=complex)[perm]])
 
 
 def covariant_pointer(rep: ProjectiveRepresentation) -> Observable:
@@ -382,21 +379,45 @@ class CovariantMultimeter(Multimeter):
     """The partial-SWAP multimeter of an irreducible projective representation.
 
     ``program`` reads only ``representation``. The (n, d^2, d^2) pointer stack
-    is built by ``covariant_pointer`` when ``pointer`` is first read, and kept.
+    and the d^3 x d^3 partial-SWAP interaction are each built when first read,
+    and kept.
     """
 
     def __init__(self, rep: ProjectiveRepresentation):
         self.representation = rep
         self.probe_dim = rep.degree**2
-        self.interaction = partial_swap_channel(rep.degree)
 
     @cached_property
     def pointer(self) -> Observable:
         return covariant_pointer(self.representation)
 
+    @cached_property
+    def interaction(self) -> QuantumChannel:
+        return partial_swap_channel(self.representation.degree)
+
     @property
     def n_outcomes(self) -> int:
         return self.representation.group.order
+
+    @property
+    def system_dim(self) -> int:
+        return self.representation.degree
+
+    def dual_pointer_effects(self) -> list:
+        """Pointer effects pulled back through the partial SWAP: the dense
+        Heisenberg duals K†(1 x Z(x))K, one per outcome, rebuilt on every call.
+
+        K permutes basis vectors, so each dual is an index transpose of
+        1 x Z(x), swapping the first two factors of its rows and of its
+        columns. Programming never reads it; only the ``ProgramWarm`` set-up
+        of the benchmark calls it.
+        """
+        d = self.representation.degree
+        eye = np.eye(d, dtype=complex)
+        return [
+            tensor(eye, z).reshape((d,) * 6).transpose(1, 0, 2, 4, 3, 5).reshape(d**3, d**3)
+            for z in self.pointer.effects
+        ]
 
 
 def covariant_multimeter(rep: ProjectiveRepresentation) -> Multimeter:

@@ -14,7 +14,6 @@ from .linalg import (
     as_matrix,
     hermitianize,
     require_hermitian,
-    tensor,
 )
 
 ATOL_TRACE = 1e-9
@@ -216,18 +215,8 @@ class Observable:
         return np.allclose(self.effects, other.effects, atol=1e-9, rtol=0.0)
 
 
-def _permutation_matrix(perm: np.ndarray) -> np.ndarray:
-    """The dense 0/1 Kraus operator eye(n)[perm] of a permutation channel."""
-    return np.eye(perm.size, dtype=complex)[perm]
-
-
 class QuantumChannel:
-    """Completely positive trace-preserving map in Kraus form.
-
-    A channel built by ``permutation`` keeps its single Kraus operator as an
-    index array ``perm`` (K[i, perm[i]] = 1): applying it and its dual are
-    index gathers, and the dense matrix is built only when ``kraus`` is read.
-    """
+    """Completely positive trace-preserving map in Kraus form."""
 
     def __init__(self, kraus: list):
         kraus = [as_matrix(k) for k in kraus]
@@ -241,56 +230,24 @@ class QuantumChannel:
         defect = float(np.max(np.abs(total - np.eye(shape[1]))))
         if defect > ATOL_COMPLETE:
             raise ValueError(f"channel is not trace preserving: defect {defect:.3e}")
-        self._kraus = kraus
-        self.perm = None
-
-    @classmethod
-    def permutation(cls, perm) -> "QuantumChannel":
-        """Unitary channel of the permutation matrix eye(n)[perm].
-
-        For a single 0/1 Kraus operator, sum K†K = 1 holds exactly when
-        ``perm`` is a bijection of range(n), so that is the check.
-        """
-        p = np.asarray(perm)
-        if p.ndim != 1 or p.size == 0 or not np.issubdtype(p.dtype, np.integer):
-            raise ValueError(
-                f"permutation must be a non-empty 1-d integer array, got shape {p.shape}"
-            )
-        if not np.array_equal(np.sort(p), np.arange(p.size)):
-            raise ValueError(f"permutation is not a bijection of range({p.size})")
-        channel = cls.__new__(cls)
-        channel._kraus = None
-        channel.perm = p.astype(np.intp)
-        return channel
-
-    @property
-    def kraus(self) -> list:
-        """Kraus operators; a permutation channel builds its dense one anew on each read."""
-        if self.perm is not None:
-            return [_permutation_matrix(self.perm)]
-        return self._kraus
+        self.kraus = kraus
 
     @property
     def in_dim(self) -> int:
-        return self.perm.size if self.perm is not None else self._kraus[0].shape[1]
+        return self.kraus[0].shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.perm.size if self.perm is not None else self._kraus[0].shape[0]
+        return self.kraus[0].shape[0]
 
     def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        if self.perm is not None:
-            return as_matrix(rho)[np.ix_(self.perm, self.perm)]
-        return sum(k @ rho @ k.conj().T for k in self._kraus)
+        return sum(k @ rho @ k.conj().T for k in self.kraus)
 
     def dual_matrix(self, b: np.ndarray) -> np.ndarray:
         """Heisenberg-picture action sum of K† B K on an operator, or on each
         operator of a stack (..., n, n)."""
         b = np.asarray(b, dtype=complex)
-        if self.perm is not None:
-            inverse = np.argsort(self.perm)
-            return b[..., inverse[:, None], inverse]
-        return sum(k.conj().T @ b @ k for k in self._kraus)
+        return sum(k.conj().T @ b @ k for k in self.kraus)
 
     @classmethod
     def identity(cls, dim: int) -> "QuantumChannel":
@@ -420,16 +377,6 @@ class Multimeter:
     @property
     def system_dim(self) -> int:
         return self.interaction.in_dim // self.probe_dim
-
-    def dual_pointer_effects(self) -> list:
-        """Pointer effects pulled back through the interaction: the dense
-        Heisenberg duals K†(1 x Z(x))K, one per outcome, rebuilt on every call
-        (an index gather per effect for a permutation interaction).
-        """
-        # programming does not use this view (see program); it
-        # stays because the ProgramWarm set-up in perfbench/workloads.py calls it
-        eye = np.eye(self.system_dim, dtype=complex)
-        return [self.interaction.dual_matrix(tensor(eye, z)) for z in self.pointer.effects]
 
 
 def _probe_contraction(k: np.ndarray, xi: np.ndarray, d_sys: int, d_probe: int) -> np.ndarray:

@@ -390,6 +390,7 @@ def verify_b_properties(
     checks["b6_worst_margin"] = b6_worst
     margins.append(b6_worst)
     violations += b6_worst < 0.0
+    checks["estimator_tol"] = estimator_tol
 
     return VerificationReport(
         check="b_properties",

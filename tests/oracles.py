@@ -129,14 +129,18 @@ def heisenberg_program(mm, xi):
 
 
 def gathered_heisenberg_program(mm, xi):
-    """Programmed observable through ``QuantumChannel.dual_matrix``.
+    """Programmed observable of a partial-SWAP covariant device through duals
+    gathered by index, with no channel of the package.
 
-    For a permutation interaction the dual is an index gather, which
-    ``TestPermutationChannel`` checks against the dense K†BK; with no dense
-    (d^3)^2 products this oracle reaches the d=11 phase-space device in
-    seconds, where ``heisenberg_program`` takes minutes.
+    The swap's Kraus operator is K = eye(d^3)[perm] for the basis map
+    (a, b, c) -> (b, a, c), so K†BK = B[inv][:, inv] with inv the inverse
+    permutation. With no dense (d^3)^2 products this oracle reaches the d=11
+    phase-space device in seconds, where ``heisenberg_program`` takes minutes.
     """
-    return _program_through_duals(mm, xi, mm.interaction.dual_matrix)
+    d = mm.representation.degree
+    perm = np.arange(d**3).reshape(d, d, d).transpose(1, 0, 2).reshape(-1)
+    inv = np.argsort(perm)
+    return _program_through_duals(mm, xi, lambda b: b[np.ix_(inv, inv)])
 
 
 def einsum_margins(e1, e2, trials, seed, f_prog, kernels=None, f_kern=1.0):

@@ -242,6 +242,12 @@ class TestVerifyCommand:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("config error:") and "finite" in err
 
+    @pytest.mark.parametrize("flag, expected", [(["--tol", "estimator_tol=0.9"], 0.9), ([], 2e-3)])
+    def test_bprops_records_its_estimator_tolerance(self, capsys, flag, expected):
+        code, out, _ = run(capsys, "verify", "bprops", "--trials", "2", "--seed", "0", *flag)
+        assert code == 0
+        assert json.loads(out)["fixtures"]["estimator_tol"] == expected
+
     def test_unknown_tolerance_rejected(self, capsys):
         code, _, err = run(
             capsys, "verify", "prop1", "--trials", "10", "--tol", "bogus=1"
@@ -333,6 +339,20 @@ class TestDivergenceCommand:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("config error:") and "non-finite" in err
+
+    @pytest.mark.parametrize("malformed", ["list", "null rows"])
+    def test_malformed_observable_file_is_config_error(self, capsys, observable_files, malformed):
+        e1, e2 = observable_files
+        if malformed == "list":
+            doc = []
+        else:
+            doc = json.loads(Path(e1).read_text())
+            doc["effects"][doc["outcomes"][0]]["rows"] = None
+        Path(e1).write_text(json.dumps(doc))
+        code, out, err = run(capsys, "divergence", "--e1", e1, "--e2", e2)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and "cannot load" in err
 
     def test_missing_flags_rejected(self, capsys):
         code, _, err = run(capsys, "divergence")

@@ -355,7 +355,7 @@ class TestEffectStack:
     @pytest.mark.parametrize("kind", ["kraus", "permutation"])
     def test_dual_apply_equals_effectwise_duals(self, rng, kind):
         ch = (random_channel(rng, 4, 3) if kind == "kraus"
-              else QuantumChannel.permutation(rng.permutation(4)))
+              else QuantumChannel([np.eye(4)[rng.permutation(4)]]))
         e = random_povm(rng, 4, 3)
         expected = np.array([hermitianize(ch.dual_matrix(eff)) for eff in e.effects])
         assert np.array_equal(dual_apply(ch, e).effects, expected)
@@ -528,15 +528,8 @@ class TestChannels:
 
 
 class TestPermutationChannel:
-    """``QuantumChannel.permutation`` keeps K = eye(n)[perm] as an index array;
-    each check compares it with the dense 0/1 matrix."""
-
-    @pytest.mark.parametrize(
-        "perm", [[0, 0, 2], [0, 1, 3], [-1, 0, 1], [], np.arange(4).reshape(2, 2), [0.0, 1.0]]
-    )
-    def test_non_bijection_rejected(self, perm):
-        with pytest.raises(ValueError, match="permutation"):
-            QuantumChannel.permutation(perm)
+    """The partial SWAP is the channel of the dense 0/1 matrix K = eye(n)[perm];
+    the covariant device's pulled-back pointer is an index transpose of it."""
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_partial_swap_kraus_is_the_permutation_matrix(self, d):
@@ -551,25 +544,15 @@ class TestPermutationChannel:
         assert len(ch.kraus) == 1
         assert np.array_equal(ch.kraus[0], np.eye(n)[perm])
 
-    def test_gathers_equal_dense_products_exactly(self, rng):
-        ch = partial_swap_channel(3)
-        k = ch.kraus[0]
-        for _ in range(3):
-            m = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
-            np.testing.assert_array_equal(ch.apply_matrix(m), k @ m @ k.conj().T)
-            np.testing.assert_array_equal(ch.dual_matrix(m), k.conj().T @ m @ k)
-
-    def test_random_permutation_matches_dense_channel(self, rng):
-        perm = rng.permutation(6)
-        ch = QuantumChannel.permutation(perm)
-        dense = QuantumChannel([np.eye(6)[perm]])
-        rho = random_density(rng, 6)
-        np.testing.assert_array_equal(
-            apply_channel(ch, rho).matrix, apply_channel(dense, rho).matrix
-        )
-        e = random_povm(rng, 6, 3)
-        for a, b in zip(dual_apply(ch, e).effects, dual_apply(dense, e).effects, strict=True):
-            np.testing.assert_array_equal(a, b)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gathers_equal_dense_products_exactly(self, d):
+        mm = covariant_multimeter(weyl_heisenberg(d))
+        k = partial_swap_channel(d).kraus[0]
+        eye = np.eye(d)
+        duals = mm.dual_pointer_effects()
+        assert len(duals) == d * d
+        for dual, z in zip(duals, mm.pointer.effects, strict=True):
+            np.testing.assert_array_equal(dual, k.conj().T @ tensor(eye, z) @ k)
 
     def test_dilation_is_unitary(self):
         ch = partial_swap_channel(2)
@@ -688,7 +671,7 @@ class TestProgramContraction:
                 mm = Multimeter(
                     probe_dim=probe_dim,
                     pointer=random_povm(rng, probe_dim, int(rng.integers(1, 5))),
-                    interaction=QuantumChannel.permutation(rng.permutation(n)),
+                    interaction=QuantumChannel([np.eye(n)[rng.permutation(n)]]),
                 )
                 self._assert_matches_oracle(mm, random_density(rng, probe_dim))
 
@@ -713,7 +696,7 @@ class TestProgramContraction:
         mm = Multimeter(
             probe_dim=d_probe,
             pointer=random_povm(rng, d_probe, 3),
-            interaction=QuantumChannel.permutation(perm),
+            interaction=QuantumChannel([np.eye(d_sys * d_probe)[perm]]),
         )
         self._assert_matches_oracle(mm, random_density(rng, d_probe))
 
@@ -726,15 +709,17 @@ class TestProgramContraction:
         monkeypatch.setattr(QuantumChannel, "dual_matrix", refuse)
         assert program(mm, random_density(rng, mm.probe_dim)).n_outcomes == 25
 
-    def test_builds_no_dense_permutation_matrix(self, rng, monkeypatch):
+    def test_builds_no_interaction(self, rng, monkeypatch):
+        def refuse(d):
+            raise AssertionError("programming built the interaction")
+
+        monkeypatch.setattr(groups, "partial_swap_channel", refuse)
         mm = covariant_multimeter(weyl_heisenberg(5))
-
-        def refuse(perm):
-            raise AssertionError("programming built the dense permutation matrix")
-
-        monkeypatch.setattr(quantum, "_permutation_matrix", refuse)
         assert program(mm, random_density(rng, mm.probe_dim)).n_outcomes == 25
+        assert mm.system_dim == 5
         assert phase_space_demo(5)["vector_count"] == 6
+        with pytest.raises(AssertionError, match="interaction"):
+            mm.interaction
 
     def test_builds_no_covariant_pointer(self, rng, monkeypatch):
         def refuse(rep):
