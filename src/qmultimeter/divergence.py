@@ -141,21 +141,40 @@ def _clamped(raw: float) -> float:
     return 0.0 if raw < ZERO_TOL else min(max(raw, 0.0), CLAMP_HI)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T for real a (m, k) and b (n, k), added term by term over k. BLAS
+    rounds a row differently by how many rows it multiplies at once; here
+    each entry rounds the same in any block of rows."""
+    out = a[:, :1] * b[:, 0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k : k + 1] * b[:, k]
+    return out
+
+
+def _interleaved(*parts: np.ndarray) -> np.ndarray:
+    """Columns of equal-shape (n, d) arrays interleaved into one (n, len(parts) d)."""
+    n, d = parts[0].shape
+    return np.stack(parts, axis=-1).reshape(n, len(parts) * d)
+
+
 def _row_ratio_min(stack1, stack2, states1, states2) -> tuple:
     """For each state of the first collection, the least floored ratio against
     the second and the first column attaining it (inf and 0 where every pair of
-    the row is near orthogonal). The scan walks near-equal blocks of at most
-    ``GRID_BLOCK`` rows, so a block holds a lone row only when the collection
-    does: numpy multiplies a lone row by matrix-vector BLAS, which may round
-    unlike the matrix-matrix product of the full scan."""
+    the row is near orthogonal). The scan walks blocks of ``GRID_BLOCK`` rows
+    and sums each product term by term (``_cross``), so every ratio is the
+    same bit for bit whichever block holds its row. The fidelity |<a|b>| is
+    the hypot of sum(ar br + ai bi) and sum(ar bi - ai br)."""
     sq1 = np.sqrt(_floored(np.einsum("si,xij,sj->sx", states1.conj(), stack1, states1).real))
-    sq2 = np.sqrt(_floored(np.einsum("si,xij,sj->sx", states2.conj(), stack2, states2).real)).T
-    conj1 = states1.conj()
+    sq2 = np.sqrt(_floored(np.einsum("si,xij,sj->sx", states2.conj(), stack2, states2).real))
+    x1 = _interleaved(states1.real, states1.imag)
+    x2 = _interleaved(states2.real, states2.imag)
+    y2 = _interleaved(states2.imag, -states2.real)
     low = np.empty(len(states1))
     col = np.empty(len(states1), dtype=int)
-    for rows in np.array_split(np.arange(len(states1)), -(-len(states1) // GRID_BLOCK)):
-        b = sq1[rows] @ sq2
-        f = np.abs(conj1[rows] @ states2.T)
+    for start in range(0, len(states1), GRID_BLOCK):
+        rows = slice(start, start + GRID_BLOCK)
+        b = _cross(sq1[rows], sq2)
+        f = np.hypot(_cross(x1[rows], x2), _cross(x1[rows], y2))
         far = f < EPS_DEN
         ratio = np.divide(b, np.maximum(f, EPS_DEN, out=f), out=b)
         ratio[far] = np.inf

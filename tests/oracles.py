@@ -245,8 +245,20 @@ def full_ratio_matrix(stack1, stack2, states1, states2):
     p2 = np.clip(p2, 0.0, None)
     p1[p1 < PROB_FLOOR] = 0.0
     p2[p2 < PROB_FLOOR] = 0.0
-    b = np.sqrt(p1) @ np.sqrt(p2).T
-    f = np.abs(states1.conj() @ states2.T)
+    # sums in the scan's order, term by term, so that any block of its rows
+    # matches the full matrix bit for bit
+    q1, q2 = np.sqrt(p1)[:, None, :], np.sqrt(p2)[None, :, :]
+    b = q1[..., 0] * q2[..., 0]
+    for x in range(1, q1.shape[-1]):
+        b = b + q1[..., x] * q2[..., x]
+    ar, ai = states1.real[:, None, :], states1.imag[:, None, :]
+    br, bi = states2.real[None, :, :], states2.imag[None, :, :]
+    re = ar[..., 0] * br[..., 0] + ai[..., 0] * bi[..., 0]
+    im = ar[..., 0] * bi[..., 0] - ai[..., 0] * br[..., 0]
+    for i in range(1, ar.shape[-1]):
+        re = re + ar[..., i] * br[..., i] + ai[..., i] * bi[..., i]
+        im = im + ar[..., i] * bi[..., i] - ai[..., i] * br[..., i]
+    f = np.hypot(re, im)
     return np.where(f >= EPS_DEN, b / np.maximum(f, EPS_DEN), np.inf)
 
 

@@ -544,6 +544,22 @@ class TestPermutationChannel:
         assert len(ch.kraus) == 1
         assert np.array_equal(ch.kraus[0], np.eye(n)[perm])
 
+    @pytest.mark.parametrize("perm", [[0, 0, 2], [1, 1, 1], [2, 0, 0]])
+    def test_non_bijection_rejected(self, perm):
+        with pytest.raises(ValueError, match="not trace preserving"):
+            QuantumChannel([np.eye(3)[perm]])
+
+    def test_random_permutation_matches_index_gather(self, rng):
+        # K = eye(n)[perm]: K rho K† = rho[perm][:, perm], K† B K = B[inv][:, inv]
+        perm = rng.permutation(6)
+        inv = np.argsort(perm)
+        ch = QuantumChannel([np.eye(6)[perm]])
+        rho = random_density(rng, 6)
+        np.testing.assert_array_equal(apply_channel(ch, rho).matrix, rho.matrix[np.ix_(perm, perm)])
+        e = random_povm(rng, 6, 3)
+        for dual, eff in zip(dual_apply(ch, e).effects, e.effects, strict=True):
+            np.testing.assert_array_equal(dual, eff[np.ix_(inv, inv)])
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_gathers_equal_dense_products_exactly(self, d):
         mm = covariant_multimeter(weyl_heisenberg(d))
