@@ -236,6 +236,12 @@ def _run_divergence(cfg: RunConfig) -> int:
     # a file of the wrong JSON shape (a list, a null count) fails with a TypeError
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load observables: {exc}") from exc
+    if e1.dim != e2.dim:
+        raise ConfigError(f"observables must share a dimension, got {e1.dim} and {e2.dim}")
+    if e1.n_outcomes != e2.n_outcomes:
+        raise ConfigError(
+            f"observables must share an outcome count, got {e1.n_outcomes} and {e2.n_outcomes}"
+        )
     opts = DivergenceOptions(seed=cfg.seed, restarts=cfg.restarts)
     est = observable_divergence(e1, e2, opts)
     _emit(cfg, json.dumps(estimate_to_json(est), indent=2))

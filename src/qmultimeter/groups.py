@@ -266,6 +266,11 @@ def eigenvector_program_states(rep: ProjectiveRepresentation, generator: int) ->
 
     The generator must produce a cyclic subgroup of order #G / degree, the
     regime where coset merging of the covariant observable turns sharp.
+
+    U(generator) is normal, so ``np.linalg.eig``'s vectors of distinct
+    eigenvalues are orthogonal; QR of the phase-sorted vectors removes their
+    rounding and makes those of a repeated eigenvalue orthonormal, so the basis
+    is unitary regardless of degeneracy.
     """
     group = rep.group
     want = group.order // rep.degree
@@ -274,23 +279,18 @@ def eigenvector_program_states(rep: ProjectiveRepresentation, generator: int) ->
         raise ValueError(
             f"generator has order {have}, expected #G/degree = {want}"
         )
-    import scipy.linalg
-
     u = rep.unitary(generator)
-    # Schur form of a normal matrix: unitary eigenbasis regardless of degeneracy
-    t, z = scipy.linalg.schur(u, output="complex")
-    eigvals = np.diag(t).copy()
-    phases = np.mod(np.angle(eigvals), 2 * np.pi)
-    order = np.argsort(phases, kind="stable")
+    eigvals, vecs = np.linalg.eig(u)
+    order = np.argsort(np.mod(np.angle(eigvals), 2 * np.pi), kind="stable")
     eigvals = eigvals[order]
-    vecs = z[:, order]
+    vecs = np.linalg.qr(vecs[:, order])[0]
     pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
     # the scalar abs, not the array np.abs: the two round differently, and
     # every programmed payload downstream carries these phases
     vecs = vecs / np.array([x / abs(x) for x in pivots])
     p = vecs.T[:, :, None] * vecs.T.conj()[:, None, :]
     if float(np.max(np.abs(u @ p @ u.conj().T - p))) > EIGVEC_INVARIANCE_TOL:
-        raise ValueError("schur vector failed the invariance check")
+        raise ValueError("eigenvector failed the invariance check")
     return ProgramVectors(vecs, eigvals)
 
 

@@ -55,8 +55,9 @@ from .sampling import (
 TOL_CHECK = 1e-9
 ESTIMATOR_TOL = 2e-3
 PHASE_SPACE_MAX_DIM = 19
-# elements per (d^2, rows) block of the margin sampler: 8 MiB of real state coordinates
-SAMPLE_BLOCK = 1 << 20
+# elements per (d^2, rows) block of the margin sampler: 512 KiB of real state
+# coordinates, so a block's temporaries stay in cache
+SAMPLE_BLOCK = 1 << 16
 # eigenvalues of U(i), U(j), U(k) whose eigenvectors project onto the +axis
 Q8_TARGETS = {"i": 1j, "j": -1j, "k": 1j}
 
@@ -169,8 +170,12 @@ def _sampled_pairs(seed: int, trials: int, d1: int, d2: int) -> tuple:
     rng = rng_from(seed)
     vectors = []
     for d in (d1, d2):
-        v = rng.standard_normal((trials, d)) + 1j * rng.standard_normal((trials, d))
-        vectors.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+        # filled in place, bit for bit the sum a + 1j * b of the two draws
+        v = np.empty((trials, d), dtype=complex)
+        v.real = rng.standard_normal((trials, d))
+        v.imag = rng.standard_normal((trials, d))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        vectors.append(v)
     f_states = np.abs((vectors[0].conj() * vectors[1]).sum(axis=1))
     for a in (*vectors, f_states):
         a.flags.writeable = False

@@ -410,15 +410,24 @@ def walked_cosets(group, sub) -> list:
 
 
 def program_vectors_by_column(u) -> np.ndarray:
-    """Schur vectors ordered by eigenvalue phase, each column's phase fixed
-    one column at a time through the scalar abs of its largest entry."""
-    t, z = scipy.linalg.schur(u, output="complex")
-    order = np.argsort(np.mod(np.angle(np.diag(t)), 2 * np.pi), kind="stable")
-    vecs = z[:, order].copy()
+    """The package's eig + QR basis ordered by eigenvalue phase, each column's
+    phase fixed one column at a time through the scalar abs of its largest
+    entry."""
+    w, v = np.linalg.eig(u)
+    order = np.argsort(np.mod(np.angle(w), 2 * np.pi), kind="stable")
+    vecs = np.linalg.qr(v[:, order])[0]
     for col in range(vecs.shape[1]):
         x = vecs[np.argmax(np.abs(vecs[:, col])), col]
         vecs[:, col] = vecs[:, col] / (x / abs(x))
     return vecs
+
+
+def schur_vectors_by_phase(u) -> tuple:
+    """Eigenvalues and Schur vectors of a normal matrix, ordered by eigenvalue
+    phase: a unitary eigenbasis from an independent factorisation."""
+    t, z = scipy.linalg.schur(u, output="complex")
+    order = np.argsort(np.mod(np.angle(np.diag(t)), 2 * np.pi), kind="stable")
+    return np.diag(t)[order], z[:, order]
 
 
 def trivial_observable(dim: int, n_outcomes: int = 1):

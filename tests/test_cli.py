@@ -354,6 +354,21 @@ class TestDivergenceCommand:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("config error:") and "cannot load" in err
 
+    @pytest.mark.parametrize(
+        "dim, outcomes, named", [(2, 4, "outcome count"), (3, 3, "dimension")]
+    )
+    def test_mismatched_observables_are_config_error(
+        self, capsys, tmp_path, observable_files, dim, outcomes, named
+    ):
+        # both files are well formed; only the pair cannot be compared
+        e1, _ = observable_files
+        e2 = str(tmp_path / "other.json")
+        save_json(observable_to_json(random_povm(rng_from(1), dim, outcomes)), e2)
+        code, out, err = run(capsys, "divergence", "--e1", e1, "--e2", e2)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and named in err
+
     def test_missing_flags_rejected(self, capsys):
         code, _, err = run(capsys, "divergence")
         assert code == 2

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from oracles import program_vectors_by_column, walked_cosets
+from oracles import program_vectors_by_column, schur_vectors_by_phase, walked_cosets
 
 from qmultimeter.groups import (
     PAULI_X,
@@ -29,7 +29,7 @@ from qmultimeter.groups import (
 from qmultimeter.linalg import hermitianize, tensor
 from qmultimeter.postprocessing import post_process_observable
 from qmultimeter.quantum import DensityState, program
-from qmultimeter.sampling import random_density
+from qmultimeter.sampling import random_density, random_unitary
 
 I2 = np.eye(2, dtype=complex)
 
@@ -421,6 +421,34 @@ class TestProgramVectors:
         for gen in gens:
             pv = eigenvector_program_states(rep, gen)
             assert np.array_equal(pv.vectors, program_vectors_by_column(rep.unitary(gen)))
+
+    @pytest.mark.parametrize("which", ["q8", 2, 3, 5, 7, 11, 13, 17, 19])
+    def test_projectors_match_schur(self, which):
+        rep = q8_representation() if which == "q8" else weyl_heisenberg(which)
+        want = rep.group.order // rep.degree
+        gens = [g for g in range(rep.group.order) if rep.group.element_order(g) == want]
+        assert gens
+        for gen in gens:
+            pv = eigenvector_program_states(rep, gen)
+            eigvals, z = schur_vectors_by_phase(rep.unitary(gen))
+            got = pv.vectors.T[:, :, None] * pv.vectors.T.conj()[:, None, :]
+            ref = z.T[:, :, None] * z.T.conj()[:, None, :]
+            assert np.max(np.abs(pv.eigenvalues - eigvals)) < 1e-12
+            assert np.max(np.abs(got - ref)) < 1e-12
+            assert np.max(np.abs(pv.vectors.conj().T @ pv.vectors - np.eye(rep.degree))) < 1e-12
+
+    def test_repeated_eigenvalue_gets_an_orthonormal_basis(self):
+        # Z_6 on C^3 by W diag(1, 1, (-1)^k) W^dagger: U(3) has eigenvalue 1
+        # twice, and eig's own vectors for it are far from orthogonal
+        k = np.arange(6)
+        w = random_unitary(np.random.default_rng(0), 3)
+        u = np.stack([w @ np.diag([1.0, 1.0, (-1.0) ** j]) @ w.conj().T for j in k])
+        rep = ProjectiveRepresentation(FiniteGroup([str(j) for j in k], (k[:, None] + k) % 6), u)
+        pv = eigenvector_program_states(rep, 3)
+        v = pv.vectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(3))) < 1e-12
+        assert np.max(np.abs(rep.unitary(3) @ v - v * pv.eigenvalues)) < 1e-12
+        assert np.max(np.abs(np.sort(pv.eigenvalues.real) - [-1.0, 1.0, 1.0])) < 1e-12
 
     def test_same_generator_eigenvectors_orthogonal(self, q8):
         idx = {n: i for i, n in enumerate(q8.group.names)}
