@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -11,18 +13,86 @@ from .quantum import DensityState, Observable, fidelity, outcome_distribution
 EPS_DEN = 1e-8        # state pairs closer to orthogonal than this are excluded
 ZERO_TOL = 1e-10      # any evaluated ratio below this certifies an exact zero
 PROB_FLOOR = 1e-13    # candidate-scan probabilities below this are treated as exact zeros
-GTOL = 1e-10          # L-BFGS-B projected-gradient tolerance (most runs stop on its
-                      # relative-reduction test first)
+GTOL = 1e-10          # L-BFGS stop test: gradient infinity norm at most this
+FTOL = 2.220446049250313e-09  # L-BFGS stop test: a step's relative reduction at most this
+MEMORY = 10           # L-BFGS correction pairs
+WOLFE = (1e-3, 0.9)   # sufficient-decrease and curvature constants of the line search
+LINE_EVALS = 20       # evaluations after which a line search fails
 CLAMP_HI = 1.0 + 1e-9
-MAX_RESTARTS = 4096   # each start is one L-BFGS-B run: the cap bounds time, not memory
+MAX_RESTARTS = 4096   # each start is one L-BFGS run: the cap bounds time, not memory
 GRID_BLOCK = 128      # rows of the first collection per block of the candidate scan
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use: only the search needs it."""
-    from scipy.optimize import minimize as scipy_minimize
+def minimize(fun, x0, maxiter):
+    """L-BFGS (Nocedal and Wright, Alg. 7.4 and 7.5) of ``fun(x) -> (value, gradient)``
+    from ``x0``. ``success``: the ``GTOL`` or the ``FTOL`` stop test was met within
+    ``maxiter`` iterations; a failed line search ends the run without it."""
+    nfev, nit, gamma = 0, 0, 1.0
 
-    return scipy_minimize(*args, **kwargs)
+    def counted(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(x)
+
+    x = np.array(x0, dtype=float)
+    f, g = counted(x)
+    pairs = deque(maxlen=MEMORY)  # (s, y, 1 / s.y), newest last
+    success = np.abs(g).max() <= GTOL
+    while not success and nit < maxiter:
+        # two-loop recursion for -H g over (s.y / y.y) I, or with no pairs -g / |g|
+        d, alphas = -g, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * float(s @ d))
+            d -= alphas[-1] * y
+        d *= gamma if pairs else 1 / np.linalg.norm(d)
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            d += (a - rho * float(y @ d)) * s
+        found = _wolfe_step(counted, x, f, g, d)
+        if found is None:
+            break
+        s, y = found[0] - x, found[2] - g
+        if (sy := float(s @ y)) > 0:
+            pairs.append((s, y, 1 / sy))
+            gamma = sy / float(y @ y)
+        nit, f_old, (x, f, g) = nit + 1, f, found
+        success = f_old - f <= FTOL * max(abs(f_old), abs(f), 1.0) or np.abs(g).max() <= GTOL
+    return SimpleNamespace(x=x, fun=f, nfev=nfev, nit=nit, success=bool(success))
+
+
+def _wolfe_step(fun, x, f0, g0, d):
+    """``(x, f, g)`` at a strong-Wolfe step along ``d``, trying 1 first (Nocedal and Wright,
+    Alg. 3.5 and 3.6); None if ``d`` is no descent direction or ``LINE_EVALS`` trials fail."""
+    c1, c2 = WOLFE
+    slope0 = g0 @ d
+    # lo: the best (step, value, slope) with sufficient decrease; hi: a bracket's other end
+    step, lo, hi = 1.0, (0.0, f0, slope0), None
+    for _ in range(LINE_EVALS if slope0 < 0 else 0):
+        xt = x + step * d
+        f, g = fun(xt)
+        slope = g @ d
+        if f > f0 + c1 * step * slope0 or f >= lo[1]:
+            hi = (step, f, slope)
+        elif abs(slope) > -c2 * slope0:
+            hi = lo if slope * (hi[0] - step if hi else 1.0) >= 0 else hi
+            lo = (step, f, slope)
+        else:
+            return xt, f, g
+        step = 4 * step if hi is None else _trial_step(lo, hi)
+    return None
+
+
+def _trial_step(lo, hi) -> float:
+    """Minimiser of the cubic through both ends' values and slopes, else of the quadratic
+    without hi's slope, else the midpoint; a tenth of the bracket from either end."""
+    (a, fa, da), (b, fb, db) = np.array([lo, hi], dtype=float)
+    w = b - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = da + db - 3 * (fb - fa) / w
+        d2 = np.sign(w) * np.sqrt(d1 * d1 - da * db)
+        cubic = b - w * (db + d2 - d1) / (db - da + 2 * d2)
+        quadratic = a - da * w * w / (2 * (fb - fa - da * w))
+    t = next((t for t in (cubic, quadratic) if np.isfinite(t)), a + w / 2)
+    return float(np.clip(t, *sorted((a + 0.1 * w, b - 0.1 * w))))
 
 
 def bhattacharyya(p, q) -> float:
@@ -199,7 +269,7 @@ def observable_divergence(
     Otherwise one candidate scan comes first: every top eigenvector of E1
     against every top eigenvector of E2. A floored ratio below ``ZERO_TOL``
     returns an exact zero at the first pair attaining the least. Then one
-    L-BFGS-B run with the analytic gradient of the unfloored ratio
+    ``minimize`` (L-BFGS) run with the analytic gradient of the unfloored ratio
     (``_ratio_gradient``) starts from each top eigenvector of E1 paired with
     its best candidate in E2, and from ``restarts`` random starts; each run
     is ranked by the ratio at the point it returns, so the estimate is the
@@ -253,11 +323,8 @@ def observable_divergence(
 
     best, winner = infeasible, None
     for x0 in starts:
-        res = minimize(
-            objective, x0, jac=True, method="L-BFGS-B",
-            options={"maxiter": opts.maxiter, "gtol": GTOL},
-        )
-        # an abnormal line search can return x0 with a trial point's value
+        res = minimize(objective, x0, maxiter=opts.maxiter)
+        # ranked by the ratio at the returned point, not by the fun reported with it
         ratio = objective(res.x)[0]
         if ratio < best:
             best, winner = ratio, res
@@ -267,14 +334,14 @@ def observable_divergence(
         raise ValueError("no feasible state pair was evaluated; increase restarts")
     value = _clamped(float(best))
     v1, v2 = _pair_from_params(winner.x)
-    note = "multi-start l-bfgs-b on the unfloored ratio over pure pairs"
+    note = f"multi-start l-bfgs (memory {MEMORY}) on the unfloored ratio over pure pairs"
     return estimate(value, v1, v2, note, opts.restarts, bool(winner.success) or value == 0.0)
 
 
 def _method_string(restarts: int, note: str) -> str:
     return (
         f"{note}; pure-state upper bound; restarts={restarts}; "
-        f"gtol={GTOL:g}; "
+        f"gtol={GTOL:g}; ftol={FTOL:g}; "
         f"scan prob_floor={PROB_FLOOR:g}; clamp=[0,{CLAMP_HI}]"
     )
 

@@ -255,7 +255,7 @@ def wh_element_index(d: int, x: int, y: int) -> int:
 
 @dataclass(eq=False)
 class ProgramVectors:
-    """Orthonormal eigenvectors of U(generator), ordered by eigenvalue phase."""
+    """Orthonormal eigenvectors of U(generator), ordered by their root-of-unity index k."""
 
     vectors: np.ndarray      # columns
     eigenvalues: np.ndarray
@@ -268,7 +268,7 @@ def eigenvector_program_states(rep: ProjectiveRepresentation, generator: int) ->
     regime where coset merging of the covariant observable turns sharp.
 
     U(generator) is normal, so ``np.linalg.eig``'s vectors of distinct
-    eigenvalues are orthogonal; QR of the phase-sorted vectors removes their
+    eigenvalues are orthogonal; QR of the sorted vectors removes their
     rounding and makes those of a repeated eigenvalue orthonormal, so the basis
     is unitary regardless of degeneracy.
     """
@@ -281,7 +281,11 @@ def eigenvector_program_states(rep: ProjectiveRepresentation, generator: int) ->
         )
     u = rep.unitary(generator)
     eigvals, vecs = np.linalg.eig(u)
-    order = np.argsort(np.mod(np.angle(eigvals), 2 * np.pi), kind="stable")
+    # U^m = c 1, so λ = phi exp(2 pi i k / m) with phi = (λ^m)^(1/m): sort by the integer
+    # k, not by a phase whose rounding can put k = 0 last
+    phi = (complex(eigvals[0]) ** want) ** (1 / want)
+    k = np.rint(np.angle(eigvals / phi) * (want / (2 * np.pi))) % want
+    order = np.argsort(k, kind="stable")
     eigvals = eigvals[order]
     vecs = np.linalg.qr(vecs[:, order])[0]
     pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]

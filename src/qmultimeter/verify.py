@@ -17,8 +17,7 @@ from .divergence import (
     observable_divergence,
 )
 # unused here, but the benchmark tracer (perfbench/tracing.py MINIMIZERS) wraps
-# verify.minimize on every traced run; binding the lazy wrapper, not scipy's
-# minimize, keeps scipy.optimize out of the package import
+# verify.minimize on every traced run, so verify binds the divergence L-BFGS
 from .divergence import minimize  # noqa: F401
 from .groups import (
     PAULI_X,

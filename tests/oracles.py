@@ -276,7 +276,8 @@ def scipy_multistart_divergence(e1, e2, opts=None):
     Nelder-Mead run per start, one after another, on the unfloored ratio
     (probabilities clipped at 0, not floored) of a scalar objective; the same
     candidate scan, starts and payload as ``observable_divergence``. The value
-    is the lowest ratio any run evaluated, at the pair it was evaluated at."""
+    is the lowest ratio any run evaluated, at the pair it was evaluated at. It
+    shares no optimizer code with the package, whose search is its own L-BFGS."""
     from qmultimeter import divergence as dv
     from qmultimeter.quantum import DensityState
 
@@ -409,12 +410,21 @@ def walked_cosets(group, sub) -> list:
     return cosets
 
 
-def program_vectors_by_column(u) -> np.ndarray:
-    """The package's eig + QR basis ordered by eigenvalue phase, each column's
-    phase fixed one column at a time through the scalar abs of its largest
-    entry."""
+def root_of_unity_index(w, u, m) -> np.ndarray:
+    """For eigenvalues ``w`` of ``u`` with u^m scalar, the k of the m-th root
+    phi exp(2 pi i k / m) nearest each, phi the principal m-th root of the
+    scalar: the index taken from the nearest candidate root, not from a phase."""
+    phi = np.exp(1j * np.angle(np.linalg.matrix_power(u, m)[0, 0]) / m)
+    roots = phi * np.exp(2j * np.pi * np.arange(m) / m)
+    return np.argmin(np.abs(np.asarray(w)[:, None] - roots[None, :]), axis=1)
+
+
+def program_vectors_by_column(u, m) -> np.ndarray:
+    """The package's eig + QR basis ordered by root-of-unity index (``u`` has
+    order m up to a scalar), each column's phase fixed one column at a time
+    through the scalar abs of its largest entry."""
     w, v = np.linalg.eig(u)
-    order = np.argsort(np.mod(np.angle(w), 2 * np.pi), kind="stable")
+    order = np.argsort(root_of_unity_index(w, u, m), kind="stable")
     vecs = np.linalg.qr(v[:, order])[0]
     for col in range(vecs.shape[1]):
         x = vecs[np.argmax(np.abs(vecs[:, col])), col]
@@ -422,11 +432,12 @@ def program_vectors_by_column(u) -> np.ndarray:
     return vecs
 
 
-def schur_vectors_by_phase(u) -> tuple:
-    """Eigenvalues and Schur vectors of a normal matrix, ordered by eigenvalue
-    phase: a unitary eigenbasis from an independent factorisation."""
+def schur_vectors_by_index(u, m) -> tuple:
+    """Eigenvalues and Schur vectors of a normal matrix with u^m scalar, ordered
+    by root-of-unity index: a unitary eigenbasis from an independent
+    factorisation."""
     t, z = scipy.linalg.schur(u, output="complex")
-    order = np.argsort(np.mod(np.angle(np.diag(t)), 2 * np.pi), kind="stable")
+    order = np.argsort(root_of_unity_index(np.diag(t), u, m), kind="stable")
     return np.diag(t)[order], z[:, order]
 
 

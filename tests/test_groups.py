@@ -1,9 +1,10 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
-from oracles import program_vectors_by_column, schur_vectors_by_phase, walked_cosets
+from oracles import program_vectors_by_column, schur_vectors_by_index, walked_cosets
 
 from qmultimeter.groups import (
     PAULI_X,
@@ -47,6 +48,19 @@ Q8_TABLE = [
 
 # commutator phase of the displacement pair (1,0), (0,1): recorded fixture
 WH_COMMUTATOR_EXPONENT = {2: 1, 3: 2, 5: 4, 7: 6}
+
+
+@functools.cache
+def fixture_representation(which):
+    """q8 or the Weyl-Heisenberg representation of dimension ``which``, built
+    once per session: d = 19 takes seconds."""
+    return q8_representation() if which == "q8" else weyl_heisenberg(which)
+
+
+def sharp_generators(rep) -> list:
+    """Every generator of a cyclic subgroup of order #G / degree."""
+    want = rep.group.order // rep.degree
+    return [g for g in range(rep.group.order) if rep.group.element_order(g) == want]
 
 
 def relabelled_q8() -> FiniteGroup:
@@ -414,28 +428,43 @@ class TestProgramVectors:
 
     @pytest.mark.parametrize("which", ["q8", 3, 5, 7, 13])
     def test_vectors_equal_the_per_column_phase_fix(self, which):
-        rep = q8_representation() if which == "q8" else weyl_heisenberg(which)
+        rep = fixture_representation(which)
         want = rep.group.order // rep.degree
-        gens = [g for g in range(rep.group.order) if rep.group.element_order(g) == want]
+        gens = sharp_generators(rep)
         assert gens
         for gen in gens:
             pv = eigenvector_program_states(rep, gen)
-            assert np.array_equal(pv.vectors, program_vectors_by_column(rep.unitary(gen)))
+            assert np.array_equal(pv.vectors, program_vectors_by_column(rep.unitary(gen), want))
 
     @pytest.mark.parametrize("which", ["q8", 2, 3, 5, 7, 11, 13, 17, 19])
     def test_projectors_match_schur(self, which):
-        rep = q8_representation() if which == "q8" else weyl_heisenberg(which)
+        rep = fixture_representation(which)
         want = rep.group.order // rep.degree
-        gens = [g for g in range(rep.group.order) if rep.group.element_order(g) == want]
+        gens = sharp_generators(rep)
         assert gens
         for gen in gens:
             pv = eigenvector_program_states(rep, gen)
-            eigvals, z = schur_vectors_by_phase(rep.unitary(gen))
+            eigvals, z = schur_vectors_by_index(rep.unitary(gen), want)
             got = pv.vectors.T[:, :, None] * pv.vectors.T.conj()[:, None, :]
             ref = z.T[:, :, None] * z.T.conj()[:, None, :]
             assert np.max(np.abs(pv.eigenvalues - eigvals)) < 1e-12
             assert np.max(np.abs(got - ref)) < 1e-12
             assert np.max(np.abs(pv.vectors.conj().T @ pv.vectors - np.eye(rep.degree))) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 17, 19])
+    def test_eigenvalue_one_sorts_first(self, d):
+        # an eigenvalue 1 whose rounded imaginary part is below 0 has phase
+        # 2 pi - 1e-17 mod 2 pi; it must still come first
+        rep = fixture_representation(d)
+        gens = sharp_generators(rep)
+        with_one = 0
+        for gen in gens:
+            ones = np.flatnonzero(np.abs(eigenvector_program_states(rep, gen).eigenvalues - 1) < 1e-9)
+            if ones.size:
+                assert ones.tolist() == [0], gen
+                with_one += 1
+        # at d = 2 one generator squares to -1: its eigenvalues are +-i
+        assert with_one == len(gens) - (d == 2)
 
     def test_repeated_eigenvalue_gets_an_orthonormal_basis(self):
         # Z_6 on C^3 by W diag(1, 1, (-1)^k) W^dagger: U(3) has eigenvalue 1
@@ -448,7 +477,8 @@ class TestProgramVectors:
         v = pv.vectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(3))) < 1e-12
         assert np.max(np.abs(rep.unitary(3) @ v - v * pv.eigenvalues)) < 1e-12
-        assert np.max(np.abs(np.sort(pv.eigenvalues.real) - [-1.0, 1.0, 1.0])) < 1e-12
+        # the repeated eigenvalue 1 has index 0, so its two vectors come first
+        assert np.max(np.abs(pv.eigenvalues - [1.0, 1.0, -1.0])) < 1e-12
 
     def test_same_generator_eigenvectors_orthogonal(self, q8):
         idx = {n: i for i, n in enumerate(q8.group.names)}

@@ -1,13 +1,19 @@
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from oracles import save_json
+
 import qmultimeter
 from qmultimeter import divergence, verify
+from qmultimeter.sampling import random_povm, rng_from
+from qmultimeter.serialize import observable_to_json
 
-# run in a fresh interpreter: the test session itself has long imported scipy
+# run in a fresh interpreter: the test session itself imports scipy for its oracles
 PROBE = """
 import json, sys
 
@@ -36,32 +42,34 @@ verify.verify_prop1(mm, xi1, xi2, trials=200)
 stages["q8_program_pair_and_prop1"] = loaded()
 rng = np.random.default_rng(0)
 divergence.observable_divergence(sampling.random_povm(rng, 2, 2), sampling.random_povm(rng, 2, 2))
-stages["observable_divergence"] = "scipy.optimize" in sys.modules
+stages["observable_divergence"] = loaded()
 print(json.dumps(stages))
 """
 
+# one command per fresh interpreter; argv arrives as JSON in sys.argv[1]
 CLI_PROBE = """
 import contextlib, io, json, sys
 
 from qmultimeter import cli
 
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["demo", "phase-space", "--dim", "3"])
+    code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"code": code, "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
 """
 
 
-def run_probe(probe: str):
+def run_probe(probe: str, *args: str):
     src = str(Path(qmultimeter.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout)
 
 
-def test_scipy_loads_only_where_it_is_called():
+def test_scipy_loads_nowhere():
     assert run_probe(PROBE) == {
         "import": [],
         "closed_forms_and_prop1": [],
@@ -69,16 +77,49 @@ def test_scipy_loads_only_where_it_is_called():
         "phase_space_demo": [],
         "quaternion_demo": [],
         "q8_program_pair_and_prop1": [],
-        "observable_divergence": True,
+        "observable_divergence": [],
     }
 
 
-def test_phase_space_demo_command_loads_no_scipy():
-    assert run_probe(CLI_PROBE) == {"code": 0, "scipy": []}
+@pytest.fixture(scope="module")
+def observable_files(tmp_path_factory):
+    rng = rng_from(5)
+    paths = []
+    for name in ("e1", "e2"):
+        path = tmp_path_factory.mktemp("povms") / f"{name}.json"
+        save_json(observable_to_json(random_povm(rng, 2, 3)), str(path))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("command", ["phase-space", "divergence", "bprops"])
+def test_cli_commands_load_no_scipy(command, observable_files):
+    e1, e2 = observable_files
+    argv = {
+        "phase-space": ["demo", "phase-space", "--dim", "3"],
+        "divergence": ["divergence", "--e1", e1, "--e2", e2, "--restarts", "2"],
+        "bprops": ["verify", "bprops", "--trials", "2"],
+    }[command]
+    assert run_probe(CLI_PROBE, json.dumps(argv)) == {"code": 0, "scipy": []}
+
+
+def test_no_module_imports_scipy():
+    package = Path(qmultimeter.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "scipy"], (path.name, names)
 
 
 def test_verify_binds_the_divergence_minimizer():
     # perfbench/tracing.py MINIMIZERS wraps ``minimize`` in both modules, so
-    # verify must keep binding it, and to the lazy wrapper, not to scipy's
+    # verify must keep binding it, and to the in-package L-BFGS
     assert verify.minimize is divergence.minimize
     assert divergence.minimize.__module__ == "qmultimeter.divergence"
