@@ -19,18 +19,14 @@ from .groups import (
     covariant_multimeter,
     covariant_observable,
     covariant_program_state,
-    cyclic_subgroups,
     eigenvector_program_states,
     left_cosets,
     q8_representation,
-    sharp_from_subgroup,
     weyl_heisenberg,
 )
-from .linalg import hermitian_eig, partial_trace, psd_sqrt, tensor
+from .linalg import tensor
 from .postprocessing import (
     PostProcessing,
-    compose,
-    post_process_distribution,
     post_process_observable,
     pp_fidelity,
 )
@@ -39,12 +35,10 @@ from .quantum import (
     Multimeter,
     Observable,
     QuantumChannel,
-    apply_channel,
     dual_apply,
     fidelity,
     outcome_distribution,
     program,
-    stinespring_dilation,
 )
 from .verify import (
     BoundCurve,

@@ -143,6 +143,21 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _reject_unread_flags(args: argparse.Namespace, cfg: RunConfig):
+    """A --dim or --fixture flag that a demo or verify run would not read is a
+    config error. Config-file values may be shared between commands, so only
+    flags are checked."""
+    if args.which == "bprops" and args.fixture is not None:
+        raise ConfigError("--fixture is not read by verify bprops")
+    reads_dim = args.which == "phase-space" or (
+        args.which in ("prop1", "prop3") and cfg.fixture == "phase-space"
+    )
+    if args.dim is not None and not reads_dim:
+        raise ConfigError(
+            "--dim is read only by demo phase-space and verify prop1/prop3 --fixture phase-space"
+        )
+
+
 def _emit(cfg: RunConfig, payload: str):
     if cfg.out:
         with open(cfg.out, "w") as fh:
@@ -171,7 +186,9 @@ def _fixture_for(cfg: RunConfig):
     raise ConfigError(f"unknown fixture {cfg.fixture!r}")
 
 
-def _run_demo(cfg: RunConfig, which: str) -> int:
+def _run_demo(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _reject_unread_flags(args, cfg)
+    which = args.which
     if which == "phase-space":
         _require_phase_space_dim(cfg.dim)
     try:
@@ -183,10 +200,12 @@ def _run_demo(cfg: RunConfig, which: str) -> int:
     return 0
 
 
-def _run_verify(cfg: RunConfig, which: str) -> int:
+def _run_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+    which = args.which
     cap = MAX_BPROPS_TRIALS if which == "bprops" else MAX_TRIALS
     if not 1 <= cfg.trials <= cap:
         raise ConfigError(f"--trials must lie in [1, {cap}] for {which}, got {cfg.trials}")
+    _reject_unread_flags(args, cfg)
     tol = cfg.tolerances.get("tol_check", TOL_CHECK)
     if which == "prop1":
         mm, xi1, xi2, _, _ = _fixture_for(cfg)
@@ -299,9 +318,9 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         if args.command == "demo":
-            return _run_demo(cfg, args.which)
+            return _run_demo(cfg, args)
         if args.command == "verify":
-            return _run_verify(cfg, args.which)
+            return _run_verify(cfg, args)
         if args.command == "bound":
             return _run_bound(cfg)
         if args.command == "divergence":

@@ -260,7 +260,8 @@ def _top_eigenvectors(effects: np.ndarray) -> np.ndarray:
 def observable_divergence(
     e1: Observable, e2: Observable, opts: DivergenceOptions | None = None
 ) -> DivergenceEstimate:
-    """Upper estimate of the infimum of ratio(rho1, rho2) over pure-state pairs.
+    """Upper estimate of D(E1, E2), the infimum of ratio(rho1, rho2) over all
+    state pairs, searched over pure pairs only.
 
     Equal effect stacks return D(E, E) = 1 at (v, v) without a search: one
     measurement never separates two states more than they differ, so
@@ -273,8 +274,15 @@ def observable_divergence(
     (``_ratio_gradient``) starts from each top eigenvector of E1 paired with
     its best candidate in E2, and from ``restarts`` random starts; each run
     is ranked by the ratio at the point it returns, so the estimate is the
-    ratio at the reported pair. The restriction to pure pairs makes the
-    result an upper bound on the unrestricted infimum.
+    ratio at the reported pair, hence an upper bound on D.
+
+    Pure pairs lose nothing: their infimum r is D. Take mixed rho1, rho2
+    with Uhlmann purifications psi1, psi2 on C^d x C^d, <psi1|psi2> =
+    F(rho1, rho2). Measuring the ancilla in a basis |k> leaves pure states
+    phi_ik with weights q_ik, so F <= sum_k sqrt(q_1k q_2k) |<phi_1k|phi_2k>|
+    and p_i = sum_k q_ik p_ik. Forgetting k never lowers the Bhattacharyya
+    coefficient (B6, coarse-graining), so B(p1, p2) >= sum_k sqrt(q_1k q_2k)
+    B(p_1k, p_2k) >= r sum_k sqrt(q_1k q_2k) |<phi_1k|phi_2k>| >= r F.
     """
     if e1.dim != e2.dim:
         raise ValueError("observables must share a dimension")
@@ -340,20 +348,7 @@ def observable_divergence(
 
 def _method_string(restarts: int, note: str) -> str:
     return (
-        f"{note}; pure-state upper bound; restarts={restarts}; "
+        f"{note}; upper bound on D (attained over pure pairs); restarts={restarts}; "
         f"gtol={GTOL:g}; ftol={FTOL:g}; "
         f"scan prob_floor={PROB_FLOOR:g}; clamp=[0,{CLAMP_HI}]"
     )
-
-
-def estimate_recompute(e1: Observable, e2: Observable, est: DivergenceEstimate) -> float:
-    """Re-evaluate the reported ratio at the reported argmin pair: the
-    unfloored ratio the search minimises, or for a zero estimate the floored
-    candidate-scan ratio that certifies it."""
-    psi = np.stack([np.linalg.eigh(s.matrix)[1][:, -1] for s in est.argmin])
-    stacks = np.stack([e1.effects, e2.effects])
-    if est.value == 0.0:
-        raw = _row_ratio_min(*stacks, psi[:1], psi[1:])[0][0]
-    else:
-        raw = _ratio_gradient(_params_from_pair(*psi), _effect_roots(stacks))[0]
-    return _clamped(float(raw))

@@ -8,9 +8,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import as_matrix, hermitianize, tensor
+from .linalg import as_matrix, tensor
 from .postprocessing import PostProcessing
-from .quantum import DensityState, Multimeter, Observable, QuantumChannel
+from .quantum import DensityState, Multimeter, Observable, QuantumChannel, _covariant_effects
 
 UNITARY_TOL = 1e-10
 MULTIPLIER_TOL = 1e-9
@@ -85,23 +85,6 @@ class CyclicSubgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
-
-
-def cyclic_subgroups(group: FiniteGroup, n: int) -> list:
-    """All distinct cyclic subgroups of order ``n``, deduplicated as element sets."""
-    found = {}
-    for g in range(group.order):
-        if group.element_order(g) == n:
-            sub = CyclicSubgroup(group, g)
-            key = sub.element_set()
-            if key not in found:
-                found[key] = sub
-    if n == 1:
-        found.setdefault(frozenset({group.identity}), CyclicSubgroup(group, group.identity))
-    return sorted(found.values(), key=lambda s: s.generator)
 
 
 def _require_subgroup(group: FiniteGroup, sub: CyclicSubgroup) -> np.ndarray:
@@ -182,13 +165,10 @@ def covariant_observable(rep: ProjectiveRepresentation, seed: DensityState) -> O
     Completeness of the effect family is exactly the operational consequence
     of irreducibility, so a normalization failure is reported as such.
     """
-    d, n = rep.degree, rep.group.order
-    if seed.dim != d:
-        raise ValueError(f"seed dim {seed.dim} != representation degree {d}")
-    u = rep.matrices
-    effects = hermitianize((d / n) * u @ seed.matrix @ u.conj().transpose(0, 2, 1))
+    if seed.dim != rep.degree:
+        raise ValueError(f"seed dim {seed.dim} != representation degree {rep.degree}")
     try:
-        return Observable(effects, outcomes=list(rep.group.names))
+        return Observable(_covariant_effects(rep, seed.matrix), outcomes=list(rep.group.names))
     except ValueError as exc:
         raise ValueError(
             f"covariant effects do not form an observable ({exc}); "
@@ -321,30 +301,6 @@ def eigenvector_program(
     )
     kernel = coset_postprocessing(rep.group, CyclicSubgroup(rep.group, generator))
     return psi, probe, kernel, exact
-
-
-def sharp_from_subgroup(
-    rep: ProjectiveRepresentation, sub: CyclicSubgroup, psi: np.ndarray
-) -> Observable:
-    """Sharp observable from coset-merging the covariant POVM seeded with psi.
-
-    psi must be an eigenvector of U(generator); the effects are the orbit of
-    its projection under coset representatives.
-    """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape[0] != rep.degree:
-        raise ValueError("vector dimension does not match the representation degree")
-    nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError("psi must be a unit vector")
-    p = np.outer(psi, psi.conj())
-    u_gen = rep.unitary(sub.generator)
-    if float(np.max(np.abs(u_gen @ p @ u_gen.conj().T - p))) > EIGVEC_INVARIANCE_TOL:
-        raise ValueError("psi is not an eigenvector of the subgroup generator")
-    firsts = [coset[0] for coset in left_cosets(rep.group, sub)]
-    u = rep.matrices[firsts]
-    effects = hermitianize(u @ p @ u.conj().transpose(0, 2, 1))
-    return Observable(effects, outcomes=[rep.group.names[g] for g in firsts])
 
 
 # ---------------------------------------------------------------------------

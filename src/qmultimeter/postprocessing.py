@@ -1,4 +1,4 @@
-"""Classical post-processing kernels and their action on observables and distributions."""
+"""Classical post-processing kernels, their action on observables, and kernel fidelity."""
 
 from __future__ import annotations
 
@@ -65,17 +65,6 @@ def post_process_observable(l: PostProcessing, e: Observable) -> Observable:
     )
 
 
-def post_process_distribution(l: PostProcessing, p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.shape != (l.n_in,):
-        raise ValueError(f"distribution length {p.shape} does not match kernel inputs {l.n_in}")
-    out = p @ l.kernel
-    s = out.sum()
-    if abs(s - 1.0) > 1e-9:
-        raise ValueError(f"post-processed distribution sums to {s!r}")
-    return out
-
-
 def pp_fidelity(l1: PostProcessing, l2: PostProcessing) -> float:
     """Kernel closeness: worst-case row Bhattacharyya overlap.
 
@@ -87,12 +76,3 @@ def pp_fidelity(l1: PostProcessing, l2: PostProcessing) -> float:
         raise ValueError("kernels must share a shape")
     rows = np.sqrt(l1.kernel * l2.kernel).sum(axis=1)
     return float(rows.min())
-
-
-def compose(l_outer: PostProcessing, l_inner: PostProcessing) -> PostProcessing:
-    """Chain kernels: apply ``l_inner`` first, then ``l_outer``."""
-    if l_inner.n_out != l_outer.n_in:
-        raise ValueError(
-            f"inner kernel produces {l_inner.n_out} outcomes, outer expects {l_outer.n_in}"
-        )
-    return PostProcessing(l_inner.kernel @ l_outer.kernel, out_labels=l_outer.out_labels)

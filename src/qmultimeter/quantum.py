@@ -76,10 +76,6 @@ class DensityState:
         root.flags.writeable = False
         return root
 
-    def transpose(self) -> "DensityState":
-        """Transpose in the fixed computational basis (still a valid state)."""
-        return DensityState(self.matrix.T.copy())
-
 
 EFFECT_BLOCK = 16        # effects per block of the Hermiticity and Cholesky checks
 _EPS = float(np.finfo(float).eps)
@@ -240,31 +236,11 @@ class QuantumChannel:
     def out_dim(self) -> int:
         return self.kraus[0].shape[0]
 
-    def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        return sum(k @ rho @ k.conj().T for k in self.kraus)
-
     def dual_matrix(self, b: np.ndarray) -> np.ndarray:
         """Heisenberg-picture action sum of K† B K on an operator, or on each
         operator of a stack (..., n, n)."""
         b = np.asarray(b, dtype=complex)
         return sum(k.conj().T @ b @ k for k in self.kraus)
-
-    @classmethod
-    def identity(cls, dim: int) -> "QuantumChannel":
-        return cls([np.eye(dim, dtype=complex)])
-
-    @classmethod
-    def unitary(cls, u) -> "QuantumChannel":
-        u = as_matrix(u)
-        if float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) > 1e-10:
-            raise ValueError("matrix is not unitary")
-        return cls([u])
-
-
-def apply_channel(channel: QuantumChannel, rho: DensityState) -> DensityState:
-    if rho.dim != channel.in_dim:
-        raise ValueError(f"state dim {rho.dim} != channel input dim {channel.in_dim}")
-    return DensityState(channel.apply_matrix(rho.matrix))
 
 
 def dual_apply(channel: QuantumChannel, e: Observable) -> Observable:
@@ -272,37 +248,6 @@ def dual_apply(channel: QuantumChannel, e: Observable) -> Observable:
     if e.dim != channel.out_dim:
         raise ValueError(f"observable dim {e.dim} != channel output dim {channel.out_dim}")
     return Observable(hermitianize(channel.dual_matrix(e.effects)), outcomes=list(e.outcomes))
-
-
-def stinespring_dilation(channel: QuantumChannel) -> tuple[np.ndarray, int]:
-    """Unitary dilation of a square channel.
-
-    Returns ``(u, anc_dim)`` with ``anc_dim`` = number of Kraus operators,
-    such that the channel equals rho -> tr_anc[u (rho x |0><0|) u†] on the
-    system-first ordering (system x ancilla).
-    """
-    if channel.in_dim != channel.out_dim:
-        raise ValueError("dilation implemented for square channels only")
-    d = channel.in_dim
-    kraus = channel.kraus
-    r = len(kraus)
-    iso = np.zeros((d * r, d), dtype=complex)
-    for i, k in enumerate(kraus):
-        # column j of iso = sum_i (K_i e_j) x e_i
-        iso[i::r, :] += k
-    u = np.zeros((d * r, d * r), dtype=complex)
-    u[:, 0::r] = iso
-    if r > 1:
-        # complete the isometry columns to a unitary with the orthogonal
-        # complement of their span
-        q = np.linalg.qr(iso, mode="complete")[0]
-        comp = q[:, d:]
-        cols = [j for j in range(d * r) if j % r != 0]
-        u[:, cols] = comp
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(d * r))))
-    if defect > 1e-10:
-        raise ValueError(f"dilation failed to produce a unitary (defect {defect:.3e})")
-    return u, r
 
 
 def outcome_distribution(e: Observable, rho: DensityState) -> np.ndarray:
@@ -379,6 +324,14 @@ class Multimeter:
         return self.interaction.in_dim // self.probe_dim
 
 
+def _covariant_effects(rep, m: np.ndarray) -> np.ndarray:
+    """The stack hermitianize((d/#G) U(g) m U(g)^dagger) over the elements g of
+    a projective representation ``rep`` (a ``groups.ProjectiveRepresentation``)
+    of degree d: the covariant effects of the seed m."""
+    u = rep.matrices
+    return hermitianize((rep.degree / rep.group.order) * u @ m @ u.conj().transpose(0, 2, 1))
+
+
 def _probe_contraction(k: np.ndarray, xi: np.ndarray, d_sys: int, d_probe: int) -> np.ndarray:
     """One Kraus operator's term of T, rows (p, m) and columns (q, i)."""
     k4 = k.reshape(d_sys, d_probe, d_sys, d_probe)
@@ -415,8 +368,7 @@ def program(multimeter: Multimeter, xi: DensityState) -> Observable:
     rep = multimeter.representation
     if rep is not None:
         sigma = np.trace(xi.reshape(d_sys, d_sys, d_sys, d_sys), axis1=0, axis2=2)
-        u = rep.matrices
-        stacked = (d_sys / rep.group.order) * u @ sigma.T @ u.conj().transpose(0, 2, 1)
+        effects = _covariant_effects(rep, sigma.T)
         outcomes = rep.group.names
     else:
         t = sum(_probe_contraction(k, xi, d_sys, d_probe) for k in multimeter.interaction.kraus)
@@ -424,6 +376,6 @@ def program(multimeter: Multimeter, xi: DensityState) -> Observable:
         t_qp = t.reshape(d_probe, d_sys, d_probe, d_sys).transpose(2, 0, 3, 1)
         t_qp = t_qp.reshape(d_probe**2, d_sys**2)
         z = multimeter.pointer.effects
-        stacked = (z.reshape(-1, d_probe**2) @ t_qp).reshape(-1, d_sys, d_sys)
+        effects = hermitianize((z.reshape(-1, d_probe**2) @ t_qp).reshape(-1, d_sys, d_sys))
         outcomes = multimeter.pointer.outcomes
-    return Observable(hermitianize(stacked), outcomes=list(outcomes), atol_complete=1e-8)
+    return Observable(effects, outcomes=list(outcomes), atol_complete=1e-8)

@@ -453,6 +453,68 @@ def pure_fidelity(psi1: np.ndarray, psi2: np.ndarray) -> float:
     return float(abs(np.vdot(psi1, psi2)))
 
 
+def channel_output(channel, rho):
+    """Schroedinger-picture action sum_k K rho K^dagger of a Kraus channel on a state."""
+    from qmultimeter import DensityState
+
+    return DensityState(sum(k @ rho.matrix @ k.conj().T for k in channel.kraus))
+
+
+def ancilla_extended(e):
+    """The observable E x 1 on C^d x C^d: pure states there reach, through
+    their reductions, every state of C^d."""
+    from qmultimeter import Observable
+
+    return Observable(np.kron(e.effects, np.eye(e.dim)), outcomes=list(e.outcomes))
+
+
+def sharp_from_subgroup(rep, sub, psi: np.ndarray):
+    """Sharp observable from coset-merging the covariant POVM seeded with psi.
+
+    psi must be an eigenvector of U(generator); the effects are the orbit of
+    its projection under coset representatives.
+    """
+    from qmultimeter import Observable
+    from qmultimeter.groups import EIGVEC_INVARIANCE_TOL, left_cosets
+    from qmultimeter.linalg import hermitianize
+
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if psi.shape[0] != rep.degree:
+        raise ValueError("vector dimension does not match the representation degree")
+    nrm = float(np.linalg.norm(psi))
+    if abs(nrm - 1.0) > 1e-9:
+        raise ValueError("psi must be a unit vector")
+    p = np.outer(psi, psi.conj())
+    u_gen = rep.unitary(sub.generator)
+    if float(np.max(np.abs(u_gen @ p @ u_gen.conj().T - p))) > EIGVEC_INVARIANCE_TOL:
+        raise ValueError("psi is not an eigenvector of the subgroup generator")
+    firsts = [coset[0] for coset in left_cosets(rep.group, sub)]
+    u = rep.matrices[firsts]
+    effects = hermitianize(u @ p @ u.conj().transpose(0, 2, 1))
+    return Observable(effects, outcomes=[rep.group.names[g] for g in firsts])
+
+
+def estimate_recompute(e1, e2, est) -> float:
+    """Re-evaluate the reported ratio at the reported argmin pair: the
+    unfloored ratio the search minimises, or for a zero estimate the floored
+    candidate-scan ratio that certifies it."""
+    from qmultimeter.divergence import (
+        _clamped,
+        _effect_roots,
+        _params_from_pair,
+        _ratio_gradient,
+        _row_ratio_min,
+    )
+
+    psi = np.stack([np.linalg.eigh(s.matrix)[1][:, -1] for s in est.argmin])
+    stacks = np.stack([e1.effects, e2.effects])
+    if est.value == 0.0:
+        raw = _row_ratio_min(*stacks, psi[:1], psi[1:])[0][0]
+    else:
+        raw = _ratio_gradient(_params_from_pair(*psi), _effect_roots(stacks))[0]
+    return _clamped(float(raw))
+
+
 # JSON decoders and encoders the package does not need: states (the estimate
 # document's argmin), channels and kernels, in the package's matrix format
 

@@ -449,6 +449,26 @@ class TestIntegerInputs:
         assert err.count("\n") == 1 and err.startswith("config error:") and key in err
 
 
+class TestUnreadFlags:
+    """A --dim or --fixture flag that the run would not read exits 2 before any work."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("demo", "q8", "--dim", "4"), "--dim"),
+            (("verify", "prop1", "--fixture", "q8", "--dim", "4"), "--dim"),
+            (("verify", "bprops", "--fixture", "phase-space", "--dim", "4"), "--fixture"),
+        ],
+        ids=["demo-q8", "prop1-q8", "bprops"],
+    )
+    def test_unread_flag_is_config_error(self, capsys, monkeypatch, argv, flag):
+        refuse_all_work(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and flag in err
+
+
 class TestConfigHandling:
     def test_config_file_supplies_values(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -13,7 +13,6 @@ from qmultimeter.divergence import (
     DivergenceOptions,
     bhattacharyya,
     divergence_ratio,
-    estimate_recompute,
     minimize,
     observable_divergence,
 )
@@ -23,7 +22,9 @@ from qmultimeter.sampling import random_povm, random_pvm, random_unitary, rng_fr
 from qmultimeter.verify import q8_program_pair, wh_program_pair
 
 from oracles import (
+    ancilla_extended,
     bloch_grid_infimum,
+    estimate_recompute,
     full_grid_ratio_min,
     full_ratio_matrix,
     pure_fidelity,
@@ -431,6 +432,19 @@ class TestSearchAgainstOracle:
         for a, b in ((e1, e2), (e2, e1)):
             default = observable_divergence(a, b).value
             assert abs(observable_divergence(a, b, opts).value - default) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mixed_states_do_not_beat_the_pure_pair_estimate(seed):
+    # pure pairs on C^d x C^d reach every pair of mixed states on C^d through
+    # their reductions, and E x 1 measures the reductions; D is attained over
+    # pure pairs, so the search there finds nothing below the pure estimate
+    rng = np.random.default_rng([23, seed])
+    d, n = 2 + seed % 2, int(rng.integers(2, 6))
+    e1, e2 = random_povm(rng, d, n), random_povm(rng, d, n)
+    pure = observable_divergence(e1, e2)
+    doubled = observable_divergence(ancilla_extended(e1), ancilla_extended(e2))
+    assert doubled.value >= pure.value - 1e-9
 
 
 PROGRAMMED_PAIRS = [("q8", q8_program_pair)] + [

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -123,3 +124,77 @@ def test_verify_binds_the_divergence_minimizer():
     # verify must keep binding it, and to the in-package L-BFGS
     assert verify.minimize is divergence.minimize
     assert divergence.minimize.__module__ == "qmultimeter.divergence"
+
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE_SOURCES = sorted((REPO / "src" / "qmultimeter").glob("*.py"))
+# public definitions that nothing in src/, scripts/ or perfbench/ reaches, and why they stay
+UNCALLED_PUBLIC = {
+    "covariant_observable": "the closed form tests/test_acceptance.py holds programming to",
+    "observable_to_json": "it writes the observable file format the divergence command reads",
+}
+# imports a module keeps without using them, and why
+UNUSED_IMPORTS = {
+    ("verify", "minimize"): "perfbench/tracing.py MINIMIZERS wraps verify.minimize",
+}
+DOTTED_NAME = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def referenced_names(tree: ast.AST, skip: ast.AST = None) -> set:
+    """Every name, attribute, imported name and dotted-name string constant in
+    ``tree`` (string constants are how perfbench/tracing.py names its targets),
+    except those inside the node ``skip``."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED_NAME.fullmatch(node.value):
+                out.update(node.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_public_definition_has_a_caller():
+    # the __init__ exports do not count: they are how the tests reach the package
+    callers = [p for p in PACKAGE_SOURCES if p.name != "__init__.py"]
+    callers += sorted((REPO / "scripts").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in callers}
+    names = {path: referenced_names(tree) for path, tree in trees.items()}
+    uncalled = []
+    for path in PACKAGE_SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = trees[path]
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            elsewhere = any(node.name in refs for p, refs in names.items() if p != path)
+            if not elsewhere and node.name not in referenced_names(tree, skip=node):
+                uncalled.append(node.name)
+    assert sorted(uncalled) == sorted(UNCALLED_PUBLIC)
+
+
+def test_no_module_keeps_an_unused_import():
+    unused = []
+    for path in PACKAGE_SOURCES:
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append((path.stem, bound))
+    assert sorted(unused) == sorted(UNUSED_IMPORTS)

@@ -1,27 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmultimeter.linalg import (
-    hermitian_eig,
-    partial_trace,
-    psd_sqrt,
-    tensor,
-)
+from qmultimeter.linalg import require_hermitian, tensor
 
 from oracles import kron_oracle
-
-
-def random_hermitian(rng, d):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (g + g.conj().T) / 2
-
-
-def random_psd(rng, d):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return g @ g.conj().T
 
 
 class TestTensor:
@@ -48,105 +33,7 @@ class TestTensor:
         assert np.array_equal(left, right)
 
 
-class TestPartialTrace:
-    def test_product_state_factorizes(self, rng):
-        rho = random_psd(rng, 2)
-        sigma = random_psd(rng, 3)
-        out = partial_trace(tensor(rho, sigma), [2, 3], keep={0})
-        assert np.allclose(out, rho * np.trace(sigma), atol=1e-12)
-
-    def test_maximally_entangled_marginal(self):
-        phi = np.zeros(4, dtype=complex)
-        phi[0] = phi[3] = 1 / np.sqrt(2)
-        out = partial_trace(np.outer(phi, phi.conj()), [2, 2], keep={0})
-        assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_trace_preserved(self, seed):
-        rng = np.random.default_rng(seed)
-        m = random_hermitian(rng, 4)
-        reduced = partial_trace(m, [2, 2], keep={0})
-        assert abs(np.trace(reduced) - np.trace(m)) < 1e-10
-
-    def test_keep_everything_is_identity_map(self, rng):
-        m = random_hermitian(rng, 6)
-        assert np.allclose(partial_trace(m, [2, 3], keep={0, 1}), m)
-
-    def test_trace_out_everything_gives_scalar_trace(self, rng):
-        m = random_hermitian(rng, 6)
-        out = partial_trace(m, [2, 3], keep=set())
-        assert out.shape == (1, 1)
-        assert abs(out[0, 0] - np.trace(m)) < 1e-12
-
-    def test_second_factor(self, rng):
-        rho = random_psd(rng, 2)
-        sigma = random_psd(rng, 3)
-        out = partial_trace(tensor(rho, sigma), [2, 3], keep={1})
-        assert np.allclose(out, sigma * np.trace(rho), atol=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(5), [2, 2], keep={0})
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(4), [2, 2], keep={2})
-
-
-class TestHermitianEig:
-    def test_sigma_z(self):
-        w, v = hermitian_eig(np.diag([1.0, -1.0]))
-        assert np.allclose(w, [1.0, -1.0])
-        assert np.allclose(np.abs(v), np.eye(2))
-
-    def test_sigma_x(self):
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        w, v = hermitian_eig(sx)
-        assert np.allclose(w, [1.0, -1.0])
-        # eigenvectors are (e0 +- e1)/sqrt(2) up to phase
-        assert np.allclose(np.abs(v), np.full((2, 2), 1 / np.sqrt(2)))
-
-    def test_reconstruction(self, rng):
-        h = random_hermitian(rng, 7)
-        w, v = hermitian_eig(h)
-        assert np.max(np.abs((v * w) @ v.conj().T - h)) < 1e-10
-        assert np.max(np.abs(v.conj().T @ v - np.eye(7))) < 1e-10
-
-    def test_descending_order_and_trace(self, rng):
-        h = random_hermitian(rng, 5)
-        w, _ = hermitian_eig(h)
-        assert np.all(np.diff(w) <= 0)
-        assert abs(w.sum() - np.trace(h).real) < 1e-10
-
+class TestRequireHermitian:
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_square_recovers_input(self, seed):
-        rng = np.random.default_rng(seed)
-        a = random_psd(rng, 4)
-        r = psd_sqrt(a)
-        assert np.max(np.abs(r @ r - a)) < 1e-9
-
-    def test_output_is_psd_and_hermitian(self, rng):
-        a = random_psd(rng, 5)
-        r = psd_sqrt(a)
-        assert np.max(np.abs(r - r.conj().T)) < 1e-10
-        assert np.linalg.eigvalsh(r).min() > -1e-10
-
-    def test_clips_negative_noise(self):
-        out = psd_sqrt(np.diag([1.0, -1e-10]))
-        assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-5)
-
-    def test_rejects_genuinely_negative(self):
-        with pytest.raises(ValueError):
-            psd_sqrt(np.diag([1.0, -1e-3]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -7,8 +7,6 @@ from qmultimeter.divergence import bhattacharyya
 from qmultimeter.groups import CyclicSubgroup, coset_postprocessing, covariant_observable
 from qmultimeter.postprocessing import (
     PostProcessing,
-    compose,
-    post_process_distribution,
     post_process_observable,
     pp_fidelity,
 )
@@ -110,15 +108,6 @@ class TestObservableAction:
 
 
 class TestDistributionAction:
-    def test_identity(self):
-        p = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(post_process_distribution(PostProcessing.identity(3), p), p)
-
-    def test_uniform_kernel_forgets_input(self, rng):
-        kern = PostProcessing(np.full((3, 4), 0.25))
-        p = rng.dirichlet(np.ones(3))
-        assert np.allclose(post_process_distribution(kern, p), 0.25)
-
     def test_commutes_with_born_rule(self, rng):
         # relabeling the observable then measuring equals measuring then relabeling
         for _ in range(100):
@@ -126,12 +115,8 @@ class TestDistributionAction:
             rho = random_density(rng, 2)
             kern = random_postprocessing(rng, 4, 3)
             lhs = outcome_distribution(post_process_observable(kern, e), rho)
-            rhs = post_process_distribution(kern, outcome_distribution(e, rho))
+            rhs = outcome_distribution(e, rho) @ kern.kernel
             assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            post_process_distribution(PostProcessing.identity(3), np.array([0.5, 0.5]))
 
 
 class TestKernelFidelity:
@@ -173,34 +158,6 @@ class TestKernelFidelity:
             pp_fidelity(random_postprocessing(rng, 3, 2), random_postprocessing(rng, 2, 2))
 
 
-class TestCompose:
-    def test_identity_neutral(self, rng):
-        k = random_postprocessing(rng, 3, 2)
-        out = compose(PostProcessing.identity(2), k)
-        assert np.allclose(out.kernel, k.kernel)
-
-    def test_all_merge_absorbs(self, rng):
-        k = random_postprocessing(rng, 3, 4)
-        out = compose(PostProcessing(np.ones((4, 1))), k)
-        assert out.n_in == 3 and out.n_out == 1
-        assert np.allclose(out.kernel, 1.0)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_chaining_matches_sequential_action(self, seed):
-        rng = np.random.default_rng(seed)
-        inner = PostProcessing(dirichlet_rows(rng, 4, 3))
-        outer = PostProcessing(dirichlet_rows(rng, 3, 2))
-        p = rng.dirichlet(np.ones(4))
-        chained = post_process_distribution(compose(outer, inner), p)
-        sequential = post_process_distribution(outer, post_process_distribution(inner, p))
-        assert np.max(np.abs(chained - sequential)) < 1e-12
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            compose(random_postprocessing(rng, 3, 2), random_postprocessing(rng, 4, 2))
-
-
 class TestMonotonicity:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -211,9 +168,7 @@ class TestMonotonicity:
         kern = PostProcessing(dirichlet_rows(rng, n_in, n_out))
         p = rng.dirichlet(np.ones(n_in))
         q = rng.dirichlet(np.ones(n_in))
-        lhs = bhattacharyya(
-            post_process_distribution(kern, p), post_process_distribution(kern, q)
-        )
+        lhs = bhattacharyya(p @ kern.kernel, q @ kern.kernel)
         assert lhs >= bhattacharyya(p, q) - 1e-12
 
     def test_coset_merging_of_sharp_fixture_is_deterministic(self, q8):

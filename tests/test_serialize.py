@@ -62,7 +62,7 @@ class TestRoundTrips:
         assert len(back.kraus) == 1
         assert np.array_equal(back.kraus[0], ch.kraus[0])
         rho = random_density(rng, 8).matrix
-        assert np.array_equal(back.apply_matrix(rho), ch.apply_matrix(rho))
+        assert np.array_equal(back.dual_matrix(rho), ch.dual_matrix(rho))
 
     def test_postprocessing_with_labels(self, rng):
         kern = PostProcessing(rng.dirichlet(np.ones(2), size=3), out_labels=["a", "b"])
