@@ -102,6 +102,24 @@ class TestObservableAction:
         assert np.allclose(sharp.effects[1], (I2 - PAULI_X) / 2, atol=1e-10)
         assert sharp.outcomes == ["1", "j"]
 
+    def test_uniform_kernel_forgets_input(self, rng):
+        e = random_povm(rng, 3, 4)
+        out = post_process_observable(PostProcessing(np.full((4, 5), 0.2)), e)
+        assert np.max(np.abs(out.effects - np.eye(3) / 5)) < 1e-12
+        assert np.allclose(outcome_distribution(out, random_density(rng, 3)), 0.2)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_chaining_matches_sequential_action(self, seed):
+        # relabeling by inner then outer is relabeling once by the product kernel
+        rng = np.random.default_rng(seed)
+        e = random_povm(rng, 2, 4)
+        inner = PostProcessing(dirichlet_rows(rng, 4, 3))
+        outer = PostProcessing(dirichlet_rows(rng, 3, 2))
+        chained = post_process_observable(PostProcessing(inner.kernel @ outer.kernel), e)
+        sequential = post_process_observable(outer, post_process_observable(inner, e))
+        assert np.max(np.abs(chained.effects - sequential.effects)) < 1e-12
+
     def test_outcome_count_mismatch(self, rng):
         with pytest.raises(ValueError):
             post_process_observable(PostProcessing.identity(2), random_povm(rng, 2, 3))

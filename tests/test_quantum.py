@@ -177,11 +177,13 @@ class TestNonFiniteInput:
             lambda: Observable(np.array([I2 / 2, np.diag([0.5, np.inf])])),
             lambda: DensityState([[np.nan, 0], [0, 1]]),
             lambda: QuantumChannel([[[np.nan, 0], [0, 1]]]),
+            # one unitary-shaped Kraus operator, the form of a unitary channel
+            lambda: QuantumChannel([[[np.inf, 0], [0, 1]]]),
             # before the shape and Hermiticity checks of earlier effects
             lambda: Observable([np.array([[0.5, 1e-6], [0, 0.5]]), np.eye(3) / 2, NAN_DIAGONAL]),
         ],
         ids=["nan-diagonal", "nan-pair", "stack-nan-pair", "stack-inf", "state", "channel",
-             "first-check"],
+             "unitary", "first-check"],
     )
     def test_rejected_by_name(self, build):
         with pytest.raises(ValueError, match="non-finite entry"):
@@ -460,6 +462,22 @@ class TestFidelity:
                 assert fidelity(a, b) == direct
                 assert fidelity(a, b) == direct
         assert all(not s.root.flags.writeable for s in states)
+
+    @pytest.mark.parametrize("d", [2, 4, 7])
+    def test_root_squares_to_the_state(self, rng, d):
+        for _ in range(10):
+            s = random_density(rng, d)
+            r = s.root
+            assert np.max(np.abs(r @ r - s.matrix)) < 1e-10
+            assert np.max(np.abs(r - r.conj().T)) < 1e-12
+            assert np.linalg.eigvalsh(r).min() > -1e-12
+
+    def test_root_clips_noise_eigenvalues(self):
+        # eigenvalues below 1e-12 of the largest set the numerical rank: their
+        # square roots (1e-7 and a complex value here) would enter fidelity
+        for noise in (1e-14, -1e-14):
+            s = DensityState(np.diag([1.0 - noise, noise]))
+            assert np.array_equal(s.root, np.diag([np.sqrt(1.0 - noise), 0.0]))
 
     def test_each_state_takes_its_root_once(self, rng, monkeypatch):
         roots = []
