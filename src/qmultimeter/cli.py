@@ -37,9 +37,9 @@ SEED_ENV = "QML_SEED"
 # all and a few MB of output; anything above exits 2 before any work
 MAX_POINTS = 100_001
 # the largest verify run: prop1 and prop3 sample in blocks of bounded memory, so
-# trials bound their time: 50_000 on the d = 19 phase space take about 6 s
-# (prop1; 1.5 s of it sampling) and 5 s (prop3; 0.6 s) and peak at 181 and
-# 162 MiB RSS under a 1 GiB address-space cap, on one BLAS thread of a 2-vCPU VM
+# trials bound their time: 50_000 on the d = 19 phase space take about 1.1 s
+# (prop1) and 0.5 s (prop3), most of it sampling, and peak at 181 and 162 MiB
+# RSS under a 1 GiB address-space cap, on one BLAS thread of a 2-vCPU VM
 MAX_TRIALS = 50_000
 # verify bprops costs about 0.02 s per trial on the same VM, with one BLAS
 # thread or default threads alike (2.6 s at 100 trials, 6.5-6.8 s at 300,
@@ -144,9 +144,13 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def _reject_unread_flags(args: argparse.Namespace, cfg: RunConfig):
-    """A --dim or --fixture flag that a demo or verify run would not read is a
-    config error. Config-file values may be shared between commands, so only
-    flags are checked."""
+    """A --seed, --dim or --fixture flag that a demo, verify or bound run would
+    not read is a config error. Config-file values and QML_SEED may be shared
+    between commands, so only flags are checked."""
+    if args.command in ("demo", "bound") and args.seed is not None:
+        raise ConfigError(f"--seed is not read by {args.command}")
+    if args.command == "bound":
+        return
     if args.which == "bprops" and args.fixture is not None:
         raise ConfigError("--fixture is not read by verify bprops")
     reads_dim = args.which == "phase-space" or (
@@ -236,7 +240,8 @@ def _run_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_bound(cfg: RunConfig) -> int:
+def _run_bound(cfg: RunConfig, args: argparse.Namespace) -> int:
+    _reject_unread_flags(args, cfg)
     if not 1 <= cfg.points <= MAX_POINTS:
         raise ConfigError(f"--points must lie in [1, {MAX_POINTS}], got {cfg.points}")
     curve = bound_curve(points=cfg.points)
@@ -322,7 +327,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _run_verify(cfg, args)
         if args.command == "bound":
-            return _run_bound(cfg)
+            return _run_bound(cfg, args)
         if args.command == "divergence":
             return _run_divergence(cfg)
         raise ConfigError(f"unknown command {args.command!r}")

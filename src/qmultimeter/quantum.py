@@ -22,6 +22,15 @@ NEG_MASS_TOL = 1e-9      # repairable negative eigenvalue mass in a state
 PROB_CLIP = 1e-12        # outcome probabilities this far below zero are noise
 
 
+def _require_unit_trace(matrix) -> np.ndarray:
+    """A finite, square, Hermitian (within TOL_HERM) matrix of unit trace."""
+    m = require_hermitian(matrix)
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > ATOL_TRACE:
+        raise ValueError(f"state trace {tr!r} is not 1 within {ATOL_TRACE:.1e}")
+    return m
+
+
 @dataclass(eq=False)
 class DensityState:
     """Positive unit-trace matrix, kept as a read-only view.
@@ -31,15 +40,19 @@ class DensityState:
     as it was. Mass up to ``NEG_MASS_TOL`` from upstream arithmetic is
     re-projected onto the PSD cone and the trace renormalized; anything larger
     is rejected as a real bug.
+
+    ``DensityState(m)``, and so every loaded or sampled state, finds that mass
+    with ``eigh``. ``from_vector``, ``maximally_mixed`` and
+    ``groups.covariant_program_state`` know their spectrum from how they are
+    built and read the mass off it (``_with_spectrum``), after the same
+    finite, Hermiticity and trace checks. Each state keeps the spectrum its
+    validation found or was given.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = require_hermitian(self.matrix)
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > ATOL_TRACE:
-            raise ValueError(f"state trace {tr!r} is not 1 within {ATOL_TRACE:.1e}")
+        m = _require_unit_trace(self.matrix)
         w, v = np.linalg.eigh(hermitianize(m))
         neg_mass = float(-np.sum(w[w < 0.0]))
         if neg_mass > NEG_MASS_TOL:
@@ -47,23 +60,62 @@ class DensityState:
         if neg_mass > PROB_CLIP:
             w = np.clip(w, 0.0, None)
             m = (v * w) @ v.conj().T
-            m = hermitianize(m / float(np.trace(m).real))
+            tr = float(np.trace(m).real)
+            m, w = hermitianize(m / tr), w / tr
+        self._keep(m, w)
+
+    def _keep(self, m: np.ndarray, spectrum: np.ndarray):
         # a read-only view: an array taken without a copy stays writable to its owner
         self.matrix = m.view()
         self.matrix.flags.writeable = False
+        # the eigenvalues its validation found or was given
+        self._spectrum = spectrum
+
+    @classmethod
+    def _with_spectrum(cls, matrix, spectrum) -> "DensityState":
+        """The state of ``matrix``, whose eigenvalues ``spectrum`` are known
+        from how it was built, validated without ``eigh``.
+
+        The finite, square, Hermiticity and trace checks are those of
+        ``DensityState(matrix)``. A negative mass of ``spectrum`` within
+        ``PROB_CLIP`` is kept as it is, as ``eigh`` would keep it, so the
+        matrix is stored bit for bit; any more falls back to
+        ``DensityState(matrix)``, which re-projects or rejects it.
+        """
+        spectrum = np.asarray(spectrum, dtype=float)
+        if float(-np.sum(spectrum[spectrum < 0.0])) > PROB_CLIP:
+            return cls(matrix)
+        state = cls.__new__(cls)
+        state._keep(_require_unit_trace(matrix), spectrum.ravel())
+        return state
 
     @classmethod
     def from_vector(cls, psi) -> "DensityState":
+        """The pure state of a nonzero finite vector.
+
+        The outer product of a unit vector has spectrum {1, 0, ...}, and its
+        rounding moves that by at most about 2 sqrt(d) eps, far inside
+        ``PROB_CLIP``. A vector whose norm underflows to 0 or overflows is
+        first scaled by its largest modulus.
+        """
         v = np.asarray(psi, dtype=complex).reshape(-1)
-        n = float(np.linalg.norm(v))
-        if n == 0.0:
-            raise ValueError("cannot build a state from the zero vector")
+        if not np.isfinite(v).all():
+            raise ValueError(NON_FINITE)
+        with np.errstate(over="ignore"):
+            n = float(np.linalg.norm(v))
+        if n == 0.0 or n == np.inf:
+            top = float(np.max(np.abs(v), initial=0.0))
+            if top == 0.0:
+                raise ValueError("cannot build a state from the zero vector")
+            v = v / top
+            n = float(np.linalg.norm(v))
         v = v / n
-        return cls(np.outer(v, v.conj()))
+        # eigenvalues 1, 0, ..., 0
+        return cls._with_spectrum(np.outer(v, v.conj()), np.eye(len(v), 1).ravel())
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityState":
-        return cls(np.eye(dim, dtype=complex) / dim)
+        return cls._with_spectrum(np.eye(dim, dtype=complex) / dim, np.full(dim, 1.0 / dim))
 
     @property
     def dim(self) -> int:
@@ -77,15 +129,22 @@ class DensityState:
         return root
 
 
-EFFECT_BLOCK = 16        # effects per block of the Hermiticity and Cholesky checks
+# entries per block of the Hermiticity and Cholesky checks of an effect stack:
+# 2^14 complex entries are 256 KiB: all 49 effects of d = 7, one effect from d = 91 on
+EFFECT_BLOCK_ELEMENTS = 2**14
 _EPS = float(np.finfo(float).eps)
+
+
+def _effect_block(d: int) -> int:
+    """Effects per block: at most ``EFFECT_BLOCK_ELEMENTS`` entries, at least one effect."""
+    return max(1, EFFECT_BLOCK_ELEMENTS // (d * d))
 
 
 def _psd_certified(stack: np.ndarray, exact: bool) -> bool:
     """True when a Cholesky factorization proves every effect's Hermitian part
     H has smallest eigenvalue above -TOL_PSD.
 
-    Each block of ``EFFECT_BLOCK`` effects factors H + sI with
+    Each block of ``_effect_block(d)`` effects factors H + sI with
     s = TOL_PSD - d(d+1) eps max(1, max diag H). A factorization that
     completes gives R*R = H + sI + dA with |dA| <= gamma_(d+1) |R*||R|
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10), so
@@ -97,8 +156,9 @@ def _psd_certified(stack: np.ndarray, exact: bool) -> bool:
     """
     d = stack.shape[1]
     diag = np.arange(d)
-    for lo in range(0, len(stack), EFFECT_BLOCK):
-        block = stack[lo : lo + EFFECT_BLOCK]
+    step = _effect_block(d)
+    for lo in range(0, len(stack), step):
+        block = stack[lo : lo + step]
         h = block if exact else hermitianize(block)
         top = np.max(h[:, diag, diag].real)
         s = TOL_PSD - d * (d + 1) * _EPS * np.maximum(1.0, top)
@@ -151,12 +211,13 @@ class Observable:
         # defect, so only a block with such a defect (or an overflowed one)
         # has its entries checked.
         defects = np.empty(n_ok)
+        step = _effect_block(d)
         with np.errstate(invalid="ignore", over="ignore"):
-            for lo in range(0, n_ok, EFFECT_BLOCK):
-                block = stack[lo : lo + EFFECT_BLOCK]
+            for lo in range(0, n_ok, step):
+                block = stack[lo : lo + step]
                 diff = np.abs(block - block.conj().transpose(0, 2, 1))
-                defects[lo : lo + EFFECT_BLOCK] = np.max(diff, axis=(1, 2))
-                if not np.isfinite(defects[lo : lo + EFFECT_BLOCK]).all():
+                defects[lo : lo + step] = np.max(diff, axis=(1, 2))
+                if not np.isfinite(defects[lo : lo + step]).all():
                     if not np.isfinite(block).all():
                         raise ValueError(NON_FINITE)
         n_herm = next((j for j, x in enumerate(defects) if x > TOL_HERM), n_ok)

@@ -450,7 +450,7 @@ class TestIntegerInputs:
 
 
 class TestUnreadFlags:
-    """A --dim or --fixture flag that the run would not read exits 2 before any work."""
+    """A --seed, --dim or --fixture flag that the run would not read exits 2 before any work."""
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -458,8 +458,10 @@ class TestUnreadFlags:
             (("demo", "q8", "--dim", "4"), "--dim"),
             (("verify", "prop1", "--fixture", "q8", "--dim", "4"), "--dim"),
             (("verify", "bprops", "--fixture", "phase-space", "--dim", "4"), "--fixture"),
+            (("demo", "q8", "--seed", "5"), "--seed"),
+            (("bound", "--points", "3", "--seed", "9"), "--seed"),
         ],
-        ids=["demo-q8", "prop1-q8", "bprops"],
+        ids=["demo-q8", "prop1-q8", "bprops", "demo-seed", "bound-seed"],
     )
     def test_unread_flag_is_config_error(self, capsys, monkeypatch, argv, flag):
         refuse_all_work(monkeypatch)

@@ -228,6 +228,26 @@ class TestProjectiveRepresentation:
         with pytest.raises(ValueError, match="deviate from the group law by 1.000e-06"):
             ProjectiveRepresentation(rep.group, mats)
 
+    @pytest.mark.parametrize("which", ["q8", 3])
+    def test_every_perturbed_matrix_breaks_the_group_law(self, which):
+        # each element is checked as a left factor, generator or not
+        rep = fixture_representation(which)
+        x = np.zeros((rep.degree, rep.degree))
+        x[0, 1] = x[1, 0] = 1.0
+        kick = scipy.linalg.expm(1e-6j * x)
+        for g in range(rep.group.order):
+            mats = list(rep.matrices)
+            mats[g] = mats[g] @ kick
+            with pytest.raises(ValueError, match="deviate from the group law"):
+                ProjectiveRepresentation(rep.group, mats)
+
+    def test_trivial_group_needs_a_scalar(self):
+        trivial = FiniteGroup(["e"], [[0]])
+        assert trivial.generators == ()
+        ProjectiveRepresentation(trivial, [1j * np.eye(2)])
+        with pytest.raises(ValueError, match="not unit modulus"):
+            ProjectiveRepresentation(trivial, [np.diag([1.0, -1.0])])
+
     @pytest.mark.parametrize("d", [2, 5])
     def test_multiplier_matches_the_trace_formula(self, d):
         rep = weyl_heisenberg(d)
@@ -575,6 +595,39 @@ class TestEigenvectorProgram:
         assert self._missed(rep, targets) == ([wh_element_index(2, 1, 1)] if d == 2 else [])
 
 
+def _revalidates_to_itself(state) -> bool:
+    """Full ``eigh`` validation of the stored matrix leaves it bit for bit."""
+    return DensityState(state.matrix.copy()).matrix.tobytes() == state.matrix.tobytes()
+
+
+class TestKnownSpectrumStates:
+    """States validated by their known spectrum are those ``eigh`` validation keeps."""
+
+    @pytest.mark.parametrize("which", ["q8", 2, 3, 5, 7])
+    def test_every_program_state_revalidates_to_itself(self, which):
+        rep = fixture_representation(which)
+        eta = DensityState.maximally_mixed(rep.degree)
+        assert _revalidates_to_itself(eta)
+        for gen in sharp_generators(rep):
+            pv = eigenvector_program_states(rep, gen)
+            for k, psi in enumerate(pv.vectors.T):
+                seed = DensityState.from_vector(psi)
+                probe = covariant_program_state(eta, seed)
+                assert _revalidates_to_itself(seed) and _revalidates_to_itself(probe)
+            # eigenvector_program builds the same probe from the vector it picks
+            picked, probe_built, _, _ = eigenvector_program(rep, gen, pv.eigenvalues[k])
+            assert np.array_equal(picked, psi)
+            assert probe_built.matrix.tobytes() == probe.matrix.tobytes()
+
+    def test_products_of_random_states_revalidate_to_themselves(self, rng):
+        for d in (2, 3, 4, 7):
+            for _ in range(5):
+                eta, seed = random_density(rng, d), random_density(rng, d)
+                assert _revalidates_to_itself(covariant_program_state(eta, seed))
+                pure = DensityState.from_vector(random_unitary(rng, d)[:, 0])
+                assert _revalidates_to_itself(covariant_program_state(eta, pure))
+
+
 class TestEffectStacks:
     """Each effect stack equals the per-element construction bit for bit."""
 
@@ -728,6 +781,25 @@ class TestFiniteGroupValidation:
             tracemalloc.stop()
         assert peak < 8 * 2**20
         assert np.array_equal(rebuilt.inverse, group.inverse)
+
+    @pytest.mark.parametrize("which", ["q8", "relabelled", 2, 3, 5, 13])
+    def test_generators_generate_the_table(self, which):
+        group = relabelled_q8() if which == "relabelled" else fixture_representation(which).group
+        gens = list(group.generators)
+        assert group.identity not in gens
+        reached = {group.identity}
+        while True:
+            grown = reached | {group.mul(a, s) for a in reached for s in gens}
+            if grown == reached:
+                break
+            reached = grown
+        assert reached == set(range(group.order))
+
+    def test_generator_counts(self, q8):
+        # Z_d x Z_d needs (0,1) and (1,0); the order 1, -1, i, ... takes -1 before i and j
+        wh7 = weyl_heisenberg(7).group
+        assert wh7.generators == (wh_element_index(7, 0, 1), wh_element_index(7, 1, 0))
+        assert [q8.group.names[s] for s in q8.group.generators] == ["-1", "i", "j"]
 
     @pytest.mark.parametrize("which", ["q8", 13])
     def test_inverses_are_two_sided(self, which):

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from qmultimeter.groups import (
     weyl_heisenberg,
     wh_element_index,
 )
-from qmultimeter.linalg import TOL_PSD, hermitianize, tensor
+from qmultimeter.linalg import NON_FINITE, TOL_PSD, hermitianize, tensor
 from qmultimeter.quantum import (
     DensityState,
     Multimeter,
@@ -108,6 +110,80 @@ class TestDensityState:
             negative += np.linalg.eigvalsh(s.matrix).min() < 0.0
             assert DensityState(s.matrix.copy()).matrix.tobytes() == s.matrix.tobytes()
         assert negative  # the rounding case is covered
+
+    def test_from_vector_keeps_the_bits_of_an_ordinary_vector(self, rng):
+        for d in (2, 3, 7):
+            v = random_pure_vector(rng, d) * 3.0
+            u = v / float(np.linalg.norm(v))
+            assert DensityState.from_vector(v).matrix.tobytes() == np.outer(u, u.conj()).tobytes()
+
+    def test_from_vector_rescales_an_underflowing_norm(self):
+        s = DensityState.from_vector([1e-200, 0.0])
+        assert np.array_equal(s.matrix, np.diag([1.0, 0.0]))
+
+    def test_from_vector_rescales_an_overflowing_norm(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = DensityState.from_vector([1e200, 1e200])
+        assert np.allclose(s.matrix, np.full((2, 2), 0.5), atol=1e-15, rtol=0.0)
+
+    @pytest.mark.parametrize("psi", [[np.nan, 1.0], [1.0, np.inf], [1e-300, -np.inf]])
+    def test_from_vector_rejects_non_finite_entries_before_dividing(self, psi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(NON_FINITE)):
+                DensityState.from_vector(psi)
+
+    @pytest.mark.parametrize("psi", [[0.0, 0.0], []])
+    def test_from_vector_rejects_the_zero_vector(self, psi):
+        with pytest.raises(ValueError, match="zero vector"):
+            DensityState.from_vector(psi)
+
+    def test_known_spectrum_beyond_the_clip_falls_back_to_eigh(self):
+        m = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
+        s = DensityState._with_spectrum(m, [1.0 + 5e-10, -5e-10])
+        assert s.matrix.tobytes() == DensityState(m).matrix.tobytes()
+        assert not np.array_equal(s.matrix, m)  # re-projected, as eigh does
+        with pytest.raises(ValueError, match="negative eigenvalue mass"):
+            DensityState._with_spectrum(np.diag([1.0 + 1e-5, -1e-5]), [1.0 + 1e-5, -1e-5])
+
+    @pytest.mark.parametrize(
+        "matrix,message",
+        [
+            (np.diag([0.5, 0.6]), "trace"),
+            (np.array([[0.5, 1e-6], [0.0, 0.5]]), "not Hermitian"),
+            (np.ones((2, 3)) / 2, "not square"),
+            (np.diag([np.nan, 1.0]), "non-finite"),
+        ],
+    )
+    def test_known_spectrum_runs_the_constructor_checks(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            DensityState(matrix)
+        with pytest.raises(ValueError, match=message):
+            DensityState._with_spectrum(matrix, np.ones(1))
+
+    @pytest.mark.parametrize("build", ["sampled", "from_vector", "maximally_mixed", "repaired"])
+    def test_kept_spectrum_is_the_matrix_spectrum(self, rng, build):
+        # covariant_program_state multiplies the spectra its factors keep
+        s = {
+            "sampled": lambda: random_density(rng, 4),
+            "from_vector": lambda: DensityState.from_vector(random_pure_vector(rng, 4)),
+            "maximally_mixed": lambda: DensityState.maximally_mixed(4),
+            "repaired": lambda: repaired_state(rng, 4),
+        }[build]()
+        want = np.linalg.eigvalsh(s.matrix)
+        assert np.allclose(np.sort(s._spectrum), want, atol=1e-14, rtol=0.0)
+
+    def test_built_states_skip_eigh(self, rng, monkeypatch):
+        eta, seed = random_density(rng, 3), random_density(rng, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state of known spectrum ran eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        DensityState.from_vector(random_pure_vector(rng, 5))
+        DensityState.maximally_mixed(5)
+        covariant_program_state(eta, seed)
 
     @pytest.mark.parametrize("build", ["transpose", "from_vector", "maximally_mixed", "repaired"])
     def test_derived_states_are_valid(self, rng, build):
@@ -310,6 +386,17 @@ class TestValidationMatchesEigvalshReference:
         want = _verdict(lambda: eigvalsh_observable_check(chosen))
         assert want != "ok"
         assert _verdict(lambda: Observable(chosen)) == want
+
+    def test_block_boundaries_leave_every_verdict_unchanged(self, rng, monkeypatch):
+        # 8 entries: two qubit effects per block, one effect per block from d = 3
+        monkeypatch.setattr(quantum, "EFFECT_BLOCK_ELEMENTS", 8)
+        for effects in _validation_battery(rng):
+            want = _verdict(lambda: eigvalsh_observable_check(effects))
+            assert _verdict(lambda: Observable(effects)) == want
+
+    @pytest.mark.parametrize("d,per_block", [(2, 4096), (7, 334), (128, 1), (200, 1)])
+    def test_blocks_hold_a_bounded_number_of_entries(self, d, per_block):
+        assert quantum._effect_block(d) == per_block
 
     def test_valid_effects_are_certified_without_eigvalsh(self, rng, monkeypatch):
         pointer = covariant_multimeter(weyl_heisenberg(5)).pointer.effects
