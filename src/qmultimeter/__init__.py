@@ -12,13 +12,13 @@ from .divergence import (
     observable_divergence,
 )
 from .groups import (
-    CyclicSubgroup,
     FiniteGroup,
     ProjectiveRepresentation,
     coset_postprocessing,
     covariant_multimeter,
     covariant_observable,
     covariant_program_state,
+    cyclic_subgroup,
     eigenvector_program_states,
     left_cosets,
     q8_representation,

@@ -257,7 +257,7 @@ def _run_divergence(cfg: RunConfig) -> int:
     try:
         e1 = observable_from_json(load_json(cfg.e1))
         e2 = observable_from_json(load_json(cfg.e2))
-    # a file of the wrong JSON shape (a list, a null count) fails with a TypeError
+    # a file of the wrong JSON shape (a list) fails with a TypeError
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load observables: {exc}") from exc
     if e1.dim != e2.dim:

@@ -41,7 +41,10 @@ class FiniteGroup:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=int)
+        t = np.asarray(self.table)
+        # an integer dtype, not a cast: a cast would truncate 0.9 to the index 0
+        if not np.issubdtype(t.dtype, np.integer):
+            raise ValueError(f"multiplication table entries must be integers, got {t.dtype}")
         n = len(self.names)
         if t.shape != (n, n):
             raise ValueError(f"table shape {t.shape} does not match {n} elements")
@@ -69,69 +72,39 @@ class FiniteGroup:
         self.table = t
         self.identity = int(idn[0])
         self.generators = tuple(gens)
-        # gh = e and kg = e give k = k(gh) = (kg)h = h: each right inverse is two-sided
-        self.inverse = np.argmax(t == self.identity, axis=1)
 
     @property
     def order(self) -> int:
         return len(self.names)
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
 
-    def element_order(self, g: int) -> int:
-        out, k = g, 1
-        while out != self.identity:
-            out = self.mul(out, g)
-            k += 1
-        return k
-
-
-@dataclass(eq=False)
-class CyclicSubgroup:
-    """Cyclic subgroup recorded as its generator and the cycle of its powers."""
-
-    group: FiniteGroup
-    generator: int
-
-    def __post_init__(self):
-        elems = [self.group.identity]
-        g = self.generator
-        while g != self.group.identity:
-            elems.append(g)
-            g = self.group.mul(g, self.generator)
-        self.elements = tuple(elems)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+def cyclic_subgroup(group: FiniteGroup, generator: int) -> np.ndarray:
+    """The powers e, g, g^2, ... of ``generator`` read off the table, identity
+    first: closed, and a subgroup of ``group``, by construction."""
+    powers = [group.identity]
+    while (g := int(group.table[powers[-1], generator])) != group.identity:
+        powers.append(g)
+    return np.array(powers)
 
 
-def _require_subgroup(group: FiniteGroup, sub: CyclicSubgroup) -> np.ndarray:
-    if sub.group is not group and not np.array_equal(sub.group.table, group.table):
-        raise ValueError("subgroup belongs to a different group")
-    h = np.array(sub.elements)
-    if not set(group.table[np.ix_(h, h)].ravel().tolist()) <= set(sub.elements):
-        raise ValueError("subgroup elements are not closed under the group product")
-    return h
-
-
-def left_cosets(group: FiniteGroup, sub: CyclicSubgroup) -> list:
-    """Partition of element indices into left cosets of ``sub``.
+def left_cosets(group: FiniteGroup, generator: int) -> list:
+    """Partition of element indices into left cosets of the cyclic subgroup
+    ``<generator>``.
 
     The coset containing the identity comes first, the rest follow in order of
     their smallest element index; every coset is sorted, so that index leads it.
     """
-    h = _require_subgroup(group, sub)
+    h = cyclic_subgroup(group, generator)
     # g and g' share a left coset exactly when gH = g'H, so min(gH) labels it;
     # a stable sort, identity's label first, lines up the |H|-element cosets
     labels = group.table[:, h].min(axis=1)
     return np.lexsort((labels, labels != labels[group.identity])).reshape(-1, len(h)).tolist()
 
 
-def coset_postprocessing(group: FiniteGroup, sub: CyclicSubgroup) -> PostProcessing:
-    """Deterministic kernel merging group-labelled outcomes by left coset."""
-    cosets = np.array(left_cosets(group, sub))
+def coset_postprocessing(group: FiniteGroup, generator: int) -> PostProcessing:
+    """Deterministic kernel merging group-labelled outcomes by left coset of
+    ``<generator>``."""
+    cosets = np.array(left_cosets(group, generator))
     kernel = np.zeros((group.order, len(cosets)))
     kernel[cosets, np.arange(len(cosets))[:, None]] = 1.0
     return PostProcessing(kernel, out_labels=[group.names[g] for g in cosets[:, 0]])
@@ -148,8 +121,7 @@ class ProjectiveRepresentation:
     entry. That certifies every pair: by induction on the length k of h as a
     word in the generators, U(g)U(h) is a unit multiple of U(gh) within
     (2k - 1)(d + 1) MULTIPLIER_TOL in operator norm. Only generator pairs are
-    held to ``MULTIPLIER_TOL`` itself. The multiplier of every pair is
-    computed only when read.
+    held to ``MULTIPLIER_TOL`` itself.
     """
 
     group: FiniteGroup
@@ -185,19 +157,9 @@ class ProjectiveRepresentation:
         mu = np.einsum("hab,hab->h", prod, target.conj()) / self.degree
         return mu, float(np.max(np.abs(prod - mu[:, None, None] * target)))
 
-    @cached_property
-    def multiplier(self) -> np.ndarray:
-        """The (n, n) multipliers mu(g, h) of U(g)U(h) = mu(g, h) U(gh), one row
-        of products at a time."""
-        u = self.matrices
-        return np.stack([self._law(u[g] @ u, row)[0] for g, row in enumerate(self.group.table)])
-
     @property
     def degree(self) -> int:
         return self.matrices.shape[1]
-
-    def unitary(self, g: int) -> np.ndarray:
-        return self.matrices[g]
 
 
 def covariant_observable(rep: ProjectiveRepresentation, seed: DensityState) -> Observable:
@@ -274,16 +236,10 @@ def wh_element_index(d: int, x: int, y: int) -> int:
 # programming vectors and sharp observables
 
 
-@dataclass(eq=False)
-class ProgramVectors:
-    """Orthonormal eigenvectors of U(generator), ordered by their root-of-unity index k."""
-
-    vectors: np.ndarray      # columns
-    eigenvalues: np.ndarray
-
-
-def eigenvector_program_states(rep: ProjectiveRepresentation, generator: int) -> ProgramVectors:
-    """Eigenvectors of U(generator), each an invariant seed for the subgroup it generates.
+def eigenvector_program_states(rep: ProjectiveRepresentation, generator: int) -> tuple:
+    """Eigenvalues and orthonormal eigenvectors (columns) of U(generator), as
+    ``np.linalg.eig`` returns them, ordered by their root-of-unity index k.
+    Each vector is an invariant seed for the subgroup the generator generates.
 
     The generator must produce a cyclic subgroup of order #G / degree, the
     regime where coset merging of the covariant observable turns sharp.
@@ -293,14 +249,11 @@ def eigenvector_program_states(rep: ProjectiveRepresentation, generator: int) ->
     rounding and makes those of a repeated eigenvalue orthonormal, so the basis
     is unitary regardless of degeneracy.
     """
-    group = rep.group
-    want = group.order // rep.degree
-    have = group.element_order(generator)
+    want = rep.group.order // rep.degree
+    have = len(cyclic_subgroup(rep.group, generator))
     if have != want:
-        raise ValueError(
-            f"generator has order {have}, expected #G/degree = {want}"
-        )
-    u = rep.unitary(generator)
+        raise ValueError(f"generator has order {have}, expected #G/degree = {want}")
+    u = rep.matrices[generator]
     eigvals, vecs = np.linalg.eig(u)
     # U^m = c 1, so λ = phi exp(2 pi i k / m) with phi = (λ^m)^(1/m): sort by the integer
     # k, not by a phase whose rounding can put k = 0 last
@@ -316,7 +269,7 @@ def eigenvector_program_states(rep: ProjectiveRepresentation, generator: int) ->
     p = vecs.T[:, :, None] * vecs.T.conj()[:, None, :]
     if float(np.max(np.abs(u @ p @ u.conj().T - p))) > EIGVEC_INVARIANCE_TOL:
         raise ValueError("eigenvector failed the invariance check")
-    return ProgramVectors(vecs, eigvals)
+    return eigvals, vecs
 
 
 def eigenvector_program(
@@ -332,15 +285,15 @@ def eigenvector_program(
     merging kernel that sharpens the programmed observable, and whether the
     target eigenvalue was found.
     """
-    pv = eigenvector_program_states(rep, generator)
-    dist = np.abs(pv.eigenvalues - target_eigenvalue)
+    eigvals, vecs = eigenvector_program_states(rep, generator)
+    dist = np.abs(eigvals - target_eigenvalue)
     pick = int(np.argmin(dist))
     exact = bool(dist[pick] <= TARGET_EIGENVALUE_TOL)
-    psi = pv.vectors[:, pick if exact else 0]
+    psi = vecs[:, pick if exact else 0]
     probe = covariant_program_state(
         DensityState.maximally_mixed(rep.degree), DensityState.from_vector(psi)
     )
-    kernel = coset_postprocessing(rep.group, CyclicSubgroup(rep.group, generator))
+    kernel = coset_postprocessing(rep.group, generator)
     return psi, probe, kernel, exact
 
 

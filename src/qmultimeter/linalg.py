@@ -43,5 +43,9 @@ def require_hermitian(m) -> np.ndarray:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the first factor as the most significant index block."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product with the first factor as the most significant index
+    block: each entry a[i, j] b[k, l] is the one product ``np.kron`` takes,
+    broadcast without its generic reshaping."""
+    a, b = as_matrix(a), as_matrix(b)
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)

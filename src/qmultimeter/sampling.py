@@ -58,7 +58,7 @@ def random_postprocessing(rng, n_in: int, n_out: int):
     return PostProcessing(rng.dirichlet(np.ones(n_out), size=n_in))
 
 
-def random_channel(rng, dim: int, n_kraus: int = 2) -> QuantumChannel:
+def random_channel(rng, dim: int, n_kraus: int) -> QuantumChannel:
     """Random CPTP map: Ginibre Kraus blocks normalized by the inverse root of the sum."""
     blocks = [
         rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -70,7 +70,7 @@ def random_channel(rng, dim: int, n_kraus: int = 2) -> QuantumChannel:
     return QuantumChannel([b @ inv_root for b in blocks])
 
 
-def random_multimeter(rng, system_dim: int = 2, probe_dim: int = 4) -> Multimeter:
+def random_multimeter(rng, system_dim: int, probe_dim: int) -> Multimeter:
     """Random device: unitary interaction on system x probe, random pointer PVM."""
     u = random_unitary(rng, system_dim * probe_dim)
     return Multimeter(

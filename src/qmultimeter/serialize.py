@@ -23,8 +23,16 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _json_int(doc: dict, key: str) -> int:
+    x = doc[key]
+    # not a float or a string, and not true or false, which json reads as bools
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{key!r} must be a JSON integer, got {x!r}")
+    return x
+
+
 def matrix_from_json(doc: dict) -> np.ndarray:
-    rows, cols = int(doc["rows"]), int(doc["cols"])
+    rows, cols = _json_int(doc, "rows"), _json_int(doc, "cols")
     entries = doc["entries"]
     if len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
@@ -50,7 +58,7 @@ def observable_from_json(doc: dict) -> Observable:
     outcomes = [str(x) for x in doc["outcomes"]]
     effects = [matrix_from_json(doc["effects"][label]) for label in outcomes]
     e = Observable(effects, outcomes=outcomes)
-    if e.dim != int(doc["dim"]):
+    if e.dim != _json_int(doc, "dim"):
         raise ValueError("declared dim does not match the effects")
     return e
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,8 +72,8 @@ class VerificationReport:
     trials: int
     violations: int
     worst_margin: float
-    fixtures: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+    fixtures: dict
+    elapsed: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -290,7 +290,7 @@ def verify_prop3(
     return _margin_report("prop3", seed, margins, tol_check, fixtures, t0)
 
 
-def verify_povm_bound(dim: int, trials: int, seed: int = 0) -> VerificationReport:
+def verify_povm_bound(dim: int, trials: int, seed: int) -> VerificationReport:
     """Outcome-statistics overlap of a shared observable never undercuts state fidelity."""
     t0 = time.perf_counter()
     rng = rng_from(seed)
@@ -425,7 +425,7 @@ def sharpmin_bound(t: float) -> float:
     return math.sqrt(2.0) / (math.sqrt(1.0 + t) + math.sqrt(1.0 - t))
 
 
-def bound_curve(points: int = 201) -> BoundCurve:
+def bound_curve(points: int) -> BoundCurve:
     ts = np.linspace(-1.0, 1.0, points)
     return BoundCurve(ts, np.array([sharpmin_bound(float(t)) for t in ts]))
 
@@ -577,7 +577,7 @@ def q8_program_pair() -> tuple:
     return covariant_multimeter(rep), xi1, xi2, l1, l2
 
 
-def wh_program_pair(d: int = 3) -> tuple:
+def wh_program_pair(d: int) -> tuple:
     """The phase-space multimeter with probe states from two unbiased subgroups."""
     rep = weyl_heisenberg(d)
     _, xi1, l1, _ = eigenvector_program(rep, wh_element_index(d, 0, 1), 1.0 + 0j)
@@ -585,7 +585,7 @@ def wh_program_pair(d: int = 3) -> tuple:
     return covariant_multimeter(rep), xi1, xi2, l1, l2
 
 
-def default_random_fixture(seed: int = 0) -> tuple:
+def default_random_fixture(seed: int) -> tuple:
     """Random qubit multimeter with a 4-dimensional probe, plus a random
     probe-state pair and kernel pair."""
     rng = rng_from(seed)

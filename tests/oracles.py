@@ -400,14 +400,29 @@ def eigvalsh_observable_check(effects, outcomes=None, atol_complete=1e-9):
         raise ValueError("one outcome label per effect required")
 
 
-def walked_cosets(group, sub) -> list:
-    """Left cosets by walking the table: the identity's first, then that of
-    each element not yet covered, in index order."""
-    cosets = []
+def walked_powers(group, generator) -> list:
+    """The powers e, g, g^2, ... of ``generator``, each the left product of
+    the generator with the one before, one table lookup at a time."""
+    powers = [group.identity]
+    while (g := int(group.table[generator, powers[-1]])) != group.identity:
+        powers.append(g)
+    return powers
+
+
+def walked_cosets(group, generator) -> list:
+    """Left cosets of ``<generator>`` by walking the table: the identity's
+    first, then that of each element not yet covered, in index order."""
+    cosets, powers = [], walked_powers(group, generator)
     for g in [group.identity, *range(group.order)]:
         if not any(g in c for c in cosets):
-            cosets.append(sorted(group.mul(g, h) for h in sub.elements))
+            cosets.append(sorted(int(group.table[g, h]) for h in powers))
     return cosets
+
+
+def sharp_generators(rep) -> list:
+    """Every generator of a cyclic subgroup of order #G / degree."""
+    want = rep.group.order // rep.degree
+    return [g for g in range(rep.group.order) if len(walked_powers(rep.group, g)) == want]
 
 
 def root_of_unity_index(w, u, m) -> np.ndarray:
@@ -468,14 +483,14 @@ def ancilla_extended(e):
     return Observable(np.kron(e.effects, np.eye(e.dim)), outcomes=list(e.outcomes))
 
 
-def sharp_from_subgroup(rep, sub, psi: np.ndarray):
+def sharp_from_subgroup(rep, generator, psi: np.ndarray):
     """Sharp observable from coset-merging the covariant POVM seeded with psi.
 
     psi must be an eigenvector of U(generator); the effects are the orbit of
-    its projection under coset representatives.
+    its projection under the walked coset representatives.
     """
     from qmultimeter import Observable
-    from qmultimeter.groups import EIGVEC_INVARIANCE_TOL, left_cosets
+    from qmultimeter.groups import EIGVEC_INVARIANCE_TOL
     from qmultimeter.linalg import hermitianize
 
     psi = np.asarray(psi, dtype=complex).reshape(-1)
@@ -485,10 +500,10 @@ def sharp_from_subgroup(rep, sub, psi: np.ndarray):
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("psi must be a unit vector")
     p = np.outer(psi, psi.conj())
-    u_gen = rep.unitary(sub.generator)
+    u_gen = rep.matrices[generator]
     if float(np.max(np.abs(u_gen @ p @ u_gen.conj().T - p))) > EIGVEC_INVARIANCE_TOL:
         raise ValueError("psi is not an eigenvector of the subgroup generator")
-    firsts = [coset[0] for coset in left_cosets(rep.group, sub)]
+    firsts = [coset[0] for coset in walked_cosets(rep.group, generator)]
     u = rep.matrices[firsts]
     effects = hermitianize(u @ p @ u.conj().transpose(0, 2, 1))
     return Observable(effects, outcomes=[rep.group.names[g] for g in firsts])

@@ -340,19 +340,23 @@ class TestDivergenceCommand:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("config error:") and "non-finite" in err
 
-    @pytest.mark.parametrize("malformed", ["list", "null rows"])
+    @pytest.mark.parametrize(
+        "malformed", ["list", "null rows", "fractional rows", "string rows"]
+    )
     def test_malformed_observable_file_is_config_error(self, capsys, observable_files, malformed):
         e1, e2 = observable_files
         if malformed == "list":
             doc = []
         else:
             doc = json.loads(Path(e1).read_text())
-            doc["effects"][doc["outcomes"][0]]["rows"] = None
+            # a cast to int would read 2.9 and "2" as the 2 rows of the file
+            rows = {"null rows": None, "fractional rows": 2.9, "string rows": "2"}[malformed]
+            doc["effects"][doc["outcomes"][0]]["rows"] = rows
         Path(e1).write_text(json.dumps(doc))
         code, out, err = run(capsys, "divergence", "--e1", e1, "--e2", e2)
         assert code == 2
         assert out == ""
-        assert err.count("\n") == 1 and err.startswith("config error:") and "cannot load" in err
+        assert err.count("\n") == 1 and err.startswith("config error: cannot load observables")
 
     @pytest.mark.parametrize(
         "dim, outcomes, named", [(2, 4, "outcome count"), (3, 3, "dimension")]

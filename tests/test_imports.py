@@ -128,7 +128,8 @@ def test_verify_binds_the_divergence_minimizer():
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE_SOURCES = sorted((REPO / "src" / "qmultimeter").glob("*.py"))
-# public definitions that nothing in src/, scripts/ or perfbench/ reaches, and why they stay
+# public definitions (functions, classes, and the methods and properties of
+# public classes) that nothing in src/, scripts/ or perfbench/ reaches, and why they stay
 UNCALLED_PUBLIC = {
     "covariant_observable": "the closed form tests/test_acceptance.py holds programming to",
     "observable_to_json": "it writes the observable file format the divergence command reads",
@@ -162,6 +163,19 @@ def referenced_names(tree: ast.AST, skip: ast.AST = None) -> set:
     return out
 
 
+def public_definitions(body):
+    """The public functions and classes of a module body, and the public
+    methods and properties of each public class, as (node, dotted name)."""
+    for node in body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node, node.name
+        if isinstance(node, ast.ClassDef):
+            for inner in node.body:
+                if isinstance(inner, ast.FunctionDef) and not inner.name.startswith("_"):
+                    yield inner, f"{node.name}.{inner.name}"
+
+
 def test_every_public_definition_has_a_caller():
     # the __init__ exports do not count: they are how the tests reach the package
     callers = [p for p in PACKAGE_SOURCES if p.name != "__init__.py"]
@@ -173,12 +187,10 @@ def test_every_public_definition_has_a_caller():
         if path.name == "__init__.py":
             continue
         tree = trees[path]
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
+        for node, dotted in public_definitions(tree.body):
             elsewhere = any(node.name in refs for p, refs in names.items() if p != path)
             if not elsewhere and node.name not in referenced_names(tree, skip=node):
-                uncalled.append(node.name)
+                uncalled.append(dotted)
     assert sorted(uncalled) == sorted(UNCALLED_PUBLIC)
 
 

@@ -22,6 +22,13 @@ class TestTensor:
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert np.allclose(tensor(a, b), kron_oracle(a, b), atol=1e-14, rtol=0)
 
+    @pytest.mark.parametrize("shapes", [((2, 3), (4, 1)), ((1, 5), (3, 2)), ((7, 7), (7, 7))])
+    def test_rectangular_equals_kron_bit_for_bit(self, rng, shapes):
+        a, b = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
+        out = tensor(a, b)
+        assert out.shape == np.kron(a, b).shape
+        assert out.tobytes() == np.kron(a, b).tobytes()
+
     @given(
         arrays(np.int64, (2, 2), elements=st.integers(-4, 4)),
         arrays(np.int64, (2, 3), elements=st.integers(-4, 4)),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmultimeter.divergence import bhattacharyya
-from qmultimeter.groups import CyclicSubgroup, coset_postprocessing, covariant_observable
+from qmultimeter.groups import coset_postprocessing, covariant_observable
 from qmultimeter.postprocessing import (
     PostProcessing,
     post_process_observable,
@@ -96,7 +96,7 @@ class TestObservableAction:
         idx = {n: i for i, n in enumerate(q8.group.names)}
         psi = DensityState((I2 + PAULI_X) / 2)
         covariant = covariant_observable(q8, psi)
-        kern = coset_postprocessing(q8.group, CyclicSubgroup(q8.group, idx["i"]))
+        kern = coset_postprocessing(q8.group, idx["i"])
         sharp = post_process_observable(kern, covariant)
         assert np.allclose(sharp.effects[0], (I2 + PAULI_X) / 2, atol=1e-10)
         assert np.allclose(sharp.effects[1], (I2 - PAULI_X) / 2, atol=1e-10)
@@ -194,5 +194,5 @@ class TestMonotonicity:
         # kernels that produce them are 0/1 valued by construction
         idx = {n: i for i, n in enumerate(q8.group.names)}
         for name in ("i", "j", "k"):
-            kern = coset_postprocessing(q8.group, CyclicSubgroup(q8.group, idx[name]))
+            kern = coset_postprocessing(q8.group, idx[name])
             assert np.all((kern.kernel == 0.0) | (kern.kernel == 1.0))

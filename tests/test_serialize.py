@@ -94,6 +94,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="entries"):
             matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
 
+    @pytest.mark.parametrize("rows", [True, 1.0, 1.9, "1"])
+    def test_matrix_header_must_be_a_json_integer(self, rows):
+        # int() would read each of these as the one row of the matrix
+        with pytest.raises(ValueError, match="'rows' must be a JSON integer"):
+            matrix_from_json({"rows": rows, "cols": 1, "entries": [[1.0, 0.0]]})
+
+    @pytest.mark.parametrize("dim", [2.0, "2"])
+    def test_observable_dim_must_be_a_json_integer(self, rng, dim):
+        doc = through_json(observable_to_json(random_povm(rng, 2, 2)))
+        doc["dim"] = dim
+        with pytest.raises(ValueError, match="'dim' must be a JSON integer"):
+            observable_from_json(doc)
+
     def test_state_dim_consistency(self, rng):
         doc = state_to_json(random_density(rng, 2))
         doc["dim"] = 3

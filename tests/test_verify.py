@@ -181,7 +181,7 @@ def covariant7_random_probes():
 FIXTURES = {
     "q8": q8_program_pair,
     "wh3": lambda: wh_program_pair(3),
-    "random": default_random_fixture,
+    "random": lambda: default_random_fixture(0),
     "covariant7": covariant7_random_probes,
 }
 
