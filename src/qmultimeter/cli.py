@@ -41,10 +41,10 @@ MAX_POINTS = 100_001
 # (prop1) and 0.5 s (prop3), most of it sampling, and peak at 181 and 162 MiB
 # RSS under a 1 GiB address-space cap, on one BLAS thread of a 2-vCPU VM
 MAX_TRIALS = 50_000
-# verify bprops costs about 0.02 s per trial on the same VM, with one BLAS
-# thread or default threads alike (2.6 s at 100 trials, 6.5-6.8 s at 300,
-# 21 s at 1000, 57-58 s at 3000), mostly one divergence re-estimate per
-# trial for its B4 check; its own cap keeps the longest run near a minute
+# verify bprops costs about 0.01 s per trial on one BLAS thread of a 2-vCPU
+# VM (0.96 s at 100 trials, 3.1 s at 300, 9.5-15 s at 1000, 39-40 s at 3000),
+# mostly one divergence re-estimate per trial for its B4 check; its own cap
+# keeps the longest run under a minute
 MAX_BPROPS_TRIALS = 3_000
 
 # scalar keys: a config file sets them, QML_SEED overrides the seed, flags override both
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--trials", type=int, default=None,
         help=f"randomized trials (default 1000): at most {MAX_TRIALS} for prop1 and prop3; "
-        f"at most {MAX_BPROPS_TRIALS} for bprops, which takes about 0.02 s per trial",
+        f"at most {MAX_BPROPS_TRIALS} for bprops, which takes about 0.01 s per trial",
     )
     ver.add_argument(
         "--fixture", choices=["random", "q8", "phase-space"], default=None,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -19,71 +18,156 @@ MEMORY = 10           # L-BFGS correction pairs
 WOLFE = (1e-3, 0.9)   # sufficient-decrease and curvature constants of the line search
 LINE_EVALS = 20       # evaluations after which a line search fails
 CLAMP_HI = 1.0 + 1e-9
-MAX_RESTARTS = 4096   # each start is one L-BFGS run: the cap bounds time, not memory
+INFEASIBLE = 2 / EPS_DEN  # B <= 1 and F >= EPS_DEN, so every feasible ratio lies below
+MAX_RESTARTS = 4096   # each start is one L-BFGS row: the cap bounds time, START_BLOCK memory
 GRID_BLOCK = 128      # rows of the first collection per block of the candidate scan
+START_BLOCK = 2**18   # floats of search state per block of starts (``_row_floats`` a start)
 
 
 def minimize(fun, x0, maxiter):
-    """L-BFGS (Nocedal and Wright, Alg. 7.4 and 7.5) of ``fun(x) -> (value, gradient)``
-    from ``x0``. ``success``: the ``GTOL`` or the ``FTOL`` stop test was met within
-    ``maxiter`` iterations; a failed line search ends the run without it."""
-    nfev, nit, gamma = 0, 0, 1.0
+    """L-BFGS (Nocedal and Wright, Alg. 7.4 and 7.5) of ``fun(X) -> (values, gradients)``
+    from every row of the (k, p) stack ``x0``, all rows in lockstep: each round
+    makes one call of ``fun`` on the stacked points of every row still searching,
+    and a row leaves the stack when it stops.
 
-    def counted(x):
-        nonlocal nfev
-        nfev += 1
-        return fun(x)
-
+    Each row keeps its own correction pairs, line search and stop tests, and
+    every operation on a row reads that row alone, so a row ends bit for bit
+    where it would end alone. A row ``converged`` when it met the ``GTOL`` or
+    the ``FTOL`` stop test within ``maxiter`` iterations; a failed line search
+    ends it without. ``nfev`` counts the points evaluated and ``success`` is
+    ``converged.all()``."""
     x = np.array(x0, dtype=float)
-    f, g = counted(x)
-    pairs = deque(maxlen=MEMORY)  # (s, y, 1 / s.y), newest last
-    success = np.abs(g).max() <= GTOL
-    while not success and nit < maxiter:
-        # two-loop recursion for -H g over (s.y / y.y) I, or with no pairs -g / |g|
-        d, alphas = -g, []
-        for s, y, rho in reversed(pairs):
-            alphas.append(rho * float(s @ d))
-            d -= alphas[-1] * y
-        d *= gamma if pairs else 1 / np.linalg.norm(d)
-        for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            d += (a - rho * float(y @ d)) * s
-        found = _wolfe_step(counted, x, f, g, d)
-        if found is None:
-            break
-        s, y = found[0] - x, found[2] - g
-        if (sy := float(s @ y)) > 0:
-            pairs.append((s, y, 1 / sy))
-            gamma = sy / float(y @ y)
-        nit, f_old, (x, f, g) = nit + 1, f, found
-        success = f_old - f <= FTOL * max(abs(f_old), abs(f), 1.0) or np.abs(g).max() <= GTOL
-    return SimpleNamespace(x=x, fun=f, nfev=nfev, nit=nit, success=bool(success))
+    k, p = x.shape
+    f, g = fun(x)
+    nfev, nit = k, np.zeros(k, dtype=int)
+    converged = np.abs(g).max(axis=1) <= GTOL
+    rows = np.flatnonzero(~converged & (maxiter > 0))
+    # the rows still searching, with their points and correction pairs
+    xa, fa, ga = x[rows], f[rows], g[rows]
+    pairs = _Pairs(len(rows), p)
+    while rows.size:
+        ok, xs, fs, gs, evals = _wolfe_steps(fun, xa, fa, ga, pairs.direction(ga))
+        nfev += evals
+        pairs.push(xs - xa, gs - ga)
+        scale = np.maximum(np.maximum(np.abs(fa), np.abs(fs)), 1.0)
+        met = ok & ((fa - fs <= FTOL * scale) | (np.abs(gs).max(axis=1) <= GTOL))
+        nit[rows] += ok
+        xa, fa, ga = xs, fs, gs
+        stop = ~ok | met | (nit[rows] >= maxiter)
+        if stop.any():
+            x[rows[stop]], f[rows[stop]], g[rows[stop]] = xa[stop], fa[stop], ga[stop]
+            converged[rows[met]] = True
+            keep = ~stop
+            rows, xa, fa, ga = rows[keep], xa[keep], fa[keep], ga[keep]
+            pairs.keep(keep)
+    return SimpleNamespace(
+        x=x, fun=f, nit=nit, converged=converged, nfev=nfev, success=bool(converged.all())
+    )
 
 
-def _wolfe_step(fun, x, f0, g0, d):
-    """``(x, f, g)`` at a strong-Wolfe step along ``d``, trying 1 first (Nocedal and Wright,
-    Alg. 3.5 and 3.6); None if ``d`` is no descent direction or ``LINE_EVALS`` trials fail."""
+class _Pairs:
+    """The ``MEMORY`` newest correction pairs (s, y) of each row, oldest first
+    and unused slots 0, with what the compact form of the inverse Hessian
+    approximation H needs (Byrd, Nocedal and Schnabel, Math. Prog. 63, 1994):
+    the inverse of R, the upper triangle of the s_i.y_j (a unit diagonal in
+    unused slots, so that they add nothing), and the diagonal D of R."""
+
+    def __init__(self, n: int, p: int):
+        self.s = np.zeros((n, MEMORY, p))
+        self.y = np.zeros((n, MEMORY, p))
+        self.rinv = np.tile(np.eye(MEMORY), (n, 1, 1))
+        self.diag = np.zeros((n, MEMORY))
+        self.gamma = np.ones(n)  # H = gamma I with no pairs: s.y / y.y of the newest
+
+    def keep(self, rows):
+        vars(self).update({name: value[rows] for name, value in vars(self).items()})
+
+    def direction(self, g):
+        """-H g for each row, or -g / |g| in rows with no pair: with a = S'g,
+        b = Y'g, u = R^-1 a and v = R^-T (D u + gamma (Y'Y u - b)),
+        H g = gamma (g - Y u) + S v, all over the row's own pairs."""
+        gamma = self.gamma[:, None, None]
+        u = self.rinv @ (self.s @ g[..., None])
+        yu = self.y.swapaxes(1, 2) @ u
+        rhs = self.diag[..., None] * u + gamma * (self.y @ (yu - g[..., None]))
+        v = self.rinv.swapaxes(1, 2) @ rhs
+        d = (gamma * (yu - g[..., None]) - self.s.swapaxes(1, 2) @ v)[..., 0]
+        first = self.diag[:, -1] == 0  # no pair yet: every pair held has s.y > 0
+        if first.any():
+            d[first] = -g[first] * (1 / np.sqrt(np.einsum("kp,kp->k", g[first], g[first])))[:, None]
+        return d
+
+    def push(self, s, y):
+        """Append (s, y) to every row where s.y > 0, dropping its oldest pair: R
+        loses its first row and column, whose inverse is that of R without them,
+        and gains the column c = (s_j.y) over c_new = s.y, so that the new
+        inverse holds -R^-1 c / c_new and 1 / c_new in its last column (its
+        last row is 0 elsewhere already, as R^-1 is upper triangular)."""
+        sy = np.einsum("kp,kp->k", s, y)
+        rows = sy > 0
+        if not rows.any():
+            return
+        s, y, sy = s[rows], y[rows], sy[rows]
+        col = self.rinv[rows, 1:, 1:] @ (self.s[rows, 1:] @ y[..., None])
+        for kept in (self.s, self.y, self.diag):
+            kept[rows, :-1] = kept[rows, 1:]
+        self.rinv[rows, :-1, :-1] = self.rinv[rows, 1:, 1:]
+        self.rinv[rows, :-1, -1] = -col[..., 0] / sy[:, None]
+        self.rinv[rows, -1, -1] = 1 / sy
+        self.s[rows, -1], self.y[rows, -1], self.diag[rows, -1] = s, y, sy
+        self.gamma[rows] = sy / np.einsum("kp,kp->k", y, y)
+
+
+def _wolfe_steps(fun, x, f0, g0, d):
+    """Strong-Wolfe steps along the rows of ``d``, trying 1 first (Nocedal and
+    Wright, Alg. 3.5 and 3.6), all rows in lockstep: ``(ok, x, f, g, evals)``,
+    with the rows ``ok`` at their accepted step and the others where they were.
+    A row fails where ``d`` is no descent direction or ``LINE_EVALS`` trials fail."""
     c1, c2 = WOLFE
-    slope0 = g0 @ d
+    n = len(x)
+    slope0 = np.einsum("kp,kp->k", g0, d)
+    xs, fs, gs = x.copy(), f0.copy(), g0.copy()
+    ok = np.zeros(n, dtype=bool)
+    step = np.ones(n)
     # lo: the best (step, value, slope) with sufficient decrease; hi: a bracket's other end
-    step, lo, hi = 1.0, (0.0, f0, slope0), None
-    for _ in range(LINE_EVALS if slope0 < 0 else 0):
-        xt = x + step * d
+    lo = np.array([np.zeros(n), f0, slope0])
+    hi = np.zeros((3, n))
+    has_hi = np.zeros(n, dtype=bool)
+    r = np.flatnonzero(slope0 < 0)
+    evals = 0
+    for _ in range(LINE_EVALS):
+        if not r.size:
+            break
+        t, dr, s0 = step[r], d[r], slope0[r]
+        xt = x[r] + t[:, None] * dr
         f, g = fun(xt)
-        slope = g @ d
-        if f > f0 + c1 * step * slope0 or f >= lo[1]:
-            hi = (step, f, slope)
-        elif abs(slope) > -c2 * slope0:
-            hi = lo if slope * (hi[0] - step if hi else 1.0) >= 0 else hi
-            lo = (step, f, slope)
-        else:
-            return xt, f, g
-        step = 4 * step if hi is None else _trial_step(lo, hi)
-    return None
+        evals += r.size
+        slope = np.einsum("kp,kp->k", g, dr)
+        up = (f > f0[r] + c1 * t * s0) | (f >= lo[1, r])
+        curved = ~up & (np.abs(slope) > -c2 * s0)
+        done = ~up & ~curved
+        a = r[done]
+        xs[a], fs[a], gs[a], ok[a] = xt[done], f[done], g[done], True
+        if done.all():
+            break
+        trial = np.array([t, f, slope])
+        flip = curved & (slope * np.where(has_hi[r], hi[0, r] - t, 1.0) >= 0)
+        hi[:, r[flip]] = lo[:, r[flip]]
+        hi[:, r[up]] = trial[:, up]
+        lo[:, r[curved]] = trial[:, curved]
+        has_hi[r[up | flip]] = True
+        r = r[~done]
+        cut = has_hi[r]
+        step[r[~cut]] *= 4
+        if cut.any():
+            step[r[cut]] = _trial_step(lo[:, r[cut]], hi[:, r[cut]])
+    return ok, xs, fs, gs, evals
 
 
-def _trial_step(lo, hi) -> float:
+def _trial_step(lo, hi):
     """Minimiser of the cubic through both ends' values and slopes, else of the quadratic
-    without hi's slope, else the midpoint; a tenth of the bracket from either end."""
+    without hi's slope, else the midpoint; a tenth of the bracket from either end.
+    ``lo`` and ``hi`` are (step, value, slope) triples of scalars or of equal-length rows."""
     (a, fa, da), (b, fb, db) = np.array([lo, hi], dtype=float)
     w = b - a
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -91,8 +175,9 @@ def _trial_step(lo, hi) -> float:
         d2 = np.sign(w) * np.sqrt(d1 * d1 - da * db)
         cubic = b - w * (db + d2 - d1) / (db - da + 2 * d2)
         quadratic = a - da * w * w / (2 * (fb - fa - da * w))
-    t = next((t for t in (cubic, quadratic) if np.isfinite(t)), a + w / 2)
-    return float(np.clip(t, *sorted((a + 0.1 * w, b - 0.1 * w))))
+    t = np.where(np.isfinite(cubic), cubic, np.where(np.isfinite(quadratic), quadratic, a + w / 2))
+    ends = a + 0.1 * w, b - 0.1 * w
+    return np.clip(t, np.minimum(*ends), np.maximum(*ends))
 
 
 def bhattacharyya(p, q) -> float:
@@ -141,6 +226,7 @@ class DivergenceEstimate:
     method: str
     restarts: int
     converged: bool
+    converged_starts: int
     seed: int
 
 
@@ -151,9 +237,18 @@ def _pair_from_params(x: np.ndarray) -> np.ndarray:
 
 
 def _params_from_pair(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """The 4d real parameters of a pair: the real and imaginary part of each
-    coordinate side by side, so that the parameters view as the two vectors."""
-    return np.concatenate([v1, v2]).astype(complex).view(float)
+    """The 4d real parameters of a pair, or a row of them for each row of
+    equal-shape stacks: the real and imaginary part of each coordinate side
+    by side, so that the parameters view as the two vectors."""
+    return np.concatenate([v1, v2], axis=-1).astype(complex).view(float)
+
+
+def _row_floats(d: int, outcomes: int) -> int:
+    """Floats one row of the search holds at most, to within about 15%: its
+    correction pairs, the inverse of their triangle R and its diagonal, twice
+    while ``_Pairs.push`` rebuilds them, and its terms (2, outcomes, d)
+    complex, twice over, and four points of 4d in ``_ratio_gradient``."""
+    return 2 * MEMORY * (8 * d + MEMORY + 1) + 8 * d * (outcomes + 4)
 
 
 def _floored(p: np.ndarray) -> np.ndarray:
@@ -163,20 +258,25 @@ def _floored(p: np.ndarray) -> np.ndarray:
 
 
 def _effect_roots(stacks: np.ndarray) -> tuple:
-    """Factors L with E = L L^dagger of every effect in ``stacks`` (..., d, d),
-    from its eigendecomposition with negative rounding eigenvalues set to 0,
-    and their adjoints."""
+    """Factors L with E = L L^dagger of every effect in the two stacks
+    (2, outcomes, d, d), from its eigendecomposition with negative rounding
+    eigenvalues set to 0: their adjoints stacked into one (2, outcomes d, d)
+    matrix per stack, and the factors side by side in one (2, d, outcomes d)."""
     w, v = np.linalg.eigh(stacks)
     root = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
-    return root, np.ascontiguousarray(root.conj().swapaxes(-1, -2))
+    n, x, d, _ = root.shape
+    lift = root.conj().swapaxes(-1, -2).reshape(n, x * d, d)
+    return lift, np.ascontiguousarray(root.swapaxes(1, 2).reshape(n, d, x * d))
 
 
-def _ratio_gradient(x: np.ndarray, roots: tuple):
+def _ratio_gradient(x: np.ndarray, roots: tuple) -> tuple:
     """The unfloored ratio B(p1, p2) / |<v1|v2>| at the pair of unnormalised
-    vectors z1, z2 held in ``x`` (as ``_params_from_pair`` lays them out) and
-    its gradient in ``x``; ``None`` where a vector's norm is below 1e-12 or
-    the fidelity below ``EPS_DEN``. ``roots`` holds the factors of the two
-    effect stacks (2, outcomes, d, d), as ``_effect_roots`` returns them.
+    vectors z1, z2 held in each row of the stack ``x`` (k, 4d) (as
+    ``_params_from_pair`` lays them out) and its gradient in that row; rows
+    where a vector's norm is below 1e-12 or the fidelity below ``EPS_DEN``
+    read (``INFEASIBLE``, 0). ``roots`` holds the factors of the two effect
+    stacks as ``_effect_roots`` returns them. Each row's values are computed
+    from that row alone.
 
     Probabilities are not floored: sqrt(p) = |L^dagger z| / |z| is accurate to
     rounding even where p is near 0, where sqrt(z^dagger E z) would turn a
@@ -188,23 +288,30 @@ def _ratio_gradient(x: np.ndarray, roots: tuple):
     2 dr/dz*, its real and imaginary parts side by side. It is 0 on the terms
     of outcomes whose probability is 0, where sqrt(p) has a cusp.
     """
-    z = x.view(complex).reshape(2, -1)
-    xr = x.reshape(2, -1)
-    nz = np.sqrt(np.einsum("si,si->s", xr, xr))
-    c = complex(np.vdot(z[0], z[1]))
-    if nz.min() < 1e-12 or abs(c) < EPS_DEN * nz[0] * nz[1]:
-        return None
-    root, root_h = roots
-    y = root_h @ z[:, None, :, None]  # (2, outcomes, d, 1)
+    k = len(x)
+    z = x.view(complex).reshape(k, 2, -1)
+    xr = x.reshape(k, 2, -1)
+    nz = np.sqrt(np.einsum("ksi,ksi->ks", xr, xr))
+    c = np.einsum("ki,ki->k", z[:, 0].conj(), z[:, 1])
+    ok = (nz.min(axis=1) >= 1e-12) & (np.abs(c) >= EPS_DEN * nz[:, 0] * nz[:, 1])
+    if not ok.all():
+        value, grad = np.full(k, INFEASIBLE), np.zeros_like(x)
+        if ok.any():
+            value[ok], grad[ok] = _ratio_gradient(x[ok], roots)
+        return value, grad
+    lift, back = roots
+    # one matrix-vector product per row and stack: no product spans rows
+    y = (lift @ z[..., None]).reshape(k, 2, -1, z.shape[2])  # (k, 2, outcomes, d)
     yr = y.view(float)
-    ny = np.sqrt(np.einsum("sxij,sxij->sx", yr, yr))
-    s = ny / nz[:, None]
-    f = abs(c) / (nz[0] * nz[1])
-    ratio = float(s[0] @ s[1]) / f
-    w = np.divide(s[::-1], ny * (nz[:, None] * f), out=np.zeros_like(s), where=ny > 0)
-    g = np.einsum("sx,sxij->si", w, root @ y)
-    g -= np.array([ratio / c, ratio / c.conjugate()])[:, None] * z[::-1]
-    return ratio, g.view(float).ravel()
+    ny = np.sqrt(np.einsum("ksxi,ksxi->ksx", yr, yr))
+    nz = nz[:, :, None]
+    s = ny / nz
+    f = np.abs(c) / (nz[:, 0, 0] * nz[:, 1, 0])
+    ratio = np.einsum("kx,kx->k", s[:, 0], s[:, 1]) / f
+    w = np.divide(s[:, ::-1], ny * (nz * f[:, None, None]), out=np.zeros_like(s), where=ny > 0)
+    g = (back @ (w[..., None] * y).reshape(k, 2, -1, 1))[..., 0]
+    g -= (ratio[:, None] / np.stack([c, c.conj()], axis=1))[:, :, None] * z[:, ::-1]
+    return ratio, g.view(float).reshape(k, -1)
 
 
 def _clamped(raw: float) -> float:
@@ -269,12 +376,17 @@ def observable_divergence(
 
     Otherwise one candidate scan comes first: every top eigenvector of E1
     against every top eigenvector of E2. A floored ratio below ``ZERO_TOL``
-    returns an exact zero at the first pair attaining the least. Then one
-    ``minimize`` (L-BFGS) run with the analytic gradient of the unfloored ratio
+    returns an exact zero at the first pair attaining the least. Then an
+    L-BFGS run (``minimize``) with the analytic gradient of the unfloored ratio
     (``_ratio_gradient``) starts from each top eigenvector of E1 paired with
-    its best candidate in E2, and from ``restarts`` random starts; each run
-    is ranked by the ratio at the point it returns, so the estimate is the
-    ratio at the reported pair, hence an upper bound on D.
+    its best candidate in E2, and from ``restarts`` random starts. The starts
+    run in lockstep, in blocks of ``START_BLOCK`` floats of search state taken
+    in order; a run ends where it would end alone, so no block size changes
+    the estimate. Each run is ranked by the ratio at the point it returns, so
+    the estimate is the ratio at the reported pair, hence an upper bound on
+    D: the first start that ends below ``ZERO_TOL`` wins, else the first
+    least ratio. ``converged_starts`` counts the runs, up to that first zero,
+    that met a stop test.
 
     Pure pairs lose nothing: their infimum r is D. Take mixed rho1, rho2
     with Uhlmann purifications psi1, psi2 on C^d x C^d, <psi1|psi2> =
@@ -294,13 +406,14 @@ def observable_divergence(
     if opts.maxiter < 1:
         raise ValueError(f"maxiter must be at least 1, got {opts.maxiter}")
 
-    def estimate(value, v1, v2, note, restarts, converged):
+    def estimate(value, v1, v2, note, restarts, converged, converged_starts=0):
         return DivergenceEstimate(
             value=value,
             argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
             method=_method_string(opts.restarts, note),
             restarts=restarts,
             converged=converged,
+            converged_starts=converged_starts,
             seed=opts.seed,
         )
 
@@ -318,32 +431,39 @@ def observable_divergence(
     if low[i] < ZERO_TOL:
         note = "exact-zero witness from eigenvector candidates"
         return estimate(0.0, top1[i], top2[col[i]], note, 0, True)
-    starts = [_params_from_pair(top1[r], top2[col[r]]) for r in np.flatnonzero(low < np.inf)]
+    rows = np.flatnonzero(low < np.inf)
+    seeds = _params_from_pair(top1[rows], top2[col[rows]])
     rng = np.random.default_rng(opts.seed)
-    starts += [rng.standard_normal(4 * d) for _ in range(opts.restarts)]
-
-    # B <= 1 and F >= EPS_DEN, so every feasible ratio lies below this value
-    infeasible = 2 / EPS_DEN
+    n = len(seeds) + opts.restarts
 
     def objective(x):
-        out = _ratio_gradient(x, roots)
-        return (infeasible, np.zeros_like(x)) if out is None else out
+        return _ratio_gradient(x, roots)
 
-    best, winner = infeasible, None
-    for x0 in starts:
+    # the first start that ends below ZERO_TOL, else the first least ratio:
+    # blocks are searched in order, and a run one start at a time would stop
+    # after that first zero, so the count of converged starts stops there too
+    best, winner, count = INFEASIBLE, None, 0
+    size = max(1, START_BLOCK // _row_floats(d, e1.n_outcomes))
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        x0 = seeds[lo:hi]
+        x0 = np.concatenate([x0, rng.standard_normal((hi - lo - len(x0), 4 * d))])
         res = minimize(objective, x0, maxiter=opts.maxiter)
         # ranked by the ratio at the returned point, not by the fun reported with it
         ratio = objective(res.x)[0]
-        if ratio < best:
-            best, winner = ratio, res
-            if best < ZERO_TOL:
-                break
+        zero = np.flatnonzero(ratio < ZERO_TOL)
+        j = zero[0] if zero.size else np.argmin(ratio)
+        count += int(res.converged[: j + 1 if zero.size else None].sum())
+        if ratio[j] < best:
+            best, winner = ratio[j], (res.x[j], bool(res.converged[j]))
+        if zero.size:
+            break
     if winner is None:
         raise ValueError("no feasible state pair was evaluated; increase restarts")
     value = _clamped(float(best))
-    v1, v2 = _pair_from_params(winner.x)
+    v1, v2 = _pair_from_params(winner[0])
     note = f"multi-start l-bfgs (memory {MEMORY}) on the unfloored ratio over pure pairs"
-    return estimate(value, v1, v2, note, opts.restarts, bool(winner.success) or value == 0.0)
+    return estimate(value, v1, v2, note, opts.restarts, winner[1] or value == 0.0, count)
 
 
 def _method_string(restarts: int, note: str) -> str:

@@ -31,12 +31,19 @@ def _json_int(doc: dict, key: str) -> int:
     return x
 
 
+def _json_number(x):
+    # json reads true and false as bools, which Python counts as integers
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"matrix entries must be JSON numbers, got {x!r}")
+    return x
+
+
 def matrix_from_json(doc: dict) -> np.ndarray:
     rows, cols = _json_int(doc, "rows"), _json_int(doc, "cols")
     entries = doc["entries"]
     if len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
+    flat = np.array([complex(_json_number(re), _json_number(im)) for re, im in entries])
     return flat.reshape(rows, cols)
 
 
@@ -56,6 +63,10 @@ def observable_to_json(e: Observable) -> dict:
 
 def observable_from_json(doc: dict) -> Observable:
     outcomes = [str(x) for x in doc["outcomes"]]
+    if len(set(outcomes)) != len(outcomes):
+        raise ValueError(f"outcome labels must be distinct, got {outcomes}")
+    if set(doc["effects"]) != set(outcomes):
+        raise ValueError(f"effect keys {sorted(doc['effects'])} must be the outcome labels {outcomes}")
     effects = [matrix_from_json(doc["effects"][label]) for label in outcomes]
     e = Observable(effects, outcomes=outcomes)
     if e.dim != _json_int(doc, "dim"):
@@ -70,6 +81,7 @@ def estimate_to_json(est: DivergenceEstimate) -> dict:
         "method": est.method,
         "restarts": est.restarts,
         "converged": est.converged,
+        "converged_starts": est.converged_starts,
         "seed": est.seed,
     }
 

@@ -319,6 +319,7 @@ def scipy_multistart_divergence(e1, e2, opts=None):
             method=dv._method_string(opts.restarts, "exact-zero witness from eigenvector candidates"),
             restarts=0,
             converged=True,
+            converged_starts=0,
             seed=opts.seed,
         )
     # one seed per row: each top eigenvector of e1 with its best partner in e2
@@ -330,7 +331,7 @@ def scipy_multistart_divergence(e1, e2, opts=None):
     for _ in range(opts.restarts):
         starts.append(rng.standard_normal(4 * d))
 
-    converged = False
+    converged_starts = 0
     for x0 in starts:
         res = minimize(
             objective,
@@ -338,7 +339,7 @@ def scipy_multistart_divergence(e1, e2, opts=None):
             method="Nelder-Mead",
             options={"maxiter": opts.maxiter, "fatol": 1e-9, "xatol": 1e-7},
         )
-        converged = converged or bool(res.success)
+        converged_starts += bool(res.success)
         if best["value"] < dv.ZERO_TOL:
             break
 
@@ -351,7 +352,8 @@ def scipy_multistart_divergence(e1, e2, opts=None):
         argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
         method=dv._method_string(opts.restarts, "multi-start nelder-mead over pure pairs"),
         restarts=opts.restarts,
-        converged=converged or value == 0.0,
+        converged=converged_starts > 0 or value == 0.0,
+        converged_starts=converged_starts,
         seed=opts.seed,
     )
 
@@ -526,7 +528,7 @@ def estimate_recompute(e1, e2, est) -> float:
     if est.value == 0.0:
         raw = _row_ratio_min(*stacks, psi[:1], psi[1:])[0][0]
     else:
-        raw = _ratio_gradient(_params_from_pair(*psi), _effect_roots(stacks))[0]
+        raw = _ratio_gradient(_params_from_pair(*psi)[None], _effect_roots(stacks))[0][0]
     return _clamped(float(raw))
 
 

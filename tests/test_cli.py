@@ -359,6 +359,34 @@ class TestDivergenceCommand:
         assert err.count("\n") == 1 and err.startswith("config error: cannot load observables")
 
     @pytest.mark.parametrize(
+        "malformed, named",
+        [
+            ("boolean entry", "matrix entries must be JSON numbers"),
+            ("extra effect key", "must be the outcome labels"),
+            ("repeated label", "outcome labels must be distinct"),
+        ],
+        ids=["boolean-entry", "extra-effect-key", "repeated-label"],
+    )
+    def test_observable_file_json_shape_is_checked(self, capsys, observable_files, malformed, named):
+        e1, e2 = observable_files
+        doc = json.loads(Path(e1).read_text())
+        first = doc["outcomes"][0]
+        if malformed == "boolean entry":
+            # false for the diagonal's imaginary 0.0: read as 0, the file would load
+            assert doc["effects"][first]["entries"][0][1] == 0.0
+            doc["effects"][first]["entries"][0][1] = False
+        elif malformed == "extra effect key":
+            doc["effects"]["unused"] = doc["effects"][first]
+        else:
+            doc["outcomes"].append(first)
+        Path(e1).write_text(json.dumps(doc))
+        code, out, err = run(capsys, "divergence", "--e1", e1, "--e2", e2)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error: cannot load observables")
+        assert named in err
+
+    @pytest.mark.parametrize(
         "dim, outcomes, named", [(2, 4, "outcome count"), (3, 3, "dimension")]
     )
     def test_mismatched_observables_are_config_error(

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -114,7 +115,7 @@ class TestObservableDivergence:
         a, b = random_pvm(rng, d), random_pvm(rng, d)
         est = observable_divergence(a, b, DivergenceOptions(seed=seed, restarts=4))
         assert est.value == 0.0
-        assert est.restarts == 0
+        assert (est.restarts, est.converged_starts) == (0, 0)
         assert "exact-zero witness from eigenvector candidates" in est.method
         assert estimate_recompute(a, b, est) == 0.0
 
@@ -217,6 +218,12 @@ def _assert_ratio_at_argmin(e1, e2, est):
     assert abs(est.value - _unfloored_ratio(e1, e2, *_argmin_vectors(est))) <= 1e-12
 
 
+def _ratio_at(x, roots):
+    """The objective at one point: a stack of one row."""
+    value, grad = divergence._ratio_gradient(x[None], roots)
+    return value[0], grad[0]
+
+
 class TestRatioGradient:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_central_differences(self, d):
@@ -227,22 +234,18 @@ class TestRatioGradient:
         h = 1e-6
         for _ in range(5):
             x = rng.standard_normal(4 * d)
-            value, grad = divergence._ratio_gradient(x, roots)
+            value, grad = _ratio_at(x, roots)
             steps = h * np.eye(4 * d)
-            fd = np.array(
-                [
-                    divergence._ratio_gradient(x + s, roots)[0]
-                    - divergence._ratio_gradient(x - s, roots)[0]
-                    for s in steps
-                ]
-            ) / (2 * h)
+            # both sides of every coordinate in one stack
+            ends = divergence._ratio_gradient(np.concatenate([x + steps, x - steps]), roots)[0]
+            fd = (ends[: 4 * d] - ends[4 * d :]) / (2 * h)
             assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
 
     def test_value_is_the_unfloored_ratio(self, rng):
         e1, e2 = random_povm(rng, 3, 4), random_povm(rng, 3, 4)
         x = rng.standard_normal(12)
         roots = divergence._effect_roots(np.stack([e1.effects, e2.effects]))
-        value, _ = divergence._ratio_gradient(x, roots)
+        value, _ = _ratio_at(x, roots)
         v1, v2 = x.view(complex).reshape(2, 3)
         ratio = _unfloored_ratio(e1, e2, v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2))
         assert abs(value - ratio) <= 1e-14
@@ -254,10 +257,23 @@ class TestRatioGradient:
             np.stack([random_povm(rng, 3, 3).effects, random_povm(rng, 3, 3).effects])
         )
         x = rng.standard_normal(12)
-        value, grad = divergence._ratio_gradient(x, roots)
+        value, grad = _ratio_at(x, roots)
         scaled = np.concatenate([2.5 * x[:6], 0.3 * x[6:]])
-        assert abs(divergence._ratio_gradient(scaled, roots)[0] - value) <= 1e-14
+        assert abs(_ratio_at(scaled, roots)[0] - value) <= 1e-14
         assert abs(grad[:6] @ x[:6]) <= 1e-12 and abs(grad[6:] @ x[6:]) <= 1e-12
+
+    @pytest.mark.parametrize("d, outcomes", [(2, 3), (3, 5), (5, 30)])
+    def test_each_row_is_computed_from_that_row_alone(self, d, outcomes):
+        rng = np.random.default_rng([d, outcomes, 15])
+        roots = divergence._effect_roots(
+            np.stack([random_povm(rng, d, outcomes).effects, random_povm(rng, d, outcomes).effects])
+        )
+        x = rng.standard_normal((9, 4 * d))
+        x[4] = 0.0  # an infeasible row among them
+        values, grads = divergence._ratio_gradient(x, roots)
+        for i in range(len(x)):
+            value, grad = _ratio_at(x[i], roots)
+            assert value == values[i] and grad.tobytes() == grads[i].tobytes()
 
 
 def _rosenbrock(x):
@@ -276,53 +292,76 @@ def _quadratic(n, seed):
     return (lambda x: (float(0.5 * x @ a @ x - b @ x), a @ x - b)), np.linalg.solve(a, b)
 
 
+def _stacked(fun):
+    """The stacked objective ``minimize`` calls, from a one-point ``fun``."""
+
+    def stacked(xs):
+        out = [fun(x) for x in xs]
+        return np.array([v for v, _ in out]), np.array([g for _, g in out]).reshape(xs.shape)
+
+    return stacked
+
+
+def _ratio_objective(e1, e2):
+    roots = divergence._effect_roots(np.stack([e1.effects, e2.effects]))
+    return lambda x: divergence._ratio_gradient(x, roots)
+
+
 class TestMinimize:
     """The in-package L-BFGS on problems with a known minimiser."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_convex_quadratic(self, seed):
         fun, x_star = _quadratic(8, seed)
-        res = minimize(fun, np.zeros(8), maxiter=200)
-        assert res.success and res.nit < 20
-        assert res.fun - fun(x_star)[0] <= 1e-9
-        assert np.abs(res.x - x_star).max() <= 1e-4
-        assert res.fun == fun(res.x)[0]
+        x0 = np.concatenate([np.zeros((1, 8)), np.random.default_rng(seed).standard_normal((3, 8))])
+        res = minimize(_stacked(fun), x0, maxiter=200)
+        assert res.success and res.converged.all() and (res.nit < 20).all()
+        for x, value in zip(res.x, res.fun):
+            assert value - fun(x_star)[0] <= 1e-9
+            assert np.abs(x - x_star).max() <= 1e-4
+            assert value == fun(x)[0]
 
     def test_isotropic_quadratic_stops_on_the_gradient_test(self):
         # the cubic through two points of a quadratic is the quadratic itself,
         # so one interpolated step, or the second quasi-Newton step, is exact
         c = np.arange(1.0, 7.0)
-        res = minimize(lambda x: (float(1.5 * (x - c) @ (x - c)), 3 * (x - c)), np.zeros(6), 50)
-        assert res.success and np.abs(3 * (res.x - c)).max() <= GTOL
+        fun = _stacked(lambda x: (float(1.5 * (x - c) @ (x - c)), 3 * (x - c)))
+        res = minimize(fun, np.zeros((1, 6)), 50)
+        assert res.success and np.abs(3 * (res.x[0] - c)).max() <= GTOL
 
-    @pytest.mark.parametrize("x0", [np.tile([-1.2, 1.0], 4), np.zeros(8)], ids=["classic", "zero"])
-    def test_eight_parameter_rosenbrock(self, x0):
-        res = minimize(_rosenbrock, x0, maxiter=2000)
+    def test_eight_parameter_rosenbrock(self):
+        x0 = np.stack([np.tile([-1.2, 1.0], 4), np.zeros(8)])  # the classic start and zero
+        res = minimize(_stacked(_rosenbrock), x0, maxiter=2000)
         assert res.success
-        assert res.fun <= 1e-9
+        assert (res.fun <= 1e-9).all()
         assert np.abs(res.x - 1.0).max() <= 1e-4
 
     def test_one_iteration_is_not_success(self):
-        res = minimize(_rosenbrock, np.tile([-1.2, 1.0], 4), maxiter=1)
-        assert (res.nit, res.success) == (1, False)
-        assert res.fun < _rosenbrock(np.tile([-1.2, 1.0], 4))[0]
+        x0 = np.tile([-1.2, 1.0], (1, 4))
+        res = minimize(_stacked(_rosenbrock), x0, maxiter=1)
+        assert (res.nit[0], res.converged[0], res.success) == (1, False, False)
+        assert res.fun[0] < _rosenbrock(x0[0])[0]
 
-    def test_nfev_counts_every_call(self):
+    def test_nfev_counts_every_point(self):
         calls = []
 
-        def counted(x):
-            calls.append(x.copy())
-            return _rosenbrock(x)
+        def counted(xs):
+            calls.append(len(xs))
+            return _stacked(_rosenbrock)(xs)
 
-        res = minimize(counted, np.zeros(8), maxiter=2000)
-        assert res.nfev == len(calls) > res.nit
+        x0 = np.stack([np.zeros(8), np.tile([-1.2, 1.0], 4), np.full(8, 0.5)])
+        res = minimize(counted, x0, maxiter=2000)
+        assert res.nfev == sum(calls) > res.nit.sum()
+        # one call per round on the rows still searching, never more rows than the stack
+        assert calls[0] == 3 and max(calls) <= 3 and len(calls) < sum(calls)
+        assert type(res.nfev) is int and type(res.success) is bool
 
     def test_zero_gradient_plateau_returns_the_start(self):
-        x0 = divergence._params_from_pair(np.array([1, 0j]), np.array([0, 1 + 0j]))
-        plateau = 2 / divergence.EPS_DEN
-        res = minimize(lambda x: (plateau, np.zeros_like(x)), x0, maxiter=600)
+        x0 = divergence._params_from_pair(np.array([1, 0j]), np.array([0, 1 + 0j]))[None]
+        plateau = divergence.INFEASIBLE
+        res = minimize(lambda x: (np.full(len(x), plateau), np.zeros_like(x)), x0, maxiter=600)
         assert np.array_equal(res.x, x0) and res.x is not x0
-        assert (res.fun, res.nfev, res.nit, res.success) == (plateau, 1, 0, True)
+        assert (res.fun[0], res.nfev, res.nit[0], res.converged[0]) == (plateau, 1, 0, True)
 
     def test_trial_step_is_exact_on_a_cubic(self):
         def f(t):
@@ -337,6 +376,10 @@ class TestMinimize:
         # one at 1 / 1.2; with -1 at 1 the data are linear and have neither
         assert abs(divergence._trial_step((0.0, 0.0, -1.0), (1.0, -0.4, -1.0)) - 1 / 1.2) <= 1e-12
         assert divergence._trial_step((0.0, 0.0, -1.0), (1.0, -1.0, -1.0)) == 0.5
+        # the same brackets as the rows of one call
+        rows = divergence._trial_step(np.array([[0.0, 0.0], [0.0, 0.0], [-1.0, -1.0]]),
+                                      np.array([[1.0, 1.0], [-0.4, -1.0], [-1.0, -1.0]]))
+        assert abs(rows[0] - 1 / 1.2) <= 1e-12 and rows[1] == 0.5
 
     def test_trial_step_keeps_a_tenth_of_the_bracket_from_its_ends(self):
         # a cubic minimiser at 0.99 is clipped to 0.9, whichever end is lo
@@ -346,12 +389,27 @@ class TestMinimize:
 
     def test_same_start_gives_the_same_bits(self):
         e1, e2, _ = _b4_pair(2)
-        roots = divergence._effect_roots(np.stack([e1.effects, e2.effects]))
-        x0 = np.random.default_rng(4).standard_normal(8)
+        fun = _ratio_objective(e1, e2)
+        x0 = np.random.default_rng(4).standard_normal((1, 8))
         start = x0.copy()
-        runs = [minimize(lambda x: divergence._ratio_gradient(x, roots), x0, 600) for _ in range(2)]
+        runs = [minimize(fun, x0, 600) for _ in range(2)]
         assert np.array_equal(runs[0].x, runs[1].x) and runs[0].fun == runs[1].fun
         assert np.array_equal(x0, start)
+
+    @pytest.mark.parametrize("d, outcomes", [(2, 3), (2, 5), (3, 4), (4, 3)])
+    def test_a_row_ends_the_same_alone_or_in_a_stack(self, d, outcomes):
+        e1, e2, _ = _random_pair(d, outcomes, 0, 600)
+        fun = _ratio_objective(e1, e2)
+        x0 = np.random.default_rng([d, outcomes, 16]).standard_normal((12, 4 * d))
+        x0[5] = 0.0  # a row the objective refuses from the start
+        stack = minimize(fun, x0, 600)
+        assert stack.nfev > len(x0) and len(set(stack.nit)) > 2  # rows leave at different rounds
+        for i in range(len(x0)):
+            for rows in ([i], [i, (i + 5) % len(x0)], list(range(i, len(x0)))):
+                alone = minimize(fun, x0[rows], 600)
+                assert alone.x[0].tobytes() == stack.x[i].tobytes()
+                assert (alone.fun[0], alone.nit[0], alone.converged[0]) == (
+                    stack.fun[i], stack.nit[i], stack.converged[i])
 
 
 class TestSearchAgainstOracle:
@@ -385,37 +443,37 @@ class TestSearchAgainstOracle:
         assert est.converged
         _assert_ratio_at_argmin(e1, e2, est)
 
-    def test_calls_minimize_once_per_start(self, monkeypatch):
+    def test_calls_minimize_once_with_a_row_per_start(self, monkeypatch):
         e1, e2, opts = _b4_pair(0)
         calls = []
         real = divergence.minimize
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(fun, x0, **kwargs):
+            calls.append(len(x0))
+            return real(fun, x0, **kwargs)
 
         monkeypatch.setattr(divergence, "minimize", counted)
         observable_divergence(e1, e2, opts)
         # one seed per top eigenvector of e1, then the random starts
-        assert len(calls) == e1.n_outcomes + opts.restarts
+        assert calls == [e1.n_outcomes + opts.restarts]
 
     def test_runs_are_ranked_by_the_ratio_at_their_point(self, monkeypatch):
         # an abnormal line-search exit can return x0 with a trial point's
-        # value; a stale fun, lower for each later run, must not decide
+        # value; a stale fun, lower for each later row, must not decide
         e1, e2, opts = _b4_pair(1)
         reference = observable_divergence(e1, e2, opts)
         real = divergence.minimize
         runs = []
 
-        def stale(*args, **kwargs):
-            res = real(*args, **kwargs)
+        def stale(fun, x0, **kwargs):
+            res = real(fun, x0, **kwargs)
             runs.append(res)
-            res.fun = res.fun - 0.1 * len(runs)
+            res.fun = res.fun - 0.1 * np.arange(1, len(x0) + 1)
             return res
 
         monkeypatch.setattr(divergence, "minimize", stale)
         est = observable_divergence(e1, e2, opts)
-        assert min(res.fun for res in runs) < reference.value - 0.1
+        assert min(res.fun.min() for res in runs) < reference.value - 0.1
         assert est.value == reference.value
         _assert_ratio_at_argmin(e1, e2, est)
 
@@ -491,34 +549,37 @@ class TestInfeasiblePoints:
         roots = divergence._effect_roots(
             np.stack([random_povm(rng, d, 3).effects, random_povm(rng, d, 3).effects])
         )
+        rows = self._rows(rng, d)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for x, ok in self._rows(rng, d):
-                out = divergence._ratio_gradient(x, roots)
-                assert (out is not None) == ok
-                if ok:
-                    assert np.isfinite(out[0]) and np.isfinite(out[1]).all()
+            values, grads = divergence._ratio_gradient(np.array([x for x, _ in rows]), roots)
+        for (_, ok), value, grad in zip(rows, values, grads):
+            if ok:
+                assert value < divergence.INFEASIBLE and np.isfinite(grad).all()
+            else:
+                assert value == divergence.INFEASIBLE and not grad.any()
 
     def test_runs_ending_on_them_are_never_reported(self, monkeypatch):
         e1, e2, opts = _b4_pair(0)
-        bad = [x for x, ok in self._rows(np.random.default_rng(13), 2) if not ok]
+        bad = np.array([x for x, ok in self._rows(np.random.default_rng(13), 2) if not ok])
         real = divergence.minimize
         results = []
 
         def from_infeasible(fun, x0, **kwargs):
-            # the first runs start where the objective refuses the pair
-            res = real(fun, bad[len(results)] if len(results) < len(bad) else x0, **kwargs)
-            results.append(res)
-            return res
+            # the first rows start where the objective refuses the pair
+            x0 = np.concatenate([bad, x0[len(bad) :]])
+            results.append(real(fun, x0, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(divergence, "minimize", from_infeasible)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = observable_divergence(e1, e2, opts)
-        assert len(results) == e1.n_outcomes + opts.restarts > len(bad)
-        for res, x in zip(results, bad):
-            assert np.array_equal(res.x, x)  # a zero gradient: the run stays put
-        assert est.value == min(res.fun for res in results[len(bad) :])
+        (res,) = results
+        assert len(res.x) == e1.n_outcomes + opts.restarts > len(bad)
+        assert np.array_equal(res.x[: len(bad)], bad)  # a zero gradient: the rows stay put
+        assert (res.fun[: len(bad)] == divergence.INFEASIBLE).all()
+        assert est.value == res.fun[len(bad) :].min()
         v1, v2 = _argmin_vectors(est)
         assert pure_fidelity(v1, v2) >= divergence.EPS_DEN
         _assert_ratio_at_argmin(e1, e2, est)
@@ -528,7 +589,9 @@ class TestInfeasiblePoints:
         real = divergence.minimize
         orthogonal = divergence._params_from_pair(np.array([1, 0j]), np.array([0, 1 + 0j]))
         monkeypatch.setattr(
-            divergence, "minimize", lambda fun, x0, **kwargs: real(fun, orthogonal, **kwargs)
+            divergence,
+            "minimize",
+            lambda fun, x0, **kwargs: real(fun, np.tile(orthogonal, (len(x0), 1)), **kwargs),
         )
         with pytest.raises(ValueError, match="no feasible state pair"):
             observable_divergence(e1, e2, opts)
@@ -542,7 +605,7 @@ class TestEqualObservables:
         est = observable_divergence(e, Observable(e.effects.copy()), DivergenceOptions(seed=5))
         v = divergence._top_eigenvectors(e.effects)[0]
         assert est.value == 1.0
-        assert (est.restarts, est.converged, est.seed) == (0, True, 5)
+        assert (est.restarts, est.converged, est.converged_starts, est.seed) == (0, True, 0, 5)
         assert "equal observables" in est.method
         for state in est.argmin:
             assert np.allclose(state.matrix, np.outer(v, v.conj()), atol=1e-15)
@@ -558,6 +621,71 @@ class TestEqualObservables:
         assert 1.0 - 1e-6 <= est.value <= 1.0 + 1e-9
 
 
+def _runs(monkeypatch):
+    """Record the number of rows and the result of every ``minimize`` call."""
+    real, runs = divergence.minimize, []
+
+    def recorded(fun, x0, **kwargs):
+        runs.append((len(x0), real(fun, x0, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(divergence, "minimize", recorded)
+    return runs
+
+
+def _same_estimate(a, b):
+    assert (a.value, a.method, a.restarts, a.seed) == (b.value, b.method, b.restarts, b.seed)
+    assert (a.converged, a.converged_starts) == (b.converged, b.converged_starts)
+    for x, y in zip(a.argmin, b.argmin):
+        assert x.matrix.tobytes() == y.matrix.tobytes()
+
+
+class TestStartBlocks:
+    """Starts are searched in blocks of ``START_BLOCK`` floats, in order."""
+
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch):
+        e1, e2, _ = _b4_pair(3)
+        opts = DivergenceOptions(seed=3, restarts=9, maxiter=600)
+        reference = observable_divergence(e1, e2, opts)
+        assert 0 < reference.converged_starts <= e1.n_outcomes + opts.restarts
+        runs = _runs(monkeypatch)
+        row = divergence._row_floats(e1.dim, e1.n_outcomes)
+        for rows in (1, 2, 5):
+            monkeypatch.setattr(divergence, "START_BLOCK", rows * row + row - 1)
+            runs.clear()
+            _same_estimate(observable_divergence(e1, e2, opts), reference)
+            sizes = [n for n, _ in runs]
+            assert sizes[:-1] == [rows] * (len(sizes) - 1) and sum(sizes) == 12
+
+    def test_converged_starts_counts_the_rows_that_met_a_stop_test(self, monkeypatch):
+        e1, e2, _ = _b4_pair(4)
+        runs = _runs(monkeypatch)
+        est = observable_divergence(e1, e2, DivergenceOptions(seed=4, restarts=20, maxiter=8))
+        ((n, res),) = runs
+        assert est.converged_starts == int(res.converged.sum()) < n
+
+    def test_the_first_zero_stops_the_later_blocks(self, monkeypatch):
+        # a scan that misses the zero witnesses leaves them to the search: the
+        # first start that ends below ZERO_TOL wins, and the count stops there
+        a, b = sigma_z_pvm(), sigma_x_pvm()
+        real = divergence._row_ratio_min
+
+        def missed(*args):
+            low, col = real(*args)
+            return np.maximum(low, 0.5), col
+
+        monkeypatch.setattr(divergence, "_row_ratio_min", missed)
+        runs = _runs(monkeypatch)
+        opts = DivergenceOptions(seed=1, restarts=6)
+        one_block = observable_divergence(a, b, opts)
+        assert one_block.value == 0.0 and "multi-start l-bfgs" in one_block.method
+        assert one_block.converged_starts == 1 and runs[0][1].converged.sum() > 1
+        monkeypatch.setattr(divergence, "START_BLOCK", 1)
+        runs.clear()
+        _same_estimate(observable_divergence(a, b, opts), one_block)
+        assert [n for n, _ in runs] == [1]
+
+
 class TestRestartsEnvelope:
     def test_at_the_limit(self, rng):
         e1, e2 = random_povm(rng, 2, 3), random_povm(rng, 2, 3)
@@ -565,6 +693,21 @@ class TestRestartsEnvelope:
         assert est.restarts == MAX_RESTARTS
         assert not est.converged  # two iterations are not enough for the winning run
         assert 0.0 < est.value <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_memory_at_the_limit_stays_within_two_blocks(self, d):
+        # a block holds about START_BLOCK floats of search state, and no array
+        # grows with the number of starts beyond the eigenvector seeds
+        rng = np.random.default_rng([d, 17])
+        e1, e2 = random_povm(rng, d, 4), random_povm(rng, d, 4)
+        opts = DivergenceOptions(restarts=MAX_RESTARTS, maxiter=2)
+        tracemalloc.start()
+        try:
+            observable_divergence(e1, e2, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * divergence.START_BLOCK  # 4 MiB
 
     @pytest.mark.parametrize(
         "kwargs", [{"restarts": MAX_RESTARTS + 1}, {"restarts": -1}, {"maxiter": 0}]

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -127,6 +128,25 @@ def test_verify_binds_the_divergence_minimizer():
 
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def test_the_benchmark_tracer_reads_the_minimizer_result(rng):
+    # perfbench/tracing.py records int(out.nfev) and bool(out.success) of every
+    # ``minimize`` call; a stacked result must keep both scalar
+    spec = importlib.util.spec_from_file_location("tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    e1, e2 = random_povm(rng, 2, 3), random_povm(rng, 2, 3)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        divergence.observable_divergence(e1, e2, divergence.DivergenceOptions(restarts=4))
+    finally:
+        tracer.uninstall()
+    assert divergence.minimize.__module__ == "qmultimeter.divergence"  # the original is back
+    (attrs,) = [span[5] for span in tracer.spans if span[0] == "divergence.nm"]
+    assert type(attrs["nfev"]) is int and attrs["nfev"] > e1.n_outcomes + 4
+    assert type(attrs["success"]) is bool
 PACKAGE_SOURCES = sorted((REPO / "src" / "qmultimeter").glob("*.py"))
 # public definitions (functions, classes, and the methods and properties of
 # public classes) that nothing in src/, scripts/ or perfbench/ reaches, and why they stay

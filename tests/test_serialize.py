@@ -75,7 +75,10 @@ class TestRoundTrips:
         e2 = random_povm(rng, 2, 2)
         est = observable_divergence(e1, e2, DivergenceOptions(seed=0, restarts=2))
         doc = through_json(estimate_to_json(est))
-        assert set(doc) == {"value", "argmin", "method", "restarts", "converged", "seed"}
+        assert set(doc) == {
+            "value", "argmin", "method", "restarts", "converged", "converged_starts", "seed"
+        }
+        assert doc["converged_starts"] == est.converged_starts
         s0 = state_from_json(doc["argmin"][0])
         assert np.array_equal(s0.matrix, est.argmin[0].matrix)
 
@@ -99,6 +102,25 @@ class TestValidation:
         # int() would read each of these as the one row of the matrix
         with pytest.raises(ValueError, match="'rows' must be a JSON integer"):
             matrix_from_json({"rows": rows, "cols": 1, "entries": [[1.0, 0.0]]})
+
+    @pytest.mark.parametrize("entry", [[True, 0.0], [0.5, False], ["0.5", 0.0], [None, 0.0]])
+    def test_matrix_entries_must_be_json_numbers(self, entry):
+        # complex() would read true and false as 1 and 0
+        with pytest.raises(ValueError, match="matrix entries must be JSON numbers"):
+            matrix_from_json({"rows": 1, "cols": 2, "entries": [[0.5, 0.0], entry]})
+
+    @pytest.mark.parametrize("change", ["extra key", "repeated label", "missing key"])
+    def test_observable_effect_keys_must_be_the_outcome_labels(self, rng, change):
+        doc = through_json(observable_to_json(random_povm(rng, 2, 2)))
+        a, b = doc["outcomes"]
+        if change == "extra key":
+            doc["effects"]["spare"] = doc["effects"][a]
+        elif change == "repeated label":
+            doc["outcomes"] = [a, b, a]
+        else:
+            del doc["effects"][b]
+        with pytest.raises(ValueError, match="outcome labels"):
+            observable_from_json(doc)
 
     @pytest.mark.parametrize("dim", [2.0, "2"])
     def test_observable_dim_must_be_a_json_integer(self, rng, dim):
