@@ -393,16 +393,10 @@ def _covariant_effects(rep, m: np.ndarray) -> np.ndarray:
     return hermitianize((rep.degree / rep.group.order) * u @ m @ u.conj().transpose(0, 2, 1))
 
 
-def _probe_contraction(k: np.ndarray, xi: np.ndarray, d_sys: int, d_probe: int) -> np.ndarray:
-    """One Kraus operator's term of T, rows (p, m) and columns (q, i)."""
-    k4 = k.reshape(d_sys, d_probe, d_sys, d_probe)
-    n = d_sys * d_probe
-    # both factors are written straight into row-major (probe, system, s, l')
-    # buffers, so neither the product nor the transpose leaves an extra copy
-    a = np.empty((d_probe, d_sys, d_sys, d_probe), dtype=complex)
-    np.matmul(k4, xi, out=a.transpose(2, 0, 1, 3))
-    b = np.conjugate(k4.transpose(1, 2, 0, 3), out=np.empty_like(a))
-    return a.reshape(n, n) @ b.reshape(n, n).T
+# the contraction order of ``program``'s Kraus branch, fixed so that no path
+# search runs on each call and none can move the rounding: xi into conj(K),
+# that against K (the tensor T), then T against the pointer
+_KRAUS_PATH = ["einsum_path", (1, 2), (0, 2), (0, 1)]
 
 
 def program(multimeter: Multimeter, xi: DensityState) -> Observable:
@@ -410,11 +404,11 @@ def program(multimeter: Multimeter, xi: DensityState) -> Observable:
 
     Every effect is tr_probe of the dual interaction of 1 x Z(x) against
     1 x xi, computed per probe state with nothing cached on the device. For a
-    Kraus channel the probe state is contracted through each Kraus operator
-    once, giving
-    T[(p,m),(q,i)] = sum_r sum_(s,l,l') K_r[s,p,m,l] xi[l,l'] conj(K_r[s,q,i,l'])
-    (s, m, i index the system, p, q, l the probe), and every effect is read
-    off in one product, E(x)_im = sum_(p,q) Z(x)[q,p] T[(p,m),(q,i)].
+    Kraus channel that is one ``np.einsum`` over the stacked Kraus operators
+    K_r[s,p,m,l] (s, m, i index the system, p, q, l, j the probe): the probe
+    state is contracted into
+    T[p,m,q,i] = sum_(r,s,l,j) K_r[s,p,m,l] xi[l,j] conj(K_r[s,q,i,j]),
+    and every effect is read off it, E(x)_im = sum_(p,q) Z(x)[q,p] T[p,m,q,i].
 
     A covariant device (pointer effects (d^2/n)|u_g><u_g| with
     u_g = vec U(g)/sqrt(d), the system swapped into the probe's first factor)
@@ -432,11 +426,9 @@ def program(multimeter: Multimeter, xi: DensityState) -> Observable:
         effects = _covariant_effects(rep, sigma.T)
         outcomes = rep.group.names
     else:
-        t = sum(_probe_contraction(k, xi, d_sys, d_probe) for k in multimeter.interaction.kraus)
-        # rows (q, p), columns (i, m), to meet Z(x)[q, p] flattened row-major
-        t_qp = t.reshape(d_probe, d_sys, d_probe, d_sys).transpose(2, 0, 3, 1)
-        t_qp = t_qp.reshape(d_probe**2, d_sys**2)
+        k = np.array(multimeter.interaction.kraus).reshape(-1, d_sys, d_probe, d_sys, d_probe)
         z = multimeter.pointer.effects
-        effects = hermitianize((z.reshape(-1, d_probe**2) @ t_qp).reshape(-1, d_sys, d_sys))
+        effects = np.einsum("rspml,lj,rsqij,xqp->xim", k, xi, k.conj(), z, optimize=_KRAUS_PATH)
+        effects = hermitianize(effects)
         outcomes = multimeter.pointer.outcomes
     return Observable(effects, outcomes=list(outcomes), atol_complete=1e-8)

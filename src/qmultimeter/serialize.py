@@ -62,6 +62,11 @@ def observable_to_json(e: Observable) -> dict:
 
 
 def observable_from_json(doc: dict) -> Observable:
+    # a string or an object would otherwise be read item by item as labels
+    if not isinstance(doc["outcomes"], list):
+        raise ValueError(f"'outcomes' must be a JSON list, got {doc['outcomes']!r}")
+    if not isinstance(doc["effects"], dict):
+        raise ValueError(f"'effects' must be a JSON object, got {doc['effects']!r}")
     outcomes = [str(x) for x in doc["outcomes"]]
     if len(set(outcomes)) != len(outcomes):
         raise ValueError(f"outcome labels must be distinct, got {outcomes}")

@@ -309,8 +309,8 @@ def verify_povm_bound(dim: int, trials: int, seed: int) -> VerificationReport:
 def verify_b_properties(
     e1: Observable,
     e2: Observable,
-    n: int = 200,
-    seed: int = 0,
+    n: int,
+    seed: int,
     estimator_tol: float = ESTIMATOR_TOL,
 ) -> VerificationReport:
     """Battery over the divergence estimator: symmetry, no sampled pair below the
@@ -503,7 +503,10 @@ def quaternion_demo() -> dict:
 def phase_space_demo(d: int) -> dict:
     """Build the prime-dimension displacement multimeter, derive the d+1
     mutually unbiased programming vectors, and sharpen each programmed
-    observable by its coset merging."""
+    observable by its coset merging.
+
+    Each vector is built, programmed, merged and checked in one pass, so at
+    most one d^2 x d^2 probe state is alive at a time."""
     if not is_prime(d):
         raise ValueError(f"dimension must be prime, got {d}")
     if d > PHASE_SPACE_MAX_DIM:
@@ -515,34 +518,25 @@ def phase_space_demo(d: int) -> dict:
 
     generators = [(0, 1)] + [(1, k) for k in range(d)]
     targets = [1.0 + 0j] + [omega] * d
-    vectors, probes, kernels = [], [], []
+    unbiased = 1 / np.sqrt(d)
+    first, second = np.triu_indices(d, 1)
+    vectors = []
     target_missing = []
+    worst_overlap_gap = worst_idem = worst_orth = 0.0
     for (x, y), target in zip(generators, targets):
         psi, probe, kern, exact = eigenvector_program(rep, wh_element_index(d, x, y), target)
         if not exact:
             # at d = 2 the closed-form coefficients degenerate and the
             # canonical target is no eigenvalue; the fallback is recorded
             target_missing.append(f"({x},{y})")
-        vectors.append(psi)
-        probes.append(probe)
-        kernels.append(kern)
-
-    unbiased = 1 / np.sqrt(d)
-    worst_overlap_gap = 0.0
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            gap = abs(abs(np.vdot(vectors[i], vectors[j])) - unbiased)
+        for g, earlier in zip(generators, vectors):
+            gap = abs(abs(np.vdot(earlier, psi)) - unbiased)
             worst_overlap_gap = max(worst_overlap_gap, gap)
-            _check(
-                gap <= 1e-8,
-                f"|<psi_{generators[i]}|psi_{generators[j]}>| = 1/sqrt({d})",
-            )
+            _check(gap <= 1e-8, f"|<psi_{g}|psi_{(x, y)}>| = 1/sqrt({d})")
+        vectors.append(psi)
 
-    worst_idem = 0.0
-    worst_orth = 0.0
-    first, second = np.triu_indices(d, 1)
-    for (x, y), probe, kern in zip(generators, probes, kernels):
         sharp = post_process_observable(kern, program(mm, probe))
+        del probe  # freed before the next vector's probe is built
         _check(sharp.n_outcomes == d, f"coset merging of <({x},{y})> has {d} outcomes")
         e = sharp.effects
         worst_idem = max(worst_idem, float(np.max(np.abs(e @ e - e))))

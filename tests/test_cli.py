@@ -364,8 +364,11 @@ class TestDivergenceCommand:
             ("boolean entry", "matrix entries must be JSON numbers"),
             ("extra effect key", "must be the outcome labels"),
             ("repeated label", "outcome labels must be distinct"),
+            # iterated as a string, "012" would load as the labels 0, 1 and 2
+            ("string outcomes", "'outcomes' must be a JSON list"),
+            ("effect list", "'effects' must be a JSON object"),
         ],
-        ids=["boolean-entry", "extra-effect-key", "repeated-label"],
+        ids=["boolean-entry", "extra-effect-key", "repeated-label", "string-outcomes", "effect-list"],
     )
     def test_observable_file_json_shape_is_checked(self, capsys, observable_files, malformed, named):
         e1, e2 = observable_files
@@ -377,8 +380,13 @@ class TestDivergenceCommand:
             doc["effects"][first]["entries"][0][1] = False
         elif malformed == "extra effect key":
             doc["effects"]["unused"] = doc["effects"][first]
-        else:
+        elif malformed == "repeated label":
             doc["outcomes"].append(first)
+        elif malformed == "string outcomes":
+            assert doc["outcomes"] == ["0", "1", "2"]
+            doc["outcomes"] = "012"
+        else:
+            doc["effects"] = list(doc["outcomes"])
         Path(e1).write_text(json.dumps(doc))
         code, out, err = run(capsys, "divergence", "--e1", e1, "--e2", e2)
         assert code == 2

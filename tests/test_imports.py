@@ -147,6 +147,31 @@ def test_the_benchmark_tracer_reads_the_minimizer_result(rng):
     (attrs,) = [span[5] for span in tracer.spans if span[0] == "divergence.nm"]
     assert type(attrs["nfev"]) is int and attrs["nfev"] > e1.n_outcomes + 4
     assert type(attrs["success"]) is bool
+# loads perfbench/workloads.py by path and runs one op of every workload, in a
+# fresh interpreter: program_warm's set-up builds 49 dense duals (about 124 MiB)
+WORKLOAD_PROBE = """
+import importlib.util, json, sys
+
+spec = importlib.util.spec_from_file_location("workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+checks = {}
+for name, workload in workloads.WORKLOADS.items():
+    w = workload(1)
+    args = w.inputs(1)
+    checks[name] = bool(w.check(args, w.op(args)))
+print(json.dumps(checks))
+"""
+
+
+def test_every_benchmark_workload_runs_and_passes_its_check():
+    # the benchmark calls the package only through these workloads, so a src/
+    # change that breaks one (a renamed function, a deleted method) fails here
+    declared = [w["name"] for w in json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
+    checks = run_probe(WORKLOAD_PROBE, str(REPO / "perfbench" / "workloads.py"))
+    assert checks == dict.fromkeys(declared, True)
+
+
 PACKAGE_SOURCES = sorted((REPO / "src" / "qmultimeter").glob("*.py"))
 # public definitions (functions, classes, and the methods and properties of
 # public classes) that nothing in src/, scripts/ or perfbench/ reaches, and why they stay

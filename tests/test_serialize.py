@@ -122,6 +122,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="outcome labels"):
             observable_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("outcomes", "01", "'outcomes' must be a JSON list"),
+            ("outcomes", {"0": 0, "1": 1}, "'outcomes' must be a JSON list"),
+            ("effects", ["0", "1"], "'effects' must be a JSON object"),
+        ],
+    )
+    def test_observable_containers_must_have_their_json_type(self, rng, key, value, named):
+        # each of these iterates as the labels "0" and "1" of a two-outcome file
+        doc = through_json(observable_to_json(random_povm(rng, 2, 2)))
+        doc[key] = value
+        with pytest.raises(ValueError, match=named):
+            observable_from_json(doc)
+
     @pytest.mark.parametrize("dim", [2.0, "2"])
     def test_observable_dim_must_be_a_json_integer(self, rng, dim):
         doc = through_json(observable_to_json(random_povm(rng, 2, 2)))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -435,6 +436,18 @@ class TestDemos:
         report = phase_space_demo(2)
         assert report["vector_count"] == 3
         assert report["worst_overlap_gap"] < 1e-8
+
+    def test_phase_space_demo_memory_at_d19_is_bounded(self):
+        # one d^2 x d^2 probe state (2.1 MB at d = 19) is alive at a time, and
+        # the demo peaks near 8-13 MiB; holding all d + 1 of them peaked near 47-50 MiB
+        tracemalloc.start()
+        try:
+            report = phase_space_demo(19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["vector_count"] == 20
+        assert peak < 20 * 2**20
 
     def test_phase_space_demo_rejects_bad_dims(self):
         with pytest.raises(ValueError, match="prime"):
