@@ -3,6 +3,7 @@ coset method for sharpening them into projective measurements."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -80,7 +81,15 @@ class FiniteGroup:
 
 def cyclic_subgroup(group: FiniteGroup, generator: int) -> np.ndarray:
     """The powers e, g, g^2, ... of ``generator`` read off the table, identity
-    first: closed, and a subgroup of ``group``, by construction."""
+    first: closed, and a subgroup of ``group``, by construction.
+
+    ``generator`` must be an integer element index in [0, #G): a negative
+    index would wrap to another element and a bool would pass as 0 or 1.
+    """
+    if isinstance(generator, (bool, np.bool_)) or not isinstance(generator, (int, np.integer)):
+        raise ValueError(f"generator index must be an integer, got {generator!r}")
+    if not 0 <= generator < group.order:
+        raise ValueError(f"generator index {generator} outside [0, {group.order})")
     powers = [group.identity]
     while (g := int(group.table[powers[-1], generator])) != group.identity:
         powers.append(g)
@@ -236,12 +245,17 @@ def wh_element_index(d: int, x: int, y: int) -> int:
 # programming vectors and sharp observables
 
 
-def eigenvector_program_states(rep: ProjectiveRepresentation, generator: int) -> tuple:
+def eigenvector_program_states(
+    rep: ProjectiveRepresentation, generators: int | np.ndarray
+) -> tuple:
     """Eigenvalues and orthonormal eigenvectors (columns) of U(generator), as
     ``np.linalg.eig`` returns them, ordered by their root-of-unity index k.
     Each vector is an invariant seed for the subgroup the generator generates.
+    For an index array ``generators`` the results are stacked along its axes:
+    one ``eig`` and one QR of the whole stack, which return, bit for bit, what
+    they return for each matrix alone.
 
-    The generator must produce a cyclic subgroup of order #G / degree, the
+    Every generator must produce a cyclic subgroup of order #G / degree, the
     regime where coset merging of the covariant observable turns sharp.
 
     U(generator) is normal, so ``np.linalg.eig``'s vectors of distinct
@@ -249,52 +263,70 @@ def eigenvector_program_states(rep: ProjectiveRepresentation, generator: int) ->
     rounding and makes those of a repeated eigenvalue orthonormal, so the basis
     is unitary regardless of degeneracy.
     """
+    gens = np.reshape(generators, -1)
     want = rep.group.order // rep.degree
-    have = len(cyclic_subgroup(rep.group, generator))
-    if have != want:
-        raise ValueError(f"generator has order {have}, expected #G/degree = {want}")
-    u = rep.matrices[generator]
+    for g in gens:
+        have = len(cyclic_subgroup(rep.group, g))
+        if have != want:
+            raise ValueError(
+                f"generator {g} ({rep.group.names[g]}) has order {have}, "
+                f"expected #G/degree = {want}"
+            )
+    u = rep.matrices[gens]
     eigvals, vecs = np.linalg.eig(u)
     # U^m = c 1, so λ = phi exp(2 pi i k / m) with phi = (λ^m)^(1/m): sort by the integer
     # k, not by a phase whose rounding can put k = 0 last
-    phi = (complex(eigvals[0]) ** want) ** (1 / want)
-    k = np.rint(np.angle(eigvals / phi) * (want / (2 * np.pi))) % want
-    order = np.argsort(k, kind="stable")
-    eigvals = eigvals[order]
-    vecs = np.linalg.qr(vecs[:, order])[0]
-    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    phi = np.array([(complex(w) ** want) ** (1 / want) for w in eigvals[:, 0]])
+    k = np.rint(np.angle(eigvals / phi[:, None]) * (want / (2 * np.pi))) % want
+    order = np.argsort(k, axis=-1, kind="stable")
+    eigvals = np.take_along_axis(eigvals, order, axis=-1)
+    vecs = np.linalg.qr(np.take_along_axis(vecs, order[:, None, :], axis=-1))[0]
+    pivots = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[:, None, :], axis=-2)
     # the scalar abs, not the array np.abs: the two round differently, and
     # every programmed payload downstream carries these phases
-    vecs = vecs / np.array([x / abs(x) for x in pivots])
-    p = vecs.T[:, :, None] * vecs.T.conj()[:, None, :]
-    if float(np.max(np.abs(u @ p @ u.conj().T - p))) > EIGVEC_INVARIANCE_TOL:
+    vecs = vecs / np.array([x / abs(x) for x in pivots.reshape(-1)]).reshape(pivots.shape)
+    # the (m, d, d, d) stack of every generator's projectors, checked at once
+    vt = vecs.swapaxes(-1, -2)
+    p = vt[:, :, :, None] * vt.conj()[:, :, None, :]
+    moved = u[:, None] @ p @ u.conj().swapaxes(-1, -2)[:, None]
+    if float(np.max(np.abs(moved - p))) > EIGVEC_INVARIANCE_TOL:
         raise ValueError("eigenvector failed the invariance check")
-    return eigvals, vecs
+    shape = np.shape(generators)
+    return eigvals.reshape(shape + eigvals.shape[1:]), vecs.reshape(shape + vecs.shape[1:])
 
 
 def eigenvector_program(
-    rep: ProjectiveRepresentation, generator: int, target_eigenvalue: complex
-) -> tuple:
-    """Program the sharp observable of the cyclic subgroup ``<generator>``.
+    rep: ProjectiveRepresentation, generators: np.ndarray, targets: np.ndarray
+) -> Iterator[tuple]:
+    """Program the sharp observable of each cyclic subgroup ``<generator>``.
 
-    Picks the eigenvector of U(generator) whose eigenvalue is nearest the
-    target; when none lies within TARGET_EIGENVALUE_TOL (d = 2 phase space)
-    the first vector, smallest eigenvalue phase, is used instead. Returns
-    ``(psi, probe, kernel, exact)``: the vector, the probe state
-    maximally_mixed x transpose(psi) for the covariant multimeter, the coset
-    merging kernel that sharpens the programmed observable, and whether the
-    target eigenvalue was found.
+    Yields, one generator at a time, ``(psi, probe, kernel, exact)``: the
+    eigenvector of U(generator) whose eigenvalue is nearest the generator's
+    target, the probe state maximally_mixed x transpose(psi) for the
+    covariant multimeter, the coset merging kernel that sharpens the
+    programmed observable, and whether the target eigenvalue was found. When
+    no eigenvalue lies within TARGET_EIGENVALUE_TOL (d = 2 phase space) the
+    first vector, smallest eigenvalue phase, is used instead.
+
+    Every vector comes from one stacked ``eigenvector_program_states`` call
+    and the mixed state is built once; each d^2 x d^2 probe is built only when
+    the next item is asked for, and the iterator keeps no reference to it.
     """
-    eigvals, vecs = eigenvector_program_states(rep, generator)
-    dist = np.abs(eigvals - target_eigenvalue)
-    pick = int(np.argmin(dist))
-    exact = bool(dist[pick] <= TARGET_EIGENVALUE_TOL)
-    psi = vecs[:, pick if exact else 0]
-    probe = covariant_program_state(
-        DensityState.maximally_mixed(rep.degree), DensityState.from_vector(psi)
-    )
-    kernel = coset_postprocessing(rep.group, generator)
-    return psi, probe, kernel, exact
+    eigvals, vecs = eigenvector_program_states(rep, generators)
+    dist = np.abs(eigvals - np.asarray(targets)[:, None])
+    eta = DensityState.maximally_mixed(rep.degree)
+    for gen, row, vec in zip(generators, dist, vecs):
+        pick = int(np.argmin(row))
+        exact = bool(row[pick] <= TARGET_EIGENVALUE_TOL)
+        psi = vec[:, pick if exact else 0]
+        # the probe is built in the yield, never bound to a local: the
+        # suspended frame would keep it alive while the next one is built
+        yield (
+            psi,
+            covariant_program_state(eta, DensityState.from_vector(psi)),
+            coset_postprocessing(rep.group, gen),
+            exact,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -447,11 +447,11 @@ def quaternion_demo() -> dict:
     mm = covariant_multimeter(rep)
 
     plan = [("i", PAULI_X), ("j", PAULI_Y), ("k", PAULI_Z)]
+    gens = [rep.group.names.index(name) for name, _ in plan]
+    programs = eigenvector_program(rep, gens, [Q8_TARGETS[name] for name, _ in plan])
     vectors = {}
     pvms = {}
-    for name, pauli in plan:
-        gen = rep.group.names.index(name)
-        psi, probe, kern, _ = eigenvector_program(rep, gen, Q8_TARGETS[name])
+    for (name, pauli), (psi, probe, kern, _) in zip(plan, programs):
         vectors[name] = psi
         proj = np.outer(psi, psi.conj())
         _check(
@@ -523,8 +523,11 @@ def phase_space_demo(d: int) -> dict:
     vectors = []
     target_missing = []
     worst_overlap_gap = worst_idem = worst_orth = 0.0
-    for (x, y), target in zip(generators, targets):
-        psi, probe, kern, exact = eigenvector_program(rep, wh_element_index(d, x, y), target)
+    programs = eigenvector_program(rep, [wh_element_index(d, x, y) for x, y in generators], targets)
+    for x, y in generators:
+        # next(), not zip: zip's reused result tuple would hold the last probe
+        # while the iterator builds the next one
+        psi, probe, kern, exact = next(programs)
         if not exact:
             # at d = 2 the closed-form coefficients degenerate and the
             # canonical target is no eigenvalue; the fallback is recorded
@@ -566,16 +569,19 @@ def phase_space_demo(d: int) -> dict:
 def q8_program_pair() -> tuple:
     """The quaternion multimeter with probe states programming the i and k axes."""
     rep = q8_representation()
-    _, xi1, l1, _ = eigenvector_program(rep, rep.group.names.index("i"), Q8_TARGETS["i"])
-    _, xi2, l2, _ = eigenvector_program(rep, rep.group.names.index("k"), Q8_TARGETS["k"])
+    (_, xi1, l1, _), (_, xi2, l2, _) = eigenvector_program(
+        rep, [rep.group.names.index(n) for n in "ik"], [Q8_TARGETS[n] for n in "ik"]
+    )
     return covariant_multimeter(rep), xi1, xi2, l1, l2
 
 
 def wh_program_pair(d: int) -> tuple:
     """The phase-space multimeter with probe states from two unbiased subgroups."""
     rep = weyl_heisenberg(d)
-    _, xi1, l1, _ = eigenvector_program(rep, wh_element_index(d, 0, 1), 1.0 + 0j)
-    _, xi2, l2, _ = eigenvector_program(rep, wh_element_index(d, 1, 0), np.exp(2j * np.pi / d))
+    gens = [wh_element_index(d, 0, 1), wh_element_index(d, 1, 0)]
+    (_, xi1, l1, _), (_, xi2, l2, _) = eigenvector_program(
+        rep, gens, [1.0 + 0j, np.exp(2j * np.pi / d)]
+    )
     return covariant_multimeter(rep), xi1, xi2, l1, l2
 
 

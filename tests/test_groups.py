@@ -499,6 +499,54 @@ class TestProgramVectors:
         with pytest.raises(ValueError, match="order"):
             eigenvector_program_states(q8, idx["-1"])
 
+    def test_wrong_order_generator_in_a_stack_is_named(self, q8):
+        idx = {n: i for i, n in enumerate(q8.group.names)}
+        gens = np.array([idx["i"], idx["-1"], idx["k"]])
+        with pytest.raises(ValueError, match=rf"generator {idx['-1']} \(-1\) has order 2"):
+            eigenvector_program_states(q8, gens)
+
+    @pytest.mark.parametrize("which", ["q8", 2, 3, 5, 7, 11, 13, 17, 19])
+    def test_stacked_rows_equal_the_scalar_calls(self, which):
+        rep = fixture_representation(which)
+        if which == "q8":
+            gens = np.array([rep.group.names.index(n) for n in "ijk"])
+        else:
+            gens = np.array(
+                [wh_element_index(which, 0, 1)]
+                + [wh_element_index(which, 1, k) for k in range(which)]
+            )
+        eigvals, vecs = eigenvector_program_states(rep, gens)
+        d = rep.degree
+        assert eigvals.shape == (len(gens), d) and vecs.shape == (len(gens), d, d)
+        for row, gen in enumerate(gens):
+            one_vals, one_vecs = eigenvector_program_states(rep, int(gen))
+            assert one_vals.shape == (d,) and one_vecs.shape == (d, d)
+            assert eigvals[row].tobytes() == one_vals.tobytes()
+            assert vecs[row].tobytes() == one_vecs.tobytes()
+
+
+class TestGeneratorIndex:
+    """Element indices are checked where every subgroup helper starts."""
+
+    @pytest.mark.parametrize("bad", [-1, -9, 9])
+    def test_out_of_range_index_is_rejected(self, wh3, bad):
+        with pytest.raises(ValueError, match=rf"generator index {bad} outside \[0, 9\)"):
+            eigenvector_program_states(wh3, bad)
+        with pytest.raises(ValueError, match=rf"generator index {bad} outside"):
+            eigenvector_program_states(wh3, np.array([wh_element_index(3, 0, 1), bad]))
+
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.0, np.float64(3.0)])
+    def test_non_integer_index_is_rejected(self, wh3, bad):
+        for helper in (cyclic_subgroup, left_cosets, coset_postprocessing):
+            with pytest.raises(ValueError, match="generator index must be an integer"):
+                helper(wh3.group, bad)
+        with pytest.raises(ValueError, match="generator index must be an integer"):
+            eigenvector_program_states(wh3, bad)
+
+    def test_numpy_integer_index_is_accepted(self, wh3):
+        gen = wh_element_index(3, 0, 1)
+        assert cyclic_subgroup(wh3.group, np.int64(gen)).tolist() == walked_powers(wh3.group, gen)
+
 
 class TestSharpFromSubgroup:
     def test_q8_x_axis(self, q8):
@@ -549,8 +597,9 @@ class TestEigenvectorProgram:
         program the subgroup's sharp observable either way."""
         mm = covariant_multimeter(rep)
         missed = []
-        for gen, target in targets:
-            psi, probe, kernel, exact = eigenvector_program(rep, gen, target)
+        gens = [gen for gen, _ in targets]
+        programs = eigenvector_program(rep, gens, [target for _, target in targets])
+        for gen, (psi, probe, kernel, exact) in zip(gens, programs):
             programmed = post_process_observable(kernel, program(mm, probe))
             direct = sharp_from_subgroup(rep, gen, psi)
             assert programmed.n_outcomes == direct.n_outcomes
@@ -594,7 +643,7 @@ class TestKnownSpectrumStates:
                 probe = covariant_program_state(eta, seed)
                 assert _revalidates_to_itself(seed) and _revalidates_to_itself(probe)
             # eigenvector_program builds the same probe from the vector it picks
-            picked, probe_built, _, _ = eigenvector_program(rep, gen, eigvals[k])
+            ((picked, probe_built, _, _),) = eigenvector_program(rep, [gen], [eigvals[k]])
             assert np.array_equal(picked, psi)
             assert probe_built.matrix.tobytes() == probe.matrix.tobytes()
 

@@ -465,8 +465,8 @@ class TestEffectStack:
         # peaks near 1.4 MiB; the pointer it never builds is 169 x 169 x 169 (77 MB)
         rep = weyl_heisenberg(13)
         mm = covariant_multimeter(rep)
-        _, probe, _, _ = eigenvector_program(
-            rep, wh_element_index(13, 1, 0), np.exp(2j * np.pi / 13)
+        ((_, probe, _, _),) = eigenvector_program(
+            rep, [wh_element_index(13, 1, 0)], [np.exp(2j * np.pi / 13)]
         )
         tracemalloc.start()
         try:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import einsum_margins, sharpmin_oracle
 
-from qmultimeter import verify
+from qmultimeter import groups, verify
 from qmultimeter.groups import PAULI_Y, covariant_multimeter, weyl_heisenberg
 from qmultimeter.postprocessing import PostProcessing, pp_fidelity
 from qmultimeter.quantum import DensityState, Observable, fidelity, outcome_distribution, program
@@ -448,6 +449,34 @@ class TestDemos:
             tracemalloc.stop()
         assert report["vector_count"] == 20
         assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize("demo", [lambda: phase_space_demo(7), quaternion_demo])
+    def test_every_demo_vector_comes_from_one_stacked_call(self, monkeypatch, demo):
+        calls = []
+        original = groups.eigenvector_program_states
+
+        def counting(rep, generators):
+            calls.append(generators)
+            return original(rep, generators)
+
+        monkeypatch.setattr(groups, "eigenvector_program_states", counting)
+        demo()
+        assert len(calls) == 1
+
+    def test_phase_space_demo_keeps_one_probe_alive(self, monkeypatch):
+        alive, most = set(), []
+        original = groups.covariant_program_state
+
+        def tracked(eta, seed):
+            probe = original(eta, seed)
+            alive.add(id(probe))
+            weakref.finalize(probe, alive.discard, id(probe))
+            most.append(len(alive))
+            return probe
+
+        monkeypatch.setattr(groups, "covariant_program_state", tracked)
+        phase_space_demo(5)
+        assert len(most) == 6 and max(most) == 1
 
     def test_phase_space_demo_rejects_bad_dims(self):
         with pytest.raises(ValueError, match="prime"):
