@@ -9,9 +9,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import as_matrix, tensor
+from .linalg import as_matrix, hermitianize, tensor
 from .postprocessing import PostProcessing
-from .quantum import DensityState, Multimeter, Observable, QuantumChannel, _covariant_effects
+from .quantum import DensityState, Multimeter, Observable
 
 UNITARY_TOL = 1e-10
 MULTIPLIER_TOL = 1e-9
@@ -171,6 +171,13 @@ class ProjectiveRepresentation:
         return self.matrices.shape[1]
 
 
+def _covariant_effects(rep: ProjectiveRepresentation, m: np.ndarray) -> np.ndarray:
+    """The covariant effects hermitianize((d/#G) U(g) m U(g)^dagger) of a seed m,
+    stacked over the elements g of ``rep``, of degree d."""
+    u = rep.matrices
+    return hermitianize((rep.degree / rep.group.order) * u @ m @ u.conj().transpose(0, 2, 1))
+
+
 def covariant_observable(rep: ProjectiveRepresentation, seed: DensityState) -> Observable:
     """Group-covariant POVM with effects (d/#G) U(g) seed U(g)†.
 
@@ -312,6 +319,8 @@ def eigenvector_program(
     and the mixed state is built once; each d^2 x d^2 probe is built only when
     the next item is asked for, and the iterator keeps no reference to it.
     """
+    if np.shape(targets) != (len(generators),):
+        raise ValueError(f"{np.size(targets)} targets for {len(generators)} generators")
     eigvals, vecs = eigenvector_program_states(rep, generators)
     dist = np.abs(eigvals - np.asarray(targets)[:, None])
     eta = DensityState.maximally_mixed(rep.degree)
@@ -343,14 +352,6 @@ def pointer_vector(rep: ProjectiveRepresentation, g: int | np.ndarray) -> np.nda
     return rep.matrices[g].reshape(np.shape(g) + (-1,)) * (1.0 / np.sqrt(rep.degree))
 
 
-def partial_swap_channel(d: int) -> QuantumChannel:
-    """Unitary channel permuting A x B x C to B x A x C on three d-dim factors:
-    its one Kraus operator is the dense d^3 x d^3 0/1 matrix of basis vector
-    (a, b, c) -> (b, a, c)."""
-    perm = np.arange(d**3).reshape(d, d, d).transpose(1, 0, 2).reshape(-1)
-    return QuantumChannel([np.eye(d**3, dtype=complex)[perm]])
-
-
 def covariant_pointer(rep: ProjectiveRepresentation) -> Observable:
     """Pointer of the covariant multimeter: effects (d^2/#G)|u(g)><u(g)|."""
     d, n = rep.degree, rep.group.order
@@ -364,9 +365,10 @@ def covariant_pointer(rep: ProjectiveRepresentation) -> Observable:
 class CovariantMultimeter(Multimeter):
     """The partial-SWAP multimeter of an irreducible projective representation.
 
-    ``program`` reads only ``representation``. The (n, d^2, d^2) pointer stack
-    and the d^3 x d^3 partial-SWAP interaction are each built when first read,
-    and kept.
+    Its interaction swaps the system with the probe's first factor, a d^3 x d^3
+    unitary that the device never builds: it programs itself in closed form
+    (``programmed_effects``). The (n, d^2, d^2) pointer stack is built when
+    first read, and kept.
     """
 
     def __init__(self, rep: ProjectiveRepresentation):
@@ -377,9 +379,9 @@ class CovariantMultimeter(Multimeter):
     def pointer(self) -> Observable:
         return covariant_pointer(self.representation)
 
-    @cached_property
-    def interaction(self) -> QuantumChannel:
-        return partial_swap_channel(self.representation.degree)
+    def __repr__(self) -> str:
+        # the dataclass repr of Multimeter would read the pointer and the interaction
+        return f"CovariantMultimeter(degree={self.system_dim}, outcomes={self.n_outcomes})"
 
     @property
     def n_outcomes(self) -> int:
@@ -388,6 +390,15 @@ class CovariantMultimeter(Multimeter):
     @property
     def system_dim(self) -> int:
         return self.representation.degree
+
+    def programmed_effects(self, xi: np.ndarray) -> tuple:
+        """E_xi(g) = (d/#G) U(g) sigma^T U(g)^dagger, labelled by the group
+        elements, with sigma = tr_1 xi the probe state traced over its first
+        factor: the Kraus contraction of the swap against the pointer
+        (``covariant_pointer``) in closed form, which reads neither."""
+        rep, d = self.representation, self.system_dim
+        sigma = np.trace(xi.reshape(d, d, d, d), axis1=0, axis2=2)
+        return _covariant_effects(rep, sigma.T), rep.group.names
 
     def dual_pointer_effects(self) -> list:
         """Pointer effects pulled back through the partial SWAP: the dense

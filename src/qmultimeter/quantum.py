@@ -353,6 +353,12 @@ def fidelity(rho1: DensityState, rho2: DensityState) -> float:
     return min(max(val, 0.0), 1.0)
 
 
+# the contraction order of ``Multimeter.programmed_effects``, fixed so that no
+# path search runs on each call and none can move the rounding: xi into
+# conj(K), that against K (the tensor T), then T against the pointer
+_KRAUS_PATH = ["einsum_path", (1, 2), (0, 2), (0, 1)]
+
+
 @dataclass(eq=False)
 class Multimeter:
     """Programmable device: probe space, pointer observable, interaction channel.
@@ -364,9 +370,6 @@ class Multimeter:
     probe_dim: int
     pointer: Observable
     interaction: QuantumChannel
-    # the projective representation of a covariant device
-    # (groups.CovariantMultimeter), which ``program`` then reads instead of the pointer
-    representation = None
 
     def __post_init__(self):
         if self.pointer.dim != self.probe_dim:
@@ -384,51 +387,31 @@ class Multimeter:
     def system_dim(self) -> int:
         return self.interaction.in_dim // self.probe_dim
 
-
-def _covariant_effects(rep, m: np.ndarray) -> np.ndarray:
-    """The stack hermitianize((d/#G) U(g) m U(g)^dagger) over the elements g of
-    a projective representation ``rep`` (a ``groups.ProjectiveRepresentation``)
-    of degree d: the covariant effects of the seed m."""
-    u = rep.matrices
-    return hermitianize((rep.degree / rep.group.order) * u @ m @ u.conj().transpose(0, 2, 1))
-
-
-# the contraction order of ``program``'s Kraus branch, fixed so that no path
-# search runs on each call and none can move the rounding: xi into conj(K),
-# that against K (the tensor T), then T against the pointer
-_KRAUS_PATH = ["einsum_path", (1, 2), (0, 2), (0, 1)]
+    def programmed_effects(self, xi: np.ndarray) -> tuple:
+        """The effects realized on the system by the probe state matrix ``xi``,
+        and their labels: each is tr_probe of the dual interaction of 1 x Z(x)
+        against 1 x xi, one ``np.einsum`` over the stacked Kraus operators
+        K_r[s,p,m,l] (s, m, i index the system, p, q, l, j the probe). The
+        probe state is contracted into
+        T[p,m,q,i] = sum_(r,s,l,j) K_r[s,p,m,l] xi[l,j] conj(K_r[s,q,i,j]),
+        and every effect is read off it, E(x)_im = sum_(p,q) Z(x)[q,p] T[p,m,q,i].
+        """
+        d_sys, d_probe = self.system_dim, self.probe_dim
+        k = np.array(self.interaction.kraus).reshape(-1, d_sys, d_probe, d_sys, d_probe)
+        z = self.pointer.effects
+        effects = np.einsum("rspml,lj,rsqij,xqp->xim", k, xi, k.conj(), z, optimize=_KRAUS_PATH)
+        return hermitianize(effects), self.pointer.outcomes
 
 
 def program(multimeter: Multimeter, xi: DensityState) -> Observable:
     """Observable E_xi realized on the system when the probe starts in ``xi``.
 
-    Every effect is tr_probe of the dual interaction of 1 x Z(x) against
-    1 x xi, computed per probe state with nothing cached on the device. For a
-    Kraus channel that is one ``np.einsum`` over the stacked Kraus operators
-    K_r[s,p,m,l] (s, m, i index the system, p, q, l, j the probe): the probe
-    state is contracted into
-    T[p,m,q,i] = sum_(r,s,l,j) K_r[s,p,m,l] xi[l,j] conj(K_r[s,q,i,j]),
-    and every effect is read off it, E(x)_im = sum_(p,q) Z(x)[q,p] T[p,m,q,i].
-
-    A covariant device (pointer effects (d^2/n)|u_g><u_g| with
-    u_g = vec U(g)/sqrt(d), the system swapped into the probe's first factor)
-    needs neither: E_xi(g) = (d/n) U(g) sigma^T U(g)^dagger, with
-    sigma = tr_1 xi the probe state traced over its first factor. A
+    The device computes the effects (``programmed_effects``): a Kraus
+    contraction for a ``Multimeter``, a closed form for a covariant device
+    (``groups.CovariantMultimeter``). They are validated once here; a
     completeness defect beyond 1e-8 signals a broken interaction channel.
     """
-    d_sys, d_probe = multimeter.system_dim, multimeter.probe_dim
-    if xi.dim != d_probe:
-        raise ValueError(f"probe state dim {xi.dim} != probe dim {d_probe}")
-    xi = xi.matrix
-    rep = multimeter.representation
-    if rep is not None:
-        sigma = np.trace(xi.reshape(d_sys, d_sys, d_sys, d_sys), axis1=0, axis2=2)
-        effects = _covariant_effects(rep, sigma.T)
-        outcomes = rep.group.names
-    else:
-        k = np.array(multimeter.interaction.kraus).reshape(-1, d_sys, d_probe, d_sys, d_probe)
-        z = multimeter.pointer.effects
-        effects = np.einsum("rspml,lj,rsqij,xqp->xim", k, xi, k.conj(), z, optimize=_KRAUS_PATH)
-        effects = hermitianize(effects)
-        outcomes = multimeter.pointer.outcomes
+    if xi.dim != multimeter.probe_dim:
+        raise ValueError(f"probe state dim {xi.dim} != probe dim {multimeter.probe_dim}")
+    effects, outcomes = multimeter.programmed_effects(xi.matrix)
     return Observable(effects, outcomes=list(outcomes), atol_complete=1e-8)

@@ -245,7 +245,7 @@ def verify_prop1(
     xi1: DensityState,
     xi2: DensityState,
     trials: int,
-    seed: int = 0,
+    seed: int,
     tol_check: float = TOL_CHECK,
 ) -> VerificationReport:
     """Check the programming bound: state fidelity times program fidelity never
@@ -273,7 +273,7 @@ def verify_prop3(
     l1: PostProcessing,
     l2: PostProcessing,
     trials: int,
-    seed: int = 0,
+    seed: int,
     tol_check: float = TOL_CHECK,
 ) -> VerificationReport:
     """Check the post-processing assisted bound with the kernel fidelity folded in."""
@@ -293,6 +293,7 @@ def verify_prop3(
 def verify_povm_bound(dim: int, trials: int, seed: int) -> VerificationReport:
     """Outcome-statistics overlap of a shared observable never undercuts state fidelity."""
     t0 = time.perf_counter()
+    seed = _integer_seed(seed)
     rng = rng_from(seed)
     margins = np.empty(trials)
     for i in range(trials):
@@ -317,6 +318,7 @@ def verify_b_properties(
     estimate, equality case, unitary invariance, and the pointwise channel /
     kernel monotonicity surrogates."""
     t0 = time.perf_counter()
+    seed = _integer_seed(seed)
     opts = DivergenceOptions(seed=seed)
     # the conjugated re-estimates start from every eigenvector-candidate row
     # and converge with a short polish; full restarts add time, not accuracy

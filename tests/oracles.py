@@ -121,10 +121,25 @@ def _program_through_duals(mm, xi, dual):
     return Observable(effects, outcomes=list(mm.pointer.outcomes), atol_complete=1e-8)
 
 
+def partial_swap_channel(d: int):
+    """Unitary channel permuting A x B x C to B x A x C on three d-dim factors:
+    its one Kraus operator is the dense d^3 x d^3 0/1 matrix of basis vector
+    (a, b, c) -> (b, a, c). It is the interaction of the covariant multimeter,
+    which the package never builds (753 MB at d = 19)."""
+    from qmultimeter import QuantumChannel
+
+    perm = np.arange(d**3).reshape(d, d, d).transpose(1, 0, 2).reshape(-1)
+    return QuantumChannel([np.eye(d**3, dtype=complex)[perm]])
+
+
 def heisenberg_program(mm, xi):
     """Programmed observable through the device's dense Heisenberg duals:
-    the sum of K†(1 x Z(x))K over the dense Kraus operators."""
-    kraus = mm.interaction.kraus
+    the sum of K†(1 x Z(x))K over the dense Kraus operators. A covariant
+    device carries no channel, so its partial swap is built here."""
+    from qmultimeter.groups import CovariantMultimeter
+
+    covariant = isinstance(mm, CovariantMultimeter)
+    kraus = (partial_swap_channel(mm.system_dim) if covariant else mm.interaction).kraus
     return _program_through_duals(mm, xi, lambda b: sum(k.conj().T @ b @ k for k in kraus))
 
 

@@ -13,6 +13,7 @@ from oracles import (
     walked_powers,
 )
 
+from qmultimeter import groups
 from qmultimeter.groups import (
     PAULI_X,
     PAULI_Y,
@@ -621,6 +622,16 @@ class TestEigenvectorProgram:
         targets += [(wh_element_index(d, 1, k), omega) for k in range(d)]
         # d = 2: U(1,1) has eigenvalues +-i, so the target -1 is missed
         assert self._missed(rep, targets) == ([wh_element_index(2, 1, 1)] if d == 2 else [])
+
+    @pytest.mark.parametrize("n_targets", [1, 3])
+    def test_target_count_must_match_the_generators(self, n_targets, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the eigenvectors were computed before the targets were checked")
+
+        monkeypatch.setattr(groups, "eigenvector_program_states", refuse)
+        gens = [wh_element_index(3, 0, 1), wh_element_index(3, 1, 0)]
+        with pytest.raises(ValueError, match=f"^{n_targets} targets for 2 generators$"):
+            next(eigenvector_program(weyl_heisenberg(3), gens, [1.0] * n_targets))
 
 
 def _revalidates_to_itself(state) -> bool:

@@ -31,7 +31,7 @@ stages = {"import": loaded()}
 verify.sharpmin_bound(0.3)
 verify.bound_curve(points=3)
 mm, xi1, xi2, _, _ = verify.default_random_fixture(0)
-verify.verify_prop1(mm, xi1, xi2, trials=200)
+verify.verify_prop1(mm, xi1, xi2, trials=200, seed=0)
 stages["closed_forms_and_prop1"] = loaded()
 groups.eigenvector_program_states(groups.weyl_heisenberg(3), groups.wh_element_index(3, 0, 1))
 stages["eigenvector_program_states"] = loaded()
@@ -40,7 +40,7 @@ stages["phase_space_demo"] = loaded()
 verify.quaternion_demo()
 stages["quaternion_demo"] = loaded()
 mm, xi1, xi2, _, _ = verify.q8_program_pair()
-verify.verify_prop1(mm, xi1, xi2, trials=200)
+verify.verify_prop1(mm, xi1, xi2, trials=200, seed=0)
 stages["q8_program_pair_and_prop1"] = loaded()
 rng = np.random.default_rng(0)
 divergence.observable_divergence(sampling.random_povm(rng, 2, 2), sampling.random_povm(rng, 2, 2))
@@ -255,3 +255,13 @@ def test_no_module_keeps_an_unused_import():
                     if bound not in used:
                         unused.append((path.stem, bound))
     assert sorted(unused) == sorted(UNUSED_IMPORTS)
+
+
+def test_no_module_imports_a_private_name():
+    # a name with a leading underscore belongs to its own module
+    private = []
+    for path in PACKAGE_SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                private += [(path.stem, a.name) for a in node.names if a.name.startswith("_")]
+    assert private == []

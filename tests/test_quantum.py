@@ -3,12 +3,14 @@ import tracemalloc
 import warnings
 
 import numpy as np
+import oracles
 import pytest
 from oracles import (
     channel_output,
     eigvalsh_observable_check,
     gathered_heisenberg_program,
     heisenberg_program,
+    partial_swap_channel,
     pure_fidelity,
     trivial_observable,
 )
@@ -20,7 +22,6 @@ from qmultimeter.groups import (
     covariant_multimeter,
     covariant_program_state,
     eigenvector_program,
-    partial_swap_channel,
     q8_representation,
     weyl_heisenberg,
     wh_element_index,
@@ -759,6 +760,20 @@ class TestProgramContraction:
         for xi in (random_density(rng, mm.probe_dim), product):
             self._assert_matches_oracle(mm, xi, oracle)
 
+    @pytest.mark.parametrize("device", ["q8", 2, 3, 5])
+    def test_kraus_contraction_of_the_swap_matches_the_closed_form(self, device, rng):
+        # one device, both programming paths: a plain Multimeter with the
+        # covariant pointer and the partial swap runs the Kraus einsum
+        rep = q8_representation() if device == "q8" else weyl_heisenberg(device)
+        mm = covariant_multimeter(rep)
+        d = rep.degree
+        plain = Multimeter(probe_dim=d * d, pointer=mm.pointer, interaction=partial_swap_channel(d))
+        product = covariant_program_state(random_density(rng, d), random_density(rng, d))
+        for xi in (random_density(rng, mm.probe_dim), product):
+            kraus, closed = program(plain, xi), program(mm, xi)
+            assert kraus.outcomes == closed.outcomes
+            assert np.max(np.abs(kraus.effects - closed.effects)) < 1e-12
+
     def test_matches_oracle_on_random_permutation_devices(self, rng):
         for system_dim in (1, 2, 3):
             for probe_dim in (2, 3, 4, 5):
@@ -808,13 +823,21 @@ class TestProgramContraction:
         def refuse(d):
             raise AssertionError("programming built the interaction")
 
-        monkeypatch.setattr(groups, "partial_swap_channel", refuse)
+        monkeypatch.setattr(oracles, "partial_swap_channel", refuse)
         mm = covariant_multimeter(weyl_heisenberg(5))
         assert program(mm, random_density(rng, mm.probe_dim)).n_outcomes == 25
         assert mm.system_dim == 5
         assert phase_space_demo(5)["vector_count"] == 6
         with pytest.raises(AssertionError, match="interaction"):
-            mm.interaction
+            heisenberg_program(mm, random_density(rng, mm.probe_dim))
+
+    def test_repr_builds_no_pointer(self, monkeypatch):
+        def refuse(rep):
+            raise AssertionError("the repr built the pointer")
+
+        monkeypatch.setattr(groups, "covariant_pointer", refuse)
+        mm = covariant_multimeter(weyl_heisenberg(5))
+        assert repr(mm) == "CovariantMultimeter(degree=5, outcomes=25)"
 
     def test_builds_no_covariant_pointer(self, rng, monkeypatch):
         def refuse(rep):

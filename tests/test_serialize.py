@@ -6,13 +6,14 @@ import pytest
 from oracles import (
     channel_from_json,
     channel_to_json,
+    partial_swap_channel,
     postprocessing_from_json,
     postprocessing_to_json,
     state_from_json,
 )
 
 from qmultimeter.divergence import DivergenceOptions, observable_divergence
-from qmultimeter.groups import covariant_observable, partial_swap_channel
+from qmultimeter.groups import covariant_observable
 from qmultimeter.postprocessing import PostProcessing
 from qmultimeter.sampling import random_channel, random_density, random_povm
 from qmultimeter.serialize import (

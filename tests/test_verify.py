@@ -563,6 +563,31 @@ class TestSeeds:
         assert type(as_numpy["seed"]) is int
         assert json.dumps(as_numpy) == json.dumps(as_int)
 
+    @pytest.mark.parametrize("which", ["povm_bound", "b_properties"])
+    @pytest.mark.parametrize(
+        "seed,name",
+        [(True, "bool"), (1.5, "float"), (np.random.default_rng(0), "Generator")],
+        ids=["bool", "float", "generator"],
+    )
+    def test_battery_seed_rejected_before_any_work(self, monkeypatch, which, seed, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the check started before the seed was checked")
+
+        monkeypatch.setattr(verify, "rng_from", refuse)
+        monkeypatch.setattr(verify, "observable_divergence", refuse)
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {name}$"):
+            if which == "povm_bound":
+                verify_povm_bound(dim=2, trials=10, seed=seed)
+            else:
+                e = Observable([np.eye(2)])
+                verify_b_properties(e, e, n=2, seed=seed)
+
+    def test_numpy_integer_seed_gives_the_int_povm_bound_payload(self):
+        as_int = payload(verify_povm_bound(dim=2, trials=50, seed=7))
+        as_numpy = payload(verify_povm_bound(dim=2, trials=50, seed=np.int64(7)))
+        assert type(as_numpy["seed"]) is int
+        assert json.dumps(as_numpy) == json.dumps(as_int)
+
 
 class TestSampledPairsCache:
     """A prop3 after a prop1 with the same seed, trials and dimensions reuses
