@@ -29,6 +29,10 @@ def main() -> int:
     ap.add_argument("--trials", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.trials < 1:
+        ap.error(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        ap.error(f"--seed must be non-negative, got {args.seed}")
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

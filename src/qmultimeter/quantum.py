@@ -46,7 +46,8 @@ class DensityState:
     ``groups.covariant_program_state`` know their spectrum from how they are
     built and read the mass off it (``_with_spectrum``), after the same
     finite, Hermiticity and trace checks. Each state keeps the spectrum its
-    validation found or was given.
+    validation found or was given. A state whose matrix ``eigh`` validated
+    unchanged also keeps the eigenvectors, until ``root`` is built from them.
     """
 
     matrix: np.ndarray
@@ -61,15 +62,18 @@ class DensityState:
             w = np.clip(w, 0.0, None)
             m = (v * w) @ v.conj().T
             tr = float(np.trace(m).real)
-            m, w = hermitianize(m / tr), w / tr
-        self._keep(m, w)
+            # re-projected: the eigenvectors are no longer those of eigh(m)
+            m, w, v = hermitianize(m / tr), w / tr, None
+        self._keep(m, w, v)
 
-    def _keep(self, m: np.ndarray, spectrum: np.ndarray):
+    def _keep(self, m: np.ndarray, spectrum: np.ndarray, vectors=None):
         # a read-only view: an array taken without a copy stays writable to its owner
         self.matrix = m.view()
         self.matrix.flags.writeable = False
-        # the eigenvalues its validation found or was given
+        # the eigenvalues its validation found or was given, and the
+        # eigenvectors of eigh(hermitianize(matrix)) when validation ran it
         self._spectrum = spectrum
+        self._vectors = vectors
 
     @classmethod
     def _with_spectrum(cls, matrix, spectrum) -> "DensityState":
@@ -123,8 +127,10 @@ class DensityState:
 
     @cached_property
     def root(self) -> np.ndarray:
-        """The read-only square root ``_state_root(matrix)``, computed on first read."""
-        root = _state_root(self.matrix)
+        """The read-only square root ``_state_root(matrix)``, computed on first
+        read from the eigenvectors validation kept, if any, which it drops."""
+        vectors, self._vectors = self._vectors, None
+        root = _state_root(self.matrix, None if vectors is None else (self._spectrum, vectors))
         root.flags.writeable = False
         return root
 
@@ -329,10 +335,11 @@ def outcome_distribution(e: Observable, rho: DensityState) -> np.ndarray:
 _REL_RANK_CLIP = 1e-12
 
 
-def _state_root(m: np.ndarray) -> np.ndarray:
+def _state_root(m: np.ndarray, eigh: tuple = None) -> np.ndarray:
+    # ``eigh``, when given, is np.linalg.eigh(hermitianize(m)), already run.
     # relative clip decides the numerical rank; without it, sqrt of noise
     # eigenvalues (~1e-16) pollutes rank-deficient states at the 1e-8 level
-    w, v = np.linalg.eigh(hermitianize(m))
+    w, v = np.linalg.eigh(hermitianize(m)) if eigh is None else eigh
     w = np.clip(w, 0.0, None)
     if w.size:
         w[w < w.max() * _REL_RANK_CLIP] = 0.0

@@ -567,19 +567,29 @@ class TestFidelity:
             s = DensityState(np.diag([1.0 - noise, noise]))
             assert np.array_equal(s.root, np.diag([np.sqrt(1.0 - noise), 0.0]))
 
-    def test_each_state_takes_its_root_once(self, rng, monkeypatch):
-        roots = []
+    def test_each_state_takes_one_eigendecomposition(self, rng, monkeypatch):
+        calls = []
 
         def counted(m):
-            roots.append(m)
+            calls.append(m)
             return original(m)
 
-        original = quantum._state_root
-        monkeypatch.setattr(quantum, "_state_root", counted)
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        # validation runs eigh, and the root is built from its eigenvectors
         a, b, c = (random_density(rng, 3) for _ in range(3))
         for x, y in ((a, b), (b, a), (a, c), (a, a), (c, b), (a, b)):
             fidelity(x, y)
-        assert len(roots) == 3
+        assert len(calls) == 3
+        # a re-projected matrix is not the one validation decomposed, and a
+        # state of known spectrum ran no eigh: each takes one at its first root
+        repaired = repaired_state(rng, 3)
+        pure = DensityState.from_vector(random_pure_vector(rng, 3))
+        calls.clear()
+        for x, y in ((repaired, pure), (pure, repaired), (repaired, a), (pure, pure)):
+            fidelity(x, y)
+        assert len(calls) == 2
+        assert all(s._vectors is None for s in (a, b, c, repaired, pure))
 
 
 class TestChannels:

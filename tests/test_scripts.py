@@ -13,20 +13,40 @@ VERIFICATION_REPORTS = {
 }
 
 
-def test_run_verification_writes_clean_reports(tmp_path):
+def run_verification(*args) -> subprocess.CompletedProcess:
     src = str(Path(qmultimeter.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "run_verification.py"), str(tmp_path), "--trials", "200"],
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_verification.py"), *args],
         env=env, capture_output=True, text=True, timeout=600,
     )
+
+
+def test_run_verification_writes_clean_reports(tmp_path):
+    proc = run_verification(str(tmp_path), "--trials", "200")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.rstrip().endswith("total violations: 0")
     docs = {p.stem: json.loads(p.read_text()) for p in tmp_path.glob("*.json")}
     assert set(docs) == VERIFICATION_REPORTS | {"demo_q8", "demo_phase_space_3"}
     for name in VERIFICATION_REPORTS:
         assert docs[name]["violations"] == 0, name
+
+
+def test_run_verification_rejects_bad_counts_before_writing(tmp_path):
+    cases = [
+        ("--trials", "0", "at least 1"),
+        ("--trials", "-3", "at least 1"),
+        ("--seed", "-1", "non-negative"),
+    ]
+    for flag, value, rule in cases:
+        proc = run_verification(str(tmp_path / "out"), flag, value)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.strip().splitlines()[-1].endswith(
+            f"error: {flag} must be {rule}, got {value}"
+        )
+    assert not (tmp_path / "out").exists()
 
 
 def test_size_report_counts_lines_and_settable_values(tmp_path):

@@ -589,15 +589,101 @@ class TestSeeds:
         assert json.dumps(as_numpy) == json.dumps(as_int)
 
 
+class TestTrialCounts:
+    """A check that samples nothing proves nothing: every trial count is an
+    integer of at least 1, refused by name before any work."""
+
+    CHECKS = {
+        "prop1": lambda n: run_check("prop1", "q8", n, 0),
+        "prop3": lambda n: run_check("prop3", "q8", n, 0),
+        "povm_bound": lambda n: verify_povm_bound(dim=2, trials=n, seed=0),
+        "b_properties": lambda n: verify_b_properties(
+            Observable([np.eye(2)]), Observable([np.eye(2)]), n=n, seed=0
+        ),
+    }
+
+    @pytest.mark.parametrize("which", sorted(CHECKS))
+    @pytest.mark.parametrize(
+        "count,message",
+        [
+            (0, "must be at least 1, got 0"),
+            (-3, "must be at least 1, got -3"),
+            (2.5, "must be an integer, got float"),
+            (True, "must be an integer, got bool"),
+        ],
+        ids=["zero", "negative", "float", "bool"],
+    )
+    def test_bad_count_rejected_before_any_work(self, monkeypatch, which, count, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the check started before the trial count was checked")
+
+        for name in ("program", "_sampled_pairs", "rng_from", "observable_divergence"):
+            monkeypatch.setattr(verify, name, refuse)
+        name = "n" if which == "b_properties" else "trials"
+        with pytest.raises(ValueError, match=f"^{name} {message}$"):
+            self.CHECKS[which](count)
+
+    @pytest.mark.parametrize("which", ["prop1", "prop3"])
+    def test_numpy_integer_count_gives_the_int_payload(self, which):
+        as_int = payload(run_check(which, "q8", 300, 7))
+        as_numpy = payload(run_check(which, "q8", np.int64(300), 7))
+        assert type(as_numpy["trials"]) is int
+        assert json.dumps(as_numpy) == json.dumps(as_int)
+
+
+class TestProgrammedPairCache:
+    """A prop3 after a prop1 on the same device and probe state objects
+    programs the pair once; the cache is keyed by identity."""
+
+    @staticmethod
+    def counted_program(monkeypatch) -> list:
+        calls = []
+
+        def counted(mm, xi):
+            calls.append(xi)
+            return program(mm, xi)
+
+        monkeypatch.setattr(verify, "program", counted)
+        return calls
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    def test_prop3_after_prop1_programs_twice_and_matches_cold_prop3(self, fixture, monkeypatch):
+        mm, xi1, xi2, l1, l2 = FIXTURES[fixture]()
+        calls = self.counted_program(monkeypatch)
+        verify_prop1(mm, xi1, xi2, trials=300, seed=4)
+        hot = payload(verify_prop3(mm, xi1, xi2, l1, l2, trials=300, seed=4))
+        assert calls == [xi1, xi2]
+        assert verify._programmed_pair.cache_info().hits == 1
+        verify._programmed_pair.cache_clear()
+        verify._sampled_pairs.cache_clear()
+        cold = payload(verify_prop3(mm, xi1, xi2, l1, l2, trials=300, seed=4))
+        assert len(calls) == 4
+        assert json.dumps(hot) == json.dumps(cold)
+
+    def test_equal_matrix_in_another_object_misses(self, monkeypatch):
+        mm, xi1, xi2, _, _ = FIXTURES["random"]()
+        twin = DensityState(xi1.matrix.copy())
+        calls = self.counted_program(monkeypatch)
+        first = payload(verify_prop1(mm, xi1, xi2, trials=300, seed=4))
+        second = payload(verify_prop1(mm, twin, xi2, trials=300, seed=4))
+        assert calls == [xi1, xi2, twin, xi2]
+        info = verify._programmed_pair.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
+        assert json.dumps(first) == json.dumps(second)
+
+    def test_cache_holds_its_key_alive(self):
+        mm, xi1, xi2, _, _ = FIXTURES["random"]()
+        verify_prop1(mm, xi1, xi2, trials=10, seed=4)
+        ref = weakref.ref(xi1)
+        del xi1
+        assert ref() is not None
+        verify._programmed_pair.cache_clear()
+        assert ref() is None
+
+
 class TestSampledPairsCache:
     """A prop3 after a prop1 with the same seed, trials and dimensions reuses
     the draws; a hit and a cold call give the same values bit for bit."""
-
-    @pytest.fixture(autouse=True)
-    def cold_cache(self):
-        verify._sampled_pairs.cache_clear()
-        yield
-        verify._sampled_pairs.cache_clear()
 
     @pytest.mark.parametrize("fixture", sorted(FIXTURES))
     def test_prop3_after_prop1_matches_cold_prop3(self, fixture):
