@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -22,6 +21,7 @@ from .verify import (
     TOL_CHECK,
     DemoFailure,
     bound_curve,
+    check_tolerance,
     default_random_fixture,
     phase_space_demo,
     q8_program_pair,
@@ -42,9 +42,9 @@ MAX_POINTS = 100_001
 # RSS under a 1 GiB address-space cap, on one BLAS thread of a 2-vCPU VM
 MAX_TRIALS = 50_000
 # verify bprops costs about 0.01 s per trial on one BLAS thread of a 2-vCPU
-# VM (0.96 s at 100 trials, 3.1 s at 300, 9.5-15 s at 1000, 39-40 s at 3000),
-# mostly one divergence re-estimate per trial for its B4 check; its own cap
-# keeps the longest run under a minute
+# VM (1.3-1.7 s at 100 trials, 2.8-3.3 s at 300, 10.5-12.6 s at 1000, 28-31 s
+# at 3000), mostly one divergence re-estimate per trial for its B4 check; its
+# own cap keeps the longest run under a minute
 MAX_BPROPS_TRIALS = 3_000
 
 # scalar keys: a config file sets them, QML_SEED overrides the seed, flags override both
@@ -133,10 +133,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if val is not None:
             setattr(cfg, key, val)
     cfg.tolerances.update(_parse_tol_flags(getattr(args, "tol", None)))
-    # a NaN slack makes every margin comparison False, so nothing could fail
     for key, val in cfg.tolerances.items():
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
-            raise ConfigError(f"tolerance {key} must be a finite number, got {val!r}")
+        try:
+            check_tolerance(val, key)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     if cfg.seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
@@ -294,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--trials", type=int, default=None,
         help=f"randomized trials (default 1000): at most {MAX_TRIALS} for prop1 and prop3; "
-        f"at most {MAX_BPROPS_TRIALS} for bprops, which takes about 0.01 s per trial",
+        f"at most {MAX_BPROPS_TRIALS} for bprops, which takes about 0.01 s per trial "
+        "(about 30 s at the cap on one BLAS thread)",
     )
     ver.add_argument(
         "--fixture", choices=["random", "q8", "phase-space"], default=None,

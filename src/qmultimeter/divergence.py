@@ -88,10 +88,10 @@ class _Pairs:
         H g = gamma (g - Y u) + S v, all over the row's own pairs."""
         gamma = self.gamma[:, None, None]
         u = self.rinv @ (self.s @ g[..., None])
-        yu = self.y.swapaxes(1, 2) @ u
-        rhs = self.diag[..., None] * u + gamma * (self.y @ (yu - g[..., None]))
+        yu_g = self.y.swapaxes(1, 2) @ u - g[..., None]
+        rhs = self.diag[..., None] * u + gamma * (self.y @ yu_g)
         v = self.rinv.swapaxes(1, 2) @ rhs
-        d = (gamma * (yu - g[..., None]) - self.s.swapaxes(1, 2) @ v)[..., 0]
+        d = (gamma * yu_g - self.s.swapaxes(1, 2) @ v)[..., 0]
         first = self.diag[:, -1] == 0  # no pair yet: every pair held has s.y > 0
         if first.any():
             d[first] = -g[first] * (1 / np.sqrt(np.einsum("kp,kp->k", g[first], g[first])))[:, None]
@@ -102,12 +102,16 @@ class _Pairs:
         loses its first row and column, whose inverse is that of R without them,
         and gains the column c = (s_j.y) over c_new = s.y, so that the new
         inverse holds -R^-1 c / c_new and 1 / c_new in its last column (its
-        last row is 0 elsewhere already, as R^-1 is upper triangular)."""
+        last row is 0 elsewhere already, as R^-1 is upper triangular). When
+        every row updates, as in most rounds, the rows are sliced, not masked."""
         sy = np.einsum("kp,kp->k", s, y)
         rows = sy > 0
-        if not rows.any():
+        if rows.all():
+            rows = slice(None)
+        elif rows.any():
+            s, y, sy = s[rows], y[rows], sy[rows]
+        else:
             return
-        s, y, sy = s[rows], y[rows], sy[rows]
         col = self.rinv[rows, 1:, 1:] @ (self.s[rows, 1:] @ y[..., None])
         for kept in (self.s, self.y, self.diag):
             kept[rows, :-1] = kept[rows, 1:]
@@ -122,10 +126,27 @@ def _wolfe_steps(fun, x, f0, g0, d):
     """Strong-Wolfe steps along the rows of ``d``, trying 1 first (Nocedal and
     Wright, Alg. 3.5 and 3.6), all rows in lockstep: ``(ok, x, f, g, evals)``,
     with the rows ``ok`` at their accepted step and the others where they were.
-    A row fails where ``d`` is no descent direction or ``LINE_EVALS`` trials fail."""
+    A row fails where ``d`` is no descent direction or ``LINE_EVALS`` trials fail.
+
+    When every row descends, the unit step is tried on all rows in one pass,
+    with no row picked out: in most rounds every row takes it, and the search
+    returns there. Otherwise the bracketing loop goes on from that trial."""
     c1, c2 = WOLFE
     n = len(x)
     slope0 = np.einsum("kp,kp->k", g0, d)
+    descends = slope0 < 0
+    first = None
+    evals = 0
+    if descends.all():
+        xt = x + d
+        f, g = fun(xt)
+        evals = n
+        slope = np.einsum("kp,kp->k", g, d)
+        up = (f > f0 + c1 * slope0) | (f >= f0)
+        curved = ~up & (np.abs(slope) > -c2 * slope0)
+        if not (up | curved).any():
+            return np.ones(n, dtype=bool), xt, f, g, evals
+        first = xt, f, g, slope, up, curved
     xs, fs, gs = x.copy(), f0.copy(), g0.copy()
     ok = np.zeros(n, dtype=bool)
     step = np.ones(n)
@@ -133,18 +154,22 @@ def _wolfe_steps(fun, x, f0, g0, d):
     lo = np.array([np.zeros(n), f0, slope0])
     hi = np.zeros((3, n))
     has_hi = np.zeros(n, dtype=bool)
-    r = np.flatnonzero(slope0 < 0)
-    evals = 0
+    r = np.flatnonzero(descends)
     for _ in range(LINE_EVALS):
         if not r.size:
             break
-        t, dr, s0 = step[r], d[r], slope0[r]
-        xt = x[r] + t[:, None] * dr
-        f, g = fun(xt)
-        evals += r.size
-        slope = np.einsum("kp,kp->k", g, dr)
-        up = (f > f0[r] + c1 * t * s0) | (f >= lo[1, r])
-        curved = ~up & (np.abs(slope) > -c2 * s0)
+        t = step[r]
+        if first is None:
+            dr, s0 = d[r], slope0[r]
+            xt = x[r] + t[:, None] * dr
+            f, g = fun(xt)
+            evals += r.size
+            slope = np.einsum("kp,kp->k", g, dr)
+            up = (f > f0[r] + c1 * t * s0) | (f >= lo[1, r])
+            curved = ~up & (np.abs(slope) > -c2 * s0)
+        else:  # the unit step, already tried on every row: r holds them all
+            xt, f, g, slope, up, curved = first
+            first = None
         done = ~up & ~curved
         a = r[done]
         xs[a], fs[a], gs[a], ok[a] = xt[done], f[done], g[done], True
@@ -208,6 +233,15 @@ def divergence_ratio(
     return bhattacharyya(p1, p2) / f
 
 
+def checked_integer(value, name: str) -> int:
+    """``value`` as a Python int. A bool, a float, a Generator or any other
+    non-integer is refused by type, so draws are keyed, and reports written,
+    by value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
 @dataclass
 class DivergenceOptions:
     """Knobs for the divergence estimator; defaults match the shipped reports."""
@@ -257,12 +291,12 @@ def _floored(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _effect_roots(stacks: np.ndarray) -> tuple:
+def _effect_roots(w: np.ndarray, v: np.ndarray) -> tuple:
     """Factors L with E = L L^dagger of every effect in the two stacks
-    (2, outcomes, d, d), from its eigendecomposition with negative rounding
-    eigenvalues set to 0: their adjoints stacked into one (2, outcomes d, d)
-    matrix per stack, and the factors side by side in one (2, d, outcomes d)."""
-    w, v = np.linalg.eigh(stacks)
+    (2, outcomes, d, d), from their eigendecomposition ``np.linalg.eigh`` (w, v)
+    with negative rounding eigenvalues set to 0: their adjoints stacked into
+    one (2, outcomes d, d) matrix per stack, and the factors side by side in
+    one (2, d, outcomes d)."""
     root = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
     n, x, d, _ = root.shape
     lift = root.conj().swapaxes(-1, -2).reshape(n, x * d, d)
@@ -293,7 +327,8 @@ def _ratio_gradient(x: np.ndarray, roots: tuple) -> tuple:
     xr = x.reshape(k, 2, -1)
     nz = np.sqrt(np.einsum("ksi,ksi->ks", xr, xr))
     c = np.einsum("ki,ki->k", z[:, 0].conj(), z[:, 1])
-    ok = (nz.min(axis=1) >= 1e-12) & (np.abs(c) >= EPS_DEN * nz[:, 0] * nz[:, 1])
+    overlap, norms = np.abs(c), nz[:, 0] * nz[:, 1]
+    ok = (nz.min(axis=1) >= 1e-12) & (overlap >= EPS_DEN * norms)
     if not ok.all():
         value, grad = np.full(k, INFEASIBLE), np.zeros_like(x)
         if ok.any():
@@ -306,11 +341,14 @@ def _ratio_gradient(x: np.ndarray, roots: tuple) -> tuple:
     ny = np.sqrt(np.einsum("ksxi,ksxi->ksx", yr, yr))
     nz = nz[:, :, None]
     s = ny / nz
-    f = np.abs(c) / (nz[:, 0, 0] * nz[:, 1, 0])
+    f = overlap / norms
     ratio = np.einsum("kx,kx->k", s[:, 0], s[:, 1]) / f
-    w = np.divide(s[:, ::-1], ny * (nz * f[:, None, None]), out=np.zeros_like(s), where=ny > 0)
+    w = np.divide(s[:, ::-1], ny * (nz * f[:, None, None]), out=np.zeros(s.shape), where=ny > 0)
     g = (back @ (w[..., None] * y).reshape(k, 2, -1, 1))[..., 0]
-    g -= (ratio[:, None] / np.stack([c, c.conj()], axis=1))[:, :, None] * z[:, ::-1]
+    overlaps = np.empty((k, 2), dtype=complex)  # <z1|z2> and <z2|z1>
+    overlaps[:, 0] = c
+    np.conj(c, out=overlaps[:, 1])
+    g -= (ratio[:, None] / overlaps)[:, :, None] * z[:, ::-1]
     return ratio, g.view(float).reshape(k, -1)
 
 
@@ -360,10 +398,6 @@ def _row_ratio_min(stack1, stack2, states1, states2) -> tuple:
     return low, col
 
 
-def _top_eigenvectors(effects: np.ndarray) -> np.ndarray:
-    return np.linalg.eigh(effects)[1][:, :, -1]
-
-
 def observable_divergence(
     e1: Observable, e2: Observable, opts: DivergenceOptions | None = None
 ) -> DivergenceEstimate:
@@ -401,31 +435,38 @@ def observable_divergence(
     if e1.n_outcomes != e2.n_outcomes:
         raise ValueError("observables must share an outcome count")
     opts = opts or DivergenceOptions()
-    if not 0 <= opts.restarts <= MAX_RESTARTS:
-        raise ValueError(f"restarts must lie in [0, {MAX_RESTARTS}], got {opts.restarts}")
-    if opts.maxiter < 1:
-        raise ValueError(f"maxiter must be at least 1, got {opts.maxiter}")
+    seed, restarts, maxiter = (
+        checked_integer(getattr(opts, name), name) for name in ("seed", "restarts", "maxiter")
+    )
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not 0 <= restarts <= MAX_RESTARTS:
+        raise ValueError(f"restarts must lie in [0, {MAX_RESTARTS}], got {restarts}")
+    if maxiter < 1:
+        raise ValueError(f"maxiter must be at least 1, got {maxiter}")
 
-    def estimate(value, v1, v2, note, restarts, converged, converged_starts=0):
+    def estimate(value, v1, v2, note, restarts_used, converged, converged_starts=0):
         return DivergenceEstimate(
             value=value,
             argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
-            method=_method_string(opts.restarts, note),
-            restarts=restarts,
+            method=_method_string(restarts, note),
+            restarts=restarts_used,
             converged=converged,
             converged_starts=converged_starts,
-            seed=opts.seed,
+            seed=seed,
         )
 
-    top1 = _top_eigenvectors(e1.effects)
+    # one eigendecomposition of both stacks (numpy's eigh runs matrix by
+    # matrix): the top eigenvectors for the candidates, the rest for the roots
+    stacks = np.stack([e1.effects, e2.effects])
+    w, v = np.linalg.eigh(stacks)
+    top1, top2 = v[..., -1]
     if np.array_equal(e1.effects, e2.effects):
         note = "equal observables, D(E,E) = 1 at (v, v) without a search"
         return estimate(1.0, top1[0], top1[0], note, 0, True)
     d = e1.dim
-    stacks = np.stack([e1.effects, e2.effects])
-    roots = _effect_roots(stacks)
+    roots = _effect_roots(w, v)
     # analytic witness candidates: top eigenvectors of every effect pair
-    top2 = _top_eigenvectors(e2.effects)
     low, col = _row_ratio_min(*stacks, top1, top2)
     i = int(np.argmin(low))
     if low[i] < ZERO_TOL:
@@ -433,8 +474,8 @@ def observable_divergence(
         return estimate(0.0, top1[i], top2[col[i]], note, 0, True)
     rows = np.flatnonzero(low < np.inf)
     seeds = _params_from_pair(top1[rows], top2[col[rows]])
-    rng = np.random.default_rng(opts.seed)
-    n = len(seeds) + opts.restarts
+    rng = np.random.default_rng(seed)
+    n = len(seeds) + restarts
 
     def objective(x):
         return _ratio_gradient(x, roots)
@@ -448,7 +489,7 @@ def observable_divergence(
         hi = min(lo + size, n)
         x0 = seeds[lo:hi]
         x0 = np.concatenate([x0, rng.standard_normal((hi - lo - len(x0), 4 * d))])
-        res = minimize(objective, x0, maxiter=opts.maxiter)
+        res = minimize(objective, x0, maxiter=maxiter)
         # ranked by the ratio at the returned point, not by the fun reported with it
         ratio = objective(res.x)[0]
         zero = np.flatnonzero(ratio < ZERO_TOL)
@@ -463,7 +504,7 @@ def observable_divergence(
     value = _clamped(float(best))
     v1, v2 = _pair_from_params(winner[0])
     note = f"multi-start l-bfgs (memory {MEMORY}) on the unfloored ratio over pure pairs"
-    return estimate(value, v1, v2, note, opts.restarts, winner[1] or value == 0.0, count)
+    return estimate(value, v1, v2, note, restarts, winner[1] or value == 0.0, count)
 
 
 def _method_string(restarts: int, note: str) -> str:

@@ -13,6 +13,7 @@ import numpy as np
 from .divergence import (
     DivergenceOptions,
     bhattacharyya,
+    checked_integer,
     divergence_ratio,
     observable_divergence,
 )
@@ -150,18 +151,16 @@ def _born_statistics(coords: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.maximum(q, 0.0, out=q)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int. A bool, a float, a Generator or any other
-    non-integer is refused by type, so the draws are keyed, and the reports
-    written, by value."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
-    return int(value)
+def check_tolerance(value, name: str):
+    """Refuse a tolerance that is a bool, not an int or float, or not finite:
+    a NaN slack makes every margin comparison False, so nothing could fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"tolerance {name} must be a finite number, got {value!r}")
 
 
 def _trial_count(count, name: str) -> int:
     """``count`` as a Python int of at least 1: no check passes unsampled."""
-    count = _integer(count, name)
+    count = checked_integer(count, name)
     if count < 1:
         raise ValueError(f"{name} must be at least 1, got {count}")
     return count
@@ -278,8 +277,9 @@ def verify_prop1(
     This is the post-processing assisted bound with the identity relabelling on
     both sides, whose kernel fidelity is 1."""
     t0 = time.perf_counter()
-    seed = _integer(seed, "seed")
+    seed = checked_integer(seed, "seed")
     trials = _trial_count(trials, "trials")
+    check_tolerance(tol_check, "tol_check")
     ident = PostProcessing.identity(multimeter.n_outcomes)
     margins, f_prog, _ = _programmed_margins(multimeter, xi1, xi2, ident, ident, trials, seed)
     fixtures = {
@@ -303,8 +303,9 @@ def verify_prop3(
 ) -> VerificationReport:
     """Check the post-processing assisted bound with the kernel fidelity folded in."""
     t0 = time.perf_counter()
-    seed = _integer(seed, "seed")
+    seed = checked_integer(seed, "seed")
     trials = _trial_count(trials, "trials")
+    check_tolerance(tol_check, "tol_check")
     margins, f_prog, f_kern = _programmed_margins(multimeter, xi1, xi2, l1, l2, trials, seed)
     fixtures = {
         "program_fidelity": f_prog,
@@ -319,7 +320,7 @@ def verify_prop3(
 def verify_povm_bound(dim: int, trials: int, seed: int) -> VerificationReport:
     """Outcome-statistics overlap of a shared observable never undercuts state fidelity."""
     t0 = time.perf_counter()
-    seed = _integer(seed, "seed")
+    seed = checked_integer(seed, "seed")
     trials = _trial_count(trials, "trials")
     rng = rng_from(seed)
     margins = np.empty(trials)
@@ -345,8 +346,9 @@ def verify_b_properties(
     estimate, equality case, unitary invariance, and the pointwise channel /
     kernel monotonicity surrogates."""
     t0 = time.perf_counter()
-    seed = _integer(seed, "seed")
+    seed = checked_integer(seed, "seed")
     n = _trial_count(n, "n")
+    check_tolerance(estimator_tol, "estimator_tol")
     opts = DivergenceOptions(seed=seed)
     # the conjugated re-estimates start from every eigenvector-candidate row
     # and converge with a short polish; full restarts add time, not accuracy

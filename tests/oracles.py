@@ -249,6 +249,100 @@ def sharpmin_oracle(t: float, grid: int = 41, refine: bool = True) -> float:
     return best
 
 
+# The lockstep L-BFGS's line search and correction-pair update as they ran
+# before the unit step was tried on every row in one pass and the pairs of a
+# stack whose rows all update were written through slices: every trial picks
+# its rows by index array and every update masks its rows. The package's
+# versions must match them bit for bit.
+
+
+def wolfe_steps_oracle(fun, x, f0, g0, d):
+    """``divergence._wolfe_steps`` with every trial, the first included, on
+    the rows picked out by an index array."""
+    from qmultimeter.divergence import LINE_EVALS, WOLFE, _trial_step
+
+    c1, c2 = WOLFE
+    n = len(x)
+    slope0 = np.einsum("kp,kp->k", g0, d)
+    xs, fs, gs = x.copy(), f0.copy(), g0.copy()
+    ok = np.zeros(n, dtype=bool)
+    step = np.ones(n)
+    # lo: the best (step, value, slope) with sufficient decrease; hi: a bracket's other end
+    lo = np.array([np.zeros(n), f0, slope0])
+    hi = np.zeros((3, n))
+    has_hi = np.zeros(n, dtype=bool)
+    r = np.flatnonzero(slope0 < 0)
+    evals = 0
+    for _ in range(LINE_EVALS):
+        if not r.size:
+            break
+        t, dr, s0 = step[r], d[r], slope0[r]
+        xt = x[r] + t[:, None] * dr
+        f, g = fun(xt)
+        evals += r.size
+        slope = np.einsum("kp,kp->k", g, dr)
+        up = (f > f0[r] + c1 * t * s0) | (f >= lo[1, r])
+        curved = ~up & (np.abs(slope) > -c2 * s0)
+        done = ~up & ~curved
+        a = r[done]
+        xs[a], fs[a], gs[a], ok[a] = xt[done], f[done], g[done], True
+        if done.all():
+            break
+        trial = np.array([t, f, slope])
+        flip = curved & (slope * np.where(has_hi[r], hi[0, r] - t, 1.0) >= 0)
+        hi[:, r[flip]] = lo[:, r[flip]]
+        hi[:, r[up]] = trial[:, up]
+        lo[:, r[curved]] = trial[:, curved]
+        has_hi[r[up | flip]] = True
+        r = r[~done]
+        cut = has_hi[r]
+        step[r[~cut]] *= 4
+        if cut.any():
+            step[r[cut]] = _trial_step(lo[:, r[cut]], hi[:, r[cut]])
+    return ok, xs, fs, gs, evals
+
+
+def pairs_oracle(n: int, p: int):
+    """A ``divergence._Pairs`` whose ``direction`` forms Y u - g twice and
+    whose ``push`` masks its rows even when every row updates."""
+    from qmultimeter.divergence import _Pairs
+
+    class MaskedPairs(_Pairs):
+        def direction(self, g):
+            gamma = self.gamma[:, None, None]
+            u = self.rinv @ (self.s @ g[..., None])
+            yu = self.y.swapaxes(1, 2) @ u
+            rhs = self.diag[..., None] * u + gamma * (self.y @ (yu - g[..., None]))
+            v = self.rinv.swapaxes(1, 2) @ rhs
+            d = (gamma * (yu - g[..., None]) - self.s.swapaxes(1, 2) @ v)[..., 0]
+            first = self.diag[:, -1] == 0
+            if first.any():
+                d[first] = -g[first] * (1 / np.sqrt(np.einsum("kp,kp->k", g[first], g[first])))[:, None]
+            return d
+
+        def push(self, s, y):
+            sy = np.einsum("kp,kp->k", s, y)
+            rows = sy > 0
+            if not rows.any():
+                return
+            s, y, sy = s[rows], y[rows], sy[rows]
+            col = self.rinv[rows, 1:, 1:] @ (self.s[rows, 1:] @ y[..., None])
+            for kept in (self.s, self.y, self.diag):
+                kept[rows, :-1] = kept[rows, 1:]
+            self.rinv[rows, :-1, :-1] = self.rinv[rows, 1:, 1:]
+            self.rinv[rows, :-1, -1] = -col[..., 0] / sy[:, None]
+            self.rinv[rows, -1, -1] = 1 / sy
+            self.s[rows, -1], self.y[rows, -1], self.diag[rows, -1] = s, y, sy
+            self.gamma[rows] = sy / np.einsum("kp,kp->k", y, y)
+
+    return MaskedPairs(n, p)
+
+
+def top_eigenvectors(effects: np.ndarray) -> np.ndarray:
+    """The eigenvector of each effect's largest eigenvalue, as ``eigh`` orders them."""
+    return np.linalg.eigh(effects)[1][:, :, -1]
+
+
 def full_ratio_matrix(stack1, stack2, states1, states2):
     """Floored candidate-scan ratio of every pair of two pure-state
     collections at once, inf where a pair is near orthogonal."""
@@ -323,8 +417,8 @@ def scipy_multistart_divergence(e1, e2, opts=None):
             best["pair"] = (v1, v2)
         return val
 
-    top1 = dv._top_eigenvectors(e1.effects)
-    top2 = dv._top_eigenvectors(e2.effects)
+    top1 = top_eigenvectors(e1.effects)
+    top2 = top_eigenvectors(e2.effects)
     ratio = full_ratio_matrix(stack1, stack2, top1, top2)
     i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
     if ratio[i, j] < dv.ZERO_TOL:
@@ -543,7 +637,8 @@ def estimate_recompute(e1, e2, est) -> float:
     if est.value == 0.0:
         raw = _row_ratio_min(*stacks, psi[:1], psi[1:])[0][0]
     else:
-        raw = _ratio_gradient(_params_from_pair(*psi)[None], _effect_roots(stacks))[0][0]
+        roots = _effect_roots(*np.linalg.eigh(stacks))
+        raw = _ratio_gradient(_params_from_pair(*psi)[None], roots)[0][0]
     return _clamped(float(raw))
 
 

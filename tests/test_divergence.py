@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -20,6 +21,7 @@ from qmultimeter.divergence import (
 from qmultimeter.groups import PAULI_X, PAULI_Z
 from qmultimeter.quantum import DensityState, Observable, fidelity, program
 from qmultimeter.sampling import random_povm, random_pvm, random_unitary, rng_from
+from qmultimeter.serialize import estimate_to_json
 from qmultimeter.verify import q8_program_pair, wh_program_pair
 
 from oracles import (
@@ -28,9 +30,12 @@ from oracles import (
     estimate_recompute,
     full_grid_ratio_min,
     full_ratio_matrix,
+    pairs_oracle,
     pure_fidelity,
     scipy_multistart_divergence,
     smeared_qubit_observable,
+    top_eigenvectors,
+    wolfe_steps_oracle,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -218,6 +223,11 @@ def _assert_ratio_at_argmin(e1, e2, est):
     assert abs(est.value - _unfloored_ratio(e1, e2, *_argmin_vectors(est))) <= 1e-12
 
 
+def _roots(e1, e2):
+    """The effect roots ``_ratio_gradient`` reads, from one ``eigh`` of both stacks."""
+    return divergence._effect_roots(*np.linalg.eigh(np.stack([e1.effects, e2.effects])))
+
+
 def _ratio_at(x, roots):
     """The objective at one point: a stack of one row."""
     value, grad = divergence._ratio_gradient(x[None], roots)
@@ -228,9 +238,7 @@ class TestRatioGradient:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_central_differences(self, d):
         rng = np.random.default_rng([d, 11])
-        roots = divergence._effect_roots(
-            np.stack([random_povm(rng, d, 3).effects, random_povm(rng, d, 3).effects])
-        )
+        roots = _roots(random_povm(rng, d, 3), random_povm(rng, d, 3))
         h = 1e-6
         for _ in range(5):
             x = rng.standard_normal(4 * d)
@@ -244,7 +252,7 @@ class TestRatioGradient:
     def test_value_is_the_unfloored_ratio(self, rng):
         e1, e2 = random_povm(rng, 3, 4), random_povm(rng, 3, 4)
         x = rng.standard_normal(12)
-        roots = divergence._effect_roots(np.stack([e1.effects, e2.effects]))
+        roots = _roots(e1, e2)
         value, _ = _ratio_at(x, roots)
         v1, v2 = x.view(complex).reshape(2, 3)
         ratio = _unfloored_ratio(e1, e2, v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2))
@@ -253,9 +261,7 @@ class TestRatioGradient:
     def test_scale_invariant(self, rng):
         # the ratio of two unnormalised vectors depends on their directions only,
         # so the gradient has no component along either vector
-        roots = divergence._effect_roots(
-            np.stack([random_povm(rng, 3, 3).effects, random_povm(rng, 3, 3).effects])
-        )
+        roots = _roots(random_povm(rng, 3, 3), random_povm(rng, 3, 3))
         x = rng.standard_normal(12)
         value, grad = _ratio_at(x, roots)
         scaled = np.concatenate([2.5 * x[:6], 0.3 * x[6:]])
@@ -265,9 +271,7 @@ class TestRatioGradient:
     @pytest.mark.parametrize("d, outcomes", [(2, 3), (3, 5), (5, 30)])
     def test_each_row_is_computed_from_that_row_alone(self, d, outcomes):
         rng = np.random.default_rng([d, outcomes, 15])
-        roots = divergence._effect_roots(
-            np.stack([random_povm(rng, d, outcomes).effects, random_povm(rng, d, outcomes).effects])
-        )
+        roots = _roots(random_povm(rng, d, outcomes), random_povm(rng, d, outcomes))
         x = rng.standard_normal((9, 4 * d))
         x[4] = 0.0  # an infeasible row among them
         values, grads = divergence._ratio_gradient(x, roots)
@@ -303,7 +307,7 @@ def _stacked(fun):
 
 
 def _ratio_objective(e1, e2):
-    roots = divergence._effect_roots(np.stack([e1.effects, e2.effects]))
+    roots = _roots(e1, e2)
     return lambda x: divergence._ratio_gradient(x, roots)
 
 
@@ -410,6 +414,130 @@ class TestMinimize:
                 assert alone.x[0].tobytes() == stack.x[i].tobytes()
                 assert (alone.fun[0], alone.nit[0], alone.converged[0]) == (
                     stack.fun[i], stack.nit[i], stack.converged[i])
+
+
+def _quadratic_stack(p, seed):
+    """A convex quadratic of every row of a (k, p) stack, and its Newton
+    directions: the unit step along them lands on the minimiser."""
+    m = np.random.default_rng([p, seed]).standard_normal((p, p))
+    a, b = m @ m.T + p * np.eye(p), np.random.default_rng([p, seed, 1]).standard_normal(p)
+
+    def fun(x):
+        return 0.5 * np.einsum("kp,kp->k", x @ a, x) - x @ b, x @ a - b
+
+    return fun, lambda x: np.linalg.solve(a, (b - x @ a).T).T
+
+
+def _same_steps(fun, x, f0, g0, d):
+    """Run the line search and its oracle: every output, and every point
+    each evaluated, the same bit for bit. The new search's outputs."""
+    runs = []
+    for search in (divergence._wolfe_steps, wolfe_steps_oracle):
+        points = []
+
+        def recorded(xt):
+            points.append(xt.copy())
+            return fun(xt)
+
+        runs.append((search(recorded, x, f0, g0, d), points))
+    (new, new_points), (old, old_points) = runs
+    for a, b in zip(new + tuple(new_points), old + tuple(old_points), strict=True):
+        assert np.array_equal(a, b)
+    return new
+
+
+class TestLockstepRoundAgainstOracle:
+    """The line search and the correction-pair update against their index-array
+    and masked forms in ``tests/oracles.py``: every output bit for bit."""
+
+    # the scale of the Newton direction in each row: 1 takes the unit step,
+    # 30 overshoots and brackets, 0.01 expands the step and -1 ascends
+    @pytest.mark.parametrize(
+        "scales",
+        [[1.0], [1.0] * 40, [30.0], [0.01], [-1.0], [1.0, 30.0, 1.0, 0.01],
+         [1.0, -1.0, 1.0], [30.0, 0.01, -1.0, 1.0, 5.0] * 8],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wolfe_steps_on_a_quadratic(self, scales, seed):
+        fun, newton = _quadratic_stack(6, seed)
+        x = np.random.default_rng([seed, 2]).standard_normal((len(scales), 6))
+        f0, g0 = fun(x)
+        d = np.array(scales)[:, None] * newton(x)
+        new = _same_steps(fun, x, f0, g0, d)
+        assert np.array_equal(new[0], np.array(scales) > 0)  # an ascending row fails
+        if min(scales) == max(scales) == 1.0:
+            assert new[4] == len(scales)  # one trial on every row
+        if max(scales) > 1.0:
+            assert new[4] > len(scales)  # some row brackets
+
+    @pytest.mark.parametrize("rows", [1, 3, 40])
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_wolfe_steps_on_the_ratio(self, rows, scale):
+        e1, e2, _ = _random_pair(3, 4, 0, 600)
+        fun = _ratio_objective(e1, e2)
+        x = np.random.default_rng([rows, 3]).standard_normal((rows, 12))
+        f0, g0 = fun(x)
+        d = -scale * g0
+        d[rows // 2] *= -1  # a row with no descent direction
+        _same_steps(fun, x, f0, g0, d)
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_wolfe_steps_on_a_plateau(self, rows):
+        # f0 + c1 t slope0 rounds to f0, so only the test f >= f0 finds that
+        # the flat unit step does not decrease the value
+        def fun(x):
+            return np.ones(len(x)), np.full(x.shape, 1e-20)
+
+        x = np.random.default_rng(rows).standard_normal((rows, 3))
+        f0, g0 = fun(x)
+        ok, *_, evals = _same_steps(fun, x, f0, g0, -np.ones(x.shape))
+        assert not ok.any() and evals == rows * divergence.LINE_EVALS
+
+    def test_a_round_where_every_row_takes_the_unit_step_calls_fun_once(self):
+        fun, newton = _quadratic_stack(5, 0)
+        calls = []
+
+        def counted(x):
+            calls.append(len(x))
+            return fun(x)
+
+        x = np.random.default_rng(5).standard_normal((7, 5))
+        ok, *_, evals = divergence._wolfe_steps(counted, x, *fun(x), newton(x))
+        assert ok.all() and calls == [7] and evals == 7
+
+    @pytest.mark.parametrize("rows", [1, 2, 25])
+    def test_pair_updates_and_directions(self, rows):
+        rng = np.random.default_rng([rows, 6])
+        p = 8
+        new, old = divergence._Pairs(rows, p), pairs_oracle(rows, p)
+        # 14 pushes fill and then cycle the MEMORY slots; rows skip some updates
+        for i in range(14):
+            s = rng.standard_normal((rows, p))
+            y = s + 0.3 * rng.standard_normal((rows, p))
+            if i % 3 == 1:
+                y[rng.random(rows) < 0.4] *= -1  # s.y <= 0: those rows keep their pairs
+            if i == 5:
+                y = -s  # no row updates
+            g = rng.standard_normal((rows, p))
+            assert np.array_equal(new.direction(g), old.direction(g))
+            new.push(s, y)
+            old.push(s, y)
+            for name in ("s", "y", "rinv", "diag", "gamma"):
+                assert np.array_equal(getattr(new, name), getattr(old, name)), name
+        assert (new.diag != 0).all(axis=1).any()  # some row has dropped its oldest pair
+
+    @pytest.mark.parametrize("d, outcomes", [(2, 3), (3, 4), (4, 6)])
+    def test_minimize_matches_the_oracle_round(self, monkeypatch, d, outcomes):
+        e1, e2, _ = _random_pair(d, outcomes, 0, 600)
+        fun = _ratio_objective(e1, e2)
+        x0 = np.random.default_rng([d, outcomes, 7]).standard_normal((16, 4 * d))
+        x0[2] = 0.0  # a row the objective refuses
+        new = minimize(fun, x0, 600)
+        monkeypatch.setattr(divergence, "_wolfe_steps", wolfe_steps_oracle)
+        monkeypatch.setattr(divergence, "_Pairs", type(pairs_oracle(0, 4 * d)))
+        old = minimize(fun, x0, 600)
+        for name in ("x", "fun", "nit", "converged", "nfev", "success"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
 
 
 class TestSearchAgainstOracle:
@@ -546,9 +674,7 @@ class TestInfeasiblePoints:
     @pytest.mark.parametrize("d", [2, 3])
     def test_objective_refuses_them_without_warnings(self, d):
         rng = np.random.default_rng([d, 12])
-        roots = divergence._effect_roots(
-            np.stack([random_povm(rng, d, 3).effects, random_povm(rng, d, 3).effects])
-        )
+        roots = _roots(random_povm(rng, d, 3), random_povm(rng, d, 3))
         rows = self._rows(rng, d)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -603,7 +729,7 @@ class TestEqualObservables:
         e = random_povm(np.random.default_rng([d, outcomes, 14]), d, outcomes)
         monkeypatch.setattr(divergence, "minimize", None)  # any search would fail
         est = observable_divergence(e, Observable(e.effects.copy()), DivergenceOptions(seed=5))
-        v = divergence._top_eigenvectors(e.effects)[0]
+        v = top_eigenvectors(e.effects)[0]
         assert est.value == 1.0
         assert (est.restarts, est.converged, est.converged_starts, est.seed) == (0, True, 0, 5)
         assert "equal observables" in est.method
@@ -717,6 +843,40 @@ class TestRestartsEnvelope:
         with pytest.raises(ValueError, match="restarts|maxiter"):
             observable_divergence(e1, e2, DivergenceOptions(**kwargs))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", True),
+            ("seed", 2.0),
+            ("seed", np.random.default_rng(0)),
+            ("restarts", True),
+            ("restarts", 2.5),
+            ("maxiter", 2.5),
+            ("maxiter", True),
+        ],
+    )
+    def test_non_integer_options_refused_before_any_work(self, rng, monkeypatch, field, value):
+        # a bool or a Generator seed would run and be written into the report
+        # as given; a float count would run, or fail after the candidate scan
+        e1, e2 = random_povm(rng, 2, 3), random_povm(rng, 2, 3)
+        monkeypatch.setattr(np.linalg, "eigh", None)  # any work would fail
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            observable_divergence(e1, e2, DivergenceOptions(**{field: value}))
+
+    def test_negative_seed_refused_before_any_work(self, rng, monkeypatch):
+        e1, e2 = random_povm(rng, 2, 3), random_povm(rng, 2, 3)
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            observable_divergence(e1, e2, DivergenceOptions(seed=-1))
+
+    def test_numpy_integer_options_are_written_as_python_ints(self, rng):
+        e1, e2 = random_povm(rng, 2, 3), random_povm(rng, 2, 3)
+        opts = DivergenceOptions(seed=np.int64(3), restarts=np.int32(2), maxiter=np.int64(50))
+        est = observable_divergence(e1, e2, opts)
+        assert type(est.seed) is int and type(est.restarts) is int
+        plain = observable_divergence(e1, e2, DivergenceOptions(seed=3, restarts=2, maxiter=50))
+        assert json.dumps(estimate_to_json(est)) == json.dumps(estimate_to_json(plain))
+
 
 def _random_states(rng, n, d=2):
     v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
@@ -756,10 +916,19 @@ class TestCandidateScan:
         assert (low == np.inf).all() and (col == 0).all()
         self._assert_same((s, s), up, down)
 
+    @pytest.mark.parametrize("d, outcomes", [(2, 3), (3, 5), (5, 8)])
+    def test_stacked_candidates_equal_each_stack_decomposed_alone(self, d, outcomes):
+        # observable_divergence takes its candidates from one eigh of both
+        # stacks; numpy decomposes matrix by matrix, so they keep their bits
+        rng = np.random.default_rng([d, outcomes, 18])
+        e1, e2 = random_povm(rng, d, outcomes), random_povm(rng, d, outcomes)
+        stacked = np.linalg.eigh(np.stack([e1.effects, e2.effects]))[1][..., -1]
+        assert np.array_equal(stacked, [top_eigenvectors(e1.effects), top_eigenvectors(e2.effects)])
+
     def test_zero_witness_from_eigenvectors(self):
         a, b = sigma_z_pvm(), sigma_x_pvm()
-        top1 = divergence._top_eigenvectors(a.effects)
-        top2 = divergence._top_eigenvectors(b.effects)
+        top1 = top_eigenvectors(a.effects)
+        top2 = top_eigenvectors(b.effects)
         assert full_grid_ratio_min(*self._stacks(a, b), top1, top2)[0] == 0.0
         self._assert_same(self._stacks(a, b), top1, top2)
 

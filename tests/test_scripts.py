@@ -72,3 +72,65 @@ def test_size_report_counts_lines_and_settable_values(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "lines 15\nsettable values 5\n"
+
+
+# a stand-in for perfbench/run.py: it logs its tree and seed, then prints the
+# last-line JSON of an end-to-end run, op_p50_s read from the tree's speed file
+FAKE_RUN = """
+import json, pathlib, sys
+seed = sys.argv[sys.argv.index("--seed") + 1]
+with open(sys.argv[0].replace("run.py", "../../runs.log"), "a") as log:
+    log.write(pathlib.Path.cwd().name + " " + seed + "\\n")
+p50 = float(pathlib.Path("speed").read_text()) * (1 + int(seed) / 100)
+print(json.dumps({"metrics": {"op_p50_s": {"value": p50, "unit": "s"},
+                              "peak_rss_mb": {"value": 50.0, "unit": "MiB"}}}))
+"""
+
+
+def fake_tree(root: Path, name: str, speed: float) -> Path:
+    tree = root / name
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "src" / "qmultimeter").mkdir(parents=True)
+    (tree / "src" / "qmultimeter" / "__init__.py").write_text("")
+    (tree / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (tree / "speed").write_text(str(speed))
+    return tree
+
+
+def ab_bench(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "ab_bench.py"), *map(str, args)],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_ab_bench_alternates_the_trees_and_counts_the_wins(tmp_path):
+    parent, change = fake_tree(tmp_path, "parent", 0.010), fake_tree(tmp_path, "change", 0.008)
+    proc = ab_bench(parent, change, "--workload", "divergence_b4", "--pairs", 3, "--seconds", 1)
+    assert proc.returncode == 0, proc.stderr
+    runs = (tmp_path / "runs.log").read_text().split("\n")[:-1]
+    # the order swaps each pair, and the seed is the pair number
+    assert runs == ["parent 0", "change 0", "change 1", "parent 1", "parent 2", "change 2"]
+    out = proc.stdout
+    assert "median op_p50_s: parent 0.0101, change 0.00808 (-20.0%)" in out
+    assert "parent op_p50_s quartiles: 0.01 .. 0.0102" in out
+    assert out.rstrip().endswith("change faster in 3 of 3 pairs")
+
+
+def test_ab_bench_rejects_a_missing_tree_or_a_bad_count_before_any_run(tmp_path):
+    tree = fake_tree(tmp_path, "tree", 0.01)
+    cases = [
+        ((tmp_path / "missing", tree, "--pairs", 2), "is no source tree"),
+        ((tree, tmp_path / "missing", "--pairs", 2), "is no source tree"),
+        ((tree, tree, "--pairs", 0), "--pairs must be at least 1, got 0"),
+        ((tree, tree, "--pairs", -2), "--pairs must be at least 1, got -2"),
+        ((tree, tree, "--pairs", "2.5"), "invalid int value"),
+        ((tree, tree, "--pairs", 2, "--seconds", 0), "--seconds must be positive"),
+    ]
+    for args, message in cases:
+        if "--seconds" not in args:
+            args += ("--seconds", 1)
+        proc = ab_bench(*args, "--workload", "divergence_b4")
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert message in proc.stderr and proc.stdout == ""
+    assert not (tmp_path / "runs.log").exists()

@@ -631,6 +631,40 @@ class TestTrialCounts:
         assert json.dumps(as_numpy) == json.dumps(as_int)
 
 
+class TestTolerances:
+    """A NaN slack makes every margin comparison False, so no check could
+    fail: a tolerance that is a bool, not a number or not finite is refused by
+    name before any work, by the rule the CLI applies to config tolerances."""
+
+    CHECKS = {
+        "prop1": lambda tol: verify_prop1(*FIXTURES["q8"]()[:3], trials=10, seed=0, tol_check=tol),
+        "prop3": lambda tol: verify_prop3(*FIXTURES["q8"](), trials=10, seed=0, tol_check=tol),
+        "b_properties": lambda tol: verify_b_properties(
+            Observable([np.eye(2)]), Observable([np.eye(2)]), n=2, seed=0, estimator_tol=tol
+        ),
+    }
+
+    @pytest.mark.parametrize("which", sorted(CHECKS))
+    @pytest.mark.parametrize(
+        "tol", [float("nan"), float("inf"), -float("inf"), True, "1e-9", None, np.float32(1e-9)],
+        ids=["nan", "inf", "-inf", "bool", "str", "none", "float32"],
+    )
+    def test_bad_tolerance_rejected_before_any_work(self, monkeypatch, which, tol):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the check started before the tolerance was checked")
+
+        for name in ("program", "_sampled_pairs", "rng_from", "observable_divergence"):
+            monkeypatch.setattr(verify, name, refuse)
+        name = "estimator_tol" if which == "b_properties" else "tol_check"
+        with pytest.raises(ValueError, match=f"^tolerance {name} must be a finite number"):
+            self.CHECKS[which](tol)
+
+    @pytest.mark.parametrize("which", ["prop1", "prop3"])
+    def test_an_integer_or_numpy_float_tolerance_is_kept(self, which):
+        for tol in (0, np.float64(1e-9)):
+            assert self.CHECKS[which](tol).fixtures["tol_check"] == tol
+
+
 class TestProgrammedPairCache:
     """A prop3 after a prop1 on the same device and probe state objects
     programs the pair once; the cache is keyed by identity."""
