@@ -9,7 +9,9 @@ import json
 import pathlib
 import sys
 
-from qmultimeter.sampling import random_povm, rng_from
+import numpy as np
+
+from qmultimeter.sampling import random_povm
 from qmultimeter.verify import (
     default_random_fixture,
     phase_space_demo,
@@ -58,7 +60,7 @@ def main() -> int:
         write(f"prop3_{name}", r3.to_dict())
         failures += r1.violations + r3.violations
 
-    rng = rng_from(args.seed)
+    rng = np.random.default_rng(args.seed)
     bprops = verify_b_properties(
         random_povm(rng, 2, 3), random_povm(rng, 2, 3), n=50, seed=args.seed
     )

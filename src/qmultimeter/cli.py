@@ -12,8 +12,12 @@ import os
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .divergence import MAX_RESTARTS, DivergenceOptions, observable_divergence
 from .groups import is_prime
+from .quantum import Observable
+from .sampling import random_povm
 from .serialize import estimate_to_json, load_json, observable_from_json
 from .verify import (
     ESTIMATOR_TOL,
@@ -219,9 +223,7 @@ def _run_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         mm, xi1, xi2, l1, l2 = _fixture_for(cfg)
         report = verify_prop3(mm, xi1, xi2, l1, l2, trials=cfg.trials, seed=cfg.seed, tol_check=tol)
     else:
-        from .sampling import random_povm, rng_from
-
-        rng = rng_from(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
         e1 = random_povm(rng, 2, 3)
         e2 = random_povm(rng, 2, 3)
         report = verify_b_properties(
@@ -267,6 +269,14 @@ def _run_divergence(cfg: RunConfig) -> int:
         raise ConfigError(
             f"observables must share an outcome count, got {e1.n_outcomes} and {e2.n_outcomes}"
         )
+    # the library pairs outcomes by position: E2's effects go to E1's label order
+    if e2.outcomes != e1.outcomes:
+        if set(e2.outcomes) != set(e1.outcomes):
+            raise ConfigError(
+                f"observables must share their outcome labels, got {e1.outcomes} and {e2.outcomes}"
+            )
+        order = [e2.outcomes.index(label) for label in e1.outcomes]
+        e2 = Observable(e2.effects[order], outcomes=e1.outcomes)
     opts = DivergenceOptions(seed=cfg.seed, restarts=cfg.restarts)
     est = observable_divergence(e1, e2, opts)
     _emit(cfg, json.dumps(estimate_to_json(est), indent=2))

@@ -251,12 +251,13 @@ class DivergenceOptions:
     maxiter: int = 2000
 
 
-@dataclass
+@dataclass(eq=False)
 class DivergenceEstimate:
-    """Upper estimate of the observable divergence with its witnessing state pair."""
+    """Upper estimate of the observable divergence with its witnessing pair: ``argmin``
+    holds the unit vectors of E1's state (row 0) and E2's (row 1), read-only (2, d)."""
 
     value: float
-    argmin: tuple
+    argmin: np.ndarray
     method: str
     restarts: int
     converged: bool
@@ -416,11 +417,15 @@ def observable_divergence(
     its best candidate in E2, and from ``restarts`` random starts. The starts
     run in lockstep, in blocks of ``START_BLOCK`` floats of search state taken
     in order; a run ends where it would end alone, so no block size changes
-    the estimate. Each run is ranked by the ratio at the point it returns, so
-    the estimate is the ratio at the reported pair, hence an upper bound on
-    D: the first start that ends below ``ZERO_TOL`` wins, else the first
-    least ratio. ``converged_starts`` counts the runs, up to that first zero,
-    that met a stop test.
+    the estimate. Each run is ranked by the value ``minimize`` returns with
+    its point, which is the ratio there, so the estimate is the ratio at the
+    reported pair, hence an upper bound on D: the first start that ends below
+    ``ZERO_TOL`` wins, else the first least ratio. ``converged_starts``
+    counts the runs, up to that first zero, that met a stop test.
+
+    Outcomes are paired by position, not by label: the coset kernels label
+    their outputs by coset, and programmed observables of different subgroups
+    must still be compared. The ``divergence`` command aligns file labels first.
 
     Pure pairs lose nothing: their infimum r is D. Take mixed rho1, rho2
     with Uhlmann purifications psi1, psi2 on C^d x C^d, <psi1|psi2> =
@@ -445,10 +450,11 @@ def observable_divergence(
     if maxiter < 1:
         raise ValueError(f"maxiter must be at least 1, got {maxiter}")
 
-    def estimate(value, v1, v2, note, restarts_used, converged, converged_starts=0):
+    def estimate(value, pair, note, restarts_used, converged, converged_starts=0):
+        pair.flags.writeable = False
         return DivergenceEstimate(
             value=value,
-            argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
+            argmin=pair,
             method=_method_string(restarts, note),
             restarts=restarts_used,
             converged=converged,
@@ -463,7 +469,7 @@ def observable_divergence(
     top1, top2 = v[..., -1]
     if np.array_equal(e1.effects, e2.effects):
         note = "equal observables, D(E,E) = 1 at (v, v) without a search"
-        return estimate(1.0, top1[0], top1[0], note, 0, True)
+        return estimate(1.0, top1[[0, 0]], note, 0, True)
     d = e1.dim
     roots = _effect_roots(w, v)
     # analytic witness candidates: top eigenvectors of every effect pair
@@ -471,14 +477,11 @@ def observable_divergence(
     i = int(np.argmin(low))
     if low[i] < ZERO_TOL:
         note = "exact-zero witness from eigenvector candidates"
-        return estimate(0.0, top1[i], top2[col[i]], note, 0, True)
+        return estimate(0.0, np.stack([top1[i], top2[col[i]]]), note, 0, True)
     rows = np.flatnonzero(low < np.inf)
     seeds = _params_from_pair(top1[rows], top2[col[rows]])
     rng = np.random.default_rng(seed)
     n = len(seeds) + restarts
-
-    def objective(x):
-        return _ratio_gradient(x, roots)
 
     # the first start that ends below ZERO_TOL, else the first least ratio:
     # blocks are searched in order, and a run one start at a time would stop
@@ -489,22 +492,19 @@ def observable_divergence(
         hi = min(lo + size, n)
         x0 = seeds[lo:hi]
         x0 = np.concatenate([x0, rng.standard_normal((hi - lo - len(x0), 4 * d))])
-        res = minimize(objective, x0, maxiter=maxiter)
-        # ranked by the ratio at the returned point, not by the fun reported with it
-        ratio = objective(res.x)[0]
-        zero = np.flatnonzero(ratio < ZERO_TOL)
-        j = zero[0] if zero.size else np.argmin(ratio)
+        res = minimize(lambda x: _ratio_gradient(x, roots), x0, maxiter=maxiter)
+        zero = np.flatnonzero(res.fun < ZERO_TOL)
+        j = zero[0] if zero.size else np.argmin(res.fun)
         count += int(res.converged[: j + 1 if zero.size else None].sum())
-        if ratio[j] < best:
-            best, winner = ratio[j], (res.x[j], bool(res.converged[j]))
+        if res.fun[j] < best:
+            best, winner = res.fun[j], (_pair_from_params(res.x[j]), bool(res.converged[j]))
         if zero.size:
             break
     if winner is None:
         raise ValueError("no feasible state pair was evaluated; increase restarts")
     value = _clamped(float(best))
-    v1, v2 = _pair_from_params(winner[0])
     note = f"multi-start l-bfgs (memory {MEMORY}) on the unfloored ratio over pure pairs"
-    return estimate(value, v1, v2, note, restarts, winner[1] or value == 0.0, count)
+    return estimate(value, winner[0], note, restarts, winner[1] or value == 0.0, count)
 
 
 def _method_string(restarts: int, note: str) -> str:

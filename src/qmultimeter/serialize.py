@@ -82,7 +82,7 @@ def observable_from_json(doc: dict) -> Observable:
 def estimate_to_json(est: DivergenceEstimate) -> dict:
     return {
         "value": est.value,
-        "argmin": [state_to_json(s) for s in est.argmin],
+        "argmin": [state_to_json(DensityState.from_vector(v)) for v in est.argmin],
         "method": est.method,
         "restarts": est.restarts,
         "converged": est.converged,

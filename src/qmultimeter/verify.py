@@ -49,7 +49,6 @@ from .sampling import (
     random_povm,
     random_pure_pair,
     random_unitary,
-    rng_from,
 )
 
 TOL_CHECK = 1e-9
@@ -86,21 +85,6 @@ class BoundCurve:
 
     ts: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        self.ts = np.asarray(self.ts, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.ts.shape != self.values.shape:
-            raise ValueError("t grid and values must align")
-        lo, hi = 1 / np.sqrt(2) - 1e-6, 1.0 + 1e-6
-        if self.values.min() < lo or self.values.max() > hi:
-            raise ValueError(
-                f"bound values escape [{lo}, {hi}]: range "
-                f"[{self.values.min()}, {self.values.max()}]"
-            )
-        sym = np.max(np.abs(self.values - self.values[::-1]))
-        if sym > 1e-6:
-            raise ValueError(f"bound curve is not symmetric in t (defect {sym:.3e})")
 
     def to_csv(self) -> str:
         lines = ["t,bound"]
@@ -173,7 +157,7 @@ def _sampled_pairs(seed: int, trials: int, d1: int, d2: int) -> tuple:
 
     The last draw is kept, so a ``verify_prop3`` that follows a
     ``verify_prop1`` with the same seed, trials and dimensions reuses it."""
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     vectors = []
     for d in (d1, d2):
         # filled in place, bit for bit the sum a + 1j * b of the two draws
@@ -322,7 +306,7 @@ def verify_povm_bound(dim: int, trials: int, seed: int) -> VerificationReport:
     t0 = time.perf_counter()
     seed = checked_integer(seed, "seed")
     trials = _trial_count(trials, "trials")
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     margins = np.empty(trials)
     for i in range(trials):
         n_out = int(rng.integers(2, dim + 3))
@@ -353,7 +337,7 @@ def verify_b_properties(
     # the conjugated re-estimates start from every eigenvector-candidate row
     # and converge with a short polish; full restarts add time, not accuracy
     conj_opts = DivergenceOptions(seed=seed, restarts=4, maxiter=600)
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     d = e1.dim
     checks: dict = {}
     violations = 0
@@ -620,7 +604,7 @@ def wh_program_pair(d: int) -> tuple:
 def default_random_fixture(seed: int) -> tuple:
     """Random qubit multimeter with a 4-dimensional probe, plus a random
     probe-state pair and kernel pair."""
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     mm = random_multimeter(rng, 2, 4)
     xi1 = random_density(rng, mm.probe_dim)
     xi2 = random_density(rng, mm.probe_dim)

@@ -388,7 +388,6 @@ def scipy_multistart_divergence(e1, e2, opts=None):
     is the lowest ratio any run evaluated, at the pair it was evaluated at. It
     shares no optimizer code with the package, whose search is its own L-BFGS."""
     from qmultimeter import divergence as dv
-    from qmultimeter.quantum import DensityState
 
     penalty = 1e6  # above every feasible ratio
     opts = opts or dv.DivergenceOptions()
@@ -424,7 +423,7 @@ def scipy_multistart_divergence(e1, e2, opts=None):
     if ratio[i, j] < dv.ZERO_TOL:
         return dv.DivergenceEstimate(
             value=0.0,
-            argmin=(DensityState.from_vector(top1[i]), DensityState.from_vector(top2[j])),
+            argmin=np.stack([top1[i], top2[j]]),
             method=dv._method_string(opts.restarts, "exact-zero witness from eigenvector candidates"),
             restarts=0,
             converged=True,
@@ -458,7 +457,7 @@ def scipy_multistart_divergence(e1, e2, opts=None):
     value = dv._clamped(best["value"])
     return dv.DivergenceEstimate(
         value=value,
-        argmin=(DensityState.from_vector(v1), DensityState.from_vector(v2)),
+        argmin=np.stack([v1, v2]),
         method=dv._method_string(opts.restarts, "multi-start nelder-mead over pure pairs"),
         restarts=opts.restarts,
         converged=converged_starts > 0 or value == 0.0,
@@ -632,13 +631,12 @@ def estimate_recompute(e1, e2, est) -> float:
         _row_ratio_min,
     )
 
-    psi = np.stack([np.linalg.eigh(s.matrix)[1][:, -1] for s in est.argmin])
     stacks = np.stack([e1.effects, e2.effects])
     if est.value == 0.0:
-        raw = _row_ratio_min(*stacks, psi[:1], psi[1:])[0][0]
+        raw = _row_ratio_min(*stacks, est.argmin[:1], est.argmin[1:])[0][0]
     else:
         roots = _effect_roots(*np.linalg.eigh(stacks))
-        raw = _ratio_gradient(_params_from_pair(*psi)[None], roots)[0][0]
+        raw = _ratio_gradient(_params_from_pair(*est.argmin)[None], roots)[0][0]
     return _clamped(float(raw))
 
 

@@ -11,10 +11,12 @@ import pytest
 from oracles import save_json
 
 import qmultimeter
+from qmultimeter import cli
 from qmultimeter.cli import MAX_BPROPS_TRIALS, MAX_POINTS, MAX_TRIALS, main
 from qmultimeter.divergence import MAX_RESTARTS
 from qmultimeter.groups import is_prime
-from qmultimeter.sampling import random_povm, rng_from
+from qmultimeter.quantum import Observable
+from qmultimeter.sampling import random_povm
 from qmultimeter.serialize import observable_to_json
 from qmultimeter.verify import PHASE_SPACE_MAX_DIM
 
@@ -302,7 +304,7 @@ class TestBoundCommand:
 class TestDivergenceCommand:
     @pytest.fixture
     def observable_files(self, tmp_path):
-        rng = rng_from(0)
+        rng = np.random.default_rng(0)
         paths = []
         for name in ("e1", "e2"):
             e = random_povm(rng, 2, 3)
@@ -403,11 +405,58 @@ class TestDivergenceCommand:
         # both files are well formed; only the pair cannot be compared
         e1, _ = observable_files
         e2 = str(tmp_path / "other.json")
-        save_json(observable_to_json(random_povm(rng_from(1), dim, outcomes)), e2)
+        save_json(observable_to_json(random_povm(np.random.default_rng(1), dim, outcomes)), e2)
         code, out, err = run(capsys, "divergence", "--e1", e1, "--e2", e2)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("config error:") and named in err
+
+    @staticmethod
+    def _labelled_files(tmp_path, e1, e2, order):
+        """Files of ``e1`` and ``e2``, and of ``e2`` with its outcomes listed in
+        ``order``, each label keeping its own effect."""
+        paths = [str(tmp_path / name) for name in ("e1.json", "e2.json", "e2_reordered.json")]
+        save_json(observable_to_json(e1), paths[0])
+        save_json(observable_to_json(e2), paths[1])
+        doc = observable_to_json(e2)
+        doc["outcomes"] = order
+        save_json(doc, paths[2])
+        return paths
+
+    def test_reordered_labels_give_the_same_order_estimate(self, capsys, tmp_path):
+        # a Z measurement against itself: paired by position, the reordered
+        # file would read 0.0, not 1.0
+        up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        z = Observable([up, down], outcomes=["up", "down"])
+        e1, e2, reordered = self._labelled_files(tmp_path, z, z, ["down", "up"])
+        code, same, _ = run(capsys, "divergence", "--e1", e1, "--e2", e2)
+        assert code == 0 and json.loads(same)["value"] == 1.0
+        assert run(capsys, "divergence", "--e1", e1, "--e2", reordered) == (0, same, "")
+
+    def test_reordered_labels_of_a_random_povm(self, capsys, tmp_path):
+        rng = np.random.default_rng(31)
+        e1, e2 = (
+            Observable(random_povm(rng, 2, 3).effects, outcomes=["a", "b", "c"]) for _ in range(2)
+        )
+        e1, e2, reordered = self._labelled_files(tmp_path, e1, e2, ["c", "a", "b"])
+        argv = ["divergence", "--e1", e1, "--restarts", "4", "--e2"]
+        code, same, _ = run(capsys, *argv, e2)
+        assert code == 0 and 0.0 < json.loads(same)["value"] < 1.0
+        assert run(capsys, *argv, reordered) == (0, same, "")
+
+    def test_other_labels_are_config_error_before_any_search(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search started before the labels were checked")
+
+        monkeypatch.setattr(cli, "observable_divergence", refuse)
+        rng = np.random.default_rng(32)
+        e1 = Observable(random_povm(rng, 2, 3).effects, outcomes=["a", "b", "c"])
+        e1, e2, _ = self._labelled_files(tmp_path, e1, random_povm(rng, 2, 3), ["0", "1", "2"])
+        code, out, err = run(capsys, "divergence", "--e1", e1, "--e2", e2)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert "['a', 'b', 'c']" in err and "['0', '1', '2']" in err
 
     def test_missing_flags_rejected(self, capsys):
         code, _, err = run(capsys, "divergence")
@@ -572,7 +621,7 @@ class TestSameSeedDeterminism:
 
     @pytest.fixture(scope="class")
     def povm_files(self, tmp_path_factory):
-        rng = rng_from(5)
+        rng = np.random.default_rng(5)
         paths = []
         for name in ("e1", "e2"):
             p = tmp_path_factory.mktemp("povms") / f"{name}.json"

@@ -20,7 +20,7 @@ from qmultimeter.divergence import (
 )
 from qmultimeter.groups import PAULI_X, PAULI_Z
 from qmultimeter.quantum import DensityState, Observable, fidelity, program
-from qmultimeter.sampling import random_povm, random_pvm, random_unitary, rng_from
+from qmultimeter.sampling import random_povm, random_pvm, random_unitary
 from qmultimeter.serialize import estimate_to_json
 from qmultimeter.verify import q8_program_pair, wh_program_pair
 
@@ -144,7 +144,7 @@ class TestObservableDivergence:
         a = observable_divergence(e1, e2, opts)
         b = observable_divergence(e1, e2, opts)
         assert a.value == b.value
-        assert np.array_equal(a.argmin[0].matrix, b.argmin[0].matrix)
+        assert np.array_equal(a.argmin, b.argmin)
 
     def test_swap_symmetry(self, rng):
         e1 = random_povm(rng, 2, 3)
@@ -160,6 +160,24 @@ class TestObservableDivergence:
         opts = DivergenceOptions(seed=2, restarts=8)
         est = observable_divergence(e1, e2, opts)
         assert abs(est.value - estimate_recompute(e1, e2, est)) < 1e-10
+
+    @pytest.mark.parametrize("kind", ["equal", "exact zero", "search"])
+    def test_argmin_is_a_read_only_pair_of_unit_vectors_and_no_state(self, monkeypatch, kind):
+        rng = np.random.default_rng([3, 17])
+        e1, e2 = {
+            "equal": lambda: (sigma_z_pvm(), sigma_z_pvm()),
+            "exact zero": lambda: (sigma_z_pvm(), sigma_x_pvm()),
+            "search": lambda: (random_povm(rng, 3, 3), random_povm(rng, 3, 3)),
+        }[kind]()
+
+        def refuse(*args):
+            raise AssertionError("the estimator built a DensityState")
+
+        monkeypatch.setattr(DensityState, "_keep", refuse)
+        est = observable_divergence(e1, e2, DivergenceOptions(seed=0, restarts=2))
+        assert est.argmin.shape == (2, e1.dim) and est.argmin.dtype == complex
+        assert not est.argmin.flags.writeable
+        assert np.abs(np.linalg.norm(est.argmin, axis=1) - 1.0).max() <= 1e-15
 
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -215,12 +233,8 @@ def _unfloored_ratio(e1, e2, v1, v2):
     return float(_root_probabilities(e1, v1) @ _root_probabilities(e2, v2)) / pure_fidelity(v1, v2)
 
 
-def _argmin_vectors(est):
-    return [np.linalg.eigh(s.matrix)[1][:, -1] for s in est.argmin]
-
-
 def _assert_ratio_at_argmin(e1, e2, est):
-    assert abs(est.value - _unfloored_ratio(e1, e2, *_argmin_vectors(est))) <= 1e-12
+    assert abs(est.value - _unfloored_ratio(e1, e2, *est.argmin)) <= 1e-12
 
 
 def _roots(e1, e2):
@@ -416,6 +430,72 @@ class TestMinimize:
                     stack.fun[i], stack.nit[i], stack.converged[i])
 
 
+class TestMinimizeReturnsTheValueAtItsPoint:
+    """``observable_divergence`` ranks its runs by the ``fun`` that ``minimize``
+    returns, so each row's value must be the objective at its returned point,
+    bit for bit, however the row ended."""
+
+    @staticmethod
+    def _run(fun, x0, maxiter):
+        res = minimize(fun, x0, maxiter)
+        assert np.array_equal(res.fun, fun(res.x)[0])
+        for i in range(len(x0)):
+            assert res.fun[i] == fun(res.x[i : i + 1])[0][0]
+        return res
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rows_that_converge_at_the_start(self, d):
+        # (v, v) minimises the ratio of an observable against itself
+        rng = np.random.default_rng([d, 41])
+        e = random_povm(rng, d, 3)
+        v = np.ascontiguousarray(random_unitary(rng, d).T)
+        x0 = np.concatenate([divergence._params_from_pair(v, v), rng.standard_normal((4, 4 * d))])
+        res = self._run(_ratio_objective(e, e), x0, 600)
+        assert (res.nit[:d] == 0).all() and res.converged[:d].all()
+        assert (res.nit[d:] > 0).all()
+
+    @pytest.mark.parametrize("d, outcomes", [(2, 3), (3, 4)])
+    def test_one_iteration(self, d, outcomes):
+        e1, e2, _ = _random_pair(d, outcomes, 0, 1)
+        x0 = np.random.default_rng([d, outcomes, 42]).standard_normal((8, 4 * d))
+        res = self._run(_ratio_objective(e1, e2), x0, 1)
+        assert (res.nit == 1).all() and not res.converged.any()
+
+    def test_rows_whose_line_search_fails(self, monkeypatch):
+        # the q8 pair's eigenvector seeds sit on a cusp of the ratio, where
+        # every line search from them fails at once
+        mm, xi1, xi2, _, _ = q8_program_pair()
+        results = []
+
+        def checked(fun, x0, maxiter):
+            results.append((self._run(fun, x0, maxiter), maxiter))
+            return results[-1][0]
+
+        monkeypatch.setattr(divergence, "minimize", checked)
+        observable_divergence(program(mm, xi1), program(mm, xi2))
+        ((res, maxiter),) = results
+        failed = ~res.converged & (res.nit < maxiter)
+        assert failed.any() and not failed.all()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_infeasible_and_near_orthogonal_starts(self, d):
+        rng = np.random.default_rng([d, 12])
+        e1, e2 = random_povm(rng, d, 3), random_povm(rng, d, 3)
+        rows = TestInfeasiblePoints._rows(rng, d)
+        res = self._run(_ratio_objective(e1, e2), np.array([x for x, _ in rows]), 600)
+        feasible = np.array([ok for _, ok in rows])
+        assert (res.fun[~feasible] == divergence.INFEASIBLE).all()
+        assert (res.fun[feasible] < divergence.INFEASIBLE).all()
+
+    @pytest.mark.parametrize("rows", [1, 64])
+    @pytest.mark.parametrize("d, outcomes", [(2, 3), (2, 5), (4, 3)])
+    def test_stacks_of_one_and_many_rows(self, rows, d, outcomes):
+        e1, e2, _ = _random_pair(d, outcomes, 0, 600)
+        x0 = np.random.default_rng([d, outcomes, rows]).standard_normal((rows, 4 * d))
+        res = self._run(_ratio_objective(e1, e2), x0, 600)
+        assert res.nfev > rows
+
+
 def _quadratic_stack(p, seed):
     """A convex quadratic of every row of a (k, p) stack, and its Newton
     directions: the unit step along them lands on the minimiser."""
@@ -560,9 +640,9 @@ class TestSearchAgainstOracle:
         _assert_ratio_at_argmin(e1, e2, est)
 
     def test_seeded_four_dimensional_pair_converges(self):
-        # the d = 4 pair drawn right after a d = 3 pair from rng_from(0), which
+        # the d = 4 pair drawn right after a d = 3 pair from default_rng(0), which
         # the derivative-free search left unconverged at 0.7604
-        rng = rng_from(0)
+        rng = np.random.default_rng(0)
         for _ in range(2):
             random_povm(rng, 3, 3)
         e1, e2 = random_povm(rng, 4, 3), random_povm(rng, 4, 3)
@@ -586,23 +666,30 @@ class TestSearchAgainstOracle:
         assert calls == [e1.n_outcomes + opts.restarts]
 
     def test_runs_are_ranked_by_the_ratio_at_their_point(self, monkeypatch):
-        # an abnormal line-search exit can return x0 with a trial point's
-        # value; a stale fun, lower for each later row, must not decide
+        # the ratio at each run's point is the fun minimize returns with it
+        # (TestMinimizeReturnsTheValueAtItsPoint): the runs are ranked by it,
+        # and no objective is evaluated after the search
         e1, e2, opts = _b4_pair(1)
-        reference = observable_divergence(e1, e2, opts)
-        real = divergence.minimize
-        runs = []
+        real, ratio = divergence.minimize, divergence._ratio_gradient
+        runs, after = [], []
 
-        def stale(fun, x0, **kwargs):
-            res = real(fun, x0, **kwargs)
-            runs.append(res)
-            res.fun = res.fun - 0.1 * np.arange(1, len(x0) + 1)
-            return res
+        def recorded(fun, x0, **kwargs):
+            runs.append(real(fun, x0, **kwargs))
+            return runs[-1]
 
-        monkeypatch.setattr(divergence, "minimize", stale)
+        def counted(x, roots):
+            after.extend([len(x)] if runs else [])
+            return ratio(x, roots)
+
+        monkeypatch.setattr(divergence, "minimize", recorded)
+        monkeypatch.setattr(divergence, "_ratio_gradient", counted)
         est = observable_divergence(e1, e2, opts)
-        assert min(res.fun.min() for res in runs) < reference.value - 0.1
-        assert est.value == reference.value
+        (res,) = runs
+        j = int(np.argmin(res.fun))
+        assert after == []
+        assert np.array_equal(res.fun, ratio(res.x, _roots(e1, e2))[0])
+        assert est.value == divergence._clamped(float(res.fun[j])) > 0.0
+        assert est.argmin.tobytes() == divergence._pair_from_params(res.x[j]).tobytes()
         _assert_ratio_at_argmin(e1, e2, est)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -706,7 +793,7 @@ class TestInfeasiblePoints:
         assert np.array_equal(res.x[: len(bad)], bad)  # a zero gradient: the rows stay put
         assert (res.fun[: len(bad)] == divergence.INFEASIBLE).all()
         assert est.value == res.fun[len(bad) :].min()
-        v1, v2 = _argmin_vectors(est)
+        v1, v2 = est.argmin
         assert pure_fidelity(v1, v2) >= divergence.EPS_DEN
         _assert_ratio_at_argmin(e1, e2, est)
 
@@ -733,8 +820,9 @@ class TestEqualObservables:
         assert est.value == 1.0
         assert (est.restarts, est.converged, est.converged_starts, est.seed) == (0, True, 0, 5)
         assert "equal observables" in est.method
-        for state in est.argmin:
-            assert np.allclose(state.matrix, np.outer(v, v.conj()), atol=1e-15)
+        assert est.argmin[0].tobytes() == est.argmin[1].tobytes()
+        for u in est.argmin:
+            assert np.allclose(np.outer(u, u.conj()), np.outer(v, v.conj()), atol=1e-15)
         assert abs(estimate_recompute(e, e, est) - 1.0) <= 1e-12
 
     def test_nearly_equal_observables_are_searched(self, rng):
@@ -762,8 +850,7 @@ def _runs(monkeypatch):
 def _same_estimate(a, b):
     assert (a.value, a.method, a.restarts, a.seed) == (b.value, b.method, b.restarts, b.seed)
     assert (a.converged, a.converged_starts) == (b.converged, b.converged_starts)
-    for x, y in zip(a.argmin, b.argmin):
-        assert x.matrix.tobytes() == y.matrix.tobytes()
+    assert a.argmin.tobytes() == b.argmin.tobytes()
 
 
 class TestStartBlocks:

@@ -7,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from oracles import save_json
 
 import qmultimeter
 from qmultimeter import divergence, verify
-from qmultimeter.sampling import random_povm, rng_from
+from qmultimeter.sampling import random_povm
 from qmultimeter.serialize import observable_to_json
 
 # run in a fresh interpreter: the test session itself imports scipy for its oracles
@@ -83,9 +84,16 @@ def test_scipy_loads_nowhere():
     }
 
 
+def test_importing_the_package_loads_no_numpy_random():
+    # numpy imports numpy.random on first use: about 5 MiB of RSS that a
+    # run which draws nothing, or draws only after its peak, need not carry
+    probe = "import json, sys\nimport qmultimeter\nprint(json.dumps('numpy.random' in sys.modules))"
+    assert run_probe(probe) is False
+
+
 @pytest.fixture(scope="module")
 def observable_files(tmp_path_factory):
-    rng = rng_from(5)
+    rng = np.random.default_rng(5)
     paths = []
     for name in ("e1", "e2"):
         path = tmp_path_factory.mktemp("povms") / f"{name}.json"

@@ -51,9 +51,14 @@ def test_run_verification_rejects_bad_counts_before_writing(tmp_path):
 
 def test_size_report_counts_lines_and_settable_values(tmp_path):
     (tmp_path / "a.py").write_text(
+        '"""A module docstring\n'                  # docstring line
+        'over two lines."""\n'                     # docstring line
         "from dataclasses import dataclass, field\n"
+        "# a comment line\n"                       # comment line
         "def f(x, y=1, *, z=2, w): pass\n"       # 2
-        "def _g(x=1): pass\n"                     # private: 0
+        "def _g(x=1):\n"                          # private: 0
+        '    """A function docstring."""\n'       # docstring line
+        "    return x  # a comment after code\n"  # code line
         "@dataclass\n"
         "class C:\n"
         "    a: int\n"
@@ -71,7 +76,9 @@ def test_size_report_counts_lines_and_settable_values(tmp_path):
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "lines 15\nsettable values 5\n"
+    assert proc.stdout == (
+        "lines 20\nsettable values 5\ncode lines 15\ndocstring lines 3\ncomment lines 1\n"
+    )
 
 
 # a stand-in for perfbench/run.py: it logs its tree and seed, then prints the

@@ -15,6 +15,7 @@ from oracles import (
 from qmultimeter.divergence import DivergenceOptions, observable_divergence
 from qmultimeter.groups import covariant_observable
 from qmultimeter.postprocessing import PostProcessing
+from qmultimeter.quantum import DensityState
 from qmultimeter.sampling import random_channel, random_density, random_povm
 from qmultimeter.serialize import (
     estimate_to_json,
@@ -80,8 +81,11 @@ class TestRoundTrips:
             "value", "argmin", "method", "restarts", "converged", "converged_starts", "seed"
         }
         assert doc["converged_starts"] == est.converged_starts
-        s0 = state_from_json(doc["argmin"][0])
-        assert np.array_equal(s0.matrix, est.argmin[0].matrix)
+        # each state written is the pure state of its argmin vector, bit for bit
+        for state, v in zip(doc["argmin"], est.argmin, strict=True):
+            matrix = state_from_json(state).matrix
+            assert np.array_equal(matrix, DensityState.from_vector(v).matrix)
+            assert np.allclose(matrix, np.outer(v, v.conj()), rtol=0, atol=1e-15)
 
 
 class TestValidation:

@@ -19,10 +19,8 @@ from qmultimeter.sampling import (
     random_postprocessing,
     random_povm,
     random_pure_vector,
-    rng_from,
 )
 from qmultimeter.verify import (
-    BoundCurve,
     DemoFailure,
     bound_curve,
     default_random_fixture,
@@ -120,7 +118,7 @@ class TestProp3:
 def random_device(seed):
     """A random multimeter on a qubit with a 4-dimensional probe, and an rng to
     draw probe states from."""
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     return random_multimeter(rng, 2, 4), rng
 
 
@@ -171,7 +169,7 @@ class TestBoundaryProperties:
 def covariant7_random_probes():
     """The d = 7 phase-space device programmed by two random mixed probe states,
     with random 7-output kernels: full-rank programmed effects."""
-    rng = rng_from(5)
+    rng = np.random.default_rng(5)
     mm = covariant_multimeter(weyl_heisenberg(7))
     xi1 = random_density(rng, mm.probe_dim)
     xi2 = random_density(rng, mm.probe_dim)
@@ -296,7 +294,7 @@ class TestRealCoordinateBornRule:
 
     @pytest.mark.parametrize("povm", sorted(BORN_POVMS))
     def test_statistics_match_outcome_distribution(self, povm):
-        rng = rng_from(3)
+        rng = np.random.default_rng(3)
         e = BORN_POVMS[povm](rng)
         assert np.max(np.abs(e.effects.imag)) > 0.1
         v = unit_rows(rng, 40, e.dim)
@@ -308,7 +306,7 @@ class TestRealCoordinateBornRule:
 
     @pytest.mark.parametrize("povm", sorted(BORN_POVMS))
     def test_kernel_on_effects_equals_kernel_on_statistics(self, povm):
-        rng = rng_from(4)
+        rng = np.random.default_rng(4)
         e = BORN_POVMS[povm](rng)
         kern = random_postprocessing(rng, e.n_outcomes, 3).kernel
         v = unit_rows(rng, 40, e.dim)
@@ -338,7 +336,7 @@ class TestBProperties:
         # at this seed the smallest of the 20 sampled B2 ratios is 0.99190 and the
         # smallest B5 ratio 1.00347: an estimate of 0.999 is beaten by a sampled
         # pair by more than estimator_tol, while B5 still holds
-        rng = rng_from(0)
+        rng = np.random.default_rng(0)
         e1 = random_povm(rng, 2, 3)
         e2 = random_povm(rng, 2, 3)
         monkeypatch.setattr(
@@ -407,12 +405,6 @@ class TestBoundCurve:
         t0 = [ln for ln in lines[1:] if ln.startswith("0,")]
         assert len(t0) == 1
         assert abs(float(t0[0].split(",")[1]) - SQRT_HALF) < 1e-6
-
-    def test_curve_validation_rejects_asymmetry(self):
-        ts = np.linspace(-1, 1, 5)
-        vals = np.array([1.0, 0.8, SQRT_HALF, 0.8, 0.9])
-        with pytest.raises(ValueError, match="symmetric"):
-            BoundCurve(ts, vals)
 
 
 class TestDemos:
@@ -573,7 +565,7 @@ class TestSeeds:
         def refuse(*args, **kwargs):
             raise AssertionError("the check started before the seed was checked")
 
-        monkeypatch.setattr(verify, "rng_from", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
         monkeypatch.setattr(verify, "observable_divergence", refuse)
         with pytest.raises(ValueError, match=f"seed must be an integer, got {name}$"):
             if which == "povm_bound":
@@ -617,8 +609,9 @@ class TestTrialCounts:
         def refuse(*args, **kwargs):
             raise AssertionError("the check started before the trial count was checked")
 
-        for name in ("program", "_sampled_pairs", "rng_from", "observable_divergence"):
+        for name in ("program", "_sampled_pairs", "observable_divergence"):
             monkeypatch.setattr(verify, name, refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
         name = "n" if which == "b_properties" else "trials"
         with pytest.raises(ValueError, match=f"^{name} {message}$"):
             self.CHECKS[which](count)
@@ -653,8 +646,9 @@ class TestTolerances:
         def refuse(*args, **kwargs):
             raise AssertionError("the check started before the tolerance was checked")
 
-        for name in ("program", "_sampled_pairs", "rng_from", "observable_divergence"):
+        for name in ("program", "_sampled_pairs", "observable_divergence"):
             monkeypatch.setattr(verify, name, refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
         name = "estimator_tol" if which == "b_properties" else "tol_check"
         with pytest.raises(ValueError, match=f"^tolerance {name} must be a finite number"):
             self.CHECKS[which](tol)
@@ -768,7 +762,7 @@ class TestSampledPairsCache:
     def test_vectors_equal_a_fresh_seeded_draw(self, fixture):
         d = FIXTURES[fixture]()[0].system_dim
         v1, v2, f_states = verify._sampled_pairs(4, 60, d, d)
-        rng = rng_from(4)
+        rng = np.random.default_rng(4)
         fresh = []
         for _ in range(2):
             v = rng.standard_normal((60, d)) + 1j * rng.standard_normal((60, d))
