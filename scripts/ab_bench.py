@@ -6,10 +6,13 @@ Usage: python scripts/ab_bench.py PARENT_TREE CHANGE_TREE --workload W --pairs N
 Each pair runs ``perfbench/run.py --trace 0`` once in each tree, from that
 tree's root, with the pair number as the seed; the parent runs first in even
 pairs and the change first in odd ones, so a drift in the host's load falls
-on both sides alike. It prints each pair's ``op_p50_s`` and ``peak_rss_mb``,
-then the medians of both trees, the quartiles of the parent's ``op_p50_s``
-and the number of pairs in which the change ran faster. A missing tree or a
-bad count exits with code 2 before any run; a failed run exits with code 1.
+on both sides alike. The metrics are the end-to-end ones that the parent
+tree's ``BENCHMARK.json`` declares, which is only read. It prints each pair's
+``op_p50_s`` and ``peak_rss_mb``, then the medians of every metric in both
+trees, the quartiles of the parent's ``op_p50_s`` and the number of pairs in
+which the change ran faster. A missing tree or a bad count exits with code 2
+before any run; a failed run, or one that reports no value for a declared
+metric, exits with code 1.
 """
 
 import argparse
@@ -20,19 +23,22 @@ import subprocess
 import sys
 from pathlib import Path
 
-METRICS = ("op_p50_s", "peak_rss_mb")
-
 
 def _tree(path: str) -> Path:
     root = Path(path).resolve()
-    for part in ("perfbench/run.py", "src/qmultimeter/__init__.py"):
+    for part in ("BENCHMARK.json", "perfbench/run.py", "src/qmultimeter/__init__.py"):
         if not (root / part).is_file():
             raise argparse.ArgumentTypeError(f"{path} is no source tree: {part} is missing")
     return root
 
 
-def _run(tree: Path, args, seed: int) -> dict:
-    """The end-to-end metrics of one ``perfbench/run.py`` run in ``tree``."""
+def _metric_names(tree: Path) -> list:
+    """The names of the end-to-end metrics that ``tree``'s BENCHMARK.json declares."""
+    return [m["name"] for m in json.loads((tree / "BENCHMARK.json").read_text())["end_to_end"]]
+
+
+def _run(tree: Path, args, seed: int, names: list) -> dict:
+    """The metrics ``names`` of one ``perfbench/run.py`` run in ``tree``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
     # the run puts the tree's own src/ on the path; an inherited one must not shadow it
@@ -41,7 +47,10 @@ def _run(tree: Path, args, seed: int) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench/run.py in {tree} exited with code {proc.returncode}")
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
-    return {name: metrics[name]["value"] for name in METRICS}
+    missing = [name for name in names if name not in metrics]
+    if missing:
+        raise RuntimeError(f"perfbench/run.py in {tree} reported no {', '.join(missing)}")
+    return {name: metrics[name]["value"] for name in names}
 
 
 def _quartiles(values: list) -> tuple:
@@ -64,13 +73,14 @@ def main(argv=None) -> int:
     if not args.seconds > 0:
         ap.error(f"--seconds must be positive, got {args.seconds}")
 
+    names = _metric_names(args.parent)
     runs = {"parent": [], "change": []}
     print(f"workload {args.workload}: {args.pairs} pairs of {args.seconds:g} s runs")
     print("pair  first   parent op_p50_s  change op_p50_s  parent peak_rss_mb  change peak_rss_mb")
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         try:
-            result = {side: _run(getattr(args, side), args, pair) for side in order}
+            result = {side: _run(getattr(args, side), args, pair, names) for side in order}
         except RuntimeError as exc:
             print(f"ab_bench: {exc}", file=sys.stderr)
             return 1
@@ -80,16 +90,15 @@ def main(argv=None) -> int:
               f"{result['change']['op_p50_s']:15.6g}  {result['parent']['peak_rss_mb']:18.2f}  "
               f"{result['change']['peak_rss_mb']:18.2f}", flush=True)
 
+    for name in names:
+        median = {side: statistics.median(r[name] for r in runs[side]) for side in runs}
+        shift = f"{median['change'] / median['parent'] - 1:+.1%}" if median["parent"] else "n/a"
+        print(f"median {name}: parent {median['parent']:.6g}, change {median['change']:.6g} "
+              f"({shift})")
     p50 = {side: [r["op_p50_s"] for r in runs[side]] for side in runs}
-    rss = {side: [r["peak_rss_mb"] for r in runs[side]] for side in runs}
-    median = {side: statistics.median(p50[side]) for side in runs}
     q1, q3 = _quartiles(p50["parent"])
     won = sum(c < p for p, c in zip(p50["parent"], p50["change"]))
-    print(f"median op_p50_s: parent {median['parent']:.6g}, change {median['change']:.6g} "
-          f"({median['change'] / median['parent'] - 1:+.1%})")
     print(f"parent op_p50_s quartiles: {q1:.6g} .. {q3:.6g} (spread {q3 - q1:.3g})")
-    print(f"median peak_rss_mb: parent {statistics.median(rss['parent']):.2f}, "
-          f"change {statistics.median(rss['change']):.2f}")
     print(f"change faster in {won} of {args.pairs} pairs")
     return 0
 

@@ -9,9 +9,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import as_matrix, hermitianize, tensor
+from .linalg import TOL_HERM, as_matrix, herm_defect, hermitianize, tensor
 from .postprocessing import PostProcessing
-from .quantum import DensityState, Multimeter, Observable
+from .quantum import (
+    ATOL_COMPLETE,
+    ATOL_PROGRAM,
+    REL_RANK_CLIP,
+    DensityState,
+    Multimeter,
+    Observable,
+)
 
 UNITARY_TOL = 1e-10
 MULTIPLIER_TOL = 1e-9
@@ -171,11 +178,26 @@ class ProjectiveRepresentation:
         return self.matrices.shape[1]
 
 
-def _covariant_effects(rep: ProjectiveRepresentation, m: np.ndarray) -> np.ndarray:
-    """The covariant effects hermitianize((d/#G) U(g) m U(g)^dagger) of a seed m,
-    stacked over the elements g of ``rep``, of degree d."""
-    u = rep.matrices
-    return hermitianize((rep.degree / rep.group.order) * u @ m @ u.conj().transpose(0, 2, 1))
+def _covariant_observable(
+    rep: ProjectiveRepresentation, m: np.ndarray, atol_complete: float
+) -> Observable:
+    """The covariant observable of a seed m, with the effects
+    (d/#G) U(g) m U(g)^dagger labelled by the elements g of ``rep``, of degree d.
+
+    One ``eigh`` of m gives the factor F = V sqrt((d/#G) w) of its eigenvalues
+    w above ``REL_RANK_CLIP`` times the largest, so FF^dagger is (d/#G) m
+    within that clip and F has one column per kept eigenvalue, r in all.
+    Each effect is the Gram product a a^dagger of a = U(g) F, all a formed by
+    one (#G d, d) x (d, r) product: O(#G d^2 r), so O(d^4) for a pure seed.
+    ``Observable._from_factors`` states why such effects skip the
+    Hermiticity and Cholesky checks.
+    """
+    d, n = rep.degree, rep.group.order
+    w, v = np.linalg.eigh(hermitianize(m))
+    keep = w > w.max() * REL_RANK_CLIP
+    f = v[:, keep] * np.sqrt(w[keep] * (d / n))
+    a = (rep.matrices.reshape(n * d, d) @ f).reshape(n, d, -1)
+    return Observable._from_factors(a, list(rep.group.names), atol_complete)
 
 
 def covariant_observable(rep: ProjectiveRepresentation, seed: DensityState) -> Observable:
@@ -187,7 +209,7 @@ def covariant_observable(rep: ProjectiveRepresentation, seed: DensityState) -> O
     if seed.dim != rep.degree:
         raise ValueError(f"seed dim {seed.dim} != representation degree {rep.degree}")
     try:
-        return Observable(_covariant_effects(rep, seed.matrix), outcomes=list(rep.group.names))
+        return _covariant_observable(rep, seed.matrix, ATOL_COMPLETE)
     except ValueError as exc:
         raise ValueError(
             f"covariant effects do not form an observable ({exc}); "
@@ -367,7 +389,7 @@ class CovariantMultimeter(Multimeter):
 
     Its interaction swaps the system with the probe's first factor, a d^3 x d^3
     unitary that the device never builds: it programs itself in closed form
-    (``programmed_effects``). The (n, d^2, d^2) pointer stack is built when
+    (``programmed_observable``). The (n, d^2, d^2) pointer stack is built when
     first read, and kept.
     """
 
@@ -391,14 +413,15 @@ class CovariantMultimeter(Multimeter):
     def system_dim(self) -> int:
         return self.representation.degree
 
-    def programmed_effects(self, xi: np.ndarray) -> tuple:
-        """E_xi(g) = (d/#G) U(g) sigma^T U(g)^dagger, labelled by the group
-        elements, with sigma = tr_1 xi the probe state traced over its first
-        factor: the Kraus contraction of the swap against the pointer
+    def programmed_observable(self, xi: np.ndarray) -> Observable:
+        """The covariant observable E_xi(g) = (d/#G) U(g) sigma^T U(g)^dagger
+        of the seed sigma^T, labelled by the group elements, with
+        sigma = tr_1 xi the probe state traced over its first factor: the
+        Kraus contraction of the swap against the pointer
         (``covariant_pointer``) in closed form, which reads neither."""
-        rep, d = self.representation, self.system_dim
+        d = self.system_dim
         sigma = np.trace(xi.reshape(d, d, d, d), axis1=0, axis2=2)
-        return _covariant_effects(rep, sigma.T), rep.group.names
+        return _covariant_observable(self.representation, sigma.T, ATOL_PROGRAM)
 
     def dual_pointer_effects(self) -> list:
         """Pointer effects pulled back through the partial SWAP: the dense
@@ -445,6 +468,27 @@ def covariant_program_state(eta: DensityState, seed: DensityState) -> DensitySta
     factor's validation found, so no d^2 x d^2 ``eigh`` is needed. Each entry
     of ``tensor`` is rounded once, which moves each eigenvalue by at most
     about eps and the negative mass by about d^2 eps, far inside ``PROB_CLIP``.
+    The d^4-entry Hermiticity scan runs only when the bound
+    ``_kron_herm_bound`` of the two validated factors exceeds ``TOL_HERM``;
+    the product of finite factors is finite, and the trace check runs either
+    way.
     """
+    sigma = seed.matrix.T
     spectrum = np.outer(eta._spectrum, seed._spectrum)
-    return DensityState._with_spectrum(tensor(eta.matrix, seed.matrix.T), spectrum)
+    hermitian = _kron_herm_bound(eta.matrix, sigma) <= TOL_HERM
+    return DensityState._with_spectrum(tensor(eta.matrix, sigma), spectrum, hermitian)
+
+
+def _kron_herm_bound(a: np.ndarray, b: np.ndarray) -> float:
+    """A bound on ``herm_defect(tensor(a, b))`` read off the factors.
+
+    Entry by entry, a_ij b_kl - conj(a_ji b_lk) is
+    a_ij (b - b^dagger)_kl + (a - a^dagger)_ij conj(b_lk), at most
+    max|a| defect(b) + defect(a) max|b|. Each entry of ``tensor`` is one
+    complex product, rounded by at most sqrt(5) eps/2 of its modulus, so the
+    two entries of a difference add at most 2.3 eps max|a| max|b|, taken as
+    4 eps. A NaN factor makes the bound NaN, which no tolerance passes.
+    """
+    top_a, top_b = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
+    rounding = 4 * np.finfo(float).eps * top_a * top_b
+    return top_a * herm_defect(b) + herm_defect(a) * top_b + rounding

@@ -23,9 +23,16 @@ def as_matrix(m) -> np.ndarray:
 
 
 def hermitianize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m†)/2 of a matrix, or of each matrix in a stack
-    (..., n, n); used to scrub asymmetry noise."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    """Hermitian part (m + m†)/2 of a float or complex matrix, or of each
+    matrix in a stack (..., n, n); used to scrub asymmetry noise.
+
+    Formed in one new array, m† copied in C order, then m added and the sum
+    halved in place: the same bits as (m + m†)/2, since addition commutes
+    and halving is exact, with one temporary fewer."""
+    h = np.conjugate(m.swapaxes(-1, -2), order="C")
+    h += m
+    h *= 0.5
+    return h
 
 
 def herm_defect(m: np.ndarray) -> float:

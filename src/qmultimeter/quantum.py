@@ -18,13 +18,16 @@ from .linalg import (
 
 ATOL_TRACE = 1e-9
 ATOL_COMPLETE = 1e-9     # sum of effects vs identity
+ATOL_PROGRAM = 1e-8      # the same for a programmed observable
 NEG_MASS_TOL = 1e-9      # repairable negative eigenvalue mass in a state
 PROB_CLIP = 1e-12        # outcome probabilities this far below zero are noise
 
 
-def _require_unit_trace(matrix) -> np.ndarray:
-    """A finite, square, Hermitian (within TOL_HERM) matrix of unit trace."""
-    m = require_hermitian(matrix)
+def _require_unit_trace(matrix, hermitian: bool = False) -> np.ndarray:
+    """A finite, square, Hermitian (within TOL_HERM) matrix of unit trace.
+    ``hermitian`` says the caller has proved the first three, so that only
+    the trace is checked."""
+    m = matrix if hermitian else require_hermitian(matrix)
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > ATOL_TRACE:
         raise ValueError(f"state trace {tr!r} is not 1 within {ATOL_TRACE:.1e}")
@@ -44,8 +47,9 @@ class DensityState:
     ``DensityState(m)``, and so every loaded or sampled state, finds that mass
     with ``eigh``. ``from_vector``, ``maximally_mixed`` and
     ``groups.covariant_program_state`` know their spectrum from how they are
-    built and read the mass off it (``_with_spectrum``), after the same
-    finite, Hermiticity and trace checks. Each state keeps the spectrum its
+    built and read the mass off it (``_with_spectrum``), after the trace check
+    and the same finite and Hermiticity checks, which the probe skips when
+    its factors bound its Hermiticity defect. Each state keeps the spectrum its
     validation found or was given. A state whose matrix ``eigh`` validated
     unchanged also keeps the eigenvectors, until ``root`` is built from them.
     """
@@ -76,12 +80,14 @@ class DensityState:
         self._vectors = vectors
 
     @classmethod
-    def _with_spectrum(cls, matrix, spectrum) -> "DensityState":
+    def _with_spectrum(cls, matrix, spectrum, hermitian: bool = False) -> "DensityState":
         """The state of ``matrix``, whose eigenvalues ``spectrum`` are known
         from how it was built, validated without ``eigh``.
 
         The finite, square, Hermiticity and trace checks are those of
-        ``DensityState(matrix)``. A negative mass of ``spectrum`` within
+        ``DensityState(matrix)``; ``hermitian`` says the caller has proved the
+        matrix finite, square and Hermitian within ``TOL_HERM``, so that only
+        the trace is checked. A negative mass of ``spectrum`` within
         ``PROB_CLIP`` is kept as it is, as ``eigh`` would keep it, so the
         matrix is stored bit for bit; any more falls back to
         ``DensityState(matrix)``, which re-projects or rejects it.
@@ -90,7 +96,7 @@ class DensityState:
         if float(-np.sum(spectrum[spectrum < 0.0])) > PROB_CLIP:
             return cls(matrix)
         state = cls.__new__(cls)
-        state._keep(_require_unit_trace(matrix), spectrum.ravel())
+        state._keep(_require_unit_trace(matrix, hermitian), spectrum.ravel())
         return state
 
     @classmethod
@@ -241,6 +247,12 @@ class Observable:
             )
         if n_ok < n:
             raise ValueError("effects must be square matrices of equal dimension")
+        self._keep(stack)
+
+    def _keep(self, stack: np.ndarray):
+        """Check that the effects ``stack`` sum to the identity and that there
+        is one label per effect, then keep the stack as a read-only view."""
+        n, d = stack.shape[:2]
         defect = float(np.max(np.abs(stack.sum(0) - np.eye(d))))
         if defect > self.atol_complete:
             raise ValueError(
@@ -254,6 +266,29 @@ class Observable:
         # a read-only view: an array taken without a copy stays writable to its owner
         self.effects = stack.view()
         self.effects.flags.writeable = False
+
+    @classmethod
+    def _from_factors(cls, factors, outcomes, atol_complete: float) -> "Observable":
+        """The observable of the Gram products E(x) = hermitianize(a a^dagger)
+        of the (d, r) factors a = ``factors[x]``, one batched product.
+
+        Such effects cannot fail the Hermiticity and Cholesky checks of
+        ``Observable(effects)``, so they are not run: ``hermitianize`` makes
+        each effect exactly Hermitian, and the computed a a^dagger is the
+        Gram product of the stored a, which is positive, plus a rounding
+        error of norm at most about r eps tr E(x) (Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 3). Once the effects sum to
+        the identity, tr E(x) <= d, so every eigenvalue lies above about
+        -r d eps, far inside -TOL_PSD. The finite, completeness and label
+        checks run as in ``Observable(effects)``.
+        """
+        stack = hermitianize(factors @ factors.conj().swapaxes(-1, -2))
+        if not np.isfinite(stack).all():
+            raise ValueError(NON_FINITE)
+        obs = cls.__new__(cls)
+        obs.outcomes, obs.atol_complete = outcomes, atol_complete
+        obs._keep(stack)
+        return obs
 
     @property
     def dim(self) -> int:
@@ -332,7 +367,9 @@ def outcome_distribution(e: Observable, rho: DensityState) -> np.ndarray:
     return p
 
 
-_REL_RANK_CLIP = 1e-12
+# eigenvalues below this fraction of the largest count as zero: the rank
+# decision of a state's square root and of a covariant seed's factor
+REL_RANK_CLIP = 1e-12
 
 
 def _state_root(m: np.ndarray, eigh: tuple = None) -> np.ndarray:
@@ -342,7 +379,7 @@ def _state_root(m: np.ndarray, eigh: tuple = None) -> np.ndarray:
     w, v = np.linalg.eigh(hermitianize(m)) if eigh is None else eigh
     w = np.clip(w, 0.0, None)
     if w.size:
-        w[w < w.max() * _REL_RANK_CLIP] = 0.0
+        w[w < w.max() * REL_RANK_CLIP] = 0.0
     return (v * np.sqrt(w)) @ v.conj().T
 
 
@@ -360,7 +397,7 @@ def fidelity(rho1: DensityState, rho2: DensityState) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-# the contraction order of ``Multimeter.programmed_effects``, fixed so that no
+# the contraction order of ``Multimeter.programmed_observable``, fixed so that no
 # path search runs on each call and none can move the rounding: xi into
 # conj(K), that against K (the tensor T), then T against the pointer
 _KRAUS_PATH = ["einsum_path", (1, 2), (0, 2), (0, 1)]
@@ -394,12 +431,12 @@ class Multimeter:
     def system_dim(self) -> int:
         return self.interaction.in_dim // self.probe_dim
 
-    def programmed_effects(self, xi: np.ndarray) -> tuple:
-        """The effects realized on the system by the probe state matrix ``xi``,
-        and their labels: each is tr_probe of the dual interaction of 1 x Z(x)
-        against 1 x xi, one ``np.einsum`` over the stacked Kraus operators
-        K_r[s,p,m,l] (s, m, i index the system, p, q, l, j the probe). The
-        probe state is contracted into
+    def programmed_observable(self, xi: np.ndarray) -> Observable:
+        """The observable realized on the system by the probe state matrix
+        ``xi``, validated in full. Each effect is tr_probe of the dual
+        interaction of 1 x Z(x) against 1 x xi, one ``np.einsum`` over the
+        stacked Kraus operators K_r[s,p,m,l] (s, m, i index the system,
+        p, q, l, j the probe). The probe state is contracted into
         T[p,m,q,i] = sum_(r,s,l,j) K_r[s,p,m,l] xi[l,j] conj(K_r[s,q,i,j]),
         and every effect is read off it, E(x)_im = sum_(p,q) Z(x)[q,p] T[p,m,q,i].
         """
@@ -407,18 +444,20 @@ class Multimeter:
         k = np.array(self.interaction.kraus).reshape(-1, d_sys, d_probe, d_sys, d_probe)
         z = self.pointer.effects
         effects = np.einsum("rspml,lj,rsqij,xqp->xim", k, xi, k.conj(), z, optimize=_KRAUS_PATH)
-        return hermitianize(effects), self.pointer.outcomes
+        return Observable(
+            hermitianize(effects), outcomes=list(self.pointer.outcomes), atol_complete=ATOL_PROGRAM
+        )
 
 
 def program(multimeter: Multimeter, xi: DensityState) -> Observable:
     """Observable E_xi realized on the system when the probe starts in ``xi``.
 
-    The device computes the effects (``programmed_effects``): a Kraus
-    contraction for a ``Multimeter``, a closed form for a covariant device
-    (``groups.CovariantMultimeter``). They are validated once here; a
-    completeness defect beyond 1e-8 signals a broken interaction channel.
+    The device builds and validates it (``programmed_observable``): a Kraus
+    contraction checked in full for a ``Multimeter``, Gram products certified
+    by construction for a covariant device (``groups.CovariantMultimeter``).
+    A completeness defect beyond ``ATOL_PROGRAM`` signals a broken
+    interaction channel.
     """
     if xi.dim != multimeter.probe_dim:
         raise ValueError(f"probe state dim {xi.dim} != probe dim {multimeter.probe_dim}")
-    effects, outcomes = multimeter.programmed_effects(xi.matrix)
-    return Observable(effects, outcomes=list(outcomes), atol_complete=1e-8)
+    return multimeter.programmed_observable(xi.matrix)

@@ -593,6 +593,16 @@ def ancilla_extended(e):
     return Observable(np.kron(e.effects, np.eye(e.dim)), outcomes=list(e.outcomes))
 
 
+def covariant_effects_oracle(rep, m: np.ndarray) -> np.ndarray:
+    """The covariant effects hermitianize((d/#G) U(g) m U(g)^dagger) of a seed
+    m as two dense products per element: the triple-product formula the
+    package's seed-factor form must match."""
+    from qmultimeter.linalg import hermitianize
+
+    u = rep.matrices
+    return hermitianize((rep.degree / rep.group.order) * u @ m @ u.conj().transpose(0, 2, 1))
+
+
 def sharp_from_subgroup(rep, generator, psi: np.ndarray):
     """Sharp observable from coset-merging the covariant POVM seeded with psi.
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from oracles import (
+    covariant_effects_oracle,
     program_vectors_by_column,
     schur_vectors_by_index,
     sharp_from_subgroup,
@@ -13,7 +14,7 @@ from oracles import (
     walked_powers,
 )
 
-from qmultimeter import groups
+from qmultimeter import groups, quantum
 from qmultimeter.groups import (
     PAULI_X,
     PAULI_Y,
@@ -33,10 +34,11 @@ from qmultimeter.groups import (
     weyl_heisenberg,
     wh_element_index,
 )
-from qmultimeter.linalg import hermitianize, tensor
+from qmultimeter.linalg import TOL_HERM, herm_defect, hermitianize, tensor
 from qmultimeter.postprocessing import post_process_observable
-from qmultimeter.quantum import DensityState, program
+from qmultimeter.quantum import REL_RANK_CLIP, DensityState, Observable, program
 from qmultimeter.sampling import random_density, random_unitary
+from qmultimeter.verify import PHASE_SPACE_MAX_DIM
 
 I2 = np.eye(2, dtype=complex)
 
@@ -667,6 +669,149 @@ class TestKnownSpectrumStates:
                 assert _revalidates_to_itself(covariant_program_state(eta, pure))
 
 
+@pytest.fixture
+def factor_ranks(monkeypatch):
+    """The column count r of every factor stack a Gram-built observable is
+    formed from, in call order."""
+    ranks = []
+    original = Observable._from_factors.__func__
+
+    def spy(cls, factors, *args):
+        ranks.append(factors.shape[-1])
+        return original(cls, factors, *args)
+
+    monkeypatch.setattr(Observable, "_from_factors", classmethod(spy))
+    return ranks
+
+
+@pytest.fixture
+def hermiticity_scans(monkeypatch):
+    """The shapes of the matrices whose Hermiticity ``quantum`` checks in full."""
+    shapes = []
+    original = quantum.require_hermitian
+
+    def spy(m):
+        shapes.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(quantum, "require_hermitian", spy)
+    return shapes
+
+
+def _assert_full_check_agrees(obs):
+    """``Observable(effects)``, with its Hermiticity and Cholesky checks,
+    accepts the Gram-built effects and keeps them bit for bit."""
+    full = Observable(obs.effects.copy(), outcomes=obs.outcomes, atol_complete=obs.atol_complete)
+    assert full.effects.tobytes() == obs.effects.tobytes()
+    assert full.outcomes == obs.outcomes
+
+
+def _assert_probe_within_bound(eta, seed, probe):
+    """The probe's measured Hermiticity defect is within its factor bound."""
+    assert herm_defect(probe.matrix) <= groups._kron_herm_bound(eta.matrix, seed.matrix.T)
+
+
+class TestGramBuiltObservables:
+    """Covariant effects are Gram products of a seed factor, certified by
+    construction; the full checks they skip agree on every shipped fixture."""
+
+    def _programs_and_agrees(self, mm, eta, seed):
+        probe = covariant_program_state(eta, seed)
+        _assert_probe_within_bound(eta, seed, probe)
+        programmed = program(mm, probe)
+        _assert_full_check_agrees(programmed)
+        _assert_full_check_agrees(covariant_observable(mm.representation, seed))
+        return programmed
+
+    def test_q8_every_target(self, q8, factor_ranks):
+        mm = covariant_multimeter(q8)
+        for gen in sharp_generators(q8):
+            eigvals, vecs = eigenvector_program_states(q8, gen)
+            for target in eigvals:
+                ((psi, probe, _, exact),) = eigenvector_program(q8, [gen], [target])
+                assert exact
+                eta, seed = DensityState.maximally_mixed(2), DensityState.from_vector(psi)
+                built = covariant_program_state(eta, seed)
+                assert probe.matrix.tobytes() == built.matrix.tobytes()
+                _assert_probe_within_bound(eta, seed, probe)
+                _assert_full_check_agrees(program(mm, probe))
+        # pure seeds program through one factor column
+        assert factor_ranks == [1] * 2 * len(sharp_generators(q8))
+
+    @pytest.mark.parametrize(
+        "d", [p for p in range(2, PHASE_SPACE_MAX_DIM + 1) if groups.is_prime(p)]
+    )
+    def test_eigenvector_program_at_every_prime(self, d, factor_ranks):
+        rep = weyl_heisenberg(d)
+        mm = covariant_multimeter(rep)
+        gens = [wh_element_index(d, 0, 1)] + [wh_element_index(d, 1, k) for k in range(d)]
+        targets = [1.0 + 0j] + [np.exp(2j * np.pi / d)] * d
+        eta = DensityState.maximally_mixed(d)
+        for psi, probe, _, _ in eigenvector_program(rep, gens, targets):
+            _assert_probe_within_bound(eta, DensityState.from_vector(psi), probe)
+            _assert_full_check_agrees(program(mm, probe))
+        assert factor_ranks == [1] * (d + 1)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_random_mixed_and_rank_deficient_seeds(self, d, rng, factor_ranks):
+        mm = covariant_multimeter(weyl_heisenberg(d))
+        for rank in range(1, d + 1):
+            for _ in range(3):
+                # a mixture of ``rank`` orthonormal vectors with random weights
+                vecs = random_unitary(rng, d)[:, :rank]
+                weights = rng.dirichlet(np.ones(rank))
+                seed = DensityState((vecs * weights) @ vecs.conj().T)
+                self._programs_and_agrees(mm, random_density(rng, d), seed)
+        for _ in range(3):
+            self._programs_and_agrees(mm, random_density(rng, d), random_density(rng, d))
+        # each seed programs once and builds its observable once
+        ranks = [r for r in range(1, d + 1) for _ in range(3) for _ in "pc"] + [d] * 6
+        assert factor_ranks == ranks
+
+    def test_pure_seed_programs_through_one_column(self, rng, factor_ranks):
+        rep = weyl_heisenberg(5)
+        seed = DensityState.from_vector(random_unitary(rng, 5)[:, 0])
+        mm = covariant_multimeter(rep)
+        programmed = self._programs_and_agrees(mm, random_density(rng, 5), seed)
+        assert factor_ranks == [1, 1]
+        oracle = covariant_effects_oracle(rep, seed.matrix)
+        assert np.max(np.abs(programmed.effects - oracle)) < 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_factor_bound_holds_on_factors_off_hermitian(self, d, rng, hermiticity_scans):
+        # validated factors keep their asymmetry, here up to about 4e-11 an entry
+        def off_hermitian():
+            noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            return DensityState(random_density(rng, d).matrix + 1e-11 * noise)
+
+        for _ in range(10):
+            eta, seed = off_hermitian(), off_hermitian()
+            bound = groups._kron_herm_bound(eta.matrix, seed.matrix.T)
+            assert 0.0 < herm_defect(eta.matrix) and bound <= TOL_HERM
+            scans = len(hermiticity_scans)
+            probe = covariant_program_state(eta, seed)
+            assert hermiticity_scans[scans:] == []
+            assert 0.0 < herm_defect(probe.matrix) <= bound
+            full = DensityState._with_spectrum(probe.matrix.copy(), probe._spectrum)
+            assert hermiticity_scans[scans:] == [(d * d, d * d)]
+            assert full.matrix.tobytes() == probe.matrix.tobytes()
+
+    def test_probe_beyond_its_bound_takes_the_full_check(self, hermiticity_scans):
+        # two valid states, each 0.9 TOL_HERM from Hermitian, of largest entry 1
+        eta = DensityState(np.array([[1.0, 0.9 * TOL_HERM], [0.0, 0.0]], dtype=complex))
+        seed = DensityState(np.array([[0.0, 0.0], [0.9 * TOL_HERM, 1.0]], dtype=complex))
+        assert herm_defect(eta.matrix) == herm_defect(seed.matrix) == 0.9 * TOL_HERM
+        assert groups._kron_herm_bound(eta.matrix, seed.matrix.T) > TOL_HERM
+        scans = len(hermiticity_scans)
+        probe = covariant_program_state(eta, seed)
+        assert hermiticity_scans[scans:] == [(4, 4)]
+        product = tensor(eta.matrix, seed.matrix.T)
+        expected = DensityState._with_spectrum(product, np.outer(eta._spectrum, seed._spectrum))
+        assert probe.matrix.tobytes() == expected.matrix.tobytes()
+        assert np.array_equal(probe._spectrum, expected._spectrum)
+        assert herm_defect(probe.matrix) <= TOL_HERM
+
+
 class TestEffectStacks:
     """Each effect stack equals the per-element construction bit for bit."""
 
@@ -680,13 +825,21 @@ class TestEffectStacks:
             expected.append(scale * np.outer(u, u.conj()))
         assert np.array_equal(covariant_multimeter(rep).pointer.effects, np.array(expected))
 
-    def test_covariant_observable(self, wh3, rng):
-        seed = random_density(rng, 3)
-        d, n = wh3.degree, wh3.group.order
-        expected = [
-            hermitianize((d / n) * u @ seed.matrix @ u.conj().T) for u in wh3.matrices
-        ]
-        assert np.array_equal(covariant_observable(wh3, seed).effects, np.array(expected))
+    def test_covariant_observable(self, rng):
+        # the Gram products of U(g) F, F the seed's clipped eigendecomposition
+        # scaled by sqrt(d/#G), and within 1e-15 of the triple product
+        for which in ("q8", 3, 5, 7):
+            rep = fixture_representation(which)
+            d, n = rep.degree, rep.group.order
+            seed = random_density(rng, d)
+            w, v = np.linalg.eigh(hermitianize(seed.matrix))
+            keep = w > w.max() * REL_RANK_CLIP
+            f = v[:, keep] * np.sqrt(w[keep] * (d / n))
+            expected = [hermitianize((u @ f) @ (u @ f).conj().T) for u in rep.matrices]
+            effects = covariant_observable(rep, seed).effects
+            assert np.array_equal(effects, np.array(expected)), which
+            oracle = covariant_effects_oracle(rep, seed.matrix)
+            assert np.max(np.abs(effects - oracle)) <= 1e-15, which
 
 
 class TestCovariantMultimeter:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qmultimeter.divergence import bhattacharyya
 from qmultimeter.groups import coset_postprocessing, covariant_observable
+from qmultimeter.linalg import TOL_PSD
 from qmultimeter.postprocessing import (
     PostProcessing,
     post_process_observable,
@@ -77,6 +78,16 @@ class TestObservableAction:
         out = post_process_observable(PostProcessing.identity(2), e)
         assert out.atol_complete == e.atol_complete
         assert np.array_equal(out.effects, e.effects)
+
+    def test_merged_effects_keep_the_full_positivity_check(self):
+        # each effect is certified only above -TOL_PSD, and a merging kernel
+        # adds them, so two effects at -0.9 TOL_PSD merge to -1.8 TOL_PSD:
+        # the merged observable must be checked in full, not passed on trust
+        low = -0.9 * TOL_PSD
+        e = Observable([np.diag([low, 0.5]), np.diag([low, 0.5]), np.diag([1 - 2 * low, 0.0])])
+        merge = PostProcessing(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"effect has eigenvalue -1\.800e-09 below -1\.0e-09"):
+            post_process_observable(merge, e)
 
     def test_identity_kernel(self, rng):
         e = random_povm(rng, 2, 3)

@@ -82,15 +82,19 @@ def test_size_report_counts_lines_and_settable_values(tmp_path):
 
 
 # a stand-in for perfbench/run.py: it logs its tree and seed, then prints the
-# last-line JSON of an end-to-end run, op_p50_s read from the tree's speed file
+# last-line JSON of an end-to-end run: op_p50_s read from the tree's speed
+# file, the other metrics it knows derived from it, for each name the tree's
+# BENCHMARK.json declares
 FAKE_RUN = """
 import json, pathlib, sys
 seed = sys.argv[sys.argv.index("--seed") + 1]
 with open(sys.argv[0].replace("run.py", "../../runs.log"), "a") as log:
     log.write(pathlib.Path.cwd().name + " " + seed + "\\n")
 p50 = float(pathlib.Path("speed").read_text()) * (1 + int(seed) / 100)
-print(json.dumps({"metrics": {"op_p50_s": {"value": p50, "unit": "s"},
-                              "peak_rss_mb": {"value": 50.0, "unit": "MiB"}}}))
+values = {"setup_s": 0.5, "op_p50_s": p50, "op_tail_s": 2 * p50, "ops_per_s": 1 / p50,
+          "peak_rss_mb": 50.0}
+names = [m["name"] for m in json.loads(pathlib.Path("BENCHMARK.json").read_text())["end_to_end"]]
+print(json.dumps({"metrics": {n: {"value": values[n]} for n in names if n in values}}))
 """
 
 
@@ -100,6 +104,7 @@ def fake_tree(root: Path, name: str, speed: float) -> Path:
     (tree / "src" / "qmultimeter").mkdir(parents=True)
     (tree / "src" / "qmultimeter" / "__init__.py").write_text("")
     (tree / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (tree / "BENCHMARK.json").write_text((REPO / "BENCHMARK.json").read_text())
     (tree / "speed").write_text(str(speed))
     return tree
 
@@ -119,16 +124,41 @@ def test_ab_bench_alternates_the_trees_and_counts_the_wins(tmp_path):
     # the order swaps each pair, and the seed is the pair number
     assert runs == ["parent 0", "change 0", "change 1", "parent 1", "parent 2", "change 2"]
     out = proc.stdout
-    assert "median op_p50_s: parent 0.0101, change 0.00808 (-20.0%)" in out
+    # every end-to-end metric the benchmark declares, medians per tree
+    declared = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+    assert {m["name"] for m in declared} == {
+        "setup_s", "op_p50_s", "op_tail_s", "ops_per_s", "peak_rss_mb"
+    }
+    for line in (
+        "median setup_s: parent 0.5, change 0.5 (+0.0%)",
+        "median op_p50_s: parent 0.0101, change 0.00808 (-20.0%)",
+        "median op_tail_s: parent 0.0202, change 0.01616 (-20.0%)",
+        "median ops_per_s: parent 99.0099, change 123.762 (+25.0%)",
+        "median peak_rss_mb: parent 50, change 50 (+0.0%)",
+    ):
+        assert line in out
     assert "parent op_p50_s quartiles: 0.01 .. 0.0102" in out
     assert out.rstrip().endswith("change faster in 3 of 3 pairs")
 
 
+def test_ab_bench_fails_when_a_run_lacks_a_declared_metric(tmp_path):
+    parent, change = fake_tree(tmp_path, "parent", 0.010), fake_tree(tmp_path, "change", 0.008)
+    doc = json.loads((parent / "BENCHMARK.json").read_text())
+    doc["end_to_end"].append({"name": "op_p99_s", "unit": "s", "better": "lower"})
+    (parent / "BENCHMARK.json").write_text(json.dumps(doc))
+    proc = ab_bench(parent, change, "--workload", "divergence_b4", "--pairs", 1, "--seconds", 1)
+    assert proc.returncode == 1
+    assert "reported no op_p99_s" in proc.stderr
+
+
 def test_ab_bench_rejects_a_missing_tree_or_a_bad_count_before_any_run(tmp_path):
     tree = fake_tree(tmp_path, "tree", 0.01)
+    bare = fake_tree(tmp_path, "bare", 0.01)
+    (bare / "BENCHMARK.json").unlink()
     cases = [
         ((tmp_path / "missing", tree, "--pairs", 2), "is no source tree"),
         ((tree, tmp_path / "missing", "--pairs", 2), "is no source tree"),
+        ((bare, tree, "--pairs", 2), "BENCHMARK.json is missing"),
         ((tree, tree, "--pairs", 0), "--pairs must be at least 1, got 0"),
         ((tree, tree, "--pairs", -2), "--pairs must be at least 1, got -2"),
         ((tree, tree, "--pairs", "2.5"), "invalid int value"),
