@@ -121,9 +121,9 @@ def coset_postprocessing(group: FiniteGroup, generator: int) -> PostProcessing:
     """Deterministic kernel merging group-labelled outcomes by left coset of
     ``<generator>``."""
     cosets = np.array(left_cosets(group, generator))
-    kernel = np.zeros((group.order, len(cosets)))
-    kernel[cosets, np.arange(len(cosets))[:, None]] = 1.0
-    return PostProcessing(kernel, out_labels=[group.names[g] for g in cosets[:, 0]])
+    relabel = np.empty(group.order, dtype=int)
+    relabel[cosets] = np.arange(len(cosets))[:, None]
+    return PostProcessing._relabelling(relabel, len(cosets), [group.names[g] for g in cosets[:, 0]])
 
 
 @dataclass(eq=False)
@@ -277,20 +277,33 @@ def wh_element_index(d: int, x: int, y: int) -> int:
 def eigenvector_program_states(
     rep: ProjectiveRepresentation, generators: int | np.ndarray
 ) -> tuple:
-    """Eigenvalues and orthonormal eigenvectors (columns) of U(generator), as
-    ``np.linalg.eig`` returns them, ordered by their root-of-unity index k.
-    Each vector is an invariant seed for the subgroup the generator generates.
-    For an index array ``generators`` the results are stacked along its axes:
-    one ``eig`` and one QR of the whole stack, which return, bit for bit, what
-    they return for each matrix alone.
+    """Eigenvalues and orthonormal eigenvectors (columns) of U(generator),
+    ordered by their root-of-unity index k. Each vector is an invariant seed
+    for the subgroup the generator generates. For an index array
+    ``generators`` the results are stacked along its axes: every step runs on
+    the whole stack and returns, bit for bit, what it returns for each matrix
+    alone.
 
-    Every generator must produce a cyclic subgroup of order #G / degree, the
-    regime where coset merging of the covariant observable turns sharp.
+    Every generator must produce a cyclic subgroup of order m = #G / degree,
+    the regime where coset merging of the covariant observable turns sharp.
+    Then U^m = c 1, so the eigenvalues are phi exp(2 pi i k / m), with phi the
+    principal m-th root of c = tr(U^m) / d. The Cayley transform of
+    V = U exp(i (pi/m - pi)) / phi, H = i (1 - V)(1 + V)^-1, is Hermitian
+    with eigenvalues tan(theta_k / 2) at the angles
+    theta_k = 2 pi k / m + pi/m - pi of V, which lie in (-pi, pi) and increase
+    with k. So one ``eigh`` gives an orthonormal basis, that of a repeated
+    eigenvalue included, already in k order. Each eigenvalue is read back as
+    the Rayleigh quotient lambda = v^dagger U v.
 
-    U(generator) is normal, so ``np.linalg.eig``'s vectors of distinct
-    eigenvalues are orthogonal; QR of the sorted vectors removes their
-    rounding and makes those of a repeated eigenvalue orthonormal, so the basis
-    is unitary regardless of degeneracy.
+    The invariance check bounds each projector P = v v^dagger by the residual
+    r = Uv - lambda v, which is orthogonal to the unit vector v. With
+    delta = |Uv|^2 - 1 = |lambda|^2 + |r|^2 - 1, UPU^dagger - P acts on
+    span(v, r) as [[delta - |r|^2, lambda |r|], [conj(lambda) |r|, |r|^2]],
+    a traceless part of norm |r| |Uv| plus diag(delta, 0). So
+    max|UPU^dagger - P| <= |r| |Uv| + |delta| (exactly |r| for U unitary),
+    and that bound, not the entries it bounds, is held within
+    ``EIGVEC_INVARIANCE_TOL`` for every vector: O(d^3) per generator, where
+    the entries took O(d^4).
     """
     gens = np.reshape(generators, -1)
     want = rep.group.order // rep.degree
@@ -302,23 +315,19 @@ def eigenvector_program_states(
                 f"expected #G/degree = {want}"
             )
     u = rep.matrices[gens]
-    eigvals, vecs = np.linalg.eig(u)
-    # U^m = c 1, so λ = phi exp(2 pi i k / m) with phi = (λ^m)^(1/m): sort by the integer
-    # k, not by a phase whose rounding can put k = 0 last
-    phi = np.array([(complex(w) ** want) ** (1 / want) for w in eigvals[:, 0]])
-    k = np.rint(np.angle(eigvals / phi[:, None]) * (want / (2 * np.pi))) % want
-    order = np.argsort(k, axis=-1, kind="stable")
-    eigvals = np.take_along_axis(eigvals, order, axis=-1)
-    vecs = np.linalg.qr(np.take_along_axis(vecs, order[:, None, :], axis=-1))[0]
+    c = np.trace(np.linalg.matrix_power(u, want), axis1=1, axis2=2) / rep.degree
+    v = u * (np.exp(1j * np.pi * (1 / want - 1)) / c ** (1 / want))[:, None, None]
+    eye = np.eye(rep.degree)
+    vecs = np.linalg.eigh(hermitianize(1j * np.linalg.solve(eye + v, eye - v)))[1]
     pivots = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[:, None, :], axis=-2)
     # the scalar abs, not the array np.abs: the two round differently, and
     # every programmed payload downstream carries these phases
     vecs = vecs / np.array([x / abs(x) for x in pivots.reshape(-1)]).reshape(pivots.shape)
-    # the (m, d, d, d) stack of every generator's projectors, checked at once
-    vt = vecs.swapaxes(-1, -2)
-    p = vt[:, :, :, None] * vt.conj()[:, :, None, :]
-    moved = u[:, None] @ p @ u.conj().swapaxes(-1, -2)[:, None]
-    if float(np.max(np.abs(moved - p))) > EIGVEC_INVARIANCE_TOL:
+    uv = u @ vecs
+    eigvals = np.sum(vecs.conj() * uv, axis=-2)
+    norm = np.linalg.norm(uv, axis=-2)
+    residual = np.linalg.norm(uv - vecs * eigvals[:, None, :], axis=-2)
+    if float(np.max(residual * norm + np.abs(norm**2 - 1.0))) > EIGVEC_INVARIANCE_TOL:
         raise ValueError("eigenvector failed the invariance check")
     shape = np.shape(generators)
     return eigvals.reshape(shape + eigvals.shape[1:]), vecs.reshape(shape + vecs.shape[1:])

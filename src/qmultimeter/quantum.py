@@ -200,6 +200,9 @@ class Observable:
     effects: np.ndarray
     outcomes: list = None
     atol_complete: float = ATOL_COMPLETE
+    # the read-only (n, d, r) Gram factors of an observable built by
+    # ``_from_factors``; every other observable has none
+    _factors = None
 
     def __post_init__(self):
         effects = self.effects
@@ -217,6 +220,8 @@ class Observable:
         if not n:
             raise ValueError("observable needs at least one effect")
         d = stack.shape[1]
+        if not d:
+            raise ValueError("effects must be square matrices of dimension at least 1")
         # the error raised is that of the first effect failing a check, shape
         # before Hermiticity before positivity; non-finite entries come first.
         # A NaN or inf entry leaves a NaN or inf in its effect's Hermiticity
@@ -270,7 +275,8 @@ class Observable:
     @classmethod
     def _from_factors(cls, factors, outcomes, atol_complete: float) -> "Observable":
         """The observable of the Gram products E(x) = hermitianize(a a^dagger)
-        of the (d, r) factors a = ``factors[x]``, one batched product.
+        of the (d, r) factors a = ``factors[x]``, one batched product; it
+        keeps the factors, read-only.
 
         Such effects cannot fail the Hermiticity and Cholesky checks of
         ``Observable(effects)``, so they are not run: ``hermitianize`` makes
@@ -288,6 +294,8 @@ class Observable:
         obs = cls.__new__(cls)
         obs.outcomes, obs.atol_complete = outcomes, atol_complete
         obs._keep(stack)
+        obs._factors = factors.view()
+        obs._factors.flags.writeable = False
         return obs
 
     @property

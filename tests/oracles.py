@@ -544,16 +544,31 @@ def root_of_unity_index(w, u, m) -> np.ndarray:
     return np.argmin(np.abs(np.asarray(w)[:, None] - roots[None, :]), axis=1)
 
 
-def program_vectors_by_column(u, m) -> np.ndarray:
-    """The package's eig + QR basis ordered by root-of-unity index (``u`` has
-    order m up to a scalar), each column's phase fixed one column at a time
-    through the scalar abs of its largest entry."""
-    w, v = np.linalg.eig(u)
-    order = np.argsort(root_of_unity_index(w, u, m), kind="stable")
-    vecs = np.linalg.qr(v[:, order])[0]
-    for col in range(vecs.shape[1]):
-        x = vecs[np.argmax(np.abs(vecs[:, col])), col]
-        vecs[:, col] = vecs[:, col] / (x / abs(x))
+def eig_program_states(u, m) -> tuple:
+    """Eigenvalues and eigenvectors of a stack ``u`` of normal matrices of
+    order m up to a scalar, by a general ``np.linalg.eig``: the values sorted
+    by their root-of-unity index k, rounded from the phase against phi, the
+    principal m-th root of the first eigenvalue's m-th power; the sorted
+    vectors orthonormalised by QR; each column's phase fixed through the
+    scalar abs of its largest entry. The eigenbasis the package took before
+    it ran one Hermitian ``eigh``."""
+    eigvals, vecs = np.linalg.eig(u)
+    phi = np.array([(complex(w) ** m) ** (1 / m) for w in eigvals[:, 0]])
+    k = np.rint(np.angle(eigvals / phi[:, None]) * (m / (2 * np.pi))) % m
+    order = np.argsort(k, axis=-1, kind="stable")
+    eigvals = np.take_along_axis(eigvals, order, axis=-1)
+    vecs = np.linalg.qr(np.take_along_axis(vecs, order[:, None, :], axis=-1))[0]
+    return eigvals, phase_fixed_by_column(vecs)
+
+
+def phase_fixed_by_column(vecs) -> np.ndarray:
+    """A stack of bases with each column divided, one column at a time, by
+    the unit phase x / abs(x) of its largest entry x, through the scalar abs."""
+    vecs = np.array(vecs)
+    for basis in vecs:
+        for col in range(basis.shape[1]):
+            x = basis[np.argmax(np.abs(basis[:, col])), col]
+            basis[:, col] = basis[:, col] / (x / abs(x))
     return vecs
 
 

@@ -342,6 +342,16 @@ class TestDivergenceCommand:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("config error:") and "non-finite" in err
 
+    def test_dimension_zero_observable_file_is_config_error(self, capsys, tmp_path):
+        doc = {"dim": 0, "outcomes": ["a"], "effects": {"a": {"rows": 0, "cols": 0, "entries": []}}}
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "divergence", "--e1", str(path), "--e2", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error: cannot load observables")
+        assert "dimension at least 1" in err
+
     @pytest.mark.parametrize(
         "malformed", ["list", "null rows", "fractional rows", "string rows"]
     )

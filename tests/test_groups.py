@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 from oracles import (
     covariant_effects_oracle,
-    program_vectors_by_column,
+    eig_program_states,
+    phase_fixed_by_column,
     schur_vectors_by_index,
     sharp_from_subgroup,
     sharp_generators,
@@ -35,7 +36,7 @@ from qmultimeter.groups import (
     wh_element_index,
 )
 from qmultimeter.linalg import TOL_HERM, herm_defect, hermitianize, tensor
-from qmultimeter.postprocessing import post_process_observable
+from qmultimeter.postprocessing import PostProcessing, post_process_observable
 from qmultimeter.quantum import REL_RANK_CLIP, DensityState, Observable, program
 from qmultimeter.sampling import random_density, random_unitary
 from qmultimeter.verify import PHASE_SPACE_MAX_DIM
@@ -320,6 +321,10 @@ class TestSubgroupsAndCosets:
                 expected[coset, j] = 1.0
             assert np.array_equal(kern.kernel, expected)
             assert kern.out_labels == [g.names[c[0]] for c in walked]
+            # the kernel built as a relabelling, and the one validated densely
+            dense = PostProcessing(expected, out_labels=kern.out_labels)
+            assert kern.kernel.tobytes() == dense.kernel.tobytes()
+            assert np.array_equal(kern._relabel, dense._relabel)
 
     def test_coset_kernel_is_deterministic(self, q8):
         g = q8.group
@@ -440,14 +445,69 @@ class TestProgramVectors:
                 assert abs(abs(np.vdot(vectors[a], vectors[b])) - 1 / np.sqrt(d)) < 1e-8
 
     @pytest.mark.parametrize("which", ["q8", 3, 5, 7, 13])
-    def test_vectors_equal_the_per_column_phase_fix(self, which):
+    def test_vectors_equal_the_per_column_phase_fix(self, which, monkeypatch):
+        # the stacked phase fix of eigh's vectors equals, bit for bit, the
+        # per-column fix through the scalar abs, whose rounding every
+        # programmed payload carries
         rep = fixture_representation(which)
-        want = rep.group.order // rep.degree
         gens = sharp_generators(rep)
         assert gens
-        for gen in gens:
-            _, vecs = eigenvector_program_states(rep, gen)
-            assert np.array_equal(vecs, program_vectors_by_column(rep.matrices[gen], want))
+        raw = []
+        eigh = np.linalg.eigh
+
+        def recording(h):
+            w, v = eigh(h)
+            raw.append(v)
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        _, vecs = eigenvector_program_states(rep, np.array(gens))
+        monkeypatch.undo()
+        assert np.array_equal(vecs, phase_fixed_by_column(raw[0]))
+        # every column is the eig + QR column up to a unit phase, fixed by
+        # one of its largest entries, which is then real and positive; every
+        # entry of a MUB vector has one modulus, so rounding picks that pivot,
+        # and the two bases may pick different entries: the reference is
+        # compared after aligning it at ours
+        _, ref = eig_program_states(rep.matrices[gens], rep.group.order // rep.degree)
+        top = np.abs(vecs) >= np.max(np.abs(vecs), axis=-2, keepdims=True) - 1e-15
+        real = (vecs.real > 0) & (np.abs(vecs.imag) <= 2 * np.finfo(float).eps)
+        assert np.all(np.any(top & real, axis=-2))
+        pivots = np.argmax(top & real, axis=-2)[:, None, :]
+        ratio = np.take_along_axis(vecs, pivots, axis=-2) / np.take_along_axis(ref, pivots, axis=-2)
+        assert np.max(np.abs(vecs - ref * (ratio / np.abs(ratio)))) < 1e-14
+
+    @pytest.mark.parametrize("which", ["q8", 2, 3, 5, 7, 11, 13, 17, 19])
+    def test_eigenbasis_matches_eig_and_qr(self, which):
+        # the Cayley eigh against the general eig + QR it replaced: the same
+        # eigenvalue order, eigenvalues and projectors within 1e-14
+        rep = fixture_representation(which)
+        gens = sharp_generators(rep)
+        eigvals, vecs = eigenvector_program_states(rep, np.array(gens))
+        ref_vals, ref = eig_program_states(rep.matrices[gens], rep.group.order // rep.degree)
+        assert np.max(np.abs(eigvals - ref_vals)) < 1e-14
+        got = vecs.swapaxes(-1, -2)[..., None] * vecs.swapaxes(-1, -2).conj()[..., None, :]
+        want = ref.swapaxes(-1, -2)[..., None] * ref.swapaxes(-1, -2).conj()[..., None, :]
+        assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("which", ["q8", 19])
+    def test_invariance_check_rejects_a_rotated_basis(self, which, monkeypatch):
+        # a basis rotated by 1e-8 between two eigenvectors of distinct
+        # eigenvalues moves their projectors by about 1e-8 |lambda - lambda'|,
+        # above EIGVEC_INVARIANCE_TOL
+        rep = fixture_representation(which)
+        gen = sharp_generators(rep)[0]
+        eigh = np.linalg.eigh
+
+        def rotated(h):
+            w, v = eigh(h)
+            c, s = np.cos(1e-8), np.sin(1e-8)
+            return w, np.concatenate([c * v[..., :1] + s * v[..., 1:2], v[..., 1:]], axis=-1)
+
+        eigenvector_program_states(rep, gen)
+        monkeypatch.setattr(np.linalg, "eigh", rotated)
+        with pytest.raises(ValueError, match="invariance check"):
+            eigenvector_program_states(rep, gen)
 
     @pytest.mark.parametrize("which", ["q8", 2, 3, 5, 7, 11, 13, 17, 19])
     def test_projectors_match_schur(self, which):

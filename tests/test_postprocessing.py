@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmultimeter.divergence import bhattacharyya
-from qmultimeter.groups import coset_postprocessing, covariant_observable
+from qmultimeter.groups import (
+    coset_postprocessing,
+    covariant_observable,
+    eigenvector_program_states,
+    q8_representation,
+    weyl_heisenberg,
+    wh_element_index,
+)
 from qmultimeter.linalg import TOL_PSD
 from qmultimeter.postprocessing import (
     PostProcessing,
@@ -43,6 +50,109 @@ class TestPostProcessingType:
     def test_non_finite_kernel_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite entry"):
             PostProcessing(np.array([[bad, 1.0], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (0, 0)])
+    def test_kernel_without_rows_rejected(self, shape):
+        with pytest.raises(ValueError, match="^kernel needs at least one input row$"):
+            PostProcessing(np.zeros(shape))
+
+    def test_relabelling_is_recognised_by_its_exact_entries(self):
+        assert PostProcessing(np.eye(3)[[2, 0, 2]])._relabel.tolist() == [2, 0, 2]
+        # within ROW_SUM_TOL of a relabelling, but not one
+        assert PostProcessing(np.array([[1.0, 1e-13], [0.0, 1.0]]))._relabel is None
+        assert PostProcessing(np.full((2, 2), 0.5))._relabel is None
+        # entries a rounding above 1 or below 0 are clipped to a relabelling
+        assert PostProcessing(np.array([[1.0 + 1e-13, -1e-13]]))._relabel.tolist() == [0]
+
+
+def _merged_in_full(kern, e):
+    """The merged observable as the kernel's tensordot, validated in full."""
+    return Observable(
+        np.tensordot(kern.kernel, e.effects, axes=(0, 0)),
+        outcomes=kern.out_labels,
+        atol_complete=e.atol_complete,
+    )
+
+
+@pytest.fixture
+def full_checks(monkeypatch):
+    """The number of ``Observable.__post_init__`` runs."""
+    calls = []
+    original = Observable.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(Observable, "__post_init__", counting)
+    return calls
+
+
+class TestFactorMerge:
+    """A relabelling of Gram-factored effects merges the factors."""
+
+    @staticmethod
+    def _agrees(kern, e, full_checks):
+        full_checks.clear()
+        merged = post_process_observable(kern, e)
+        assert merged._factors is not None and not full_checks
+        ref = _merged_in_full(kern, e)
+        assert merged.outcomes == ref.outcomes
+        assert merged.atol_complete == ref.atol_complete
+        assert np.max(np.abs(merged.effects - ref.effects)) <= 1e-15
+        return merged
+
+    @pytest.mark.parametrize("d", ["q8", 2, 3, 5, 7, 11, 13, 17, 19])
+    def test_cosets_of_every_program_vector(self, d, full_checks):
+        if d == "q8":
+            rep = q8_representation()
+            gens = [rep.group.names.index(n) for n in "ijk"]
+        else:
+            rep = weyl_heisenberg(d)
+            gens = [wh_element_index(d, 0, 1)] + [wh_element_index(d, 1, k) for k in range(d)]
+        _, vecs = eigenvector_program_states(rep, np.array(gens))
+        for gen, basis in zip(gens, vecs):
+            kern = coset_postprocessing(rep.group, gen)
+            # the vectors of the first and the last eigenvalue
+            for psi in basis.T[[0, -1]]:
+                e = covariant_observable(rep, DensityState.from_vector(psi))
+                self._agrees(kern, e, full_checks)
+
+    @pytest.mark.parametrize("d", ["q8", 3, 5])
+    def test_random_mixed_seeds_and_relabellings(self, d, rng, full_checks):
+        # mixed seeds give r = degree columns a factor; random relabellings
+        # give outputs of unequal size, some of them empty
+        rep = q8_representation() if d == "q8" else weyl_heisenberg(d)
+        n = rep.group.order
+        for trial in range(10):
+            e = covariant_observable(rep, random_density(rng, rep.degree))
+            assert e._factors.shape == (n, rep.degree, rep.degree)
+            n_out = int(rng.integers(1, n + 3))
+            relabel = rng.integers(0, n_out, size=n)
+            kern = PostProcessing(np.eye(n_out)[relabel], out_labels=[f"o{j}" for j in range(n_out)])
+            merged = self._agrees(kern, e, full_checks)
+            for j in np.setdiff1d(np.arange(n_out), relabel):
+                assert not merged.effects[j].any()
+            if trial == 0:
+                # a merged observable merges again through its factors
+                self._agrees(PostProcessing(np.ones((n_out, 1))), merged, full_checks)
+
+    def test_stochastic_kernel_takes_the_full_check(self, q8, rng, full_checks):
+        e = covariant_observable(q8, random_density(rng, 2))
+        out = post_process_observable(random_postprocessing(rng, 8, 3), e)
+        assert len(full_checks) == 1 and out._factors is None
+
+    def test_dense_validated_input_takes_the_full_check(self, q8, rng, full_checks):
+        e = covariant_observable(q8, random_density(rng, 2))
+        dense = Observable(e.effects.copy(), outcomes=e.outcomes)
+        assert dense._factors is None
+        out = post_process_observable(coset_postprocessing(q8.group, 2), dense)
+        assert len(full_checks) == 2 and out._factors is None
+
+    def test_factors_are_read_only(self, q8, rng):
+        e = covariant_observable(q8, random_density(rng, 2))
+        with pytest.raises(ValueError, match="read-only"):
+            e._factors[0, 0, 0] = 0.0
 
 
 class TestObservableAction:

@@ -235,6 +235,13 @@ class TestObservable:
         with pytest.raises(ValueError, match=message):
             Observable([effects[name] for name in order])
 
+    @pytest.mark.parametrize(
+        "effects", [[np.zeros((0, 0))], np.zeros((2, 0, 0)), [np.zeros((0, 0)), I2]]
+    )
+    def test_dimension_zero_rejected(self, effects):
+        with pytest.raises(ValueError, match="^effects must be square matrices of dimension at least 1$"):
+            Observable(effects)
+
     def test_default_labels(self):
         e = trivial_observable(2, 3)
         assert e.outcomes == ["0", "1", "2"]

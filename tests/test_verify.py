@@ -429,6 +429,19 @@ class TestDemos:
         report = phase_space_demo(2)
         assert report["vector_count"] == 3
         assert report["worst_overlap_gap"] < 1e-8
+        assert report["canonical_eigenvalue_missing"] == ["(1,1)"]
+
+    @pytest.mark.parametrize("demo", [lambda: phase_space_demo(7), quaternion_demo])
+    def test_demos_run_no_full_check_no_dense_merge_and_no_general_eig(self, monkeypatch, demo):
+        # programmed and merged effects are Gram products, certified by
+        # construction; each eigenbasis comes from one Hermitian eigh
+        def refuse(*args, **kwargs):
+            raise AssertionError("a structured step took the general path")
+
+        monkeypatch.setattr(Observable, "__post_init__", refuse)
+        monkeypatch.setattr(np, "tensordot", refuse)
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        demo()
 
     def test_phase_space_demo_memory_at_d19_is_bounded(self):
         # one d^2 x d^2 probe state (2.1 MB at d = 19) is alive at a time, and
