@@ -86,44 +86,71 @@ class FiniteGroup:
         return len(self.names)
 
 
-def cyclic_subgroup(group: FiniteGroup, generator: int) -> np.ndarray:
-    """The powers e, g, g^2, ... of ``generator`` read off the table, identity
-    first: closed, and a subgroup of ``group``, by construction.
-
-    ``generator`` must be an integer element index in [0, #G): a negative
-    index would wrap to another element and a bool would pass as 0 or 1.
-    """
+def _check_index(group: FiniteGroup, generator) -> None:
+    """``generator`` must be an integer element index in [0, #G): a negative
+    index would wrap to another element and a bool would pass as 0 or 1."""
     if isinstance(generator, (bool, np.bool_)) or not isinstance(generator, (int, np.integer)):
         raise ValueError(f"generator index must be an integer, got {generator!r}")
     if not 0 <= generator < group.order:
         raise ValueError(f"generator index {generator} outside [0, {group.order})")
+
+
+def cyclic_subgroup(group: FiniteGroup, generator: int) -> np.ndarray:
+    """The powers e, g, g^2, ... of ``generator`` read off the table, identity
+    first: closed, and a subgroup of ``group``, by construction. The index is
+    checked as ``_check_index`` says."""
+    _check_index(group, generator)
     powers = [group.identity]
     while (g := int(group.table[powers[-1], generator])) != group.identity:
         powers.append(g)
     return np.array(powers)
 
 
+def _coset_relabellings(group: FiniteGroup, powers: np.ndarray) -> tuple:
+    """Left cosets of the cyclic subgroups H whose elements are the columns
+    of the (m, k) array ``powers``, each of order m: a (k, #G) array sending
+    every element to the index of its coset, and the (k, #G/m) smallest
+    element of each coset, in coset order.
+
+    The coset containing the identity comes first, the rest follow in order
+    of their smallest element. g and g' share a left coset exactly when
+    gH = g'H, so min(gH), one ``np.minimum`` per power, labels it, and the
+    elements that are their own label lead the cosets.
+    """
+    labels = group.table[:, powers[0]]
+    for row in powers[1:]:
+        np.minimum(labels, group.table[:, row], out=labels)
+    labels = labels.T
+    leads = labels == np.arange(group.order)
+    # each element's coset in order of the leaders, then the identity's moved first
+    rank = np.take_along_axis(np.cumsum(leads, axis=1) - 1, labels, axis=1)
+    first = rank[:, [group.identity]]
+    relabel = np.where(rank == first, 0, rank + (rank < first))
+    rows, cols = np.nonzero(leads)
+    leaders = np.empty((len(labels), group.order // len(powers)), dtype=int)
+    leaders[rows, relabel[rows, cols]] = cols
+    return relabel, leaders
+
+
+def _coset_kernel(group: FiniteGroup, relabel: np.ndarray, leaders: np.ndarray) -> PostProcessing:
+    """The relabelling of one row of ``_coset_relabellings``, each output
+    labelled by the name of its coset's smallest element."""
+    return PostProcessing._relabelling(relabel, len(leaders), [group.names[g] for g in leaders])
+
+
 def left_cosets(group: FiniteGroup, generator: int) -> list:
     """Partition of element indices into left cosets of the cyclic subgroup
-    ``<generator>``.
-
-    The coset containing the identity comes first, the rest follow in order of
-    their smallest element index; every coset is sorted, so that index leads it.
-    """
+    ``<generator>``, each sorted, in the order of ``_coset_relabellings``."""
     h = cyclic_subgroup(group, generator)
-    # g and g' share a left coset exactly when gH = g'H, so min(gH) labels it;
-    # a stable sort, identity's label first, lines up the |H|-element cosets
-    labels = group.table[:, h].min(axis=1)
-    return np.lexsort((labels, labels != labels[group.identity])).reshape(-1, len(h)).tolist()
+    relabel = _coset_relabellings(group, h[:, None])[0][0]
+    return np.argsort(relabel, kind="stable").reshape(-1, len(h)).tolist()
 
 
 def coset_postprocessing(group: FiniteGroup, generator: int) -> PostProcessing:
     """Deterministic kernel merging group-labelled outcomes by left coset of
     ``<generator>``."""
-    cosets = np.array(left_cosets(group, generator))
-    relabel = np.empty(group.order, dtype=int)
-    relabel[cosets] = np.arange(len(cosets))[:, None]
-    return PostProcessing._relabelling(relabel, len(cosets), [group.names[g] for g in cosets[:, 0]])
+    relabel, leaders = _coset_relabellings(group, cyclic_subgroup(group, generator)[:, None])
+    return _coset_kernel(group, relabel[0], leaders[0])
 
 
 @dataclass(eq=False)
@@ -274,6 +301,27 @@ def wh_element_index(d: int, x: int, y: int) -> int:
 # programming vectors and sharp observables
 
 
+def _subgroup_powers(rep: ProjectiveRepresentation, gens: np.ndarray) -> np.ndarray:
+    """The (m, k) powers g^0, ..., g^(m-1) of the k generators ``gens``, with
+    m = #G / degree, stacked by m steps of the table. Each index is checked
+    as ``_check_index`` says, and each generator must have order m."""
+    group, want = rep.group, rep.group.order // rep.degree
+    for g in gens:
+        _check_index(group, g)
+    powers = np.full((max(want, 1), len(gens)), group.identity)
+    for p in range(1, want):
+        powers[p] = group.table[powers[p - 1], gens]
+    early = (powers[1:] == group.identity).any(axis=0)
+    wrong = early | (group.table[powers[-1], gens] != group.identity) | (want < 1)
+    if wrong.any():
+        g = gens[np.argmax(wrong)]
+        raise ValueError(
+            f"generator {g} ({group.names[g]}) has order {len(cyclic_subgroup(group, g))}, "
+            f"expected #G/degree = {want}"
+        )
+    return powers
+
+
 def eigenvector_program_states(
     rep: ProjectiveRepresentation, generators: int | np.ndarray
 ) -> tuple:
@@ -285,7 +333,8 @@ def eigenvector_program_states(
     alone.
 
     Every generator must produce a cyclic subgroup of order m = #G / degree,
-    the regime where coset merging of the covariant observable turns sharp.
+    the regime where coset merging of the covariant observable turns sharp
+    (``_subgroup_powers`` checks it).
     Then U^m = c 1, so the eigenvalues are phi exp(2 pi i k / m), with phi the
     principal m-th root of c = tr(U^m) / d. The Cayley transform of
     V = U exp(i (pi/m - pi)) / phi, H = i (1 - V)(1 + V)^-1, is Hermitian
@@ -306,14 +355,7 @@ def eigenvector_program_states(
     the entries took O(d^4).
     """
     gens = np.reshape(generators, -1)
-    want = rep.group.order // rep.degree
-    for g in gens:
-        have = len(cyclic_subgroup(rep.group, g))
-        if have != want:
-            raise ValueError(
-                f"generator {g} ({rep.group.names[g]}) has order {have}, "
-                f"expected #G/degree = {want}"
-            )
+    want = len(_subgroup_powers(rep, gens))  # m, the order of every generator
     u = rep.matrices[gens]
     c = np.trace(np.linalg.matrix_power(u, want), axis1=1, axis2=2) / rep.degree
     v = u * (np.exp(1j * np.pi * (1 / want - 1)) / c ** (1 / want))[:, None, None]
@@ -353,9 +395,10 @@ def eigenvector_program(
     if np.shape(targets) != (len(generators),):
         raise ValueError(f"{np.size(targets)} targets for {len(generators)} generators")
     eigvals, vecs = eigenvector_program_states(rep, generators)
+    relabels = _coset_relabellings(rep.group, _subgroup_powers(rep, np.reshape(generators, -1)))
     dist = np.abs(eigvals - np.asarray(targets)[:, None])
     eta = DensityState.maximally_mixed(rep.degree)
-    for gen, row, vec in zip(generators, dist, vecs):
+    for row, vec, relabel, leaders in zip(dist, vecs, *relabels):
         pick = int(np.argmin(row))
         exact = bool(row[pick] <= TARGET_EIGENVALUE_TOL)
         psi = vec[:, pick if exact else 0]
@@ -364,7 +407,7 @@ def eigenvector_program(
         yield (
             psi,
             covariant_program_state(eta, DensityState.from_vector(psi)),
-            coset_postprocessing(rep.group, gen),
+            _coset_kernel(rep.group, relabel, leaders),
             exact,
         )
 

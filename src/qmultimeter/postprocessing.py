@@ -70,10 +70,6 @@ class PostProcessing:
     def n_out(self) -> int:
         return self.kernel.shape[1]
 
-    @classmethod
-    def identity(cls, n: int) -> "PostProcessing":
-        return cls(np.eye(n))
-
 
 def _merged_factors(relabel: np.ndarray, n_out: int, factors: np.ndarray) -> np.ndarray:
     """The (n_out, d, c r) factors of a relabelling's merged effects: output

@@ -194,7 +194,8 @@ class Observable:
     which is kept without a copy when it is already a C-contiguous complex
     stack. Positivity is first certified by blocked Cholesky factorizations
     (see ``_psd_certified``); only when that proves nothing do the smallest
-    eigenvalues decide.
+    eigenvalues decide. An observable built by ``_from_factors`` keeps its
+    Gram factors instead and builds ``effects`` when it is first read.
     """
 
     effects: np.ndarray
@@ -252,13 +253,15 @@ class Observable:
             )
         if n_ok < n:
             raise ValueError("effects must be square matrices of equal dimension")
-        self._keep(stack)
+        self._check_sum_and_labels(stack.sum(0), n)
+        # a read-only view: an array taken without a copy stays writable to its owner
+        self.effects = stack.view()
+        self.effects.flags.writeable = False
 
-    def _keep(self, stack: np.ndarray):
-        """Check that the effects ``stack`` sum to the identity and that there
-        is one label per effect, then keep the stack as a read-only view."""
-        n, d = stack.shape[:2]
-        defect = float(np.max(np.abs(stack.sum(0) - np.eye(d))))
+    def _check_sum_and_labels(self, total: np.ndarray, n: int):
+        """Check that the effects, of sum ``total``, sum to the identity and
+        that there is one label for each of the ``n`` effects."""
+        defect = float(np.max(np.abs(total - np.eye(len(total)))))
         if defect > self.atol_complete:
             raise ValueError(
                 f"effects sum to identity only within {defect:.3e} > {self.atol_complete:.1e}"
@@ -268,43 +271,57 @@ class Observable:
         self.outcomes = [str(x) for x in self.outcomes]
         if len(self.outcomes) != n:
             raise ValueError("one outcome label per effect required")
-        # a read-only view: an array taken without a copy stays writable to its owner
-        self.effects = stack.view()
-        self.effects.flags.writeable = False
 
     @classmethod
     def _from_factors(cls, factors, outcomes, atol_complete: float) -> "Observable":
         """The observable of the Gram products E(x) = hermitianize(a a^dagger)
-        of the (d, r) factors a = ``factors[x]``, one batched product; it
-        keeps the factors, read-only.
+        of the (d, r) factors a = ``factors[x]``. It keeps the factors,
+        read-only, and builds the effects, one batched product, when
+        ``effects`` is first read.
 
-        Such effects cannot fail the Hermiticity and Cholesky checks of
+        Completeness is checked on the factors: with M the d x n r matrix of
+        all factors side by side, the effects sum to M M^dagger, held within
+        ``atol_complete`` of the identity. A non-finite sum is rejected
+        first; a NaN or inf factor entry M_ij leaves one in the diagonal
+        entry sum_j |M_ij|^2, so it is rejected too. The labels are checked
+        as in ``Observable(effects)``.
+        The effects cannot fail the Hermiticity and Cholesky checks of
         ``Observable(effects)``, so they are not run: ``hermitianize`` makes
         each effect exactly Hermitian, and the computed a a^dagger is the
         Gram product of the stored a, which is positive, plus a rounding
         error of norm at most about r eps tr E(x) (Higham, Accuracy and
-        Stability of Numerical Algorithms, ch. 3). Once the effects sum to
-        the identity, tr E(x) <= d, so every eigenvalue lies above about
-        -r d eps, far inside -TOL_PSD. The finite, completeness and label
-        checks run as in ``Observable(effects)``.
+        Stability of Numerical Algorithms, ch. 3). Since
+        tr E(x) <= tr M M^dagger, within ``atol_complete`` of d, every
+        eigenvalue lies above about -r d eps, far inside -TOL_PSD.
         """
-        stack = hermitianize(factors @ factors.conj().swapaxes(-1, -2))
-        if not np.isfinite(stack).all():
+        n, d, r = factors.shape
+        side_by_side = factors.transpose(1, 0, 2).reshape(d, n * r)
+        total = side_by_side @ side_by_side.conj().T
+        if not np.isfinite(total).all():
             raise ValueError(NON_FINITE)
         obs = cls.__new__(cls)
         obs.outcomes, obs.atol_complete = outcomes, atol_complete
-        obs._keep(stack)
+        obs._check_sum_and_labels(total, n)
         obs._factors = factors.view()
         obs._factors.flags.writeable = False
         return obs
 
+    def __getattr__(self, name):
+        # reached only for an attribute not set: the effects of an observable
+        # built by ``_from_factors``, built on first read and kept
+        if name != "effects" or self._factors is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.effects = hermitianize(self._factors @ self._factors.conj().swapaxes(-1, -2))
+        self.effects.flags.writeable = False
+        return self.effects
+
     @property
     def dim(self) -> int:
-        return self.effects.shape[1]
+        return (self.effects if self._factors is None else self._factors).shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return self.effects.shape[0]
+        return (self.effects if self._factors is None else self._factors).shape[0]
 
     def conjugated(self, u) -> "Observable":
         """Observable with effects U† E(x) U (same outcome labels)."""

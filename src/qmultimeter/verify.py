@@ -33,6 +33,7 @@ from .groups import (
 )
 from .postprocessing import PostProcessing, post_process_observable, pp_fidelity
 from .quantum import (
+    EFFECT_BLOCK_ELEMENTS,
     DensityState,
     Multimeter,
     Observable,
@@ -175,10 +176,10 @@ def _sampled_pairs(seed: int, trials: int, d1: int, d2: int) -> tuple:
     return vectors[0], vectors[1], f_states
 
 
-def _sampled_margins(e1, e2, trials, seed, f_prog, kernels, f_kern) -> np.ndarray:
+def _sampled_margins(e1, e2, trials, seed, f_prog, kernels=None, f_kern=1.0) -> np.ndarray:
     """Margins B(q1, q2) - |<v1|v2>| * f_prog * f_kern over seeded random pure
     pairs (v1, v2) from ``_sampled_pairs``, where q_k is the statistics of e_k
-    at v_k, relabelled by ``kernels[k]``.
+    at v_k, relabelled by ``kernels[k]`` when kernels are given.
 
     For a Hermitian effect E the Born rule is one real dot product over d^2
     coordinates:  <v|E|v> = sum_i |v_i|^2 E_ii + sum_{i<j} 2 Re(conj(v_i) v_j) Re E_ij
@@ -186,8 +187,8 @@ def _sampled_margins(e1, e2, trials, seed, f_prog, kernels, f_kern) -> np.ndarra
     coordinates once (``_effect_coordinates``); a kernel L is applied to the
     effects first, F_y = sum_x L[x, y] E_x, so the statistics of the relabelled
     outcomes come straight out of the product and are clipped at zero once.
-    An identity kernel leaves the coordinates, and so the margins, bit for bit
-    unchanged.
+    Without kernels the effect coordinates are used as they are, which is
+    bit for bit what identity kernels give.
 
     The statistics and margins are computed for blocks of
     ``SAMPLE_BLOCK // max(d^2, outcomes)`` trials, so memory beyond the draws
@@ -197,7 +198,9 @@ def _sampled_margins(e1, e2, trials, seed, f_prog, kernels, f_kern) -> np.ndarra
     *vectors, f_states = _sampled_pairs(seed, trials, e1.dim, e2.dim)
     width = max(max(e.dim**2, e.n_outcomes) for e in (e1, e2))
     rows = max(1, SAMPLE_BLOCK // width)
-    coords = [kern.kernel.T @ _effect_coordinates(e.effects) for kern, e in zip(kernels, (e1, e2))]
+    coords = [_effect_coordinates(e.effects) for e in (e1, e2)]
+    if kernels is not None:
+        coords = [kern.kernel.T @ c for kern, c in zip(kernels, coords)]
     margins = np.empty(trials)
     for lo in range(0, trials, rows):
         q = _born_statistics(coords[0], vectors[0][lo : lo + rows])
@@ -233,17 +236,22 @@ def _programmed_pair(multimeter: Multimeter, xi1: DensityState, xi2: DensityStat
     return e1, e2, fidelity(xi1, xi2)
 
 
-def _programmed_margins(multimeter, xi1, xi2, l1, l2, trials, seed) -> tuple:
+def _programmed_margins(multimeter, xi1, xi2, trials, seed, kernels=None) -> tuple:
     """Margins of the post-processing assisted bound on seeded random pure pairs,
-    with the program and kernel fidelities; kernel shapes are checked first."""
-    n_pointer = multimeter.n_outcomes
-    if l1.n_in != n_pointer or l2.n_in != n_pointer:
-        raise ValueError("kernel input size must match the pointer outcome count")
-    if l1.n_out != l2.n_out:
-        raise ValueError("kernels must produce the same number of outputs")
+    with the program and kernel fidelities; the shapes of the two ``kernels``,
+    when given, are checked first. Without kernels the outcomes are kept as
+    they are, the identity relabelling, whose kernel fidelity is 1."""
+    f_kern = 1.0
+    if kernels is not None:
+        l1, l2 = kernels
+        n_pointer = multimeter.n_outcomes
+        if l1.n_in != n_pointer or l2.n_in != n_pointer:
+            raise ValueError("kernel input size must match the pointer outcome count")
+        if l1.n_out != l2.n_out:
+            raise ValueError("kernels must produce the same number of outputs")
+        f_kern = pp_fidelity(l1, l2)
     e1, e2, f_prog = _programmed_pair(multimeter, xi1, xi2)
-    f_kern = pp_fidelity(l1, l2)
-    margins = _sampled_margins(e1, e2, trials, seed, f_prog, (l1, l2), f_kern)
+    margins = _sampled_margins(e1, e2, trials, seed, f_prog, kernels, f_kern)
     return margins, f_prog, f_kern
 
 
@@ -264,8 +272,7 @@ def verify_prop1(
     seed = checked_integer(seed, "seed")
     trials = _trial_count(trials, "trials")
     check_tolerance(tol_check, "tol_check")
-    ident = PostProcessing.identity(multimeter.n_outcomes)
-    margins, f_prog, _ = _programmed_margins(multimeter, xi1, xi2, ident, ident, trials, seed)
+    margins, f_prog, _ = _programmed_margins(multimeter, xi1, xi2, trials, seed)
     fixtures = {
         "program_fidelity": f_prog,
         "system_dim": multimeter.system_dim,
@@ -290,7 +297,7 @@ def verify_prop3(
     seed = checked_integer(seed, "seed")
     trials = _trial_count(trials, "trials")
     check_tolerance(tol_check, "tol_check")
-    margins, f_prog, f_kern = _programmed_margins(multimeter, xi1, xi2, l1, l2, trials, seed)
+    margins, f_prog, f_kern = _programmed_margins(multimeter, xi1, xi2, trials, seed, (l1, l2))
     fixtures = {
         "program_fidelity": f_prog,
         "kernel_fidelity": f_kern,
@@ -450,9 +457,11 @@ def bound_curve(points: int) -> BoundCurve:
 # demonstration pipelines
 
 
-def _check(condition: bool, identity: str):
+def _check(condition: bool, identity: str, *args):
+    """Raise ``DemoFailure`` naming ``identity.format(*args)`` unless
+    ``condition`` holds; the name is formatted only for a failure."""
     if not condition:
-        raise DemoFailure(f"identity failed: {identity}")
+        raise DemoFailure("identity failed: " + identity.format(*args))
 
 
 def quaternion_demo() -> dict:
@@ -472,14 +481,16 @@ def quaternion_demo() -> dict:
         proj = np.outer(psi, psi.conj())
         _check(
             float(np.max(np.abs(proj - (np.eye(2) + pauli) / 2))) <= 1e-9,
-            f"programming projection for <{name}> equals (1 + sigma_{name})/2",
+            "programming projection for <{0}> equals (1 + sigma_{0})/2",
+            name,
         )
         sharp = post_process_observable(kern, program(mm, probe))
         expected = [(np.eye(2) + pauli) / 2, (np.eye(2) - pauli) / 2]
         for eff, exp in zip(sharp.effects, expected):
             _check(
                 float(np.max(np.abs(eff - exp))) <= 1e-9,
-                f"coset-merged observable for <{name}> is the sigma_{name} PVM",
+                "coset-merged observable for <{0}> is the sigma_{0} PVM",
+                name,
             )
         pvms[name] = sharp
 
@@ -494,7 +505,12 @@ def quaternion_demo() -> dict:
                 DensityState.from_vector(vectors[names[j]]),
             )
             fids[f"{names[i]}{names[j]}"] = f
-            _check(abs(f - fund) <= 1e-10, f"program fidelity F(psi_{names[i]}, psi_{names[j]}) = 1/sqrt(2)")
+            _check(
+                abs(f - fund) <= 1e-10,
+                "program fidelity F(psi_{}, psi_{}) = 1/sqrt(2)",
+                names[i],
+                names[j],
+            )
             overlaps.append(abs(np.vdot(vectors[names[i]], vectors[names[j]])))
     _check(max(overlaps) - min(overlaps) <= 1e-10, "gram matrix off-diagonals share a modulus")
 
@@ -536,6 +552,9 @@ def phase_space_demo(d: int) -> dict:
     targets = [1.0 + 0j] + [omega] * d
     unbiased = 1 / np.sqrt(d)
     first, second = np.triu_indices(d, 1)
+    # pairs of effects per orthogonality block: each factor stack of a block
+    # holds at most EFFECT_BLOCK_ELEMENTS entries
+    step = max(1, EFFECT_BLOCK_ELEMENTS // (d * d))
     vectors = []
     target_missing = []
     worst_overlap_gap = worst_idem = worst_orth = 0.0
@@ -551,19 +570,21 @@ def phase_space_demo(d: int) -> dict:
         for g, earlier in zip(generators, vectors):
             gap = abs(abs(np.vdot(earlier, psi)) - unbiased)
             worst_overlap_gap = max(worst_overlap_gap, gap)
-            _check(gap <= 1e-8, f"|<psi_{g}|psi_{(x, y)}>| = 1/sqrt({d})")
+            _check(gap <= 1e-8, "|<psi_{}|psi_{}>| = 1/sqrt({})", g, (x, y), d)
         vectors.append(psi)
 
         sharp = post_process_observable(kern, program(mm, probe))
         del probe  # freed before the next vector's probe is built
-        _check(sharp.n_outcomes == d, f"coset merging of <({x},{y})> has {d} outcomes")
+        _check(sharp.n_outcomes == d, "coset merging of <({},{})> has {} outcomes", x, y, d)
         e = sharp.effects
         worst_idem = max(worst_idem, float(np.max(np.abs(e @ e - e))))
         traces = np.trace(e, axis1=1, axis2=2).real
         _check(bool(np.all(np.abs(traces - 1.0) <= 1e-8)), "effects are rank one")
-        worst_orth = max(worst_orth, float(np.max(np.abs(e[first] @ e[second]))))
-        _check(worst_idem <= 1e-8, f"merged effects for <({x},{y})> are idempotent")
-        _check(worst_orth <= 1e-8, f"merged effects for <({x},{y})> are mutually orthogonal")
+        for lo in range(0, len(first), step):
+            pair = e[first[lo : lo + step]] @ e[second[lo : lo + step]]
+            worst_orth = max(worst_orth, float(np.max(np.abs(pair))))
+        _check(worst_idem <= 1e-8, "merged effects for <({},{})> are idempotent", x, y)
+        _check(worst_orth <= 1e-8, "merged effects for <({},{})> are mutually orthogonal", x, y)
 
     return {
         "check": "phase_space_demo",

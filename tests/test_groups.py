@@ -872,6 +872,109 @@ class TestGramBuiltObservables:
         assert herm_defect(probe.matrix) <= TOL_HERM
 
 
+class TestDeferredEffects:
+    """A Gram-built observable keeps only its factors, checks completeness on
+    them, and builds its effects on first read."""
+
+    def test_effects_are_built_on_first_read_once(self, rng, monkeypatch):
+        rep = weyl_heisenberg(5)
+        factors = covariant_observable(rep, random_density(rng, 5))._factors
+        obs = Observable._from_factors(factors, list(rep.group.names), quantum.ATOL_PROGRAM)
+        assert "effects" not in vars(obs)
+        assert (obs.n_outcomes, obs.dim) == (25, 5)
+        built = []
+        original = quantum.hermitianize
+        monkeypatch.setattr(quantum, "hermitianize", lambda m: built.append(1) or original(m))
+        first = obs.effects
+        assert obs.effects is first and len(built) == 1
+        expected = hermitianize(factors @ factors.conj().swapaxes(-1, -2))
+        assert first.dtype == expected.dtype and first.shape == expected.shape
+        assert first.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0, 0] = 0.0
+        # any other missing attribute is still missing
+        with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+            obs.nothing
+
+    @pytest.mark.parametrize("case", ["incomplete", "nan", "inf", "overflow", "labels"])
+    def test_rejected_with_the_message_of_the_full_check(self, wh3, rng, case):
+        factors = covariant_observable(wh3, random_density(rng, 3))._factors.copy()
+        labels = list(wh3.group.names)
+        if case == "incomplete":
+            factors *= 1.01
+        elif case == "nan":
+            factors[4, 1, 0] = np.nan
+        elif case == "inf":
+            factors[7, 2, 0] = np.inf
+        elif case == "overflow":
+            # finite factors whose Gram sum overflows
+            factors *= 1e200
+        else:
+            labels = labels[:-1]
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as deferred:
+            Observable._from_factors(factors, labels, quantum.ATOL_COMPLETE)
+        with np.errstate(all="ignore"):
+            effects = hermitianize(factors @ factors.conj().swapaxes(-1, -2))
+        with pytest.raises(ValueError) as full:
+            Observable(effects, outcomes=labels)
+        assert str(deferred.value) == str(full.value)
+        expected = {
+            "incomplete": r"effects sum to identity only within 2\.010e-02 > 1\.0e-09",
+            "nan": r"non-finite entry",
+            "inf": r"non-finite entry",
+            "overflow": r"non-finite entry",
+            "labels": r"one outcome label per effect required",
+        }[case]
+        assert deferred.match(expected)
+
+    def test_reducible_representation_is_named(self, q8):
+        # U(g) + U(g) block-diagonally: effects of a seed inside one block sum
+        # to twice that block's identity and nothing on the other
+        doubled = np.zeros((8, 4, 4), dtype=complex)
+        doubled[:, :2, :2] = doubled[:, 2:, 2:] = q8.matrices
+        rep = ProjectiveRepresentation(q8.group, doubled)
+        with pytest.raises(ValueError, match="likely not irreducible") as failure:
+            covariant_observable(rep, DensityState.from_vector(np.eye(4)[0]))
+        assert failure.match(r"effects sum to identity only within 1\.000e\+00")
+
+
+class TestStackedCosetKernels:
+    """``eigenvector_program`` builds every coset kernel from one stacked
+    power table; each equals ``coset_postprocessing`` and the table walk."""
+
+    @pytest.mark.parametrize("which", ["q8", 2, 3, 5, 7, 11, 13, 17, 19])
+    def test_every_demo_generator(self, which):
+        rep = fixture_representation(which)
+        g = rep.group
+        if which == "q8":
+            gens = [g.names.index(n) for n in "ijk"]
+        else:
+            gens = [wh_element_index(which, 0, 1)] + [wh_element_index(which, 1, k) for k in range(which)]
+        for gen, (_, _, kern, _) in zip(gens, eigenvector_program(rep, gens, [1.0] * len(gens))):
+            ref = coset_postprocessing(g, gen)
+            assert kern.kernel.shape == ref.kernel.shape
+            assert kern.kernel.tobytes() == ref.kernel.tobytes()
+            assert kern._relabel.dtype == ref._relabel.dtype
+            assert kern._relabel.tobytes() == ref._relabel.tobytes()
+            assert kern.out_labels == ref.out_labels
+            walked = walked_cosets(g, gen)
+            assert kern.out_labels == [g.names[c[0]] for c in walked]
+            assert [np.flatnonzero(kern._relabel == j).tolist() for j in range(kern.n_out)] == walked
+
+    def test_wrong_order_generator_keeps_its_message(self, q8):
+        idx = {n: i for i, n in enumerate(q8.group.names)}
+        programs = eigenvector_program(q8, [idx["i"], idx["-1"]], [1j, 1j])
+        message = rf"generator {idx['-1']} \(-1\) has order 2, expected #G/degree = 4"
+        with pytest.raises(ValueError, match=message):
+            next(programs)
+
+    def test_order_above_the_group_is_rejected(self):
+        # a degree-2 representation of the trivial group: #G/degree = 0
+        rep = ProjectiveRepresentation(FiniteGroup(["e"], np.array([[0]])), np.eye(2)[None])
+        with pytest.raises(ValueError, match=r"generator 0 \(e\) has order 1, expected #G/degree = 0"):
+            eigenvector_program_states(rep, 0)
+
+
 class TestEffectStacks:
     """Each effect stack equals the per-element construction bit for bit."""
 

@@ -185,7 +185,7 @@ class TestObservableAction:
         )
         e = program(mm, DensityState(np.diag([1.0, 0.0])))
         assert np.max(np.abs(e.effects.sum(0) - I2)) > 1.5e-9
-        out = post_process_observable(PostProcessing.identity(2), e)
+        out = post_process_observable(PostProcessing(np.eye(2)), e)
         assert out.atol_complete == e.atol_complete
         assert np.array_equal(out.effects, e.effects)
 
@@ -201,7 +201,7 @@ class TestObservableAction:
 
     def test_identity_kernel(self, rng):
         e = random_povm(rng, 2, 3)
-        out = post_process_observable(PostProcessing.identity(3), e)
+        out = post_process_observable(PostProcessing(np.eye(3)), e)
         for a, b in zip(out.effects, e.effects):
             assert np.allclose(a, b)
 
@@ -243,7 +243,7 @@ class TestObservableAction:
 
     def test_outcome_count_mismatch(self, rng):
         with pytest.raises(ValueError):
-            post_process_observable(PostProcessing.identity(2), random_povm(rng, 2, 3))
+            post_process_observable(PostProcessing(np.eye(2)), random_povm(rng, 2, 3))
 
 
 class TestDistributionAction:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import einsum_margins, sharpmin_oracle
 
-from qmultimeter import groups, verify
+from qmultimeter import groups, quantum, verify
 from qmultimeter.groups import PAULI_Y, covariant_multimeter, weyl_heisenberg
 from qmultimeter.postprocessing import PostProcessing, pp_fidelity
 from qmultimeter.quantum import DensityState, Observable, fidelity, outcome_distribution, program
@@ -77,11 +77,42 @@ class TestProp3:
     def test_identity_kernels_match_prop1_margins(self):
         mm, xi1, xi2, _, _ = q8_program_pair()
         n_out = mm.pointer.n_outcomes
-        ident = PostProcessing.identity(n_out)
+        ident = PostProcessing(np.eye(n_out))
         r1 = verify_prop1(mm, xi1, xi2, trials=300, seed=3)
         r3 = verify_prop3(mm, xi1, xi2, ident, ident, trials=300, seed=3)
         assert r1.worst_margin == r3.worst_margin
         assert r1.violations == r3.violations
+
+
+class TestProp1WithoutKernels:
+    """prop1 samples the effect coordinates as they are: no kernel is built
+    or read, and no n x n relabelling product runs."""
+
+    PAIRS = {
+        "q8": q8_program_pair,
+        "wh7": lambda: wh_program_pair(7),
+        "wh19": lambda: wh_program_pair(19),
+        "random": lambda: default_random_fixture(0),
+    }
+
+    @pytest.mark.parametrize("fixture", sorted(PAIRS))
+    def test_margins_equal_the_identity_kernel_path_bit_for_bit(self, fixture, monkeypatch):
+        mm, xi1, xi2, _, _ = self.PAIRS[fixture]()
+        e1, e2 = program(mm, xi1), program(mm, xi2)
+        ident = PostProcessing(np.eye(mm.n_outcomes))
+        kernel_path = verify._sampled_margins(e1, e2, 500, 11, 0.7, (ident, ident), 1.0)
+        direct = verify._sampled_margins(e1, e2, 500, 11, 0.7)
+        assert direct.tobytes() == kernel_path.tobytes()
+        r3 = payload(verify_prop3(mm, xi1, xi2, ident, ident, trials=500, seed=11))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("prop1 built or read a kernel")
+
+        monkeypatch.setattr(PostProcessing, "__post_init__", refuse)
+        monkeypatch.setattr(verify, "pp_fidelity", refuse)
+        r1 = payload(verify_prop1(mm, xi1, xi2, trials=500, seed=11))
+        assert r1["worst_margin"] == r3["worst_margin"]
+        assert r1["violations"] == r3["violations"]
 
     def test_q8_sharp_configuration(self):
         mm, xi1, xi2, l1, l2 = q8_program_pair()
@@ -97,7 +128,7 @@ class TestProp3:
 
     def test_kernel_shape_mismatch_rejected(self):
         mm, xi1, xi2, _, _ = q8_program_pair()
-        bad = PostProcessing.identity(3)
+        bad = PostProcessing(np.eye(3))
         with pytest.raises(ValueError, match="kernel"):
             verify_prop3(mm, xi1, xi2, bad, bad, trials=10, seed=0)
 
@@ -105,7 +136,7 @@ class TestProp3:
     def test_kernel_shapes_checked_before_programming(self, which, monkeypatch):
         mm, xi1, xi2, l1, _ = q8_program_pair()
         n = mm.pointer.n_outcomes
-        bad = PostProcessing.identity(3) if which == "inputs" else PostProcessing.identity(n)
+        bad = PostProcessing(np.eye(3)) if which == "inputs" else PostProcessing(np.eye(n))
 
         def refuse(multimeter, xi):
             raise AssertionError("programmed before the kernel shapes were checked")
@@ -245,7 +276,7 @@ class TestSampledMargins:
         e1, e2 = program(mm, xi1), program(mm, xi2)
         if not kernels:
             # the identity relabelling (fidelity 1), against the oracle's kernel-less margins
-            l1 = l2 = PostProcessing.identity(mm.n_outcomes)
+            l1 = l2 = PostProcessing(np.eye(mm.n_outcomes))
         f_kern = pp_fidelity(l1, l2)
         got = verify._sampled_margins(e1, e2, trials, 11, 0.7, (l1, l2), f_kern)
         want = einsum_margins(e1, e2, trials, 11, 0.7, (l1, l2) if kernels else None, f_kern)
@@ -259,7 +290,7 @@ class TestSampledMargins:
         mm, xi1, xi2, l1, l2 = FIXTURES[fixture]()
         e1, e2 = program(mm, xi1), program(mm, xi2)
         if not kernels:
-            l1 = l2 = PostProcessing.identity(mm.n_outcomes)
+            l1 = l2 = PostProcessing(np.eye(mm.n_outcomes))
         whole = verify._sampled_margins(e1, e2, 500, 11, 0.7, (l1, l2), 1.0)
         # 500 rows in blocks of 37, the last one short
         width = max(e1.dim**2, e1.n_outcomes)
@@ -443,6 +474,23 @@ class TestDemos:
         monkeypatch.setattr(np.linalg, "eig", refuse)
         demo()
 
+    @pytest.mark.parametrize("demo,merged", [(lambda: phase_space_demo(7), [(7, 7, 7)] * 8),
+                                             (quaternion_demo, [(2, 2, 2)] * 3)])
+    def test_demos_build_only_the_merged_effect_stacks(self, monkeypatch, demo, merged):
+        # the programmed (#G, d, d) observables are merged through their
+        # factors, and their effects are never read, so never built
+        stacks = []
+        original = quantum.hermitianize
+
+        def recorded(m):
+            if np.ndim(m) == 3:
+                stacks.append(np.shape(m))
+            return original(m)
+
+        monkeypatch.setattr(quantum, "hermitianize", recorded)
+        demo()
+        assert stacks == merged
+
     def test_phase_space_demo_memory_at_d19_is_bounded(self):
         # one d^2 x d^2 probe state (2.1 MB at d = 19) is alive at a time, and
         # the demo peaks near 8-13 MiB; holding all d + 1 of them peaked near 47-50 MiB
@@ -512,6 +560,97 @@ class TestDemoFailures:
         with pytest.raises(DemoFailure) as failure:
             demo()
         assert str(failure.value) == f"identity failed: {identity}"
+
+    @staticmethod
+    def _replace_vector(monkeypatch, index, replace):
+        """Programs in which ``replace`` maps the vector of item ``index``."""
+        original = verify.eigenvector_program
+
+        def replaced(rep, gens, targets):
+            for i, (psi, probe, kern, exact) in enumerate(original(rep, gens, targets)):
+                yield (replace(psi) if i == index else psi), probe, kern, exact
+
+        monkeypatch.setattr(verify, "eigenvector_program", replaced)
+
+    @staticmethod
+    def _replace_merged(monkeypatch, replace):
+        """Merged observables whose effects ``replace`` maps."""
+        original = verify.post_process_observable
+
+        def replaced(kern, e):
+            sharp = original(kern, e)
+            return SimpleNamespace(n_outcomes=sharp.n_outcomes, effects=replace(sharp.effects))
+
+        monkeypatch.setattr(verify, "post_process_observable", replaced)
+
+    @staticmethod
+    def _off_diagonal(effects):
+        # traces kept, each effect 1e-6 away from idempotent
+        bump = np.zeros_like(effects)
+        bump[:, 0, 1] = bump[:, 1, 0] = 1e-6
+        return effects + bump
+
+    @staticmethod
+    def _tilted(psi):
+        # |<psi_i|psi_k>| moves by about 3.5e-10, the projection by 5e-10
+        t = 5e-10
+        return psi * np.cos(t) + np.array([0.0, np.sin(t)]) * (psi[0] / abs(psi[0]))
+
+    @pytest.mark.parametrize(
+        "case,identity",
+        [
+            ("phase-space-overlap", "|<psi_(0, 1)|psi_(1, 0)>| = 1/sqrt(3)"),
+            ("phase-space-trace", "effects are rank one"),
+            ("phase-space-idempotent", "merged effects for <(0,1)> are idempotent"),
+            ("phase-space-orthogonal", "merged effects for <(0,1)> are mutually orthogonal"),
+            ("q8-projection", "programming projection for <i> equals (1 + sigma_i)/2"),
+            ("q8-fidelity", "program fidelity F(psi_i, psi_j) = 1/sqrt(2)"),
+            ("q8-gram", "gram matrix off-diagonals share a modulus"),
+        ],
+    )
+    def test_each_identity_raises_with_its_message(self, monkeypatch, case, identity):
+        if case == "phase-space-overlap":
+            # the second vector replaced by the first, the basis vector e_0
+            self._replace_vector(monkeypatch, 1, lambda psi: np.eye(3)[0])
+        elif case == "phase-space-trace":
+            self._replace_merged(monkeypatch, lambda e: 1.1 * e)
+        elif case == "phase-space-idempotent":
+            self._replace_merged(monkeypatch, self._off_diagonal)
+        elif case == "phase-space-orthogonal":
+            self._replace_merged(monkeypatch, lambda e: e[[0, 0, 2]])
+        elif case == "q8-projection":
+            self._replace_vector(monkeypatch, 0, lambda psi: np.eye(2)[0])
+        elif case == "q8-fidelity":
+            monkeypatch.setattr(verify, "fidelity", lambda a, b: 0.5)
+        else:
+            monkeypatch.setattr(verify, "fidelity", lambda a, b: SQRT_HALF)
+            self._replace_vector(monkeypatch, 2, self._tilted)
+        demo = (lambda: phase_space_demo(3)) if case.startswith("phase") else quaternion_demo
+        with pytest.raises(DemoFailure) as failure:
+            demo()
+        assert str(failure.value) == f"identity failed: {identity}"
+
+    def test_passing_checks_format_no_message(self, monkeypatch):
+        # every call site passes one fixed template, and a passing check never
+        # formats it: a template that cannot be formatted goes unnoticed
+        checks = []
+        original = verify._check
+
+        def strict(condition, identity, *args):
+            checks.append(identity)
+            return original(condition, _Unformattable() if condition else identity, *args)
+
+        monkeypatch.setattr(verify, "_check", strict)
+        phase_space_demo(7)
+        quaternion_demo()
+        # d = 7: 4 checks per vector and one per pair of vectors; q8: 14
+        assert len(checks) == 8 * 4 + 8 * 7 // 2 + 14
+        assert len(set(checks)) == 5 + 5
+
+
+class _Unformattable:
+    def format(self, *args):
+        raise AssertionError("a passing check formatted its message")
 
 
 class TestFixtures:
