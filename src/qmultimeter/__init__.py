@@ -20,7 +20,6 @@ from .groups import (
     covariant_program_state,
     cyclic_subgroup,
     eigenvector_program_states,
-    left_cosets,
     q8_representation,
     weyl_heisenberg,
 )

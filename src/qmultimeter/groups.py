@@ -138,14 +138,6 @@ def _coset_kernel(group: FiniteGroup, relabel: np.ndarray, leaders: np.ndarray) 
     return PostProcessing._relabelling(relabel, len(leaders), [group.names[g] for g in leaders])
 
 
-def left_cosets(group: FiniteGroup, generator: int) -> list:
-    """Partition of element indices into left cosets of the cyclic subgroup
-    ``<generator>``, each sorted, in the order of ``_coset_relabellings``."""
-    h = cyclic_subgroup(group, generator)
-    relabel = _coset_relabellings(group, h[:, None])[0][0]
-    return np.argsort(relabel, kind="stable").reshape(-1, len(h)).tolist()
-
-
 def coset_postprocessing(group: FiniteGroup, generator: int) -> PostProcessing:
     """Deterministic kernel merging group-labelled outcomes by left coset of
     ``<generator>``."""
@@ -217,7 +209,7 @@ def _covariant_observable(
     Each effect is the Gram product a a^dagger of a = U(g) F, all a formed by
     one (#G d, d) x (d, r) product: O(#G d^2 r), so O(d^4) for a pure seed.
     ``Observable._from_factors`` states why such effects skip the
-    Hermiticity and Cholesky checks.
+    Hermiticity and eigenvalue checks.
     """
     d, n = rep.degree, rep.group.order
     w, v = np.linalg.eigh(hermitianize(m))
@@ -427,13 +419,12 @@ def pointer_vector(rep: ProjectiveRepresentation, g: int | np.ndarray) -> np.nda
 
 
 def covariant_pointer(rep: ProjectiveRepresentation) -> Observable:
-    """Pointer of the covariant multimeter: effects (d^2/#G)|u(g)><u(g)|."""
+    """Pointer of the covariant multimeter: effects (d^2/#G)|u(g)><u(g)|, the
+    Gram products of the (d^2, 1) factors sqrt(d^2/#G) u(g), certified by
+    construction (``Observable._from_factors``) and built when first read."""
     d, n = rep.degree, rep.group.order
-    u = pointer_vector(rep, np.arange(n))
-    # scale * outer(u, conj(u)) for every g, scaled in place: one (n, d^2, d^2) array
-    effects = u[:, :, None] * u.conj()[:, None, :]
-    effects *= d * d / n
-    return Observable(effects, outcomes=list(rep.group.names))
+    a = pointer_vector(rep, np.arange(n))[:, :, None] * np.sqrt(d * d / n)
+    return Observable._from_factors(a, list(rep.group.names), ATOL_COMPLETE)
 
 
 class CovariantMultimeter(Multimeter):
@@ -441,8 +432,9 @@ class CovariantMultimeter(Multimeter):
 
     Its interaction swaps the system with the probe's first factor, a d^3 x d^3
     unitary that the device never builds: it programs itself in closed form
-    (``programmed_observable``). The (n, d^2, d^2) pointer stack is built when
-    first read, and kept.
+    (``programmed_observable``). The pointer is built from its Gram factors
+    when first read, and kept; its (n, d^2, d^2) stack only when its effects
+    are read.
     """
 
     def __init__(self, rep: ProjectiveRepresentation):

@@ -58,7 +58,11 @@ class DensityState:
 
     def __post_init__(self):
         m = _require_unit_trace(self.matrix)
-        w, v = np.linalg.eigh(hermitianize(m))
+        # finite entries can overflow the Hermitian part: eigh then returns NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, v = np.linalg.eigh(hermitianize(m))
+        if not np.isfinite(w).all():
+            raise ValueError("state has a non-finite spectrum")
         neg_mass = float(-np.sum(w[w < 0.0]))
         if neg_mass > NEG_MASS_TOL:
             raise ValueError(f"state has negative eigenvalue mass {neg_mass:.3e}")
@@ -141,48 +145,14 @@ class DensityState:
         return root
 
 
-# entries per block of the Hermiticity and Cholesky checks of an effect stack:
+# entries per block of the Hermiticity and eigenvalue checks of an effect stack:
 # 2^14 complex entries are 256 KiB: all 49 effects of d = 7, one effect from d = 91 on
 EFFECT_BLOCK_ELEMENTS = 2**14
-_EPS = float(np.finfo(float).eps)
 
 
 def _effect_block(d: int) -> int:
     """Effects per block: at most ``EFFECT_BLOCK_ELEMENTS`` entries, at least one effect."""
     return max(1, EFFECT_BLOCK_ELEMENTS // (d * d))
-
-
-def _psd_certified(stack: np.ndarray, exact: bool) -> bool:
-    """True when a Cholesky factorization proves every effect's Hermitian part
-    H has smallest eigenvalue above -TOL_PSD.
-
-    Each block of ``_effect_block(d)`` effects factors H + sI with
-    s = TOL_PSD - d(d+1) eps max(1, max diag H). A factorization that
-    completes gives R*R = H + sI + dA with |dA| <= gamma_(d+1) |R*||R|
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10), so
-    ||dA|| <= gamma_(d+1) tr(R*R), about d(d+1) (eps/2) max(1, max diag H);
-    the factor 2 to spare covers the rounding of the shift and of complex
-    arithmetic. Hence lambda_min(H) >= -s - ||dA|| > -TOL_PSD. ``exact``
-    says every effect is exactly Hermitian, hence its own Hermitian part.
-    False (a block that fails, a non-finite factor, or s <= 0) proves nothing.
-    """
-    d = stack.shape[1]
-    diag = np.arange(d)
-    step = _effect_block(d)
-    for lo in range(0, len(stack), step):
-        block = stack[lo : lo + step]
-        h = block if exact else hermitianize(block)
-        top = np.max(h[:, diag, diag].real)
-        s = TOL_PSD - d * (d + 1) * _EPS * np.maximum(1.0, top)
-        if not s > 0.0:
-            return False
-        try:
-            r = np.linalg.cholesky(h + s * np.eye(d))
-        except np.linalg.LinAlgError:
-            return False
-        if not np.isfinite(r).all():
-            return False
-    return True
 
 
 @dataclass(eq=False)
@@ -192,10 +162,13 @@ class Observable:
     ``effects`` is one read-only (n, d, d) complex stack, built and validated
     once. The constructor takes a list of matrices, or an (n, d, d) array,
     which is kept without a copy when it is already a C-contiguous complex
-    stack. Positivity is first certified by blocked Cholesky factorizations
-    (see ``_psd_certified``); only when that proves nothing do the smallest
-    eigenvalues decide. An observable built by ``_from_factors`` keeps its
-    Gram factors instead and builds ``effects`` when it is first read.
+    stack. It is checked in one pass over blocks of at most
+    ``EFFECT_BLOCK_ELEMENTS`` entries: each effect's Hermiticity defect, then
+    the smallest eigenvalue of its Hermitian part, E/2 + E^dagger/2, which
+    no finite effect overflows. An effect is positive only when that
+    eigenvalue is at least -TOL_PSD, so a NaN eigenvalue fails. An
+    observable built by ``_from_factors`` keeps its Gram factors instead and
+    builds ``effects`` when it is first read.
     """
 
     effects: np.ndarray
@@ -227,33 +200,35 @@ class Observable:
         # before Hermiticity before positivity; non-finite entries come first.
         # A NaN or inf entry leaves a NaN or inf in its effect's Hermiticity
         # defect, so only a block with such a defect (or an overflowed one)
-        # has its entries checked.
-        defects = np.empty(n_ok)
+        # has its entries checked. Eigenvalues are taken only up to the first
+        # effect that fails either check.
+        low = defect = None
         step = _effect_block(d)
         with np.errstate(invalid="ignore", over="ignore"):
             for lo in range(0, n_ok, step):
                 block = stack[lo : lo + step]
-                diff = np.abs(block - block.conj().transpose(0, 2, 1))
-                defects[lo : lo + step] = np.max(diff, axis=(1, 2))
-                if not np.isfinite(defects[lo : lo + step]).all():
-                    if not np.isfinite(block).all():
-                        raise ValueError(NON_FINITE)
-        n_herm = next((j for j, x in enumerate(defects) if x > TOL_HERM), n_ok)
-        exact = not defects[:n_herm].any()
-        if not _psd_certified(stack[:n_herm], exact):
-            herm = stack.conj().transpose(0, 2, 1)
-            lows = np.linalg.eigvalsh((stack[:n_herm] + herm[:n_herm]) / 2)[:, 0]
-            negative = np.flatnonzero(lows < -TOL_PSD)
-            if negative.size:
-                low = lows[negative[0]]
-                raise ValueError(f"effect has eigenvalue {low:.3e} below -{TOL_PSD:.1e}")
-        if n_herm < n_ok:
-            raise ValueError(
-                f"matrix is not Hermitian: defect {defects[n_herm]:.3e} > {TOL_HERM:.1e}"
-            )
+                herm = block.conj().transpose(0, 2, 1)
+                defects = np.max(np.abs(block - herm), axis=(1, 2))
+                if not np.isfinite(defects).all() and not np.isfinite(block).all():
+                    raise ValueError(NON_FINITE)
+                if low is None and defect is None:
+                    skew = np.flatnonzero(defects > TOL_HERM)
+                    k = skew[0] if skew.size else len(block)
+                    lows = np.linalg.eigvalsh(block[:k] / 2 + herm[:k] / 2)[:, 0]
+                    negative = np.flatnonzero(~(lows >= -TOL_PSD))
+                    if negative.size:
+                        low = lows[negative[0]]
+                    elif skew.size:
+                        defect = defects[k]
+            # finite effects can overflow their sum, which then fails completeness
+            total = stack.sum(0)
+        if low is not None:
+            raise ValueError(f"effect has eigenvalue {low:.3e} below -{TOL_PSD:.1e}")
+        if defect is not None:
+            raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {TOL_HERM:.1e}")
         if n_ok < n:
             raise ValueError("effects must be square matrices of equal dimension")
-        self._check_sum_and_labels(stack.sum(0), n)
+        self._check_sum_and_labels(total, n)
         # a read-only view: an array taken without a copy stays writable to its owner
         self.effects = stack.view()
         self.effects.flags.writeable = False
@@ -285,7 +260,7 @@ class Observable:
         first; a NaN or inf factor entry M_ij leaves one in the diagonal
         entry sum_j |M_ij|^2, so it is rejected too. The labels are checked
         as in ``Observable(effects)``.
-        The effects cannot fail the Hermiticity and Cholesky checks of
+        The effects cannot fail the Hermiticity and eigenvalue checks of
         ``Observable(effects)``, so they are not run: ``hermitianize`` makes
         each effect exactly Hermitian, and the computed a a^dagger is the
         Gram product of the stored a, which is positive, plus a rounding

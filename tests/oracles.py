@@ -467,9 +467,11 @@ def scipy_multistart_divergence(e1, e2, opts=None):
 
 
 def eigvalsh_observable_check(effects, outcomes=None, atol_complete=1e-9):
-    """``Observable`` validation by smallest eigenvalues alone, with no
-    Cholesky certificate: raises the ``ValueError`` the constructor must raise
-    for these inputs, or returns None when it must accept them."""
+    """``Observable`` validation by the smallest eigenvalues of the whole
+    stack at once, with no blocks: raises the ``ValueError`` the constructor
+    must raise for these inputs, or returns None when it must accept them.
+    An effect is positive only when the smallest eigenvalue of its Hermitian
+    part E/2 + E^dagger/2 is at least -TOL_PSD, so a NaN eigenvalue fails."""
     from qmultimeter.linalg import TOL_HERM, TOL_PSD
 
     effects = [np.asarray(e, dtype=complex) for e in effects]
@@ -488,8 +490,8 @@ def eigvalsh_observable_check(effects, outcomes=None, atol_complete=1e-9):
     herm = stack.conj().transpose(0, 2, 1)
     defects = np.max(np.abs(stack - herm), axis=(1, 2))
     n_herm = next((j for j, x in enumerate(defects) if x > TOL_HERM), n_ok)
-    lows = np.linalg.eigvalsh((stack[:n_herm] + herm[:n_herm]) / 2)[:, 0]
-    negative = np.flatnonzero(lows < -TOL_PSD)
+    lows = np.linalg.eigvalsh(stack[:n_herm] / 2 + herm[:n_herm] / 2)[:, 0]
+    negative = np.flatnonzero(~(lows >= -TOL_PSD))
     if negative.size:
         low = lows[negative[0]]
         raise ValueError(f"effect has eigenvalue {low:.3e} below -{TOL_PSD:.1e}")
@@ -508,6 +510,17 @@ def eigvalsh_observable_check(effects, outcomes=None, atol_complete=1e-9):
     labels = [str(i) for i in range(n)] if outcomes is None else outcomes
     if len(labels) != n:
         raise ValueError("one outcome label per effect required")
+
+
+def left_cosets(group, generator) -> list:
+    """Partition of element indices into left cosets of the cyclic subgroup
+    ``<generator>``, each sorted, in the order of the coset helper
+    ``groups._coset_relabellings`` that the coset kernels are built from."""
+    from qmultimeter.groups import _coset_relabellings, cyclic_subgroup
+
+    h = cyclic_subgroup(group, generator)
+    relabel = _coset_relabellings(group, h[:, None])[0][0]
+    return np.argsort(relabel, kind="stable").reshape(-1, len(h)).tolist()
 
 
 def walked_powers(group, generator) -> list:

@@ -17,7 +17,7 @@ from qmultimeter.divergence import MAX_RESTARTS
 from qmultimeter.groups import is_prime
 from qmultimeter.quantum import Observable
 from qmultimeter.sampling import random_povm
-from qmultimeter.serialize import observable_to_json
+from qmultimeter.serialize import matrix_to_json, observable_to_json
 from qmultimeter.verify import PHASE_SPACE_MAX_DIM
 
 CAP = str(PHASE_SPACE_MAX_DIM)
@@ -341,6 +341,32 @@ class TestDivergenceCommand:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("config error:") and "non-finite" in err
+
+    @pytest.mark.parametrize(
+        "low, named",
+        [
+            # eigenvalue -1.5e308: (E + E^dagger)/2 would overflow to -inf and
+            # leave a NaN eigenvalue that passes no check
+            (-1.5e308, "effect has eigenvalue -1.500e+308"),
+            # positive effects whose sum overflows, with no warning on stderr
+            (1.5e308, "effects sum to identity only within inf"),
+        ],
+    )
+    def test_overflowing_observable_file_is_config_error(
+        self, capsys, observable_files, tmp_path, low, named
+    ):
+        effects = [np.diag([1.5e308, 0.0]), np.diag([low, 0.0]), np.eye(2)]
+        doc = {
+            "dim": 2,
+            "outcomes": ["0", "1", "2"],
+            "effects": {str(j): matrix_to_json(e.astype(complex)) for j, e in enumerate(effects)},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "divergence", "--e1", str(path), "--e2", observable_files[1])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and named in err
 
     def test_dimension_zero_observable_file_is_config_error(self, capsys, tmp_path):
         doc = {"dim": 0, "outcomes": ["a"], "effects": {"a": {"rows": 0, "cols": 0, "entries": []}}}

@@ -7,6 +7,7 @@ import scipy.linalg
 from oracles import (
     covariant_effects_oracle,
     eig_program_states,
+    left_cosets,
     phase_fixed_by_column,
     schur_vectors_by_index,
     sharp_from_subgroup,
@@ -29,7 +30,6 @@ from qmultimeter.groups import (
     cyclic_subgroup,
     eigenvector_program,
     eigenvector_program_states,
-    left_cosets,
     pointer_vector,
     q8_representation,
     weyl_heisenberg,
@@ -600,7 +600,7 @@ class TestGeneratorIndex:
 
     @pytest.mark.parametrize("bad", [True, np.True_, 1.0, np.float64(3.0)])
     def test_non_integer_index_is_rejected(self, wh3, bad):
-        for helper in (cyclic_subgroup, left_cosets, coset_postprocessing):
+        for helper in (cyclic_subgroup, coset_postprocessing):
             with pytest.raises(ValueError, match="generator index must be an integer"):
                 helper(wh3.group, bad)
         with pytest.raises(ValueError, match="generator index must be an integer"):
@@ -759,7 +759,7 @@ def hermiticity_scans(monkeypatch):
 
 
 def _assert_full_check_agrees(obs):
-    """``Observable(effects)``, with its Hermiticity and Cholesky checks,
+    """``Observable(effects)``, with its Hermiticity and eigenvalue checks,
     accepts the Gram-built effects and keeps them bit for bit."""
     full = Observable(obs.effects.copy(), outcomes=obs.outcomes, atol_complete=obs.atol_complete)
     assert full.effects.tobytes() == obs.effects.tobytes()
@@ -980,12 +980,13 @@ class TestEffectStacks:
 
     @pytest.mark.parametrize("which", ["q8", "wh5"])
     def test_pointer_effects_are_scaled_outer_products(self, which):
+        # hermitianize(a a^dagger) of a = sqrt(d^2/#G) u(g), one element at a time
         rep = q8_representation() if which == "q8" else weyl_heisenberg(5)
-        scale = rep.degree**2 / rep.group.order
+        scale = np.sqrt(rep.degree**2 / rep.group.order)
         expected = []
         for g in range(rep.group.order):
-            u = pointer_vector(rep, g)
-            expected.append(scale * np.outer(u, u.conj()))
+            a = pointer_vector(rep, g)[:, None] * scale
+            expected.append(hermitianize(a @ a.conj().T))
         assert np.array_equal(covariant_multimeter(rep).pointer.effects, np.array(expected))
 
     def test_covariant_observable(self, rng):
@@ -1005,14 +1006,62 @@ class TestEffectStacks:
             assert np.max(np.abs(effects - oracle)) <= 1e-15, which
 
 
+class TestGramBuiltPointer:
+    """The covariant pointer is the Gram family of sqrt(d^2/#G) u(g)."""
+
+    @pytest.mark.parametrize("which", ["q8", 3, 5, 7])
+    def test_full_check_agrees_and_keeps_the_bits(self, which):
+        pointer = covariant_multimeter(fixture_representation(which)).pointer
+        _assert_full_check_agrees(pointer)
+
+    @pytest.mark.parametrize("which", ["q8", 3, 5, 7])
+    def test_entries_within_a_rounding_of_the_scaled_outer_products(self, which):
+        rep = fixture_representation(which)
+        u = pointer_vector(rep, np.arange(rep.group.order))
+        outer = u[:, :, None] * u.conj()[:, None, :] * (rep.degree**2 / rep.group.order)
+        assert np.max(np.abs(covariant_multimeter(rep).pointer.effects - outer)) <= 5.6e-17
+
+    def test_factors_are_read_only(self, wh3):
+        pointer = covariant_multimeter(wh3).pointer
+        assert pointer._factors.shape == (9, 9, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            pointer._factors[0, 0, 0] = 1.0
+
+    def test_effects_are_built_once_on_first_read(self, wh3, monkeypatch):
+        pointer = groups.covariant_pointer(wh3)
+        assert "effects" not in vars(pointer)
+        assert pointer.dim == 9 and pointer.n_outcomes == 9
+        assert "effects" not in vars(pointer)
+        built = []
+        original = quantum.hermitianize
+
+        def spy(m):
+            built.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(quantum, "hermitianize", spy)
+        first = pointer.effects
+        assert pointer.effects is first and built == [(9, 9, 9)]
+        assert not first.flags.writeable
+
+
 class TestCovariantMultimeter:
-    def test_reducible_representation_rejected_up_front(self, q8):
+    def test_reducible_representation_rejected_up_front(self, q8, monkeypatch):
         # U(g) + U(g) block-diagonally: still projective, no longer irreducible
         doubled = np.zeros((8, 4, 4), dtype=complex)
         doubled[:, :2, :2] = doubled[:, 2:, 2:] = q8.matrices
         rep = ProjectiveRepresentation(q8.group, doubled)
+
+        def refuse(rep):
+            raise AssertionError("the pointer was built")
+
+        pointer = groups.covariant_pointer
+        monkeypatch.setattr(groups, "covariant_pointer", refuse)
         with pytest.raises(ValueError, match="not irreducible"):
             covariant_multimeter(rep)
+        # the pointer's factor completeness check refuses it too
+        with pytest.raises(ValueError, match="effects sum to identity only within"):
+            pointer(rep)
 
     def test_pointer_normalization(self, q8):
         mm = covariant_multimeter(q8)

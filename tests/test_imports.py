@@ -186,7 +186,6 @@ PACKAGE_SOURCES = sorted((REPO / "src" / "qmultimeter").glob("*.py"))
 UNCALLED_PUBLIC = {
     "covariant_observable": "the closed form tests/test_acceptance.py holds programming to",
     "observable_to_json": "it writes the observable file format the divergence command reads",
-    "left_cosets": "the coset partition as index lists, read off the helper the coset kernels use",
 }
 # imports a module keeps without using them, and why
 UNUSED_IMPORTS = {

@@ -85,6 +85,14 @@ class TestDensityState:
         with pytest.raises(ValueError, match="negative"):
             DensityState(np.diag([1.0 + 1e-5, -1e-5]))
 
+    def test_overflowing_hermitian_part_is_rejected(self):
+        # finite entries of unit trace whose Hermitian part overflows: eigh
+        # returns a NaN spectrum, which no negative-mass test would catch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite spectrum"):
+                DensityState(np.diag([1.5e308, -1.5e308, 1.0]))
+
     def test_from_vector_normalizes(self):
         s = DensityState.from_vector([2.0, 0.0])
         assert np.allclose(s.matrix, np.diag([1.0, 0.0]))
@@ -282,7 +290,7 @@ class TestNonFiniteInput:
 def _verdict(build):
     """"ok", or the type and message of the error ``build()`` raises."""
     try:
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             build()
     except Exception as exc:
         return type(exc).__name__, str(exc)
@@ -344,6 +352,14 @@ def _validation_battery(rng):
         for d in (2, 4, 7):
             pair = _pair_with_low_eigenvalue(rng, d, low)
             cases += [pair, pair[::-1]]
+    # finite effects whose Hermitian part (E + E^dagger)/2 would overflow
+    big = 1.5e308
+    cases += [
+        [np.diag([big, 0.0]), np.diag([-big, 0.0]), np.eye(2)],
+        [np.eye(2), np.diag([big, 0.0]), np.diag([-big, 0.0])],
+        [np.array([[0.5, big], [big, 0.5]]), np.array([[0.5, -big], [-big, 0.5]])],
+        [np.array([[0.5, big], [-big, 0.5]]), np.diag([0.5, -big])],
+    ]
     for _ in range(240):
         d, n = int(rng.integers(2, 5)), int(rng.integers(2, 6))
         effects = list(random_povm(rng, d, n).effects)
@@ -406,21 +422,26 @@ class TestValidationMatchesEigvalshReference:
     def test_blocks_hold_a_bounded_number_of_entries(self, d, per_block):
         assert quantum._effect_block(d) == per_block
 
-    def test_valid_effects_are_certified_without_eigvalsh(self, rng, monkeypatch):
-        pointer = covariant_multimeter(weyl_heisenberg(5)).pointer.effects
-        cases = [
-            list(random_povm(rng, 4, 3).effects),
-            [_faulty(e, "faint skew") for e in random_povm(rng, 3, 2).effects],
-            _pair_with_low_eigenvalue(rng, 7, -TOL_PSD * (1 - 1e-3)),
-            np.array(pointer),
-        ]
+    @pytest.mark.parametrize("elements", [8, 50, 2**14])
+    def test_every_eigvalsh_call_sees_at_most_one_block(self, rng, monkeypatch, elements):
+        monkeypatch.setattr(quantum, "EFFECT_BLOCK_ELEMENTS", elements)
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
 
-        def refuse(a, *args, **kwargs):
-            raise AssertionError("validation fell back to eigvalsh")
+        def spy(a, *args, **kwargs):
+            seen.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        cases = _validation_battery(rng)
+        cases += [np.array(random_povm(rng, d, n).effects) for d, n in ((2, 40), (3, 30), (7, 9))]
         for effects in cases:
-            Observable(effects)
+            want = _verdict(lambda: eigvalsh_observable_check(effects))
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigvalsh", spy)
+                assert _verdict(lambda: Observable(effects)) == want
+        assert seen
+        for shape in seen:
+            assert shape[0] <= quantum._effect_block(shape[-1])
 
 
 class TestEffectStack:
