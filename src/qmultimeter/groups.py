@@ -9,7 +9,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import TOL_HERM, as_matrix, herm_defect, hermitianize, tensor
+from .linalg import as_matrix, hermitianize, tensor
 from .postprocessing import PostProcessing
 from .quantum import (
     ATOL_COMPLETE,
@@ -198,23 +198,29 @@ class ProjectiveRepresentation:
 
 
 def _covariant_observable(
-    rep: ProjectiveRepresentation, m: np.ndarray, atol_complete: float
+    rep: ProjectiveRepresentation, m: np.ndarray, atol_complete: float, column=None, scale=1.0
 ) -> Observable:
     """The covariant observable of a seed m, with the effects
     (d/#G) U(g) m U(g)^dagger labelled by the elements g of ``rep``, of degree d.
 
-    One ``eigh`` of m gives the factor F = V sqrt((d/#G) w) of its eigenvalues
-    w above ``REL_RANK_CLIP`` times the largest, so FF^dagger is (d/#G) m
-    within that clip and F has one column per kept eigenvalue, r in all.
+    The seed is ``scale`` times the state m. Its factor is
+    F = V sqrt((d/#G) w) for orthonormal columns V and weights w with
+    V diag(w) V^dagger the seed. A pure state's unit ``column`` v
+    (``DensityState.from_vector``), m = v v^dagger, gives V = v and
+    w = (scale,); any other seed one ``eigh``, whose eigenvalues above
+    ``REL_RANK_CLIP`` times the largest it keeps, so that FF^dagger is the
+    seed times d/#G within that clip. F has one column per weight, r in all.
     Each effect is the Gram product a a^dagger of a = U(g) F, all a formed by
     one (#G d, d) x (d, r) product: O(#G d^2 r), so O(d^4) for a pure seed.
     ``Observable._from_factors`` states why such effects skip the
     Hermiticity and eigenvalue checks.
     """
     d, n = rep.degree, rep.group.order
-    w, v = np.linalg.eigh(hermitianize(m))
-    keep = w > w.max() * REL_RANK_CLIP
-    f = v[:, keep] * np.sqrt(w[keep] * (d / n))
+    if column is None:
+        w, v = np.linalg.eigh(hermitianize(scale * m))
+        keep = w > w.max() * REL_RANK_CLIP
+        column, scale = v[:, keep], w[keep]
+    f = column * np.sqrt(scale * (d / n))
     a = (rep.matrices.reshape(n * d, d) @ f).reshape(n, d, -1)
     return Observable._from_factors(a, list(rep.group.names), atol_complete)
 
@@ -228,7 +234,7 @@ def covariant_observable(rep: ProjectiveRepresentation, seed: DensityState) -> O
     if seed.dim != rep.degree:
         raise ValueError(f"seed dim {seed.dim} != representation degree {rep.degree}")
     try:
-        return _covariant_observable(rep, seed.matrix, ATOL_COMPLETE)
+        return _covariant_observable(rep, seed.matrix, ATOL_COMPLETE, seed._gram)
     except ValueError as exc:
         raise ValueError(
             f"covariant effects do not form an observable ({exc}); "
@@ -381,8 +387,9 @@ def eigenvector_program(
     first vector, smallest eigenvalue phase, is used instead.
 
     Every vector comes from one stacked ``eigenvector_program_states`` call
-    and the mixed state is built once; each d^2 x d^2 probe is built only when
-    the next item is asked for, and the iterator keeps no reference to it.
+    and the mixed state is built once. Each probe keeps that state and the
+    vector's pure state as its factors (``covariant_program_state``), so no
+    d^2 x d^2 matrix is built unless its ``matrix`` is read.
     """
     if np.shape(targets) != (len(generators),):
         raise ValueError(f"{np.size(targets)} targets for {len(generators)} generators")
@@ -394,14 +401,8 @@ def eigenvector_program(
         pick = int(np.argmin(row))
         exact = bool(row[pick] <= TARGET_EIGENVALUE_TOL)
         psi = vec[:, pick if exact else 0]
-        # the probe is built in the yield, never bound to a local: the
-        # suspended frame would keep it alive while the next one is built
-        yield (
-            psi,
-            covariant_program_state(eta, DensityState.from_vector(psi)),
-            _coset_kernel(rep.group, relabel, leaders),
-            exact,
-        )
+        probe = covariant_program_state(eta, DensityState.from_vector(psi))
+        yield psi, probe, _coset_kernel(rep.group, relabel, leaders), exact
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +458,24 @@ class CovariantMultimeter(Multimeter):
     def system_dim(self) -> int:
         return self.representation.degree
 
-    def programmed_observable(self, xi: np.ndarray) -> Observable:
+    def programmed_observable(self, xi: DensityState) -> Observable:
         """The covariant observable E_xi(g) = (d/#G) U(g) sigma^T U(g)^dagger
         of the seed sigma^T, labelled by the group elements, with
         sigma = tr_1 xi the probe state traced over its first factor: the
         Kraus contraction of the swap against the pointer
-        (``covariant_pointer``) in closed form, which reads neither."""
-        d = self.system_dim
-        sigma = np.trace(xi.reshape(d, d, d, d), axis1=0, axis2=2)
-        return _covariant_observable(self.representation, sigma.T, ATOL_PROGRAM)
+        (``covariant_pointer``) in closed form, which reads neither.
+
+        A product probe eta x seed^T (``covariant_program_state``) has
+        sigma^T = tr(eta) seed, read off its factors with the seed's Gram
+        column, if it has one; its d^2 x d^2 matrix is never read. Any other
+        probe is traced over its first factor."""
+        rep, d = self.representation, self.system_dim
+        if xi._factors is None:
+            sigma = np.trace(xi.matrix.reshape(d, d, d, d), axis1=0, axis2=2)
+            return _covariant_observable(rep, sigma.T, ATOL_PROGRAM)
+        eta, seed = xi._factors
+        tr_eta = float(np.trace(eta.matrix).real)
+        return _covariant_observable(rep, seed.matrix, ATOL_PROGRAM, seed._gram, tr_eta)
 
     def dual_pointer_effects(self) -> list:
         """Pointer effects pulled back through the partial SWAP: the dense
@@ -505,34 +515,12 @@ def covariant_multimeter(rep: ProjectiveRepresentation) -> Multimeter:
 
 
 def covariant_program_state(eta: DensityState, seed: DensityState) -> DensityState:
-    """Probe state eta x transpose(seed) that programs the seed's observable.
+    """Probe state eta x transpose(seed) that programs the seed's observable,
+    for two states of one dimension, the degree of the representation.
 
-    By the Kronecker spectrum theorem the product's eigenvalues are the
-    products of the factors' eigenvalues (a transpose keeps them), which each
-    factor's validation found, so no d^2 x d^2 ``eigh`` is needed. Each entry
-    of ``tensor`` is rounded once, which moves each eigenvalue by at most
-    about eps and the negative mass by about d^2 eps, far inside ``PROB_CLIP``.
-    The d^4-entry Hermiticity scan runs only when the bound
-    ``_kron_herm_bound`` of the two validated factors exceeds ``TOL_HERM``;
-    the product of finite factors is finite, and the trace check runs either
-    way.
+    It keeps the two validated states as its factors and builds its
+    d^2 x d^2 matrix only when that is read (``DensityState._from_factors``):
+    programming a covariant multimeter and the fidelity of two such probes
+    read the factors alone.
     """
-    sigma = seed.matrix.T
-    spectrum = np.outer(eta._spectrum, seed._spectrum)
-    hermitian = _kron_herm_bound(eta.matrix, sigma) <= TOL_HERM
-    return DensityState._with_spectrum(tensor(eta.matrix, sigma), spectrum, hermitian)
-
-
-def _kron_herm_bound(a: np.ndarray, b: np.ndarray) -> float:
-    """A bound on ``herm_defect(tensor(a, b))`` read off the factors.
-
-    Entry by entry, a_ij b_kl - conj(a_ji b_lk) is
-    a_ij (b - b^dagger)_kl + (a - a^dagger)_ij conj(b_lk), at most
-    max|a| defect(b) + defect(a) max|b|. Each entry of ``tensor`` is one
-    complex product, rounded by at most sqrt(5) eps/2 of its modulus, so the
-    two entries of a difference add at most 2.3 eps max|a| max|b|, taken as
-    4 eps. A NaN factor makes the bound NaN, which no tolerance passes.
-    """
-    top_a, top_b = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
-    rounding = 4 * np.finfo(float).eps * top_a * top_b
-    return top_a * herm_defect(b) + herm_defect(a) * top_b + rounding
+    return DensityState._from_factors(eta, seed)

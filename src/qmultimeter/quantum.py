@@ -14,6 +14,7 @@ from .linalg import (
     as_matrix,
     hermitianize,
     require_hermitian,
+    tensor,
 )
 
 ATOL_TRACE = 1e-9
@@ -23,15 +24,10 @@ NEG_MASS_TOL = 1e-9      # repairable negative eigenvalue mass in a state
 PROB_CLIP = 1e-12        # outcome probabilities this far below zero are noise
 
 
-def _require_unit_trace(matrix, hermitian: bool = False) -> np.ndarray:
-    """A finite, square, Hermitian (within TOL_HERM) matrix of unit trace.
-    ``hermitian`` says the caller has proved the first three, so that only
-    the trace is checked."""
-    m = matrix if hermitian else require_hermitian(matrix)
-    tr = float(np.trace(m).real)
+def _require_unit_trace(tr: float) -> None:
+    """Refuse a state whose trace ``tr`` is farther than ``ATOL_TRACE`` from 1."""
     if abs(tr - 1.0) > ATOL_TRACE:
         raise ValueError(f"state trace {tr!r} is not 1 within {ATOL_TRACE:.1e}")
-    return m
 
 
 @dataclass(eq=False)
@@ -45,19 +41,23 @@ class DensityState:
     is rejected as a real bug.
 
     ``DensityState(m)``, and so every loaded or sampled state, finds that mass
-    with ``eigh``. ``from_vector``, ``maximally_mixed`` and
-    ``groups.covariant_program_state`` know their spectrum from how they are
-    built and read the mass off it (``_with_spectrum``), after the trace check
-    and the same finite and Hermiticity checks, which the probe skips when
-    its factors bound its Hermiticity defect. Each state keeps the spectrum its
-    validation found or was given. A state whose matrix ``eigh`` validated
-    unchanged also keeps the eigenvectors, until ``root`` is built from them.
+    with ``eigh``, and keeps the eigenpairs when the matrix passed unchanged,
+    until ``root`` is built from them. ``from_vector`` and ``maximally_mixed``
+    are valid by construction, as each says, and check only the trace;
+    ``from_vector`` keeps its unit vector as the state's (d, 1) Gram factor.
+    A product state built by ``_from_factors`` keeps its two validated
+    factors and builds its matrix when it is first read.
     """
 
     matrix: np.ndarray
+    # the unit column v of a pure state built by ``from_vector``, matrix = v v^dagger
+    _gram = None
+    # the validated states (eta, seed) of a state built by ``_from_factors``
+    _factors = None
 
     def __post_init__(self):
-        m = _require_unit_trace(self.matrix)
+        m = require_hermitian(self.matrix)
+        _require_unit_trace(float(np.trace(m).real))
         # finite entries can overflow the Hermitian part: eigh then returns NaN
         with np.errstate(over="ignore", invalid="ignore"):
             w, v = np.linalg.eigh(hermitianize(m))
@@ -70,45 +70,37 @@ class DensityState:
             w = np.clip(w, 0.0, None)
             m = (v * w) @ v.conj().T
             tr = float(np.trace(m).real)
-            # re-projected: the eigenvectors are no longer those of eigh(m)
-            m, w, v = hermitianize(m / tr), w / tr, None
-        self._keep(m, w, v)
+            # re-projected: the eigenpairs are no longer those of eigh(m)
+            m, v = hermitianize(m / tr), None
+        self._keep(m, None if v is None else (w, v))
 
-    def _keep(self, m: np.ndarray, spectrum: np.ndarray, vectors=None):
+    def _keep(self, m: np.ndarray, eigh: tuple = None):
         # a read-only view: an array taken without a copy stays writable to its owner
         self.matrix = m.view()
         self.matrix.flags.writeable = False
-        # the eigenvalues its validation found or was given, and the
-        # eigenvectors of eigh(hermitianize(matrix)) when validation ran it
-        self._spectrum = spectrum
-        self._vectors = vectors
+        # np.linalg.eigh(hermitianize(matrix)) when validation ran it
+        self._eigh = eigh
 
     @classmethod
-    def _with_spectrum(cls, matrix, spectrum, hermitian: bool = False) -> "DensityState":
-        """The state of ``matrix``, whose eigenvalues ``spectrum`` are known
-        from how it was built, validated without ``eigh``.
-
-        The finite, square, Hermiticity and trace checks are those of
-        ``DensityState(matrix)``; ``hermitian`` says the caller has proved the
-        matrix finite, square and Hermitian within ``TOL_HERM``, so that only
-        the trace is checked. A negative mass of ``spectrum`` within
-        ``PROB_CLIP`` is kept as it is, as ``eigh`` would keep it, so the
-        matrix is stored bit for bit; any more falls back to
-        ``DensityState(matrix)``, which re-projects or rejects it.
-        """
-        spectrum = np.asarray(spectrum, dtype=float)
-        if float(-np.sum(spectrum[spectrum < 0.0])) > PROB_CLIP:
-            return cls(matrix)
+    def _certified(cls, matrix: np.ndarray, gram: np.ndarray = None) -> "DensityState":
+        """The state of ``matrix``, finite, square, Hermitian and positive by
+        construction, as its caller argues; only its trace is checked."""
+        _require_unit_trace(float(np.trace(matrix).real))
         state = cls.__new__(cls)
-        state._keep(_require_unit_trace(matrix, hermitian), spectrum.ravel())
+        state._keep(matrix)
+        state._gram = gram
         return state
 
     @classmethod
     def from_vector(cls, psi) -> "DensityState":
-        """The pure state of a nonzero finite vector.
+        """The pure state v v^dagger of a nonzero finite vector psi, with
+        v = psi / |psi| kept as its (d, 1) Gram factor.
 
-        The outer product of a unit vector has spectrum {1, 0, ...}, and its
-        rounding moves that by at most about 2 sqrt(d) eps, far inside
+        Valid by construction, so only the trace is checked: entry (i, j) and
+        the conjugate of entry (j, i) are the same complex product, each
+        rounded by at most sqrt(5) eps/2 |v_i v_j|, so the matrix is Hermitian
+        within sqrt(5) eps per entry, far inside ``TOL_HERM``; its spectrum
+        {1, 0, ...} moves by at most about 2 sqrt(d) eps, far inside
         ``PROB_CLIP``. A vector whose norm underflows to 0 or overflows is
         first scaled by its largest modulus.
         """
@@ -124,23 +116,53 @@ class DensityState:
             v = v / top
             n = float(np.linalg.norm(v))
         v = v / n
-        # eigenvalues 1, 0, ..., 0
-        return cls._with_spectrum(np.outer(v, v.conj()), np.eye(len(v), 1).ravel())
+        return cls._certified(np.outer(v, v.conj()), v[:, None])
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityState":
-        return cls._with_spectrum(np.eye(dim, dtype=complex) / dim, np.full(dim, 1.0 / dim))
+        # a real diagonal of 1/dim: exactly Hermitian, with spectrum 1/dim
+        return cls._certified(np.eye(dim, dtype=complex) / dim)
+
+    @classmethod
+    def _from_factors(cls, eta: "DensityState", seed: "DensityState") -> "DensityState":
+        """The product state eta x seed^T of two validated states of one
+        dimension, kept as its factors; its matrix,
+        ``tensor(eta.matrix, seed.matrix.T)``, is built when it is first read.
+
+        Only the dimensions and the trace tr eta tr seed are checked. A
+        product of positive matrices is positive, with each negative
+        eigenvalue the product of a factor's negative and a positive one, so
+        its negative mass is at most about the sum of the factors'. Each entry
+        is one complex product, so its Hermiticity defect is at most
+        max|eta| defect(seed) + defect(eta) max|seed| + 4 eps max|eta| max|seed|,
+        that is within about the sum of the factors' defects, as every entry
+        of a state is at most 1 in modulus.
+        """
+        if eta.dim != seed.dim:
+            raise ValueError(f"eta dim {eta.dim} != seed dim {seed.dim}")
+        _require_unit_trace(float(np.trace(eta.matrix).real) * float(np.trace(seed.matrix).real))
+        state = cls.__new__(cls)
+        state._factors, state._eigh = (eta, seed), None
+        return state
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set: the matrix of a state built by
+        # ``_from_factors``, built on first read and kept
+        if name != "matrix" or self._factors is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._keep(tensor(self._factors[0].matrix, self._factors[1].matrix.T))
+        return self.matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self._factors[0].dim ** 2 if self._factors else self.matrix.shape[0]
 
     @cached_property
     def root(self) -> np.ndarray:
         """The read-only square root ``_state_root(matrix)``, computed on first
-        read from the eigenvectors validation kept, if any, which it drops."""
-        vectors, self._vectors = self._vectors, None
-        root = _state_root(self.matrix, None if vectors is None else (self._spectrum, vectors))
+        read from the eigenpairs validation kept, if any, which it drops."""
+        eigh, self._eigh = self._eigh, None
+        root = _state_root(self.matrix, eigh)
         root.flags.writeable = False
         return root
 
@@ -386,12 +408,23 @@ def _state_root(m: np.ndarray, eigh: tuple = None) -> np.ndarray:
 def fidelity(rho1: DensityState, rho2: DensityState) -> float:
     """State fidelity tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), in [0, 1].
 
-    Evaluated as the trace norm of the product of the two state roots, which
+    A state has fidelity 1 with itself. Two product states
+    (``DensityState._from_factors``) give the product of their factors'
+    fidelities, since fidelity is multiplicative over tensor products and
+    unchanged when both states are transposed (Jozsa, J. Mod. Opt. 41, 2315,
+    1994); their d^2 x d^2 matrices are never built. Any other pair is
+    evaluated as the trace norm of the product of the two state roots, which
     is the same quantity with far better behavior on pure states. Each state
     computes its root once (``DensityState.root``).
     """
     if rho1.dim != rho2.dim:
         raise ValueError("states must share a dimension")
+    if rho1 is rho2:
+        return 1.0
+    if rho1._factors and rho2._factors:
+        # the two factors of a product state share one dimension
+        (eta1, seed1), (eta2, seed2) = rho1._factors, rho2._factors
+        return fidelity(eta1, eta2) * fidelity(seed1, seed2)
     prod = rho1.root @ rho2.root
     val = float(np.linalg.svd(prod, compute_uv=False).sum())
     return min(max(val, 0.0), 1.0)
@@ -431,9 +464,9 @@ class Multimeter:
     def system_dim(self) -> int:
         return self.interaction.in_dim // self.probe_dim
 
-    def programmed_observable(self, xi: np.ndarray) -> Observable:
-        """The observable realized on the system by the probe state matrix
-        ``xi``, validated in full. Each effect is tr_probe of the dual
+    def programmed_observable(self, xi: DensityState) -> Observable:
+        """The observable realized on the system by the probe state ``xi``,
+        validated in full. Each effect is tr_probe of the dual
         interaction of 1 x Z(x) against 1 x xi, one ``np.einsum`` over the
         stacked Kraus operators K_r[s,p,m,l] (s, m, i index the system,
         p, q, l, j the probe). The probe state is contracted into
@@ -443,7 +476,9 @@ class Multimeter:
         d_sys, d_probe = self.system_dim, self.probe_dim
         k = np.array(self.interaction.kraus).reshape(-1, d_sys, d_probe, d_sys, d_probe)
         z = self.pointer.effects
-        effects = np.einsum("rspml,lj,rsqij,xqp->xim", k, xi, k.conj(), z, optimize=_KRAUS_PATH)
+        effects = np.einsum(
+            "rspml,lj,rsqij,xqp->xim", k, xi.matrix, k.conj(), z, optimize=_KRAUS_PATH
+        )
         return Observable(
             hermitianize(effects), outcomes=list(self.pointer.outcomes), atol_complete=ATOL_PROGRAM
         )
@@ -453,11 +488,12 @@ def program(multimeter: Multimeter, xi: DensityState) -> Observable:
     """Observable E_xi realized on the system when the probe starts in ``xi``.
 
     The device builds and validates it (``programmed_observable``): a Kraus
-    contraction checked in full for a ``Multimeter``, Gram products certified
-    by construction for a covariant device (``groups.CovariantMultimeter``).
+    contraction of the probe's matrix checked in full for a ``Multimeter``,
+    Gram products certified by construction for a covariant device
+    (``groups.CovariantMultimeter``), which reads a product probe's factors.
     A completeness defect beyond ``ATOL_PROGRAM`` signals a broken
     interaction channel.
     """
     if xi.dim != multimeter.probe_dim:
         raise ValueError(f"probe state dim {xi.dim} != probe dim {multimeter.probe_dim}")
-    return multimeter.programmed_observable(xi.matrix)
+    return multimeter.programmed_observable(xi)

@@ -33,7 +33,6 @@ from .groups import (
 )
 from .postprocessing import PostProcessing, post_process_observable, pp_fidelity
 from .quantum import (
-    EFFECT_BLOCK_ELEMENTS,
     DensityState,
     Multimeter,
     Observable,
@@ -532,13 +531,56 @@ def quaternion_demo() -> dict:
     }
 
 
+def _sharp_defects(factors: np.ndarray) -> tuple:
+    """Bounds that certify the effects E_x = A_x A_x^dagger of the (k, d, s)
+    factors A_x as mutually orthogonal rank-one projectors,
+    in O(k s d + k^2 d) work: the largest, over x and over pairs x < y, of
+    bounds on ||E_x - c_x c_x^dagger|| for a column c_x, on |E_x E_x - E_x|
+    and on |E_x E_y|, all spectral norms, which bound every entry.
+
+    Each A_x is compressed to one column c_x = u |b|, with u its largest
+    column made unit and b = A_x^dagger u. With R = A_x - u b^dagger, so that
+    u^dagger R = 0, E_x - c_x c_x^dagger = u b^dagger R^dagger + R b u^dagger
+    + R R^dagger, of norm at most delta_x = |R|_F (2 |b| + |R|_F). With
+    G = V^dagger V, V = [c_1 ... c_k], one Gram product, E_x^2 - E_x is
+    (G_xx - 1) c_x c_x^dagger plus terms in Delta_x = E_x - c_x c_x^dagger,
+    at most |G_xx - 1| G_xx + delta_x (2 G_xx + 1 + delta_x), and E_x E_y is
+    G_xy c_x c_y^dagger plus such terms, at most
+    |G_xy| |c_x| |c_y| + G_xx delta_y + delta_x (G_yy + delta_y).
+    Each bound adds (d + 2 s) eps for the rounding of G and of the effects
+    built from their factors (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3). A zero factor gives NaN bounds, which fail every check.
+    """
+    k, d, s = factors.shape
+    rows = np.arange(k)
+    norms = np.einsum("kds,kds->ks", factors.conj(), factors).real
+    pivot = norms.argmax(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = factors[rows, :, pivot] / np.sqrt(norms[rows, pivot])[:, None]
+    b = np.einsum("kd,kds->ks", u.conj(), factors)
+    residual = factors - u[:, :, None] * b[:, None, :]
+    r = np.sqrt(np.einsum("kds,kds->k", residual.conj(), residual).real)
+    mu = np.einsum("ks,ks->k", b.conj(), b).real
+    size = np.sqrt(mu)
+    delta, c = r * (2 * size + r), u * size[:, None]
+    gram = c.conj() @ c.T
+    idem = np.abs(gram.diagonal().real - 1.0) * mu + delta * (2 * mu + 1 + delta)
+    orth = np.abs(gram) * (size[:, None] * size) + mu[:, None] * delta
+    orth += delta[:, None] * (mu + delta)
+    orth.flat[:: k + 1] = 0.0  # the pairs x != y; the bound is symmetric in them
+    slack = (d + 2 * s) * np.finfo(float).eps
+    return float(delta.max()), float(idem.max() + slack), float(orth.max() + slack)
+
+
 def phase_space_demo(d: int) -> dict:
     """Build the prime-dimension displacement multimeter, derive the d+1
     mutually unbiased programming vectors, and sharpen each programmed
     observable by its coset merging.
 
-    Each vector is built, programmed, merged and checked in one pass, so at
-    most one d^2 x d^2 probe state is alive at a time."""
+    Each vector is built, programmed, merged and checked in one pass. Its
+    probe is kept as its factors and its merged effects as their Gram
+    factors, which ``_sharp_defects`` certifies as orthogonal rank-one
+    projectors, so no d^2 x d^2 matrix and no effect is built."""
     if not is_prime(d):
         raise ValueError(f"dimension must be prime, got {d}")
     if d > PHASE_SPACE_MAX_DIM:
@@ -551,18 +593,11 @@ def phase_space_demo(d: int) -> dict:
     generators = [(0, 1)] + [(1, k) for k in range(d)]
     targets = [1.0 + 0j] + [omega] * d
     unbiased = 1 / np.sqrt(d)
-    first, second = np.triu_indices(d, 1)
-    # pairs of effects per orthogonality block: each factor stack of a block
-    # holds at most EFFECT_BLOCK_ELEMENTS entries
-    step = max(1, EFFECT_BLOCK_ELEMENTS // (d * d))
     vectors = []
     target_missing = []
     worst_overlap_gap = worst_idem = worst_orth = 0.0
     programs = eigenvector_program(rep, [wh_element_index(d, x, y) for x, y in generators], targets)
-    for x, y in generators:
-        # next(), not zip: zip's reused result tuple would hold the last probe
-        # while the iterator builds the next one
-        psi, probe, kern, exact = next(programs)
+    for (x, y), (psi, probe, kern, exact) in zip(generators, programs):
         if not exact:
             # at d = 2 the closed-form coefficients degenerate and the
             # canonical target is no eigenvalue; the fallback is recorded
@@ -574,17 +609,12 @@ def phase_space_demo(d: int) -> dict:
         vectors.append(psi)
 
         sharp = post_process_observable(kern, program(mm, probe))
-        del probe  # freed before the next vector's probe is built
         _check(sharp.n_outcomes == d, "coset merging of <({},{})> has {} outcomes", x, y, d)
-        e = sharp.effects
-        worst_idem = max(worst_idem, float(np.max(np.abs(e @ e - e))))
-        traces = np.trace(e, axis1=1, axis2=2).real
-        _check(bool(np.all(np.abs(traces - 1.0) <= 1e-8)), "effects are rank one")
-        for lo in range(0, len(first), step):
-            pair = e[first[lo : lo + step]] @ e[second[lo : lo + step]]
-            worst_orth = max(worst_orth, float(np.max(np.abs(pair))))
-        _check(worst_idem <= 1e-8, "merged effects for <({},{})> are idempotent", x, y)
-        _check(worst_orth <= 1e-8, "merged effects for <({},{})> are mutually orthogonal", x, y)
+        delta, idem, orth = _sharp_defects(sharp._factors)
+        _check(delta <= 1e-8, "effects are rank one")
+        worst_idem, worst_orth = max(worst_idem, idem), max(worst_orth, orth)
+        _check(idem <= 1e-8, "merged effects for <({},{})> are idempotent", x, y)
+        _check(orth <= 1e-8, "merged effects for <({},{})> are mutually orthogonal", x, y)
 
     return {
         "check": "phase_space_demo",

@@ -657,6 +657,17 @@ def sharp_from_subgroup(rep, generator, psi: np.ndarray):
     return Observable(effects, outcomes=[rep.group.names[g] for g in firsts])
 
 
+def sharp_projector_defects(effects: np.ndarray) -> tuple:
+    """The largest entries of E E - E over an effect stack and of E_x E_y over
+    its pairs x < y, by dense products: the check the phase-space demo ran on
+    its merged effects before it read their Gram factors, which held each to
+    1e-8."""
+    idem = float(np.max(np.abs(effects @ effects - effects)))
+    first, second = np.triu_indices(len(effects), 1)
+    orth = float(np.max(np.abs(effects[first] @ effects[second]), initial=0.0))
+    return idem, orth
+
+
 def estimate_recompute(e1, e2, est) -> float:
     """Re-evaluate the reported ratio at the reported argmin pair: the
     unfloored ratio the search minimises, or for a zero estimate the floored

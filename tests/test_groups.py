@@ -37,7 +37,7 @@ from qmultimeter.groups import (
 )
 from qmultimeter.linalg import TOL_HERM, herm_defect, hermitianize, tensor
 from qmultimeter.postprocessing import PostProcessing, post_process_observable
-from qmultimeter.quantum import REL_RANK_CLIP, DensityState, Observable, program
+from qmultimeter.quantum import REL_RANK_CLIP, DensityState, Observable, fidelity, program
 from qmultimeter.sampling import random_density, random_unitary
 from qmultimeter.verify import PHASE_SPACE_MAX_DIM
 
@@ -766,9 +766,20 @@ def _assert_full_check_agrees(obs):
     assert full.outcomes == obs.outcomes
 
 
-def _assert_probe_within_bound(eta, seed, probe):
-    """The probe's measured Hermiticity defect is within its factor bound."""
-    assert herm_defect(probe.matrix) <= groups._kron_herm_bound(eta.matrix, seed.matrix.T)
+def _product_herm_bound(a: np.ndarray, b: np.ndarray) -> float:
+    """The Hermiticity bound ``DensityState._from_factors`` states for the
+    product of ``a`` and ``b``: max|a| defect(b) + defect(a) max|b| + 4 eps max|a| max|b|."""
+    top_a, top_b = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
+    rounding = 4 * np.finfo(float).eps * top_a * top_b
+    return top_a * herm_defect(b) + herm_defect(a) * top_b + rounding
+
+
+def _assert_probe_is_the_product(eta, seed, probe):
+    """The probe's matrix, built when first read, is tensor(eta, seed^T) bit
+    for bit, Hermitian within the bound its factors give."""
+    product = tensor(eta.matrix, seed.matrix.T)
+    assert probe.matrix.tobytes() == product.tobytes()
+    assert herm_defect(probe.matrix) <= _product_herm_bound(eta.matrix, seed.matrix.T)
 
 
 class TestGramBuiltObservables:
@@ -777,7 +788,7 @@ class TestGramBuiltObservables:
 
     def _programs_and_agrees(self, mm, eta, seed):
         probe = covariant_program_state(eta, seed)
-        _assert_probe_within_bound(eta, seed, probe)
+        _assert_probe_is_the_product(eta, seed, probe)
         programmed = program(mm, probe)
         _assert_full_check_agrees(programmed)
         _assert_full_check_agrees(covariant_observable(mm.representation, seed))
@@ -793,7 +804,7 @@ class TestGramBuiltObservables:
                 eta, seed = DensityState.maximally_mixed(2), DensityState.from_vector(psi)
                 built = covariant_program_state(eta, seed)
                 assert probe.matrix.tobytes() == built.matrix.tobytes()
-                _assert_probe_within_bound(eta, seed, probe)
+                _assert_probe_is_the_product(eta, seed, probe)
                 _assert_full_check_agrees(program(mm, probe))
         # pure seeds program through one factor column
         assert factor_ranks == [1] * 2 * len(sharp_generators(q8))
@@ -808,7 +819,7 @@ class TestGramBuiltObservables:
         targets = [1.0 + 0j] + [np.exp(2j * np.pi / d)] * d
         eta = DensityState.maximally_mixed(d)
         for psi, probe, _, _ in eigenvector_program(rep, gens, targets):
-            _assert_probe_within_bound(eta, DensityState.from_vector(psi), probe)
+            _assert_probe_is_the_product(eta, DensityState.from_vector(psi), probe)
             _assert_full_check_agrees(program(mm, probe))
         assert factor_ranks == [1] * (d + 1)
 
@@ -846,30 +857,143 @@ class TestGramBuiltObservables:
 
         for _ in range(10):
             eta, seed = off_hermitian(), off_hermitian()
-            bound = groups._kron_herm_bound(eta.matrix, seed.matrix.T)
+            bound = _product_herm_bound(eta.matrix, seed.matrix.T)
             assert 0.0 < herm_defect(eta.matrix) and bound <= TOL_HERM
             scans = len(hermiticity_scans)
             probe = covariant_program_state(eta, seed)
+            _assert_probe_is_the_product(eta, seed, probe)
             assert hermiticity_scans[scans:] == []
-            assert 0.0 < herm_defect(probe.matrix) <= bound
-            full = DensityState._with_spectrum(probe.matrix.copy(), probe._spectrum)
+            assert 0.0 < herm_defect(probe.matrix)
+            full = DensityState(probe.matrix.copy())
             assert hermiticity_scans[scans:] == [(d * d, d * d)]
             assert full.matrix.tobytes() == probe.matrix.tobytes()
 
-    def test_probe_beyond_its_bound_takes_the_full_check(self, hermiticity_scans):
-        # two valid states, each 0.9 TOL_HERM from Hermitian, of largest entry 1
+    def test_probe_near_the_tolerance_is_accepted_on_its_factors(self, hermiticity_scans):
+        # two valid states, each 0.9 TOL_HERM from Hermitian, of largest entry 1:
+        # the stated bound exceeds TOL_HERM, yet the product is not scanned
         eta = DensityState(np.array([[1.0, 0.9 * TOL_HERM], [0.0, 0.0]], dtype=complex))
         seed = DensityState(np.array([[0.0, 0.0], [0.9 * TOL_HERM, 1.0]], dtype=complex))
         assert herm_defect(eta.matrix) == herm_defect(seed.matrix) == 0.9 * TOL_HERM
-        assert groups._kron_herm_bound(eta.matrix, seed.matrix.T) > TOL_HERM
+        assert _product_herm_bound(eta.matrix, seed.matrix.T) > TOL_HERM
         scans = len(hermiticity_scans)
         probe = covariant_program_state(eta, seed)
-        assert hermiticity_scans[scans:] == [(4, 4)]
-        product = tensor(eta.matrix, seed.matrix.T)
-        expected = DensityState._with_spectrum(product, np.outer(eta._spectrum, seed._spectrum))
-        assert probe.matrix.tobytes() == expected.matrix.tobytes()
-        assert np.array_equal(probe._spectrum, expected._spectrum)
+        _assert_probe_is_the_product(eta, seed, probe)
+        assert hermiticity_scans[scans:] == []
         assert herm_defect(probe.matrix) <= TOL_HERM
+
+
+def _probes(rep):
+    """(psi, probe) of every eigenvector of the first two sharp generators of
+    ``rep``: pairs of overlap 1, 0 and that of two subgroups."""
+    eta = DensityState.maximally_mixed(rep.degree)
+    for gen in sharp_generators(rep)[:2]:
+        for psi in eigenvector_program_states(rep, gen)[1].T:
+            yield psi, covariant_program_state(eta, DensityState.from_vector(psi))
+
+
+@pytest.fixture
+def probe_builds(monkeypatch):
+    """The shapes of the factors of every deferred probe matrix built."""
+    shapes = []
+    original = quantum.tensor
+
+    def spy(a, b):
+        shapes.append((np.shape(a), np.shape(b)))
+        return original(a, b)
+
+    monkeypatch.setattr(quantum, "tensor", spy)
+    return shapes
+
+
+class TestFactoredProbes:
+    """A probe eta x seed^T keeps its factors; programming and fidelity read
+    them and agree with the dense probe."""
+
+    @pytest.mark.parametrize("which", ["q8", 2, 3, 5, 7])
+    def test_program_matches_the_dense_probe(self, which, probe_builds):
+        rep = fixture_representation(which)
+        mm = covariant_multimeter(rep)
+        for _, probe in _probes(rep):
+            factored = program(mm, probe)
+            assert probe_builds == []
+            dense = program(mm, DensityState(probe.matrix.copy()))
+            assert factored.outcomes == dense.outcomes
+            assert np.max(np.abs(factored.effects - dense.effects)) <= 1e-12
+            probe_builds.clear()
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_random_mixed_product_matches_the_dense_probe(self, d, rng, probe_builds):
+        mm = covariant_multimeter(weyl_heisenberg(d))
+        for _ in range(5):
+            eta, seed = random_density(rng, d), random_density(rng, d)
+            probe = covariant_program_state(eta, seed)
+            factored = program(mm, probe)
+            assert probe_builds == []
+            dense = program(mm, DensityState(probe.matrix.copy()))
+            assert np.max(np.abs(factored.effects - dense.effects)) <= 1e-12
+            probe_builds.clear()
+
+    @pytest.mark.parametrize("which", ["q8", 2, 3, 5, 7])
+    def test_fidelity_matches_the_dense_fidelity(self, which, probe_builds):
+        probes = list(_probes(fixture_representation(which)))
+        for psi1, xi1 in probes:
+            for psi2, xi2 in probes:
+                built = len(probe_builds)
+                f = fidelity(xi1, xi2)
+                assert len(probe_builds) == built
+                # the shared eta has fidelity 1, the pure seeds |<psi1|psi2>|
+                assert abs(f - abs(np.vdot(psi1, psi2))) <= 1e-12
+                if xi1 is not xi2:
+                    dense1, dense2 = DensityState(xi1.matrix.copy()), DensityState(xi2.matrix.copy())
+                    dense = fidelity(dense1, dense2)
+                    assert abs(f - dense) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fidelity_of_random_mixed_products(self, d, rng):
+        for _ in range(5):
+            a, b = (covariant_program_state(random_density(rng, d), random_density(rng, d))
+                    for _ in range(2))
+            dense = fidelity(DensityState(a.matrix.copy()), DensityState(b.matrix.copy()))
+            assert abs(fidelity(a, b) - dense) <= 1e-12
+            # a product against a dense state builds the product's matrix
+            assert abs(fidelity(a, DensityState(b.matrix.copy())) - dense) <= 1e-12
+
+    def test_matrix_is_built_on_first_read_once(self, rng, probe_builds):
+        eta, seed = random_density(rng, 3), DensityState.from_vector(random_unitary(rng, 3)[:, 0])
+        probe = covariant_program_state(eta, seed)
+        assert probe.dim == 9 and probe_builds == []
+        first = probe.matrix
+        assert probe.matrix is first and probe_builds == [((3, 3), (3, 3))]
+        assert not first.flags.writeable
+        assert first.tobytes() == tensor(eta.matrix, seed.matrix.T).tobytes()
+
+    def test_pure_seed_runs_no_eigh(self, q8, monkeypatch):
+        # the seed's unit column is its Gram factor: the same effects as the
+        # eigh of its matrix, which a dense copy of the seed takes
+        psi = eigenvector_program_states(q8, sharp_generators(q8)[0])[1][:, 0]
+        seed, eta = DensityState.from_vector(psi), DensityState.maximally_mixed(2)
+        dense_seed = covariant_observable(q8, DensityState(seed.matrix.copy()))
+        product = DensityState(tensor(eta.matrix, seed.matrix.T))
+        dense_probe = program(covariant_multimeter(q8), product)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pure seed ran eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        from_column = covariant_observable(q8, seed)
+        programmed = program(covariant_multimeter(q8), covariant_program_state(eta, seed))
+        assert np.max(np.abs(from_column.effects - dense_seed.effects)) <= 1e-15
+        assert np.max(np.abs(programmed.effects - dense_probe.effects)) <= 1e-15
+
+    def test_factors_of_different_dimensions_are_refused(self, rng):
+        with pytest.raises(ValueError, match="^eta dim 2 != seed dim 3$"):
+            covariant_program_state(random_density(rng, 2), random_density(rng, 3))
+
+    def test_trace_of_the_product_is_checked(self):
+        # each factor's trace is 1 + 0.9e-9, within ATOL_TRACE; the product's is not
+        near = DensityState(np.diag([0.5, 0.5 + 0.9e-9]).astype(complex))
+        with pytest.raises(ValueError, match="state trace .* is not 1 within 1.0e-09"):
+            covariant_program_state(near, near)
 
 
 class TestDeferredEffects:

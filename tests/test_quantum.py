@@ -148,14 +148,6 @@ class TestDensityState:
         with pytest.raises(ValueError, match="zero vector"):
             DensityState.from_vector(psi)
 
-    def test_known_spectrum_beyond_the_clip_falls_back_to_eigh(self):
-        m = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
-        s = DensityState._with_spectrum(m, [1.0 + 5e-10, -5e-10])
-        assert s.matrix.tobytes() == DensityState(m).matrix.tobytes()
-        assert not np.array_equal(s.matrix, m)  # re-projected, as eigh does
-        with pytest.raises(ValueError, match="negative eigenvalue mass"):
-            DensityState._with_spectrum(np.diag([1.0 + 1e-5, -1e-5]), [1.0 + 1e-5, -1e-5])
-
     @pytest.mark.parametrize(
         "matrix,message",
         [
@@ -165,23 +157,32 @@ class TestDensityState:
             (np.diag([np.nan, 1.0]), "non-finite"),
         ],
     )
-    def test_known_spectrum_runs_the_constructor_checks(self, matrix, message):
+    def test_constructor_checks(self, matrix, message):
         with pytest.raises(ValueError, match=message):
             DensityState(matrix)
-        with pytest.raises(ValueError, match=message):
-            DensityState._with_spectrum(matrix, np.ones(1))
 
     @pytest.mark.parametrize("build", ["sampled", "from_vector", "maximally_mixed", "repaired"])
-    def test_kept_spectrum_is_the_matrix_spectrum(self, rng, build):
-        # covariant_program_state multiplies the spectra its factors keep
+    def test_kept_structure_reproduces_the_matrix(self, rng, build):
+        # eigh validation keeps its eigenpairs for the root; from_vector keeps
+        # its unit column, which programs a covariant multimeter
         s = {
             "sampled": lambda: random_density(rng, 4),
             "from_vector": lambda: DensityState.from_vector(random_pure_vector(rng, 4)),
             "maximally_mixed": lambda: DensityState.maximally_mixed(4),
             "repaired": lambda: repaired_state(rng, 4),
         }[build]()
-        want = np.linalg.eigvalsh(s.matrix)
-        assert np.allclose(np.sort(s._spectrum), want, atol=1e-14, rtol=0.0)
+        if build == "sampled":
+            w, v = s._eigh
+            assert np.allclose((v * w) @ v.conj().T, s.matrix, atol=1e-14, rtol=0.0)
+        else:
+            assert s._eigh is None
+        if build == "from_vector":
+            column = s._gram[:, 0]
+            assert s._gram.shape == (4, 1)
+            assert abs(np.linalg.norm(column) - 1.0) <= 1e-15
+            assert np.outer(column, column.conj()).tobytes() == s.matrix.tobytes()
+        else:
+            assert s._gram is None
 
     def test_built_states_skip_eigh(self, rng, monkeypatch):
         eta, seed = random_density(rng, 3), random_density(rng, 3)
@@ -193,6 +194,21 @@ class TestDensityState:
         DensityState.from_vector(random_pure_vector(rng, 5))
         DensityState.maximally_mixed(5)
         covariant_program_state(eta, seed)
+
+    def test_from_vector_is_certified_by_construction(self, rng, monkeypatch):
+        # no Hermiticity scan: the outer product is Hermitian within
+        # sqrt(5) eps an entry, as from_vector states, and of unit trace
+        def refuse(*args, **kwargs):
+            raise AssertionError("from_vector scanned its matrix")
+
+        monkeypatch.setattr(quantum, "require_hermitian", refuse)
+        eps = np.finfo(float).eps
+        for d in (1, 2, 3, 7, 64, 257):
+            for _ in range(5):
+                psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+                m = DensityState.from_vector(psi * 10.0 ** rng.uniform(-3, 3)).matrix
+                assert np.max(np.abs(m - m.conj().T)) <= np.sqrt(5) * eps
+                assert abs(np.trace(m).real - 1.0) <= (d + 2) * eps
 
     @pytest.mark.parametrize("build", ["transpose", "from_vector", "maximally_mixed", "repaired"])
     def test_derived_states_are_valid(self, rng, build):
@@ -575,8 +591,10 @@ class TestFidelity:
             for b in states:
                 prod = quantum._state_root(a.matrix) @ quantum._state_root(b.matrix)
                 direct = min(max(float(np.linalg.svd(prod, compute_uv=False).sum()), 0.0), 1.0)
-                assert fidelity(a, b) == direct
-                assert fidelity(a, b) == direct
+                # a state has fidelity 1 with itself, and no root is read for it
+                want = 1.0 if a is b else direct
+                assert fidelity(a, b) == want
+                assert fidelity(a, b) == want
         assert all(not s.root.flags.writeable for s in states)
 
     @pytest.mark.parametrize("d", [2, 4, 7])
@@ -617,7 +635,7 @@ class TestFidelity:
         for x, y in ((repaired, pure), (pure, repaired), (repaired, a), (pure, pure)):
             fidelity(x, y)
         assert len(calls) == 2
-        assert all(s._vectors is None for s in (a, b, c, repaired, pure))
+        assert all(s._eigh is None for s in (a, b, c, repaired, pure))
 
 
 class TestChannels:

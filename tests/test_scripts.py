@@ -81,15 +81,21 @@ def test_size_report_counts_lines_and_settable_values(tmp_path):
     )
 
 
-# a stand-in for perfbench/run.py: it logs its tree and seed, then prints the
-# last-line JSON of an end-to-end run: op_p50_s read from the tree's speed
-# file, the other metrics it knows derived from it, for each name the tree's
-# BENCHMARK.json declares
+# a stand-in for perfbench/run.py: it logs its tree and seed, and its
+# environment with whether its bytecode cache held the file it leaves there;
+# then it prints the last-line JSON of an end-to-end run: op_p50_s read
+# from the tree's speed file, the other metrics it knows derived from it, for
+# each name the tree's BENCHMARK.json declares
 FAKE_RUN = """
-import json, pathlib, sys
+import json, os, pathlib, sys
 seed = sys.argv[sys.argv.index("--seed") + 1]
 with open(sys.argv[0].replace("run.py", "../../runs.log"), "a") as log:
     log.write(pathlib.Path.cwd().name + " " + seed + "\\n")
+cache = pathlib.Path(os.environ["PYTHONPYCACHEPREFIX"])
+with open(sys.argv[0].replace("run.py", "../../envs.log"), "a") as log:
+    stale = (cache / "left_behind.pyc").exists()
+    log.write(json.dumps({"env": dict(os.environ), "stale": stale}) + "\\n")
+(cache / "left_behind.pyc").write_text("")
 p50 = float(pathlib.Path("speed").read_text()) * (1 + int(seed) / 100)
 values = {"setup_s": 0.5, "op_p50_s": p50, "op_tail_s": 2 * p50, "ops_per_s": 1 / p50,
           "peak_rss_mb": 50.0}
@@ -109,10 +115,10 @@ def fake_tree(root: Path, name: str, speed: float) -> Path:
     return tree
 
 
-def ab_bench(*args) -> subprocess.CompletedProcess:
+def ab_bench(*args, env=None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(REPO / "scripts" / "ab_bench.py"), *map(str, args)],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
 
 
@@ -139,6 +145,26 @@ def test_ab_bench_alternates_the_trees_and_counts_the_wins(tmp_path):
         assert line in out
     assert "parent op_p50_s quartiles: 0.01 .. 0.0102" in out
     assert out.rstrip().endswith("change faster in 3 of 3 pairs")
+
+
+def test_ab_bench_starts_both_trees_alike(tmp_path):
+    parent, change = fake_tree(tmp_path, "parent", 0.010), fake_tree(tmp_path, "change", 0.008)
+    # bytecode in one tree only, as an earlier run would leave it
+    (parent / "src" / "qmultimeter" / "__pycache__").mkdir()
+    proc = ab_bench(parent, change, "--workload", "divergence_b4", "--pairs", 2, "--seconds", 1,
+                    env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in (tmp_path / "envs.log").read_text().splitlines()]
+    assert len(runs) == 4
+    # the same environment in every run, with one bytecode cache outside
+    # both trees, emptied before each run
+    assert all(run["env"] == runs[0]["env"] for run in runs)
+    cache = Path(runs[0]["env"]["PYTHONPYCACHEPREFIX"])
+    assert parent not in cache.parents and change not in cache.parents
+    assert not any(run["stale"] for run in runs)
+    assert "PYTHONPATH" not in runs[0]["env"]
+    assert "PYTHONDONTWRITEBYTECODE" not in runs[0]["env"]
+    assert not cache.exists()
 
 
 def test_ab_bench_fails_when_a_run_lacks_a_declared_metric(tmp_path):

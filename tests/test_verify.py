@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import einsum_margins, sharpmin_oracle
+from oracles import einsum_margins, sharp_projector_defects, sharpmin_oracle
 
 from qmultimeter import groups, quantum, verify
-from qmultimeter.groups import PAULI_Y, covariant_multimeter, weyl_heisenberg
+from qmultimeter.divergence import observable_divergence
+from qmultimeter.groups import PAULI_Y, covariant_multimeter, is_prime, weyl_heisenberg
 from qmultimeter.postprocessing import PostProcessing, pp_fidelity
 from qmultimeter.quantum import DensityState, Observable, fidelity, outcome_distribution, program
 from qmultimeter.sampling import (
@@ -474,11 +475,12 @@ class TestDemos:
         monkeypatch.setattr(np.linalg, "eig", refuse)
         demo()
 
-    @pytest.mark.parametrize("demo,merged", [(lambda: phase_space_demo(7), [(7, 7, 7)] * 8),
+    @pytest.mark.parametrize("demo,merged", [(lambda: phase_space_demo(7), []),
                                              (quaternion_demo, [(2, 2, 2)] * 3)])
     def test_demos_build_only_the_merged_effect_stacks(self, monkeypatch, demo, merged):
         # the programmed (#G, d, d) observables are merged through their
-        # factors, and their effects are never read, so never built
+        # factors, and their effects are never read, so never built; the
+        # phase-space demo checks its merged factors and builds no effect
         stacks = []
         original = quantum.hermitianize
 
@@ -516,20 +518,21 @@ class TestDemos:
         demo()
         assert len(calls) == 1
 
-    def test_phase_space_demo_keeps_one_probe_alive(self, monkeypatch):
-        alive, most = set(), []
-        original = groups.covariant_program_state
+    def test_demos_and_checks_build_no_probe_matrix(self, monkeypatch):
+        # every probe is kept as its factors: programming and the program
+        # fidelity read them, so the deferred d^2 x d^2 build never runs
+        def refuse(*args):
+            raise AssertionError("a d^2 x d^2 probe matrix was built")
 
-        def tracked(eta, seed):
-            probe = original(eta, seed)
-            alive.add(id(probe))
-            weakref.finalize(probe, alive.discard, id(probe))
-            most.append(len(alive))
-            return probe
-
-        monkeypatch.setattr(groups, "covariant_program_state", tracked)
-        phase_space_demo(5)
-        assert len(most) == 6 and max(most) == 1
+        monkeypatch.setattr(quantum, "tensor", refuse)
+        for d in (7, 19):
+            assert phase_space_demo(d)["vector_count"] == d + 1
+        quaternion_demo()
+        mm, xi1, xi2, l1, l2 = wh_program_pair(5)
+        assert verify_prop1(mm, xi1, xi2, trials=200, seed=0).violations == 0
+        assert verify_prop3(mm, xi1, xi2, l1, l2, trials=200, seed=0).violations == 0
+        with pytest.raises(AssertionError, match="probe matrix was built"):
+            xi1.matrix
 
     def test_phase_space_demo_rejects_bad_dims(self):
         with pytest.raises(ValueError, match="prime"):
@@ -574,21 +577,23 @@ class TestDemoFailures:
 
     @staticmethod
     def _replace_merged(monkeypatch, replace):
-        """Merged observables whose effects ``replace`` maps."""
+        """Merged observables whose Gram factors ``replace`` maps."""
         original = verify.post_process_observable
 
         def replaced(kern, e):
             sharp = original(kern, e)
-            return SimpleNamespace(n_outcomes=sharp.n_outcomes, effects=replace(sharp.effects))
+            return SimpleNamespace(n_outcomes=sharp.n_outcomes, _factors=replace(sharp._factors))
 
         monkeypatch.setattr(verify, "post_process_observable", replaced)
 
     @staticmethod
-    def _off_diagonal(effects):
-        # traces kept, each effect 1e-6 away from idempotent
-        bump = np.zeros_like(effects)
-        bump[:, 0, 1] = bump[:, 1, 0] = 1e-6
-        return effects + bump
+    def _second_direction(factors):
+        # one column of each merged factor turned off the common direction of
+        # the others, traces kept: each effect of rank two
+        bent = factors.copy()
+        bent[:, :, 0] = np.roll(factors[:, :, 0], 1, axis=1)
+        bent *= np.sqrt(1.0 / np.einsum("kds,kds->k", bent.conj(), bent).real)[:, None, None]
+        return bent
 
     @staticmethod
     def _tilted(psi):
@@ -600,7 +605,7 @@ class TestDemoFailures:
         "case,identity",
         [
             ("phase-space-overlap", "|<psi_(0, 1)|psi_(1, 0)>| = 1/sqrt(3)"),
-            ("phase-space-trace", "effects are rank one"),
+            ("phase-space-rank", "effects are rank one"),
             ("phase-space-idempotent", "merged effects for <(0,1)> are idempotent"),
             ("phase-space-orthogonal", "merged effects for <(0,1)> are mutually orthogonal"),
             ("q8-projection", "programming projection for <i> equals (1 + sigma_i)/2"),
@@ -612,12 +617,13 @@ class TestDemoFailures:
         if case == "phase-space-overlap":
             # the second vector replaced by the first, the basis vector e_0
             self._replace_vector(monkeypatch, 1, lambda psi: np.eye(3)[0])
-        elif case == "phase-space-trace":
-            self._replace_merged(monkeypatch, lambda e: 1.1 * e)
+        elif case == "phase-space-rank":
+            self._replace_merged(monkeypatch, self._second_direction)
         elif case == "phase-space-idempotent":
-            self._replace_merged(monkeypatch, self._off_diagonal)
+            # each effect scaled by 1.1: still rank one, and 0.11 from idempotent
+            self._replace_merged(monkeypatch, lambda a: np.sqrt(1.1) * a)
         elif case == "phase-space-orthogonal":
-            self._replace_merged(monkeypatch, lambda e: e[[0, 0, 2]])
+            self._replace_merged(monkeypatch, lambda a: a[[0, 0, 2]])
         elif case == "q8-projection":
             self._replace_vector(monkeypatch, 0, lambda psi: np.eye(2)[0])
         elif case == "q8-fidelity":
@@ -646,6 +652,92 @@ class TestDemoFailures:
         # d = 7: 4 checks per vector and one per pair of vectors; q8: 14
         assert len(checks) == 8 * 4 + 8 * 7 // 2 + 14
         assert len(set(checks)) == 5 + 5
+
+
+class TestSharpDefects:
+    """The demo's factor bounds against today's dense products of the effects."""
+
+    @staticmethod
+    def _merged(monkeypatch):
+        """Every merged observable the demo checks, in order."""
+        merged = []
+        original = verify.post_process_observable
+
+        def kept(kern, e):
+            merged.append(original(kern, e))
+            return merged[-1]
+
+        monkeypatch.setattr(verify, "post_process_observable", kept)
+        return merged
+
+    @pytest.mark.parametrize("d", [p for p in range(2, 20) if is_prime(p)])
+    def test_bounds_dominate_the_dense_oracle(self, monkeypatch, d):
+        merged = self._merged(monkeypatch)
+        report = phase_space_demo(d)
+        worst = [0.0, 0.0]
+        for sharp in merged:
+            delta, idem, orth = verify._sharp_defects(sharp._factors)
+            dense = sharp_projector_defects(sharp.effects)
+            assert max(dense) <= 1e-8
+            assert dense[0] <= idem and dense[1] <= orth
+            # and each effect is within delta of its compressed column's projector
+            assert delta <= 1e-12
+            worst = [max(w, x) for w, x in zip(worst, dense)]
+        assert len(merged) == d + 1
+        assert worst[0] <= report["worst_idempotency_defect"] <= 1e-12
+        assert worst[1] <= report["worst_orthogonality_defect"] <= 1e-12
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-6, 1e-3, 1e-1])
+    @pytest.mark.parametrize("d,s", [(2, 4), (3, 3), (5, 2)])
+    def test_bounds_dominate_the_dense_oracle_off_the_projectors(self, rng, d, s, noise):
+        # parallel columns of orthonormal directions, then every column,
+        # direction and weight moved by ``noise``: the bounds must still
+        # cover the dense defects, which they no longer meet by rounding
+        for _ in range(5):
+            basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+            weights = rng.normal(size=(d, s)) + 1j * rng.normal(size=(d, s))
+            weights /= np.linalg.norm(weights, axis=1, keepdims=True)
+            factors = basis.T[:, :, None] * weights[:, None, :]
+            shape = factors.shape
+            factors = factors + noise * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            effects = factors @ factors.conj().transpose(0, 2, 1)
+            delta, idem, orth = verify._sharp_defects(factors)
+            idem_dense, orth_dense = sharp_projector_defects(effects)
+            assert idem_dense <= idem and orth_dense <= orth
+            assert np.isfinite(delta) and (noise > 0.0 or delta <= 1e-14)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3, 1e-1])
+    def test_a_perpendicular_column_is_bounded(self, rng, eps):
+        # A_x = [q_x, eps q_(x+1)]: each compressed column is exactly the
+        # unit q_x, and the effects miss idempotency and orthogonality by
+        # about eps^2 through the residual alone
+        d = 4
+        basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0].T
+        factors = np.stack([basis, eps * np.roll(basis, -1, axis=0)], axis=2)
+        effects = factors @ factors.conj().transpose(0, 2, 1)
+        delta, idem, orth = verify._sharp_defects(factors)
+        idem_dense, orth_dense = sharp_projector_defects(effects)
+        assert idem_dense > eps**2 / 2 and orth_dense > eps**2 / 2
+        assert idem_dense <= idem and orth_dense <= orth and delta >= eps**2
+
+    def test_a_zero_effect_fails_the_rank_check(self):
+        factors = np.zeros((2, 2, 1), dtype=complex)
+        factors[0, 0, 0] = 1.0
+        delta, idem, orth = verify._sharp_defects(factors)
+        assert not delta <= 1e-8
+
+
+class TestProposition1IsTight:
+    """The divergence estimate attains the program fidelity on the paper's
+    programmed pairs (Proposition 1 with equality), read off the factors."""
+
+    @pytest.mark.parametrize("fixture", ["q8", 2, 3, 5, 7])
+    def test_estimate_equals_the_program_fidelity(self, fixture):
+        mm, xi1, xi2, _, _ = q8_program_pair() if fixture == "q8" else wh_program_pair(fixture)
+        f = fidelity(xi1, xi2)
+        assert abs(f - abs(np.vdot(xi1._factors[1]._gram, xi2._factors[1]._gram))) <= 1e-15
+        estimate = observable_divergence(program(mm, xi1), program(mm, xi2))
+        assert f - 4 * np.spacing(f) <= estimate.value <= f + 1e-9
 
 
 class _Unformattable:
