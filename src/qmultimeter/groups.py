@@ -11,14 +11,7 @@ import numpy as np
 
 from .linalg import as_matrix, hermitianize, tensor
 from .postprocessing import PostProcessing
-from .quantum import (
-    ATOL_COMPLETE,
-    ATOL_PROGRAM,
-    REL_RANK_CLIP,
-    DensityState,
-    Multimeter,
-    Observable,
-)
+from .quantum import ATOL_COMPLETE, ATOL_PROGRAM, DensityState, Multimeter, Observable
 
 UNITARY_TOL = 1e-10
 MULTIPLIER_TOL = 1e-9
@@ -197,30 +190,17 @@ class ProjectiveRepresentation:
         return self.matrices.shape[1]
 
 
-def _covariant_observable(
-    rep: ProjectiveRepresentation, m: np.ndarray, atol_complete: float, column=None, scale=1.0
-) -> Observable:
-    """The covariant observable of a seed m, with the effects
-    (d/#G) U(g) m U(g)^dagger labelled by the elements g of ``rep``, of degree d.
+def _covariant_observable(rep: ProjectiveRepresentation, f, atol_complete: float) -> Observable:
+    """The covariant observable of the seed f f^dagger, with the effects
+    (d/#G) U(g) f f^dagger U(g)^dagger labelled by the elements g of ``rep``,
+    of degree d, for a (d, r) factor f already scaled by sqrt(d/#G).
 
-    The seed is ``scale`` times the state m. Its factor is
-    F = V sqrt((d/#G) w) for orthonormal columns V and weights w with
-    V diag(w) V^dagger the seed. A pure state's unit ``column`` v
-    (``DensityState.from_vector``), m = v v^dagger, gives V = v and
-    w = (scale,); any other seed one ``eigh``, whose eigenvalues above
-    ``REL_RANK_CLIP`` times the largest it keeps, so that FF^dagger is the
-    seed times d/#G within that clip. F has one column per weight, r in all.
-    Each effect is the Gram product a a^dagger of a = U(g) F, all a formed by
+    Each effect is the Gram product a a^dagger of a = U(g) f, all a formed by
     one (#G d, d) x (d, r) product: O(#G d^2 r), so O(d^4) for a pure seed.
     ``Observable._from_factors`` states why such effects skip the
     Hermiticity and eigenvalue checks.
     """
     d, n = rep.degree, rep.group.order
-    if column is None:
-        w, v = np.linalg.eigh(hermitianize(scale * m))
-        keep = w > w.max() * REL_RANK_CLIP
-        column, scale = v[:, keep], w[keep]
-    f = column * np.sqrt(scale * (d / n))
     a = (rep.matrices.reshape(n * d, d) @ f).reshape(n, d, -1)
     return Observable._from_factors(a, list(rep.group.names), atol_complete)
 
@@ -233,8 +213,9 @@ def covariant_observable(rep: ProjectiveRepresentation, seed: DensityState) -> O
     """
     if seed.dim != rep.degree:
         raise ValueError(f"seed dim {seed.dim} != representation degree {rep.degree}")
+    f = seed.factor * np.sqrt(rep.degree / rep.group.order)
     try:
-        return _covariant_observable(rep, seed.matrix, ATOL_COMPLETE, seed._gram)
+        return _covariant_observable(rep, f, ATOL_COMPLETE)
     except ValueError as exc:
         raise ValueError(
             f"covariant effects do not form an observable ({exc}); "
@@ -388,7 +369,7 @@ def eigenvector_program(
 
     Every vector comes from one stacked ``eigenvector_program_states`` call
     and the mixed state is built once. Each probe keeps that state and the
-    vector's pure state as its factors (``covariant_program_state``), so no
+    vector's pure state as its pair (``covariant_program_state``), so no
     d^2 x d^2 matrix is built unless its ``matrix`` is read.
     """
     if np.shape(targets) != (len(generators),):
@@ -466,16 +447,20 @@ class CovariantMultimeter(Multimeter):
         (``covariant_pointer``) in closed form, which reads neither.
 
         A product probe eta x seed^T (``covariant_program_state``) has
-        sigma^T = tr(eta) seed, read off its factors with the seed's Gram
-        column, if it has one; its d^2 x d^2 matrix is never read. Any other
-        probe is traced over its first factor."""
+        sigma^T = tr(eta) seed, read off its pair, so its d^2 x d^2 matrix is
+        never read. Any other probe is traced over its first factor, and
+        sigma^T, positive and of unit trace as the partial trace of a state,
+        is certified as the seed, with tr(eta) = 1. Either way the seed's Gram
+        factor (``DensityState.factor``) times sqrt(tr(eta) d/#G) programs it."""
         rep, d = self.representation, self.system_dim
-        if xi._factors is None:
+        if xi._pair is None:
             sigma = np.trace(xi.matrix.reshape(d, d, d, d), axis1=0, axis2=2)
-            return _covariant_observable(rep, sigma.T, ATOL_PROGRAM)
-        eta, seed = xi._factors
-        tr_eta = float(np.trace(eta.matrix).real)
-        return _covariant_observable(rep, seed.matrix, ATOL_PROGRAM, seed._gram, tr_eta)
+            seed, tr_eta = DensityState._certified(sigma.T), 1.0
+        else:
+            eta, seed = xi._pair
+            tr_eta = float(np.trace(eta.matrix).real)
+        f = seed.factor * np.sqrt(tr_eta * (d / rep.group.order))
+        return _covariant_observable(rep, f, ATOL_PROGRAM)
 
     def dual_pointer_effects(self) -> list:
         """Pointer effects pulled back through the partial SWAP: the dense
@@ -518,9 +503,9 @@ def covariant_program_state(eta: DensityState, seed: DensityState) -> DensitySta
     """Probe state eta x transpose(seed) that programs the seed's observable,
     for two states of one dimension, the degree of the representation.
 
-    It keeps the two validated states as its factors and builds its
-    d^2 x d^2 matrix only when that is read (``DensityState._from_factors``):
+    It keeps the two validated states as its pair and builds its
+    d^2 x d^2 matrix only when that is read (``DensityState._product``):
     programming a covariant multimeter and the fidelity of two such probes
-    read the factors alone.
+    read the pair alone.
     """
-    return DensityState._from_factors(eta, seed)
+    return DensityState._product(eta, seed)

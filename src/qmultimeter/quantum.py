@@ -22,6 +22,8 @@ ATOL_COMPLETE = 1e-9     # sum of effects vs identity
 ATOL_PROGRAM = 1e-8      # the same for a programmed observable
 NEG_MASS_TOL = 1e-9      # repairable negative eigenvalue mass in a state
 PROB_CLIP = 1e-12        # outcome probabilities this far below zero are noise
+# eigenvalues below this fraction of the largest count as zero: a state's rank
+REL_RANK_CLIP = 1e-12
 
 
 def _require_unit_trace(tr: float) -> None:
@@ -42,18 +44,15 @@ class DensityState:
 
     ``DensityState(m)``, and so every loaded or sampled state, finds that mass
     with ``eigh``, and keeps the eigenpairs when the matrix passed unchanged,
-    until ``root`` is built from them. ``from_vector`` and ``maximally_mixed``
-    are valid by construction, as each says, and check only the trace;
-    ``from_vector`` keeps its unit vector as the state's (d, 1) Gram factor.
-    A product state built by ``_from_factors`` keeps its two validated
-    factors and builds its matrix when it is first read.
+    until ``factor`` is built from them. ``from_vector`` and ``maximally_mixed``
+    are valid by construction, as each says, check only the trace and keep
+    their ``factor``. A product state built by ``_product`` keeps its two
+    validated states and builds its matrix when it is first read.
     """
 
     matrix: np.ndarray
-    # the unit column v of a pure state built by ``from_vector``, matrix = v v^dagger
-    _gram = None
-    # the validated states (eta, seed) of a state built by ``_from_factors``
-    _factors = None
+    # the validated states (eta, seed) of a state built by ``_product``
+    _pair = None
 
     def __post_init__(self):
         m = require_hermitian(self.matrix)
@@ -82,19 +81,22 @@ class DensityState:
         self._eigh = eigh
 
     @classmethod
-    def _certified(cls, matrix: np.ndarray, gram: np.ndarray = None) -> "DensityState":
+    def _certified(cls, matrix: np.ndarray, factor: np.ndarray = None) -> "DensityState":
         """The state of ``matrix``, finite, square, Hermitian and positive by
-        construction, as its caller argues; only its trace is checked."""
+        construction, as its caller argues; only its trace is checked. A
+        ``factor`` given is kept, read-only, as the state's ``factor``."""
         _require_unit_trace(float(np.trace(matrix).real))
         state = cls.__new__(cls)
         state._keep(matrix)
-        state._gram = gram
+        if factor is not None:
+            factor.flags.writeable = False
+            state.factor = factor
         return state
 
     @classmethod
     def from_vector(cls, psi) -> "DensityState":
         """The pure state v v^dagger of a nonzero finite vector psi, with
-        v = psi / |psi| kept as its (d, 1) Gram factor.
+        v = psi / |psi| kept as its (d, 1) ``factor``.
 
         Valid by construction, so only the trace is checked: entry (i, j) and
         the conjugate of entry (j, i) are the same complex product, each
@@ -120,51 +122,59 @@ class DensityState:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityState":
-        # a real diagonal of 1/dim: exactly Hermitian, with spectrum 1/dim
-        return cls._certified(np.eye(dim, dtype=complex) / dim)
+        # a real diagonal of 1/dim: exactly Hermitian, with spectrum 1/dim and
+        # the factor 1/sqrt(dim) times the identity
+        eye = np.eye(dim, dtype=complex)
+        return cls._certified(eye / dim, eye / np.sqrt(dim))
 
     @classmethod
-    def _from_factors(cls, eta: "DensityState", seed: "DensityState") -> "DensityState":
+    def _product(cls, eta: "DensityState", seed: "DensityState") -> "DensityState":
         """The product state eta x seed^T of two validated states of one
-        dimension, kept as its factors; its matrix,
+        dimension, kept as the pair; its matrix,
         ``tensor(eta.matrix, seed.matrix.T)``, is built when it is first read.
 
         Only the dimensions and the trace tr eta tr seed are checked. A
         product of positive matrices is positive, with each negative
-        eigenvalue the product of a factor's negative and a positive one, so
-        its negative mass is at most about the sum of the factors'. Each entry
+        eigenvalue the product of one state's negative and a positive one, so
+        its negative mass is at most about the sum of the two states'. Each entry
         is one complex product, so its Hermiticity defect is at most
         max|eta| defect(seed) + defect(eta) max|seed| + 4 eps max|eta| max|seed|,
-        that is within about the sum of the factors' defects, as every entry
+        that is within about the sum of the two states' defects, as every entry
         of a state is at most 1 in modulus.
         """
         if eta.dim != seed.dim:
             raise ValueError(f"eta dim {eta.dim} != seed dim {seed.dim}")
         _require_unit_trace(float(np.trace(eta.matrix).real) * float(np.trace(seed.matrix).real))
         state = cls.__new__(cls)
-        state._factors, state._eigh = (eta, seed), None
+        state._pair, state._eigh = (eta, seed), None
         return state
 
     def __getattr__(self, name):
         # reached only for an attribute not set: the matrix of a state built by
-        # ``_from_factors``, built on first read and kept
-        if name != "matrix" or self._factors is None:
+        # ``_product``, built on first read and kept
+        if name != "matrix" or self._pair is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._keep(tensor(self._factors[0].matrix, self._factors[1].matrix.T))
+        self._keep(tensor(self._pair[0].matrix, self._pair[1].matrix.T))
         return self.matrix
 
     @property
     def dim(self) -> int:
-        return self._factors[0].dim ** 2 if self._factors else self.matrix.shape[0]
+        return self._pair[0].dim ** 2 if self._pair else self.matrix.shape[0]
 
     @cached_property
-    def root(self) -> np.ndarray:
-        """The read-only square root ``_state_root(matrix)``, computed on first
-        read from the eigenpairs validation kept, if any, which it drops."""
-        eigh, self._eigh = self._eigh, None
-        root = _state_root(self.matrix, eigh)
-        root.flags.writeable = False
-        return root
+    def factor(self) -> np.ndarray:
+        """A read-only (d, r) Gram factor A of the state, matrix = A A^dagger:
+        V sqrt(w) over the eigenpairs (w, V) whose eigenvalue lies above
+        ``REL_RANK_CLIP`` times the largest. They come from the ``eigh`` that
+        validation kept, if any, which this drops, or from one ``eigh`` on
+        first read. The clip decides the numerical rank: without it, the
+        square roots of noise eigenvalues (~1e-16) enter at the 1e-8 level."""
+        w, v = self._eigh or np.linalg.eigh(hermitianize(self.matrix))
+        self._eigh = None
+        keep = w > w.max() * REL_RANK_CLIP
+        factor = v[:, keep] * np.sqrt(w[keep])
+        factor.flags.writeable = False
+        return factor
 
 
 # entries per block of the Hermiticity and eigenvalue checks of an effect stack:
@@ -389,44 +399,27 @@ def outcome_distribution(e: Observable, rho: DensityState) -> np.ndarray:
     return p
 
 
-# eigenvalues below this fraction of the largest count as zero: the rank
-# decision of a state's square root and of a covariant seed's factor
-REL_RANK_CLIP = 1e-12
-
-
-def _state_root(m: np.ndarray, eigh: tuple = None) -> np.ndarray:
-    # ``eigh``, when given, is np.linalg.eigh(hermitianize(m)), already run.
-    # relative clip decides the numerical rank; without it, sqrt of noise
-    # eigenvalues (~1e-16) pollutes rank-deficient states at the 1e-8 level
-    w, v = np.linalg.eigh(hermitianize(m)) if eigh is None else eigh
-    w = np.clip(w, 0.0, None)
-    if w.size:
-        w[w < w.max() * REL_RANK_CLIP] = 0.0
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def fidelity(rho1: DensityState, rho2: DensityState) -> float:
     """State fidelity tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), in [0, 1].
 
     A state has fidelity 1 with itself. Two product states
-    (``DensityState._from_factors``) give the product of their factors'
+    (``DensityState._product``) give the product of their pairs'
     fidelities, since fidelity is multiplicative over tensor products and
     unchanged when both states are transposed (Jozsa, J. Mod. Opt. 41, 2315,
-    1994); their d^2 x d^2 matrices are never built. Any other pair is
-    evaluated as the trace norm of the product of the two state roots, which
-    is the same quantity with far better behavior on pure states. Each state
-    computes its root once (``DensityState.root``).
+    1994); their d^2 x d^2 matrices are never built. Any other pair is the
+    trace norm |A1^dagger A2|_1 of their Gram factors (``DensityState.factor``),
+    which is the fidelity for any factors with rho = A A^dagger (Uhlmann, Rep.
+    Math. Phys. 9, 273, 1976): |v1^dagger v2| for two pure states, no ``eigh``.
     """
     if rho1.dim != rho2.dim:
         raise ValueError("states must share a dimension")
     if rho1 is rho2:
         return 1.0
-    if rho1._factors and rho2._factors:
-        # the two factors of a product state share one dimension
-        (eta1, seed1), (eta2, seed2) = rho1._factors, rho2._factors
+    if rho1._pair and rho2._pair:
+        # the two states of a product share one dimension
+        (eta1, seed1), (eta2, seed2) = rho1._pair, rho2._pair
         return fidelity(eta1, eta2) * fidelity(seed1, seed2)
-    prod = rho1.root @ rho2.root
-    val = float(np.linalg.svd(prod, compute_uv=False).sum())
+    val = float(np.linalg.svd(rho1.factor.conj().T @ rho2.factor, compute_uv=False).sum())
     return min(max(val, 0.0), 1.0)
 
 
@@ -490,7 +483,7 @@ def program(multimeter: Multimeter, xi: DensityState) -> Observable:
     The device builds and validates it (``programmed_observable``): a Kraus
     contraction of the probe's matrix checked in full for a ``Multimeter``,
     Gram products certified by construction for a covariant device
-    (``groups.CovariantMultimeter``), which reads a product probe's factors.
+    (``groups.CovariantMultimeter``), which reads a product probe's pair.
     A completeness defect beyond ``ATOL_PROGRAM`` signals a broken
     interaction channel.
     """

@@ -448,7 +448,9 @@ def sharpmin_bound(t: float) -> float:
 
 
 def bound_curve(points: int) -> BoundCurve:
-    ts = np.linspace(-1.0, 1.0, points)
+    """``sharpmin_bound`` at ``points`` evenly spaced axis overlaps in [-1, 1];
+    ``points`` is checked first, as ``_trial_count`` says."""
+    ts = np.linspace(-1.0, 1.0, _trial_count(points, "points"))
     return BoundCurve(ts, np.array([sharpmin_bound(float(t)) for t in ts]))
 
 

@@ -606,6 +606,27 @@ def pure_fidelity(psi1: np.ndarray, psi2: np.ndarray) -> float:
     return float(abs(np.vdot(psi1, psi2)))
 
 
+def state_root(m: np.ndarray) -> np.ndarray:
+    """The square root V sqrt(w) V^dagger of a state matrix from one ``eigh``,
+    with eigenvalues below 1e-12 of the largest set to zero: that relative
+    clip decides the numerical rank, as the package's ``REL_RANK_CLIP`` does."""
+    from qmultimeter.linalg import hermitianize
+
+    w, v = np.linalg.eigh(hermitianize(m))
+    w = np.clip(w, 0.0, None)
+    w[w < w.max() * 1e-12] = 0.0
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def sqrt_fidelity(m1: np.ndarray, m2: np.ndarray) -> float:
+    """tr sqrt(sqrt(rho1) rho2 sqrt(rho1)) of two state matrices, evaluated as
+    the trace norm |sqrt(rho1) sqrt(rho2)|_1 of the product of the two square
+    roots, which is the same quantity without the square roots of noise
+    eigenvalues that the middle product would carry; clipped into [0, 1]."""
+    prod = state_root(m1) @ state_root(m2)
+    return min(max(float(np.linalg.svd(prod, compute_uv=False).sum()), 0.0), 1.0)
+
+
 def channel_output(channel, rho):
     """Schroedinger-picture action sum_k K rho K^dagger of a Kraus channel on a state."""
     from qmultimeter import DensityState

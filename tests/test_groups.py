@@ -767,7 +767,7 @@ def _assert_full_check_agrees(obs):
 
 
 def _product_herm_bound(a: np.ndarray, b: np.ndarray) -> float:
-    """The Hermiticity bound ``DensityState._from_factors`` states for the
+    """The Hermiticity bound ``DensityState._product`` states for the
     product of ``a`` and ``b``: max|a| defect(b) + defect(a) max|b| + 4 eps max|a| max|b|."""
     top_a, top_b = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
     rounding = 4 * np.finfo(float).eps * top_a * top_b
@@ -776,7 +776,7 @@ def _product_herm_bound(a: np.ndarray, b: np.ndarray) -> float:
 
 def _assert_probe_is_the_product(eta, seed, probe):
     """The probe's matrix, built when first read, is tensor(eta, seed^T) bit
-    for bit, Hermitian within the bound its factors give."""
+    for bit, Hermitian within the bound its two states give."""
     product = tensor(eta.matrix, seed.matrix.T)
     assert probe.matrix.tobytes() == product.tobytes()
     assert herm_defect(probe.matrix) <= _product_herm_bound(eta.matrix, seed.matrix.T)
@@ -906,8 +906,8 @@ def probe_builds(monkeypatch):
 
 
 class TestFactoredProbes:
-    """A probe eta x seed^T keeps its factors; programming and fidelity read
-    them and agree with the dense probe."""
+    """A probe eta x seed^T keeps its pair (eta, seed); programming and
+    fidelity read it and agree with the dense probe."""
 
     @pytest.mark.parametrize("which", ["q8", 2, 3, 5, 7])
     def test_program_matches_the_dense_probe(self, which, probe_builds):
@@ -968,7 +968,7 @@ class TestFactoredProbes:
         assert first.tobytes() == tensor(eta.matrix, seed.matrix.T).tobytes()
 
     def test_pure_seed_runs_no_eigh(self, q8, monkeypatch):
-        # the seed's unit column is its Gram factor: the same effects as the
+        # the seed's factor is its unit column: the same effects as the
         # eigh of its matrix, which a dense copy of the seed takes
         psi = eigenvector_program_states(q8, sharp_generators(q8)[0])[1][:, 0]
         seed, eta = DensityState.from_vector(psi), DensityState.maximally_mixed(2)
@@ -1122,7 +1122,7 @@ class TestEffectStacks:
             seed = random_density(rng, d)
             w, v = np.linalg.eigh(hermitianize(seed.matrix))
             keep = w > w.max() * REL_RANK_CLIP
-            f = v[:, keep] * np.sqrt(w[keep] * (d / n))
+            f = v[:, keep] * np.sqrt(w[keep]) * np.sqrt(d / n)
             expected = [hermitianize((u @ f) @ (u @ f).conj().T) for u in rep.matrices]
             effects = covariant_observable(rep, seed).effects
             assert np.array_equal(effects, np.array(expected)), which

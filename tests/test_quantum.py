@@ -12,6 +12,7 @@ from oracles import (
     heisenberg_program,
     partial_swap_channel,
     pure_fidelity,
+    sqrt_fidelity,
     trivial_observable,
 )
 
@@ -163,8 +164,8 @@ class TestDensityState:
 
     @pytest.mark.parametrize("build", ["sampled", "from_vector", "maximally_mixed", "repaired"])
     def test_kept_structure_reproduces_the_matrix(self, rng, build):
-        # eigh validation keeps its eigenpairs for the root; from_vector keeps
-        # its unit column, which programs a covariant multimeter
+        # eigh validation keeps its eigenpairs for the factor, which drops
+        # them; from_vector and maximally_mixed keep their factor from the start
         s = {
             "sampled": lambda: random_density(rng, 4),
             "from_vector": lambda: DensityState.from_vector(random_pure_vector(rng, 4)),
@@ -176,13 +177,15 @@ class TestDensityState:
             assert np.allclose((v * w) @ v.conj().T, s.matrix, atol=1e-14, rtol=0.0)
         else:
             assert s._eigh is None
+        f = s.factor
+        assert s._eigh is None and not f.flags.writeable and f.dtype == complex
+        assert np.max(np.abs(f @ f.conj().T - s.matrix)) <= 1e-14
         if build == "from_vector":
-            column = s._gram[:, 0]
-            assert s._gram.shape == (4, 1)
-            assert abs(np.linalg.norm(column) - 1.0) <= 1e-15
-            assert np.outer(column, column.conj()).tobytes() == s.matrix.tobytes()
-        else:
-            assert s._gram is None
+            assert f.shape == (4, 1)
+            assert abs(np.linalg.norm(f) - 1.0) <= 1e-15
+            assert np.outer(f[:, 0], f[:, 0].conj()).tobytes() == s.matrix.tobytes()
+        if build == "maximally_mixed":
+            assert np.array_equal(f, np.eye(4) / 2)
 
     def test_built_states_skip_eigh(self, rng, monkeypatch):
         eta, seed = random_density(rng, 3), random_density(rng, 3)
@@ -578,40 +581,74 @@ class TestFidelity:
             assert fidelity(a, b) <= fidelity(channel_output(ch, a), channel_output(ch, b)) + 1e-9
 
     @pytest.mark.parametrize("d", [2, 3, 49])
-    def test_cached_roots_equal_the_direct_formula_bit_for_bit(self, rng, d):
-        rank = max(1, d // 2)
-        v = np.array([random_pure_vector(rng, d) for _ in range(rank)]).T
+    def test_full_rank_states_match_the_square_root_formula(self, rng, d):
+        states = [random_density(rng, d) for _ in range(4)]
+        for a in states:
+            # a state has fidelity exactly 1 with itself
+            assert fidelity(a, a) == 1.0
+            for b in states:
+                if a is not b:
+                    assert abs(fidelity(a, b) - sqrt_fidelity(a.matrix, b.matrix)) <= 1e-12
+        assert all(not s.factor.flags.writeable for s in states)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_rank_deficient_states_match_the_square_root_formula(self, rng, rank):
+        # eigenvalues of 1e-17, either sign, are noise below the rank clip:
+        # their square roots (3e-9) would enter the fidelity
+        states = []
+        for _ in range(4):
+            u = random_unitary(rng, 4)
+            w = np.concatenate([rng.dirichlet(np.ones(rank)), rng.choice([-1e-17, 1e-17], 4 - rank)])
+            states.append(DensityState(hermitianize((u * w) @ u.conj().T)))
+        for a in states:
+            assert a.factor.shape == (4, rank)
+        states.append(DensityState.from_vector(random_pure_vector(rng, 4)))
+        states.append(random_density(rng, 4))
+        states.append(repaired_state(rng, 4))
+        for a in states:
+            for b in states:
+                if a is not b:
+                    assert abs(fidelity(a, b) - sqrt_fidelity(a.matrix, b.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_pure_and_maximally_mixed_states_match_the_square_root_formula(self, rng, d):
         states = [
             DensityState.from_vector(random_pure_vector(rng, d)),
+            DensityState.from_vector(random_pure_vector(rng, d)),
+            DensityState.maximally_mixed(d),
+            DensityState.maximally_mixed(d),
             random_density(rng, d),
-            DensityState((v * rng.dirichlet(np.ones(rank))) @ v.conj().T),
-            repaired_state(rng, d),
         ]
         for a in states:
             for b in states:
-                prod = quantum._state_root(a.matrix) @ quantum._state_root(b.matrix)
-                direct = min(max(float(np.linalg.svd(prod, compute_uv=False).sum()), 0.0), 1.0)
-                # a state has fidelity 1 with itself, and no root is read for it
-                want = 1.0 if a is b else direct
-                assert fidelity(a, b) == want
-                assert fidelity(a, b) == want
-        assert all(not s.root.flags.writeable for s in states)
+                if a is not b:
+                    assert abs(fidelity(a, b) - sqrt_fidelity(a.matrix, b.matrix)) <= 1e-12
+
+    def test_product_probe_matches_the_square_root_formula_on_its_matrix(self, rng):
+        eta, mixed = random_density(rng, 3), DensityState.maximally_mixed(3)
+        seed1, seed2 = random_density(rng, 3), DensityState.from_vector(random_pure_vector(rng, 3))
+        probes = [covariant_program_state(eta, seed1), covariant_program_state(mixed, seed2)]
+        for a in probes:
+            for b in probes:
+                dense = DensityState(b.matrix.copy())
+                assert abs(fidelity(a, dense) - sqrt_fidelity(a.matrix, b.matrix)) <= 1e-12
+                if a is not b:
+                    assert abs(fidelity(a, b) - sqrt_fidelity(a.matrix, b.matrix)) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 4, 7])
-    def test_root_squares_to_the_state(self, rng, d):
+    def test_factor_has_the_numerical_rank(self, rng, d):
         for _ in range(10):
             s = random_density(rng, d)
-            r = s.root
-            assert np.max(np.abs(r @ r - s.matrix)) < 1e-10
-            assert np.max(np.abs(r - r.conj().T)) < 1e-12
-            assert np.linalg.eigvalsh(r).min() > -1e-12
+            f = s.factor
+            assert f.shape == (d, d)
+            assert np.max(np.abs(f @ f.conj().T - s.matrix)) < 1e-14
 
-    def test_root_clips_noise_eigenvalues(self):
+    def test_factor_clips_noise_eigenvalues(self):
         # eigenvalues below 1e-12 of the largest set the numerical rank: their
         # square roots (1e-7 and a complex value here) would enter fidelity
         for noise in (1e-14, -1e-14):
             s = DensityState(np.diag([1.0 - noise, noise]))
-            assert np.array_equal(s.root, np.diag([np.sqrt(1.0 - noise), 0.0]))
+            assert np.array_equal(np.abs(s.factor), [[np.sqrt(1.0 - noise)], [0.0]])
 
     def test_each_state_takes_one_eigendecomposition(self, rng, monkeypatch):
         calls = []
@@ -622,19 +659,19 @@ class TestFidelity:
 
         original = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        # validation runs eigh, and the root is built from its eigenvectors
+        # validation runs eigh, and the factor is built from its eigenvectors
         a, b, c = (random_density(rng, 3) for _ in range(3))
         for x, y in ((a, b), (b, a), (a, c), (a, a), (c, b), (a, b)):
             fidelity(x, y)
         assert len(calls) == 3
-        # a re-projected matrix is not the one validation decomposed, and a
-        # state of known spectrum ran no eigh: each takes one at its first root
+        # a re-projected matrix is not the one validation decomposed: it takes
+        # one eigh at its first factor; a pure state keeps its unit column
         repaired = repaired_state(rng, 3)
         pure = DensityState.from_vector(random_pure_vector(rng, 3))
         calls.clear()
         for x, y in ((repaired, pure), (pure, repaired), (repaired, a), (pure, pure)):
             fidelity(x, y)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert all(s._eigh is None for s in (a, b, c, repaired, pure))
 
 

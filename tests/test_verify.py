@@ -438,6 +438,21 @@ class TestBoundCurve:
         assert len(t0) == 1
         assert abs(float(t0[0].split(",")[1]) - SQRT_HALF) < 1e-6
 
+    @pytest.mark.parametrize(
+        "points,message", [(0, "at least 1"), (-1, "at least 1"), (True, "integer"), (2.5, "integer")]
+    )
+    def test_point_count_is_checked_before_any_work(self, points, message, monkeypatch):
+        def refuse(t):
+            raise AssertionError("a bound was evaluated")
+
+        monkeypatch.setattr(verify, "sharpmin_bound", refuse)
+        with pytest.raises(ValueError, match=f"points must be .*{message}"):
+            bound_curve(points)
+
+    def test_one_point_is_the_left_end(self):
+        curve = bound_curve(1)
+        assert curve.ts.tolist() == [-1.0] and curve.values[0] == sharpmin_bound(-1.0)
+
 
 class TestDemos:
     def test_quaternion_demo_report(self):
@@ -519,8 +534,8 @@ class TestDemos:
         assert len(calls) == 1
 
     def test_demos_and_checks_build_no_probe_matrix(self, monkeypatch):
-        # every probe is kept as its factors: programming and the program
-        # fidelity read them, so the deferred d^2 x d^2 build never runs
+        # every probe is kept as its pair: programming and the program
+        # fidelity read it, so the deferred d^2 x d^2 build never runs
         def refuse(*args):
             raise AssertionError("a d^2 x d^2 probe matrix was built")
 
@@ -533,6 +548,35 @@ class TestDemos:
         assert verify_prop3(mm, xi1, xi2, l1, l2, trials=200, seed=0).violations == 0
         with pytest.raises(AssertionError, match="probe matrix was built"):
             xi1.matrix
+
+    def test_pure_states_run_no_eigh(self, rng, monkeypatch):
+        # a pure state's factor is its unit column: the fidelity of two, the
+        # covariant observable of one and both checks on a built pair read it
+        mm, xi1, xi2, l1, l2 = wh_program_pair(5)
+        a, b = (DensityState.from_vector(random_pure_vector(rng, 5)) for _ in range(2))
+
+        def refuse(*args):
+            raise AssertionError("eigh ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert abs(fidelity(a, b) - abs(np.vdot(a.factor, b.factor))) <= 1e-15
+        assert groups.covariant_observable(weyl_heisenberg(5), a).n_outcomes == 25
+        assert verify_prop1(mm, xi1, xi2, trials=200, seed=0).violations == 0
+        assert verify_prop3(mm, xi1, xi2, l1, l2, trials=200, seed=0).violations == 0
+
+    def test_quaternion_demo_runs_one_eigh(self, monkeypatch):
+        # the stacked eigenbasis of the three generators; the program
+        # fidelities of its pure vectors run none
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        quaternion_demo()
+        assert len(calls) == 1
 
     def test_phase_space_demo_rejects_bad_dims(self):
         with pytest.raises(ValueError, match="prime"):
@@ -735,7 +779,7 @@ class TestProposition1IsTight:
     def test_estimate_equals_the_program_fidelity(self, fixture):
         mm, xi1, xi2, _, _ = q8_program_pair() if fixture == "q8" else wh_program_pair(fixture)
         f = fidelity(xi1, xi2)
-        assert abs(f - abs(np.vdot(xi1._factors[1]._gram, xi2._factors[1]._gram))) <= 1e-15
+        assert abs(f - abs(np.vdot(xi1._pair[1].factor, xi2._pair[1].factor))) <= 1e-15
         estimate = observable_divergence(program(mm, xi1), program(mm, xi2))
         assert f - 4 * np.spacing(f) <= estimate.value <= f + 1e-9
 
