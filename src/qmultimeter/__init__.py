@@ -16,7 +16,6 @@ from .groups import (
     ProjectiveRepresentation,
     coset_postprocessing,
     covariant_multimeter,
-    covariant_observable,
     covariant_program_state,
     cyclic_subgroup,
     eigenvector_program_states,

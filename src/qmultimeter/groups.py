@@ -190,39 +190,6 @@ class ProjectiveRepresentation:
         return self.matrices.shape[1]
 
 
-def _covariant_observable(rep: ProjectiveRepresentation, f, atol_complete: float) -> Observable:
-    """The covariant observable of the seed f f^dagger, with the effects
-    (d/#G) U(g) f f^dagger U(g)^dagger labelled by the elements g of ``rep``,
-    of degree d, for a (d, r) factor f already scaled by sqrt(d/#G).
-
-    Each effect is the Gram product a a^dagger of a = U(g) f, all a formed by
-    one (#G d, d) x (d, r) product: O(#G d^2 r), so O(d^4) for a pure seed.
-    ``Observable._from_factors`` states why such effects skip the
-    Hermiticity and eigenvalue checks.
-    """
-    d, n = rep.degree, rep.group.order
-    a = (rep.matrices.reshape(n * d, d) @ f).reshape(n, d, -1)
-    return Observable._from_factors(a, list(rep.group.names), atol_complete)
-
-
-def covariant_observable(rep: ProjectiveRepresentation, seed: DensityState) -> Observable:
-    """Group-covariant POVM with effects (d/#G) U(g) seed U(g)†.
-
-    Completeness of the effect family is exactly the operational consequence
-    of irreducibility, so a normalization failure is reported as such.
-    """
-    if seed.dim != rep.degree:
-        raise ValueError(f"seed dim {seed.dim} != representation degree {rep.degree}")
-    f = seed.factor * np.sqrt(rep.degree / rep.group.order)
-    try:
-        return _covariant_observable(rep, f, ATOL_COMPLETE)
-    except ValueError as exc:
-        raise ValueError(
-            f"covariant effects do not form an observable ({exc}); "
-            "the representation is likely not irreducible"
-        ) from exc
-
-
 # ---------------------------------------------------------------------------
 # fixtures
 
@@ -416,10 +383,18 @@ class CovariantMultimeter(Multimeter):
     unitary that the device never builds: it programs itself in closed form
     (``programmed_observable``). The pointer is built from its Gram factors
     when first read, and kept; its (n, d^2, d^2) stack only when its effects
-    are read.
+    are read. The pointer is complete exactly when the representation is
+    irreducible, which Schur's criterion sum_g |tr U(g)|^2 = #G checks when
+    the device is built.
     """
 
     def __init__(self, rep: ProjectiveRepresentation):
+        n = rep.group.order
+        chars = float(np.sum(np.abs(np.trace(rep.matrices, axis1=1, axis2=2)) ** 2))
+        if abs(chars - n) > IRREDUCIBLE_TOL * n:
+            raise ValueError(
+                f"representation is not irreducible: sum |tr U(g)|^2 = {chars:.6g} != #G = {n}"
+            )
         self.representation = rep
         self.probe_dim = rep.degree**2
 
@@ -451,16 +426,23 @@ class CovariantMultimeter(Multimeter):
         never read. Any other probe is traced over its first factor, and
         sigma^T, positive and of unit trace as the partial trace of a state,
         is certified as the seed, with tr(eta) = 1. Either way the seed's Gram
-        factor (``DensityState.factor``) times sqrt(tr(eta) d/#G) programs it."""
-        rep, d = self.representation, self.system_dim
+        factor (``DensityState.factor``) times sqrt(tr(eta) d/#G) programs it.
+
+        That scaled factor F, of r columns, gives each effect as the Gram
+        product a a^dagger of a = U(g) F, all a formed by one
+        (#G d, d) x (d, r) product: O(#G d^2 r), so O(d^4) for a pure seed.
+        ``Observable._from_factors`` states why such effects skip the
+        Hermiticity and eigenvalue checks."""
+        rep, d, n = self.representation, self.system_dim, self.n_outcomes
         if xi._pair is None:
             sigma = np.trace(xi.matrix.reshape(d, d, d, d), axis1=0, axis2=2)
             seed, tr_eta = DensityState._certified(sigma.T), 1.0
         else:
             eta, seed = xi._pair
             tr_eta = float(np.trace(eta.matrix).real)
-        f = seed.factor * np.sqrt(tr_eta * (d / rep.group.order))
-        return _covariant_observable(rep, f, ATOL_PROGRAM)
+        f = seed.factor * np.sqrt(tr_eta * (d / n))
+        a = (rep.matrices.reshape(n * d, d) @ f).reshape(n, d, -1)
+        return Observable._from_factors(a, list(rep.group.names), ATOL_PROGRAM)
 
     def dual_pointer_effects(self) -> list:
         """Pointer effects pulled back through the partial SWAP: the dense
@@ -485,17 +467,9 @@ def covariant_multimeter(rep: ProjectiveRepresentation) -> Multimeter:
     The probe is a doubled system space; the pointer effects are scaled
     projections onto the vectors u(g); the interaction swaps the system with
     the probe's first factor. Programming with eta x transpose(seed) realizes
-    the covariant observable of the seed for any eta.
-
-    The pointer is complete exactly when the representation is irreducible,
-    which Schur's criterion sum_g |tr U(g)|^2 = #G checks up front.
+    the covariant observable of the seed for any eta. The representation must
+    be irreducible, as ``CovariantMultimeter`` checks.
     """
-    n = rep.group.order
-    chars = float(np.sum(np.abs(np.trace(rep.matrices, axis1=1, axis2=2)) ** 2))
-    if abs(chars - n) > IRREDUCIBLE_TOL * n:
-        raise ValueError(
-            f"representation is not irreducible: sum |tr U(g)|^2 = {chars:.6g} != #G = {n}"
-        )
     return CovariantMultimeter(rep)
 
 

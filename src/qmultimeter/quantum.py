@@ -47,7 +47,8 @@ class DensityState:
     until ``factor`` is built from them. ``from_vector`` and ``maximally_mixed``
     are valid by construction, as each says, check only the trace and keep
     their ``factor``. A product state built by ``_product`` keeps its two
-    validated states and builds its matrix when it is first read.
+    validated states and builds its matrix, and its factor from theirs, when
+    each is first read.
     """
 
     matrix: np.ndarray
@@ -163,16 +164,25 @@ class DensityState:
 
     @cached_property
     def factor(self) -> np.ndarray:
-        """A read-only (d, r) Gram factor A of the state, matrix = A A^dagger:
-        V sqrt(w) over the eigenpairs (w, V) whose eigenvalue lies above
-        ``REL_RANK_CLIP`` times the largest. They come from the ``eigh`` that
-        validation kept, if any, which this drops, or from one ``eigh`` on
-        first read. The clip decides the numerical rank: without it, the
-        square roots of noise eigenvalues (~1e-16) enter at the 1e-8 level."""
-        w, v = self._eigh or np.linalg.eigh(hermitianize(self.matrix))
-        self._eigh = None
-        keep = w > w.max() * REL_RANK_CLIP
-        factor = v[:, keep] * np.sqrt(w[keep])
+        """A read-only (d, r) Gram factor A of the state, matrix = A A^dagger.
+
+        A product state eta x seed^T (``_product``) takes the Kronecker
+        product A_eta x conj(A_seed) of its pair's factors, one broadcast
+        product, since seed^T = conj(seed) = conj(A_seed) conj(A_seed)^dagger;
+        its matrix is not read. Any other state takes V sqrt(w) over the
+        eigenpairs (w, V) whose eigenvalue lies above ``REL_RANK_CLIP`` times
+        the largest. They come from the ``eigh`` that validation kept, if any,
+        which this drops, or from one ``eigh`` on first read. The clip decides
+        the numerical rank: without it, the square roots of noise eigenvalues
+        (~1e-16) enter at the 1e-8 level."""
+        if self._pair:
+            a, b = self._pair[0].factor, self._pair[1].factor.conj()
+            factor = (a[:, None, :, None] * b[None, :, None, :]).reshape(self.dim, -1)
+        else:
+            w, v = self._eigh or np.linalg.eigh(hermitianize(self.matrix))
+            self._eigh = None
+            keep = w > w.max() * REL_RANK_CLIP
+            factor = v[:, keep] * np.sqrt(w[keep])
         factor.flags.writeable = False
         return factor
 
@@ -402,23 +412,17 @@ def outcome_distribution(e: Observable, rho: DensityState) -> np.ndarray:
 def fidelity(rho1: DensityState, rho2: DensityState) -> float:
     """State fidelity tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), in [0, 1].
 
-    A state has fidelity 1 with itself. Two product states
-    (``DensityState._product``) give the product of their pairs'
-    fidelities, since fidelity is multiplicative over tensor products and
-    unchanged when both states are transposed (Jozsa, J. Mod. Opt. 41, 2315,
-    1994); their d^2 x d^2 matrices are never built. Any other pair is the
-    trace norm |A1^dagger A2|_1 of their Gram factors (``DensityState.factor``),
-    which is the fidelity for any factors with rho = A A^dagger (Uhlmann, Rep.
-    Math. Phys. 9, 273, 1976): |v1^dagger v2| for two pure states, no ``eigh``.
+    A state has fidelity 1 with itself. Any other pair is the trace norm
+    |A1^dagger A2|_1 of their Gram factors (``DensityState.factor``), which
+    is the fidelity for any factors with rho = A A^dagger (Uhlmann, Rep.
+    Math. Phys. 9, 273, 1976): |v1^dagger v2| for two pure states, no
+    ``eigh``, and no d^2 x d^2 matrix for a product state, whose factor is
+    read off its pair.
     """
     if rho1.dim != rho2.dim:
         raise ValueError("states must share a dimension")
     if rho1 is rho2:
         return 1.0
-    if rho1._pair and rho2._pair:
-        # the two states of a product share one dimension
-        (eta1, seed1), (eta2, seed2) = rho1._pair, rho2._pair
-        return fidelity(eta1, eta2) * fidelity(seed1, seed2)
     val = float(np.linalg.svd(rho1.factor.conj().T @ rho2.factor, compute_uv=False).sum())
     return min(max(val, 0.0), 1.0)
 

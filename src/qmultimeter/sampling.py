@@ -8,15 +8,11 @@ from .linalg import hermitianize
 from .quantum import DensityState, Multimeter, Observable, QuantumChannel
 
 
-def __getattr__(name: str):
-    # rng_from: the acceptance tests' name for numpy's constructor, read on use,
-    # as reading np.random imports numpy.random (about 5 MiB of RSS)
-    if name == "rng_from":
-        return np.random.default_rng
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def random_pure_vector(rng, dim: int) -> np.ndarray:
+    """A unit vector of dimension ``dim``, at least 1, drawn from the
+    unitarily invariant measure; a smaller ``dim`` is rejected before any draw."""
+    if dim < 1:
+        raise ValueError(f"dimension must be at least 1, got {dim}")
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 

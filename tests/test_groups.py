@@ -9,6 +9,7 @@ from oracles import (
     eig_program_states,
     left_cosets,
     phase_fixed_by_column,
+    programmed_covariant,
     schur_vectors_by_index,
     sharp_from_subgroup,
     sharp_generators,
@@ -21,11 +22,11 @@ from qmultimeter.groups import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    CovariantMultimeter,
     FiniteGroup,
     ProjectiveRepresentation,
     coset_postprocessing,
     covariant_multimeter,
-    covariant_observable,
     covariant_program_state,
     cyclic_subgroup,
     eigenvector_program,
@@ -337,13 +338,13 @@ class TestSubgroupsAndCosets:
 
 class TestCovariantObservable:
     def test_invariant_seed_gives_uniform_effects(self, q8):
-        obs = covariant_observable(q8, DensityState.maximally_mixed(2))
+        obs = programmed_covariant(q8, DensityState.maximally_mixed(2))
         for eff in obs.effects:
             assert np.allclose(eff, np.eye(2) / 8, atol=1e-12)
 
     def test_q8_sigma_z_seed_pattern(self, q8):
         # conjugation flips the seed's axis exactly on the i and j orbits
-        obs = covariant_observable(q8, DensityState((I2 + PAULI_Z) / 2))
+        obs = programmed_covariant(q8, DensityState((I2 + PAULI_Z) / 2))
         plus = (I2 + PAULI_Z) / 8
         minus = (I2 - PAULI_Z) / 8
         expected = {
@@ -358,7 +359,7 @@ class TestCovariantObservable:
 
     def test_wh3_rank_one_seed_traces(self, wh3):
         seed = DensityState(np.diag([1.0, 0.0, 0.0]))
-        obs = covariant_observable(wh3, seed)
+        obs = programmed_covariant(wh3, seed)
         assert obs.n_outcomes == 9
         for eff in obs.effects:
             assert abs(np.trace(eff).real - 1 / 3) < 1e-10
@@ -367,7 +368,7 @@ class TestCovariantObservable:
 
     def test_effect_traces_and_completeness(self, q8, rng):
         seed = random_density(rng, 2)
-        obs = covariant_observable(q8, seed)
+        obs = programmed_covariant(q8, seed)
         for eff in obs.effects:
             assert abs(np.trace(eff).real - 2 / 8) < 1e-10
         assert np.allclose(sum(obs.effects), np.eye(2), atol=1e-9)
@@ -375,11 +376,11 @@ class TestCovariantObservable:
     def test_covariance_permutes_effects(self, q8, rng):
         # conjugating the seed by U(h) maps the effect at g to the one at hg
         seed = random_density(rng, 2)
-        base = covariant_observable(q8, seed)
+        base = programmed_covariant(q8, seed)
         g_tbl = q8.group.table
         for h in range(8):
             u = q8.matrices[h]
-            moved = covariant_observable(q8, DensityState(u @ seed.matrix @ u.conj().T))
+            moved = programmed_covariant(q8, DensityState(u @ seed.matrix @ u.conj().T))
             for g in range(8):
                 assert np.allclose(
                     moved.effects[g], base.effects[g_tbl[h, g]], atol=1e-10
@@ -387,7 +388,7 @@ class TestCovariantObservable:
 
     def test_seed_dim_mismatch(self, q8, rng):
         with pytest.raises(ValueError):
-            covariant_observable(q8, random_density(rng, 3))
+            programmed_covariant(q8, random_density(rng, 3))
 
 
 class TestProgramVectors:
@@ -642,7 +643,7 @@ class TestSharpFromSubgroup:
         direct = sharp_from_subgroup(q8, idx["j"], psi)
         merged = post_process_observable(
             coset_postprocessing(q8.group, idx["j"]),
-            covariant_observable(q8, DensityState.from_vector(psi)),
+            programmed_covariant(q8, DensityState.from_vector(psi)),
         )
         for a, b in zip(direct.effects, merged.effects):
             assert np.max(np.abs(a - b)) < 1e-9
@@ -791,7 +792,7 @@ class TestGramBuiltObservables:
         _assert_probe_is_the_product(eta, seed, probe)
         programmed = program(mm, probe)
         _assert_full_check_agrees(programmed)
-        _assert_full_check_agrees(covariant_observable(mm.representation, seed))
+        _assert_full_check_agrees(programmed_covariant(mm.representation, seed))
         return programmed
 
     def test_q8_every_target(self, q8, factor_ranks):
@@ -972,7 +973,7 @@ class TestFactoredProbes:
         # eigh of its matrix, which a dense copy of the seed takes
         psi = eigenvector_program_states(q8, sharp_generators(q8)[0])[1][:, 0]
         seed, eta = DensityState.from_vector(psi), DensityState.maximally_mixed(2)
-        dense_seed = covariant_observable(q8, DensityState(seed.matrix.copy()))
+        dense_seed = programmed_covariant(q8, DensityState(seed.matrix.copy()))
         product = DensityState(tensor(eta.matrix, seed.matrix.T))
         dense_probe = program(covariant_multimeter(q8), product)
 
@@ -980,9 +981,8 @@ class TestFactoredProbes:
             raise AssertionError("a pure seed ran eigh")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        from_column = covariant_observable(q8, seed)
         programmed = program(covariant_multimeter(q8), covariant_program_state(eta, seed))
-        assert np.max(np.abs(from_column.effects - dense_seed.effects)) <= 1e-15
+        assert np.max(np.abs(programmed.effects - dense_seed.effects)) <= 1e-15
         assert np.max(np.abs(programmed.effects - dense_probe.effects)) <= 1e-15
 
     def test_factors_of_different_dimensions_are_refused(self, rng):
@@ -1002,7 +1002,7 @@ class TestDeferredEffects:
 
     def test_effects_are_built_on_first_read_once(self, rng, monkeypatch):
         rep = weyl_heisenberg(5)
-        factors = covariant_observable(rep, random_density(rng, 5))._factors
+        factors = programmed_covariant(rep, random_density(rng, 5))._factors
         obs = Observable._from_factors(factors, list(rep.group.names), quantum.ATOL_PROGRAM)
         assert "effects" not in vars(obs)
         assert (obs.n_outcomes, obs.dim) == (25, 5)
@@ -1022,7 +1022,7 @@ class TestDeferredEffects:
 
     @pytest.mark.parametrize("case", ["incomplete", "nan", "inf", "overflow", "labels"])
     def test_rejected_with_the_message_of_the_full_check(self, wh3, rng, case):
-        factors = covariant_observable(wh3, random_density(rng, 3))._factors.copy()
+        factors = programmed_covariant(wh3, random_density(rng, 3))._factors.copy()
         labels = list(wh3.group.names)
         if case == "incomplete":
             factors *= 1.01
@@ -1052,14 +1052,15 @@ class TestDeferredEffects:
         assert deferred.match(expected)
 
     def test_reducible_representation_is_named(self, q8):
-        # U(g) + U(g) block-diagonally: effects of a seed inside one block sum
-        # to twice that block's identity and nothing on the other
+        # U(g) + U(g) block-diagonally: sum_g |tr U(g)|^2 = 4 #G, so a device
+        # built directly refuses it; a seed inside one block would program
+        # effects summing to twice that block's identity and nothing on the other
         doubled = np.zeros((8, 4, 4), dtype=complex)
         doubled[:, :2, :2] = doubled[:, 2:, 2:] = q8.matrices
         rep = ProjectiveRepresentation(q8.group, doubled)
-        with pytest.raises(ValueError, match="likely not irreducible") as failure:
-            covariant_observable(rep, DensityState.from_vector(np.eye(4)[0]))
-        assert failure.match(r"effects sum to identity only within 1\.000e\+00")
+        with pytest.raises(ValueError, match="not irreducible") as failure:
+            CovariantMultimeter(rep)
+        assert failure.match(r"sum \|tr U\(g\)\|\^2 = 32 != #G = 8")
 
 
 class TestStackedCosetKernels:
@@ -1124,7 +1125,7 @@ class TestEffectStacks:
             keep = w > w.max() * REL_RANK_CLIP
             f = v[:, keep] * np.sqrt(w[keep]) * np.sqrt(d / n)
             expected = [hermitianize((u @ f) @ (u @ f).conj().T) for u in rep.matrices]
-            effects = covariant_observable(rep, seed).effects
+            effects = programmed_covariant(rep, seed).effects
             assert np.array_equal(effects, np.array(expected)), which
             oracle = covariant_effects_oracle(rep, seed.matrix)
             assert np.max(np.abs(effects - oracle)) <= 1e-15, which
@@ -1205,8 +1206,8 @@ class TestCovariantMultimeter:
             g = int(rng.integers(rep.group.order))
             z = mm.pointer.effects[g]
             lhs = np.trace(z @ tensor(rho.matrix, seed.matrix.T)).real
-            direct = covariant_observable(rep, seed)
-            rhs = np.trace(direct.effects[g] @ rho.matrix).real
+            direct = covariant_effects_oracle(rep, seed.matrix)
+            rhs = np.trace(direct[g] @ rho.matrix).real
             assert abs(lhs - rhs) < 1e-10
 
     @pytest.mark.parametrize("device", ["q8", 3, 5, 7, 11])
@@ -1216,9 +1217,9 @@ class TestCovariantMultimeter:
         seed = random_density(rng, rep.degree)
         eta = random_density(rng, rep.degree)
         programmed = program(mm, covariant_program_state(eta, seed))
-        direct = covariant_observable(rep, seed)
-        assert programmed.n_outcomes == direct.n_outcomes == rep.group.order
-        for a, b in zip(programmed.effects, direct.effects):
+        direct = covariant_effects_oracle(rep, seed.matrix)
+        assert programmed.n_outcomes == len(direct) == rep.group.order
+        for a, b in zip(programmed.effects, direct):
             assert np.max(np.abs(a - b)) < 1e-9
 
     def test_program_independent_of_eta(self, q8, rng):
@@ -1240,16 +1241,16 @@ class TestCovariantMultimeter:
         seed = random_density(rng, 2)
         eta = DensityState.maximally_mixed(2)
         programmed = program(mm, covariant_program_state(eta, seed))
-        direct = covariant_observable(q8, seed)
-        transposed = covariant_observable(q8, DensityState(seed.matrix.T))
+        direct = covariant_effects_oracle(q8, seed.matrix)
+        transposed = covariant_effects_oracle(q8, seed.matrix.T)
         agree = all(
             np.allclose(a, b, atol=1e-9)
-            for a, b in zip(programmed.effects, direct.effects)
+            for a, b in zip(programmed.effects, direct)
         )
         assert agree
         differs = any(
             np.max(np.abs(a - b)) > 1e-6
-            for a, b in zip(programmed.effects, transposed.effects)
+            for a, b in zip(programmed.effects, transposed)
         )
         assert differs  # a generic seed is not transpose symmetric
 

@@ -184,7 +184,6 @@ PACKAGE_SOURCES = sorted((REPO / "src" / "qmultimeter").glob("*.py"))
 # public definitions (functions, classes, and the methods and properties of
 # public classes) that nothing in src/, scripts/ or perfbench/ reaches, and why they stay
 UNCALLED_PUBLIC = {
-    "covariant_observable": "the closed form tests/test_acceptance.py holds programming to",
     "observable_to_json": "it writes the observable file format the divergence command reads",
 }
 # imports a module keeps without using them, and why

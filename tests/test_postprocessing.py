@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qmultimeter.divergence import bhattacharyya
 from qmultimeter.groups import (
     coset_postprocessing,
-    covariant_observable,
     eigenvector_program_states,
     q8_representation,
     weyl_heisenberg,
@@ -28,7 +27,7 @@ from qmultimeter.quantum import (
 )
 from qmultimeter.sampling import random_density, random_postprocessing, random_povm
 
-from oracles import simplex_grid
+from oracles import programmed_covariant, simplex_grid
 
 I2 = np.eye(2, dtype=complex)
 
@@ -115,7 +114,7 @@ class TestFactorMerge:
             kern = coset_postprocessing(rep.group, gen)
             # the vectors of the first and the last eigenvalue
             for psi in basis.T[[0, -1]]:
-                e = covariant_observable(rep, DensityState.from_vector(psi))
+                e = programmed_covariant(rep, DensityState.from_vector(psi))
                 self._agrees(kern, e, full_checks)
 
     @pytest.mark.parametrize("d", ["q8", 3, 5])
@@ -125,7 +124,7 @@ class TestFactorMerge:
         rep = q8_representation() if d == "q8" else weyl_heisenberg(d)
         n = rep.group.order
         for trial in range(10):
-            e = covariant_observable(rep, random_density(rng, rep.degree))
+            e = programmed_covariant(rep, random_density(rng, rep.degree))
             assert e._factors.shape == (n, rep.degree, rep.degree)
             n_out = int(rng.integers(1, n + 3))
             relabel = rng.integers(0, n_out, size=n)
@@ -138,19 +137,19 @@ class TestFactorMerge:
                 self._agrees(PostProcessing(np.ones((n_out, 1))), merged, full_checks)
 
     def test_stochastic_kernel_takes_the_full_check(self, q8, rng, full_checks):
-        e = covariant_observable(q8, random_density(rng, 2))
+        e = programmed_covariant(q8, random_density(rng, 2))
         out = post_process_observable(random_postprocessing(rng, 8, 3), e)
         assert len(full_checks) == 1 and out._factors is None
 
     def test_dense_validated_input_takes_the_full_check(self, q8, rng, full_checks):
-        e = covariant_observable(q8, random_density(rng, 2))
+        e = programmed_covariant(q8, random_density(rng, 2))
         dense = Observable(e.effects.copy(), outcomes=e.outcomes)
         assert dense._factors is None
         out = post_process_observable(coset_postprocessing(q8.group, 2), dense)
         assert len(full_checks) == 2 and out._factors is None
 
     def test_factors_are_read_only(self, q8, rng):
-        e = covariant_observable(q8, random_density(rng, 2))
+        e = programmed_covariant(q8, random_density(rng, 2))
         with pytest.raises(ValueError, match="read-only"):
             e._factors[0, 0, 0] = 0.0
 
@@ -216,7 +215,7 @@ class TestObservableAction:
 
         idx = {n: i for i, n in enumerate(q8.group.names)}
         psi = DensityState((I2 + PAULI_X) / 2)
-        covariant = covariant_observable(q8, psi)
+        covariant = programmed_covariant(q8, psi)
         kern = coset_postprocessing(q8.group, idx["i"])
         sharp = post_process_observable(kern, covariant)
         assert np.allclose(sharp.effects[0], (I2 + PAULI_X) / 2, atol=1e-10)

@@ -43,10 +43,11 @@ from qmultimeter.sampling import (
     random_density,
     random_multimeter,
     random_povm,
+    random_pure_pair,
     random_pure_vector,
     random_unitary,
 )
-from qmultimeter.verify import phase_space_demo
+from qmultimeter.verify import phase_space_demo, q8_program_pair, wh_program_pair
 
 I2 = np.eye(2, dtype=complex)
 
@@ -635,6 +636,24 @@ class TestFidelity:
                 if a is not b:
                     assert abs(fidelity(a, b) - sqrt_fidelity(a.matrix, b.matrix)) <= 1e-12
 
+    @pytest.mark.parametrize("fixture", ["q8", 3, 5])
+    def test_product_against_dense_builds_no_probe_matrix(self, fixture, monkeypatch):
+        # the product's factor comes off its pair and the dense state's off the
+        # eigh its validation ran: neither tensor nor eigh runs in fidelity
+        _, product, other, _, _ = q8_program_pair() if fixture == "q8" else wh_program_pair(fixture)
+        dense = DensityState(other.matrix.copy())
+        eta, seed = product._pair
+        expected = sqrt_fidelity(np.kron(eta.matrix, seed.matrix.T), dense.matrix)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a d^2 x d^2 matrix was built or decomposed")
+
+        monkeypatch.setattr(quantum, "tensor", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert abs(fidelity(product, dense) - expected) <= 1e-12
+        assert abs(fidelity(dense, product) - expected) <= 1e-12
+        assert "matrix" not in vars(product)
+
     @pytest.mark.parametrize("d", [2, 4, 7])
     def test_factor_has_the_numerical_rank(self, rng, d):
         for _ in range(10):
@@ -673,6 +692,16 @@ class TestFidelity:
             fidelity(x, y)
         assert len(calls) == 1
         assert all(s._eigh is None for s in (a, b, c, repaired, pure))
+
+
+class TestRandomPureVectors:
+    @pytest.mark.parametrize("draw", [random_pure_vector, random_pure_pair])
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_below_one_is_rejected_before_any_draw(self, rng, draw, dim):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^dimension must be at least 1, got {dim}$"):
+            draw(rng, dim)
+        assert rng.bit_generator.state == state
 
 
 class TestChannels:

@@ -9,11 +9,11 @@ from oracles import (
     partial_swap_channel,
     postprocessing_from_json,
     postprocessing_to_json,
+    programmed_covariant,
     state_from_json,
 )
 
 from qmultimeter.divergence import DivergenceOptions, observable_divergence
-from qmultimeter.groups import covariant_observable
 from qmultimeter.postprocessing import PostProcessing
 from qmultimeter.quantum import DensityState
 from qmultimeter.sampling import random_channel, random_density, random_povm
@@ -43,7 +43,7 @@ class TestRoundTrips:
         assert np.array_equal(back.matrix, s.matrix)
 
     def test_observable_with_labels(self, q8, rng):
-        obs = covariant_observable(q8, random_density(rng, 2))
+        obs = programmed_covariant(q8, random_density(rng, 2))
         doc = through_json(observable_to_json(obs))
         back = observable_from_json(doc)
         assert back.outcomes == obs.outcomes

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import einsum_margins, sharp_projector_defects, sharpmin_oracle
+from oracles import (
+    einsum_margins,
+    programmed_covariant,
+    sharp_projector_defects,
+    sharpmin_oracle,
+)
 
 from qmultimeter import groups, quantum, verify
 from qmultimeter.divergence import observable_divergence
@@ -560,7 +565,7 @@ class TestDemos:
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         assert abs(fidelity(a, b) - abs(np.vdot(a.factor, b.factor))) <= 1e-15
-        assert groups.covariant_observable(weyl_heisenberg(5), a).n_outcomes == 25
+        assert programmed_covariant(weyl_heisenberg(5), a).n_outcomes == 25
         assert verify_prop1(mm, xi1, xi2, trials=200, seed=0).violations == 0
         assert verify_prop3(mm, xi1, xi2, l1, l2, trials=200, seed=0).violations == 0
 
