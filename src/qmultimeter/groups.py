@@ -11,7 +11,7 @@ import numpy as np
 
 from .linalg import as_matrix, hermitianize, tensor
 from .postprocessing import PostProcessing
-from .quantum import ATOL_COMPLETE, ATOL_PROGRAM, DensityState, Multimeter, Observable
+from .quantum import ATOL_COMPLETE, ATOL_PROGRAM, DensityState, Multimeter, Observable, block_items
 
 UNITARY_TOL = 1e-10
 MULTIPLIER_TOL = 1e-9
@@ -163,13 +163,20 @@ class ProjectiveRepresentation:
         if any(m.shape != (d, d) for m in mats):
             raise ValueError("representation matrices must share a dimension")
         u = np.stack(mats)
-        if float(np.max(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(d)))) > UNITARY_TOL:
+        # both checks run over blocks of elements (``block_items``), so each
+        # temporary holds at most EFFECT_BLOCK_ELEMENTS entries, not |G| d^2
+        step = block_items(d * d)
+        blocks = [slice(lo, lo + step) for lo in range(0, len(u), step)]
+        eye = np.eye(d)
+        errors = (np.abs(u[b].conj().transpose(0, 2, 1) @ u[b] - eye) for b in blocks)
+        if max(float(np.max(e)) for e in errors) > UNITARY_TOL:
             raise ValueError("representation matrix is not unitary")
         self.matrices = u
-        # one column of products U(g)U(s) at a time: O(|G| d^2) memory; the
+        # the products U(g)U(s) of one block of elements g at a time; the
         # trivial group has no generator, and U(e)U(e) ~ U(e) makes U(e) scalar
         gens = self.group.generators or (self.group.identity,)
-        laws = [self._law(u @ u[s], self.group.table[:, s]) for s in gens]
+        table = self.group.table
+        laws = [self._law(u[b] @ u[s], table[b, s]) for s in gens for b in blocks]
         if max(float(np.max(np.abs(np.abs(mu) - 1.0))) for mu, _ in laws) > MULTIPLIER_TOL:
             raise ValueError("multiplier is not unit modulus; not a projective representation")
         defect = max(x for _, x in laws)

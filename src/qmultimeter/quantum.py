@@ -187,14 +187,16 @@ class DensityState:
         return factor
 
 
-# entries per block of the Hermiticity and eigenvalue checks of an effect stack:
+# entries per block of a check run over a stack: the effects of an observable,
+# the unitaries of a representation, the merged factors of the phase-space demo.
 # 2^14 complex entries are 256 KiB: all 49 effects of d = 7, one effect from d = 91 on
 EFFECT_BLOCK_ELEMENTS = 2**14
 
 
-def _effect_block(d: int) -> int:
-    """Effects per block: at most ``EFFECT_BLOCK_ELEMENTS`` entries, at least one effect."""
-    return max(1, EFFECT_BLOCK_ELEMENTS // (d * d))
+def block_items(entries: int) -> int:
+    """Items of ``entries`` entries each per block: at most
+    ``EFFECT_BLOCK_ELEMENTS`` entries, at least one item."""
+    return max(1, EFFECT_BLOCK_ELEMENTS // entries)
 
 
 @dataclass(eq=False)
@@ -245,7 +247,7 @@ class Observable:
         # has its entries checked. Eigenvalues are taken only up to the first
         # effect that fails either check.
         low = defect = None
-        step = _effect_block(d)
+        step = block_items(d * d)
         with np.errstate(invalid="ignore", over="ignore"):
             for lo in range(0, n_ok, step):
                 block = stack[lo : lo + step]

@@ -36,6 +36,7 @@ from .quantum import (
     DensityState,
     Multimeter,
     Observable,
+    block_items,
     dual_apply,
     fidelity,
     outcome_distribution,
@@ -534,11 +535,13 @@ def quaternion_demo() -> dict:
 
 
 def _sharp_defects(factors: np.ndarray) -> tuple:
-    """Bounds that certify the effects E_x = A_x A_x^dagger of the (k, d, s)
+    """Bounds that certify the effects E_x = A_x A_x^dagger of the (..., k, d, s)
     factors A_x as mutually orthogonal rank-one projectors,
-    in O(k s d + k^2 d) work: the largest, over x and over pairs x < y, of
-    bounds on ||E_x - c_x c_x^dagger|| for a column c_x, on |E_x E_x - E_x|
-    and on |E_x E_y|, all spectral norms, which bound every entry.
+    in O(k s d + k^2 d) work per leading index: the largest, over x and over
+    pairs x < y, of bounds on ||E_x - c_x c_x^dagger|| for a column c_x, on
+    |E_x E_x - E_x| and on |E_x E_y|, all spectral norms, which bound every
+    entry. A stack gives the three bounds of each of its leading indices; a
+    plain (k, d, s) input gives three scalars.
 
     Each A_x is compressed to one column c_x = u |b|, with u its largest
     column made unit and b = A_x^dagger u. With R = A_x - u b^dagger, so that
@@ -552,26 +555,34 @@ def _sharp_defects(factors: np.ndarray) -> tuple:
     Each bound adds (d + 2 s) eps for the rounding of G and of the effects
     built from their factors (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 3). A zero factor gives NaN bounds, which fail every check.
+    The per-effect steps run once on every effect of the stack, flattened to
+    (n, d, s), and give each effect the bits it gets alone; the Gram products
+    are one batched product.
     """
-    k, d, s = factors.shape
-    rows = np.arange(k)
-    norms = np.einsum("kds,kds->ks", factors.conj(), factors).real
+    *lead, k, d, s = factors.shape
+    flat = factors.reshape(-1, d, s)
+    rows = np.arange(len(flat))
+    norms = np.einsum("kds,kds->ks", flat.conj(), flat).real
     pivot = norms.argmax(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        u = factors[rows, :, pivot] / np.sqrt(norms[rows, pivot])[:, None]
-    b = np.einsum("kd,kds->ks", u.conj(), factors)
-    residual = factors - u[:, :, None] * b[:, None, :]
+        u = flat[rows, :, pivot] / np.sqrt(norms[rows, pivot])[:, None]
+    b = np.einsum("kd,kds->ks", u.conj(), flat)
+    residual = flat - u[:, :, None] * b[:, None, :]
     r = np.sqrt(np.einsum("kds,kds->k", residual.conj(), residual).real)
     mu = np.einsum("ks,ks->k", b.conj(), b).real
     size = np.sqrt(mu)
     delta, c = r * (2 * size + r), u * size[:, None]
-    gram = c.conj() @ c.T
-    idem = np.abs(gram.diagonal().real - 1.0) * mu + delta * (2 * mu + 1 + delta)
-    orth = np.abs(gram) * (size[:, None] * size) + mu[:, None] * delta
-    orth += delta[:, None] * (mu + delta)
-    orth.flat[:: k + 1] = 0.0  # the pairs x != y; the bound is symmetric in them
+    delta, mu, size = (a.reshape(*lead, k) for a in (delta, mu, size))
+    c = c.reshape(*lead, k, d)
+    gram = c.conj() @ c.swapaxes(-1, -2)
+    idem = np.abs(gram.diagonal(0, -2, -1).real - 1.0) * mu + delta * (2 * mu + 1 + delta)
+    orth = np.abs(gram) * (size[..., :, None] * size[..., None, :])
+    orth += mu[..., :, None] * delta[..., None, :]
+    orth += delta[..., :, None] * (mu + delta)[..., None, :]
+    # the pairs x != y; the bound is symmetric in them
+    orth[..., np.arange(k), np.arange(k)] = 0.0
     slack = (d + 2 * s) * np.finfo(float).eps
-    return float(delta.max()), float(idem.max() + slack), float(orth.max() + slack)
+    return delta.max(-1), idem.max(-1) + slack, orth.max((-2, -1)) + slack
 
 
 def phase_space_demo(d: int) -> dict:
@@ -579,10 +590,16 @@ def phase_space_demo(d: int) -> dict:
     mutually unbiased programming vectors, and sharpen each programmed
     observable by its coset merging.
 
-    Each vector is built, programmed, merged and checked in one pass. Its
-    probe is kept as its factors and its merged effects as their Gram
-    factors, which ``_sharp_defects`` certifies as orthogonal rank-one
-    projectors, so no d^2 x d^2 matrix and no effect is built."""
+    Each vector is built, programmed and merged in one pass. Its probe is
+    kept as its factors and its merged effects as their Gram factors, so no
+    d^2 x d^2 matrix and no effect is built. ``_sharp_defects`` certifies the
+    factors as orthogonal rank-one projectors in stacks of as many vectors as
+    ``block_items`` allows (all d + 1 up to d = 11), and every overlap comes
+    from one Gram product of the vectors. The checks then run vector by
+    vector: the overlaps with the earlier vectors, the outcome count, the
+    three bounds. So a failure names the first identity in that order. A
+    vector with the wrong outcome count ends the pass, since its factors
+    cannot join a stack."""
     if not is_prime(d):
         raise ValueError(f"dimension must be prime, got {d}")
     if d > PHASE_SPACE_MAX_DIM:
@@ -595,37 +612,47 @@ def phase_space_demo(d: int) -> dict:
     generators = [(0, 1)] + [(1, k) for k in range(d)]
     targets = [1.0 + 0j] + [omega] * d
     unbiased = 1 / np.sqrt(d)
-    vectors = []
+    vectors, counts, stack, defects = [], [], [], []
     target_missing = []
-    worst_overlap_gap = worst_idem = worst_orth = 0.0
     programs = eigenvector_program(rep, [wh_element_index(d, x, y) for x, y in generators], targets)
     for (x, y), (psi, probe, kern, exact) in zip(generators, programs):
         if not exact:
             # at d = 2 the closed-form coefficients degenerate and the
             # canonical target is no eigenvalue; the fallback is recorded
             target_missing.append(f"({x},{y})")
-        for g, earlier in zip(generators, vectors):
-            gap = abs(abs(np.vdot(earlier, psi)) - unbiased)
-            worst_overlap_gap = max(worst_overlap_gap, gap)
-            _check(gap <= 1e-8, "|<psi_{}|psi_{}>| = 1/sqrt({})", g, (x, y), d)
         vectors.append(psi)
-
         sharp = post_process_observable(kern, program(mm, probe))
-        _check(sharp.n_outcomes == d, "coset merging of <({},{})> has {} outcomes", x, y, d)
-        delta, idem, orth = _sharp_defects(sharp._factors)
+        counts.append(sharp.n_outcomes)
+        if sharp.n_outcomes != d:
+            break
+        stack.append(sharp._factors)
+        if len(stack) == block_items(sharp._factors.size):
+            defects += zip(*_sharp_defects(np.array(stack)))
+            stack = []
+    if stack:
+        defects += zip(*_sharp_defects(np.array(stack)))
+
+    gram = np.conj(vectors) @ np.transpose(vectors)
+    # np.hypot rounds as abs() of one complex scalar; the array np.abs does not
+    gaps = np.abs(np.hypot(gram.real, gram.imag) - unbiased)
+    for j, (x, y) in enumerate(generators[: len(vectors)]):
+        for i, g in enumerate(generators[:j]):
+            _check(gaps[i, j] <= 1e-8, "|<psi_{}|psi_{}>| = 1/sqrt({})", g, (x, y), d)
+        _check(counts[j] == d, "coset merging of <({},{})> has {} outcomes", x, y, d)
+        delta, idem, orth = defects[j]
         _check(delta <= 1e-8, "effects are rank one")
-        worst_idem, worst_orth = max(worst_idem, idem), max(worst_orth, orth)
         _check(idem <= 1e-8, "merged effects for <({},{})> are idempotent", x, y)
         _check(orth <= 1e-8, "merged effects for <({},{})> are mutually orthogonal", x, y)
 
+    _, idem, orth = np.max(defects, axis=0)
     return {
         "check": "phase_space_demo",
         "dim": d,
         "vector_count": len(vectors),
         "unbiased_overlap": unbiased,
-        "worst_overlap_gap": worst_overlap_gap,
-        "worst_idempotency_defect": worst_idem,
-        "worst_orthogonality_defect": worst_orth,
+        "worst_overlap_gap": float(np.max(gaps[np.triu_indices(len(vectors), 1)])),
+        "worst_idempotency_defect": float(idem),
+        "worst_orthogonality_defect": float(orth),
         "canonical_eigenvalue_missing": target_missing,
         "elapsed": time.perf_counter() - t0,
     }

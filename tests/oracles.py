@@ -708,6 +708,32 @@ def sharp_projector_defects(effects: np.ndarray) -> tuple:
     return idem, orth
 
 
+def sharp_defects_oracle(factors: np.ndarray) -> tuple:
+    """The three bounds of ``verify._sharp_defects`` for one (k, d, s) factor
+    stack, one vector at a time, as the phase-space demo took them before it
+    certified its vectors as one stack: the stacked certificate must give
+    each vector these bits."""
+    k, d, s = factors.shape
+    rows = np.arange(k)
+    norms = np.einsum("kds,kds->ks", factors.conj(), factors).real
+    pivot = norms.argmax(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = factors[rows, :, pivot] / np.sqrt(norms[rows, pivot])[:, None]
+    b = np.einsum("kd,kds->ks", u.conj(), factors)
+    residual = factors - u[:, :, None] * b[:, None, :]
+    r = np.sqrt(np.einsum("kds,kds->k", residual.conj(), residual).real)
+    mu = np.einsum("ks,ks->k", b.conj(), b).real
+    size = np.sqrt(mu)
+    delta, c = r * (2 * size + r), u * size[:, None]
+    gram = c.conj() @ c.T
+    idem = np.abs(gram.diagonal().real - 1.0) * mu + delta * (2 * mu + 1 + delta)
+    orth = np.abs(gram) * (size[:, None] * size) + mu[:, None] * delta
+    orth += delta[:, None] * (mu + delta)
+    orth.flat[:: k + 1] = 0.0  # the pairs x != y; the bound is symmetric in them
+    slack = (d + 2 * s) * np.finfo(float).eps
+    return float(delta.max()), float(idem.max() + slack), float(orth.max() + slack)
+
+
 def estimate_recompute(e1, e2, est) -> float:
     """Re-evaluate the reported ratio at the reported argmin pair: the
     unfloored ratio the search minimises, or for a zero estimate the floored

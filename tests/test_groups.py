@@ -275,6 +275,50 @@ class TestProjectiveRepresentation:
         assert peak < 32 * 2**20
         assert np.array_equal(rebuilt.matrices, rep.matrices)
 
+    def test_validation_memory_at_d29_is_bounded(self):
+        # the 10.8 MiB unitary stack of WH(29), the caller's copy and the 5.4
+        # MiB table peak near 28 MiB; one full-stack product per step peaked near 70
+        tracemalloc.start()
+        try:
+            rep = weyl_heisenberg.__wrapped__(29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.matrices.shape == (841, 29, 29)
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("elements", [9, 20, 2**14])
+    def test_block_boundaries_leave_every_verdict_unchanged(self, monkeypatch, elements):
+        # 9 entries: one WH(3) element per block; 20: two per block
+        rep = weyl_heisenberg(3)
+        swap01 = np.zeros((3, 3))
+        swap01[0, 1] = swap01[1, 0] = 1.0
+        kick = scipy.linalg.expm(1e-6j * swap01)
+        cases = []
+        for g in (0, 4, 8):
+            mats = list(rep.matrices)
+            mats[g] = mats[g] @ kick
+            cases.append(mats)
+            cases.append([2.0 * m if h == g else m for h, m in enumerate(rep.matrices)])
+        swapped = list(rep.matrices)
+        swapped[1], swapped[3] = swapped[3], swapped[1]
+        cases += [swapped, list(rep.matrices)]
+
+        def verdicts():
+            out = []
+            for mats in cases:
+                try:
+                    ProjectiveRepresentation(rep.group, mats)
+                    out.append("ok")
+                except ValueError as exc:
+                    out.append(str(exc))
+            return out
+
+        want = verdicts()
+        monkeypatch.setattr(quantum, "EFFECT_BLOCK_ELEMENTS", elements)
+        assert verdicts() == want
+        assert want[-1] == "ok" and len(set(want)) == 4
+
 
 class TestSubgroupsAndCosets:
     def test_trivial_subgroup(self, q8):

@@ -440,7 +440,7 @@ class TestValidationMatchesEigvalshReference:
 
     @pytest.mark.parametrize("d,per_block", [(2, 4096), (7, 334), (128, 1), (200, 1)])
     def test_blocks_hold_a_bounded_number_of_entries(self, d, per_block):
-        assert quantum._effect_block(d) == per_block
+        assert quantum.block_items(d * d) == per_block
 
     @pytest.mark.parametrize("elements", [8, 50, 2**14])
     def test_every_eigvalsh_call_sees_at_most_one_block(self, rng, monkeypatch, elements):
@@ -461,7 +461,7 @@ class TestValidationMatchesEigvalshReference:
                 assert _verdict(lambda: Observable(effects)) == want
         assert seen
         for shape in seen:
-            assert shape[0] <= quantum._effect_block(shape[-1])
+            assert shape[0] <= quantum.block_items(shape[-1] ** 2)
 
 
 class TestEffectStack:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     einsum_margins,
     programmed_covariant,
+    sharp_defects_oracle,
     sharp_projector_defects,
     sharpmin_oracle,
 )
@@ -514,8 +515,9 @@ class TestDemos:
         assert stacks == merged
 
     def test_phase_space_demo_memory_at_d19_is_bounded(self):
-        # one d^2 x d^2 probe state (2.1 MB at d = 19) is alive at a time, and
-        # the demo peaks near 8-13 MiB; holding all d + 1 of them peaked near 47-50 MiB
+        # no d^2 x d^2 probe matrix (2.1 MB at d = 19) is built; the demo peaks
+        # near 1.2 MiB, one block of two vectors' merged factors and their
+        # certificate; holding all d + 1 probe matrices peaked near 47-50 MiB
         tracemalloc.start()
         try:
             report = phase_space_demo(19)
@@ -774,6 +776,134 @@ class TestSharpDefects:
         factors[0, 0, 0] = 1.0
         delta, idem, orth = verify._sharp_defects(factors)
         assert not delta <= 1e-8
+
+
+class TestStackedCertificate:
+    """The demo certifies its vectors in stacks of ``quantum.block_items``:
+    each vector gets the per-vector oracle's bounds bit for bit, and the
+    checks fail in the order of the vectors."""
+
+    @staticmethod
+    def _stacks(monkeypatch):
+        """Every factor stack the demo certifies, in order."""
+        stacks = []
+        original = verify._sharp_defects
+
+        def kept(factors):
+            stacks.append(factors)
+            return original(factors)
+
+        monkeypatch.setattr(verify, "_sharp_defects", kept)
+        return stacks
+
+    @staticmethod
+    def _assert_oracle_bits(factors):
+        """Each leading index of ``factors`` gets the oracle's bounds, and so
+        does each (k, d, s) item on its own; NaN bounds match NaN."""
+        stacked = np.stack(verify._sharp_defects(factors), axis=-1)
+        for index in np.ndindex(factors.shape[:-3]):
+            want = sharp_defects_oracle(factors[index])
+            np.testing.assert_array_equal(stacked[index], want)
+            np.testing.assert_array_equal(verify._sharp_defects(factors[index]), want)
+
+    @pytest.mark.parametrize("d", [p for p in range(2, 20) if is_prime(p)])
+    def test_each_vector_gets_the_oracle_bits(self, monkeypatch, d):
+        stacks = self._stacks(monkeypatch)
+        phase_space_demo(d)
+        monkeypatch.undo()
+        assert sum(len(factors) for factors in stacks) == d + 1
+        for factors in stacks:
+            self._assert_oracle_bits(factors)
+
+    @pytest.mark.parametrize("d,s", [(2, 4), (3, 3), (5, 2)])
+    def test_noisy_stacks_get_the_oracle_bits(self, rng, d, s):
+        # the noisy fixtures of TestSharpDefects, five draws at each noise
+        # level, as one (levels, draws, d, d, s) stack with one zero effect
+        levels = [0.0, 1e-9, 1e-6, 1e-3, 1e-1]
+        stack = np.empty((len(levels), 5, d, d, s), dtype=complex)
+        for index in np.ndindex(stack.shape[:2]):
+            basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+            weights = rng.normal(size=(d, s)) + 1j * rng.normal(size=(d, s))
+            weights /= np.linalg.norm(weights, axis=1, keepdims=True)
+            factors = basis.T[:, :, None] * weights[:, None, :]
+            shape = factors.shape
+            noise = levels[index[0]] * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            stack[index] = factors + noise
+        stack[1, 2, 0] = 0.0
+        self._assert_oracle_bits(stack)
+
+    @pytest.mark.parametrize("d,calls", [(7, 1), (19, 10)])
+    def test_one_certificate_per_block(self, monkeypatch, d, calls):
+        # d = 7: all 8 vectors of 343 factor entries in one block; d = 19:
+        # two vectors of 6859 entries per block
+        stacks = self._stacks(monkeypatch)
+        phase_space_demo(d)
+        assert len(stacks) == calls
+        per_block = quantum.block_items(d**3)
+        sizes = [min(per_block, d + 1 - lo) for lo in range(0, d + 1, per_block)]
+        assert [len(factors) for factors in stacks] == sizes
+        assert all(factors.shape[1:] == (d, d, d) for factors in stacks)
+
+    @staticmethod
+    def _replace_merged(monkeypatch, index, replace):
+        """Programs in which ``replace(merged, programmed)`` stands in for
+        the merged observable of item ``index``."""
+        original = verify.post_process_observable
+        seen = []
+
+        def replaced(kern, e):
+            sharp = original(kern, e)
+            seen.append(sharp)
+            return replace(sharp, e) if len(seen) - 1 == index else sharp
+
+        monkeypatch.setattr(verify, "post_process_observable", replaced)
+
+    @staticmethod
+    def _rank_two(factors):
+        # each effect's first column taken from the next effect's, an
+        # orthogonal direction of the same length: each effect of rank two
+        bent = factors.copy()
+        bent[:, :, 0] = np.roll(factors[:, :, 0], 1, axis=0)
+        return bent
+
+    @staticmethod
+    def _factors(replace):
+        return lambda sharp, e: SimpleNamespace(
+            n_outcomes=sharp.n_outcomes, _factors=replace(sharp._factors)
+        )
+
+    @pytest.mark.parametrize("d", [3, 7, 19])
+    @pytest.mark.parametrize(
+        "first,second,identity",
+        [
+            ((1, "rank"), (2, "overlap"), "effects are rank one"),
+            ((1, "idempotent"), (2, "outcomes"), "merged effects for <(1,0)> are idempotent"),
+            ((1, "overlap"), (2, "rank"), "|<psi_(0, 1)|psi_(1, 0)>| = 1/sqrt({d})"),
+            ((1, "overlap"), (1, "outcomes"), "|<psi_(0, 1)|psi_(1, 0)>| = 1/sqrt({d})"),
+            (
+                (0, "orthogonal"), (1, "outcomes"),
+                "merged effects for <(0,1)> are mutually orthogonal",
+            ),
+        ],
+    )
+    def test_the_first_failure_in_vector_order_is_named(
+        self, monkeypatch, d, first, second, identity
+    ):
+        defects = {
+            "rank": self._factors(self._rank_two),
+            "idempotent": self._factors(lambda a: np.sqrt(1.1) * a),
+            "orthogonal": self._factors(lambda a: a[[0, 0, *range(2, len(a))]]),
+            "outcomes": lambda sharp, e: e,
+        }
+        for index, kind in (first, second):
+            if kind == "overlap":
+                # the vector replaced by the first one, the basis vector e_0
+                TestDemoFailures._replace_vector(monkeypatch, index, lambda psi: np.eye(d)[0])
+            else:
+                self._replace_merged(monkeypatch, index, defects[kind])
+        with pytest.raises(DemoFailure) as failure:
+            phase_space_demo(d)
+        assert str(failure.value) == "identity failed: " + identity.format(d=d)
 
 
 class TestProposition1IsTight:
