@@ -9,7 +9,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import as_matrix, hermitianize, tensor
+from .linalg import NON_FINITE, as_matrix, hermitianize, tensor
 from .postprocessing import PostProcessing
 from .quantum import ATOL_COMPLETE, ATOL_PROGRAM, DensityState, Multimeter, Observable, block_items
 
@@ -102,13 +102,15 @@ def cyclic_subgroup(group: FiniteGroup, generator: int) -> np.ndarray:
 def _coset_relabellings(group: FiniteGroup, powers: np.ndarray) -> tuple:
     """Left cosets of the cyclic subgroups H whose elements are the columns
     of the (m, k) array ``powers``, each of order m: a (k, #G) array sending
-    every element to the index of its coset, and the (k, #G/m) smallest
-    element of each coset, in coset order.
+    every element to the index of its coset, and the (k, #G/m, m) member
+    tables, each coset's elements in increasing order, in coset order.
 
     The coset containing the identity comes first, the rest follow in order
     of their smallest element. g and g' share a left coset exactly when
     gH = g'H, so min(gH), one ``np.minimum`` per power, labels it, and the
-    elements that are their own label lead the cosets.
+    elements that are their own label lead the cosets. Every coset has m
+    elements, so one stable ``argsort`` of all the relabellings lists them,
+    each led by its smallest, without padding.
     """
     labels = group.table[:, powers[0]]
     for row in powers[1:]:
@@ -119,23 +121,21 @@ def _coset_relabellings(group: FiniteGroup, powers: np.ndarray) -> tuple:
     rank = np.take_along_axis(np.cumsum(leads, axis=1) - 1, labels, axis=1)
     first = rank[:, [group.identity]]
     relabel = np.where(rank == first, 0, rank + (rank < first))
-    rows, cols = np.nonzero(leads)
-    leaders = np.empty((len(labels), group.order // len(powers)), dtype=int)
-    leaders[rows, relabel[rows, cols]] = cols
-    return relabel, leaders
+    members = np.argsort(relabel, axis=1, kind="stable")
+    return relabel, members.reshape(len(relabel), -1, len(powers))
 
 
-def _coset_kernel(group: FiniteGroup, relabel: np.ndarray, leaders: np.ndarray) -> PostProcessing:
+def _coset_kernel(group: FiniteGroup, relabel: np.ndarray, members: np.ndarray) -> PostProcessing:
     """The relabelling of one row of ``_coset_relabellings``, each output
     labelled by the name of its coset's smallest element."""
-    return PostProcessing._relabelling(relabel, len(leaders), [group.names[g] for g in leaders])
+    return PostProcessing._relabelling(relabel, members, [group.names[g] for g in members[:, 0]])
 
 
 def coset_postprocessing(group: FiniteGroup, generator: int) -> PostProcessing:
     """Deterministic kernel merging group-labelled outcomes by left coset of
     ``<generator>``."""
-    relabel, leaders = _coset_relabellings(group, cyclic_subgroup(group, generator)[:, None])
-    return _coset_kernel(group, relabel[0], leaders[0])
+    relabel, members = _coset_relabellings(group, cyclic_subgroup(group, generator)[:, None])
+    return _coset_kernel(group, relabel[0], members[0])
 
 
 @dataclass(eq=False)
@@ -149,20 +149,27 @@ class ProjectiveRepresentation:
     entry. That certifies every pair: by induction on the length k of h as a
     word in the generators, U(g)U(h) is a unit multiple of U(gh) within
     (2k - 1)(d + 1) MULTIPLIER_TOL in operator norm. Only generator pairs are
-    held to ``MULTIPLIER_TOL`` itself.
+    held to ``MULTIPLIER_TOL`` itself. An (n, d, d) array is kept without
+    a copy when it is already a C-contiguous complex stack, as ``Observable``
+    keeps its effects; a list of matrices is stacked.
     """
 
     group: FiniteGroup
     matrices: np.ndarray
 
     def __post_init__(self):
-        mats = [as_matrix(u) for u in self.matrices]
+        u = self.matrices
+        stack = isinstance(u, np.ndarray) and u.ndim == 3
+        mats = np.ascontiguousarray(u, dtype=complex) if stack else [as_matrix(m) for m in u]
+        if stack and not np.isfinite(mats).all():
+            raise ValueError(NON_FINITE)
         if len(mats) != self.group.order:
             raise ValueError("one matrix per group element required")
         d = mats[0].shape[0]
         if any(m.shape != (d, d) for m in mats):
             raise ValueError("representation matrices must share a dimension")
-        u = np.stack(mats)
+        # a read-only view: an array taken without a copy stays writable to its owner
+        u = mats.view() if stack else np.stack(mats)
         # both checks run over blocks of elements (``block_items``), so each
         # temporary holds at most EFFECT_BLOCK_ELEMENTS entries, not |G| d^2
         step = block_items(d * d)
@@ -275,6 +282,28 @@ def _subgroup_powers(rep: ProjectiveRepresentation, gens: np.ndarray) -> np.ndar
     return powers
 
 
+def _eigenbasis(rep: ProjectiveRepresentation, gens: np.ndarray, want: int) -> tuple:
+    """The (k, d) eigenvalues and (k, d, d) eigenvectors of U(g) for the k
+    generators ``gens``, each of order ``want``, as
+    ``eigenvector_program_states`` derives and checks them."""
+    u = rep.matrices[gens]
+    c = np.trace(np.linalg.matrix_power(u, want), axis1=1, axis2=2) / rep.degree
+    v = u * (np.exp(1j * np.pi * (1 / want - 1)) / c ** (1 / want))[:, None, None]
+    eye = np.eye(rep.degree)
+    vecs = np.linalg.eigh(hermitianize(1j * np.linalg.solve(eye + v, eye - v)))[1]
+    pivots = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[:, None, :], axis=-2)
+    # np.hypot rounds as the scalar abs of a complex does, and the array
+    # np.abs does not: every programmed payload downstream carries these phases
+    vecs = vecs / (pivots / np.hypot(pivots.real, pivots.imag))
+    uv = u @ vecs
+    eigvals = np.sum(vecs.conj() * uv, axis=-2)
+    norm = np.linalg.norm(uv, axis=-2)
+    residual = np.linalg.norm(uv - vecs * eigvals[:, None, :], axis=-2)
+    if float(np.max(residual * norm + np.abs(norm**2 - 1.0))) > EIGVEC_INVARIANCE_TOL:
+        raise ValueError("eigenvector failed the invariance check")
+    return eigvals, vecs
+
+
 def eigenvector_program_states(
     rep: ProjectiveRepresentation, generators: int | np.ndarray
 ) -> tuple:
@@ -308,22 +337,7 @@ def eigenvector_program_states(
     the entries took O(d^4).
     """
     gens = np.reshape(generators, -1)
-    want = len(_subgroup_powers(rep, gens))  # m, the order of every generator
-    u = rep.matrices[gens]
-    c = np.trace(np.linalg.matrix_power(u, want), axis1=1, axis2=2) / rep.degree
-    v = u * (np.exp(1j * np.pi * (1 / want - 1)) / c ** (1 / want))[:, None, None]
-    eye = np.eye(rep.degree)
-    vecs = np.linalg.eigh(hermitianize(1j * np.linalg.solve(eye + v, eye - v)))[1]
-    pivots = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[:, None, :], axis=-2)
-    # the scalar abs, not the array np.abs: the two round differently, and
-    # every programmed payload downstream carries these phases
-    vecs = vecs / np.array([x / abs(x) for x in pivots.reshape(-1)]).reshape(pivots.shape)
-    uv = u @ vecs
-    eigvals = np.sum(vecs.conj() * uv, axis=-2)
-    norm = np.linalg.norm(uv, axis=-2)
-    residual = np.linalg.norm(uv - vecs * eigvals[:, None, :], axis=-2)
-    if float(np.max(residual * norm + np.abs(norm**2 - 1.0))) > EIGVEC_INVARIANCE_TOL:
-        raise ValueError("eigenvector failed the invariance check")
+    eigvals, vecs = _eigenbasis(rep, gens, len(_subgroup_powers(rep, gens)))
     shape = np.shape(generators)
     return eigvals.reshape(shape + eigvals.shape[1:]), vecs.reshape(shape + vecs.shape[1:])
 
@@ -341,23 +355,26 @@ def eigenvector_program(
     no eigenvalue lies within TARGET_EIGENVALUE_TOL (d = 2 phase space) the
     first vector, smallest eigenvalue phase, is used instead.
 
-    Every vector comes from one stacked ``eigenvector_program_states`` call
-    and the mixed state is built once. Each probe keeps that state and the
+    One power table of the generators (``_subgroup_powers``) gives every
+    vector, through one stacked eigenbasis (``_eigenbasis``, as in
+    ``eigenvector_program_states``), and every coset kernel, and the mixed
+    state is built once. Each probe keeps that state and the
     vector's pure state as its pair (``covariant_program_state``), so no
     d^2 x d^2 matrix is built unless its ``matrix`` is read.
     """
     if np.shape(targets) != (len(generators),):
         raise ValueError(f"{np.size(targets)} targets for {len(generators)} generators")
-    eigvals, vecs = eigenvector_program_states(rep, generators)
-    relabels = _coset_relabellings(rep.group, _subgroup_powers(rep, np.reshape(generators, -1)))
+    gens = np.reshape(generators, -1)
+    powers = _subgroup_powers(rep, gens)
+    eigvals, vecs = _eigenbasis(rep, gens, len(powers))
     dist = np.abs(eigvals - np.asarray(targets)[:, None])
     eta = DensityState.maximally_mixed(rep.degree)
-    for row, vec, relabel, leaders in zip(dist, vecs, *relabels):
+    for row, vec, *relabel in zip(dist, vecs, *_coset_relabellings(rep.group, powers)):
         pick = int(np.argmin(row))
         exact = bool(row[pick] <= TARGET_EIGENVALUE_TOL)
         psi = vec[:, pick if exact else 0]
         probe = covariant_program_state(eta, DensityState.from_vector(psi))
-        yield psi, probe, _coset_kernel(rep.group, relabel, leaders), exact
+        yield psi, probe, _coset_kernel(rep.group, *relabel), exact
 
 
 # ---------------------------------------------------------------------------

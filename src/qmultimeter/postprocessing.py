@@ -19,8 +19,8 @@ class PostProcessing:
     output outcome j, so every row is a probability vector. ``out_labels`` is
     optional bookkeeping for merged outcome names. A kernel whose every row
     holds a single exact 1 and zeros otherwise is a relabelling, and keeps the
-    output of each input as the index array ``_relabel``; any other kernel
-    keeps None there.
+    inputs of each output as its member table ``_members``
+    (``_member_table``); any other kernel keeps None there.
     """
 
     kernel: np.ndarray
@@ -42,7 +42,8 @@ class PostProcessing:
             raise ValueError(f"kernel rows must sum to 1, worst defect {np.max(np.abs(sums - 1.0)):.3e}")
         self.kernel = k
         # entries of 0 and 1 in rows that sum to 1 within ROW_SUM_TOL: one 1 a row
-        self._relabel = np.argmax(k, axis=1) if np.all((k == 0.0) | (k == 1.0)) else None
+        relabelling = np.all((k == 0.0) | (k == 1.0))
+        self._members = _member_table(np.argmax(k, axis=1), k.shape[1]) if relabelling else None
         self._check_labels()
 
     def _check_labels(self):
@@ -52,13 +53,14 @@ class PostProcessing:
                 raise ValueError("one output label per column required")
 
     @classmethod
-    def _relabelling(cls, relabel: np.ndarray, n_out: int, out_labels: list) -> "PostProcessing":
+    def _relabelling(cls, relabel: np.ndarray, members: np.ndarray, out_labels: list) -> "PostProcessing":
         """The relabelling that sends input i to output ``relabel[i]``, an
-        index in [0, n_out) for each of at least one input. Its kernel rows
-        are rows of the identity, 0 and 1 with one 1 a row by construction, so
-        only the labels are checked."""
+        index in [0, n_out) for each of at least one input, with its
+        (n_out, c) member table ``members`` as ``_member_table`` builds it.
+        Its kernel rows are rows of the identity, 0 and 1 with one 1 a row by
+        construction, so only the labels are checked."""
         pp = cls.__new__(cls)
-        pp.kernel, pp._relabel, pp.out_labels = np.eye(n_out)[relabel], relabel, out_labels
+        pp.kernel, pp._members, pp.out_labels = np.eye(len(members))[relabel], members, out_labels
         pp._check_labels()
         return pp
 
@@ -71,18 +73,16 @@ class PostProcessing:
         return self.kernel.shape[1]
 
 
-def _merged_factors(relabel: np.ndarray, n_out: int, factors: np.ndarray) -> np.ndarray:
-    """The (n_out, d, c r) factors of a relabelling's merged effects: output
-    j's block holds the (d, r) factors of its inputs side by side, padded with
-    zero columns to the c inputs of the largest output."""
-    n_in, d, r = factors.shape
+def _member_table(relabel: np.ndarray, n_out: int) -> np.ndarray:
+    """The (n_out, c) inputs of each output of the relabelling ``relabel``,
+    in increasing order, padded to the c inputs of the largest output with
+    n_in, the index of one zero factor appended to the inputs' factors."""
     sizes = np.bincount(relabel, minlength=n_out)
-    order = np.argsort(relabel, kind="stable")
-    # each input's place among the inputs of its output
-    slot = np.arange(n_in) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    merged = np.zeros((n_out, d, sizes.max(), r), dtype=factors.dtype)
-    merged[relabel[order], :, slot] = factors[order]
-    return merged.reshape(n_out, d, -1)
+    members = np.full((n_out, sizes.max()), len(relabel))
+    # the first sizes[j] slots of each row j, in row order, take the inputs
+    # sorted by output
+    members[np.arange(sizes.max()) < sizes[:, None]] = np.argsort(relabel, kind="stable")
+    return members
 
 
 def post_process_observable(l: PostProcessing, e: Observable) -> Observable:
@@ -90,17 +90,22 @@ def post_process_observable(l: PostProcessing, e: Observable) -> Observable:
 
     A relabelling of an observable that keeps its Gram factors
     (``Observable._from_factors``) merges factors, not effects: output j is
-    the Gram product of its inputs' factors side by side (``_merged_factors``),
-    which is that sum, certified by construction as ``_from_factors`` argues,
-    with c r columns for c inputs of r columns each. Any other pair
-    is summed by ``np.tensordot`` and validated in full: effects certified
-    only above -TOL_PSD can sum below it.
+    the Gram product of its inputs' factors side by side, one gather of the
+    factors by the member table (``_member_table``), a zero factor appended
+    when the table pads, and one transpose. That product is the sum,
+    certified by construction as ``_from_factors`` argues, with c r columns
+    for c inputs of r columns each. Any other pair is summed by
+    ``np.tensordot`` and validated in full: effects certified only above
+    -TOL_PSD can sum below it.
     """
     if l.n_in != e.n_outcomes:
         raise ValueError(f"kernel expects {l.n_in} inputs, observable has {e.n_outcomes}")
-    if l._relabel is not None and e._factors is not None:
-        factors = _merged_factors(l._relabel, l.n_out, e._factors)
-        return Observable._from_factors(factors, l.out_labels, e.atol_complete)
+    if l._members is not None and e._factors is not None:
+        factors = e._factors
+        if l._members.size > l.n_in:
+            factors = np.concatenate([factors, np.zeros_like(factors[:1])])
+        merged = factors[l._members].transpose(0, 2, 1, 3).reshape(l.n_out, e.dim, -1)
+        return Observable._from_factors(merged, l.out_labels, e.atol_complete)
     return Observable(
         np.tensordot(l.kernel, e.effects, axes=(0, 0)),
         outcomes=l.out_labels,

@@ -585,6 +585,12 @@ def _sharp_defects(factors: np.ndarray) -> tuple:
     return delta.max(-1), idem.max(-1) + slack, orth.max((-2, -1)) + slack
 
 
+def _block(stack: list) -> np.ndarray:
+    """The factor arrays of ``stack`` stacked on a new leading axis; one array
+    is a view, not a copy."""
+    return stack[0][None] if len(stack) == 1 else np.array(stack)
+
+
 def phase_space_demo(d: int) -> dict:
     """Build the prime-dimension displacement multimeter, derive the d+1
     mutually unbiased programming vectors, and sharpen each programmed
@@ -627,10 +633,10 @@ def phase_space_demo(d: int) -> dict:
             break
         stack.append(sharp._factors)
         if len(stack) == block_items(sharp._factors.size):
-            defects += zip(*_sharp_defects(np.array(stack)))
+            defects += zip(*_sharp_defects(_block(stack)))
             stack = []
     if stack:
-        defects += zip(*_sharp_defects(np.array(stack)))
+        defects += zip(*_sharp_defects(_block(stack)))
 
     gram = np.conj(vectors) @ np.transpose(vectors)
     # np.hypot rounds as abs() of one complex scalar; the array np.abs does not

@@ -512,6 +512,21 @@ def eigvalsh_observable_check(effects, outcomes=None, atol_complete=1e-9):
         raise ValueError("one outcome label per effect required")
 
 
+def merged_factors_oracle(relabel: np.ndarray, n_out: int, factors: np.ndarray) -> np.ndarray:
+    """The (n_out, d, c r) factors of a relabelling's merged effects: output
+    j's block holds the (d, r) factors of its inputs side by side, padded with
+    zero columns to the c inputs of the largest output. The scatter that
+    ``post_process_observable`` ran before it gathered by member table."""
+    n_in, d, r = factors.shape
+    sizes = np.bincount(relabel, minlength=n_out)
+    order = np.argsort(relabel, kind="stable")
+    # each input's place among the inputs of its output
+    slot = np.arange(n_in) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    merged = np.zeros((n_out, d, sizes.max(), r), dtype=factors.dtype)
+    merged[relabel[order], :, slot] = factors[order]
+    return merged.reshape(n_out, d, -1)
+
+
 def left_cosets(group, generator) -> list:
     """Partition of element indices into left cosets of the cyclic subgroup
     ``<generator>``, each sorted, in the order of the coset helper

@@ -287,6 +287,39 @@ class TestProjectiveRepresentation:
         assert rep.matrices.shape == (841, 29, 29)
         assert peak < 32 * 2**20
 
+    def test_a_complex_stack_is_validated_without_a_copy(self):
+        # the 10.8 MiB unitary stack of WH(29) and its 5.4 MiB table peak near
+        # 17 MiB; stacking a copy of the unitaries peaked near 28
+        tracemalloc.start()
+        try:
+            weyl_heisenberg.__wrapped__(29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    def test_the_callers_stack_stays_writable_to_its_owner(self):
+        u = np.array(weyl_heisenberg(3).matrices)
+        rep = ProjectiveRepresentation(weyl_heisenberg(3).group, u)
+        assert np.shares_memory(rep.matrices, u)
+        assert u.flags.writeable and not rep.matrices.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rep.matrices[0, 0, 0] = 0.0
+        u[0, 0, 0] = 2.0
+        assert rep.matrices[0, 0, 0] == 2.0
+
+    @pytest.mark.parametrize("kept", [True, False])
+    def test_a_stack_and_a_list_fail_alike(self, kept):
+        rep = weyl_heisenberg(3)
+        cases = {
+            r"non-finite entry": np.where(np.arange(9)[:, None, None] == 4, np.nan, rep.matrices),
+            r"one matrix per group element required": rep.matrices[:8],
+            r"not unitary": 2.0 * rep.matrices,
+        }
+        for message, mats in cases.items():
+            with pytest.raises(ValueError, match=message):
+                ProjectiveRepresentation(rep.group, np.array(mats) if kept else list(mats))
+
     @pytest.mark.parametrize("elements", [9, 20, 2**14])
     def test_block_boundaries_leave_every_verdict_unchanged(self, monkeypatch, elements):
         # 9 entries: one WH(3) element per block; 20: two per block
@@ -369,7 +402,8 @@ class TestSubgroupsAndCosets:
             # the kernel built as a relabelling, and the one validated densely
             dense = PostProcessing(expected, out_labels=kern.out_labels)
             assert kern.kernel.tobytes() == dense.kernel.tobytes()
-            assert np.array_equal(kern._relabel, dense._relabel)
+            assert np.array_equal(kern._members, dense._members)
+            assert kern._members.tolist() == walked
 
     def test_coset_kernel_is_deterministic(self, q8):
         g = q8.group
@@ -489,7 +523,7 @@ class TestProgramVectors:
             for b in range(a + 1, len(vectors)):
                 assert abs(abs(np.vdot(vectors[a], vectors[b])) - 1 / np.sqrt(d)) < 1e-8
 
-    @pytest.mark.parametrize("which", ["q8", 3, 5, 7, 13])
+    @pytest.mark.parametrize("which", ["q8", 2, 3, 5, 7, 11, 13, 17, 19])
     def test_vectors_equal_the_per_column_phase_fix(self, which, monkeypatch):
         # the stacked phase fix of eigh's vectors equals, bit for bit, the
         # per-column fix through the scalar abs, whose rounding every
@@ -1123,12 +1157,12 @@ class TestStackedCosetKernels:
             ref = coset_postprocessing(g, gen)
             assert kern.kernel.shape == ref.kernel.shape
             assert kern.kernel.tobytes() == ref.kernel.tobytes()
-            assert kern._relabel.dtype == ref._relabel.dtype
-            assert kern._relabel.tobytes() == ref._relabel.tobytes()
+            assert kern._members.dtype == ref._members.dtype
+            assert kern._members.tobytes() == ref._members.tobytes()
             assert kern.out_labels == ref.out_labels
             walked = walked_cosets(g, gen)
             assert kern.out_labels == [g.names[c[0]] for c in walked]
-            assert [np.flatnonzero(kern._relabel == j).tolist() for j in range(kern.n_out)] == walked
+            assert kern._members.tolist() == walked
 
     def test_wrong_order_generator_keeps_its_message(self, q8):
         idx = {n: i for i, n in enumerate(q8.group.names)}

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qmultimeter.divergence import bhattacharyya
 from qmultimeter.groups import (
     coset_postprocessing,
+    eigenvector_program,
     eigenvector_program_states,
     q8_representation,
     weyl_heisenberg,
@@ -18,6 +19,7 @@ from qmultimeter.postprocessing import (
     pp_fidelity,
 )
 from qmultimeter.quantum import (
+    ATOL_PROGRAM,
     DensityState,
     Multimeter,
     Observable,
@@ -27,7 +29,12 @@ from qmultimeter.quantum import (
 )
 from qmultimeter.sampling import random_density, random_postprocessing, random_povm
 
-from oracles import programmed_covariant, simplex_grid
+from oracles import (
+    merged_factors_oracle,
+    programmed_covariant,
+    sharp_generators,
+    simplex_grid,
+)
 
 I2 = np.eye(2, dtype=complex)
 
@@ -56,12 +63,13 @@ class TestPostProcessingType:
             PostProcessing(np.zeros(shape))
 
     def test_relabelling_is_recognised_by_its_exact_entries(self):
-        assert PostProcessing(np.eye(3)[[2, 0, 2]])._relabel.tolist() == [2, 0, 2]
+        # each output's inputs in increasing order, padded with n_in = 3
+        assert PostProcessing(np.eye(3)[[2, 0, 2]])._members.tolist() == [[1, 3], [3, 3], [0, 2]]
         # within ROW_SUM_TOL of a relabelling, but not one
-        assert PostProcessing(np.array([[1.0, 1e-13], [0.0, 1.0]]))._relabel is None
-        assert PostProcessing(np.full((2, 2), 0.5))._relabel is None
+        assert PostProcessing(np.array([[1.0, 1e-13], [0.0, 1.0]]))._members is None
+        assert PostProcessing(np.full((2, 2), 0.5))._members is None
         # entries a rounding above 1 or below 0 are clipped to a relabelling
-        assert PostProcessing(np.array([[1.0 + 1e-13, -1e-13]]))._relabel.tolist() == [0]
+        assert PostProcessing(np.array([[1.0 + 1e-13, -1e-13]]))._members.tolist() == [[0], [1]]
 
 
 def _merged_in_full(kern, e):
@@ -152,6 +160,53 @@ class TestFactorMerge:
         e = programmed_covariant(q8, random_density(rng, 2))
         with pytest.raises(ValueError, match="read-only"):
             e._factors[0, 0, 0] = 0.0
+
+
+def complete_factors(rng, n, d, r) -> Observable:
+    """An observable of n random (d, r) Gram factors, made complete by the
+    inverse square root of their sum."""
+    a = rng.normal(size=(n, d, r)) + 1j * rng.normal(size=(n, d, r))
+    w, v = np.linalg.eigh(np.einsum("kdr,ker->de", a, a.conj()))
+    a = (v / np.sqrt(w)) @ v.conj().T @ a
+    return Observable._from_factors(a, None, ATOL_PROGRAM)
+
+
+class TestMemberGather:
+    """The one gather by member table gives the scatter's merged factors
+    (``merged_factors_oracle``) bit for bit."""
+
+    @staticmethod
+    def _assert_oracle_bits(kern, e):
+        merged = post_process_observable(kern, e)._factors
+        want = merged_factors_oracle(np.argmax(kern.kernel, axis=1), kern.n_out, e._factors)
+        assert merged.shape == want.shape and merged.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("which", ["q8", 2, 3, 5, 7, 11, 13])
+    def test_every_coset_kernel(self, which, rng):
+        rep = q8_representation() if which == "q8" else weyl_heisenberg(which)
+        e = programmed_covariant(rep, random_density(rng, rep.degree))
+        for g in range(rep.group.order):
+            self._assert_oracle_bits(coset_postprocessing(rep.group, g), e)
+        # the kernels of one stacked coset table
+        gens = sharp_generators(rep)
+        for *_, kern, _ in eigenvector_program(rep, gens, np.zeros(len(gens))):
+            self._assert_oracle_bits(kern, e)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_random_relabellings_with_unequal_and_empty_outputs(self, r, rng):
+        shapes = set()
+        for _ in range(40):
+            # n >= d factors of full rank sum to an invertible matrix
+            d = int(rng.integers(1, 5))
+            n = int(rng.integers(d, 30))
+            n_out = int(rng.integers(1, n + 3))
+            relabel = rng.integers(0, n_out, size=n)
+            self._assert_oracle_bits(
+                PostProcessing(np.eye(n_out)[relabel]), complete_factors(rng, n, d, r)
+            )
+            sizes = np.bincount(relabel, minlength=n_out)
+            shapes.add((sizes.min() == 0, sizes.min() < sizes.max()))
+        assert {(True, True), (False, True)} <= shapes
 
 
 class TestObservableAction:

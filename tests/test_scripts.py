@@ -1,8 +1,12 @@
+import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qmultimeter
 
@@ -197,3 +201,50 @@ def test_ab_bench_rejects_a_missing_tree_or_a_bad_count_before_any_run(tmp_path)
         assert proc.returncode == 2, (args, proc.stderr)
         assert message in proc.stderr and proc.stdout == ""
     assert not (tmp_path / "runs.log").exists()
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def source_copy(root: Path, name: str) -> Path:
+    tree = root / name
+    shutil.copytree(
+        REPO / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info")
+    )
+    return tree
+
+
+def test_payload_diff_lists_every_seeded_command(tmp_path):
+    module = load_script("payload_diff")
+    cmds = [" ".join(c) for c in module.commands(source_copy(tmp_path, "tree"))]
+    demos = [f"demo phase-space --dim {d}" for d in (2, 3, 5, 7, 11, 13, 17, 19)]
+    checks = [f"verify {c} --fixture {f} --seed 0" for c in ("prop1", "prop3")
+              for f in ("q8", "phase-space")]
+    assert cmds == ["demo q8", *demos, *checks, "verify bprops --trials 20 --seed 0",
+                    "bound --points 201"]
+
+
+def test_payload_diff_names_the_perturbed_payload(tmp_path, monkeypatch, capsys):
+    module = load_script("payload_diff")
+    short = [["demo", "phase-space", "--dim", "3"], ["bound", "--points", "11"]]
+    monkeypatch.setattr(module, "commands", lambda parent: short)
+    tree, same, bent = (source_copy(tmp_path, name) for name in ("tree", "same", "bent"))
+    verify_py = bent / "src" / "qmultimeter" / "verify.py"
+    text = verify_py.read_text()
+    assert '"vector_count": len(vectors),' in text
+    verify_py.write_text(text.replace('"vector_count": len(vectors),', '"vector_count": 0,'))
+
+    assert module.main([str(tree), str(same)]) == 0
+    assert capsys.readouterr().out == "0 of 2 payloads differ\n"
+    assert module.main([str(tree), str(bent)]) == 1
+    assert capsys.readouterr().out == (
+        "differs: qmultimeter demo phase-space --dim 3\n1 of 2 payloads differ\n"
+    )
+    with pytest.raises(SystemExit) as missing:
+        module.main([str(tree), str(tmp_path / "missing")])
+    assert missing.value.code == 2
+    assert "is no source tree" in capsys.readouterr().err

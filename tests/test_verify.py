@@ -460,6 +460,23 @@ class TestBoundCurve:
         assert curve.ts.tolist() == [-1.0] and curve.values[0] == sharpmin_bound(-1.0)
 
 
+def count_calls(monkeypatch, module, names) -> dict:
+    """Replace each of ``names`` in ``module`` by a wrapper that counts its
+    calls into the returned dict."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
 class TestDemos:
     def test_quaternion_demo_report(self):
         report = quaternion_demo()
@@ -529,16 +546,18 @@ class TestDemos:
 
     @pytest.mark.parametrize("demo", [lambda: phase_space_demo(7), quaternion_demo])
     def test_every_demo_vector_comes_from_one_stacked_call(self, monkeypatch, demo):
-        calls = []
-        original = groups.eigenvector_program_states
-
-        def counting(rep, generators):
-            calls.append(generators)
-            return original(rep, generators)
-
-        monkeypatch.setattr(groups, "eigenvector_program_states", counting)
+        # one stacked eigenbasis, and one power table that both the
+        # eigenbasis and the coset kernels read
+        calls = count_calls(monkeypatch, groups, ["_eigenbasis", "_subgroup_powers"])
         demo()
-        assert len(calls) == 1
+        assert calls == {"_eigenbasis": 1, "_subgroup_powers": 1}
+
+    def test_phase_space_demo_programs_and_merges_through_its_hooks(self, monkeypatch):
+        # the defect tests replace these names in verify, so every vector
+        # must pass through them: 8 vectors at d = 7
+        calls = count_calls(monkeypatch, verify, ["program", "post_process_observable"])
+        assert phase_space_demo(7)["vector_count"] == 8
+        assert calls == {"program": 8, "post_process_observable": 8}
 
     def test_demos_and_checks_build_no_probe_matrix(self, monkeypatch):
         # every probe is kept as its pair: programming and the program
@@ -843,6 +862,23 @@ class TestStackedCertificate:
         sizes = [min(per_block, d + 1 - lo) for lo in range(0, d + 1, per_block)]
         assert [len(factors) for factors in stacks] == sizes
         assert all(factors.shape[1:] == (d, d, d) for factors in stacks)
+
+    def test_a_one_vector_block_is_a_view_of_the_merged_factors(self, monkeypatch):
+        # from d = 29 a block holds one vector of d^3 entries, which the
+        # certificate reads in place, with the bounds a copy gets
+        d = 29
+        monkeypatch.setattr(verify, "PHASE_SPACE_MAX_DIM", d)
+        merged = TestSharpDefects._merged(monkeypatch)
+        stacks = self._stacks(monkeypatch)
+        report = phase_space_demo(d)
+        assert len(stacks) == len(merged) == d + 1
+        for factors, sharp in zip(stacks, merged):
+            assert factors.shape == (1, d, d, d)
+            assert np.shares_memory(factors, sharp._factors)
+        original = verify._sharp_defects
+        monkeypatch.setattr(verify, "_sharp_defects", lambda factors: original(factors.copy()))
+        copied = phase_space_demo(d)
+        assert {**report, "elapsed": 0} == {**copied, "elapsed": 0}
 
     @staticmethod
     def _replace_merged(monkeypatch, index, replace):
