@@ -37,17 +37,19 @@ from .verify import (
 )
 
 SEED_ENV = "QML_SEED"
-# the largest bound sweep: 100_000 steps of 2e-5 across [-1, 1], about 1 s in
-# all and a few MB of output; anything above exits 2 before any work
+# the largest bound sweep: 100_000 steps of 2e-5 across [-1, 1], 0.41 s as a
+# whole run (median of three, one BLAS thread) and a few MB of output; anything
+# above exits 2 before any work
 MAX_POINTS = 100_001
 # the largest verify run: prop1 and prop3 sample in blocks of bounded memory, so
-# trials bound their time: 50_000 on the d = 19 phase space take about 1.1 s
-# (prop1) and 0.5 s (prop3), most of it sampling, and peak at 181 and 162 MiB
-# RSS under a 1 GiB address-space cap, on one BLAS thread of a 2-vCPU VM
+# trials bound their time: 50_000 on the d = 19 phase space take 1.25 s (prop1)
+# and 0.68 s (prop3) as whole runs, most of it sampling, and peak at 88 MiB RSS
+# under a 1 GiB address-space cap (median of three fresh processes, one BLAS
+# thread of a 2-vCPU Xeon VM)
 MAX_TRIALS = 50_000
-# verify bprops costs about 0.01 s per trial on one BLAS thread of a 2-vCPU
-# VM (1.3-1.7 s at 100 trials, 2.8-3.3 s at 300, 10.5-12.6 s at 1000, 28-31 s
-# at 3000), mostly one divergence re-estimate per trial for its B4 check; its
+# verify bprops costs about 8 ms per trial, mostly one divergence re-estimate
+# per trial for its B4 check: 3000 trials take 22.8 s as a whole run (median of
+# three fresh processes, 20.9-24.0 s, one BLAS thread of a 2-vCPU Xeon VM); its
 # own cap keeps the longest run under a minute
 MAX_BPROPS_TRIALS = 3_000
 
@@ -305,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--trials", type=int, default=None,
         help=f"randomized trials (default 1000): at most {MAX_TRIALS} for prop1 and prop3; "
-        f"at most {MAX_BPROPS_TRIALS} for bprops, which takes about 0.01 s per trial "
-        "(about 30 s at the cap on one BLAS thread)",
+        f"at most {MAX_BPROPS_TRIALS} for bprops, which takes about 8 ms per trial "
+        "(about 23 s at the cap on one BLAS thread)",
     )
     ver.add_argument(
         "--fixture", choices=["random", "q8", "phase-space"], default=None,

@@ -244,7 +244,12 @@ def checked_integer(value, name: str) -> int:
 
 @dataclass
 class DivergenceOptions:
-    """Knobs for the divergence estimator; defaults match the shipped reports."""
+    """Knobs for the divergence estimator; defaults match the shipped reports.
+
+    Each must be an integer (``checked_integer``): ``seed`` at least 0,
+    ``restarts`` at most ``MAX_RESTARTS`` and ``maxiter`` at least 1.
+    ``observable_divergence`` refuses any other value with a ``ValueError``
+    naming the field, before any search."""
 
     seed: int = 0
     restarts: int = 32

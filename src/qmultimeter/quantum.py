@@ -105,9 +105,12 @@ class DensityState:
         within sqrt(5) eps per entry, far inside ``TOL_HERM``; its spectrum
         {1, 0, ...} moves by at most about 2 sqrt(d) eps, far inside
         ``PROB_CLIP``. A vector whose norm underflows to 0 or overflows is
-        first scaled by its largest modulus.
+        first scaled by its largest modulus. Anything but a 1-D ``psi`` is
+        refused, so a matrix is never flattened into a vector.
         """
-        v = np.asarray(psi, dtype=complex).reshape(-1)
+        v = np.asarray(psi, dtype=complex)
+        if v.ndim != 1:
+            raise ValueError(f"a state vector must be 1-D, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError(NON_FINITE)
         with np.errstate(over="ignore"):

@@ -145,6 +145,12 @@ class TestDensityState:
             with pytest.raises(ValueError, match=re.escape(NON_FINITE)):
                 DensityState.from_vector(psi)
 
+    @pytest.mark.parametrize("psi", [np.eye(2), [[1.0], [0.0]], 1.0, np.array(1j)])
+    def test_from_vector_rejects_anything_but_a_vector(self, psi):
+        # a d x d matrix is no vector of d^2 entries
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(psi)}")):
+            DensityState.from_vector(psi)
+
     @pytest.mark.parametrize("psi", [[0.0, 0.0], []])
     def test_from_vector_rejects_the_zero_vector(self, psi):
         with pytest.raises(ValueError, match="zero vector"):
